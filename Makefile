@@ -1,12 +1,13 @@
 # Developer entry points. `make check` is the full gate: tier-1
 # (build + test, matching ROADMAP.md) plus vet, the race detector, the
-# nsdf-lint analyzer suite, a 5-second smoke of each fuzz target, and a
+# nsdf-lint analyzer suite, a 5-second smoke of each fuzz target, a
 # reduced-size smoke of every benchmark harness (read path, trace
-# overhead, block cache, sharded tier, compression, lint, serving).
+# overhead, block cache, sharded tier, compression, lint, serving), and
+# vet + tests of the bench/ module, which tier-1 does not compile.
 
 GO ?= go
 
-.PHONY: build test vet race lint fuzz-smoke check bench-readpath bench-readpath-smoke bench-trace bench-trace-smoke bench-cache bench-cache-smoke bench-shard bench-shard-smoke bench-compression bench-compression-smoke bench-lint bench-lint-smoke bench-serving bench-serving-smoke
+.PHONY: build test vet race lint fuzz-smoke check bench-e2e-check bench-readpath bench-readpath-smoke bench-trace bench-trace-smoke bench-cache bench-cache-smoke bench-shard bench-shard-smoke bench-compression bench-compression-smoke bench-lint bench-lint-smoke bench-serving bench-serving-smoke
 
 build:
 	$(GO) build ./...
@@ -30,8 +31,15 @@ lint:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSniff$$' -fuzztime=5s ./internal/convert
 	$(GO) test -run '^$$' -fuzz '^FuzzHZRuns$$' -fuzztime=5s ./internal/hz
+	$(GO) test -run '^$$' -fuzz '^FuzzTilePlan$$' -fuzztime=5s ./internal/hz
 
-# Measure the run-based HZ kernels against the per-sample reference path
+# bench/ is a module of its own (it imports this one through a replace),
+# so `go build ./... && go test ./...` here never compiles it: vet and
+# test it against the packages as they are in this checkout.
+bench-e2e-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Measure the tile-plan HZ kernels against the per-sample reference path
 # and refresh BENCH_readpath.json (see README.md for how to read it),
 # then print the standard Go benchmark tables.
 bench-readpath:
@@ -129,5 +137,5 @@ bench-lint:
 bench-lint-smoke:
 	NSDF_BENCH_LINT_ITERS=1 $(GO) test ./internal/lint -run '^TestBenchLintEmit$$' -count=1
 
-check: build test vet race lint fuzz-smoke bench-readpath-smoke bench-trace-smoke bench-cache-smoke bench-shard-smoke bench-compression-smoke bench-lint-smoke bench-serving-smoke
+check: build test vet race lint fuzz-smoke bench-e2e-check bench-readpath-smoke bench-trace-smoke bench-cache-smoke bench-shard-smoke bench-compression-smoke bench-lint-smoke bench-serving-smoke
 	@echo "check: all gates passed"

@@ -140,6 +140,11 @@ func RunFig2(w io.Writer) (Fig2Result, error) {
 type Fig3Result struct {
 	// Sources maps each source environment to its fetch+convert time.
 	Sources map[string]time.Duration
+	// Network maps each source environment to the modelled network time
+	// of its fetch (the wait storage.Conditioned booked), the part of
+	// Sources that differs between environments and does not depend on
+	// how fast this machine converts.
+	Network map[string]time.Duration
 	// Bytes is the TIFF payload size converted from each source.
 	Bytes int64
 }
@@ -164,17 +169,19 @@ func RunFig3(w io.Writer) (Fig3Result, error) {
 		"regional":      storage.ProfileRegional,
 		"cross-country": storage.ProfileCrossCountry,
 	}
-	res := Fig3Result{Sources: map[string]time.Duration{}, Bytes: int64(len(payload))}
+	res := Fig3Result{Sources: map[string]time.Duration{}, Network: map[string]time.Duration{}, Bytes: int64(len(payload))}
 	for _, name := range sortedKeys(profiles) {
 		src := storage.NewConditioned(storage.NewMemStore(), profiles[name], Seed)
 		if err := src.Put(ctx, "terrain/elevation.tif", payload); err != nil {
 			return res, err
 		}
+		uploadWait := src.Stats().TotalWait
 		start := time.Now()
 		data, err := src.Get(ctx, "terrain/elevation.tif")
 		if err != nil {
 			return res, err
 		}
+		res.Network[name] = src.Stats().TotalWait - uploadWait
 		im, err := tiff.DecodeBytes(data)
 		if err != nil {
 			return res, err
@@ -191,7 +198,8 @@ func RunFig3(w io.Writer) (Fig3Result, error) {
 			return res, err
 		}
 		res.Sources[name] = time.Since(start)
-		fmt.Fprintf(w, "  %-14s fetch+convert %8.1fms  (%d TIFF bytes)\n", name, float64(res.Sources[name])/1e6, len(payload))
+		fmt.Fprintf(w, "  %-14s fetch+convert %8.1fms, of which network %6.1fms  (%d TIFF bytes)\n",
+			name, float64(res.Sources[name])/1e6, float64(res.Network[name])/1e6, len(payload))
 	}
 	return res, nil
 }

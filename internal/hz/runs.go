@@ -5,22 +5,20 @@ import (
 	"math/bits"
 )
 
-// This file implements run-based HZ address kernels: instead of
-// re-interleaving every lattice point from scratch (PointHZ per sample),
-// a box × level query is decomposed into maximal runs of *consecutive*
-// HZ addresses, with successor addresses computed by carry-propagating
-// masked increments on the interleaved counter. A run maps a contiguous
-// span of block samples to a strided span of a row-major output grid, so
-// block assembly becomes a handful of bulk scatter/gather loops instead
-// of millions of per-sample bit interleaves and map lookups.
+// This file holds the masked-increment HZ address arithmetic: the
+// per-level geometry of a box × level query (levelQuery, shared with the
+// tile planner in tiles.go), its decomposition into maximal runs of
+// *consecutive* HZ addresses (HZRuns, the reference the tile plan is
+// checked against), and the Z-order row walkers the 3D read path uses.
 //
 // The key identity: every sample of exactly level l >= 1 has
 // z = q << (m-l+1) | 1 << (m-l) and hz = 2^(l-1) + q, where q is the
 // high l-1 bits of z ("the payload counter"). Walking the exact-level-l
-// sub-lattice along an axis changes only that axis's bits of q, so
-// consecutive lattice points along the fastest axis yield q, q+1, q+2...
-// for as long as the axis's payload bits are contiguous from bit 0 —
-// which is exactly what the masked-increment run length below measures.
+// sub-lattice along an axis changes only that axis's bits of q — one
+// carry-propagating masked increment per step — so q is separable,
+// X(i) | Y(j), and consecutive lattice points along the fastest axis
+// yield q, q+1, q+2... for as long as the axis's payload bits are
+// contiguous from bit 0.
 
 // Run is one maximal run of consecutive HZ addresses produced by HZRuns.
 // The run covers samples HZ, HZ+1, ..., HZ+N-1, which land at output
@@ -70,21 +68,80 @@ func maskedInc(v, mask, lsb uint64) uint64 {
 // extended slice. Every lattice sample is covered by exactly one run;
 // runs are emitted grouped by exact level, not globally sorted.
 //
+// HZRuns is the reference decomposition: the read and write paths plan
+// with PlanTiles, which is checked against it (FuzzTilePlan). It costs one
+// Run per 1.5 samples on the alternating masks Guess produces, which is
+// why nothing on a hot path materialises it.
+//
 // The mask must be 2-dimensional. Panics on malformed queries (origin
 // off the level lattice, level out of range) — these are programming
 // errors in the caller's planning code, not data-dependent conditions.
 func (b Bitmask) HZRuns(dst []Run, q RunQuery) []Run {
-	if b.ndim != 2 {
-		panic(fmt.Sprintf("hz: HZRuns requires a 2D bitmask, got %d dims", b.ndim))
-	}
-	if q.Level < 0 || q.Level > b.m {
-		panic(fmt.Sprintf("hz: HZRuns level %d out of range [0,%d]", q.Level, b.m))
-	}
+	sx, sy := b.queryStrides("HZRuns", q)
 	if q.NX <= 0 || q.NY <= 0 {
 		return dst
 	}
-	// Query lattice strides at q.Level (inline LevelStrides, no alloc).
-	sx, sy := 1, 1
+	var blockMask uint64
+	if q.SplitShift > 0 {
+		blockMask = uint64(1)<<q.SplitShift - 1
+	}
+	for l := 0; l <= q.Level; l++ {
+		lq := b.levelQuery(q, l, sx, sy)
+		xlsb := lq.xm & -lq.xm
+		ylsb := lq.ym & -lq.ym
+		// An x-step increments the lowest payload x-bit; consecutive
+		// addresses result while the carried-into bits are also x-bits,
+		// i.e. for runs of length 2^trailingOnes(xm) aligned to that
+		// chunk size.
+		tc := bits.TrailingZeros64(^lq.xm)
+		chunk := uint64(1) << uint(tc)
+		pc := lq.c0
+		for iy := 0; iy < lq.ny; iy++ {
+			c := pc
+			out := lq.out0 + iy*lq.outStepY
+			rem := lq.nx
+			for rem > 0 {
+				n := 1
+				if tc > 0 {
+					n = int(chunk - (c & (chunk - 1)))
+				}
+				if n > rem {
+					n = rem
+				}
+				if n > maxRunLen {
+					n = maxRunLen
+				}
+				h := lq.base + c
+				if blockMask != 0 {
+					if room := int(blockMask + 1 - (h & blockMask)); n > room {
+						n = room
+					}
+				}
+				dst = append(dst, Run{HZ: h, Out: out, N: int32(n), OutStep: int32(lq.outStepX)})
+				rem -= n
+				out += n * lq.outStepX
+				if rem > 0 {
+					c = maskedInc(c+uint64(n)-1, lq.xm, xlsb)
+				}
+			}
+			if iy+1 < lq.ny {
+				pc = maskedInc(pc, lq.ym, ylsb)
+			}
+		}
+	}
+	return dst
+}
+
+// queryStrides validates a 2D lattice query on behalf of fn and returns
+// LevelStrides(q.Level) without allocating.
+func (b Bitmask) queryStrides(fn string, q RunQuery) (sx, sy int) {
+	if b.ndim != 2 {
+		panic(fmt.Sprintf("hz: %s requires a 2D bitmask, got %d dims", fn, b.ndim))
+	}
+	if q.Level < 0 || q.Level > b.m {
+		panic(fmt.Sprintf("hz: %s level %d out of range [0,%d]", fn, q.Level, b.m))
+	}
+	sx, sy = 1, 1
 	for k := q.Level; k < b.m; k++ {
 		if b.axes[k] == 0 {
 			sx <<= 1
@@ -93,121 +150,96 @@ func (b Bitmask) HZRuns(dst []Run, q RunQuery) []Run {
 		}
 	}
 	if q.X0%sx != 0 || q.Y0%sy != 0 {
-		panic(fmt.Sprintf("hz: HZRuns origin (%d,%d) not on the level-%d lattice (strides %d,%d)",
-			q.X0, q.Y0, q.Level, sx, sy))
+		panic(fmt.Sprintf("hz: %s origin (%d,%d) not on the level-%d lattice (strides %d,%d)",
+			fn, q.X0, q.Y0, q.Level, sx, sy))
+	}
+	return sx, sy
+}
+
+// levelQuery is the part of a lattice query that falls on one exact
+// level l: the level-L lattice is the disjoint union of the exact-level-l
+// sub-lattices for l = 0..L, and each intersects the query box in a
+// regular nx × ny grid of its own. Sub-lattice point (i, j) has payload
+// counter X(i) | Y(j), with X counting in the bits of xm from c0&xm and
+// Y in the bits of ym from c0&ym; its HZ address is base + that counter
+// and its output index out0 + i*outStepX + j*outStepY.
+type levelQuery struct {
+	nx, ny             int
+	out0               int
+	outStepX, outStepY int
+	// base is 2^(l-1), the first HZ address of the level (0 for level 0).
+	base uint64
+	// c0 is the payload counter of sub-lattice point (0, 0).
+	c0 uint64
+	// xm, ym are the payload bits owned by each axis; they are disjoint.
+	xm, ym uint64
+}
+
+// levelQuery intersects the exact-level-l sub-lattice with q's box.
+// sx, sy are the query's own strides (queryStrides). The result is the
+// zero levelQuery (nx and ny 0) when no sample of the level falls inside
+// the box.
+func (b Bitmask) levelQuery(q RunQuery, l, sx, sy int) levelQuery {
+	if l == 0 {
+		// Level 0 is the single sample at the origin.
+		if q.X0 != 0 || q.Y0 != 0 {
+			return levelQuery{}
+		}
+		return levelQuery{nx: 1, ny: 1, outStepX: 1, outStepY: q.OutW}
+	}
+	// LevelStrides(l), then the exact-level-l sub-lattice: doubled along
+	// axis a, offset one LevelStrides(l) step along a (see DeltaStrides).
+	dsx, dsy := 1, 1
+	for k := l; k < b.m; k++ {
+		if b.axes[k] == 0 {
+			dsx <<= 1
+		} else {
+			dsy <<= 1
+		}
+	}
+	offx, offy := 0, 0
+	if b.axes[l-1] == 0 {
+		offx, dsx = dsx, dsx*2
+	} else {
+		offy, dsy = dsy, dsy*2
+	}
+	// First sub-lattice point inside the query box along each axis.
+	fx, fy := offx, offy
+	if q.X0 > offx {
+		fx = offx + (q.X0-offx+dsx-1)/dsx*dsx
+	}
+	if q.Y0 > offy {
+		fy = offy + (q.Y0-offy+dsy-1)/dsy*dsy
 	}
 	xEnd := q.X0 + q.NX*sx
 	yEnd := q.Y0 + q.NY*sy
-	var blockMask uint64
-	if q.SplitShift > 0 {
-		blockMask = uint64(1)<<q.SplitShift - 1
+	if fx >= xEnd || fy >= yEnd {
+		return levelQuery{}
 	}
-
-	// Level 0 is the single sample at the origin.
-	if q.X0 == 0 && q.Y0 == 0 {
-		dst = append(dst, Run{HZ: 0, Out: 0, N: 1, OutStep: 1})
+	// Output placement: sub-lattice strides are multiples of the query
+	// strides, so these divisions are exact.
+	lq := levelQuery{
+		nx:       (xEnd-1-fx)/dsx + 1,
+		ny:       (yEnd-1-fy)/dsy + 1,
+		out0:     (fy-q.Y0)/sy*q.OutW + (fx-q.X0)/sx,
+		outStepX: dsx / sx,
+		outStepY: dsy / sy * q.OutW,
+		base:     uint64(1) << uint(l-1),
 	}
-
-	// The level-L lattice is the disjoint union of the exact-level-l
-	// sub-lattices for l = 0..L. Intersect each with the query box.
-	// cx, cy track LevelStrides(l) as l descends from q.Level to 1.
-	cx, cy := sx, sy
-	var p [2]int
-	for l := q.Level; l >= 1; l-- {
-		a := b.axes[l-1]
-		// Exact-level-l sub-lattice: LevelStrides(l) doubled along axis a,
-		// offset one LevelStrides(l) step along a (see DeltaStrides).
-		dsx, dsy := cx, cy
-		offx, offy := 0, 0
-		if a == 0 {
-			offx, dsx = cx, cx*2
+	// Payload-space masks: mask character k (k in 0..l-2) owns payload
+	// bit l-2-k. Characters l-1..m-1 are dropped by the shift (they encode
+	// the fixed exact-level offset pattern).
+	for k := 0; k+2 <= l; k++ {
+		bit := uint64(1) << uint(l-2-k)
+		if b.axes[k] == 0 {
+			lq.xm |= bit
 		} else {
-			offy, dsy = cy, cy*2
-		}
-		// First sub-lattice point inside the query box along each axis.
-		fx, fy := offx, offy
-		if q.X0 > offx {
-			fx = offx + (q.X0-offx+dsx-1)/dsx*dsx
-		}
-		if q.Y0 > offy {
-			fy = offy + (q.Y0-offy+dsy-1)/dsy*dsy
-		}
-		if fx < xEnd && fy < yEnd {
-			nxl := (xEnd-1-fx)/dsx + 1
-			nyl := (yEnd-1-fy)/dsy + 1
-			// Output placement: sub-lattice strides are multiples of the
-			// query strides, so these divisions are exact.
-			outX0 := (fx - q.X0) / sx
-			outY0 := (fy - q.Y0) / sy
-			outStepX := dsx / sx
-			outStepY := dsy / sy
-
-			shift := uint(b.m - l + 1)
-			base := uint64(1) << uint(l-1)
-			// Payload-space masks: mask character k (k in 0..l-2) owns
-			// payload bit l-2-k. Characters l-1..m-1 are dropped by the
-			// shift (they encode the fixed exact-level offset pattern).
-			var xm, ym uint64
-			for k := 0; k+2 <= l; k++ {
-				bit := uint64(1) << uint(l-2-k)
-				if b.axes[k] == 0 {
-					xm |= bit
-				} else {
-					ym |= bit
-				}
-			}
-			xlsb := xm & -xm
-			ylsb := ym & -ym
-			// An x-step increments the lowest payload x-bit; consecutive
-			// addresses result while the carried-into bits are also x-bits,
-			// i.e. for runs of length 2^trailingOnes(xm) aligned to that
-			// chunk size.
-			tc := bits.TrailingZeros64(^xm)
-			chunk := uint64(1) << uint(tc)
-
-			p[0], p[1] = fx, fy
-			pc := b.Interleave(p[:]) >> shift
-			for iy := 0; iy < nyl; iy++ {
-				c := pc
-				out := (outY0+iy*outStepY)*q.OutW + outX0
-				rem := nxl
-				for rem > 0 {
-					n := 1
-					if tc > 0 {
-						n = int(chunk - (c & (chunk - 1)))
-					}
-					if n > rem {
-						n = rem
-					}
-					if n > maxRunLen {
-						n = maxRunLen
-					}
-					h := base + c
-					if blockMask != 0 {
-						if room := int(blockMask + 1 - (h & blockMask)); n > room {
-							n = room
-						}
-					}
-					dst = append(dst, Run{HZ: h, Out: out, N: int32(n), OutStep: int32(outStepX)})
-					rem -= n
-					out += n * outStepX
-					if rem > 0 {
-						c = maskedInc(c+uint64(n)-1, xm, xlsb)
-					}
-				}
-				if iy+1 < nyl {
-					pc = maskedInc(pc, ym, ylsb)
-				}
-			}
-		}
-		// LevelStrides(l-1) = LevelStrides(l) doubled along axes[l-1].
-		if a == 0 {
-			cx *= 2
-		} else {
-			cy *= 2
+			lq.ym |= bit
 		}
 	}
-	return dst
+	p := [2]int{fx, fy}
+	lq.c0 = b.Interleave(p[:]) >> uint(b.m-l+1)
+	return lq
 }
 
 // axisStepMask returns the Z-address bit positions holding coordinate

@@ -1,9 +1,11 @@
 package idx
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -18,14 +20,16 @@ import (
 	"nsdfgo/internal/raster"
 )
 
-// This file measures the run-based HZ kernels against the pre-kernel
+// This file measures the tile-plan HZ kernels against the pre-kernel
 // per-sample path. readBoxPerSample and writeGridPerSample below are
-// faithful copies of the implementations this PR replaced (PointHZ per
-// output sample, map-backed block sets, HZToZ+Deinterleave per block
-// slot) so the before/after comparison stays runnable as both paths
-// evolve. Benchmarks run warm-cache: that isolates the addressing and
-// assembly work the kernels rewrite — the interactive dashboard
-// scenario — from backend and codec costs common to both paths.
+// faithful copies of the first implementations (PointHZ per output
+// sample, map-backed block sets, HZToZ+Deinterleave per block slot),
+// kept as the reference ReadBox, WriteGrid and WriteRegion are checked
+// against (verifyKernelAgreement) and as the baseline of
+// BENCH_readpath.json. Benchmarks run warm-cache: that isolates the
+// addressing and assembly work the kernels do — the interactive
+// dashboard scenario — from backend and codec costs common to both
+// paths.
 
 // readBoxPerSample is the pre-kernel ReadBox (PR 1 vintage).
 func readBoxPerSample(d *Dataset, field string, t int, box Box, level int) (*raster.Grid, *ReadStats, error) {
@@ -208,31 +212,141 @@ func newKernelBenchDataset(tb testing.TB) (*Dataset, *raster.Grid) {
 	return ds, g
 }
 
-// verifyKernelAgreement cross-checks the two read paths sample for
-// sample before timing them.
-func verifyKernelAgreement(tb testing.TB, ds *Dataset) {
+// verifyReadAgreement cross-checks ReadBox against the per-sample
+// reference, bit for bit, over the full extent and three sub-boxes whose
+// corners sit off every coarse lattice, at each of the given levels.
+func verifyReadAgreement(tb testing.TB, ds *Dataset, field string, levels []int) {
 	tb.Helper()
-	for _, level := range []int{ds.Meta.MaxLevel(), ds.Meta.MaxLevel() - 3, 5} {
-		want, _, err := readBoxPerSample(ds, "v", 0, ds.FullBox(), level)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		got, _, err := ds.ReadBox(context.Background(), "v", 0, ds.FullBox(), level)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if len(want.Data) != len(got.Data) {
-			tb.Fatalf("level %d: kernel read %d samples, per-sample read %d", level, len(got.Data), len(want.Data))
-		}
-		for i := range want.Data {
-			if want.Data[i] != got.Data[i] {
-				tb.Fatalf("level %d sample %d: kernel %v, per-sample %v", level, i, got.Data[i], want.Data[i])
+	w, h := ds.Meta.Dims[0], ds.Meta.Dims[1]
+	boxes := []Box{
+		ds.FullBox(),
+		{X0: w/3 + 1, Y0: h/5 + 3, X1: w - w/7, Y1: h - 1},
+		{X0: w - 1, Y0: 0, X1: w, Y1: h},
+		{X0: 1, Y0: h / 2, X1: w/2 + 1, Y1: h/2 + 1},
+	}
+	for _, level := range levels {
+		for _, box := range boxes {
+			// A box between two lattice points holds no sample; ReadBox
+			// rejects it and the reference does not handle it.
+			s := ds.Meta.Bits.LevelStrides(level)
+			if (box.X0+s[0]-1)/s[0]*s[0] >= box.X1 || (box.Y0+s[1]-1)/s[1]*s[1] >= box.Y1 {
+				continue
+			}
+			want, _, err := readBoxPerSample(ds, field, 0, box, level)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			got, _, err := ds.ReadBox(context.Background(), field, 0, box, level)
+			if err != nil {
+				tb.Fatalf("%s level %d box %+v: %v", field, level, box, err)
+			}
+			if want.W != got.W || want.H != got.H {
+				tb.Fatalf("%s level %d box %+v: kernel read %dx%d, per-sample read %dx%d",
+					field, level, box, got.W, got.H, want.W, want.H)
+			}
+			for i := range want.Data {
+				if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {
+					tb.Fatalf("%s level %d box %+v sample %d: kernel %v, per-sample %v",
+						field, level, box, i, got.Data[i], want.Data[i])
+				}
 			}
 		}
 	}
 }
 
-// BenchmarkReadBoxKernel compares the run-based streaming ReadBox
+// verifyKernelAgreement cross-checks the tile kernels against the
+// per-sample references in both directions. It compares reads of ds at
+// full, middle and coarse resolution; then, for every DType on a grid
+// with non-power-of-two sides and many small blocks, it requires
+// WriteGrid and a quartered WriteRegion to store exactly the bytes
+// writeGridPerSample stores, and ReadBox to agree with readBoxPerSample
+// at every level. The samples include a NaN, negatives, fractions and
+// values beyond every integer type's range, so clamping is compared too.
+func verifyKernelAgreement(tb testing.TB, ds *Dataset) {
+	tb.Helper()
+	max := ds.Meta.MaxLevel()
+	verifyReadAgreement(tb, ds, ds.Meta.Fields[0].Name, []int{max, max - 3, 5})
+
+	const w, h = 150, 70
+	g := raster.New(w, h)
+	for i := range g.Data {
+		g.Data[i] = float32((i*7919)%140000)/2 - 1000.25
+	}
+	g.Data[w+1] = float32(math.NaN())
+	ctx := context.Background()
+	for _, dt := range []DType{Float32, Float64, Uint8, Uint16, Int16, Uint32} {
+		name := dt.String()
+		meta, err := NewMeta([]int{w, h}, []Field{{Name: name, Type: dt, Codec: "raw", Fill: -3}})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		meta.BitsPerBlock = 9
+		backends := [3]*MemBackend{NewMemBackend(), NewMemBackend(), NewMemBackend()}
+		var sets [3]*Dataset
+		for i, be := range backends {
+			if sets[i], err = Create(ctx, be, meta); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if err := writeGridPerSample(sets[0], name, 0, g); err != nil {
+			tb.Fatal(err)
+		}
+		if err := sets[1].WriteGrid(ctx, name, 0, g); err != nil {
+			tb.Fatal(err)
+		}
+		for _, q := range []Box{{0, 0, 77, 31}, {77, 0, w, 31}, {0, 31, 77, h}, {77, 31, w, h}} {
+			part, err := g.Crop(q.X0, q.Y0, q.X1-q.X0, q.Y1-q.Y0)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if err := sets[2].WriteRegion(ctx, name, 0, q.X0, q.Y0, part); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		blocks, err := backends[0].List(ctx, BlockPrefix)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if len(blocks) != meta.NumBlocks() {
+			tb.Fatalf("%s: per-sample write stored %d blocks, want %d", name, len(blocks), meta.NumBlocks())
+		}
+		for _, key := range blocks {
+			want, err := backends[0].Get(ctx, key)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			got, err := backends[1].Get(ctx, key)
+			if err != nil || !bytes.Equal(got, want) {
+				tb.Fatalf("%s %s: WriteGrid stored other bytes than the per-sample write (err %v)", name, key, err)
+			}
+			// WriteRegion leaves blocks that hold only padding unwritten.
+			got, err = backends[2].Get(ctx, key)
+			if err != nil && !IsNotExist(err) {
+				tb.Fatal(err)
+			}
+			if err == nil && !bytes.Equal(got, want) {
+				tb.Fatalf("%s %s: WriteRegion stored other bytes than the per-sample write", name, key)
+			}
+		}
+		levels := make([]int, meta.MaxLevel()+1)
+		for l := range levels {
+			levels[l] = l
+		}
+		verifyReadAgreement(tb, sets[1], name, levels)
+	}
+}
+
+// TestKernelAgreement runs the cross-check in tier-1, on a dataset
+// small enough for the per-sample reference.
+func TestKernelAgreement(t *testing.T) {
+	ds, _ := newTestDataset(t, 300, 200, float32Fields())
+	if err := ds.WriteGrid(context.Background(), "elevation", 0, rampGrid(300, 200)); err != nil {
+		t.Fatal(err)
+	}
+	verifyKernelAgreement(t, ds)
+}
+
+// BenchmarkReadBoxKernel compares the tile-plan streaming ReadBox
 // against the per-sample reference on a warm cache.
 func BenchmarkReadBoxKernel(b *testing.B) {
 	ds, _ := newKernelBenchDataset(b)
@@ -259,7 +373,7 @@ func BenchmarkReadBoxKernel(b *testing.B) {
 	})
 }
 
-// BenchmarkWriteGridKernel compares the run-based WriteGrid against the
+// BenchmarkWriteGridKernel compares the tile-plan WriteGrid against the
 // per-sample reference.
 func BenchmarkWriteGridKernel(b *testing.B) {
 	ds, g := newKernelBenchDataset(b)
@@ -513,7 +627,7 @@ func TestBenchReadpathEmit(t *testing.T) {
 			ReadWrite  concRW    `json:"read_write_mix"`
 		} `json:"concurrent"`
 	}{
-		Description: "Run-based HZ kernels vs the per-sample reference path (single-threaded, kept for trajectory), plus a concurrent mixed workload at GOMAXPROCS=4: 4 readers over mixed levels, and 3 readers racing 1 writer. Warm block cache, raw codec. Regenerate with `make bench-readpath`.",
+		Description: "Tile-plan HZ kernels vs the per-sample reference path (single-threaded, kept for trajectory), plus a concurrent mixed workload at GOMAXPROCS=4: 4 readers over mixed levels, and 3 readers racing 1 writer. Warm block cache, raw codec. Regenerate with `make bench-readpath`.",
 		Dataset:     fmt.Sprintf("%dx%d float32, 2^%d-sample blocks", benchSide, benchSide, ds.Meta.BitsPerBlock),
 		Iters:       iters,
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),

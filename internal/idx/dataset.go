@@ -372,22 +372,20 @@ func (d *Dataset) WriteGrid(ctx context.Context, field string, t int, g *raster.
 	defer span.End()
 	sc := d.newStageClock(span != nil)
 
-	// Plan: decompose the full-resolution grid into HZ runs grouped by
-	// block. Each run gathers a strided span of the row-major grid into a
-	// contiguous span of a block, replacing the old per-sample
-	// HZToZ+Deinterleave walk over every block slot.
+	// Plan: the full-resolution grid as per-block tiles. Each tile row
+	// scatters a strided span of the row-major grid into its block.
 	var planStart time.Time
 	if sc != nil {
 		planStart = time.Now()
 	}
-	runs, spans := d.planRuns(hz.RunQuery{NX: w, NY: h, Level: mask.Bits(), OutW: w})
+	plan, spans := d.planTiles(hz.RunQuery{NX: w, NY: h, Level: mask.Bits(), OutW: w})
 	if sc != nil {
 		planEnd := time.Now()
 		d.observePlan(planEnd.Sub(planStart))
 		if sc.traced {
 			trace.Record(ctx, "idx.plan", planStart, planEnd,
 				trace.Str("dataset", d.name),
-				trace.Int("runs", int64(len(runs))))
+				trace.Int("runs", int64(tileRows(plan.Tiles))))
 		}
 	}
 	// spanAt[b] indexes spans for block b, or -1 when no grid sample maps
@@ -410,12 +408,8 @@ func (d *Dataset) WriteGrid(ctx context.Context, field string, t int, g *raster.
 	// Fill template: padding samples (outside the logical dims) store the
 	// field's fill value. Blocks with no grid samples at all share one
 	// pre-encoded payload.
-	fillVals := make([]float32, blockSamples)
-	for i := range fillVals {
-		fillVals[i] = f.Fill
-	}
 	rawFill := make([]byte, blockSamples*sz)
-	f.Type.encodeBlock(rawFill, fillVals)
+	f.Type.fillBlock(rawFill, f.Fill)
 	var fillEnc []byte
 	if len(spans) < numBlocks {
 		fillEnc, err = codec.Encode(rawFill)
@@ -440,7 +434,6 @@ func (d *Dataset) WriteGrid(ctx context.Context, field string, t int, g *raster.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			vals := make([]float32, blockSamples)
 			buf := make([]byte, blockSamples*sz)
 			for {
 				if aborted.Load() {
@@ -461,29 +454,11 @@ func (d *Dataset) WriteGrid(ctx context.Context, field string, t int, g *raster.
 				}
 				enc := fillEnc
 				if si := spanAt[b]; si >= 0 {
-					sp := spans[si]
-					covered := 0
-					for _, r := range runs[sp.lo:sp.hi] {
-						covered += int(r.N)
+					tiles := plan.Tiles[spans[si].lo:spans[si].hi]
+					if tileSamples(tiles) < blockSamples {
+						copy(buf, rawFill)
 					}
-					if covered < blockSamples {
-						copy(vals, fillVals)
-					}
-					hz0 := uint64(b) << d.Meta.BitsPerBlock
-					for _, r := range runs[sp.lo:sp.hi] {
-						off := int(r.HZ - hz0)
-						n := int(r.N)
-						if step := int(r.OutStep); step == 1 {
-							copy(vals[off:off+n], g.Data[r.Out:r.Out+n])
-						} else {
-							src := r.Out
-							for i := 0; i < n; i++ {
-								vals[off+i] = g.Data[src]
-								src += step
-							}
-						}
-					}
-					f.Type.encodeBlock(buf, vals)
+					scatterTiles(f.Type, buf, &plan, tiles, g.Data)
 					var err error
 					enc, err = codec.Encode(buf)
 					if err != nil {
@@ -580,9 +555,9 @@ type ReadStats struct {
 	BytesRead int64
 	// Samples counts samples delivered to the caller.
 	Samples int
-	// Runs counts the HZ address runs the query planned; Samples/Runs is
-	// the mean run length, a direct measure of how much bulk copying the
-	// run kernels achieved over per-sample addressing.
+	// Runs counts the bulk tile-row copies that assembled the output: one
+	// per row of each per-block tile of the plan. Samples/Runs is the mean
+	// row length.
 	Runs int
 }
 
@@ -637,29 +612,25 @@ func (d *Dataset) ReadBox(ctx context.Context, field string, t int, box Box, lev
 
 	out := raster.New(ow, oh)
 	stats := &ReadStats{Samples: ow * oh}
-	blockSamples := d.Meta.BlockSamples()
-	sz := f.Type.Size()
-	rawBlockLen := blockSamples * sz
+	rawBlockLen := d.Meta.BlockSamples() * f.Type.Size()
 
-	// Phase 1: plan. Decompose the query into runs of consecutive HZ
-	// addresses grouped by block (per-run cost, not per-sample), instead
-	// of interleaving every output sample and collecting map-backed block
-	// sets.
+	// Phase 1: plan. Decompose the query into per-block tiles over
+	// separable offset tables; nothing here is per sample.
 	var planStart time.Time
 	if sc != nil {
 		planStart = time.Now()
 	}
-	runs, spans := d.planRuns(hz.RunQuery{
+	plan, spans := d.planTiles(hz.RunQuery{
 		X0: ax0, Y0: ay0, NX: ow, NY: oh, Level: level, OutW: ow,
 	})
-	stats.Runs = len(runs)
+	stats.Runs = tileRows(plan.Tiles)
 	if sc != nil {
 		planEnd := time.Now()
 		d.observePlan(planEnd.Sub(planStart))
 		if sc.traced {
 			trace.Record(ctx, "idx.plan", planStart, planEnd,
 				trace.Str("dataset", d.name),
-				trace.Int("runs", int64(len(runs))),
+				trace.Int("runs", int64(stats.Runs)),
 				trace.Int("blocks", int64(len(spans))))
 		}
 	}
@@ -670,14 +641,10 @@ func (d *Dataset) ReadBox(ctx context.Context, field string, t int, box Box, lev
 		}
 		return d.BlockKey(field, t, b)
 	}
-	// assemble scatters one decoded block into the output grid: each run
-	// is a contiguous block span copied to a strided grid span with the
-	// type switch hoisted out of the loop.
+	// assemble gathers what one decoded block holds of the query into the
+	// output grid.
 	assemble := func(raw []byte, sp blockSpan) {
-		for _, r := range runs[sp.lo:sp.hi] {
-			off := int(r.HZ&uint64(blockSamples-1)) * sz
-			f.Type.decodeInto(out.Data[r.Out:], int(r.OutStep), raw[off:], int(r.N))
-		}
+		gatherTiles(f.Type, out.Data, &plan, plan.Tiles[sp.lo:sp.hi], raw)
 	}
 	if sc != nil {
 		inner := assemble

@@ -104,115 +104,94 @@ func (d DType) getSample(src []byte) float32 {
 	return 0
 }
 
-// decodeInto bulk-decodes n consecutive dtype-d samples from src into
-// dst[0], dst[step], ..., dst[(n-1)*step]. It is the run-wise scatter
-// primitive of the streaming read path: the type switch is hoisted out
-// of the inner loop, and the common float32/step-1 case reduces to a
-// straight word copy. Semantics match getSample exactly.
-func (d DType) decodeInto(dst []float32, step int, src []byte, n int) {
+// gatherRow decodes one tile row of a block payload: the dtype-d sample
+// at index yoff|xoff[i] of src lands in dst[i*step]. It is the read
+// path's only per-sample loop, so the type switch sits outside it and
+// addressing is one table load per sample (see hz.TilePlan). Semantics
+// match getSample exactly.
+func (d DType) gatherRow(dst []float32, step int, src []byte, yoff uint32, xoff []uint32) {
+	o := 0
 	switch d {
 	case Float32:
-		if step == 1 {
-			for i := 0; i < n; i++ {
-				dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-			}
-			return
-		}
-		o := 0
-		for i := 0; i < n; i++ {
-			dst[o] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+		for _, x := range xoff {
+			dst[o] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*int(yoff|x):]))
 			o += step
 		}
 	case Float64:
-		o := 0
-		for i := 0; i < n; i++ {
-			dst[o] = float32(math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:])))
+		for _, x := range xoff {
+			dst[o] = float32(math.Float64frombits(binary.LittleEndian.Uint64(src[8*int(yoff|x):])))
 			o += step
 		}
 	case Uint8:
-		o := 0
-		for i := 0; i < n; i++ {
-			dst[o] = float32(src[i])
+		for _, x := range xoff {
+			dst[o] = float32(src[yoff|x])
 			o += step
 		}
 	case Uint16:
-		o := 0
-		for i := 0; i < n; i++ {
-			dst[o] = float32(binary.LittleEndian.Uint16(src[2*i:]))
+		for _, x := range xoff {
+			dst[o] = float32(binary.LittleEndian.Uint16(src[2*int(yoff|x):]))
 			o += step
 		}
 	case Int16:
-		o := 0
-		for i := 0; i < n; i++ {
-			dst[o] = float32(int16(binary.LittleEndian.Uint16(src[2*i:])))
+		for _, x := range xoff {
+			dst[o] = float32(int16(binary.LittleEndian.Uint16(src[2*int(yoff|x):])))
 			o += step
 		}
 	case Uint32:
-		o := 0
-		for i := 0; i < n; i++ {
-			dst[o] = float32(binary.LittleEndian.Uint32(src[4*i:]))
+		for _, x := range xoff {
+			dst[o] = float32(binary.LittleEndian.Uint32(src[4*int(yoff|x):]))
 			o += step
 		}
 	}
 }
 
-// encodeFrom bulk-encodes n samples gathered from src[0], src[step], ...
-// as n consecutive dtype-d samples at dst — the write-path mirror of
-// decodeInto. Semantics (clamping, NaN handling, endianness) match
-// putSample exactly, so blocks written through either path are
-// byte-identical.
-func (d DType) encodeFrom(dst []byte, src []float32, step, n int) {
+// scatterRow is the write-path mirror of gatherRow: src[i*step] is
+// encoded as the dtype-d sample at index yoff|xoff[i] of dst. Semantics
+// (clamping, NaN handling, endianness) match putSample exactly, so
+// blocks written through either are byte-identical.
+func (d DType) scatterRow(dst []byte, yoff uint32, xoff []uint32, src []float32, step int) {
+	o := 0
 	switch d {
 	case Float32:
-		if step == 1 {
-			for i := 0; i < n; i++ {
-				binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(src[i]))
-			}
-			return
-		}
-		o := 0
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(src[o]))
+		for _, x := range xoff {
+			binary.LittleEndian.PutUint32(dst[4*int(yoff|x):], math.Float32bits(src[o]))
 			o += step
 		}
 	case Float64:
-		o := 0
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(float64(src[o])))
+		for _, x := range xoff {
+			binary.LittleEndian.PutUint64(dst[8*int(yoff|x):], math.Float64bits(float64(src[o])))
 			o += step
 		}
 	case Uint8:
-		o := 0
-		for i := 0; i < n; i++ {
-			dst[i] = uint8(clampInt(src[o], 0, math.MaxUint8))
+		for _, x := range xoff {
+			dst[yoff|x] = uint8(clampInt(src[o], 0, math.MaxUint8))
 			o += step
 		}
 	case Uint16:
-		o := 0
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint16(dst[2*i:], uint16(clampInt(src[o], 0, math.MaxUint16)))
+		for _, x := range xoff {
+			binary.LittleEndian.PutUint16(dst[2*int(yoff|x):], uint16(clampInt(src[o], 0, math.MaxUint16)))
 			o += step
 		}
 	case Int16:
-		o := 0
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint16(dst[2*i:], uint16(int16(clampInt(src[o], math.MinInt16, math.MaxInt16))))
+		for _, x := range xoff {
+			binary.LittleEndian.PutUint16(dst[2*int(yoff|x):], uint16(int16(clampInt(src[o], math.MinInt16, math.MaxInt16))))
 			o += step
 		}
 	case Uint32:
-		o := 0
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(dst[4*i:], uint32(clampInt(src[o], 0, math.MaxUint32)))
+		for _, x := range xoff {
+			binary.LittleEndian.PutUint32(dst[4*int(yoff|x):], uint32(clampInt(src[o], 0, math.MaxUint32)))
 			o += step
 		}
 	}
 }
 
-// decodeBlock decodes a whole raw block payload into dst.
-func (d DType) decodeBlock(dst []float32, src []byte) { d.decodeInto(dst, 1, src, len(dst)) }
-
-// encodeBlock encodes a whole block of samples into the raw payload dst.
-func (d DType) encodeBlock(dst []byte, src []float32) { d.encodeFrom(dst, src, 1, len(src)) }
+// fillBlock sets every dtype-d sample of the raw block payload dst to v.
+func (d DType) fillBlock(dst []byte, v float32) {
+	d.putSample(dst, v)
+	for n := d.Size(); n < len(dst); n *= 2 {
+		copy(dst[n:], dst[:n])
+	}
+}
 
 func clampInt(v float32, lo, hi int64) int64 {
 	f := float64(v)

@@ -140,6 +140,14 @@ func TestMetaValidation(t *testing.T) {
 	if _, err := NewMeta([]int{4, 4}, []Field{{Name: "a", Type: Float32, Codec: "snappy"}}); err == nil {
 		t.Error("unknown codec accepted")
 	}
+	huge, err := NewMeta([]int{1 << 20, 1 << 20}, float32Fields())
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge.BitsPerBlock = 33
+	if huge.Validate() == nil {
+		t.Error("block of 2^33 samples accepted")
+	}
 }
 
 func TestMetaUnmarshalRejectsGarbage(t *testing.T) {

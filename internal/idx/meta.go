@@ -126,8 +126,9 @@ func (m *Meta) Validate() error {
 			return fmt.Errorf("idx: dimension %d extent %d exceeds bitmask capacity %d", a, d, 1<<m.Bits.AxisBits(a))
 		}
 	}
-	if m.BitsPerBlock < 1 || m.BitsPerBlock > m.Bits.Bits() {
-		return fmt.Errorf("idx: bitsperblock %d outside [1,%d]", m.BitsPerBlock, m.Bits.Bits())
+	// In-block sample offsets are 32-bit (hz.TilePlan).
+	if maxBPB := min(m.Bits.Bits(), 32); m.BitsPerBlock < 1 || m.BitsPerBlock > maxBPB {
+		return fmt.Errorf("idx: bitsperblock %d outside [1,%d]", m.BitsPerBlock, maxBPB)
 	}
 	if m.Timesteps < 1 {
 		return fmt.Errorf("idx: %d timesteps", m.Timesteps)

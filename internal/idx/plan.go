@@ -1,123 +1,83 @@
 package idx
 
-import (
-	"slices"
+import "nsdfgo/internal/hz"
 
-	"nsdfgo/internal/hz"
-)
+// This file binds the block-first tile plan (hz.PlanTiles) to the dataset:
+// ReadBox, WriteGrid and WriteRegion all plan with planTiles and move
+// samples with gatherTiles / scatterTiles, one storage block at a time.
 
-// This file builds the block plan behind the streaming ReadBox/WriteGrid
-// paths: the query box is decomposed into HZ runs (see hz.HZRuns), the
-// runs are grouped by storage block, and each block's slice of the plan
-// is described by a blockSpan. Grouping uses a counting scatter keyed on
-// block id — runs of a large read number in the millions, and a
-// comparison sort at that size would eat most of the kernel's win.
-
-// blockSpan is one storage block's slice of a grouped run plan.
+// blockSpan is one storage block's slice of a tile plan.
 type blockSpan struct {
 	// block is the block index (HZ address >> BitsPerBlock).
 	block int
-	// lo, hi bound the block's runs in the plan slice, half-open.
+	// lo, hi bound the block's tiles in TilePlan.Tiles, half-open.
 	lo, hi int
 }
 
-// runBlock returns the block id owning run r. HZRuns is invoked with
-// SplitShift = BitsPerBlock, so a run never straddles two blocks.
-func (d *Dataset) runBlock(r hz.Run) int {
-	return int(r.HZ >> d.Meta.BitsPerBlock)
-}
-
-// planRuns decomposes the query into HZ runs grouped by ascending block
-// id and returns the grouped runs plus one span per touched block. The
-// plan phase performs no per-sample work: its cost is proportional to
-// the number of runs, not the number of samples.
-func (d *Dataset) planRuns(q hz.RunQuery) ([]hz.Run, []blockSpan) {
+// planTiles plans the query block first and returns the plan with one
+// span per touched block, in ascending block order. Planning does no
+// per-sample work: its cost is the touched blocks plus NX + NY table
+// entries per level.
+func (d *Dataset) planTiles(q hz.RunQuery) (hz.TilePlan, []blockSpan) {
 	q.SplitShift = d.Meta.BitsPerBlock
-	// Worst-case run count is one per sample, but even fully alternating
-	// masks (the worst realistic case: every other exact level decomposes
-	// into runs of 1) stay under 3/4 of the sample count.
-	est := q.NX*q.NY/4*3 + 16
-	runs := d.Meta.Bits.HZRuns(make([]hz.Run, 0, est), q)
-	if len(runs) == 0 {
-		return runs, nil
-	}
-
-	minB, maxB := d.runBlock(runs[0]), d.runBlock(runs[0])
-	for i := 1; i < len(runs); i++ {
-		b := d.runBlock(runs[i])
-		if b < minB {
-			minB = b
+	plan := d.Meta.Bits.PlanTiles(q)
+	spans := make([]blockSpan, 0, len(plan.Tiles))
+	for i, tl := range plan.Tiles {
+		if n := len(spans); n > 0 && spans[n-1].block == tl.Block {
+			spans[n-1].hi = i + 1
+			continue
 		}
-		if b > maxB {
-			maxB = b
-		}
+		spans = append(spans, blockSpan{block: tl.Block, lo: i, hi: i + 1})
 	}
-	width := maxB - minB + 1
-	if width > 2*len(runs)+1024 {
-		// Pathologically sparse block range: fall back to a comparison
-		// sort rather than allocating a huge counting table.
-		slices.SortFunc(runs, func(a, b hz.Run) int {
-			switch {
-			case a.HZ < b.HZ:
-				return -1
-			case a.HZ > b.HZ:
-				return 1
-			}
-			return 0
-		})
-		return runs, spansOfGrouped(runs, d.Meta.BitsPerBlock)
-	}
-
-	// Counting scatter: bucket counts, prefix sums, then a stable scatter
-	// into a second slice. Two linear passes, no comparisons.
-	counts := make([]int, width+1)
-	blocks := 0
-	for _, r := range runs {
-		i := d.runBlock(r) - minB
-		if counts[i+1] == 0 {
-			blocks++
-		}
-		counts[i+1]++
-	}
-	for i := 1; i <= width; i++ {
-		counts[i] += counts[i-1]
-	}
-	spans := make([]blockSpan, 0, blocks)
-	for i := 0; i < width; i++ {
-		if counts[i+1] > counts[i] {
-			spans = append(spans, blockSpan{block: minB + i, lo: counts[i], hi: counts[i+1]})
-		}
-	}
-	grouped := make([]hz.Run, len(runs))
-	for _, r := range runs {
-		i := d.runBlock(r) - minB
-		grouped[counts[i]] = r
-		counts[i]++
-	}
-	return grouped, spans
+	return plan, spans
 }
 
-// spansOfGrouped derives block spans from an already block-grouped run
-// slice.
-func spansOfGrouped(runs []hz.Run, bpb int) []blockSpan {
-	nspans, prev := 0, -1
-	for i := range runs {
-		if b := int(runs[i].HZ >> bpb); b != prev {
-			nspans++
-			prev = b
+// tileRows counts the rows of the tiles: the bulk row copies a gather
+// or scatter of them performs.
+func tileRows(tiles []hz.Tile) int {
+	rows := 0
+	for _, tl := range tiles {
+		rows += tl.J1 - tl.J0
+	}
+	return rows
+}
+
+// tileSamples counts the samples the tiles cover.
+func tileSamples(tiles []hz.Tile) int {
+	n := 0
+	for _, tl := range tiles {
+		n += (tl.I1 - tl.I0) * (tl.J1 - tl.J0)
+	}
+	return n
+}
+
+// gatherTiles copies what one block holds of a query — tiles, the
+// block's span of plan — from the block's raw payload into the output
+// samples dst, one indexed row copy per tile row.
+func gatherTiles(dt DType, dst []float32, plan *hz.TilePlan, tiles []hz.Tile, raw []byte) {
+	for _, tl := range tiles {
+		lv := &plan.Levels[tl.Level]
+		xoff := lv.XOff[tl.I0:tl.I1]
+		o := lv.Out0 + tl.I0*lv.OutStepX + tl.J0*lv.OutStepY
+		for _, yoff := range lv.YOff[tl.J0:tl.J1] {
+			dt.gatherRow(dst[o:], lv.OutStepX, raw, yoff, xoff)
+			o += lv.OutStepY
 		}
 	}
-	spans := make([]blockSpan, 0, nspans)
-	for i := 0; i < len(runs); {
-		b := int(runs[i].HZ >> bpb)
-		j := i + 1
-		for j < len(runs) && int(runs[j].HZ>>bpb) == b {
-			j++
+}
+
+// scatterTiles is the write direction of gatherTiles: the samples of src
+// the tiles address are encoded into the block's raw payload.
+func scatterTiles(dt DType, raw []byte, plan *hz.TilePlan, tiles []hz.Tile, src []float32) {
+	for _, tl := range tiles {
+		lv := &plan.Levels[tl.Level]
+		xoff := lv.XOff[tl.I0:tl.I1]
+		o := lv.Out0 + tl.I0*lv.OutStepX + tl.J0*lv.OutStepY
+		for _, yoff := range lv.YOff[tl.J0:tl.J1] {
+			dt.scatterRow(raw, yoff, xoff, src[o:], lv.OutStepX)
+			o += lv.OutStepY
 		}
-		spans = append(spans, blockSpan{block: b, lo: i, hi: j})
-		i = j
 	}
-	return spans
 }
 
 // maxKeyCacheBlocks bounds the per-(field,timestep) block-key cache: key

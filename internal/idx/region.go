@@ -48,14 +48,11 @@ func (d *Dataset) WriteRegion(ctx context.Context, field string, t int, x0, y0 i
 	defer span.End()
 	sc := d.newStageClock(span != nil)
 	mask := d.Meta.Bits
-	blockSamples := d.Meta.BlockSamples()
-	sz := f.Type.Size()
-	rawBlockLen := blockSamples * sz
+	rawBlockLen := d.Meta.BlockSamples() * f.Type.Size()
 
-	// Plan: decompose the region into HZ runs grouped by block, so each
-	// block update is a handful of bulk encodeFrom gathers instead of a
-	// per-sample PointHZ + putSample walk through map-backed sample lists.
-	runs, spans := d.planRuns(hz.RunQuery{
+	// Plan: the region as per-block tiles, so each block update is a few
+	// indexed row scatters into the block's payload.
+	plan, spans := d.planTiles(hz.RunQuery{
 		X0: x0, Y0: y0, NX: g.W, NY: g.H, Level: mask.Bits(), OutW: g.W,
 	})
 	keys := d.blockKeys(field, t)
@@ -112,18 +109,12 @@ func (d *Dataset) WriteRegion(ctx context.Context, field string, t int, x0, y0 i
 				// not-yet-written samples, and pow2 padding) starts at the
 				// field's fill value.
 				raw = make([]byte, rawBlockLen)
-				f.Type.putSample(raw, f.Fill)
-				for i := 1; i < blockSamples; i++ {
-					copy(raw[i*sz:(i+1)*sz], raw[:sz])
-				}
+				f.Type.fillBlock(raw, f.Fill)
 			default:
 				return fmt.Errorf("idx: read block %d: %w", b, err)
 			}
 		}
-		for _, r := range runs[sp.lo:sp.hi] {
-			off := int(r.HZ&uint64(blockSamples-1)) * sz
-			f.Type.encodeFrom(raw[off:], g.Data[r.Out:], int(r.OutStep), int(r.N))
-		}
+		scatterTiles(f.Type, raw, &plan, plan.Tiles[sp.lo:sp.hi], g.Data)
 		encOut, err := codec.Encode(raw)
 		if err != nil {
 			return fmt.Errorf("idx: encode block %d: %w", b, err)

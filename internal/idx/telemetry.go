@@ -35,7 +35,7 @@ type dsMetrics struct {
 //	nsdf_idx_blocks_written_total{dataset}  blocks stored
 //	nsdf_idx_bytes_read_total{dataset}      compressed bytes fetched
 //	nsdf_idx_bytes_written_total{dataset}   compressed bytes stored
-//	nsdf_idx_read_runs_total{dataset}       planned HZ address runs (see ReadStats.Runs)
+//	nsdf_idx_read_runs_total{dataset}       bulk tile-row copies (see ReadStats.Runs)
 //	nsdf_idx_reads_cancelled_total{dataset} reads aborted by context cancellation/deadline
 //	nsdf_idx_read_seconds{dataset}          ReadBox/ReadBox3D latency
 //	nsdf_idx_write_seconds{dataset}         WriteGrid/WriteVolume latency

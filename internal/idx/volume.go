@@ -260,9 +260,9 @@ func (d *Dataset) ReadBox3D(ctx context.Context, field string, t int, box Box3, 
 
 	// Plan: interleave each x-row incrementally (InterleaveRow's masked
 	// increments) instead of re-interleaving every sample, then convert
-	// to HZ. The block set stays map-backed — 3D reads are not yet on the
-	// run-based streaming pipeline — but consecutive duplicates are
-	// skipped before touching the map.
+	// to HZ. The block set stays map-backed — 3D reads are not on the 2D
+	// tile plan — but consecutive duplicates are skipped before touching
+	// the map.
 	var planStart time.Time
 	if sc != nil {
 		planStart = time.Now()
