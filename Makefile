@@ -1,19 +1,23 @@
 # Developer entry points. `make check` is the full gate: tier-1
-# (build + test, matching ROADMAP.md) plus vet, the race detector, the
-# nsdf-lint analyzer suite, a 5-second smoke of each fuzz target, a
+# (build + test, matching ROADMAP.md) plus gofmt, vet, the race detector,
+# the nsdf-lint analyzer suite, a 5-second smoke of each fuzz target, a
 # reduced-size smoke of every benchmark harness (read path, trace
 # overhead, block cache, sharded tier, compression, lint, serving), and
 # vet + tests of the bench/ module, which tier-1 does not compile.
 
 GO ?= go
 
-.PHONY: build test vet race lint fuzz-smoke check bench-e2e-check bench-readpath bench-readpath-smoke bench-trace bench-trace-smoke bench-cache bench-cache-smoke bench-shard bench-shard-smoke bench-compression bench-compression-smoke bench-lint bench-lint-smoke bench-serving bench-serving-smoke
+.PHONY: build test fmt-check vet race lint fuzz-smoke check bench-e2e-check bench-readpath bench-readpath-smoke bench-trace bench-trace-smoke bench-cache bench-cache-smoke bench-shard bench-shard-smoke bench-compression bench-compression-smoke bench-lint bench-lint-smoke bench-serving bench-serving-smoke
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# gofmt prints the files it would rewrite; any name is a failure.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -32,6 +36,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSniff$$' -fuzztime=5s ./internal/convert
 	$(GO) test -run '^$$' -fuzz '^FuzzHZRuns$$' -fuzztime=5s ./internal/hz
 	$(GO) test -run '^$$' -fuzz '^FuzzTilePlan$$' -fuzztime=5s ./internal/hz
+	$(GO) test -run '^$$' -fuzz '^FuzzCodecDecode$$' -fuzztime=5s ./internal/compress
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime=5s ./internal/tiff
 
 # bench/ is a module of its own (it imports this one through a replace),
 # so `go build ./... && go test ./...` here never compiles it: vet and
@@ -137,5 +143,5 @@ bench-lint:
 bench-lint-smoke:
 	NSDF_BENCH_LINT_ITERS=1 $(GO) test ./internal/lint -run '^TestBenchLintEmit$$' -count=1
 
-check: build test vet race lint fuzz-smoke bench-e2e-check bench-readpath-smoke bench-trace-smoke bench-cache-smoke bench-shard-smoke bench-compression-smoke bench-lint-smoke bench-serving-smoke
+check: build test fmt-check vet race lint fuzz-smoke bench-e2e-check bench-readpath-smoke bench-trace-smoke bench-cache-smoke bench-shard-smoke bench-compression-smoke bench-lint-smoke bench-serving-smoke
 	@echo "check: all gates passed"

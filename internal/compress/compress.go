@@ -11,7 +11,6 @@
 package compress
 
 import (
-	"bytes"
 	"compress/flate"
 	"fmt"
 	"io"
@@ -116,35 +115,32 @@ func (z Zlib) Encode(src []byte) ([]byte, error) {
 	if level == 0 {
 		level = flate.DefaultCompression
 	}
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, level)
+	d, err := getDeflater(level)
 	if err != nil {
 		return nil, fmt.Errorf("compress: zlib: %w", err)
 	}
-	if _, err := w.Write(src); err != nil {
+	defer d.release()
+	out, err := d.deflate(nil, src)
+	if err != nil {
 		return nil, fmt.Errorf("compress: zlib: %w", err)
 	}
-	if err := w.Close(); err != nil {
-		return nil, fmt.Errorf("compress: zlib: %w", err)
-	}
-	return buf.Bytes(), nil
+	return out, nil
 }
 
 // Decode implements Codec.
 func (Zlib) Decode(src []byte, dstSize int) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(src))
-	defer r.Close()
-	var out []byte
-	if dstSize >= 0 {
-		out = make([]byte, 0, dstSize)
+	z := getInflater(src)
+	defer z.release()
+	if dstSize < 0 {
+		out, err := io.ReadAll(z.fr)
+		if err != nil {
+			return nil, fmt.Errorf("compress: zlib: %w", err)
+		}
+		return out, nil
 	}
-	buf := bytes.NewBuffer(out)
-	if _, err := io.Copy(buf, r); err != nil {
+	out := make([]byte, dstSize)
+	if err := z.inflateExact(out); err != nil {
 		return nil, fmt.Errorf("compress: zlib: %w", err)
 	}
-	b := buf.Bytes()
-	if dstSize >= 0 && len(b) != dstSize {
-		return nil, fmt.Errorf("compress: zlib payload decoded to %d bytes, expected %d", len(b), dstSize)
-	}
-	return b, nil
+	return out, nil
 }

@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // LZ4 is a from-scratch LZ77 byte codec in the style of the LZ4 block
@@ -138,6 +139,13 @@ func (LZ4) Decode(src []byte, dstSize int) ([]byte, error) {
 		capHint = len(src) * 3
 	}
 	out := make([]byte, 0, capHint)
+	// A sequence that would take the output past a declared size is
+	// refused before it is copied, so a hostile block cannot grow the
+	// buffer beyond what the caller sized.
+	limit := dstSize
+	if limit < 0 {
+		limit = math.MaxInt
+	}
 	i := 0
 	for i < len(src) {
 		token := src[i]
@@ -153,6 +161,9 @@ func (LZ4) Decode(src []byte, dstSize int) ([]byte, error) {
 		}
 		if i+litLen > len(src) {
 			return nil, fmt.Errorf("compress: lz4: literal run of %d bytes overruns input", litLen)
+		}
+		if litLen > limit-len(out) {
+			return nil, fmt.Errorf("compress: lz4 payload decodes to more than the expected %d bytes", dstSize)
 		}
 		out = append(out, src[i:i+litLen]...)
 		i += litLen
@@ -175,6 +186,9 @@ func (LZ4) Decode(src []byte, dstSize int) ([]byte, error) {
 			}
 			mlen += ext
 			i += n
+		}
+		if mlen > limit-len(out) {
+			return nil, fmt.Errorf("compress: lz4 payload decodes to more than the expected %d bytes", dstSize)
 		}
 		// Byte-at-a-time copy: matches may overlap their own output.
 		pos := len(out) - offset

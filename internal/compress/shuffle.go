@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"compress/flate"
 	"fmt"
 )
 
@@ -34,49 +35,139 @@ func (s ShuffleZlib) Encode(src []byte) ([]byte, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	return Zlib{}.Encode(Shuffle(src, s.ElemSize))
+	d, err := getDeflater(flate.DefaultCompression)
+	if err != nil {
+		return nil, fmt.Errorf("compress: %s: %w", s.Name(), err)
+	}
+	defer d.release()
+	d.scratch = grow(d.scratch, len(src))
+	shuffleInto(d.scratch, src, s.ElemSize)
+	out, err := d.deflate(nil, d.scratch)
+	if err != nil {
+		return nil, fmt.Errorf("compress: %s: %w", s.Name(), err)
+	}
+	return out, nil
 }
 
-// Decode implements Codec.
+// Decode implements Codec. With dstSize >= 0 the byte planes are
+// inflated into pooled scratch, so the returned block is the call's only
+// allocation.
 func (s ShuffleZlib) Decode(src []byte, dstSize int) ([]byte, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	shuffled, err := (Zlib{}).Decode(src, dstSize)
-	if err != nil {
-		return nil, err
+	if dstSize < 0 {
+		shuffled, err := (Zlib{}).Decode(src, dstSize)
+		if err != nil {
+			return nil, err
+		}
+		return Unshuffle(shuffled, s.ElemSize), nil
 	}
-	return Unshuffle(shuffled, s.ElemSize), nil
+	z := getInflater(src)
+	defer z.release()
+	z.scratch = grow(z.scratch, dstSize)
+	if err := z.inflateExact(z.scratch); err != nil {
+		return nil, fmt.Errorf("compress: %s: %w", s.Name(), err)
+	}
+	out := make([]byte, dstSize)
+	unshuffleInto(out, z.scratch, s.ElemSize)
+	return out, nil
 }
 
 // Shuffle transposes src (a sequence of elemSize-byte elements) into
 // byte-plane order. A trailing fragment shorter than one element is
 // appended unshuffled, so any payload length is accepted.
 func Shuffle(src []byte, elemSize int) []byte {
-	n := len(src) / elemSize
 	out := make([]byte, len(src))
-	for b := 0; b < elemSize; b++ {
-		plane := out[b*n : (b+1)*n]
-		for i := 0; i < n; i++ {
-			plane[i] = src[i*elemSize+b]
-		}
-	}
-	copy(out[n*elemSize:], src[n*elemSize:])
+	shuffleInto(out, src, elemSize)
 	return out
 }
 
 // Unshuffle inverts Shuffle.
 func Unshuffle(src []byte, elemSize int) []byte {
-	n := len(src) / elemSize
 	out := make([]byte, len(src))
-	for b := 0; b < elemSize; b++ {
-		plane := src[b*n : (b+1)*n]
+	unshuffleInto(out, src, elemSize)
+	return out
+}
+
+// shuffleInto writes the byte-plane order of src to dst, which has the
+// same length. The codec's element widths read each element once and
+// scatter its bytes to the planes; other widths take one strided pass
+// per plane.
+func shuffleInto(dst, src []byte, elemSize int) {
+	n := len(src) / elemSize
+	body := n * elemSize
+	copy(dst[body:], src[body:])
+	src = src[:body]
+	// Every plane is resliced to length n, the loop bound, so the
+	// compiler drops the bounds checks on all of them.
+	plane := func(b int) []byte { return dst[b*n:][:n] }
+	switch elemSize {
+	case 2:
+		p0, p1 := plane(0), plane(1)
 		for i := 0; i < n; i++ {
-			out[i*elemSize+b] = plane[i]
+			e := src[2*i : 2*i+2]
+			p0[i], p1[i] = e[0], e[1]
+		}
+	case 4:
+		p0, p1, p2, p3 := plane(0), plane(1), plane(2), plane(3)
+		for i := 0; i < n; i++ {
+			e := src[4*i : 4*i+4]
+			p0[i], p1[i], p2[i], p3[i] = e[0], e[1], e[2], e[3]
+		}
+	case 8:
+		p0, p1, p2, p3 := plane(0), plane(1), plane(2), plane(3)
+		p4, p5, p6, p7 := plane(4), plane(5), plane(6), plane(7)
+		for i := 0; i < n; i++ {
+			e := src[8*i : 8*i+8]
+			p0[i], p1[i], p2[i], p3[i] = e[0], e[1], e[2], e[3]
+			p4[i], p5[i], p6[i], p7[i] = e[4], e[5], e[6], e[7]
+		}
+	default:
+		for b := 0; b < elemSize; b++ {
+			for i, p := 0, plane(b); i < n; i++ {
+				p[i] = src[i*elemSize+b]
+			}
 		}
 	}
-	copy(out[n*elemSize:], src[n*elemSize:])
-	return out
+}
+
+// unshuffleInto inverts shuffleInto: it gathers one byte from each
+// plane of src and writes the element to dst whole.
+func unshuffleInto(dst, src []byte, elemSize int) {
+	n := len(src) / elemSize
+	body := n * elemSize
+	copy(dst[body:], src[body:])
+	dst = dst[:body]
+	plane := func(b int) []byte { return src[b*n:][:n] }
+	switch elemSize {
+	case 2:
+		p0, p1 := plane(0), plane(1)
+		for i := 0; i < n; i++ {
+			e := dst[2*i : 2*i+2]
+			e[0], e[1] = p0[i], p1[i]
+		}
+	case 4:
+		p0, p1, p2, p3 := plane(0), plane(1), plane(2), plane(3)
+		for i := 0; i < n; i++ {
+			e := dst[4*i : 4*i+4]
+			e[0], e[1], e[2], e[3] = p0[i], p1[i], p2[i], p3[i]
+		}
+	case 8:
+		p0, p1, p2, p3 := plane(0), plane(1), plane(2), plane(3)
+		p4, p5, p6, p7 := plane(4), plane(5), plane(6), plane(7)
+		for i := 0; i < n; i++ {
+			e := dst[8*i : 8*i+8]
+			e[0], e[1], e[2], e[3] = p0[i], p1[i], p2[i], p3[i]
+			e[4], e[5], e[6], e[7] = p4[i], p5[i], p6[i], p7[i]
+		}
+	default:
+		for b := 0; b < elemSize; b++ {
+			for i, v := range plane(b) {
+				dst[i*elemSize+b] = v
+			}
+		}
+	}
 }
 
 func init() {

@@ -1,7 +1,6 @@
 package compress
 
 import (
-	"bytes"
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
@@ -27,151 +26,36 @@ type ZFPLike struct {
 }
 
 const (
-	zfpMagic    = "ZFPG"
-	zfpVersion  = 1
-	zfpLossless = 1 << 0
+	zfpMagic     = "ZFPG"
+	zfpVersion   = 1
+	zfpLossless  = 1 << 0
+	zfpHeaderLen = 4 + 1 + 1 + 8 + 8 // magic, version, flags, tolerance, count
+
+	// maxDeflateRatio is the most DEFLATE can expand: a 258-byte match
+	// costs about two bits. An element count that the compressed bytes
+	// present could not inflate to is rejected before it sizes a buffer.
+	maxDeflateRatio = 1032
 )
 
 // EncodeFloat32 compresses values under the codec's error bound.
 func (z ZFPLike) EncodeFloat32(values []float32) ([]byte, error) {
-	if z.Tolerance < 0 {
-		return nil, fmt.Errorf("compress: zfp: negative tolerance %g", z.Tolerance)
+	raw := make([]byte, 4*len(values))
+	for i, v := range values {
+		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
 	}
-	var header bytes.Buffer
-	header.WriteString(zfpMagic)
-	header.WriteByte(zfpVersion)
-	flags := byte(0)
-	if z.Tolerance == 0 {
-		flags |= zfpLossless
-	}
-	header.WriteByte(flags)
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], math.Float64bits(z.Tolerance))
-	header.Write(b8[:])
-	binary.LittleEndian.PutUint64(b8[:], uint64(len(values)))
-	header.Write(b8[:])
-
-	var payload bytes.Buffer
-	if z.Tolerance == 0 {
-		raw := make([]byte, 4*len(values))
-		for i, v := range values {
-			binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
-		}
-		payload.Write(raw)
-	} else {
-		step := z.Tolerance
-		var exceptions []int
-		var varint [binary.MaxVarintLen64]byte
-		prev := int64(0)
-		for i, v := range values {
-			f := float64(v)
-			var q int64
-			if math.IsNaN(f) || math.IsInf(f, 0) {
-				exceptions = append(exceptions, i)
-				q = 0
-			} else {
-				q = int64(math.RoundToEven(f / step))
-			}
-			n := binary.PutVarint(varint[:], q-prev)
-			payload.Write(varint[:n])
-			prev = q
-		}
-		// Exception list: count, then (index delta varint, raw float bits).
-		n := binary.PutUvarint(varint[:], uint64(len(exceptions)))
-		payload.Write(varint[:n])
-		prevIdx := 0
-		for _, idx := range exceptions {
-			n := binary.PutUvarint(varint[:], uint64(idx-prevIdx))
-			payload.Write(varint[:n])
-			var b4 [4]byte
-			binary.LittleEndian.PutUint32(b4[:], math.Float32bits(values[idx]))
-			payload.Write(b4[:])
-			prevIdx = idx
-		}
-	}
-
-	var out bytes.Buffer
-	out.Write(header.Bytes())
-	fw, err := flate.NewWriter(&out, flate.DefaultCompression)
-	if err != nil {
-		return nil, fmt.Errorf("compress: zfp: %w", err)
-	}
-	if _, err := fw.Write(payload.Bytes()); err != nil {
-		return nil, fmt.Errorf("compress: zfp: %w", err)
-	}
-	if err := fw.Close(); err != nil {
-		return nil, fmt.Errorf("compress: zfp: %w", err)
-	}
-	return out.Bytes(), nil
+	return z.Encode(raw)
 }
 
 // DecodeFloat32 reverses EncodeFloat32. The returned slice has the length
 // recorded at encode time.
-func (ZFPLike) DecodeFloat32(src []byte) ([]float32, error) {
-	const headerLen = 4 + 1 + 1 + 8 + 8
-	if len(src) < headerLen {
-		return nil, fmt.Errorf("compress: zfp: payload of %d bytes is shorter than header", len(src))
-	}
-	if string(src[:4]) != zfpMagic {
-		return nil, fmt.Errorf("compress: zfp: bad magic %q", src[:4])
-	}
-	if src[4] != zfpVersion {
-		return nil, fmt.Errorf("compress: zfp: unsupported version %d", src[4])
-	}
-	flags := src[5]
-	tol := math.Float64frombits(binary.LittleEndian.Uint64(src[6:14]))
-	count := binary.LittleEndian.Uint64(src[14:22])
-	if count > 1<<40 {
-		return nil, fmt.Errorf("compress: zfp: implausible element count %d", count)
-	}
-
-	fr := flate.NewReader(bytes.NewReader(src[headerLen:]))
-	defer fr.Close()
-	payload, err := io.ReadAll(fr)
+func (z ZFPLike) DecodeFloat32(src []byte) ([]float32, error) {
+	raw, err := z.Decode(src, -1)
 	if err != nil {
-		return nil, fmt.Errorf("compress: zfp: %w", err)
+		return nil, err
 	}
-
-	values := make([]float32, count)
-	if flags&zfpLossless != 0 {
-		if len(payload) != 4*int(count) {
-			return nil, fmt.Errorf("compress: zfp: lossless payload is %d bytes, expected %d", len(payload), 4*count)
-		}
-		for i := range values {
-			values[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
-		}
-		return values, nil
-	}
-
-	r := bytes.NewReader(payload)
-	prev := int64(0)
+	values := make([]float32, len(raw)/4)
 	for i := range values {
-		d, err := binary.ReadVarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("compress: zfp: quantized stream truncated at element %d: %w", i, err)
-		}
-		prev += d
-		values[i] = float32(float64(prev) * tol)
-	}
-	nexc, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("compress: zfp: exception count: %w", err)
-	}
-	idx := 0
-	for k := uint64(0); k < nexc; k++ {
-		d, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("compress: zfp: exception index: %w", err)
-		}
-		idx += int(d)
-		if idx < 0 || idx >= len(values) {
-			return nil, fmt.Errorf("compress: zfp: exception index %d out of range", idx)
-		}
-		var b4 [4]byte
-		if _, err := io.ReadFull(r, b4[:]); err != nil {
-			return nil, fmt.Errorf("compress: zfp: exception bits: %w", err)
-		}
-		values[idx] = math.Float32frombits(binary.LittleEndian.Uint32(b4[:]))
+		values[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
 	return values, nil
 }
@@ -194,25 +78,128 @@ func (z ZFPLike) Encode(src []byte) ([]byte, error) {
 	if len(src)%4 != 0 {
 		return nil, fmt.Errorf("compress: zfp: payload of %d bytes is not float32-aligned", len(src))
 	}
-	values := make([]float32, len(src)/4)
-	for i := range values {
-		values[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	if z.Tolerance < 0 {
+		return nil, fmt.Errorf("compress: zfp: negative tolerance %g", z.Tolerance)
 	}
-	return z.EncodeFloat32(values)
+	var header [zfpHeaderLen]byte
+	copy(header[:], zfpMagic)
+	header[4] = zfpVersion
+	if z.Tolerance == 0 {
+		header[5] = zfpLossless
+	}
+	binary.LittleEndian.PutUint64(header[6:], math.Float64bits(z.Tolerance))
+	binary.LittleEndian.PutUint64(header[14:], uint64(len(src)/4))
+
+	d, err := getDeflater(flate.DefaultCompression)
+	if err != nil {
+		return nil, fmt.Errorf("compress: zfp: %w", err)
+	}
+	defer d.release()
+	payload := src // lossless: the raw bits
+	if z.Tolerance != 0 {
+		d.scratch = z.quantize(d.scratch[:0], src)
+		payload = d.scratch
+	}
+	out, err := d.deflate(header[:], payload)
+	if err != nil {
+		return nil, fmt.Errorf("compress: zfp: %w", err)
+	}
+	return out, nil
 }
 
-// Decode implements Codec.
-func (z ZFPLike) Decode(src []byte, dstSize int) ([]byte, error) {
-	values, err := z.DecodeFloat32(src)
+// quantize appends the lossy payload of the float32 samples in src to
+// buf: one zigzag varint per sample holding the change in its quantized
+// value, then the exception list — a count, then (index delta varint, raw
+// float bits) for each non-finite sample.
+func (z ZFPLike) quantize(buf, src []byte) []byte {
+	var exceptions []int
+	prev := int64(0)
+	for i := 0; i < len(src)/4; i++ {
+		f := float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
+		q := int64(0)
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			exceptions = append(exceptions, i)
+		} else {
+			q = int64(math.RoundToEven(f / z.Tolerance))
+		}
+		buf = binary.AppendVarint(buf, q-prev)
+		prev = q
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(exceptions)))
+	prevIdx := 0
+	for _, idx := range exceptions {
+		buf = binary.AppendUvarint(buf, uint64(idx-prevIdx))
+		buf = append(buf, src[4*idx:4*idx+4]...)
+		prevIdx = idx
+	}
+	return buf
+}
+
+// Decode implements Codec. The samples are decoded from the inflating
+// stream straight into the returned block.
+func (ZFPLike) Decode(src []byte, dstSize int) ([]byte, error) {
+	if len(src) < zfpHeaderLen {
+		return nil, fmt.Errorf("compress: zfp: payload of %d bytes is shorter than header", len(src))
+	}
+	if string(src[:4]) != zfpMagic {
+		return nil, fmt.Errorf("compress: zfp: bad magic %q", src[:4])
+	}
+	if src[4] != zfpVersion {
+		return nil, fmt.Errorf("compress: zfp: unsupported version %d", src[4])
+	}
+	flags := src[5]
+	tol := math.Float64frombits(binary.LittleEndian.Uint64(src[6:14]))
+	count := binary.LittleEndian.Uint64(src[14:22])
+	stream := src[zfpHeaderLen:]
+	if count > maxDeflateRatio*uint64(len(stream)) {
+		return nil, fmt.Errorf("compress: zfp: implausible element count %d for %d compressed bytes", count, len(stream))
+	}
+	if dstSize >= 0 && 4*count != uint64(dstSize) {
+		return nil, fmt.Errorf("compress: zfp payload decodes to %d bytes, expected %d", 4*count, dstSize)
+	}
+	out := make([]byte, 4*count)
+	z := getInflater(stream)
+	defer z.release()
+	if flags&zfpLossless != 0 {
+		if err := z.inflateExact(out); err != nil {
+			return nil, fmt.Errorf("compress: zfp: lossless %w", err)
+		}
+		return out, nil
+	}
+
+	r := z.byteReader()
+	prev := int64(0)
+	for i := 0; i < len(out); i += 4 {
+		d, err := binary.ReadVarint(r)
+		if err != nil {
+			return nil, fmt.Errorf("compress: zfp: quantized stream truncated at element %d: %w", i/4, err)
+		}
+		prev += d
+		binary.LittleEndian.PutUint32(out[i:], math.Float32bits(float32(float64(prev)*tol)))
+	}
+	nexc, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("compress: zfp: exception count: %w", err)
 	}
-	out := make([]byte, 4*len(values))
-	for i, v := range values {
-		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(v))
+	idx := 0
+	for k := uint64(0); k < nexc; k++ {
+		d, err := binary.ReadUvarint(r)
+		if err != nil {
+			return nil, fmt.Errorf("compress: zfp: exception index: %w", err)
+		}
+		idx += int(d)
+		if idx < 0 || idx >= len(out)/4 {
+			return nil, fmt.Errorf("compress: zfp: exception index %d out of range", idx)
+		}
+		if _, err := io.ReadFull(r, out[4*idx:4*idx+4]); err != nil {
+			return nil, fmt.Errorf("compress: zfp: exception bits: %w", err)
+		}
 	}
-	if dstSize >= 0 && len(out) != dstSize {
-		return nil, fmt.Errorf("compress: zfp payload decoded to %d bytes, expected %d", len(out), dstSize)
+	if _, err := r.ReadByte(); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("payload continues past the exception list")
+		}
+		return nil, fmt.Errorf("compress: zfp: %w", err)
 	}
 	return out, nil
 }

@@ -329,8 +329,24 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "image/png")
 	w.Header().Set("X-NSDF-Level", strconv.Itoa(res.Level))
 	w.Header().Set("X-NSDF-Samples", strconv.Itoa(res.Stats.Samples))
-	png.Encode(w, img)
+	if err := pngEncoder.Encode(w, img); err != nil {
+		s.bodyFailed(r, err)
+	}
 }
+
+// pngEncoder encodes every PNG the dashboard serves. Its buffer pool
+// carries the encoder's zlib state and row buffers from one image to
+// the next; Encode returns them on every path, a failed write included.
+var pngEncoder = png.Encoder{BufferPool: new(pngBuffers)}
+
+type pngBuffers struct{ pool sync.Pool }
+
+func (b *pngBuffers) Get() *png.EncoderBuffer {
+	eb, _ := b.pool.Get().(*png.EncoderBuffer)
+	return eb // nil makes the encoder build one
+}
+
+func (b *pngBuffers) Put(eb *png.EncoderBuffer) { b.pool.Put(eb) }
 
 // RenderImage maps a grid through a palette into an RGBA image. NaN
 // samples render transparent.
@@ -356,14 +372,17 @@ func (s *Server) handleData(w http.ResponseWriter, r *http.Request) {
 		readError(w, err)
 		return
 	}
-	payload, err := EncodeNPY(grid)
+	header, err := npyHeader(grid)
 	if err != nil {
 		s.internalError(w, r, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Disposition", `attachment; filename="nsdf_selection.npy"`)
-	w.Write(payload)
+	w.Header().Set("Content-Length", strconv.Itoa(len(header)+4*len(grid.Data)))
+	if err := writeNPY(w, header, grid.Data); err != nil {
+		s.bodyFailed(r, err)
+	}
 }
 
 // handleScript serves the snipping tool's generated Python script.
@@ -504,6 +523,17 @@ func (s *Server) internalError(w http.ResponseWriter, r *http.Request, err error
 		slog.String("path", r.URL.Path),
 		slog.String("error", err.Error()))
 	http.Error(w, "dashboard: internal error", http.StatusInternalServerError)
+}
+
+// bodyFailed records a response that failed after its status line went
+// out. A streamed body cannot turn into a 500 half way, and the usual
+// cause is a client that went away, so the handler just returns and the
+// failure is logged once, at debug level, with the request's trace ID.
+func (s *Server) bodyFailed(r *http.Request, err error) {
+	s.log().Debug("response body not delivered",
+		slog.String("trace", trace.ID(r.Context())),
+		slog.String("path", r.URL.Path),
+		slog.String("error", err.Error()))
 }
 
 // readError reports a failed region read. A cancelled request context

@@ -158,6 +158,10 @@ func TestDataEndpointServesNPY(t *testing.T) {
 	if g.W != 16 || g.H != 8 {
 		t.Errorf("region %dx%d, want 16x8", g.W, g.H)
 	}
+	// The body is streamed, with its length declared up front.
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("Content-Length %d, Transfer-Encoding %v for a body of %d bytes", resp.ContentLength, resp.TransferEncoding, len(body))
+	}
 }
 
 func TestScriptEndpoint(t *testing.T) {

@@ -2,7 +2,6 @@ package dashboard
 
 import (
 	"image"
-	"image/png"
 	"math"
 	"net/http"
 	"strconv"
@@ -150,7 +149,9 @@ func (s *Server) handleLegend(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", "image/png")
-	png.Encode(w, img)
+	if err := pngEncoder.Encode(w, img); err != nil {
+		s.bodyFailed(r, err)
+	}
 }
 
 // handleExportTIFF serves the selected region as a GeoTIFF — the
@@ -170,8 +171,7 @@ func (s *Server) handleExportTIFF(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "image/tiff")
 	w.Header().Set("Content-Disposition", `attachment; filename="nsdf_selection.tif"`)
 	if err := tiff.Encode(w, tiff.FromGrid(grid), tiff.EncodeOptions{Compression: tiff.CompressionDeflate}); err != nil {
-		// Headers are sent; nothing more to do than drop the connection.
-		return
+		s.bodyFailed(r, err)
 	}
 }
 

@@ -508,6 +508,13 @@ type ClaimCacheResult struct {
 	// Cold and Warm time a full coarse-to-fine read against a
 	// cross-country store.
 	Cold, Warm time.Duration
+	// ColdOps and WarmOps count the operations each pass sent to the
+	// remote store; ColdWait and WarmWait are the network time the store
+	// modelled for them (storage.Conditioned's TotalWait). Unlike Cold
+	// and Warm they do not depend on how busy the host is: a warm pass
+	// served from the cache sends nothing and waits for nothing.
+	ColdOps, WarmOps   int64
+	ColdWait, WarmWait time.Duration
 	// HitRate is the block-cache hit rate after the warm pass.
 	HitRate float64
 }
@@ -533,19 +540,24 @@ func RunClaimCache(w io.Writer) (ClaimCacheResult, error) {
 	lru := cache.NewLRU(64 << 20)
 	ds.SetCache(lru)
 	var res ClaimCacheResult
+	written := remote.Stats()
 	start := time.Now()
 	if _, _, err := ds.ReadFull(ctx, "elevation", 0); err != nil {
 		return res, err
 	}
 	res.Cold = time.Since(start)
+	cold := remote.Stats()
+	res.ColdOps, res.ColdWait = cold.Ops-written.Ops, cold.TotalWait-written.TotalWait
 	start = time.Now()
 	if _, _, err := ds.ReadFull(ctx, "elevation", 0); err != nil {
 		return res, err
 	}
 	res.Warm = time.Since(start)
+	warm := remote.Stats()
+	res.WarmOps, res.WarmWait = warm.Ops-cold.Ops, warm.TotalWait-cold.TotalWait
 	res.HitRate = lru.Stats().HitRate()
-	fmt.Fprintf(w, "  cold %8.1fms   warm %8.3fms   speedup %.0fx   hit rate %.2f\n",
-		float64(res.Cold)/1e6, float64(res.Warm)/1e6,
+	fmt.Fprintf(w, "  cold %8.1fms (%d remote ops, %.1fms network)   warm %8.3fms (%d remote ops)   speedup %.0fx   hit rate %.2f\n",
+		float64(res.Cold)/1e6, res.ColdOps, float64(res.ColdWait)/1e6, float64(res.Warm)/1e6, res.WarmOps,
 		float64(res.Cold)/float64(max64(1, int64(res.Warm))), res.HitRate)
 	return res, nil
 }

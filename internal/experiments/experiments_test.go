@@ -219,8 +219,14 @@ func TestClaimCacheShapeHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !raceEnabled && res.Warm*10 > res.Cold {
-		t.Errorf("warm %v not >=10x faster than cold %v", res.Warm, res.Cold)
+	// The claim is asserted on what each pass asked of the remote store,
+	// not on wall clock: host load (or the race detector) moves Cold and
+	// Warm, it cannot make a cached pass touch the network.
+	if res.ColdOps <= 0 || res.ColdWait <= 0 {
+		t.Errorf("cold pass sent %d remote ops and waited %v, want both > 0", res.ColdOps, res.ColdWait)
+	}
+	if res.WarmOps != 0 || res.WarmWait != 0 {
+		t.Errorf("warm pass sent %d remote ops and waited %v, want none", res.WarmOps, res.WarmWait)
 	}
 	if res.HitRate < 0.4 {
 		t.Errorf("hit rate %v", res.HitRate)

@@ -478,10 +478,10 @@ func TestForwardFixpoint(t *testing.T) {
 // edge.
 type refineAnalysis struct{}
 
-func (refineAnalysis) Entry() parityFact                              { return 0 }
-func (refineAnalysis) Transfer(f parityFact, n ast.Node) parityFact   { return f }
-func (refineAnalysis) Join(a, b parityFact) parityFact                { return max(a, b) }
-func (refineAnalysis) Equal(a, b parityFact) bool                     { return a == b }
+func (refineAnalysis) Entry() parityFact                            { return 0 }
+func (refineAnalysis) Transfer(f parityFact, n ast.Node) parityFact { return f }
+func (refineAnalysis) Join(a, b parityFact) parityFact              { return max(a, b) }
+func (refineAnalysis) Equal(a, b parityFact) bool                   { return a == b }
 func (refineAnalysis) Refine(f parityFact, c ast.Expr, br bool) parityFact {
 	if id, ok := c.(*ast.Ident); ok && id.Name == "ok" && br {
 		return 1

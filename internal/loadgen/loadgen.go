@@ -158,9 +158,9 @@ type SlowRequest struct {
 
 // Report is a full run's outcome.
 type Report struct {
-	Target  string        `json:"target"`
-	Phases  []PhaseReport `json:"phases"`
-	Total   PhaseReport   `json:"total"`
+	Target string        `json:"target"`
+	Phases []PhaseReport `json:"phases"`
+	Total  PhaseReport   `json:"total"`
 	// Slowest lists the run's N highest-latency requests (Options.
 	// SlowestN), slowest first, each with its trace ID when the server
 	// supplied one.

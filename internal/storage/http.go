@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"time"
 
@@ -87,7 +88,7 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request, key string
 	ctx := r.Context()
 	switch r.Method {
 	case http.MethodPut:
-		data, err := io.ReadAll(r.Body)
+		data, err := readBody(r.Body, r.ContentLength)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -109,7 +110,13 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request, key string
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set("ETag", `"`+etag(data)+`"`)
-		w.Write(data)
+		// A declared length keeps the body out of chunked encoding, so
+		// the client can read it into one buffer of exactly this size.
+		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+		if _, err := w.Write(data); err != nil {
+			// The status line is sent; the client sees a short body.
+			return
+		}
 	case http.MethodHead:
 		info, err := s.store.Stat(ctx, key)
 		if errors.Is(err, ErrNotExist) {
@@ -121,7 +128,7 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request, key string
 			return
 		}
 		w.Header().Set("ETag", `"`+info.ETag+`"`)
-		w.Header().Set("Content-Length", fmt.Sprint(info.Size))
+		w.Header().Set("Content-Length", strconv.FormatInt(info.Size, 10))
 		w.WriteHeader(http.StatusOK)
 	case http.MethodDelete:
 		if err := s.store.Delete(ctx, key); err != nil {
@@ -132,6 +139,32 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request, key string
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
+}
+
+// maxBodyPrealloc bounds what readBody allocates on the word of a
+// Content-Length header, which on a PUT is whatever the sender wrote.
+const maxBodyPrealloc = 8 << 20
+
+// readBody reads an HTTP body whose declared length is n (-1 when the
+// sender declared none) into one buffer of exactly that size instead of
+// growing one until EOF. A body shorter or longer than declared is an
+// error. Past maxBodyPrealloc the rest is believed only as it arrives.
+func readBody(r io.Reader, n int64) ([]byte, error) {
+	if n < 0 {
+		return io.ReadAll(r)
+	}
+	buf := make([]byte, min(n, maxBodyPrealloc))
+	if got, err := io.ReadFull(r, buf); err != nil {
+		return nil, fmt.Errorf("body ended after %d of the %d bytes declared: %w", got, n, err)
+	}
+	rest, err := io.ReadAll(io.LimitReader(r, n-int64(len(buf))+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(buf)+len(rest)) != n {
+		return nil, fmt.Errorf("body does not match the %d bytes declared", n)
+	}
+	return append(buf, rest...), nil
 }
 
 // Client is a Store implementation backed by a remote Server.
@@ -208,7 +241,11 @@ func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("storage: get %q: status %s", key, resp.Status)
 	}
-	return io.ReadAll(resp.Body)
+	data, err := readBody(resp.Body, resp.ContentLength)
+	if err != nil {
+		return nil, fmt.Errorf("storage: get %q: %w", key, err)
+	}
+	return data, nil
 }
 
 // Delete implements Store.

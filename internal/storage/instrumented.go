@@ -51,11 +51,11 @@ func NewInstrumented(inner Store, reg *telemetry.Registry, backend string) *Inst
 	in := &Instrumented{
 		inner:   inner,
 		backend: backend,
-		ops:   make(map[string]*telemetry.Counter, len(instrumentedOps)),
-		errs:  make(map[string]*telemetry.Counter, len(instrumentedOps)),
-		up:    reg.Counter("nsdf_storage_bytes_total", "backend", backend, "direction", "up"),
-		down:  reg.Counter("nsdf_storage_bytes_total", "backend", backend, "direction", "down"),
-		lat:   reg.Histogram("nsdf_storage_op_seconds", "backend", backend),
+		ops:     make(map[string]*telemetry.Counter, len(instrumentedOps)),
+		errs:    make(map[string]*telemetry.Counter, len(instrumentedOps)),
+		up:      reg.Counter("nsdf_storage_bytes_total", "backend", backend, "direction", "up"),
+		down:    reg.Counter("nsdf_storage_bytes_total", "backend", backend, "direction", "down"),
+		lat:     reg.Histogram("nsdf_storage_op_seconds", "backend", backend),
 	}
 	for _, op := range instrumentedOps {
 		in.ops[op] = reg.Counter("nsdf_storage_ops_total", "backend", backend, "op", op)

@@ -50,8 +50,8 @@ func TestStatusRecorderFlushOnPlainWriter(t *testing.T) {
 // plainWriter hides ResponseRecorder's Flusher and ReaderFrom.
 type plainWriter struct{ inner *httptest.ResponseRecorder }
 
-func (p plainWriter) Header() http.Header       { return p.inner.Header() }
-func (p plainWriter) WriteHeader(code int)      { p.inner.WriteHeader(code) }
+func (p plainWriter) Header() http.Header         { return p.inner.Header() }
+func (p plainWriter) WriteHeader(code int)        { p.inner.WriteHeader(code) }
 func (p plainWriter) Write(b []byte) (int, error) { return p.inner.Write(b) }
 
 // readerFromWriter records whether the ReadFrom fast path was taken.

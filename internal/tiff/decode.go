@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"nsdfgo/internal/raster"
 )
@@ -75,12 +76,12 @@ func (d *decoder) readIFD(off uint32) (*Image, error) {
 		return nil, fmt.Errorf("tiff: IFD offset %d beyond file of %d bytes", off, len(d.data))
 	}
 	n := int(d.bo.Uint16(d.data[off:]))
-	fields := make(map[uint16]field, n)
 	pos := int(off) + 2
+	if pos+12*n > len(d.data) {
+		return nil, fmt.Errorf("tiff: IFD of %d entries truncated", n)
+	}
+	fields := make(map[uint16]field, n)
 	for i := 0; i < n; i++ {
-		if pos+12 > len(d.data) {
-			return nil, fmt.Errorf("tiff: IFD entry %d truncated", i)
-		}
 		tag := d.bo.Uint16(d.data[pos:])
 		typ := d.bo.Uint16(d.data[pos+2:])
 		count := d.bo.Uint32(d.data[pos+4:])
@@ -176,39 +177,61 @@ func (d *decoder) readIFD(off uint32) (*Image, error) {
 
 	sz := dtype.Size()
 	bytesPerRow := width * sz
-	pix := make([]byte, width*height*sz)
-	wrote := 0
+	// The strips must be able to supply the image the header declares
+	// before that declaration sizes a buffer: byte for byte when stored,
+	// and within DEFLATE's maximum expansion when compressed. Strips do
+	// not overlap, so together they are no larger than the file.
+	supply := 0
 	for s := 0; s < int(offF.count); s++ {
-		soff := int(d.uintAt(offF, s))
-		scnt := int(d.uintAt(cntF, s))
+		soff, scnt := int(d.uintAt(offF, s)), int(d.uintAt(cntF, s))
 		if soff+scnt > len(d.data) {
 			return nil, fmt.Errorf("tiff: strip %d at %d..%d beyond file", s, soff, soff+scnt)
 		}
-		raw := d.data[soff : soff+scnt]
-		if compression == CompressionDeflate {
-			zr, err := zlib.NewReader(bytes.NewReader(raw))
-			if err != nil {
-				return nil, fmt.Errorf("tiff: strip %d: %w", s, err)
-			}
-			raw, err = io.ReadAll(zr)
-			if cerr := zr.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return nil, fmt.Errorf("tiff: strip %d: %w", s, err)
-			}
+		supply += scnt
+	}
+	if supply > len(d.data) {
+		return nil, fmt.Errorf("tiff: strips of %d bytes in a file of %d", supply, len(d.data))
+	}
+	if compression == CompressionDeflate {
+		supply *= maxDeflateRatio
+	}
+	if bytesPerRow*height > supply {
+		return nil, fmt.Errorf("tiff: %dx%d image of %d-byte samples cannot come from the strips present", width, height, sz)
+	}
+	pix := make([]byte, bytesPerRow*height)
+	wrote := 0
+	var zr io.ReadCloser // one pooled zlib reader serves every strip
+	defer func() {
+		if zr != nil {
+			inflaters.Put(zr)
 		}
+	}()
+	for s := 0; s < int(offF.count); s++ {
+		soff, scnt := int(d.uintAt(offF, s)), int(d.uintAt(cntF, s))
+		raw := d.data[soff : soff+scnt]
 		y0 := s * rowsPerStrip
 		rows := rowsPerStrip
 		if y0+rows > height {
 			rows = height - y0
 		}
-		want := rows * bytesPerRow
-		if len(raw) < want {
-			return nil, fmt.Errorf("tiff: strip %d holds %d bytes, want %d", s, len(raw), want)
+		if y0 < 0 || rows <= 0 {
+			return nil, fmt.Errorf("tiff: strip %d starts at row %d of %d", s, y0, height)
 		}
-		copy(pix[y0*bytesPerRow:], raw[:want])
-		wrote += want
+		dst := pix[y0*bytesPerRow:][:rows*bytesPerRow]
+		if compression == CompressionDeflate {
+			var err error
+			if zr, err = stripReader(zr, raw); err == nil {
+				err = inflateStrip(dst, zr)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("tiff: strip %d: %w", s, err)
+			}
+		} else if len(raw) < len(dst) {
+			return nil, fmt.Errorf("tiff: strip %d holds %d bytes, want %d", s, len(raw), len(dst))
+		} else {
+			copy(dst, raw)
+		}
+		wrote += len(dst)
 	}
 	if wrote != len(pix) {
 		return nil, fmt.Errorf("tiff: strips supplied %d bytes of %d", wrote, len(pix))
@@ -236,6 +259,43 @@ func (d *decoder) readIFD(off uint32) (*Image, error) {
 	return im, nil
 }
 
+// maxDeflateRatio is the most a DEFLATE stream can expand: a 258-byte
+// match costs about two bits.
+const maxDeflateRatio = 1032
+
+// inflaters holds zlib readers between decodes: a fresh one costs about
+// 40 KiB of window and tables, a strip about 64 KiB of pixels.
+var inflaters sync.Pool
+
+// stripReader points a zlib reader at strip: zr when the decode already
+// holds one, else one from the pool, else a new one. The caller puts the
+// reader back when the image is done, whatever Reset said.
+func stripReader(zr io.ReadCloser, strip []byte) (io.ReadCloser, error) {
+	src := bytes.NewReader(strip)
+	if zr == nil {
+		zr, _ = inflaters.Get().(io.ReadCloser)
+	}
+	if zr == nil {
+		return zlib.NewReader(src)
+	}
+	return zr, zr.(zlib.Resetter).Reset(src, nil)
+}
+
+// inflateStrip decompresses the strip zr is at straight into its rows of
+// the image. A strip that holds fewer bytes than its rows is an error;
+// one that holds more is read to its end, so the stream's checksum is
+// still verified, and the surplus dropped.
+func inflateStrip(dst []byte, zr io.Reader) error {
+	if n, err := io.ReadFull(zr, dst); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return fmt.Errorf("holds %d bytes, want %d", n, len(dst))
+		}
+		return err
+	}
+	_, err := io.Copy(io.Discard, zr)
+	return err
+}
+
 // uintField fetches a required scalar unsigned field.
 func (d *decoder) uintField(fields map[uint16]field, tag uint16) (int, error) {
 	f, ok := fields[tag]
@@ -245,8 +305,12 @@ func (d *decoder) uintField(fields map[uint16]field, tag uint16) (int, error) {
 	return int(d.uintAt(f, 0)), nil
 }
 
-// uintAt reads element i of a BYTE/SHORT/LONG field.
+// uintAt reads element i of a BYTE/SHORT/LONG field; an element the
+// field does not hold reads as 0.
 func (d *decoder) uintAt(f field, i int) uint32 {
+	if i >= int(f.count) {
+		return 0
+	}
 	switch f.typ {
 	case typeByte:
 		return uint32(f.raw[i])
