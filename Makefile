@@ -2,12 +2,13 @@
 # (build + test, matching ROADMAP.md) plus gofmt, vet, the race detector,
 # the nsdf-lint analyzer suite, a 5-second smoke of each fuzz target, a
 # reduced-size smoke of every benchmark harness (read path, trace
-# overhead, block cache, sharded tier, compression, lint, serving), and
-# vet + tests of the bench/ module, which tier-1 does not compile.
+# overhead, block cache, sharded tier, compression, lint, serving),
+# vet + tests of the bench/ module, which tier-1 does not compile, and
+# the non-test line count every PR reports its delta against.
 
 GO ?= go
 
-.PHONY: build test fmt-check vet race lint fuzz-smoke check bench-e2e-check bench-readpath bench-readpath-smoke bench-trace bench-trace-smoke bench-cache bench-cache-smoke bench-shard bench-shard-smoke bench-compression bench-compression-smoke bench-lint bench-lint-smoke bench-serving bench-serving-smoke
+.PHONY: build test fmt-check vet race lint loc fuzz-smoke check bench-e2e-check bench-readpath bench-readpath-smoke bench-trace bench-trace-smoke bench-cache bench-cache-smoke bench-shard bench-shard-smoke bench-compression bench-compression-smoke bench-lint bench-lint-smoke bench-serving bench-serving-smoke
 
 build:
 	$(GO) build ./...
@@ -30,6 +31,15 @@ race:
 lint:
 	$(GO) run ./cmd/nsdf-lint ./...
 
+# Non-test, non-testdata Go lines per package directory and in total:
+# the figure ROADMAP aim 2 asks every PR to report its delta of. Run it
+# on the parent commit and on the change.
+loc:
+	@for d in internal/* cmd/* bench examples; do \
+		printf '%7d %s\n' "$$(find $$d -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)" $$d; \
+	done
+	@printf '%7d total\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './.*' | xargs cat | wc -l)"
+
 # Briefly run each native fuzz target so the fuzz harnesses stay
 # compiling and the properties hold on fresh coverage-guided inputs.
 fuzz-smoke:
@@ -38,6 +48,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTilePlan$$' -fuzztime=5s ./internal/hz
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecDecode$$' -fuzztime=5s ./internal/compress
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime=5s ./internal/tiff
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePeers$$' -fuzztime=5s ./internal/shard
+	$(GO) test -run '^$$' -fuzz '^FuzzParseParent$$' -fuzztime=5s ./internal/telemetry/trace
 
 # bench/ is a module of its own (it imports this one through a replace),
 # so `go build ./... && go test ./...` here never compiles it: vet and
@@ -132,10 +144,12 @@ bench-serving-smoke:
 	NSDF_BENCH_SERVING_ITERS=1 $(GO) test ./internal/loadgen -run '^TestBenchServingEmit$$' -count=1
 
 # Measure the analyzer suite itself — module load/type-check cost and
-# per-analyzer wall time over every package, with the CFG-based
-# flow-sensitive analyzers broken out — and refresh BENCH_lint.json.
+# per-analyzer wall time over every package — and refresh
+# BENCH_lint.json. One iteration is one whole run of the suite, so the
+# CFGs the four flow-sensitive analyzers share are built once in it;
+# the analyzers are single-threaded, so one P is the stable setting.
 bench-lint:
-	NSDF_BENCH_LINT_ITERS=5 NSDF_BENCH_LINT_OUT=$(CURDIR)/BENCH_lint.json \
+	GOMAXPROCS=1 NSDF_BENCH_LINT_ITERS=5 NSDF_BENCH_LINT_OUT=$(CURDIR)/BENCH_lint.json \
 		$(GO) test ./internal/lint -run '^TestBenchLintEmit$$' -count=1 -v
 
 # One-iteration smoke of the lint harness (temp output): keeps it
@@ -143,5 +157,5 @@ bench-lint:
 bench-lint-smoke:
 	NSDF_BENCH_LINT_ITERS=1 $(GO) test ./internal/lint -run '^TestBenchLintEmit$$' -count=1
 
-check: build test fmt-check vet race lint fuzz-smoke bench-e2e-check bench-readpath-smoke bench-trace-smoke bench-cache-smoke bench-shard-smoke bench-compression-smoke bench-lint-smoke bench-serving-smoke
+check: build test fmt-check vet race lint fuzz-smoke bench-e2e-check bench-readpath-smoke bench-trace-smoke bench-cache-smoke bench-shard-smoke bench-compression-smoke bench-lint-smoke bench-serving-smoke loc
 	@echo "check: all gates passed"

@@ -112,13 +112,7 @@ func run() error {
 		mux.Handle("/debug/flightrecorder", fl.Handler())
 		mux.Handle("/", srv)
 		if *pprofAddr != "" {
-			go func(addr string) {
-				logger.Info("pprof listening", slog.String("addr", addr), slog.String("path", "/debug/pprof/"))
-				ps := &http.Server{Addr: addr, Handler: telemetry.PprofMux(), ReadHeaderTimeout: 5 * time.Second}
-				if err := ps.ListenAndServe(); err != nil {
-					logger.Error("pprof server failed", slog.String("error", err.Error()))
-				}
-			}(*pprofAddr)
+			go telemetry.ServePprof(logger, *pprofAddr)
 		}
 		logger.Info("catalog service listening",
 			slog.String("addr", *addr),

@@ -22,10 +22,8 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
 	"nsdfgo/internal/admission"
@@ -240,7 +238,7 @@ func run() error {
 		go summaryLoop(logger, reg, *summaryEvery)
 	}
 	if *pprofAddr != "" {
-		go servePprof(logger, *pprofAddr)
+		go telemetry.ServePprof(logger, *pprofAddr)
 	}
 	logger.Info("dashboard listening",
 		slog.String("addr", *addr),
@@ -263,42 +261,7 @@ func run() error {
 		ReadHeaderTimeout: 5 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-	return serveUntilSignal(srv, logger, fl)
-}
-
-// serveUntilSignal runs srv until it fails or the process is told to
-// stop, then drains connections and dumps the flight recorder — the
-// anomaly ring's last chance to reach the logs.
-func serveUntilSignal(srv *http.Server, logger *slog.Logger, fl *flight.Recorder) error {
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-	select {
-	case err := <-errCh:
-		fl.Dump(logger)
-		return err
-	case sig := <-stop:
-		logger.Info("shutting down", slog.String("signal", sig.String()))
-		fl.Dump(logger)
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		return srv.Shutdown(ctx)
-	}
-}
-
-// servePprof runs the opt-in profiling listener. It is a separate server
-// so the profiler is never reachable from the data-serving port.
-func servePprof(logger *slog.Logger, addr string) {
-	logger.Info("pprof listening", slog.String("addr", addr), slog.String("path", "/debug/pprof/"))
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           telemetry.PprofMux(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	if err := srv.ListenAndServe(); err != nil {
-		logger.Error("pprof server failed", slog.String("error", err.Error()))
-	}
+	return telemetry.ServeUntilSignal(context.Background(), srv, logger, fl)
 }
 
 // summaryLoop emits a periodic structured operational summary so sweep

@@ -63,7 +63,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "nsdf-lint:", err)
 		return 2
 	}
-	findings, internalErrs := lint.RunAll(pkgs, lint.Analyzers(), lint.DefaultConfig())
+	findings, internalErrs := lint.RunAll(pkgs, lint.Analyzers())
 
 	cwd, _ := os.Getwd()
 	if *jsonOut {

@@ -82,13 +82,7 @@ func run() error {
 			logger.Info("telemetry listening", slog.String("addr", *metricsAddr), slog.String("metrics", "/metrics"))
 		}
 		if *pprofAddr != "" {
-			go func(addr string) {
-				logger.Info("pprof listening", slog.String("addr", addr), slog.String("path", "/debug/pprof/"))
-				ps := &http.Server{Addr: addr, Handler: telemetry.PprofMux(), ReadHeaderTimeout: 5 * time.Second}
-				if err := ps.ListenAndServe(); err != nil {
-					logger.Error("pprof server failed", slog.String("error", err.Error()))
-				}
-			}(*pprofAddr)
+			go telemetry.ServePprof(logger, *pprofAddr)
 		}
 		return runMonitor(net, reg, fl, logger, *monitor, *probes, *degrade)
 	}

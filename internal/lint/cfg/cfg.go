@@ -1,11 +1,11 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
 // function bodies and runs forward dataflow analyses over them (see
-// dataflow.go). It is the foundation of the flow-sensitive analyzers in
-// internal/lint (refcount, lockorder, ctxleak): where the original
-// AST-walk analyzers could only ask "does an End() appear somewhere in
-// this function", a CFG-based analyzer asks "is the obligation
-// discharged on *every* path", with branches, short-circuit
-// conditionals, loops, defer, and panic/return edges all modelled.
+// dataflow.go). It is the foundation of the obligation engine in
+// internal/lint (obligation.go: refcount, lockorder, ctxleak, spanend):
+// an AST walk can only ask "does an End() appear somewhere in this
+// function", a CFG-based analysis asks "is the obligation discharged
+// on *every* path", with branches, short-circuit conditionals, loops,
+// defer, and panic/return edges all modelled.
 //
 // The builder is pure syntax (go/ast only); analyzers bring their own
 // go/types information when interpreting the nodes. Compound statements

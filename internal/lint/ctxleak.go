@@ -2,11 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
-
-	"nsdfgo/internal/lint/cfg"
 )
 
 // CtxLeakAnalyzer flags derived contexts whose cancel function is not
@@ -19,491 +15,46 @@ import (
 // a per-attempt WithCancel whose cancel is skipped when the winning
 // response returns early.
 //
-// The analyzer tracks the CancelFunc variable through the CFG: calling
-// it (directly or in a deferred closure) or deferring it discharges the
-// obligation; passing it to a call, returning it, storing it into a
-// structure, or capturing it in a function literal transfers ownership
-// and ends the tracking. Paths that exit by panicking are not flagged.
+// Calling the cancel variable (directly or in a deferred closure) or
+// deferring it discharges the obligation; passing it to a call,
+// returning it, storing it into a structure, or capturing it in a
+// function literal hands it on. `_ = cancel` does neither.
 var CtxLeakAnalyzer = &Analyzer{
 	Name: "ctxleak",
 	Doc:  "cancel functions of derived contexts are called on every path",
-	Run:  runCtxLeak,
+	Run:  ctxLeakSpec.run,
 }
 
-func runCtxLeak(pass *Pass) {
-	for _, file := range pass.Pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil && mentionsCtxDerive(pass, fn.Body) {
-					checkCtxLeak(pass, fn.Body)
-				}
-			case *ast.FuncLit:
-				if mentionsCtxDerive(pass, fn.Body) {
-					checkCtxLeak(pass, fn.Body)
-				}
-			}
-			return true
-		})
-	}
-}
-
-// ctxDeriveCall reports whether call derives a cancellable context and
-// names the deriving function.
-func ctxDeriveCall(pass *Pass, call *ast.CallExpr) (string, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	fn, ok := pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
-		return "", false
-	}
-	switch fn.Name() {
-	case "WithCancel", "WithTimeout", "WithDeadline", "WithCancelCause", "WithTimeoutCause", "WithDeadlineCause":
-		return "context." + fn.Name(), true
-	}
-	return "", false
-}
-
-func mentionsCtxDerive(pass *Pass, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
+var ctxLeakSpec = &obSpec{
+	name: "ctxleak",
+	acquire: func(pass *Pass, call *ast.CallExpr) (obAcquire, bool) {
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok {
+			return obAcquire{}, false
+		}
+		switch sel.Sel.Name {
+		case "WithCancel", "WithTimeout", "WithDeadline", "WithCancelCause", "WithTimeoutCause", "WithDeadlineCause":
+			fn, ok := pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
+			return obAcquire{src: "context." + sel.Sel.Name}, ok && fn.Pkg() != nil && fn.Pkg().Path() == "context"
+		}
+		return obAcquire{}, false
+	},
+	holds: func(t types.Type) bool {
+		named, ok := t.(*types.Named)
+		if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "context" {
 			return false
 		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if _, derive := ctxDeriveCall(pass, call); derive {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// clState is the per-cancel-variable state.
-type clState uint8
-
-const (
-	clOwned    clState = iota + 1 // cancel owed on this path
-	clDeferred                    // defer cancel() discharges it
-	clCalled                      // cancel has run on this path
-	clEscaped                     // cancel transferred out; no obligation
-	clTop                         // incompatible merge; tracking abandoned
-)
-
-type clFact struct {
-	state clState
-	pos   token.Pos
-	src   string // the deriving call, e.g. "context.WithCancel"
-}
-
-type clFacts map[types.Object]clFact
-
-func (f clFacts) clone() clFacts {
-	out := make(clFacts, len(f))
-	for k, v := range f {
-		out[k] = v
-	}
-	return out
-}
-
-type clAnalysis struct {
-	pass     *Pass
-	report   bool
-	reported map[string]bool
-}
-
-func (a *clAnalysis) Entry() clFacts { return clFacts{} }
-
-func (a *clAnalysis) Equal(x, y clFacts) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for k, v := range x {
-		if y[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-func (a *clAnalysis) Join(x, y clFacts) clFacts {
-	out := make(clFacts, len(x))
-	for k, vx := range x {
-		if vy, ok := y[k]; ok {
-			out[k] = joinCl(vx, vy)
-		} else {
-			out[k] = vx
-		}
-	}
-	for k, vy := range y {
-		if _, ok := x[k]; !ok {
-			out[k] = vy
-		}
-	}
-	return out
-}
-
-func joinCl(x, y clFact) clFact {
-	if x.state == y.state {
-		return x
-	}
-	hi, lo := x, y
-	if hi.state < lo.state {
-		hi, lo = lo, hi
-	}
-	switch {
-	case hi.state == clTop || hi.state == clEscaped:
-		return hi
-	case lo.state == clOwned && (hi.state == clCalled || hi.state == clDeferred):
-		// Called on one path, still owed on the other: keep the
-		// obligation so the owed path is flagged at exit.
-		return lo
-	default:
-		lo.state = clTop
-		return lo
-	}
-}
-
-func (a *clAnalysis) Refine(f clFacts, cond ast.Expr, branch bool) clFacts { return f }
-
-func (a *clAnalysis) reportf(pos token.Pos, format string, args ...any) {
-	if !a.report {
-		return
-	}
-	p := a.pass.Pkg.Fset.Position(pos)
-	key := p.String() + format
-	if a.reported[key] {
-		return
-	}
-	a.reported[key] = true
-	a.pass.Reportf(pos, format, args...)
-}
-
-func (a *clAnalysis) obj(e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	obj := a.pass.Pkg.Info.Uses[id]
-	if obj == nil {
-		obj = a.pass.Pkg.Info.Defs[id]
-	}
-	return obj
-}
-
-func (a *clAnalysis) Transfer(f clFacts, n ast.Node) clFacts {
-	switch s := n.(type) {
-	case *ast.AssignStmt:
-		return a.assign(f, s)
-	case *ast.DeferStmt:
-		return a.deferStmt(f, s)
-	case *ast.ReturnStmt:
-		for _, res := range s.Results {
-			f = a.scan(f, res, true)
-		}
-		return f
-	case *ast.ExprStmt:
-		return a.scan(f, s.X, false)
-	case *ast.GoStmt:
-		return a.scan(f, s.Call, false)
-	case *ast.SendStmt:
-		return a.scan(f, s.Value, true)
-	case ast.Expr:
-		return a.scan(f, s, false)
-	}
-	return f
-}
-
-// assign tracks `ctx, cancel := context.WithCancel(parent)` bindings
-// and kills overwritten variables.
-func (a *clAnalysis) assign(f clFacts, s *ast.AssignStmt) clFacts {
-	if len(s.Rhs) == 1 {
-		if call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr); ok {
-			if src, derive := ctxDeriveCall(a.pass, call); derive {
-				out := f.clone()
-				bound := false
-				for _, lhs := range s.Lhs {
-					id, isID := ast.Unparen(lhs).(*ast.Ident)
-					if !isID || id.Name == "_" {
-						continue
-					}
-					obj := a.pass.Pkg.Info.Defs[id]
-					if obj == nil {
-						obj = a.pass.Pkg.Info.Uses[id]
-					}
-					if obj == nil || !isCancelFunc(obj.Type()) {
-						continue
-					}
-					if old, tracked := out[obj]; tracked && old.state == clOwned {
-						a.reportf(id.Pos(), "%q is reassigned while the previous cancel from %s was never called", id.Name, old.src)
-					}
-					out[obj] = clFact{state: clOwned, pos: call.Pos(), src: src}
-					bound = true
-				}
-				if !bound {
-					a.reportf(call.Pos(), "cancel function from %s is discarded: the derived context can never be cancelled", src)
-				}
-				return out
-			}
-		}
-	}
-	out := f
-	for i, rhs := range s.Rhs {
-		// `_ = cancel` is vet-silencing, not cancelling: the obligation
-		// stays (suppress deliberately with //lint:allow ctxleak).
-		if len(s.Lhs) == len(s.Rhs) {
-			if id, ok := ast.Unparen(s.Lhs[i]).(*ast.Ident); ok && id.Name == "_" {
-				if obj := a.obj(rhs); obj != nil {
-					if _, tracked := out[obj]; tracked {
-						continue
-					}
-				}
-			}
-		}
-		out = a.scan(out, rhs, true)
-	}
-	for _, lhs := range s.Lhs {
-		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
-			obj := a.pass.Pkg.Info.Defs[id]
-			if obj == nil {
-				obj = a.pass.Pkg.Info.Uses[id]
-			}
-			if obj != nil {
-				if fact, tracked := out[obj]; tracked {
-					if fact.state == clOwned {
-						a.reportf(id.Pos(), "%q is overwritten while the cancel from %s was never called", id.Name, fact.src)
-					}
-					if equalCl(out, f) {
-						out = out.clone()
-					}
-					delete(out, obj)
-				}
-			}
-		}
-	}
-	return out
-}
-
-func equalCl(x, y clFacts) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for k, v := range x {
-		if y[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// isCancelFunc matches context.CancelFunc and context.CancelCauseFunc
-// (or any func type assigned from one — the Defs type is what matters).
-func isCancelFunc(t types.Type) bool {
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "context" &&
-			(obj.Name() == "CancelFunc" || obj.Name() == "CancelCauseFunc") {
-			return true
-		}
-		t = named.Underlying()
-	}
-	// A plain func()/func(error) bound from a derive call also counts;
-	// the binding site already guarantees provenance.
-	sig, ok := t.(*types.Signature)
-	return ok && sig.Params().Len() <= 1 && sig.Results().Len() == 0
-}
-
-// deferStmt discharges `defer cancel()` and deferred closures that call
-// cancel; other deferred captures escape.
-func (a *clAnalysis) deferStmt(f clFacts, s *ast.DeferStmt) clFacts {
-	if obj := a.cancelCallee(f, s.Call); obj != nil {
-		out := f.clone()
-		fact := out[obj]
-		if fact.state == clDeferred {
-			a.reportf(s.Call.Pos(), "%q is deferred twice", objName(obj))
-		}
-		fact.state = clDeferred
-		out[obj] = fact
-		return out
-	}
-	if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-		out := f
-		called := map[types.Object]bool{}
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if obj := a.cancelCallee(f, call); obj != nil {
-					called[obj] = true
-				}
-			}
-			return true
-		})
-		for obj := range called {
-			if equalCl(out, f) {
-				out = out.clone()
-			}
-			fact := out[obj]
-			fact.state = clDeferred
-			out[obj] = fact
-		}
-		return a.escapeCaptured(out, lit, called)
-	}
-	return a.scan(f, s.Call, false)
-}
-
-// cancelCallee reports whether call invokes a tracked cancel variable.
-func (a *clAnalysis) cancelCallee(f clFacts, call *ast.CallExpr) types.Object {
-	obj := a.obj(call.Fun)
-	if obj == nil {
-		return nil
-	}
-	if _, tracked := f[obj]; !tracked {
-		return nil
-	}
-	return obj
-}
-
-// scan walks an expression for calls to and escapes of tracked cancel
-// variables.
-func (a *clAnalysis) scan(f clFacts, e ast.Expr, escapeCtx bool) clFacts {
-	if e == nil {
-		return f
-	}
-	switch ex := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		obj := a.obj(ex)
-		if obj == nil {
-			return f
-		}
-		if _, tracked := f[obj]; !tracked || !escapeCtx {
-			return f
-		}
-		out := f.clone()
-		fact := out[obj]
-		fact.state = clEscaped
-		out[obj] = fact
-		return out
-	case *ast.CallExpr:
-		if obj := a.cancelCallee(f, ex); obj != nil {
-			out := f.clone()
-			fact := out[obj]
-			fact.state = clCalled
-			out[obj] = fact
-			return out
-		}
-		f = a.scan(f, ex.Fun, false)
-		for _, arg := range ex.Args {
-			f = a.scan(f, arg, true)
-		}
-		return f
-	case *ast.FuncLit:
-		return a.escapeCaptured(f, ex, nil)
-	case *ast.UnaryExpr:
-		return a.scan(f, ex.X, escapeCtx)
-	case *ast.BinaryExpr:
-		f = a.scan(f, ex.X, false)
-		return a.scan(f, ex.Y, false)
-	case *ast.CompositeLit:
-		for _, el := range ex.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				f = a.scan(f, kv.Value, true)
-				continue
-			}
-			f = a.scan(f, el, true)
-		}
-		return f
-	case *ast.IndexExpr:
-		f = a.scan(f, ex.X, false)
-		return a.scan(f, ex.Index, false)
-	case *ast.SelectorExpr:
-		return a.scan(f, ex.X, false)
-	}
-	return f
-}
-
-// escapeCaptured escapes tracked cancel vars referenced by a function
-// literal (the closure may call them later), except those in skip.
-func (a *clAnalysis) escapeCaptured(f clFacts, lit *ast.FuncLit, skip map[types.Object]bool) clFacts {
-	out := f
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := a.pass.Pkg.Info.Uses[id]
-		if obj == nil {
-			return true
-		}
-		fact, tracked := out[obj]
-		if !tracked || skip[obj] || fact.state == clEscaped || fact.state == clTop {
-			return true
-		}
-		if equalCl(out, f) {
-			out = out.clone()
-		}
-		fact.state = clEscaped
-		out[obj] = fact
-		return true
-	})
-	return out
-}
-
-// checkCtxLeak runs the analysis over one function body.
-func checkCtxLeak(pass *Pass, body *ast.BlockStmt) {
-	g, err := cfg.Build(body)
-	if err != nil {
-		pass.InternalErrorf("ctxleak: %v", err)
-		return
-	}
-	an := &clAnalysis{pass: pass, reported: map[string]bool{}}
-	res, err := cfg.Forward[clFacts](g, an)
-	if err != nil {
-		pass.InternalErrorf("ctxleak: %v", err)
-		return
-	}
-	an.report = true
-	for _, b := range g.Blocks {
-		in, ok := res.In[b]
-		if !ok {
-			continue
-		}
-		f := in
-		for _, n := range b.Nodes {
-			f = an.Transfer(f, n)
-		}
-	}
-	type leak struct {
-		fact clFact
-		obj  types.Object
-	}
-	leaks := map[types.Object]leak{}
-	for _, e := range g.Exit.Preds {
-		if e.Kind != cfg.Return {
-			continue
-		}
-		f, ok := res.EdgeFact(e)
-		if !ok {
-			continue
-		}
-		for obj, fact := range f {
-			if fact.state != clOwned {
-				continue
-			}
-			if _, seen := leaks[obj]; !seen {
-				leaks[obj] = leak{fact: fact, obj: obj}
-			}
-		}
-	}
-	ordered := make([]leak, 0, len(leaks))
-	for _, l := range leaks {
-		ordered = append(ordered, l)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].fact.pos < ordered[j].fact.pos })
-	for _, l := range ordered {
-		pass.Reportf(l.fact.pos, "context derived by %s can reach return without %s being called: goroutine/timer leak",
-			l.fact.src, objName(l.obj))
-	}
+		return named.Obj().Name() == "CancelFunc" || named.Obj().Name() == "CancelCauseFunc"
+	},
+	// The cancel variable discharges itself by being called.
+	discharge: func(_ *Pass, call *ast.CallExpr) ast.Expr { return call.Fun },
+	merge:     mergeKeepOwed,
+	msg: obMessages{
+		leak:         `context derived by {src} can reach return without {name} being called: goroutine/timer leak`,
+		discard:      `cancel function from {src} is discarded: the derived context can never be cancelled`,
+		discardBlank: `cancel function from {src} is discarded: the derived context can never be cancelled`,
+		reassign:     `"{name}" is reassigned while the previous cancel from {src} was never called`,
+		overwrite:    `"{name}" is overwritten while the cancel from {src} was never called`,
+		deferTwice:   `"{name}" is deferred twice`,
+	},
 }

@@ -5,6 +5,11 @@ import (
 	"go/types"
 )
 
+// errScopePackages are the packages whose error returns must never be
+// dropped, in addition to io.Closer-shaped methods and
+// os.Remove/RemoveAll.
+var errScopePackages = []string{"nsdfgo/internal/storage", "nsdfgo/internal/idx"}
+
 // DroppedErrAnalyzer flags discarded error returns from the storage and
 // IDX layers, io.Closer-shaped Close methods, and os.Remove/RemoveAll:
 // a bare call statement, or an assignment sending every error result to
@@ -60,7 +65,7 @@ func scopedErrCallee(pass *Pass, call *ast.CallExpr) *types.Func {
 	}
 	if fn.Pkg() != nil {
 		path := fn.Pkg().Path()
-		for _, scope := range pass.Config.ErrScopePackages {
+		for _, scope := range errScopePackages {
 			if path == scope {
 				return fn
 			}

@@ -8,7 +8,7 @@ import (
 )
 
 // HotAllocAnalyzer polices the declared hot-path packages (internal/idx,
-// internal/hz, internal/cache by default): inside loops it flags
+// internal/hz, internal/cache): inside loops it flags
 // fmt.Sprintf/Sprint/Sprintln, string concatenation, and append to a
 // slice declared without capacity — the allocation patterns whose
 // removal bought the read path its 13.5x allocation win. The Sprintf
@@ -23,12 +23,22 @@ var HotAllocAnalyzer = &Analyzer{
 	Run:  runHotAlloc,
 }
 
+// hotPackages are the packages whose loops hotalloc polices. The
+// testdata path keeps the fixture demonstrable from the driver:
+// `nsdf-lint ./internal/lint/testdata/src/hotalloc` must exit 1 like
+// every other fixture. testdata is never part of a ./... load, so it
+// costs nothing on normal runs.
+var hotPackages = []string{
+	"nsdfgo/internal/idx", "nsdfgo/internal/hz", "nsdfgo/internal/cache",
+	"nsdfgo/internal/lint/testdata/src/hotalloc",
+}
+
 // fmtAllocFuncs are the fmt formatters that always allocate their result.
 var fmtAllocFuncs = map[string]bool{"Sprintf": true, "Sprint": true, "Sprintln": true}
 
 func runHotAlloc(pass *Pass) {
 	hot := false
-	for _, p := range pass.Config.HotPackages {
+	for _, p := range hotPackages {
 		if pass.Pkg.Path == p {
 			hot = true
 		}

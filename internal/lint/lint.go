@@ -1,16 +1,18 @@
 // Package lint is the repo's own static-analysis suite: eleven
 // analyzers that machine-check the conventions the serving stack
-// depends on — nsdf_-prefixed constant metric names, no silently
-// dropped storage/IDX errors, an allocation-free hot path, sound mutex
-// usage, abortable worker goroutines, caller-threaded contexts (no
-// context.Background() in library code, no context-free
-// http.NewRequest in outbound calls), and spans that are always ended
-// (spanend).
-// Three of them are flow-sensitive, built on the control-flow-graph and
-// dataflow framework in internal/lint/cfg: refcount (cache.Block
-// references released exactly once on every path), lockorder (no
-// lock-order cycles across the repo, no path that exits holding a
-// mutex), and ctxleak (derived contexts cancelled on every path).
+// depends on. Seven are syntactic — nsdf_-prefixed constant metric
+// names, no silently dropped storage/IDX errors, an allocation-free hot
+// path, no mutex-holding struct passed by value, abortable worker
+// goroutines, caller-threaded contexts (no context.Background() in
+// library code, no context-free http.NewRequest in outbound calls).
+// Four are flow-sensitive and are one analysis: obligation.go checks,
+// over the control-flow graphs of internal/lint/cfg, that a resource
+// acquired by a call is discharged exactly once on every path, and
+// refcount (cache.Block references), lockorder (mutexes, plus the
+// whole-repo lock-order cycle check), ctxleak (cancel functions of
+// derived contexts) and spanend (trace spans) are the four specs it
+// runs. The project-specific names the analyzers match on (package
+// paths, registry methods) are constants beside each analyzer.
 // It is built only on go/ast, go/parser, go/types,
 // and go/importer, so `make lint` needs nothing beyond the Go toolchain.
 //
@@ -43,65 +45,12 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
 }
 
-// Config carries the project-specific knobs the analyzers consult.
-// DefaultConfig returns the values matching this repository; tests point
-// them at fixture packages instead.
-type Config struct {
-	// TelemetryPackage is the import path of the metrics registry whose
-	// constructor names metricname inspects.
-	TelemetryPackage string
-	// MetricMethods maps telemetry.Registry method names to the metric
-	// kind they register.
-	MetricMethods map[string]string
-	// ErrScopePackages lists import paths whose error returns must never
-	// be dropped (droppederr), in addition to io.Closer-shaped methods
-	// and os.Remove/RemoveAll.
-	ErrScopePackages []string
-	// HotPackages lists import paths whose loops hotalloc polices.
-	HotPackages []string
-	// TracePackage is the import path of the span tracer whose Start*
-	// results spanend requires to be ended.
-	TracePackage string
-	// CachePackage is the import path of the block cache whose
-	// ref-counted Block type refcount tracks: any call with a *Block
-	// result is an acquisition whose reference must be released,
-	// deferred, or transferred on every path.
-	CachePackage string
-}
-
-// DefaultConfig returns the configuration for this repository.
-func DefaultConfig() *Config {
-	return &Config{
-		TelemetryPackage: "nsdfgo/internal/telemetry",
-		MetricMethods: map[string]string{
-			"Counter":     "counter",
-			"Gauge":       "gauge",
-			"Histogram":   "histogram",
-			"CounterFunc": "counter",
-			"GaugeFunc":   "gauge",
-		},
-		ErrScopePackages: []string{"nsdfgo/internal/storage", "nsdfgo/internal/idx"},
-		// The testdata path keeps the hotalloc fixture demonstrable from
-		// the driver: `nsdf-lint ./internal/lint/testdata/src/hotalloc`
-		// must exit 1 like every other fixture. testdata is never part of
-		// a ./... load, so it costs nothing on normal runs.
-		HotPackages: []string{
-			"nsdfgo/internal/idx", "nsdfgo/internal/hz", "nsdfgo/internal/cache",
-			"nsdfgo/internal/lint/testdata/src/hotalloc",
-		},
-		TracePackage: "nsdfgo/internal/telemetry/trace",
-		CachePackage: "nsdfgo/internal/cache",
-	}
-}
-
 // Pass is the per-package unit of work handed to an analyzer.
 type Pass struct {
 	// Analyzer is the rule being run.
 	Analyzer *Analyzer
 	// Pkg is the package under analysis.
 	Pkg *Package
-	// Config is the shared project configuration.
-	Config *Config
 	// State persists across the packages of one Run for this analyzer,
 	// so cross-package rules (metric kind conflicts, the whole-repo lock
 	// graph) can accumulate.
@@ -180,8 +129,8 @@ func Analyzers() []*Analyzer {
 // analyzer internal error (see RunAll) panics: tests and callers that
 // use Run treat a malfunctioning analyzer as a hard failure, never as a
 // clean result.
-func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Finding {
-	findings, errs := RunAll(pkgs, analyzers, cfg)
+func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
+	findings, errs := RunAll(pkgs, analyzers)
 	if len(errs) > 0 {
 		panic(fmt.Sprintf("lint: %d internal analyzer error(s), first: %v", len(errs), errs[0]))
 	}
@@ -194,19 +143,19 @@ func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Finding {
 // recovered into an error naming the analyzer and the package it was
 // visiting, so the driver can exit non-zero with a useful message
 // instead of crashing or — worse — silently reporting a clean run.
-func RunAll(pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Finding, []error) {
+func RunAll(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []error) {
 	var findings []Finding
 	var errs []error
 	for _, a := range analyzers {
 		state := make(map[string]any)
 		for _, pkg := range pkgs {
-			pass := &Pass{Analyzer: a, Pkg: pkg, Config: cfg, State: state, findings: &findings, errs: &errs}
+			pass := &Pass{Analyzer: a, Pkg: pkg, State: state, findings: &findings, errs: &errs}
 			if err := runRecovering(a.Run, pass); err != nil {
 				errs = append(errs, err)
 			}
 		}
 		if a.Finish != nil {
-			pass := &Pass{Analyzer: a, Config: cfg, State: state, findings: &findings, errs: &errs}
+			pass := &Pass{Analyzer: a, State: state, findings: &findings, errs: &errs}
 			if err := runRecovering(a.Finish, pass); err != nil {
 				errs = append(errs, err)
 			}

@@ -3,6 +3,8 @@ package lint
 import (
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -56,16 +58,6 @@ func analyzerByName(t *testing.T, name string) *Analyzer {
 	return nil
 }
 
-// fixtureConfig returns the default config, pointing hotalloc at the
-// fixture package instead of the real hot-path packages.
-func fixtureConfig(pkg *Package) *Config {
-	cfg := DefaultConfig()
-	if strings.HasSuffix(pkg.Path, "/hotalloc") {
-		cfg.HotPackages = []string{pkg.Path}
-	}
-	return cfg
-}
-
 // renderFindings formats findings with fixture-relative paths, one per
 // line, matching the .golden files.
 func renderFindings(pkg *Package, findings []Finding) string {
@@ -87,7 +79,7 @@ func TestAnalyzerGoldens(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			pkg := loadFixture(t, name)
 			a := analyzerByName(t, name)
-			findings := Run([]*Package{pkg}, []*Analyzer{a}, fixtureConfig(pkg))
+			findings := Run([]*Package{pkg}, []*Analyzer{a})
 			if len(findings) == 0 {
 				t.Fatalf("analyzer %s produced no findings on its fixture", name)
 			}
@@ -117,7 +109,7 @@ func TestAllowCommentSuppresses(t *testing.T) {
 	for _, name := range []string{"metricname", "droppederr", "hotalloc", "lockcopy", "goleak", "ctxbackground", "ctxhttp", "spanend", "refcount", "lockorder", "ctxleak"} {
 		pkg := loadFixture(t, name)
 		a := analyzerByName(t, name)
-		findings := Run([]*Package{pkg}, []*Analyzer{a}, fixtureConfig(pkg))
+		findings := Run([]*Package{pkg}, []*Analyzer{a})
 
 		src, err := os.ReadFile(filepath.Join(pkg.Dir, name+".go"))
 		if err != nil {
@@ -158,7 +150,7 @@ func TestMetricNameKindConflictAcrossPackages(t *testing.T) {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	findings := Run(pkgs, []*Analyzer{analyzerByName(t, "metricname")}, DefaultConfig())
+	findings := Run(pkgs, []*Analyzer{analyzerByName(t, "metricname")})
 	if len(findings) != 1 {
 		t.Fatalf("want exactly 1 cross-package kind conflict, got %d: %v", len(findings), findings)
 	}
@@ -167,9 +159,9 @@ func TestMetricNameKindConflictAcrossPackages(t *testing.T) {
 	}
 }
 
-// TestRepoIsFlowLintClean runs just the three flow-sensitive analyzers
-// over the real module, separately from the full-suite gate, so a CFG
-// or dataflow regression is attributed to this layer directly. Internal
+// TestRepoIsFlowLintClean runs just the obligation engine's specs over
+// the real module, separately from the full-suite gate, so a CFG or
+// dataflow regression is attributed to this layer directly. Internal
 // analyzer errors (a CFG that failed to build, a fixpoint that did not
 // converge) fail the test too, via RunAll.
 func TestRepoIsFlowLintClean(t *testing.T) {
@@ -185,12 +177,11 @@ func TestRepoIsFlowLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flow := []*Analyzer{
-		analyzerByName(t, "refcount"),
-		analyzerByName(t, "lockorder"),
-		analyzerByName(t, "ctxleak"),
+	var flow []*Analyzer
+	for _, spec := range obligationSpecs {
+		flow = append(flow, analyzerByName(t, spec.name))
 	}
-	findings, errs := RunAll(pkgs, flow, DefaultConfig())
+	findings, errs := RunAll(pkgs, flow)
 	for _, e := range errs {
 		t.Errorf("internal error: %v", e)
 	}
@@ -214,7 +205,7 @@ func TestRunAllReportsInternalErrors(t *testing.T) {
 		Doc:  "test analyzer that records an internal error",
 		Run:  func(p *Pass) { p.InternalErrorf("cfg exploded") },
 	}
-	findings, errs := RunAll([]*Package{pkg}, []*Analyzer{panicky, erroring}, DefaultConfig())
+	findings, errs := RunAll([]*Package{pkg}, []*Analyzer{panicky, erroring})
 	if len(findings) != 0 {
 		t.Errorf("unexpected findings: %v", findings)
 	}
@@ -238,7 +229,7 @@ func TestRunAllReportsInternalErrors(t *testing.T) {
 			t.Error("Run did not panic on internal errors")
 		}
 	}()
-	Run([]*Package{pkg}, []*Analyzer{panicky}, DefaultConfig())
+	Run([]*Package{pkg}, []*Analyzer{panicky})
 }
 
 // TestRepoIsLintClean runs the full suite over the real module — the
@@ -260,8 +251,55 @@ func TestRepoIsLintClean(t *testing.T) {
 	if len(pkgs) < 20 {
 		t.Fatalf("loaded only %d packages; pattern expansion looks broken", len(pkgs))
 	}
-	findings := Run(pkgs, Analyzers(), DefaultConfig())
+	findings := Run(pkgs, Analyzers())
 	for _, f := range findings {
 		t.Errorf("%s", f)
+	}
+}
+
+// TestObligationIsASpec proves a new obligation is a spec value, not a
+// new analyzer: a throw-away fifth spec (os.Open must reach Close) run
+// through the same engine finds the leak and the double release and
+// stays quiet on the deferred and the handed-on file.
+func TestObligationIsASpec(t *testing.T) {
+	spec := &obSpec{
+		name: "fileclose",
+		acquire: func(pass *Pass, call *ast.CallExpr) (obAcquire, bool) {
+			fn := calleeFunc(pass.Pkg.Info, call)
+			return obAcquire{src: "os.Open"}, fn != nil && fn.FullName() == "os.Open"
+		},
+		holds:     func(t types.Type) bool { return pointsTo(t, "os", "File") },
+		discharge: func(_ *Pass, call *ast.CallExpr) ast.Expr { return methodRecv(call, "Close") },
+		merge:     mergeAbandon,
+		msg: obMessages{
+			leak:          `file "{name}" from {src} can reach {arg} without Close`,
+			doubleRelease: `"{name}" is closed twice (opened at line {line})`,
+		},
+	}
+	pkg := loadFixture(t, "obligation")
+	findings := Run([]*Package{pkg}, []*Analyzer{{Name: spec.name, Doc: "test spec", Run: spec.run}})
+
+	got := map[string][]string{} // enclosing function → messages
+	for _, f := range findings {
+		for _, decl := range pkg.Files[0].Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if ok && pkg.Fset.Position(fd.Pos()).Line <= f.Pos.Line && f.Pos.Line <= pkg.Fset.Position(fd.End()).Line {
+				got[fd.Name.Name] = append(got[fd.Name.Name], f.Message)
+			}
+		}
+	}
+	for _, tc := range []struct{ fn, want string }{
+		{"leak", `file "f" from os.Open can reach the return at line 16 without Close`},
+		{"doubleClose", `"f" is closed twice (opened at line 21)`},
+		{"deferred", ""},
+		{"escaped", ""},
+	} {
+		msgs := got[tc.fn]
+		switch {
+		case tc.want == "" && len(msgs) != 0:
+			t.Errorf("%s: want no finding, got %q", tc.fn, msgs)
+		case tc.want != "" && (len(msgs) != 1 || msgs[0] != tc.want):
+			t.Errorf("%s: want exactly %q, got %q", tc.fn, tc.want, msgs)
+		}
 	}
 }

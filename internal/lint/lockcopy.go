@@ -5,15 +5,14 @@ import (
 	"go/types"
 )
 
-// LockCopyAnalyzer catches the two classic sync mistakes: passing or
+// LockCopyAnalyzer catches the classic sync mistake of passing or
 // returning by value a struct that (transitively) contains a
 // sync.Mutex or sync.RWMutex — the copy and the original then guard
-// different state — and calling Lock/RLock in a function that never
-// pairs it with the matching Unlock/RUnlock on the same receiver
-// (directly or via defer).
+// different state. Whether every Lock reaches its Unlock is lockorder's
+// question, answered per path.
 var LockCopyAnalyzer = &Analyzer{
 	Name: "lockcopy",
-	Doc:  "no mutex-holding structs by value; every Lock pairs with an Unlock in the same function",
+	Doc:  "no mutex-holding structs by value",
 	Run:  runLockCopy,
 }
 
@@ -25,9 +24,6 @@ func runLockCopy(pass *Pass) {
 				continue
 			}
 			checkSignatureCopies(pass, fd)
-			if fd.Body != nil {
-				checkLockPairing(pass, fd)
-			}
 		}
 	}
 }
@@ -85,59 +81,4 @@ func containsLock(t types.Type, seen map[types.Type]bool) bool {
 		return containsLock(tt.Elem(), seen)
 	}
 	return false
-}
-
-// lockMethods maps sync lock methods to the unlock method that balances
-// them.
-var lockMethods = map[string]string{"Lock": "Unlock", "RLock": "RUnlock"}
-
-// checkLockPairing flags Lock/RLock calls on sync mutexes with no
-// matching Unlock/RUnlock on the same receiver expression anywhere in
-// the same function (including defers and deferred closures).
-func checkLockPairing(pass *Pass, fd *ast.FuncDecl) {
-	info := pass.Pkg.Info
-	type lockCall struct {
-		pos  ast.Node
-		recv string
-		want string // balancing method name
-	}
-	var locks []lockCall
-	unlocks := map[string]bool{} // "recv\x00method"
-
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		fn, ok := info.Uses[sel.Sel].(*types.Func)
-		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-			return true
-		}
-		recv := types.ExprString(sel.X)
-		if want, isLock := lockMethods[fn.Name()]; isLock {
-			locks = append(locks, lockCall{pos: call, recv: recv, want: want})
-		} else {
-			unlocks[recv+"\x00"+fn.Name()] = true
-		}
-		return true
-	})
-	for _, lk := range locks {
-		if !unlocks[lk.recv+"\x00"+lk.want] {
-			pass.Reportf(lk.pos.Pos(), "%s.%s has no matching %s in %s; unlock on every exit path (prefer defer)",
-				lk.recv, lockMethodName(lk.want), lk.want, fd.Name.Name)
-		}
-	}
-}
-
-// lockMethodName maps a balancing unlock method back to the lock name
-// for the diagnostic.
-func lockMethodName(unlock string) string {
-	if unlock == "RUnlock" {
-		return "RLock"
-	}
-	return "Lock"
 }

@@ -6,210 +6,160 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"nsdfgo/internal/lint/cfg"
 )
 
-// LockOrderAnalyzer checks mutex discipline flow-sensitively and builds
-// a whole-repo lock-acquisition graph. Per function, over the CFG, it
-// tracks which named mutexes are held on each path and flags:
+// LockOrderAnalyzer checks mutex discipline on every path and builds a
+// whole-repo lock-acquisition graph. Per function it tracks which
+// mutexes (named by their receiver expression, "c.mu") are held and
+// flags:
 //
 //   - a path that can reach a return while a Lock has neither been
 //     Unlocked nor discharged by `defer mu.Unlock()`;
 //   - re-locking a mutex already held on the same path (a guaranteed
-//     self-deadlock with sync.Mutex);
+//     self-deadlock with sync.Mutex; a recursive RLock is let through);
 //   - an explicit Unlock while a deferred Unlock for the same mutex is
 //     pending (the deferred one will then unlock an unlocked mutex).
 //
-// Mutexes are named by their owner: a receiver field lock is classed as
-// "pkg.Type.field", a package-level lock as "pkg.var". Acquisitions
-// made while another class is held become edges in a repo-wide graph,
-// extended through calls: when f calls g while holding A, every lock g
-// (transitively) takes is ordered after A. After all packages are
-// analyzed, a Finish pass condenses the graph with Tarjan's SCC and
+// For the graph, mutexes are named by their owner: a receiver field
+// lock is classed as "pkg.Type.field", a package-level lock as
+// "pkg.var". Acquisitions made while another class is held become
+// edges, extended through calls: when f calls g while holding A, every
+// lock g (transitively) takes is ordered after A. After all packages
+// are analyzed, a Finish pass condenses the graph with Tarjan's SCC and
 // reports every cycle — the classic AB/BA inversion that deadlocks two
-// goroutines — once, with the full cycle path. Paths that exit by
-// panicking are not flagged: the deferred unlocks run during the
-// unwind, and a process dying with a mutex held has bigger problems.
+// goroutines — once, with the full cycle path.
 var LockOrderAnalyzer = &Analyzer{
 	Name:   "lockorder",
 	Doc:    "no path exits holding a mutex; no lock-order cycles across the repo",
-	Run:    runLockOrder,
+	Run:    lockOrderSpec.run,
 	Finish: finishLockOrder,
 }
 
-// lockFact is the per-mutex flow fact.
-type lockFact struct {
-	class    string // "pkg.Type.field" / "pkg.var", "" for locals
-	deferred bool   // a deferred Unlock discharges it at exit
-	rlock    bool   // held in read mode (RLock)
-	pos      token.Pos
-	name     string // source rendering of the mutex expression
-}
-
-// lockFacts maps a mutex key (the rendered receiver expression, e.g.
-// "c.mu") to its held-state. Absence means not held on this path.
-type lockFacts map[string]lockFact
-
-func (f lockFacts) clone() lockFacts {
-	out := make(lockFacts, len(f))
-	for k, v := range f {
-		out[k] = v
-	}
-	return out
+var lockOrderSpec = &obSpec{
+	name: "lockorder",
+	acquire: func(pass *Pass, call *ast.CallExpr) (obAcquire, bool) {
+		switch recv, method := syncMethod(pass, call); method {
+		case "Lock":
+			return obAcquire{src: method, recv: recv, class: lockClass(pass, recv), release: "Unlock"}, true
+		case "RLock":
+			return obAcquire{src: method, recv: recv, class: lockClass(pass, recv), release: "RUnlock", shared: true}, true
+		}
+		return obAcquire{}, false
+	},
+	discharge: func(pass *Pass, call *ast.CallExpr) ast.Expr {
+		if recv, method := syncMethod(pass, call); method == "Unlock" || method == "RUnlock" {
+			return recv
+		}
+		return nil
+	},
+	exprKeys: true,
+	merge:    mergeIntersect,
+	msg: obMessages{
+		leak:            `{name} is locked here but a path can reach return without {release}`,
+		reacquire:       `{name} is locked again while already held (locked at line {line}): self-deadlock`,
+		releaseDeferred: `{name} is unlocked explicitly while a deferred unlock is pending: the deferred {release} will unlock an unlocked mutex`,
+		deferTwice:      `{name} already has a deferred unlock: double unlock at exit`,
+	},
+	// An acquire orders the new class after every class already held.
+	onAcquire: func(pass *Pass, fn *types.Func, held obFacts, acq obAcquire, pos token.Pos) {
+		if acq.class == "" {
+			return
+		}
+		sum := lockSummaryOf(pass, fn)
+		for _, from := range heldClasses(held) {
+			if from != acq.class {
+				sum.edges = append(sum.edges, lockEdge{from: from, to: acq.class, pos: pass.Pkg.Fset.Position(pos)})
+			}
+		}
+		sum.acquires = append(sum.acquires, acq.class)
+	},
+	// A named call while classed locks are held orders everything the
+	// callee (transitively) takes after them.
+	onCall: func(pass *Pass, fn *types.Func, held obFacts, call *ast.CallExpr) {
+		if callee := calleeFunc(pass.Pkg.Info, call); callee != nil {
+			if classes := heldClasses(held); len(classes) > 0 {
+				sum := lockSummaryOf(pass, fn)
+				sum.calls = append(sum.calls, lockCall{callee: callee, held: classes, pos: pass.Pkg.Fset.Position(call.Pos())})
+			}
+		}
+	},
 }
 
 // lockEdge is one ordered pair in the whole-repo acquisition graph:
-// while `from` was held, `to` was acquired (directly or via a call).
+// while `from` was held, `to` was acquired directly.
 type lockEdge struct {
 	from, to string
 	pos      token.Position // eagerly resolved: Finish has no Fset
-	via      string         // "" for a direct acquire, else the called function
 }
 
-// lockSummary is what one function contributes to the global graph.
-type lockSummary struct {
-	// acquires lists classes this function locks directly with an empty
-	// held-set (its baseline acquisitions).
-	acquires []string
-	// edges are direct held→acquired orderings observed in the body.
-	edges []lockEdge
-	// calls records callees invoked while classed locks were held.
-	calls []lockCall
-}
-
+// lockCall records a callee invoked while classed locks were held.
 type lockCall struct {
 	callee *types.Func
 	held   []string
 	pos    token.Position
 }
 
-// lockState is the cross-package accumulator kept in Pass.State.
-type lockState struct {
-	summaries map[*types.Func]*lockSummary
+// lockSummary is what one declared function contributes to the global
+// graph: the classes it locks itself, the direct held→acquired
+// orderings in its body, and its calls made under lock. Function
+// literals contribute none: their call sites are not resolvable by name.
+type lockSummary struct {
+	acquires []string
+	edges    []lockEdge
+	calls    []lockCall
 }
 
-const lockStateKey = "lockorder.state"
+const lockStateKey = "lockorder.summaries"
 
-func getLockState(pass *Pass) *lockState {
-	if s, ok := pass.State[lockStateKey].(*lockState); ok {
-		return s
+// lockSummaries is the cross-package accumulator kept in Pass.State.
+func lockSummaries(pass *Pass) map[*types.Func]*lockSummary {
+	s, ok := pass.State[lockStateKey].(map[*types.Func]*lockSummary)
+	if !ok {
+		s = map[*types.Func]*lockSummary{}
+		pass.State[lockStateKey] = s
 	}
-	s := &lockState{summaries: map[*types.Func]*lockSummary{}}
-	pass.State[lockStateKey] = s
 	return s
 }
 
-// lockMethodPairs maps sync acquire methods to their release and mode.
-var lockMethodPairs = map[string]struct {
-	unlock string
-	rlock  bool
-}{
-	"Lock":  {"Unlock", false},
-	"RLock": {"RUnlock", true},
-}
-
-func runLockOrder(pass *Pass) {
-	state := getLockState(pass)
-	for _, file := range pass.Pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body == nil {
-					return true
-				}
-				var fnObj *types.Func
-				if obj, ok := pass.Pkg.Info.Defs[fn.Name].(*types.Func); ok {
-					fnObj = obj
-				}
-				checkLockOrder(pass, state, fn.Body, fnObj)
-			case *ast.FuncLit:
-				// Function literals get the path checks but contribute no
-				// summary: their call sites are not resolvable by name.
-				checkLockOrder(pass, state, fn.Body, nil)
-			}
-			return true
-		})
+func lockSummaryOf(pass *Pass, fn *types.Func) *lockSummary {
+	all := lockSummaries(pass)
+	if all[fn] == nil {
+		all[fn] = &lockSummary{}
 	}
+	return all[fn]
 }
 
-// loAnalysis implements cfg.Analysis over lockFacts.
-type loAnalysis struct {
-	pass     *Pass
-	report   bool
-	reported map[string]bool
-	// summary, when non-nil, accumulates graph contributions.
-	summary *lockSummary
-}
-
-func (a *loAnalysis) Entry() lockFacts { return lockFacts{} }
-
-func (a *loAnalysis) Equal(x, y lockFacts) bool {
-	if len(x) != len(y) {
-		return false
+// heldClasses lists the classes of the held locks, in key order.
+func heldClasses(held obFacts) []string {
+	var keys []string
+	for k := range held {
+		keys = append(keys, k.(string))
 	}
-	for k, v := range x {
-		if y[k] != v {
-			return false
+	sort.Strings(keys)
+	var out []string
+	for _, k := range keys {
+		if c := held[k].class; c != "" {
+			out = append(out, c)
 		}
-	}
-	return true
-}
-
-// Join intersects: a mutex is held at a merge only when held on both
-// paths. A mixed deferred bit degrades to non-deferred (the obligation
-// is only safe if every path deferred it).
-func (a *loAnalysis) Join(x, y lockFacts) lockFacts {
-	out := make(lockFacts)
-	for k, vx := range x {
-		vy, ok := y[k]
-		if !ok {
-			continue
-		}
-		vx.deferred = vx.deferred && vy.deferred
-		out[k] = vx
 	}
 	return out
 }
 
-func (a *loAnalysis) Refine(f lockFacts, cond ast.Expr, branch bool) lockFacts {
-	return f
-}
-
-func (a *loAnalysis) reportf(pos token.Pos, format string, args ...any) {
-	if !a.report {
-		return
+// syncMethod resolves call to a Lock/Unlock/RLock/RUnlock method of
+// package sync (Mutex, RWMutex, Locker) and returns the receiver
+// expression and the method name; method is "" for any other call.
+func syncMethod(pass *Pass, call *ast.CallExpr) (recv ast.Expr, method string) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || len(call.Args) != 0 {
+		return nil, ""
 	}
-	p := a.pass.Pkg.Fset.Position(pos)
-	key := p.String() + format
-	if a.reported[key] {
-		return
-	}
-	a.reported[key] = true
-	a.pass.Reportf(pos, format, args...)
-}
-
-// syncMethod resolves call to a sync.Mutex/RWMutex (or wrapper with the
-// same method set, e.g. sync.Locker) method invocation and returns the
-// receiver expression, method name, and whether the receiver type is
-// from package sync.
-func syncMethod(pass *Pass, call *ast.CallExpr) (recv ast.Expr, method string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel || len(call.Args) != 0 {
-		return nil, "", false
-	}
-	fn, isFn := pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !isFn {
-		return nil, "", false
-	}
-	if fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return nil, "", false
-	}
-	switch fn.Name() {
+	switch sel.Sel.Name {
 	case "Lock", "Unlock", "RLock", "RUnlock":
-		return sel.X, fn.Name(), true
+		if fn, ok := pass.Pkg.Info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync" {
+			return sel.X, sel.Sel.Name
+		}
 	}
-	return nil, "", false
+	return nil, ""
 }
 
 // lockClass names the lock for the global graph: receiver/struct field
@@ -270,362 +220,14 @@ func lockClass(pass *Pass, recv ast.Expr) string {
 	return ""
 }
 
-// Transfer flows lock state through one node.
-func (a *loAnalysis) Transfer(f lockFacts, n ast.Node) lockFacts {
-	switch s := n.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			return a.callStmt(f, call, false)
-		}
-	case *ast.DeferStmt:
-		return a.deferStmt(f, s)
-	case ast.Expr:
-		if call, ok := ast.Unparen(s).(*ast.CallExpr); ok {
-			return a.callStmt(f, call, false)
-		}
-	case *ast.AssignStmt:
-		out := f
-		for _, rhs := range s.Rhs {
-			if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
-				out = a.callStmt(out, call, false)
-			}
-		}
-		return out
-	case *ast.GoStmt:
-		// The spawned goroutine has its own stack; the go statement
-		// itself acquires nothing here.
-		return f
-	}
-	return f
-}
-
-// callStmt handles one call: a sync method mutates the held set; any
-// other named call while locks are held becomes a call-graph record.
-func (a *loAnalysis) callStmt(f lockFacts, call *ast.CallExpr, inDefer bool) lockFacts {
-	if recv, method, ok := syncMethod(a.pass, call); ok {
-		key := types.ExprString(recv)
-		_, isAcquire := lockMethodPairs[method]
-		if isAcquire {
-			return a.acquire(f, call, recv, key, method == "RLock", inDefer)
-		}
-		// Unlock / RUnlock.
-		fact, held := f[key]
-		if !held {
-			return f // unlock of a lock taken on another path/level: not our call
-		}
-		if fact.deferred && !inDefer {
-			a.reportf(call.Pos(), "%s is unlocked explicitly while a deferred unlock is pending: the deferred %s will unlock an unlocked mutex",
-				key, unlockName(fact.rlock))
-		}
-		out := f.clone()
-		delete(out, key)
-		return out
-	}
-	// A named call while classed locks are held: record for the global
-	// graph so transitive acquisitions order after the held locks.
-	if a.summary != nil {
-		if callee := staticCallee(a.pass, call); callee != nil {
-			held := heldClasses(f)
-			if len(held) > 0 {
-				a.summary.calls = append(a.summary.calls, lockCall{
-					callee: callee,
-					held:   held,
-					pos:    a.pass.Pkg.Fset.Position(call.Pos()),
-				})
-			}
-		}
-	}
-	return f
-}
-
-func unlockName(rlock bool) string {
-	if rlock {
-		return "RUnlock"
-	}
-	return "Unlock"
-}
-
-// acquire records a Lock/RLock.
-func (a *loAnalysis) acquire(f lockFacts, call *ast.CallExpr, recv ast.Expr, key string, rlock, inDefer bool) lockFacts {
-	if prior, held := f[key]; held {
-		if !prior.rlock || !rlock {
-			// Write-write, read-write, or write-read on the same mutex on
-			// the same path: sync.Mutex self-deadlocks, sync.RWMutex may.
-			a.reportf(call.Pos(), "%s is locked again while already held (locked at line %d): self-deadlock",
-				key, a.pass.Pkg.Fset.Position(prior.pos).Line)
-		}
-		// Recursive RLock is legal; keep the original fact either way.
-		return f
-	}
-	class := lockClass(a.pass, recv)
-	if a.summary != nil && class != "" {
-		for _, heldKey := range sortedKeys(f) {
-			hf := f[heldKey]
-			if hf.class != "" && hf.class != class {
-				a.summary.edges = append(a.summary.edges, lockEdge{
-					from: hf.class, to: class,
-					pos: a.pass.Pkg.Fset.Position(call.Pos()),
-				})
-			}
-		}
-		a.summary.acquires = append(a.summary.acquires, class)
-	}
-	out := f.clone()
-	out[key] = lockFact{class: class, rlock: rlock, deferred: inDefer, pos: call.Pos(), name: key}
-	return out
-}
-
-func sortedKeys(f lockFacts) []string {
-	keys := make([]string, 0, len(f))
-	for k := range f {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func heldClasses(f lockFacts) []string {
-	var out []string
-	for _, k := range sortedKeys(f) {
-		if c := f[k].class; c != "" {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// deferStmt handles `defer mu.Unlock()` (marks the lock discharged at
-// exit) and deferred closures containing unlocks.
-func (a *loAnalysis) deferStmt(f lockFacts, s *ast.DeferStmt) lockFacts {
-	if recv, method, ok := syncMethod(a.pass, s.Call); ok {
-		key := types.ExprString(recv)
-		if _, isAcquire := lockMethodPairs[method]; isAcquire {
-			// `defer mu.Lock()` — bizarre; treat as no-op for flow purposes.
-			_ = recv
-			return f
-		}
-		fact, held := f[key]
-		if !held {
-			return f
-		}
-		if fact.deferred {
-			a.reportf(s.Call.Pos(), "%s already has a deferred unlock: double unlock at exit", key)
-			return f
-		}
-		out := f.clone()
-		fact.deferred = true
-		out[key] = fact
-		return out
-	}
-	if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-		out := f
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			recv, method, ok := syncMethod(a.pass, call)
-			if !ok {
-				return true
-			}
-			if _, isAcquire := lockMethodPairs[method]; isAcquire {
-				return true
-			}
-			key := types.ExprString(recv)
-			if fact, held := out[key]; held && !fact.deferred {
-				if equalLockFacts(out, f) {
-					out = out.clone()
-				}
-				fact.deferred = true
-				out[key] = fact
-			}
-			return true
-		})
-		return out
-	}
-	return f
-}
-
-func equalLockFacts(x, y lockFacts) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for k, v := range x {
-		if y[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// staticCallee resolves the statically-known callee of a call, if any.
-func staticCallee(pass *Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := pass.Pkg.Info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := pass.Pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
-}
-
-// checkLockOrder runs the per-function analysis and records the global
-// summary (fnObj may be nil for function literals).
-func checkLockOrder(pass *Pass, state *lockState, body *ast.BlockStmt, fnObj *types.Func) {
-	// Cheap pre-filter: no sync method mention, no analysis.
-	if !mentionsSyncLock(pass, body) {
-		return
-	}
-	g, err := cfg.Build(body)
-	if err != nil {
-		pass.InternalErrorf("lockorder: %v", err)
-		return
-	}
-	an := &loAnalysis{pass: pass, reported: map[string]bool{}}
-	if fnObj != nil {
-		an.summary = &lockSummary{}
-	}
-	res, err := cfg.Forward[lockFacts](g, an)
-	if err != nil {
-		pass.InternalErrorf("lockorder: %v", err)
-		return
-	}
-	if fnObj != nil && an.summary != nil {
-		// Re-run transfers once more for summary edges? No: edges were
-		// accumulated during the fixpoint, possibly duplicated. Dedupe.
-		an.summary.edges = dedupeEdges(an.summary.edges)
-		an.summary.calls = dedupeCalls(an.summary.calls)
-		an.summary.acquires = dedupeStrings(an.summary.acquires)
-		state.summaries[fnObj] = an.summary
-	}
-	// Reporting pass over the converged facts.
-	an.report = true
-	an.summary = nil // don't double-record during the replay
-	for _, b := range g.Blocks {
-		in, ok := res.In[b]
-		if !ok {
-			continue
-		}
-		f := in
-		for _, n := range b.Nodes {
-			f = an.Transfer(f, n)
-		}
-	}
-	// Exit check: a return edge with a non-deferred lock still held.
-	type leak struct {
-		fact lockFact
-		key  string
-	}
-	leaks := map[string]leak{}
-	for _, e := range g.Exit.Preds {
-		if e.Kind != cfg.Return {
-			continue
-		}
-		f, ok := res.EdgeFact(e)
-		if !ok {
-			continue
-		}
-		for key, fact := range f {
-			if fact.deferred {
-				continue
-			}
-			if _, seen := leaks[key]; !seen {
-				leaks[key] = leak{fact: fact, key: key}
-			}
-		}
-	}
-	keys := make([]string, 0, len(leaks))
-	for k := range leaks {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		l := leaks[k]
-		pass.Reportf(l.fact.pos, "%s is locked here but a path can reach return without %s", l.key, unlockName(l.fact.rlock))
-	}
-}
-
-func mentionsSyncLock(pass *Pass, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		switch sel.Sel.Name {
-		case "Lock", "RLock", "Unlock", "RUnlock":
-			if fn, ok := pass.Pkg.Info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync" {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
-}
-
-func dedupeEdges(edges []lockEdge) []lockEdge {
-	seen := map[string]bool{}
-	out := edges[:0]
-	for _, e := range edges {
-		k := e.from + "\x00" + e.to
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, e)
-	}
-	return out
-}
-
-func dedupeCalls(calls []lockCall) []lockCall {
-	seen := map[string]bool{}
-	out := calls[:0]
-	for _, c := range calls {
-		k := c.callee.FullName() + "\x00" + strings.Join(c.held, ",")
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, c)
-	}
-	return out
-}
-
-func dedupeStrings(in []string) []string {
-	seen := map[string]bool{}
-	out := in[:0]
-	for _, s := range in {
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
-		out = append(out, s)
-	}
-	return out
-}
-
-// edgeInfo is the witness carried on one global-graph edge.
-type edgeInfo struct {
-	pos token.Position
-	via string
-}
-
 // finishLockOrder assembles the whole-repo acquisition graph from the
 // per-function summaries and reports every cycle.
 func finishLockOrder(pass *Pass) {
-	state := getLockState(pass)
+	summaries := lockSummaries(pass)
 
 	// Transitive acquires per function: fixpoint over the call graph.
 	trans := map[*types.Func]map[string]bool{}
-	for fn, sum := range state.summaries {
+	for fn, sum := range summaries {
 		set := map[string]bool{}
 		for _, c := range sum.acquires {
 			set[c] = true
@@ -634,7 +236,7 @@ func finishLockOrder(pass *Pass) {
 	}
 	for changed := true; changed; {
 		changed = false
-		for fn, sum := range state.summaries {
+		for fn, sum := range summaries {
 			set := trans[fn]
 			for _, call := range sum.calls {
 				calleeSet, ok := trans[call.callee]
@@ -652,29 +254,29 @@ func finishLockOrder(pass *Pass) {
 	}
 
 	// Edge set: direct edges plus held-at-call × transitive-acquires.
-	edges := map[string]map[string]edgeInfo{} // from → to → witness
-	addEdge := func(from, to string, pos token.Position, via string) {
+	edges := map[string]map[string]token.Position{} // from → to → earliest witness
+	addEdge := func(from, to string, pos token.Position) {
 		if from == to {
 			return
 		}
 		m := edges[from]
 		if m == nil {
-			m = map[string]edgeInfo{}
+			m = map[string]token.Position{}
 			edges[from] = m
 		}
-		if prev, ok := m[to]; !ok || less(pos, prev.pos) {
-			m[to] = edgeInfo{pos: pos, via: via}
+		if prev, ok := m[to]; !ok || less(pos, prev) {
+			m[to] = pos
 		}
 	}
-	fns := make([]*types.Func, 0, len(state.summaries))
-	for fn := range state.summaries {
+	fns := make([]*types.Func, 0, len(summaries))
+	for fn := range summaries {
 		fns = append(fns, fn)
 	}
 	sort.Slice(fns, func(i, j int) bool { return fns[i].FullName() < fns[j].FullName() })
 	for _, fn := range fns {
-		sum := state.summaries[fn]
+		sum := summaries[fn]
 		for _, e := range sum.edges {
-			addEdge(e.from, e.to, e.pos, "")
+			addEdge(e.from, e.to, e.pos)
 		}
 		for _, call := range sum.calls {
 			calleeSet, ok := trans[call.callee]
@@ -695,7 +297,7 @@ func finishLockOrder(pass *Pass) {
 							call.callee.Name(), held)
 						continue
 					}
-					addEdge(held, to, call.pos, call.callee.Name())
+					addEdge(held, to, call.pos)
 				}
 			}
 		}
@@ -717,7 +319,7 @@ func less(a, b token.Position) bool {
 // reportLockCycles condenses the graph with Tarjan's SCC algorithm and
 // reports one finding per non-trivial component, with a concrete cycle
 // path as the witness.
-func reportLockCycles(pass *Pass, edges map[string]map[string]edgeInfo) {
+func reportLockCycles(pass *Pass, edges map[string]map[string]token.Position) {
 	nodes := make([]string, 0, len(edges))
 	nodeSet := map[string]bool{}
 	for from, tos := range edges {
@@ -829,12 +431,12 @@ func reportLockCycles(pass *Pass, edges map[string]map[string]edgeInfo) {
 		var witness token.Position
 		haveWitness := false
 		for _, from := range comp {
-			for to, info := range edges[from] {
+			for to, pos := range edges[from] {
 				if !inComp[to] {
 					continue
 				}
-				if !haveWitness || less(info.pos, witness) {
-					witness = info.pos
+				if !haveWitness || less(pos, witness) {
+					witness = pos
 					haveWitness = true
 				}
 			}

@@ -17,6 +17,19 @@ var metricNamePattern = regexp.MustCompile(`^nsdf_[a-z0-9_]+$`)
 // grammar.
 var labelKeyPattern = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
 
+// telemetryPackage is the metrics registry whose constructors are
+// inspected; metricMethods maps its method names to the kind they
+// register.
+const telemetryPackage = "nsdfgo/internal/telemetry"
+
+var metricMethods = map[string]string{
+	"Counter":     "counter",
+	"Gauge":       "gauge",
+	"Histogram":   "histogram",
+	"CounterFunc": "counter",
+	"GaugeFunc":   "gauge",
+}
+
 // metricUse records where a metric name was first registered and as
 // which kind, for cross-package conflict detection.
 type metricUse struct {
@@ -47,8 +60,8 @@ func runMetricName(pass *Pass) {
 			if fn == nil {
 				return true
 			}
-			kind, ok := pass.Config.MetricMethods[fn.Name()]
-			if !ok || !isRegistryMethod(fn, pass.Config.TelemetryPackage) {
+			kind, ok := metricMethods[fn.Name()]
+			if !ok || !isRegistryMethod(fn, telemetryPackage) {
 				return true
 			}
 			if len(call.Args) == 0 {

@@ -2,964 +2,75 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
-	"strconv"
-
-	"nsdfgo/internal/lint/cfg"
 )
 
+// cachePackage is the block cache whose ref-counted Block refcount
+// tracks.
+const cachePackage = "nsdfgo/internal/cache"
+
 // RefCountAnalyzer enforces the cache.Block ownership contract
-// (DESIGN.md §11) flow-sensitively: every *cache.Block obtained from a
-// call (cache Get/Peek/GetOrFill/Put, NewBlock, or any wrapper that
-// returns one) carries one reference the caller must discharge on every
-// path — by calling Release, deferring it, or transferring ownership
-// (returning the block, passing it to a call such as PutBlock, storing
-// it into a structure, or capturing it in a function literal). On top
-// of the control-flow graph it tracks, per local variable:
+// (DESIGN.md §11) on every path: a *cache.Block obtained from a call
+// (cache Get/Peek/GetOrFill/Put, NewBlock, or any wrapper that returns
+// one) or pinned with x.Acquire() carries one reference the function
+// must discharge — by calling Release, deferring it, or transferring
+// ownership (returning the block, passing it to a call such as
+// PutBlock, storing it into a structure, sending it, or capturing it
+// in a function literal). It reports leaks (a missed Release exhausts
+// the buffer pool), double releases (a use-after-free against the
+// pool) and any use of a released block, whose Bytes are by then
+// recycled shared memory.
 //
-//   - leaks: a path that reaches a return while the reference is still
-//     owed (a missed Release exhausts the buffer pool);
-//   - double releases: Release on an already-released block, or an
-//     explicit Release with a deferred Release pending (a use-after-free
-//     against the pool);
-//   - use after release: a method call on, or escape of, a released
-//     block, whose Bytes are by then recycled shared memory.
-//
-// Branch conditions refine the tracking: after `blk, ok := c.Get(k)`
-// the block is owned only on the ok branch, after `blk, _, err :=
-// GetOrFill(...)` only on the err == nil branch, and a `blk != nil`
-// test narrows accordingly — so the idiomatic miss-handling paths in
-// the idx read pipeline need no annotations. x.Acquire() puts the
-// variable (back) into the owned state. Paths that exit via panic are
-// not leak-checked: the process is unwinding. Merges that mix
-// incompatible states (owned on one path, released on another) stop
-// the tracking rather than guess.
+// After `blk, ok := c.Get(k)` the block is owed only on the ok branch,
+// after `blk, _, err := GetOrFill(...)` only where err is nil, and a
+// `blk != nil` test narrows the same way, so the miss-handling paths of
+// the idx read pipeline need no annotations.
 var RefCountAnalyzer = &Analyzer{
 	Name: "refcount",
 	Doc:  "every acquired cache.Block reference is released exactly once (or transferred) on every path",
-	Run:  runRefCount,
+	Run:  refCountSpec.run,
 }
 
-func runRefCount(pass *Pass) {
-	for _, file := range pass.Pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil && mentionsBlock(pass, fn.Body) {
-					checkRefCounts(pass, fn.Body, namedResultObjs(pass, fn.Type))
-				}
-			case *ast.FuncLit:
-				if mentionsBlock(pass, fn.Body) {
-					checkRefCounts(pass, fn.Body, namedResultObjs(pass, fn.Type))
-				}
-			}
-			return true
-		})
-	}
-}
-
-// mentionsBlock cheaply pre-filters: a body with no expression of type
-// *cache.Block (outside nested function literals, which get their own
-// visit) needs no CFG.
-func mentionsBlock(pass *Pass, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
+var refCountSpec = &obSpec{
+	name: "refcount",
+	acquire: func(pass *Pass, call *ast.CallExpr) (obAcquire, bool) {
+		info := pass.Pkg.Info
+		if recv := methodRecv(call, "Acquire"); recv != nil && isBlockPtr(info.Types[recv].Type) {
+			return obAcquire{src: types.ExprString(recv) + ".Acquire", recv: recv}, true
 		}
-		if e, ok := n.(ast.Expr); ok {
-			if tv, ok := pass.Pkg.Info.Types[e]; ok && isBlockPtr(pass, tv.Type) {
-				found = true
-				return false
-			}
+		if info.Types[call.Fun].IsType() {
+			return obAcquire{}, false // a conversion, not a call
 		}
-		return true
-	})
-	return found
-}
-
-// namedResultObjs collects the objects of named results, so a bare
-// `return` is known to transfer them out.
-func namedResultObjs(pass *Pass, ft *ast.FuncType) map[types.Object]bool {
-	out := map[types.Object]bool{}
-	if ft.Results == nil {
-		return out
-	}
-	for _, field := range ft.Results.List {
-		for _, name := range field.Names {
-			if obj := pass.Pkg.Info.Defs[name]; obj != nil {
-				out[obj] = true
-			}
-		}
-	}
-	return out
-}
-
-// isBlockPtr reports whether t is *Block of the configured cache
-// package.
-func isBlockPtr(pass *Pass, t types.Type) bool {
-	p, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := p.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Block" && obj.Pkg() != nil && obj.Pkg().Path() == pass.Config.CachePackage
-}
-
-// rcState is the per-variable ownership state.
-type rcState uint8
-
-const (
-	rcOwned    rcState = iota + 1 // reference owed unconditionally
-	rcMaybe                       // owed iff the acquire's ok/err guard indicates success
-	rcDeferred                    // a deferred Release discharges it at exit
-	rcReleased                    // released; further use is use-after-free
-	rcEscaped                     // ownership transferred; no obligation, uses allowed
-	rcTop                         // incompatible paths merged; tracking abandoned
-)
-
-// rcFact is the dataflow fact for one tracked variable. Facts are
-// values: transfer and join copy the map before writing.
-type rcFact struct {
-	state rcState
-	// okGuard, when set, is a bool variable bound in the same acquiring
-	// assignment: the block is owned only where the guard is true.
-	okGuard types.Object
-	// errGuard, when set, is an error variable bound alongside: the
-	// block is owned only where the guard is nil.
-	errGuard types.Object
-	// pos and src locate and name the acquiring call for diagnostics.
-	pos token.Pos
-	src string
-}
-
-type rcFacts map[types.Object]rcFact
-
-func (f rcFacts) clone() rcFacts {
-	out := make(rcFacts, len(f))
-	for k, v := range f {
-		out[k] = v
-	}
-	return out
-}
-
-// rcAnalysis implements cfg.Analysis over rcFacts. Reports are only
-// emitted when report is true: the fixpoint runs silently, then one
-// final pass over the converged facts reports, so diagnostics reflect
-// the stable states rather than a transient mid-iteration view.
-type rcAnalysis struct {
-	pass         *Pass
-	namedResults map[types.Object]bool
-	report       bool
-	reported     map[string]bool
-}
-
-func (a *rcAnalysis) Entry() rcFacts { return rcFacts{} }
-
-func (a *rcAnalysis) Equal(x, y rcFacts) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for k, v := range x {
-		if y[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-func (a *rcAnalysis) Join(x, y rcFacts) rcFacts {
-	out := make(rcFacts, len(x))
-	for k, vx := range x {
-		if vy, ok := y[k]; ok {
-			out[k] = joinFact(vx, vy)
-		} else {
-			out[k] = vx // untracked on the other path: obligation wins
-		}
-	}
-	for k, vy := range y {
-		if _, ok := x[k]; !ok {
-			out[k] = vy
-		}
-	}
-	return out
-}
-
-// joinFact merges two states of one variable. Escape dominates
-// (transfers discharge conservatively), matching states keep, and
-// incompatible mixes (owned/released, deferred/released) go to rcTop,
-// which silences further reports for the variable instead of guessing.
-func joinFact(x, y rcFact) rcFact {
-	if x.state == y.state {
-		if x.okGuard != y.okGuard {
-			x.okGuard = nil
-		}
-		if x.errGuard != y.errGuard {
-			x.errGuard = nil
-		}
-		return x
-	}
-	hi, lo := x, y
-	if hi.state < lo.state {
-		hi, lo = lo, hi
-	}
-	switch {
-	case hi.state == rcTop:
-		return hi
-	case hi.state == rcEscaped:
-		return hi // transfer on one path discharges; keep uses legal
-	case lo.state == rcOwned && hi.state == rcMaybe:
-		return hi // both owe; keep the guarded view
-	default:
-		// owned/maybe vs released/deferred, released vs deferred: the
-		// paths disagree about whether the reference is live.
-		lo.state = rcTop
-		return lo
-	}
-}
-
-// Refine narrows facts along a conditional edge. Three shapes matter:
-// a bare bool guard (`if ok`), a nil test on an error guard
-// (`if err != nil`), and a nil test on the block itself.
-func (a *rcAnalysis) Refine(f rcFacts, cond ast.Expr, branch bool) rcFacts {
-	info := a.pass.Pkg.Info
-	if id, ok := ast.Unparen(cond).(*ast.Ident); ok {
-		guard := info.Uses[id]
-		if guard == nil {
-			return f
-		}
-		return a.refineGuard(f, guard, branch, false)
-	}
-	bin, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !ok || (bin.Op != token.EQL && bin.Op != token.NEQ) {
-		return f
-	}
-	operand, isNil := nilComparand(bin)
-	if operand == nil {
-		return f
-	}
-	id, ok := ast.Unparen(operand).(*ast.Ident)
-	if !ok || !isNil {
-		return f
-	}
-	obj := info.Uses[id]
-	if obj == nil {
-		return f
-	}
-	// have = the branch where the compared value is non-nil.
-	have := branch == (bin.Op == token.NEQ)
-	if fact, tracked := f[obj]; tracked && (fact.state == rcMaybe || fact.state == rcOwned) {
-		// Nil test on the block variable itself.
-		out := f.clone()
-		if have {
-			fact.state = rcOwned
-			fact.okGuard, fact.errGuard = nil, nil
-			out[obj] = fact
-		} else {
-			delete(out, obj)
-		}
-		return out
-	}
-	// Nil test on an error guard: err == nil means the block is owned.
-	return a.refineGuard(f, obj, have, true)
-}
-
-// refineGuard applies a guard outcome: for an ok-guard, success means
-// the guard is true; for an err-guard, success means the err is non-nil
-// on the failure branch (success = !errNonNil).
-func (a *rcAnalysis) refineGuard(f rcFacts, guard types.Object, branchVal bool, isErr bool) rcFacts {
-	var out rcFacts
-	for obj, fact := range f {
-		if fact.state != rcMaybe {
-			continue
-		}
-		match := (!isErr && fact.okGuard == guard) || (isErr && fact.errGuard == guard)
-		if !match {
-			continue
-		}
-		success := branchVal
-		if isErr {
-			success = !branchVal // err non-nil on this branch = acquire failed
-		}
-		if out == nil {
-			out = f.clone()
-		}
-		if success {
-			fact.state = rcOwned
-			fact.okGuard, fact.errGuard = nil, nil
-			out[obj] = fact
-		} else {
-			delete(out, obj)
-		}
-	}
-	if out == nil {
-		return f
-	}
-	return out
-}
-
-// nilComparand returns the non-nil side of an x == nil / x != nil
-// comparison, or nil when the expression is not a nil test.
-func nilComparand(bin *ast.BinaryExpr) (ast.Expr, bool) {
-	if isNilIdent(bin.Y) {
-		return bin.X, true
-	}
-	if isNilIdent(bin.X) {
-		return bin.Y, true
-	}
-	return nil, false
-}
-
-func isNilIdent(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
-func (a *rcAnalysis) reportf(pos token.Pos, format string, args ...any) {
-	if !a.report {
-		return
-	}
-	p := a.pass.Pkg.Fset.Position(pos)
-	key := p.String() + format
-	if a.reported[key] {
-		return
-	}
-	a.reported[key] = true
-	a.pass.Reportf(pos, format, args...)
-}
-
-// isAcquireCall reports whether call yields one or more *cache.Block
-// results (directly or in a tuple). Conversions are excluded.
-func (a *rcAnalysis) isAcquireCall(call *ast.CallExpr) bool {
-	info := a.pass.Pkg.Info
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		return false
-	}
-	tv, ok := info.Types[call]
-	if !ok {
-		return false
-	}
-	switch t := tv.Type.(type) {
-	case *types.Tuple:
-		for i := 0; i < t.Len(); i++ {
-			if isBlockPtr(a.pass, t.At(i).Type()) {
-				return true
-			}
-		}
-		return false
-	default:
-		return isBlockPtr(a.pass, tv.Type)
-	}
-}
-
-// callName renders the acquiring call for diagnostics.
-func callName(call *ast.CallExpr) string {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		if x, ok := fun.X.(*ast.Ident); ok {
-			return x.Name + "." + fun.Sel.Name
-		}
-		return fun.Sel.Name
-	}
-	return "call"
-}
-
-// trackedIdent resolves e to a tracked variable's object, or nil.
-func (a *rcAnalysis) trackedIdent(f rcFacts, e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	obj := a.pass.Pkg.Info.Uses[id]
-	if obj == nil {
-		obj = a.pass.Pkg.Info.Defs[id]
-	}
-	if obj == nil {
-		return nil
-	}
-	if _, tracked := f[obj]; tracked {
-		return obj
-	}
-	return nil
-}
-
-// Transfer flows facts through one CFG node.
-func (a *rcAnalysis) Transfer(f rcFacts, n ast.Node) rcFacts {
-	switch s := n.(type) {
-	case *ast.AssignStmt:
-		return a.assign(f, s)
-	case *ast.DeferStmt:
-		return a.deferStmt(f, s)
-	case *ast.ReturnStmt:
-		for _, res := range s.Results {
-			f = a.scan(f, res, true)
-		}
-		if len(s.Results) == 0 {
-			// Bare return: named results transfer to the caller.
-			out := f
-			for obj := range a.namedResults {
-				if fact, ok := f[obj]; ok && fact.state != rcEscaped {
-					if out == nil || equalFacts(out, f) {
-						out = f.clone()
-					}
-					fact.state = rcEscaped
-					out[obj] = fact
+		t := info.Types[call].Type
+		if tup, ok := t.(*types.Tuple); ok {
+			for i := 0; i < tup.Len(); i++ {
+				if isBlockPtr(tup.At(i).Type()) {
+					return obAcquire{src: callName(call)}, true
 				}
 			}
-			return out
+			return obAcquire{}, false
 		}
-		return f
-	case *ast.RangeStmt:
-		f = a.scan(f, s.X, false)
-		f = a.kill(f, s.Key, "range")
-		f = a.kill(f, s.Value, "range")
-		return f
-	case *ast.SendStmt:
-		f = a.scan(f, s.Chan, false)
-		return a.scan(f, s.Value, true)
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok && a.isAcquireCall(call) {
-			a.reportf(call.Pos(), "ref-counted Block from %s is discarded: release it or hand it on", callName(call))
-			// Still scan the call's arguments.
-		}
-		return a.scan(f, s.X, false)
-	case *ast.GoStmt:
-		return a.scan(f, s.Call, false)
-	case *ast.IncDecStmt:
-		return a.scan(f, s.X, false)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						f = a.scan(f, v, false)
-					}
-				}
-			}
-		}
-		return f
-	case ast.Expr:
-		// Atomic branch conditions, switch tags, case expressions.
-		return a.scan(f, s, false)
-	}
-	return f
+		return obAcquire{src: callName(call)}, isBlockPtr(t)
+	},
+	holds:     isBlockPtr,
+	discharge: func(_ *Pass, call *ast.CallExpr) ast.Expr { return methodRecv(call, "Release") },
+	merge:     mergeAbandon,
+	msg: obMessages{
+		leak:            `Block "{name}" acquired from {src} can reach {arg} without Release: leaked reference`,
+		discard:         `ref-counted Block from {src} is discarded: release it or hand it on`,
+		discardBlank:    `ref-counted Block from {src} is discarded into _: release it or hand it on`,
+		reassign:        `"{name}" is reassigned while still holding an unreleased Block acquired from {src}`,
+		overwrite:       `"{name}" is overwritten ({arg}) while still holding an unreleased Block acquired from {src}`,
+		doubleRelease:   `"{name}" is released twice (Block acquired from {src} at line {line})`,
+		releaseDeferred: `"{name}" is released explicitly while a deferred Release is pending: double release at exit`,
+		deferReleased:   `deferred Release of "{name}" runs after it was already released: double release`,
+		deferTwice:      `"{name}" already has a deferred Release: double release at exit`,
+		useStored:       `released Block "{name}" is stored here: use after Release`,
+		useEscapes:      `released Block "{name}" escapes here: use after Release`,
+		useField:        `field or method of released Block "{name}": use after Release`,
+		useMethod:       `method {arg} called on released Block "{name}": use after Release`,
+	},
 }
 
-func equalFacts(x, y rcFacts) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for k, v := range x {
-		if y[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// kill removes the fact of an overwritten variable, reporting when the
-// overwrite drops a still-owned reference.
-func (a *rcAnalysis) kill(f rcFacts, lhs ast.Expr, how string) rcFacts {
-	id, ok := ast.Unparen(lhs).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return f
-	}
-	obj := a.pass.Pkg.Info.Defs[id]
-	if obj == nil {
-		obj = a.pass.Pkg.Info.Uses[id]
-	}
-	if obj == nil {
-		return f
-	}
-	fact, tracked := f[obj]
-	if !tracked {
-		return f
-	}
-	if fact.state == rcOwned {
-		a.reportf(id.Pos(), "%q is overwritten (%s) while still holding an unreleased Block acquired from %s", id.Name, how, fact.src)
-	}
-	out := f.clone()
-	delete(out, obj)
-	return out
-}
-
-// assign handles acquisitions, alias moves, stores, and kills.
-func (a *rcAnalysis) assign(f rcFacts, s *ast.AssignStmt) rcFacts {
-	info := a.pass.Pkg.Info
-	// Acquiring form: one call on the RHS yielding *Block result(s).
-	if len(s.Rhs) == 1 {
-		if call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr); ok && a.isAcquireCall(call) {
-			f = a.scan(f, call, false) // uses/escapes inside the call's args
-			out := f.clone()
-			// First pass: guards bound in the same assignment.
-			var okGuard, errGuard types.Object
-			for _, lhs := range s.Lhs {
-				id, ok := ast.Unparen(lhs).(*ast.Ident)
-				if !ok || id.Name == "_" {
-					continue
-				}
-				obj := info.Defs[id]
-				if obj == nil {
-					obj = info.Uses[id]
-				}
-				if obj == nil {
-					continue
-				}
-				switch t := obj.Type().(type) {
-				case *types.Basic:
-					if t.Kind() == types.Bool || t.Kind() == types.UntypedBool {
-						okGuard = obj
-					}
-				case *types.Named:
-					if t.Obj().Name() == "error" && t.Obj().Pkg() == nil {
-						errGuard = obj
-					}
-				}
-			}
-			bound := false
-			for _, lhs := range s.Lhs {
-				id, isIdent := ast.Unparen(lhs).(*ast.Ident)
-				if !isIdent {
-					continue // block lands in a field/index: owned by the structure
-				}
-				if id.Name == "_" {
-					continue
-				}
-				obj := info.Defs[id]
-				if obj == nil {
-					obj = info.Uses[id]
-				}
-				if obj == nil || !isBlockPtr(a.pass, obj.Type()) {
-					continue
-				}
-				if old, tracked := out[obj]; tracked && old.state == rcOwned {
-					a.reportf(id.Pos(), "%q is reassigned while still holding an unreleased Block acquired from %s", id.Name, old.src)
-				}
-				state := rcOwned
-				if okGuard != nil || errGuard != nil {
-					state = rcMaybe
-				}
-				out[obj] = rcFact{state: state, okGuard: okGuard, errGuard: errGuard, pos: call.Pos(), src: callName(call)}
-				bound = true
-			}
-			if !bound {
-				// `_ = c.Put(...)` or `_, ok := ...`: the reference has no
-				// holder at all.
-				allBlank := true
-				for _, lhs := range s.Lhs {
-					if id, ok := ast.Unparen(lhs).(*ast.Ident); !ok || id.Name != "_" {
-						if _, isIdent := ast.Unparen(lhs).(*ast.Ident); isIdent {
-							allBlank = false
-						}
-					}
-				}
-				hasBlank := false
-				for i, lhs := range s.Lhs {
-					if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name == "_" {
-						if blockResultAt(a.pass, call, i, len(s.Lhs)) {
-							hasBlank = true
-						}
-					}
-				}
-				if hasBlank && allBlank {
-					a.reportf(call.Pos(), "ref-counted Block from %s is discarded into _: release it or hand it on", callName(call))
-				}
-			}
-			return out
-		}
-	}
-	// General assignment: pair up sides where possible.
-	out := f
-	ensure := func() {
-		if equalFacts(out, f) {
-			out = f.clone()
-		}
-	}
-	if len(s.Lhs) == len(s.Rhs) {
-		for i, rhs := range s.Rhs {
-			lhs := s.Lhs[i]
-			if srcObj := a.trackedIdent(out, rhs); srcObj != nil {
-				fact := out[srcObj]
-				if lhsID, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-					if lhsID.Name == "_" {
-						continue // _ = blk neither discharges nor uses
-					}
-					dstObj := info.Defs[lhsID]
-					if dstObj == nil {
-						dstObj = info.Uses[lhsID]
-					}
-					if dstObj != nil && isBlockPtr(a.pass, dstObj.Type()) {
-						// Alias move: the obligation follows the new name.
-						ensure()
-						out = a.kill(out, lhsID, "alias")
-						if equalFacts(out, f) {
-							out = out.clone()
-						}
-						out[dstObj] = fact
-						moved := out[srcObj]
-						moved.state = rcEscaped
-						out[srcObj] = moved
-						continue
-					}
-				}
-				// Stored into a field, map, slice, or interface: transfer.
-				if fact.state == rcReleased {
-					a.reportf(rhs.Pos(), "released Block %q is stored here: use after Release", identName(rhs))
-				}
-				ensure()
-				fact.state = rcEscaped
-				out[srcObj] = fact
-				continue
-			}
-			out = a.scan(out, rhs, false)
-			out = a.kill(out, lhs, "assignment")
-			out = a.scanLHS(out, lhs)
-		}
-		return out
-	}
-	for _, rhs := range s.Rhs {
-		out = a.scan(out, rhs, false)
-	}
-	for _, lhs := range s.Lhs {
-		out = a.kill(out, lhs, "assignment")
-		out = a.scanLHS(out, lhs)
-	}
-	return out
-}
-
-// scanLHS walks a non-trivial assignment target (index/field exprs) for
-// uses of tracked variables, e.g. m[blk] or arr[i].f.
-func (a *rcAnalysis) scanLHS(f rcFacts, lhs ast.Expr) rcFacts {
-	if _, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-		return f
-	}
-	return a.scan(f, lhs, false)
-}
-
-func identName(e ast.Expr) string {
-	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-		return id.Name
-	}
-	return "block"
-}
-
-// blockResultAt reports whether result i of the call (with n results
-// destructured) has type *Block.
-func blockResultAt(pass *Pass, call *ast.CallExpr, i, n int) bool {
-	tv, ok := pass.Pkg.Info.Types[call]
-	if !ok {
-		return false
-	}
-	if tup, ok := tv.Type.(*types.Tuple); ok {
-		return i < tup.Len() && isBlockPtr(pass, tup.At(i).Type())
-	}
-	return n == 1 && isBlockPtr(pass, tv.Type)
-}
-
-// deferStmt handles deferred discharges: `defer blk.Release()` and a
-// deferred closure that releases the block both mark it discharged at
-// exit; any other deferred reference to a tracked block escapes it.
-func (a *rcAnalysis) deferStmt(f rcFacts, s *ast.DeferStmt) rcFacts {
-	if obj, isRelease := a.releaseTarget(f, s.Call); isRelease {
-		return a.applyDeferredRelease(f, obj, s.Call.Pos())
-	}
-	if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-		out := f
-		released := map[types.Object]bool{}
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if obj, isRel := a.releaseTarget(f, call); isRel {
-					released[obj] = true
-				}
-			}
-			return true
-		})
-		for obj := range released {
-			out = a.applyDeferredRelease(out, obj, s.Call.Pos())
-		}
-		// Other tracked blocks captured by the deferred closure escape.
-		out = a.escapeCaptured(out, lit, released)
-		return out
-	}
-	return a.scan(f, s.Call, false)
-}
-
-func (a *rcAnalysis) applyDeferredRelease(f rcFacts, obj types.Object, pos token.Pos) rcFacts {
-	fact := f[obj]
-	switch fact.state {
-	case rcReleased:
-		a.reportf(pos, "deferred Release of %q runs after it was already released: double release", objName(obj))
-	case rcDeferred:
-		a.reportf(pos, "%q already has a deferred Release: double release at exit", objName(obj))
-	}
-	out := f.clone()
-	fact.state = rcDeferred
-	out[obj] = fact
-	return out
-}
-
-// releaseTarget reports whether call is x.Release() on a tracked x.
-func (a *rcAnalysis) releaseTarget(f rcFacts, call *ast.CallExpr) (types.Object, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Release" || len(call.Args) != 0 {
-		return nil, false
-	}
-	obj := a.trackedIdent(f, sel.X)
-	if obj == nil {
-		return nil, false
-	}
-	return obj, true
-}
-
-func objName(obj types.Object) string { return obj.Name() }
-
-// scan walks an expression, applying use and escape rules to tracked
-// variables. escapeCtx marks value-flow positions (call arguments,
-// composite literal elements, channel sends, return results) where a
-// tracked identifier transfers its ownership.
-func (a *rcAnalysis) scan(f rcFacts, e ast.Expr, escapeCtx bool) rcFacts {
-	if e == nil {
-		return f
-	}
-	switch ex := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		obj := a.trackedIdent(f, ex)
-		if obj == nil {
-			return f
-		}
-		fact := f[obj]
-		if !escapeCtx {
-			return f // nil comparisons, len() of other vars, etc: no-op
-		}
-		if fact.state == rcReleased {
-			a.reportf(ex.Pos(), "released Block %q escapes here: use after Release", ex.Name)
-		}
-		if fact.state == rcEscaped || fact.state == rcTop {
-			return f
-		}
-		out := f.clone()
-		fact.state = rcEscaped
-		out[obj] = fact
-		return out
-	case *ast.CallExpr:
-		return a.call(f, ex)
-	case *ast.UnaryExpr:
-		if ex.Op == token.AND {
-			return a.scan(f, ex.X, true) // &blk aliases: treat as escape
-		}
-		return a.scan(f, ex.X, escapeCtx)
-	case *ast.StarExpr:
-		return a.scan(f, ex.X, escapeCtx)
-	case *ast.SelectorExpr:
-		if obj := a.trackedIdent(f, ex.X); obj != nil {
-			if f[obj].state == rcReleased {
-				a.reportf(ex.Pos(), "field or method of released Block %q: use after Release", objName(obj))
-			}
-			return f
-		}
-		return a.scan(f, ex.X, false)
-	case *ast.BinaryExpr:
-		f = a.scan(f, ex.X, false)
-		return a.scan(f, ex.Y, false)
-	case *ast.IndexExpr:
-		f = a.scan(f, ex.X, false)
-		return a.scan(f, ex.Index, false)
-	case *ast.SliceExpr:
-		f = a.scan(f, ex.X, false)
-		f = a.scan(f, ex.Low, false)
-		f = a.scan(f, ex.High, false)
-		return a.scan(f, ex.Max, false)
-	case *ast.TypeAssertExpr:
-		return a.scan(f, ex.X, escapeCtx)
-	case *ast.CompositeLit:
-		for _, el := range ex.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				f = a.scan(f, kv.Value, true)
-				continue
-			}
-			f = a.scan(f, el, true)
-		}
-		return f
-	case *ast.KeyValueExpr:
-		return a.scan(f, ex.Value, true)
-	case *ast.FuncLit:
-		return a.escapeCaptured(f, ex, nil)
-	}
-	return f
-}
-
-// call applies the Block method and argument rules to one call.
-func (a *rcAnalysis) call(f rcFacts, call *ast.CallExpr) rcFacts {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if obj := a.trackedIdent(f, sel.X); obj != nil {
-			fact := f[obj]
-			switch sel.Sel.Name {
-			case "Release":
-				out := f.clone()
-				switch fact.state {
-				case rcReleased:
-					a.reportf(call.Pos(), "%q is released twice (Block acquired from %s at line %d)",
-						objName(obj), fact.src, a.pass.Pkg.Fset.Position(fact.pos).Line)
-				case rcDeferred:
-					a.reportf(call.Pos(), "%q is released explicitly while a deferred Release is pending: double release at exit", objName(obj))
-				default:
-					fact.state = rcReleased
-					out[obj] = fact
-				}
-				if fact.state == rcReleased || fact.state == rcDeferred {
-					fact.state = rcReleased
-					out[obj] = fact
-				}
-				for _, arg := range call.Args {
-					out = a.scan(out, arg, true)
-				}
-				return out
-			case "Acquire":
-				out := f.clone()
-				fact.state = rcOwned
-				fact.okGuard, fact.errGuard = nil, nil
-				if fact.pos == token.NoPos {
-					fact.pos = call.Pos()
-				}
-				if fact.src == "" {
-					fact.src = "Acquire"
-				}
-				out[obj] = fact
-				return out
-			default:
-				if fact.state == rcReleased {
-					a.reportf(call.Pos(), "method %s called on released Block %q: use after Release", sel.Sel.Name, objName(obj))
-				}
-				for _, arg := range call.Args {
-					f = a.scan(f, arg, true)
-				}
-				return f
-			}
-		}
-	}
-	// x.Acquire() on an untracked variable starts an obligation: the
-	// caller now holds a fresh reference it must discharge.
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Acquire" && len(call.Args) == 0 {
-		if id, isID := ast.Unparen(sel.X).(*ast.Ident); isID {
-			obj := a.pass.Pkg.Info.Uses[id]
-			if obj == nil {
-				obj = a.pass.Pkg.Info.Defs[id]
-			}
-			if obj != nil && isBlockPtr(a.pass, obj.Type()) {
-				out := f.clone()
-				out[obj] = rcFact{state: rcOwned, pos: call.Pos(), src: id.Name + ".Acquire"}
-				return out
-			}
-		}
-	}
-	f = a.scan(f, call.Fun, false)
-	for _, arg := range call.Args {
-		f = a.scan(f, arg, true)
-	}
-	return f
-}
-
-// escapeCaptured escapes every tracked variable a function literal
-// captures (except those in skip): the closure may run at any time, so
-// the obligation moves with it.
-func (a *rcAnalysis) escapeCaptured(f rcFacts, lit *ast.FuncLit, skip map[types.Object]bool) rcFacts {
-	out := f
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := a.pass.Pkg.Info.Uses[id]
-		if obj == nil {
-			return true
-		}
-		fact, tracked := out[obj]
-		if !tracked || skip[obj] || fact.state == rcEscaped || fact.state == rcTop {
-			return true
-		}
-		if equalFacts(out, f) {
-			out = out.clone()
-		}
-		fact.state = rcEscaped
-		out[obj] = fact
-		return true
-	})
-	return out
-}
-
-// checkRefCounts runs the analysis over one function body: build the
-// CFG, converge the facts, replay one reporting pass, then leak-check
-// every return edge.
-func checkRefCounts(pass *Pass, body *ast.BlockStmt, namedResults map[types.Object]bool) {
-	g, err := cfg.Build(body)
-	if err != nil {
-		pass.InternalErrorf("refcount: %v", err)
-		return
-	}
-	an := &rcAnalysis{pass: pass, namedResults: namedResults, reported: map[string]bool{}}
-	res, err := cfg.Forward[rcFacts](g, an)
-	if err != nil {
-		pass.InternalErrorf("refcount: %v", err)
-		return
-	}
-	// Reporting pass over the converged facts.
-	an.report = true
-	for _, b := range g.Blocks {
-		in, ok := res.In[b]
-		if !ok {
-			continue
-		}
-		f := in
-		for _, n := range b.Nodes {
-			f = an.Transfer(f, n)
-		}
-	}
-	// Leak check: a return edge reached while a reference is still owed.
-	type leak struct {
-		fact rcFact
-		obj  types.Object
-		line int
-	}
-	leaks := map[types.Object]leak{}
-	for _, e := range g.Exit.Preds {
-		if e.Kind != cfg.Return {
-			continue
-		}
-		f, ok := res.EdgeFact(e)
-		if !ok {
-			continue
-		}
-		for obj, fact := range f {
-			if fact.state != rcOwned && fact.state != rcMaybe {
-				continue
-			}
-			line := 0
-			if len(e.From.Nodes) > 0 {
-				line = pass.Pkg.Fset.Position(e.From.Nodes[len(e.From.Nodes)-1].Pos()).Line
-			}
-			if prev, seen := leaks[obj]; !seen || line < prev.line {
-				leaks[obj] = leak{fact: fact, obj: obj, line: line}
-			}
-		}
-	}
-	ordered := make([]leak, 0, len(leaks))
-	for _, l := range leaks {
-		ordered = append(ordered, l)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].fact.pos < ordered[j].fact.pos })
-	for _, l := range ordered {
-		where := "a return"
-		if l.line > 0 {
-			where = "the return at line " + strconv.Itoa(l.line)
-		}
-		pass.Reportf(l.fact.pos, "Block %q acquired from %s can reach %s without Release: leaked reference", objName(l.obj), l.fact.src, where)
-	}
-}
+// isBlockPtr reports whether t is *cache.Block.
+func isBlockPtr(t types.Type) bool { return pointsTo(t, cachePackage, "Block") }

@@ -6,278 +6,55 @@ import (
 	"strings"
 )
 
+// tracePackage is the span tracer whose Start* results must be ended.
+const tracePackage = "nsdfgo/internal/telemetry/trace"
+
 // SpanEndAnalyzer enforces the tracing contract /debug/traces depends
 // on: every span minted by a Start-prefixed function of the trace
-// package (trace.Start, Collector.StartTrace, ...) must be ended in the
-// function that started it — a `defer span.End()`, or a same-block
-// End() with no early return between Start and End. A span that is
-// never ended never reaches the collector, so the request it measured
-// silently vanishes from /debug/traces and from the slow-request log.
+// package (trace.Start, Collector.StartTrace, ...) must be ended on
+// every path of the function that started it — a `defer span.End()`,
+// or an End() on each path to a return. A span that is never ended
+// never reaches the collector, so the request it measured silently
+// vanishes from /debug/traces and from the slow-request log.
 //
-// A span that escapes the function (returned, stored, or handed to
-// another call) transfers the obligation to the receiver and is not
-// reported. Discarding the span result (`_` or an expression statement)
-// is reported: an un-endable span is always a leak.
+// A span that escapes the function (returned, stored, handed to
+// another call, captured by a closure) transfers the obligation and is
+// not reported. Discarding the span result (`_` or an expression
+// statement) is reported: an un-endable span is always a leak.
 var SpanEndAnalyzer = &Analyzer{
 	Name: "spanend",
 	Doc:  "every trace Start* call must have a deferred or all-paths End() in the starting function",
-	Run:  runSpanEnd,
+	Run:  spanEndSpec.run,
 }
 
-func runSpanEnd(pass *Pass) {
-	for _, file := range pass.Pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					checkSpanEnds(pass, fn.Body)
-				}
-				return false
-			case *ast.FuncLit:
-				checkSpanEnds(pass, fn.Body)
-				return false
-			}
-			return true
-		})
-	}
-}
-
-// checkSpanEnds inspects one function body, skipping nested function
-// literals — each is its own scope for the start/end pairing and is
-// visited separately by runSpanEnd.
-func checkSpanEnds(pass *Pass, body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.AssignStmt:
-			for _, rhs := range s.Rhs {
-				call, ok := rhs.(*ast.CallExpr)
-				if !ok || !isTraceStart(pass, call) {
-					continue
-				}
-				obj := spanResultObj(pass, s)
-				if obj == nil {
-					pass.Reportf(call.Pos(), "span from %s is discarded: assign it and call End()", startCallName(call))
-					continue
-				}
-				if !spanIsEnded(pass, body, obj) {
-					pass.Reportf(call.Pos(), "span %q is started but never ended on all paths: add `defer %s.End()`", obj.Name(), obj.Name())
-				}
-			}
-		case *ast.ExprStmt:
-			if call, ok := s.X.(*ast.CallExpr); ok && isTraceStart(pass, call) {
-				pass.Reportf(call.Pos(), "span from %s is discarded: assign it and call End()", startCallName(call))
+var spanEndSpec = &obSpec{
+	name: "spanend",
+	acquire: func(pass *Pass, call *ast.CallExpr) (obAcquire, bool) {
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok || !strings.HasPrefix(sel.Sel.Name, "Start") {
+			return obAcquire{}, false
+		}
+		fn, ok := pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
+		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != tracePackage {
+			return obAcquire{}, false
+		}
+		res := fn.Type().(*types.Signature).Results()
+		for i := 0; i < res.Len(); i++ {
+			if isSpanType(res.At(i).Type()) {
+				return obAcquire{src: callName(call)}, true
 			}
 		}
-		return true
-	})
+		return obAcquire{}, false
+	},
+	holds:     isSpanType,
+	discharge: func(_ *Pass, call *ast.CallExpr) ast.Expr { return methodRecv(call, "End") },
+	merge:     mergeKeepOwed,
+	msg: obMessages{
+		leak:         "span \"{name}\" is started but never ended on all paths: add `defer {name}.End()`",
+		discard:      `span from {src} is discarded: assign it and call End()`,
+		discardBlank: `span from {src} is discarded: assign it and call End()`,
+	},
 }
 
-// isTraceStart reports whether call invokes a Start-prefixed function or
-// method declared in the configured trace package that yields a span.
-func isTraceStart(pass *Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != pass.Config.TracePackage {
-		return false
-	}
-	if !strings.HasPrefix(fn.Name(), "Start") {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	res := sig.Results()
-	for i := 0; i < res.Len(); i++ {
-		if isSpanType(res.At(i).Type()) {
-			return true
-		}
-	}
-	return false
-}
-
-// isSpanType reports whether t is *trace.Span (or trace.Span).
-func isSpanType(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	return named.Obj().Name() == "Span"
-}
-
-// startCallName renders the Start call for a diagnostic ("trace.Start").
-func startCallName(call *ast.CallExpr) string {
-	sel := call.Fun.(*ast.SelectorExpr)
-	if x, ok := sel.X.(*ast.Ident); ok {
-		return x.Name + "." + sel.Sel.Name
-	}
-	return sel.Sel.Name
-}
-
-// spanResultObj returns the object bound to the span result of the
-// assignment, or nil when the span lands in the blank identifier.
-func spanResultObj(pass *Pass, s *ast.AssignStmt) types.Object {
-	for _, lhs := range s.Lhs {
-		id, ok := lhs.(*ast.Ident)
-		if !ok || id.Name == "_" {
-			continue
-		}
-		obj := pass.Pkg.Info.Defs[id]
-		if obj == nil {
-			obj = pass.Pkg.Info.Uses[id]
-		}
-		if obj != nil && isSpanType(obj.Type()) {
-			return obj
-		}
-	}
-	return nil
-}
-
-// spanIsEnded reports whether the span object is provably ended or
-// escapes the function. Accepted as ended: a `defer span.End()`
-// anywhere in the body (including inside a deferred closure), or a
-// non-deferred span.End() statement with no return statement lexically
-// between the span's definition and the End call. Accepted as escaping:
-// the span used as a call argument, returned, stored into a composite,
-// struct field, map, slice, or channel.
-func spanIsEnded(pass *Pass, body *ast.BlockStmt, obj types.Object) bool {
-	ended := false
-	escaped := false
-	sawReturnSinceDef := false
-	inDef := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if ended || escaped {
-			return false
-		}
-		switch s := n.(type) {
-		case *ast.Ident:
-			if pass.Pkg.Info.Defs[s] == obj {
-				inDef = true
-				sawReturnSinceDef = false
-			}
-		case *ast.ReturnStmt:
-			if inDef {
-				sawReturnSinceDef = true
-			}
-			// A returned span escapes to the caller.
-			for _, res := range s.Results {
-				if usesObj(pass, res, obj) {
-					escaped = true
-				}
-			}
-		case *ast.DeferStmt:
-			if isEndCall(pass, s.Call, obj) {
-				ended = true
-				return false
-			}
-			// defer func() { ... span.End() ... }() also discharges it.
-			if lit, ok := s.Call.Fun.(*ast.FuncLit); ok && containsEndCall(pass, lit.Body, obj) {
-				ended = true
-				return false
-			}
-		case *ast.ExprStmt:
-			if call, ok := s.X.(*ast.CallExpr); ok && isEndCall(pass, call, obj) {
-				if !sawReturnSinceDef {
-					ended = true
-				}
-				return false
-			}
-		case *ast.CallExpr:
-			// The span passed as an argument escapes; a method call on the
-			// span itself (span.SetAttr, span.End) does not.
-			for _, arg := range s.Args {
-				if usesObj(pass, arg, obj) {
-					escaped = true
-				}
-			}
-		case *ast.KeyValueExpr:
-			if usesObj(pass, s.Value, obj) {
-				escaped = true
-			}
-		case *ast.SendStmt:
-			if usesObj(pass, s.Value, obj) {
-				escaped = true
-			}
-		case *ast.AssignStmt:
-			// Re-assigning the span elsewhere (struct field, map entry,
-			// another variable) hands the obligation on — but `_ = span`
-			// discards it and discharges nothing.
-			for i, rhs := range s.Rhs {
-				id, ok := rhs.(*ast.Ident)
-				if !ok || !identIs(pass, id, obj) {
-					continue
-				}
-				if i < len(s.Lhs) {
-					if lhs, ok := s.Lhs[i].(*ast.Ident); ok && lhs.Name == "_" {
-						continue
-					}
-				}
-				escaped = true
-			}
-		}
-		return true
-	})
-	return ended || escaped
-}
-
-// isEndCall reports whether call is obj.End().
-func isEndCall(pass *Pass, call *ast.CallExpr, obj types.Object) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "End" {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && identIs(pass, id, obj)
-}
-
-// containsEndCall reports whether the block calls obj.End() anywhere.
-func containsEndCall(pass *Pass, block *ast.BlockStmt, obj types.Object) bool {
-	found := false
-	ast.Inspect(block, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && isEndCall(pass, call, obj) {
-			found = true
-			return false
-		}
-		return !found
-	})
-	return found
-}
-
-// identIs reports whether id resolves to obj.
-func identIs(pass *Pass, id *ast.Ident, obj types.Object) bool {
-	if use := pass.Pkg.Info.Uses[id]; use == obj {
-		return true
-	}
-	return pass.Pkg.Info.Defs[id] == obj
-}
-
-// usesObj reports whether the expression mentions obj directly (not
-// through a selector on it).
-func usesObj(pass *Pass, expr ast.Expr, obj types.Object) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok {
-			// span.End / span.SetAttr as a method value is still "the span
-			// itself escaping" only when the selector target is not obj's
-			// method; keep it simple: do not descend into selectors whose X
-			// is exactly the obj ident (method access, not escape).
-			if id, ok := sel.X.(*ast.Ident); ok && identIs(pass, id, obj) {
-				return false
-			}
-		}
-		if id, ok := n.(*ast.Ident); ok && identIs(pass, id, obj) {
-			found = true
-			return false
-		}
-		return !found
-	})
-	return found
-}
+// isSpanType reports whether t is *trace.Span.
+func isSpanType(t types.Type) bool { return pointsTo(t, tracePackage, "Span") }

@@ -144,3 +144,17 @@ func (s *store) finish() {
 	s.state++
 	s.mu.Unlock()
 }
+
+// lockNoUnlock never unlocks at all — must fire. (This case and the
+// next were lockcopy's "Lock pairs with an Unlock somewhere" check; the
+// per-path analysis subsumes it.)
+func (s *store) lockNoUnlock() {
+	s.mu.Lock() // want: path can reach return without Unlock
+	s.state++
+}
+
+// rlockNoRUnlock pins the read-lock wording — must fire.
+func (t *table) rlockNoRUnlock(k string) int {
+	t.rw.RLock() // want: path can reach return without RUnlock
+	return t.m[k]
+}

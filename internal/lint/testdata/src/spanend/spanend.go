@@ -69,3 +69,23 @@ func escapeHatch(ctx context.Context) {
 	_, span := trace.Start(ctx, "async")
 	_ = span
 }
+
+// oneArm ends the span in one branch only; the other falls through to
+// the return with the span still open — must fire.
+func oneArm(ctx context.Context, done bool) {
+	_, span := trace.Start(ctx, "one-arm") // want: not ended when !done
+	if done {
+		span.End()
+	}
+}
+
+// closureReturn has a return between Start and End, but it belongs to
+// an unrelated function literal: the span is ended on the only path.
+// Nothing to report.
+func closureReturn(ctx context.Context) int {
+	_, span := trace.Start(ctx, "closure")
+	one := func() int { return 1 }
+	n := one()
+	span.End()
+	return n
+}

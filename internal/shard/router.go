@@ -499,15 +499,16 @@ func (r *Router) List(ctx context.Context, prefix string) ([]storage.ObjectInfo,
 	return out, nil
 }
 
-// ParsePeers parses a comma-separated list of name=target peer specs
-// ("a=http://host1:9000,b=http://host2:9000"), dialing each target with
-// dial. Names are the ring placement identity, so a fleet must use the
-// same name for the same store everywhere.
-func ParsePeers(spec string, dial func(target string) storage.Store) ([]Node, error) {
-	var nodes []Node
-	if strings.TrimSpace(spec) == "" {
-		return nodes, nil
-	}
+// peer is one entry of a -peers spec.
+type peer struct{ name, target string }
+
+// parsePeerSpec parses a comma-separated list of name=target entries
+// ("a=http://host1:9000,b=http://host2:9000") in spec order. Names are
+// the ring placement identity, so a repeated name is an error here for
+// every consumer of the spec, not only for the one that builds a ring.
+func parsePeerSpec(spec string) ([]peer, error) {
+	var peers []peer
+	seen := make(map[string]bool)
 	for _, entry := range strings.Split(spec, ",") {
 		entry = strings.TrimSpace(entry)
 		if entry == "" {
@@ -517,7 +518,27 @@ func ParsePeers(spec string, dial func(target string) storage.Store) ([]Node, er
 		if !ok || name == "" || target == "" {
 			return nil, fmt.Errorf("shard: bad peer %q (want name=target)", entry)
 		}
-		nodes = append(nodes, Node{Name: name, Store: dial(target)})
+		if seen[name] {
+			return nil, fmt.Errorf("shard: duplicate peer name %q", name)
+		}
+		seen[name] = true
+		peers = append(peers, peer{name, target})
+	}
+	return peers, nil
+}
+
+// ParsePeers parses a comma-separated list of name=target peer specs
+// ("a=http://host1:9000,b=http://host2:9000"), dialing each target with
+// dial. Names are the ring placement identity, so a fleet must use the
+// same name for the same store everywhere.
+func ParsePeers(spec string, dial func(target string) storage.Store) ([]Node, error) {
+	peers, err := parsePeerSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	var nodes []Node
+	for _, p := range peers {
+		nodes = append(nodes, Node{Name: p.name, Store: dial(p.target)})
 	}
 	return nodes, nil
 }
@@ -527,20 +548,13 @@ func ParsePeers(spec string, dial func(target string) storage.Store) ([]Node, er
 // trace assembly wants, since it talks to peers' debug endpoints
 // rather than their object planes.
 func PeerTargets(spec string) (map[string]string, error) {
-	targets := make(map[string]string)
-	if strings.TrimSpace(spec) == "" {
-		return targets, nil
+	peers, err := parsePeerSpec(spec)
+	if err != nil {
+		return nil, err
 	}
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		name, target, ok := strings.Cut(entry, "=")
-		if !ok || name == "" || target == "" {
-			return nil, fmt.Errorf("shard: bad peer %q (want name=target)", entry)
-		}
-		targets[name] = target
+	targets := make(map[string]string, len(peers))
+	for _, p := range peers {
+		targets[p.name] = p.target
 	}
 	return targets, nil
 }

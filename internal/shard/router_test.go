@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -558,4 +559,57 @@ func TestParsePeers(t *testing.T) {
 	if _, err := shard.ParsePeers("=http://h", dial); err == nil {
 		t.Fatal("empty name accepted")
 	}
+	// A repeated name is refused by both readers of the spec, with the
+	// same error: PeerTargets used to keep the last target silently, so
+	// federation queried one URL while the ring refused to start.
+	_, ringErr := shard.ParsePeers("a=http://x,a=http://y", dial)
+	_, fedErr := shard.PeerTargets("a=http://x,a=http://y")
+	if ringErr == nil || fedErr == nil || ringErr.Error() != fedErr.Error() {
+		t.Fatalf("duplicate name: ParsePeers err %v, PeerTargets err %v", ringErr, fedErr)
+	}
+}
+
+// FuzzParsePeers: the peer-spec parser never panics, its two exported
+// readers accept exactly the same specs, and an accepted spec
+// re-rendered as name=target,... parses to the same pairs in the same
+// order with no name repeated.
+func FuzzParsePeers(f *testing.F) {
+	for _, seed := range []string{"", "a=http://h1:9000, b=http://h2:9000", "a=x,a=y", "justaurl", "=x", "a=", ",,a=b=c,", " a = x , b=\t"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		var dialled []string
+		dial := func(target string) storage.Store {
+			dialled = append(dialled, target)
+			return storage.NewMemStore()
+		}
+		nodes, err := shard.ParsePeers(spec, dial)
+		targets, terr := shard.PeerTargets(spec)
+		if (err == nil) != (terr == nil) {
+			t.Fatalf("ParsePeers err %v but PeerTargets err %v", err, terr)
+		}
+		if err != nil {
+			return
+		}
+		if len(targets) != len(nodes) || len(dialled) != len(nodes) {
+			t.Fatalf("%d nodes, %d dialled, %d targets: a name repeats", len(nodes), len(dialled), len(targets))
+		}
+		entries := make([]string, len(nodes))
+		for i, n := range nodes {
+			if targets[n.Name] != dialled[i] {
+				t.Fatalf("peer %q: ring dials %q, federation queries %q", n.Name, dialled[i], targets[n.Name])
+			}
+			entries[i] = n.Name + "=" + dialled[i]
+		}
+		dialled = nil
+		again, err := shard.ParsePeers(strings.Join(entries, ","), dial)
+		if err != nil || len(again) != len(nodes) {
+			t.Fatalf("re-rendered spec %q: %d nodes, err %v", strings.Join(entries, ","), len(again), err)
+		}
+		for i, n := range again {
+			if n.Name != nodes[i].Name || entries[i] != n.Name+"="+dialled[i] {
+				t.Fatalf("re-rendered spec %q: entry %d is %s=%s", strings.Join(entries, ","), i, n.Name, dialled[i])
+			}
+		}
+	})
 }

@@ -107,3 +107,29 @@ func TestSpanAccessorsNilSafe(t *testing.T) {
 	}
 	s.SetRemoteParent(Parent{Node: "x", SpanID: "1", Depth: 0}) // must not panic
 }
+
+// FuzzParseParent: the X-NSDF-Trace-Parent parser reads a header any
+// client can send. It never panics, never yields a negative depth, and
+// an accepted header's canonical rendering parses back to the same
+// Parent.
+func FuzzParseParent(f *testing.F) {
+	for _, seed := range []string{"store-a/2f@3", "", "@", "a/b", "a/b@", "a/b@-1", "/b@0", "a/@0", "a/b/c@+07", "a@b/c@1", "a/b@99999999999999999999"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, header string) {
+		p, ok := ParseParent(header)
+		if !ok {
+			if p != (Parent{}) {
+				t.Fatalf("rejected %q but returned %+v", header, p)
+			}
+			return
+		}
+		if p.Depth < 0 || p.Node == "" || p.SpanID == "" {
+			t.Fatalf("accepted %q as %+v", header, p)
+		}
+		again, ok := ParseParent(p.String())
+		if !ok || again != p {
+			t.Fatalf("%q parsed to %+v, whose rendering %q parses to %+v (ok=%v)", header, p, p.String(), again, ok)
+		}
+	})
+}
