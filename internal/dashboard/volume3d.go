@@ -63,8 +63,7 @@ func (s *Server) readRegion(e *query.Engine, req query.Request, r *http.Request)
 	if err != nil {
 		return nil, query.Result{}, err
 	}
-	g := raster.New(vol.Dims[0], vol.Dims[1])
-	copy(g.Data, vol.Data)
+	g := &raster.Grid{W: vol.Dims[0], H: vol.Dims[1], Data: vol.Data}
 	res := query.Result{Level: level, Grid: g, Stats: *stats,
 		TransferBytes: int64(stats.Samples) * 4}
 	return g, res, nil

@@ -84,11 +84,12 @@ func FuzzHZRuns(f *testing.F) {
 
 // tilePlanMask picks the mask of one FuzzTilePlan case: one of the fixed
 // pool (small masks, a non-alternating one, and what Guess gives a wide
-// and a tall grid), or, past the pool, a mask spelled by the low bits of
-// maskBits.
+// and a tall grid and volumes with non-power-of-two and one-thick axes),
+// or, past the pool, a mask spelled by maskBits: its binary digits on
+// even selectors, its ternary digits — a 3D mask — on odd ones.
 func tilePlanMask(t *testing.T, maskSel uint8, maskBits uint32) Bitmask {
-	pool := append([]string{"V0001011"}, fuzzMasks...)
-	for _, dims := range [][]int{{4096, 512}, {3, 1000}} {
+	pool := append([]string{"V0001011", "V0120120"}, fuzzMasks...)
+	for _, dims := range [][]int{{4096, 512}, {3, 1000}, {64, 64, 64}, {20, 9, 5}, {37, 1, 21}, {1, 50, 3}} {
 		b, err := Guess(dims)
 		if err != nil {
 			t.Fatal(err)
@@ -98,39 +99,46 @@ func tilePlanMask(t *testing.T, maskSel uint8, maskBits uint32) Bitmask {
 	if int(maskSel) < len(pool) {
 		return MustParse(pool[maskSel])
 	}
+	radix := 2 + uint32(maskSel)%2
 	var sb strings.Builder
 	for k := 0; k < 2+int(maskSel)%20; k++ {
-		sb.WriteByte(byte('0' + maskBits>>k&1))
+		sb.WriteByte(byte('0' + maskBits%radix))
+		maskBits /= radix
 	}
-	b := MustParse(sb.String())
-	if b.Dims() != 2 {
-		t.Skip("mask never names axis 1")
-	}
-	return b
+	return MustParse(sb.String())
 }
 
-// FuzzTilePlan checks the block-first planner against the run
-// decomposition on fuzzer-chosen masks, block sizes, boxes and levels:
-// PlanTiles must address exactly the (HZ address, output index) pairs HZRuns
-// does (checkTilePlan). Boxes are capped at 96 lattice points a side so
-// a case stays cheap on the 21-bit masks.
+// FuzzTilePlan checks the block-first planner on fuzzer-chosen 2D and 3D
+// masks, block sizes, boxes and levels: PlanTiles must address every
+// lattice sample once, at the address PointHZ gives it, and on 2D masks
+// exactly the (HZ address, output index) pairs HZRuns does
+// (checkTilePlan). Boxes are capped at 96 lattice points a side, 24 on
+// 3D masks, so a case stays cheap on the 21-bit masks.
 func FuzzTilePlan(f *testing.F) {
-	f.Add(uint8(0), uint32(0), uint8(7), uint16(0), uint16(15), uint16(0), uint16(7), uint8(3))
-	f.Add(uint8(12), uint32(0), uint8(21), uint16(1000), uint16(90), uint16(17), uint16(60), uint8(16))
-	f.Add(uint8(13), uint32(0), uint8(12), uint16(1), uint16(2), uint16(300), uint16(95), uint8(5))
-	f.Add(uint8(200), uint32(0x2d3a5), uint8(9), uint16(3), uint16(40), uint16(2), uint16(33), uint8(0))
+	f.Add(uint8(0), uint32(0), uint8(7), uint16(0), uint16(15), uint16(0), uint16(7), uint16(0), uint16(0), uint8(3))
+	f.Add(uint8(13), uint32(0), uint8(21), uint16(1000), uint16(90), uint16(17), uint16(60), uint16(0), uint16(0), uint8(16))
+	f.Add(uint8(14), uint32(0), uint8(12), uint16(1), uint16(2), uint16(300), uint16(95), uint16(0), uint16(0), uint8(5))
+	f.Add(uint8(200), uint32(0x2d3a5), uint8(9), uint16(3), uint16(40), uint16(2), uint16(33), uint16(0), uint16(0), uint8(0))
+	f.Add(uint8(16), uint32(0), uint8(11), uint16(5), uint16(13), uint16(2), uint16(6), uint16(1), uint16(3), uint8(4))
+	f.Add(uint8(17), uint32(0), uint8(9), uint16(3), uint16(20), uint16(0), uint16(0), uint16(7), uint16(9), uint8(2))
+	f.Add(uint8(201), uint32(0x1b7c4d), uint8(10), uint16(1), uint16(9), uint16(2), uint16(7), uint16(1), uint16(5), uint8(3))
 
-	f.Fuzz(func(t *testing.T, maskSel uint8, maskBits uint32, level uint8, rx0, rnx, ry0, rny uint16, rsplit uint8) {
+	f.Fuzz(func(t *testing.T, maskSel uint8, maskBits uint32, level uint8, rx0, rnx, ry0, rny, rz0, rnz uint16, rsplit uint8) {
 		b := tilePlanMask(t, maskSel, maskBits)
 		m := b.Bits()
 		L := int(level) % (m + 1)
+		side := 96
+		if b.Dims() > 2 {
+			side = 24
+		}
+		raw := [Axes][2]uint16{{rx0, rnx}, {ry0, rny}, {rz0, rnz}}
+		lo, hi := [Axes]int{}, [Axes]int{1, 1, 1}
 		s := b.LevelStrides(L)
-		dims := b.Pow2Dims()
-		x0 := int(rx0) % dims[0]
-		y0 := int(ry0) % dims[1]
-		x1 := min(dims[0], x0+(1+int(rnx)%96)*s[0])
-		y1 := min(dims[1], y0+(1+int(rny)%96)*s[1])
-		q, ok := latticeQuery(b, x0, y0, x1, y1, L, int(rsplit)%(m+1))
+		for a, d := range b.Pow2Dims() {
+			lo[a] = int(raw[a][0]) % d
+			hi[a] = min(d, lo[a]+(1+int(raw[a][1])%side)*s[a])
+		}
+		q, ok := latticeQuery(b, lo, hi, L, int(rsplit)%(m+1))
 		if !ok {
 			t.Skip("box contains no lattice samples")
 		}

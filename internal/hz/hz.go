@@ -257,36 +257,6 @@ func (b Bitmask) LevelStrides(L int) []int {
 	return strides
 }
 
-// LevelDims returns the number of lattice samples along each axis at
-// resolution level L for the power-of-two padded grid.
-func (b Bitmask) LevelDims(L int) []int {
-	s := b.LevelStrides(L)
-	out := make([]int, b.ndim)
-	for a := 0; a < b.ndim; a++ {
-		out[a] = (1 << b.perAxisBits[a]) / s[a]
-	}
-	return out
-}
-
-// DeltaStrides returns the stride lattice of samples belonging to exactly
-// level L (not any coarser level) along with the per-axis offset of that
-// sub-lattice. For L=0 the offset is the origin and strides span the full
-// grid.
-func (b Bitmask) DeltaStrides(L int) (strides, offsets []int) {
-	strides = b.LevelStrides(L)
-	offsets = make([]int, b.ndim)
-	if L == 0 {
-		return strides, offsets
-	}
-	// Samples of exactly level L are on the level-L lattice but not on the
-	// level-(L-1) lattice: the coordinate bit consumed by mask character
-	// L-1 (axis a) must be 1, so coordinate[a] ≡ strides[a] (mod 2*strides[a]).
-	a := b.axes[L-1]
-	offsets[a] = strides[a]
-	strides[a] *= 2
-	return strides, offsets
-}
-
 // ceilLog2 returns the smallest k with 2^k >= v, for v >= 1.
 func ceilLog2(v int) int {
 	if v <= 1 {

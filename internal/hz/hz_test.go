@@ -323,44 +323,6 @@ func TestLevelStridesMatchHZLevels(t *testing.T) {
 	}
 }
 
-func TestLevelDims(t *testing.T) {
-	b := MustParse("V0101")
-	d := b.LevelDims(0)
-	if d[0] != 1 || d[1] != 1 {
-		t.Errorf("LevelDims(0) = %v, want [1 1]", d)
-	}
-	d = b.LevelDims(4)
-	if d[0] != 4 || d[1] != 4 {
-		t.Errorf("LevelDims(4) = %v, want [4 4]", d)
-	}
-}
-
-func TestDeltaStridesPartition(t *testing.T) {
-	// The exactly-level-L lattices for L=0..m must partition the grid.
-	b := MustParse("V010101")
-	count := make(map[[2]int]int)
-	for L := 0; L <= b.Bits(); L++ {
-		s, off := b.DeltaStrides(L)
-		for x := off[0]; x < 8; x += s[0] {
-			for y := off[1]; y < 8; y += s[1] {
-				count[[2]int{x, y}]++
-				h := b.PointHZ([]int{x, y})
-				if Level(h) != L {
-					t.Fatalf("DeltaStrides(%d) includes (%d,%d) with level %d", L, x, y, Level(h))
-				}
-			}
-		}
-	}
-	if len(count) != 64 {
-		t.Fatalf("delta lattices cover %d points, want 64", len(count))
-	}
-	for p, c := range count {
-		if c != 1 {
-			t.Fatalf("point %v covered %d times", p, c)
-		}
-	}
-}
-
 func TestLevelStridesPanicsOutOfRange(t *testing.T) {
 	b := MustParse("V01")
 	defer func() {

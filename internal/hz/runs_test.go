@@ -169,62 +169,3 @@ func TestHZRunsAreMaximal(t *testing.T) {
 		t.Fatalf("finest level split into %d runs, want 64", finest)
 	}
 }
-
-// TestInterleaveRowsMatchesInterleave checks the batch 2D interleave
-// against the scalar reference on random masks, strides, and origins.
-func TestInterleaveRowsMatchesInterleave(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		b := randomMask2D(r)
-		L := r.Intn(b.Bits() + 1)
-		s := b.LevelStrides(L)
-		sx, sy := s[0], s[1]
-		dims := b.Pow2Dims()
-		nxMax := dims[0] / sx
-		nyMax := dims[1] / sy
-		nx := 1 + r.Intn(nxMax)
-		ny := 1 + r.Intn(nyMax)
-		// Random origin leaving room for the walk; origins need not be
-		// stride-aligned (low bits ride along untouched).
-		x0 := r.Intn(dims[0] - (nx-1)*sx)
-		y0 := r.Intn(dims[1] - (ny-1)*sy)
-
-		out := make([]uint64, nx*ny)
-		b.InterleaveRows(out, x0, y0, sx, sy, nx, ny)
-		p := make([]int, 2)
-		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				p[0], p[1] = x0+i*sx, y0+j*sy
-				if want := b.Interleave(p); out[j*nx+i] != want {
-					t.Fatalf("mask %s strides (%d,%d) origin (%d,%d): point (%d,%d) z=%d, want %d",
-						b, sx, sy, x0, y0, i, j, out[j*nx+i], want)
-				}
-			}
-		}
-	}
-}
-
-// TestInterleaveRow3D exercises the n-dimensional row walker on a 3D
-// mask along every axis.
-func TestInterleaveRow3D(t *testing.T) {
-	b := MustParse("V0120120")
-	dims := b.Pow2Dims()
-	p := make([]int, 3)
-	q := make([]int, 3)
-	for axis := 0; axis < 3; axis++ {
-		for _, step := range []int{1, 2} {
-			n := dims[axis] / step
-			out := make([]uint64, n)
-			p[0], p[1], p[2] = 1, 0, 1
-			p[axis] = 0
-			b.InterleaveRow(out, p, axis, step)
-			for i := 0; i < n; i++ {
-				copy(q, p)
-				q[axis] = i * step
-				if want := b.Interleave(q); out[i] != want {
-					t.Fatalf("axis %d step %d: point %d z=%d, want %d", axis, step, i, out[i], want)
-				}
-			}
-		}
-	}
-}

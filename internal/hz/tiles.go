@@ -7,39 +7,59 @@ import (
 )
 
 // This file plans a box × level query block first. On every exact level
-// the payload counter of sub-lattice point (i, j) is separable,
-// X(i) | Y(j) over disjoint bit masks (see levelQuery), so one table per
-// axis — nx + ny entries, built by masked increments — addresses all
-// nx*ny samples of the level. The low block bits of an entry are the
-// sample's offset inside its storage block and the high bits select the
-// block; both tables ascend, so the columns (rows) sharing a high part
-// are contiguous, and each pair of such a column group and row group is
-// the aligned rectangle one block holds of the sub-lattice. The plan is
-// the list of those rectangles: its size is the number of touched
-// blocks plus nx + ny table entries per level, where the run
-// decomposition (HZRuns) needs a record per 1.5 samples on the
-// alternating masks Guess produces.
+// the payload counter of sub-lattice point (i, j, k) is separable,
+// X(i) | Y(j) | Z(k) over disjoint bit masks (see levelQuery), so one
+// table per axis — nx + ny + nz entries, built by masked increments —
+// addresses all nx*ny*nz samples of the level. The low block bits of an
+// entry are the sample's offset inside its storage block and the high
+// bits select the block; every table ascends, so the entries of an axis
+// sharing a high part are contiguous, and each combination of one such
+// group per axis is the aligned box one block holds of the sub-lattice.
+// The plan is the list of those boxes: its size is the number of touched
+// blocks plus the table entries per level, where the run decomposition
+// (HZRuns) needs a record per 1.5 samples on the alternating masks Guess
+// produces. A 2D mask is no special case: its third axis has one point
+// per level, whose table entry is 0.
+
+// TileQuery describes a box × level lattice query for PlanTiles. Its
+// output is dense, axis 0 fastest: lattice point (i, j, k) is assigned
+// output index (k*N[1]+j)*N[0] + i.
+type TileQuery struct {
+	// P0 is the first lattice point; each coordinate must be a multiple
+	// of the corresponding LevelStrides(Level) stride.
+	P0 [Axes]int
+	// N holds the lattice point counts along each axis; axes the mask
+	// does not have hold 1.
+	N [Axes]int
+	// Level is the resolution level, 0..Bits().
+	Level int
+	// BlockBits is the storage block size in bits (samples per block =
+	// 2^BlockBits); zero puts the whole address space in block 0.
+	BlockBits int
+}
 
 // TileLevel holds the separable tables of one exact level of a TilePlan.
 type TileLevel struct {
-	// XOff and YOff hold, per sub-lattice column and row, the axis's share
-	// of the in-block sample offset: point (i, j) of a tile is sample
-	// XOff[i] | YOff[j] of the tile's block.
-	XOff, YOff []uint32
-	// Out0 is the output index of point (0, 0); point (i, j) lands at
-	// Out0 + i*OutStepX + j*OutStepY.
-	Out0, OutStepX, OutStepY int
+	// Off holds, per axis and sub-lattice index along it, the axis's share
+	// of the in-block sample offset: point (i, j, k) of a tile is sample
+	// Off[0][i] | Off[1][j] | Off[2][k] of the tile's block.
+	Off [Axes][]uint32
+	// Out0 is the output index of point (0, 0, 0); point (i, j, k) lands
+	// at Out0 + i*OutStep[0] + j*OutStep[1] + k*OutStep[2].
+	Out0    int
+	OutStep [Axes]int
 }
 
-// Tile is the rectangle [I0,I1) × [J0,J1) of one exact level's
+// Tile is the box [I0,I1) × [J0,J1) × [K0,K1) of one exact level's
 // sub-lattice that is stored in one block.
 type Tile struct {
 	// Block is the storage block, HZ address >> block bits.
 	Block int
 	// Level indexes TilePlan.Levels.
 	Level int
-	// I0, I1 and J0, J1 bound the tile's columns and rows, half-open.
-	I0, I1, J0, J1 int
+	// I0, I1, J0, J1 and K0, K1 bound the tile along axes 0, 1 and 2,
+	// half-open.
+	I0, I1, J0, J1, K0, K1 int
 }
 
 // TilePlan is a block-first decomposition of a lattice query.
@@ -53,21 +73,19 @@ type TilePlan struct {
 	Tiles []Tile
 }
 
-// PlanTiles plans the lattice query q block first. q.SplitShift is the
-// storage block size in bits (samples per block = 2^SplitShift); zero
-// puts the whole address space in block 0. In-block offsets are 32-bit,
-// so blocks of more than 2^32 samples are a caller error, as are the
-// malformed queries HZRuns panics on.
-func (b Bitmask) PlanTiles(q RunQuery) TilePlan {
-	sx, sy := b.queryStrides("PlanTiles", q)
-	blockBits := q.SplitShift
+// PlanTiles plans the lattice query q block first. In-block offsets are
+// 32-bit, so blocks of more than 2^32 samples are a caller error, as are
+// the malformed queries lattice panics on.
+func (b Bitmask) PlanTiles(q TileQuery) TilePlan {
+	lt := b.lattice("PlanTiles", Axes, q.P0, q.N, q.Level, q.N[0])
+	blockBits := q.BlockBits
 	if blockBits <= 0 {
 		blockBits = b.m
 	}
 	if blockBits > 32 {
 		panic(fmt.Sprintf("hz: PlanTiles block of 2^%d samples exceeds 32-bit in-block offsets", blockBits))
 	}
-	if q.NX <= 0 || q.NY <= 0 {
+	if min(q.N[0], q.N[1], q.N[2]) <= 0 {
 		return TilePlan{}
 	}
 
@@ -76,8 +94,8 @@ func (b Bitmask) PlanTiles(q RunQuery) TilePlan {
 	lqs := make([]levelQuery, q.Level+1)
 	entries := 0
 	for l := range lqs {
-		lqs[l] = b.levelQuery(q, l, sx, sy)
-		entries += lqs[l].nx + lqs[l].ny
+		lqs[l] = b.levelQuery(&lt, l)
+		entries += lqs[l].n[0] + lqs[l].n[1] + lqs[l].n[2]
 	}
 	plan := TilePlan{
 		Levels: make([]TileLevel, q.Level+1),
@@ -85,36 +103,37 @@ func (b Bitmask) PlanTiles(q RunQuery) TilePlan {
 	}
 	tables := make([]uint32, entries)
 	// Group lists are reused across levels and start on the stack: 16
-	// groups an axis is 256 touched blocks a level.
-	var xgBuf, ygBuf [16]axisGroup
-	xg, yg := xgBuf[:0], ygBuf[:0]
+	// groups an axis is 256 touched blocks a level of a 2D query.
+	var buf [Axes][16]axisGroup
+	var groups [Axes][]axisGroup
+	for a := range groups {
+		groups[a] = buf[a][:0]
+	}
 	for l, lq := range lqs {
-		if lq.nx == 0 {
+		if lq.n[0] == 0 {
 			continue
 		}
-		xoff, yoff := tables[:lq.nx:lq.nx], tables[lq.nx:lq.nx+lq.ny:lq.nx+lq.ny]
-		tables = tables[lq.nx+lq.ny:]
+		lv := TileLevel{Out0: lq.out0, OutStep: lq.outStep}
 		// The level base is a single bit above every payload bit; folded
-		// into the x table it makes X(i) | Y(j) the whole HZ address.
-		xg = axisTable(xoff, xg[:0], lq.base|lq.c0&lq.xm, lq.xm, blockBits)
-		yg = axisTable(yoff, yg[:0], lq.c0&lq.ym, lq.ym, blockBits)
-		plan.Levels[l] = TileLevel{XOff: xoff, YOff: yoff, Out0: lq.out0, OutStepX: lq.outStepX, OutStepY: lq.outStepY}
+		// into the first table it makes X(i) | Y(j) | Z(k) the whole HZ
+		// address.
+		base := lq.base
+		for a, n := range lq.n {
+			lv.Off[a], tables = tables[:n:n], tables[n:]
+			groups[a] = axisTable(lv.Off[a], groups[a][:0], base|lq.c0&lq.mask[a], lq.mask[a], blockBits)
+			base = 0
+		}
+		plan.Levels[l] = lv
 
 		first := len(plan.Tiles)
-		for gj, gy := range yg {
-			j1 := lq.ny
-			if gj+1 < len(yg) {
-				j1 = yg[gj+1].start
-			}
-			for gi, gx := range xg {
-				i1 := lq.nx
-				if gi+1 < len(xg) {
-					i1 = xg[gi+1].start
+		for _, gz := range groups[2] {
+			for _, gy := range groups[1] {
+				for _, gx := range groups[0] {
+					plan.Tiles = append(plan.Tiles, Tile{
+						Block: int(gx.block | gy.block | gz.block), Level: l,
+						I0: gx.start, I1: gx.end, J0: gy.start, J1: gy.end, K0: gz.start, K1: gz.end,
+					})
 				}
-				plan.Tiles = append(plan.Tiles, Tile{
-					Block: int(gx.block | gy.block), Level: l,
-					I0: gx.start, I1: i1, J0: gy.start, J1: j1,
-				})
 			}
 		}
 		// Levels ascend and own disjoint, ascending block ranges above
@@ -124,11 +143,10 @@ func (b Bitmask) PlanTiles(q RunQuery) TilePlan {
 	return plan
 }
 
-// axisGroup is a maximal range of one axis table's entries that share
-// their block bits.
+// axisGroup is a maximal range [start, end) of one axis table's entries
+// that share their block bits.
 type axisGroup struct {
-	// start is the group's first entry; it ends where the next begins.
-	start int
+	start, end int
 	// block is the entries' share of the block id.
 	block uint64
 }
@@ -149,6 +167,7 @@ func axisTable(off []uint32, groups []axisGroup, v, mask uint64, blockBits int) 
 		if blk := v >> uint(blockBits); i == 0 || blk != groups[len(groups)-1].block {
 			groups = append(groups, axisGroup{start: i, block: blk})
 		}
+		groups[len(groups)-1].end = i + 1
 	}
 	return groups
 }

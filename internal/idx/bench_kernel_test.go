@@ -33,14 +33,11 @@ import (
 
 // readBoxPerSample is the pre-kernel ReadBox (PR 1 vintage).
 func readBoxPerSample(d *Dataset, field string, t int, box Box, level int) (*raster.Grid, *ReadStats, error) {
-	f, err := d.checkFieldTime(field, t)
+	bp, err := d.newBlockPath(field, t)
 	if err != nil {
 		return nil, nil, err
 	}
-	codec, err := compress.Lookup(f.Codec)
-	if err != nil {
-		return nil, nil, err
-	}
+	f := bp.f
 	mask := d.Meta.Bits
 	strides := mask.LevelStrides(level)
 	sx, sy := strides[0], strides[1]
@@ -53,7 +50,6 @@ func readBoxPerSample(d *Dataset, field string, t int, box Box, level int) (*ras
 	stats := &ReadStats{Samples: ow * oh}
 	blockSamples := d.Meta.BlockSamples()
 	sz := f.Type.Size()
-	rawBlockLen := blockSamples * sz
 
 	addrs := make([]uint64, ow*oh)
 	needSet := map[int]bool{}
@@ -89,7 +85,7 @@ func readBoxPerSample(d *Dataset, field string, t int, box Box, level int) (*ras
 	}
 	sort.Ints(misses)
 	for _, b := range misses {
-		blk, n, _, err := d.fetchBlockKey(context.Background(), d.BlockKey(field, t, b), b, codec, rawBlockLen, nil)
+		blk, n, _, err := bp.fetchBlock(context.Background(), b)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -102,7 +98,7 @@ func readBoxPerSample(d *Dataset, field string, t int, box Box, level int) (*ras
 	for i, hzAddr := range addrs {
 		raw := blocks[int(hzAddr>>d.Meta.BitsPerBlock)]
 		off := int(hzAddr&uint64(blockSamples-1)) * sz
-		out.Data[i] = f.Type.getSample(raw[off:])
+		out.Data[i] = getSample(f.Type, raw[off:])
 	}
 	return out, stats, nil
 }

@@ -20,14 +20,10 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"nsdfgo/internal/cache"
-	"nsdfgo/internal/compress"
 	"nsdfgo/internal/hz"
 	"nsdfgo/internal/raster"
-	"nsdfgo/internal/telemetry/trace"
 )
 
 // Dataset is an IDX dataset bound to a Backend.
@@ -155,9 +151,9 @@ func (d *Dataset) SetCache(c BlockCache) {
 	d.fillCache, _ = c.(FillerCache)
 }
 
-// SetFetchParallelism bounds how many block fetches a single ReadBox may
-// issue concurrently against the backend. 1 (the default) fetches
-// serially; higher values hide round-trip latency on remote object
+// SetFetchParallelism bounds how many block fetches a single read (2D
+// or 3D) may issue concurrently against the backend. 1 (the default)
+// fetches serially; higher values hide round-trip latency on remote object
 // stores. The backend must be safe for concurrent use (all of this
 // repository's backends are).
 func (d *Dataset) SetFetchParallelism(n int) {
@@ -244,71 +240,6 @@ func (d *Dataset) readErr(err error) error {
 	return err
 }
 
-// fetchDecode gets one block from the backend and decodes it — the raw
-// fetch under every cache layer. It returns the decoded payload and the
-// compressed size. sc, when non-nil, accumulates the fetch and decode
-// stage times (and, when the request is traced, records a per-block
-// storage.get span).
-func (d *Dataset) fetchDecode(ctx context.Context, key string, b int, codec compress.Codec, rawBlockLen int, sc *stageClock) ([]byte, int64, error) {
-	var t0 time.Time
-	if sc != nil {
-		t0 = time.Now()
-	}
-	enc, err := d.be.Get(ctx, key)
-	var t1 time.Time
-	if sc != nil {
-		t1 = time.Now()
-		sc.fetchNS.Add(int64(t1.Sub(t0)))
-		if sc.traced {
-			trace.Record(ctx, "storage.get", t0, t1,
-				trace.Str("dataset", d.name),
-				trace.Int("block", int64(b)),
-				trace.Int("bytes", int64(len(enc))))
-		}
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("idx: block %d: %w", b, err)
-	}
-	raw, err := codec.Decode(enc, rawBlockLen)
-	if sc != nil {
-		sc.decodeNS.Add(int64(time.Since(t1)))
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("idx: decode block %d: %w", b, err)
-	}
-	return raw, int64(len(enc)), nil
-}
-
-// fetchBlockKey returns one block as a ref-counted cache Block (the
-// caller must Release it). Misses go through the cache's GetOrFill when
-// available, so concurrent fetches of the same key coalesce into one
-// backend Get. encLen is the compressed bytes this call actually
-// fetched — 0 when the block was served from cache or from another
-// caller's in-flight fetch. cached reports a cache-tier hit.
-func (d *Dataset) fetchBlockKey(ctx context.Context, key string, b int, codec compress.Codec, rawBlockLen int, sc *stageClock) (blk *cache.Block, encLen int64, cached bool, err error) {
-	if d.fillCache != nil {
-		var fetched int64
-		blk, outcome, err := d.fillCache.GetOrFill(ctx, key, func(ctx context.Context) ([]byte, error) {
-			raw, n, err := d.fetchDecode(ctx, key, b, codec, rawBlockLen, sc)
-			fetched = n
-			return raw, err
-		})
-		if err != nil {
-			return nil, 0, false, err
-		}
-		hit := outcome == cache.OutcomeHit || outcome == cache.OutcomeDiskHit
-		return blk, fetched, hit, nil
-	}
-	raw, n, err := d.fetchDecode(ctx, key, b, codec, rawBlockLen, sc)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if d.cache != nil {
-		return d.cache.Put(key, raw), n, false, nil
-	}
-	return cache.NewBlock(raw), n, false, nil
-}
-
 // Backend returns the dataset's backend.
 func (d *Dataset) Backend() Backend { return d.be }
 
@@ -333,182 +264,27 @@ func (d *Dataset) checkFieldTime(field string, t int) (Field, error) {
 	return f, nil
 }
 
+// wantDims rejects op on a dataset that does not have n dimensions.
+func (d *Dataset) wantDims(op string, n int) error {
+	if len(d.Meta.Dims) != n {
+		return fmt.Errorf("idx: %s requires a %dD dataset; this one has %d dims", op, n, len(d.Meta.Dims))
+	}
+	return nil
+}
+
 // WriteGrid stores a full-resolution 2D grid as timestep t of the named
 // field, producing every block of the HZ decomposition. The grid must
 // match the dataset's logical dimensions. Cancelling ctx aborts the
 // write worker pool at its next block claim; already-stored blocks are
 // left behind (block writes are not transactional).
 func (d *Dataset) WriteGrid(ctx context.Context, field string, t int, g *raster.Grid) error {
-	f, err := d.checkFieldTime(field, t)
-	if err != nil {
+	if err := d.wantDims("WriteGrid", 2); err != nil {
 		return err
-	}
-	if len(d.Meta.Dims) != 2 {
-		return fmt.Errorf("idx: WriteGrid requires a 2D dataset; this one has %d dims", len(d.Meta.Dims))
 	}
 	if g.W != d.Meta.Dims[0] || g.H != d.Meta.Dims[1] {
 		return fmt.Errorf("idx: grid %dx%d does not match dataset %dx%d", g.W, g.H, d.Meta.Dims[0], d.Meta.Dims[1])
 	}
-	codec, err := compress.Lookup(f.Codec)
-	if err != nil {
-		return err
-	}
-	mask := d.Meta.Bits
-	blockSamples := d.Meta.BlockSamples()
-	numBlocks := d.Meta.NumBlocks()
-	sz := f.Type.Size()
-	w, h := g.W, g.H
-
-	start := time.Now()
-	defer func() {
-		if d.tel != nil {
-			d.tel.writeSeconds.ObserveSince(start)
-		}
-	}()
-	ctx, span := trace.Start(ctx, "idx.write",
-		trace.Str("dataset", d.name),
-		trace.Str("field", field),
-		trace.Int("blocks", int64(numBlocks)))
-	defer span.End()
-	sc := d.newStageClock(span != nil)
-
-	// Plan: the full-resolution grid as per-block tiles. Each tile row
-	// scatters a strided span of the row-major grid into its block.
-	var planStart time.Time
-	if sc != nil {
-		planStart = time.Now()
-	}
-	plan, spans := d.planTiles(hz.RunQuery{NX: w, NY: h, Level: mask.Bits(), OutW: w})
-	if sc != nil {
-		planEnd := time.Now()
-		d.observePlan(planEnd.Sub(planStart))
-		if sc.traced {
-			trace.Record(ctx, "idx.plan", planStart, planEnd,
-				trace.Str("dataset", d.name),
-				trace.Int("runs", int64(tileRows(plan.Tiles))))
-		}
-	}
-	// spanAt[b] indexes spans for block b, or -1 when no grid sample maps
-	// into the block (pure padding).
-	spanAt := make([]int, numBlocks)
-	for i := range spanAt {
-		spanAt[i] = -1
-	}
-	for i, sp := range spans {
-		spanAt[sp.block] = i
-	}
-	keys := d.blockKeys(field, t)
-	blockKey := func(b int) string {
-		if keys != nil {
-			return keys[b]
-		}
-		return d.BlockKey(field, t, b)
-	}
-
-	// Fill template: padding samples (outside the logical dims) store the
-	// field's fill value. Blocks with no grid samples at all share one
-	// pre-encoded payload.
-	rawFill := make([]byte, blockSamples*sz)
-	f.Type.fillBlock(rawFill, f.Fill)
-	var fillEnc []byte
-	if len(spans) < numBlocks {
-		fillEnc, err = codec.Encode(rawFill)
-		if err != nil {
-			return fmt.Errorf("idx: encode fill block: %w", err)
-		}
-	}
-
-	// Write blocks in parallel: each worker owns whole blocks, so no
-	// shared mutable state beyond the (concurrency-safe) backend. The
-	// worker count honours SetWriteParallelism, matching the read path's
-	// SetFetchParallelism knob. The aborted flag fails the whole write
-	// fast once any worker hits an encode or store error — or once ctx
-	// is cancelled — instead of letting the others finish every
-	// remaining block.
-	workers := d.writeWorkers(numBlocks)
-	errCh := make(chan error, workers)
-	var aborted atomic.Bool
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]byte, blockSamples*sz)
-			for {
-				if aborted.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					aborted.Store(true)
-					errCh <- err
-					return
-				}
-				b := int(next.Add(1)) - 1
-				if b >= numBlocks {
-					return
-				}
-				var encStart time.Time
-				if sc != nil {
-					encStart = time.Now()
-				}
-				enc := fillEnc
-				if si := spanAt[b]; si >= 0 {
-					tiles := plan.Tiles[spans[si].lo:spans[si].hi]
-					if tileSamples(tiles) < blockSamples {
-						copy(buf, rawFill)
-					}
-					scatterTiles(f.Type, buf, &plan, tiles, g.Data)
-					var err error
-					enc, err = codec.Encode(buf)
-					if err != nil {
-						aborted.Store(true)
-						errCh <- fmt.Errorf("idx: encode block %d: %w", b, err)
-						return
-					}
-				}
-				var putStart time.Time
-				if sc != nil {
-					putStart = time.Now()
-					sc.encodeNS.Add(int64(putStart.Sub(encStart)))
-				}
-				if err := d.be.Put(ctx, blockKey(b), enc); err != nil {
-					aborted.Store(true)
-					errCh <- fmt.Errorf("idx: store block %d: %w", b, err)
-					return
-				}
-				if sc != nil {
-					putEnd := time.Now()
-					sc.storeNS.Add(int64(putEnd.Sub(putStart)))
-					if sc.traced {
-						trace.Record(ctx, "storage.put", putStart, putEnd,
-							trace.Str("dataset", d.name),
-							trace.Int("block", int64(b)),
-							trace.Int("bytes", int64(len(enc))))
-					}
-				}
-				d.recordBlockWrite(len(enc))
-			}
-		}()
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		if err != nil {
-			return err
-		}
-	}
-	if sc != nil {
-		d.observeWriteStages(sc)
-		if sc.traced {
-			end := time.Now()
-			trace.RecordDuration(ctx, "idx.encode", end, sc.encode(),
-				trace.Str("dataset", d.name))
-			trace.RecordDuration(ctx, "idx.store", end, sc.store(),
-				trace.Str("dataset", d.name))
-		}
-	}
-	return nil
+	return d.writeField(ctx, "idx.write", field, t, g.Data)
 }
 
 // Box is a half-open 2D region [X0,X1) x [Y0,Y1) in full-resolution pixel
@@ -545,7 +321,7 @@ func (d *Dataset) Clip(b Box) Box {
 // Empty reports whether the box contains no pixels.
 func (b Box) Empty() bool { return b.X1 <= b.X0 || b.Y1 <= b.Y0 }
 
-// ReadStats reports the I/O performed by one ReadBox call.
+// ReadStats reports the I/O performed by one ReadBox or ReadBox3D call.
 type ReadStats struct {
 	// BlocksRead counts blocks fetched from the backend.
 	BlocksRead int
@@ -573,236 +349,24 @@ type ReadStats struct {
 // stops claiming blocks, in-flight fetches are abandoned to the
 // backend's own ctx handling, and ReadBox returns the context error.
 func (d *Dataset) ReadBox(ctx context.Context, field string, t int, box Box, level int) (*raster.Grid, *ReadStats, error) {
-	start := time.Now()
-	f, err := d.checkFieldTime(field, t)
+	if err := d.wantDims("ReadBox", 2); err != nil {
+		return nil, nil, err
+	}
+	r, stats, err := d.readLattice(ctx, "idx.read", field, t,
+		[hz.Axes]int{box.X0, box.Y0}, [hz.Axes]int{box.X1, box.Y1}, level)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(d.Meta.Dims) != 2 {
-		return nil, nil, fmt.Errorf("idx: ReadBox requires a 2D dataset")
-	}
-	if level < 0 || level > d.Meta.MaxLevel() {
-		return nil, nil, fmt.Errorf("idx: level %d outside [0,%d]", level, d.Meta.MaxLevel())
-	}
-	box = d.Clip(box)
-	if box.Empty() {
-		return nil, nil, fmt.Errorf("idx: empty query box")
-	}
-	codec, err := compress.Lookup(f.Codec)
-	if err != nil {
-		return nil, nil, err
-	}
-	ctx, span := trace.Start(ctx, "idx.read",
-		trace.Str("dataset", d.name),
-		trace.Str("field", field),
-		trace.Int("level", int64(level)))
-	defer span.End()
-	sc := d.newStageClock(span != nil)
-	mask := d.Meta.Bits
-	strides := mask.LevelStrides(level)
-	sx, sy := strides[0], strides[1]
-	// First lattice point >= box lower corner.
-	ax0 := (box.X0 + sx - 1) / sx * sx
-	ay0 := (box.Y0 + sy - 1) / sy * sy
-	if ax0 >= box.X1 || ay0 >= box.Y1 {
-		return nil, nil, fmt.Errorf("idx: box %+v contains no level-%d lattice samples", box, level)
-	}
-	ow := (box.X1-1-ax0)/sx + 1
-	oh := (box.Y1-1-ay0)/sy + 1
-
-	out := raster.New(ow, oh)
-	stats := &ReadStats{Samples: ow * oh}
-	rawBlockLen := d.Meta.BlockSamples() * f.Type.Size()
-
-	// Phase 1: plan. Decompose the query into per-block tiles over
-	// separable offset tables; nothing here is per sample.
-	var planStart time.Time
-	if sc != nil {
-		planStart = time.Now()
-	}
-	plan, spans := d.planTiles(hz.RunQuery{
-		X0: ax0, Y0: ay0, NX: ow, NY: oh, Level: level, OutW: ow,
-	})
-	stats.Runs = tileRows(plan.Tiles)
-	if sc != nil {
-		planEnd := time.Now()
-		d.observePlan(planEnd.Sub(planStart))
-		if sc.traced {
-			trace.Record(ctx, "idx.plan", planStart, planEnd,
-				trace.Str("dataset", d.name),
-				trace.Int("runs", int64(stats.Runs)),
-				trace.Int("blocks", int64(len(spans))))
-		}
-	}
-	keys := d.blockKeys(field, t)
-	blockKey := func(b int) string {
-		if keys != nil {
-			return keys[b]
-		}
-		return d.BlockKey(field, t, b)
-	}
-	// assemble gathers what one decoded block holds of the query into the
-	// output grid.
-	assemble := func(raw []byte, sp blockSpan) {
-		gatherTiles(f.Type, out.Data, &plan, plan.Tiles[sp.lo:sp.hi], raw)
-	}
-	if sc != nil {
-		inner := assemble
-		assemble = func(raw []byte, sp blockSpan) {
-			t0 := time.Now()
-			inner(raw, sp)
-			sc.assembleNS.Add(int64(time.Since(t0)))
-		}
-	}
-
-	// Phase 2: stream. Cached blocks are assembled immediately; misses
-	// are fetched from the backend with bounded parallelism and each
-	// block is assembled the moment its fetch completes, so assembly
-	// overlaps the remaining fetches instead of waiting behind a barrier.
-	miss := spans[:0]
-	for _, sp := range spans {
-		if d.cache != nil {
-			if blk, ok := d.cachePeek(blockKey(sp.block)); ok {
-				stats.BlocksCached++
-				assemble(blk.Bytes(), sp)
-				blk.Release()
-				continue
-			}
-		}
-		miss = append(miss, sp)
-	}
-	// Spans are already in ascending block order: deterministic fetch
-	// order, sequential on disk.
-	workers := d.fetchParallelism()
-	if workers > len(miss) {
-		workers = len(miss)
-	}
-	if workers <= 1 {
-		for _, sp := range miss {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, d.readErr(err)
-			}
-			blk, n, cached, err := d.fetchBlockKey(ctx, blockKey(sp.block), sp.block, codec, rawBlockLen, sc)
-			if err != nil {
-				return nil, nil, d.readErr(err)
-			}
-			if cached {
-				stats.BlocksCached++
-			} else {
-				stats.BlocksRead++
-				stats.BytesRead += n
-			}
-			assemble(blk.Bytes(), sp)
-			blk.Release()
-		}
-	} else if err := d.fetchSpans(ctx, miss, workers, blockKey, codec, rawBlockLen, stats, assemble, sc); err != nil {
-		return nil, nil, d.readErr(err)
-	}
-
-	if d.Meta.Geo != nil {
+	out := &raster.Grid{W: r.Dims[0], H: r.Dims[1], Data: r.Data}
+	if geo := d.Meta.Geo; geo != nil {
 		out.Geo = &raster.Georef{
-			OriginX: d.Meta.Geo.OriginX + float64(ax0)*d.Meta.Geo.PixelW,
-			OriginY: d.Meta.Geo.OriginY - float64(ay0)*d.Meta.Geo.PixelH,
-			PixelW:  d.Meta.Geo.PixelW * float64(sx),
-			PixelH:  d.Meta.Geo.PixelH * float64(sy),
+			OriginX: geo.OriginX + float64(r.Offset[0])*geo.PixelW,
+			OriginY: geo.OriginY - float64(r.Offset[1])*geo.PixelH,
+			PixelW:  geo.PixelW * float64(r.Stride[0]),
+			PixelH:  geo.PixelH * float64(r.Stride[1]),
 		}
-	}
-	if sc != nil {
-		d.observeReadStages(sc)
-		if sc.traced {
-			end := time.Now()
-			trace.RecordDuration(ctx, "idx.fetch", end, sc.fetch(),
-				trace.Str("dataset", d.name),
-				trace.Int("blocks", int64(stats.BlocksRead)),
-				trace.Int("bytes", stats.BytesRead))
-			trace.RecordDuration(ctx, "idx.decode", end, sc.decode(),
-				trace.Str("dataset", d.name))
-			trace.RecordDuration(ctx, "idx.assemble", end, sc.assemble(),
-				trace.Str("dataset", d.name))
-			span.SetAttr(
-				trace.Int("blocks_read", int64(stats.BlocksRead)),
-				trace.Int("blocks_cached", int64(stats.BlocksCached)),
-				trace.Int("runs", int64(stats.Runs)))
-		}
-	}
-	d.recordRead(stats)
-	if d.tel != nil {
-		d.tel.readSeconds.ObserveSince(start)
 	}
 	return out, stats, nil
-}
-
-// fetchSpans runs the parallel block-fetch pool for ReadBox. The feeder
-// stops handing out spans and the workers stop claiming them the moment
-// ctx is cancelled; the pool always drains fully before fetchSpans
-// returns, so a cancelled read leaks no goroutines.
-func (d *Dataset) fetchSpans(ctx context.Context, miss []blockSpan, workers int,
-	blockKey func(int) string, codec compress.Codec, rawBlockLen int,
-	stats *ReadStats, assemble func([]byte, blockSpan), sc *stageClock) error {
-	type fetched struct {
-		sp     blockSpan
-		blk    *cache.Block
-		n      int64
-		cached bool
-		err    error
-	}
-	work := make(chan blockSpan)
-	results := make(chan fetched)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for sp := range work {
-				blk, n, cached, err := d.fetchBlockKey(ctx, blockKey(sp.block), sp.block, codec, rawBlockLen, sc)
-				select {
-				case results <- fetched{sp: sp, blk: blk, n: n, cached: cached, err: err}:
-				case <-ctx.Done():
-					// The collector will never see this block; drop our
-					// reference so its buffer can be recycled.
-					if blk != nil {
-						blk.Release()
-					}
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		defer close(work)
-		for _, sp := range miss {
-			select {
-			case work <- sp:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	var firstErr error
-	for r := range results {
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			continue
-		}
-		if r.cached {
-			stats.BlocksCached++
-		} else {
-			stats.BlocksRead++
-			stats.BytesRead += r.n
-		}
-		assemble(r.blk.Bytes(), r.sp)
-		r.blk.Release()
-	}
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	return firstErr
 }
 
 // ReadFull reads the complete dataset extent at full resolution.
@@ -816,7 +380,7 @@ func (d *Dataset) StoredBytes(ctx context.Context, field string, t int) (int64, 
 	if _, err := d.checkFieldTime(field, t); err != nil {
 		return 0, err
 	}
-	prefix := fmt.Sprintf("fields/%s/t%04d/", field, t)
+	prefix := fmt.Sprintf(BlockPrefix+"%s/t%04d/", field, t)
 	names, err := d.be.List(ctx, prefix)
 	if err != nil {
 		return 0, err

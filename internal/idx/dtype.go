@@ -85,30 +85,12 @@ func (d DType) putSample(dst []byte, v float32) {
 	}
 }
 
-// getSample decodes a dtype-d sample at src into float32.
-func (d DType) getSample(src []byte) float32 {
-	switch d {
-	case Float32:
-		return math.Float32frombits(binary.LittleEndian.Uint32(src))
-	case Float64:
-		return float32(math.Float64frombits(binary.LittleEndian.Uint64(src)))
-	case Uint8:
-		return float32(src[0])
-	case Uint16:
-		return float32(binary.LittleEndian.Uint16(src))
-	case Int16:
-		return float32(int16(binary.LittleEndian.Uint16(src)))
-	case Uint32:
-		return float32(binary.LittleEndian.Uint32(src))
-	}
-	return 0
-}
-
 // gatherRow decodes one tile row of a block payload: the dtype-d sample
-// at index yoff|xoff[i] of src lands in dst[i*step]. It is the read
-// path's only per-sample loop, so the type switch sits outside it and
-// addressing is one table load per sample (see hz.TilePlan). Semantics
-// match getSample exactly.
+// at index yoff|xoff[i] of src — yoff being the row's share of the
+// offset on every axis but the first — lands in dst[i*step]. It is the
+// read path's only per-sample loop, so the type switch sits outside it
+// and addressing is one table load per sample (see hz.TilePlan). It is
+// the inverse of putSample wherever the value is representable.
 func (d DType) gatherRow(dst []float32, step int, src []byte, yoff uint32, xoff []uint32) {
 	o := 0
 	switch d {

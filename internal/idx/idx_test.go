@@ -38,6 +38,13 @@ func rampGrid(w, h int) *raster.Grid {
 	return g
 }
 
+// getSample decodes the dtype-dt sample at src: gatherRow on a row of one.
+func getSample(dt DType, src []byte) float32 {
+	var v [1]float32
+	dt.gatherRow(v[:], 1, src, 0, []uint32{0})
+	return v[0]
+}
+
 func TestDTypeRoundTrip(t *testing.T) {
 	buf := make([]byte, 8)
 	cases := []struct {
@@ -49,7 +56,7 @@ func TestDTypeRoundTrip(t *testing.T) {
 	}
 	for _, c := range cases {
 		c.d.putSample(buf, c.v)
-		if got := c.d.getSample(buf); got != c.v {
+		if got := getSample(c.d, buf); got != c.v {
 			t.Errorf("%v: %v -> %v", c.d, c.v, got)
 		}
 	}
@@ -58,15 +65,15 @@ func TestDTypeRoundTrip(t *testing.T) {
 func TestDTypeClamping(t *testing.T) {
 	buf := make([]byte, 8)
 	Uint8.putSample(buf, 300)
-	if got := Uint8.getSample(buf); got != 255 {
+	if got := getSample(Uint8, buf); got != 255 {
 		t.Errorf("uint8 clamp high: %v", got)
 	}
 	Uint8.putSample(buf, -5)
-	if got := Uint8.getSample(buf); got != 0 {
+	if got := getSample(Uint8, buf); got != 0 {
 		t.Errorf("uint8 clamp low: %v", got)
 	}
 	Int16.putSample(buf, float32(math.NaN()))
-	if got := Int16.getSample(buf); got != 0 {
+	if got := getSample(Int16, buf); got != 0 {
 		t.Errorf("int16 NaN: %v", got)
 	}
 }

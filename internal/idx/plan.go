@@ -2,9 +2,10 @@ package idx
 
 import "nsdfgo/internal/hz"
 
-// This file binds the block-first tile plan (hz.PlanTiles) to the dataset:
-// ReadBox, WriteGrid and WriteRegion all plan with planTiles and move
-// samples with gatherTiles / scatterTiles, one storage block at a time.
+// This file holds the data side of the block-first tile plan
+// (hz.PlanTiles): the per-block spans of a plan and the gather/scatter
+// kernels that move samples one storage block at a time, for every
+// reader and writer of the block path (blockpath.go).
 
 // blockSpan is one storage block's slice of a tile plan.
 type blockSpan struct {
@@ -14,22 +15,18 @@ type blockSpan struct {
 	lo, hi int
 }
 
-// planTiles plans the query block first and returns the plan with one
-// span per touched block, in ascending block order. Planning does no
-// per-sample work: its cost is the touched blocks plus NX + NY table
-// entries per level.
-func (d *Dataset) planTiles(q hz.RunQuery) (hz.TilePlan, []blockSpan) {
-	q.SplitShift = d.Meta.BitsPerBlock
-	plan := d.Meta.Bits.PlanTiles(q)
-	spans := make([]blockSpan, 0, len(plan.Tiles))
-	for i, tl := range plan.Tiles {
+// blockSpans returns one span per block the tiles touch, in ascending
+// block order (the order of the tiles).
+func blockSpans(tiles []hz.Tile) []blockSpan {
+	spans := make([]blockSpan, 0, len(tiles))
+	for i, tl := range tiles {
 		if n := len(spans); n > 0 && spans[n-1].block == tl.Block {
 			spans[n-1].hi = i + 1
 			continue
 		}
 		spans = append(spans, blockSpan{block: tl.Block, lo: i, hi: i + 1})
 	}
-	return plan, spans
+	return spans
 }
 
 // tileRows counts the rows of the tiles: the bulk row copies a gather
@@ -37,7 +34,7 @@ func (d *Dataset) planTiles(q hz.RunQuery) (hz.TilePlan, []blockSpan) {
 func tileRows(tiles []hz.Tile) int {
 	rows := 0
 	for _, tl := range tiles {
-		rows += tl.J1 - tl.J0
+		rows += (tl.J1 - tl.J0) * (tl.K1 - tl.K0)
 	}
 	return rows
 }
@@ -46,7 +43,7 @@ func tileRows(tiles []hz.Tile) int {
 func tileSamples(tiles []hz.Tile) int {
 	n := 0
 	for _, tl := range tiles {
-		n += (tl.I1 - tl.I0) * (tl.J1 - tl.J0)
+		n += (tl.I1 - tl.I0) * (tl.J1 - tl.J0) * (tl.K1 - tl.K0)
 	}
 	return n
 }
@@ -57,11 +54,15 @@ func tileSamples(tiles []hz.Tile) int {
 func gatherTiles(dt DType, dst []float32, plan *hz.TilePlan, tiles []hz.Tile, raw []byte) {
 	for _, tl := range tiles {
 		lv := &plan.Levels[tl.Level]
-		xoff := lv.XOff[tl.I0:tl.I1]
-		o := lv.Out0 + tl.I0*lv.OutStepX + tl.J0*lv.OutStepY
-		for _, yoff := range lv.YOff[tl.J0:tl.J1] {
-			dt.gatherRow(dst[o:], lv.OutStepX, raw, yoff, xoff)
-			o += lv.OutStepY
+		xoff := lv.Off[0][tl.I0:tl.I1]
+		plane := lv.Out0 + tl.I0*lv.OutStep[0] + tl.J0*lv.OutStep[1] + tl.K0*lv.OutStep[2]
+		for _, zoff := range lv.Off[2][tl.K0:tl.K1] {
+			o := plane
+			for _, yoff := range lv.Off[1][tl.J0:tl.J1] {
+				dt.gatherRow(dst[o:], lv.OutStep[0], raw, zoff|yoff, xoff)
+				o += lv.OutStep[1]
+			}
+			plane += lv.OutStep[2]
 		}
 	}
 }
@@ -71,11 +72,15 @@ func gatherTiles(dt DType, dst []float32, plan *hz.TilePlan, tiles []hz.Tile, ra
 func scatterTiles(dt DType, raw []byte, plan *hz.TilePlan, tiles []hz.Tile, src []float32) {
 	for _, tl := range tiles {
 		lv := &plan.Levels[tl.Level]
-		xoff := lv.XOff[tl.I0:tl.I1]
-		o := lv.Out0 + tl.I0*lv.OutStepX + tl.J0*lv.OutStepY
-		for _, yoff := range lv.YOff[tl.J0:tl.J1] {
-			dt.scatterRow(raw, yoff, xoff, src[o:], lv.OutStepX)
-			o += lv.OutStepY
+		xoff := lv.Off[0][tl.I0:tl.I1]
+		plane := lv.Out0 + tl.I0*lv.OutStep[0] + tl.J0*lv.OutStep[1] + tl.K0*lv.OutStep[2]
+		for _, zoff := range lv.Off[2][tl.K0:tl.K1] {
+			o := plane
+			for _, yoff := range lv.Off[1][tl.J0:tl.J1] {
+				dt.scatterRow(raw, zoff|yoff, xoff, src[o:], lv.OutStep[0])
+				o += lv.OutStep[1]
+			}
+			plane += lv.OutStep[2]
 		}
 	}
 }

@@ -3,9 +3,7 @@ package idx
 import (
 	"context"
 	"fmt"
-	"time"
 
-	"nsdfgo/internal/compress"
 	"nsdfgo/internal/hz"
 	"nsdfgo/internal/raster"
 	"nsdfgo/internal/telemetry/trace"
@@ -24,12 +22,8 @@ import (
 // transactional); tile writers should partition work accordingly or
 // serialise.
 func (d *Dataset) WriteRegion(ctx context.Context, field string, t int, x0, y0 int, g *raster.Grid) error {
-	f, err := d.checkFieldTime(field, t)
-	if err != nil {
+	if err := d.wantDims("WriteRegion", 2); err != nil {
 		return err
-	}
-	if len(d.Meta.Dims) != 2 {
-		return fmt.Errorf("idx: WriteRegion requires a 2D dataset")
 	}
 	w, h := d.Meta.Dims[0], d.Meta.Dims[1]
 	if x0 < 0 || y0 < 0 || x0+g.W > w || y0+g.H > h {
@@ -38,7 +32,7 @@ func (d *Dataset) WriteRegion(ctx context.Context, field string, t int, x0, y0 i
 	if g.W <= 0 || g.H <= 0 {
 		return fmt.Errorf("idx: empty region")
 	}
-	codec, err := compress.Lookup(f.Codec)
+	p, err := d.newBlockPath(field, t)
 	if err != nil {
 		return err
 	}
@@ -46,22 +40,13 @@ func (d *Dataset) WriteRegion(ctx context.Context, field string, t int, x0, y0 i
 		trace.Str("dataset", d.name),
 		trace.Str("field", field))
 	defer span.End()
-	sc := d.newStageClock(span != nil)
-	mask := d.Meta.Bits
-	rawBlockLen := d.Meta.BlockSamples() * f.Type.Size()
+	p.sc = d.newStageClock(span != nil)
 
 	// Plan: the region as per-block tiles, so each block update is a few
 	// indexed row scatters into the block's payload.
-	plan, spans := d.planTiles(hz.RunQuery{
-		X0: x0, Y0: y0, NX: g.W, NY: g.H, Level: mask.Bits(), OutW: g.W,
+	plan, spans := p.plan(ctx, hz.TileQuery{
+		P0: [hz.Axes]int{x0, y0}, N: [hz.Axes]int{g.W, g.H, 1}, Level: d.Meta.MaxLevel(),
 	})
-	keys := d.blockKeys(field, t)
-	blockKey := func(b int) string {
-		if keys != nil {
-			return keys[b]
-		}
-		return d.BlockKey(field, t, b)
-	}
 
 	// Read-modify-write each touched block, in ascending block order.
 	// Checking ctx once per span keeps a cancelled tile writer from
@@ -70,82 +55,47 @@ func (d *Dataset) WriteRegion(ctx context.Context, field string, t int, x0, y0 i
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		b := sp.block
-		key := blockKey(b)
-		var raw []byte
-		// The RMW read is served from the cache when possible: cached
-		// blocks are immutable shared memory, so the modify step works on
-		// a private copy instead of mutating what other readers hold.
-		if d.cache != nil {
-			if blk, ok := d.cachePeek(key); ok {
-				raw = make([]byte, blk.Len())
-				copy(raw, blk.Bytes())
-				blk.Release()
-			}
-		}
-		if raw == nil {
-			var getStart time.Time
-			if sc != nil {
-				getStart = time.Now()
-			}
-			enc, err := d.be.Get(ctx, key)
-			if sc != nil {
-				getEnd := time.Now()
-				sc.fetchNS.Add(int64(getEnd.Sub(getStart)))
-				if sc.traced {
-					trace.Record(ctx, "storage.get", getStart, getEnd,
-						trace.Str("dataset", d.name),
-						trace.Int("block", int64(b)))
-				}
-			}
-			switch {
-			case err == nil:
-				raw, err = codec.Decode(enc, rawBlockLen)
-				if err != nil {
-					return fmt.Errorf("idx: decode block %d: %w", b, err)
-				}
-			case IsNotExist(err):
-				// Initialise a fresh block: every slot (written-region samples,
-				// not-yet-written samples, and pow2 padding) starts at the
-				// field's fill value.
-				raw = make([]byte, rawBlockLen)
-				f.Type.fillBlock(raw, f.Fill)
-			default:
-				return fmt.Errorf("idx: read block %d: %w", b, err)
-			}
-		}
-		scatterTiles(f.Type, raw, &plan, plan.Tiles[sp.lo:sp.hi], g.Data)
-		encOut, err := codec.Encode(raw)
+		raw, err := p.loadBlock(ctx, sp.block)
 		if err != nil {
-			return fmt.Errorf("idx: encode block %d: %w", b, err)
+			return err
 		}
-		var putStart time.Time
-		if sc != nil {
-			putStart = time.Now()
+		scatterTiles(p.f.Type, raw, &plan, plan.Tiles[sp.lo:sp.hi], g.Data)
+		enc, err := p.codec.Encode(raw)
+		if err != nil {
+			return fmt.Errorf("idx: encode block %d: %w", sp.block, err)
 		}
-		if err := d.be.Put(ctx, key, encOut); err != nil {
-			return fmt.Errorf("idx: store block %d: %w", b, err)
-		}
-		if sc != nil {
-			putEnd := time.Now()
-			sc.storeNS.Add(int64(putEnd.Sub(putStart)))
-			if sc.traced {
-				trace.Record(ctx, "storage.put", putStart, putEnd,
-					trace.Str("dataset", d.name),
-					trace.Int("block", int64(b)),
-					trace.Int("bytes", int64(len(encOut))))
-			}
+		if err := p.storeBlock(ctx, sp.block, enc); err != nil {
+			return err
 		}
 		if d.cache != nil {
-			// Invalidate every tier first (a disk tier may hold the old
+			// storeBlock has purged every tier (a disk tier may hold the old
 			// payload, and a refresh rejected by admission must not leave
-			// it there), then refresh. Put adopts raw, which this
+			// it there); refresh the entry. Put adopts raw, which this
 			// iteration no longer writes to.
-			if r, ok := d.cache.(cacheRemover); ok {
-				r.Remove(key)
-			}
-			d.cache.Put(key, raw).Release()
+			d.cache.Put(p.key(sp.block), raw).Release()
 		}
 	}
 	return nil
+}
+
+// loadBlock returns a private, mutable copy of block b's payload for a
+// read-modify-write: from the cache when possible (cached blocks are
+// immutable shared memory other readers hold), else from the backend. A
+// block not stored yet starts with every slot — written-region samples,
+// not-yet-written samples and pow2 padding — at the field's fill value.
+func (p *blockPath) loadBlock(ctx context.Context, b int) ([]byte, error) {
+	if p.d.cache != nil {
+		if blk, ok := p.d.cachePeek(p.key(b)); ok {
+			raw := append([]byte(nil), blk.Bytes()...)
+			blk.Release()
+			return raw, nil
+		}
+	}
+	raw, _, err := p.fetchDecode(ctx, b)
+	if IsNotExist(err) {
+		raw = make([]byte, p.rawLen)
+		p.f.Type.fillBlock(raw, p.f.Fill)
+		return raw, nil
+	}
+	return raw, err
 }

@@ -166,6 +166,78 @@ func TestWriteRegionRefreshesCache(t *testing.T) {
 	}
 }
 
+// TestFullWriteInvalidatesCache is the full-rewrite counterpart, one row
+// per writer: after a second WriteGrid or WriteVolume through a dataset
+// with an attached cache, no read may be served the first write's
+// samples. Full writes purge and do not refresh, so the read after one
+// goes to the backend.
+func TestFullWriteInvalidatesCache(t *testing.T) {
+	ctx := context.Background()
+	rows := []struct {
+		dims  []int
+		write func(ds *Dataset, data []float32) error
+		read  func(ds *Dataset) ([]float32, *ReadStats, error)
+	}{
+		{[]int{32, 32},
+			func(ds *Dataset, data []float32) error {
+				return ds.WriteGrid(ctx, "elevation", 0, &raster.Grid{W: 32, H: 32, Data: data})
+			},
+			func(ds *Dataset) ([]float32, *ReadStats, error) {
+				g, stats, err := ds.ReadFull(ctx, "elevation", 0)
+				if err != nil {
+					return nil, nil, err
+				}
+				return g.Data, stats, nil
+			}},
+		{[]int{16, 8, 4},
+			func(ds *Dataset, data []float32) error { return ds.WriteVolume(ctx, "elevation", 0, data) },
+			func(ds *Dataset) ([]float32, *ReadStats, error) {
+				vol, stats, err := ds.ReadBox3D(ctx, "elevation", 0, ds.FullBox3(), ds.Meta.MaxLevel())
+				if err != nil {
+					return nil, nil, err
+				}
+				return vol.Data, stats, nil
+			}},
+	}
+	for _, row := range rows {
+		meta, err := NewMeta(row.dims, float32Fields())
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta.BitsPerBlock = 6
+		ds, err := Create(ctx, NewMemBackend(), meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds.SetCache(cache.NewMemTiered(1 << 20))
+		n := 1
+		for _, d := range row.dims {
+			n *= d
+		}
+		data := make([]float32, n)
+		for _, v := range []float32{1, 2} {
+			for i := range data {
+				data[i] = v
+			}
+			if err := row.write(ds, data); err != nil {
+				t.Fatal(err)
+			}
+			got, stats, err := row.read(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, s := range got {
+				if s != v {
+					t.Fatalf("dims %v: sample %d reads %v after writing %vs: stale cache served", row.dims, i, s, v)
+				}
+			}
+			if stats.BlocksCached != 0 {
+				t.Errorf("dims %v: %d blocks served from the cache right after a full write", row.dims, stats.BlocksCached)
+			}
+		}
+	}
+}
+
 func BenchmarkWriteRegionTile(b *testing.B) {
 	meta, _ := NewMeta([]int{512, 512}, []Field{{Name: "f", Type: Float32}})
 	meta.BitsPerBlock = 12

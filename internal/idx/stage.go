@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// stageClock accumulates per-stage busy time for one ReadBox or
-// WriteGrid call. The fetch/decode/assemble (read) and encode/store
+// stageClock accumulates per-stage busy time for one read or write
+// call of the block path. The fetch/decode/assemble (read) and encode/store
 // (write) stages interleave freely across the worker pools, so each
 // worker adds its elapsed nanoseconds into atomic accumulators and the
 // entry point books the totals once — into the

@@ -27,8 +27,7 @@
 //     the end of the body produces a Return edge, so "can this function
 //     exit while still owing a Release/Unlock/cancel" is a question
 //     about the exit block's predecessor edges.
-//   - defer statements stay in their block (ordinary nodes) and are
-//     additionally collected in Graph.Defers.
+//   - defer statements stay in their block as ordinary nodes.
 package cfg
 
 import (
@@ -104,9 +103,6 @@ type Graph struct {
 	Exit *Block
 	// Blocks lists every block, Entry first; Exit is included.
 	Blocks []*Block
-	// Defers collects the defer statements of the body in source order
-	// (they also appear as ordinary nodes in their blocks).
-	Defers []*ast.DeferStmt
 }
 
 // Build constructs the control-flow graph of one function body. Nested
@@ -435,7 +431,6 @@ func (b *builder) stmt(s ast.Stmt) {
 		b.stmt(s.Stmt)
 		b.pendingLabel = ""
 	case *ast.DeferStmt:
-		b.g.Defers = append(b.g.Defers, s)
 		b.add(s)
 	case *ast.ExprStmt:
 		b.add(s)

@@ -285,8 +285,8 @@ func TestReturnAndPanicEdges(t *testing.T) {
 	}
 }
 
-// TestDeferCollection proves defer statements are collected in source
-// order and stay in their blocks as ordinary nodes.
+// TestDeferCollection proves defer statements stay in their blocks as
+// ordinary nodes.
 func TestDeferCollection(t *testing.T) {
 	g := build(t, `
 	defer use(1)
@@ -294,12 +294,6 @@ func TestDeferCollection(t *testing.T) {
 		defer use(2)
 	}
 	use(3)`)
-	if len(g.Defers) != 2 {
-		t.Fatalf("want 2 defers collected, got %d", len(g.Defers))
-	}
-	if g.Defers[0].Pos() > g.Defers[1].Pos() {
-		t.Error("defers not in source order")
-	}
 	found := 0
 	for blk := range reachable(g) {
 		for _, n := range blk.Nodes {
