@@ -476,7 +476,7 @@ func BenchmarkZFPToleranceSweep(b *testing.B) {
 // BenchmarkCacheLRU exercises the cache under a zipf-ish key mix, the
 // hot-path cost behind every warm dashboard interaction.
 func BenchmarkCacheLRU(b *testing.B) {
-	c := cache.NewLRU(1 << 22)
+	c := cache.NewMemTiered(1 << 22)
 	for i := 0; i < 128; i++ {
 		// Put adopts the buffer, so each entry needs its own backing array.
 		c.Put(fmt.Sprintf("blk%d", i), make([]byte, 16<<10)).Release()

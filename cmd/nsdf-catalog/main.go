@@ -1,7 +1,7 @@
 // Command nsdf-catalog runs or queries the NSDF-Catalog indexing service.
 //
-// Serve mode starts the HTTP API, optionally loading and persisting a
-// JSON-lines catalog file:
+// Serve mode starts the HTTP API, optionally loading a JSON-lines
+// catalog file:
 //
 //	nsdf-catalog -serve -addr :7000 -file catalog.jsonl
 //
@@ -16,36 +16,35 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net/http"
 	"os"
-	"time"
 
 	"nsdfgo/internal/catalog"
-	"nsdfgo/internal/telemetry"
-	"nsdfgo/internal/telemetry/flight"
+	"nsdfgo/internal/serverkit"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(flag.CommandLine, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "nsdf-catalog:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	serve := flag.Bool("serve", false, "run the HTTP catalog service")
-	addr := flag.String("addr", ":7000", "listen address for -serve")
-	remote := flag.String("remote", "", "query a running catalog service at this URL instead of a file")
-	file := flag.String("file", "", "JSON-lines catalog file to load")
-	search := flag.String("search", "", "search terms (query mode)")
-	source := flag.String("source", "", "restrict to one source repository")
-	typ := flag.String("type", "", "restrict to one data type")
-	limit := flag.Int("limit", 20, "maximum results")
-	stats := flag.Bool("stats", false, "print catalog statistics and exit")
-	logFormat := flag.String("log-format", telemetry.LogFormatText, "log encoding for -serve: text or json")
-	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address while serving (empty disables)")
-	flag.Parse()
+func run(fs *flag.FlagSet, args []string) error {
+	opts := serverkit.Options{Service: "catalog", NodeName: "catalog"}
+	opts.ProcessFlags(fs)
+	serve := fs.Bool("serve", false, "run the HTTP catalog service")
+	addr := fs.String("addr", ":7000", "listen address for -serve")
+	remote := fs.String("remote", "", "query a running catalog service at this URL instead of a file")
+	file := fs.String("file", "", "JSON-lines catalog file to load")
+	search := fs.String("search", "", "search terms (query mode)")
+	source := fs.String("source", "", "restrict to one source repository")
+	typ := fs.String("type", "", "restrict to one data type")
+	limit := fs.Int("limit", 20, "maximum results")
+	stats := fs.Bool("stats", false, "print catalog statistics and exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	query := catalog.Query{Terms: *search, Source: *source, Type: *typ, Limit: *limit}
 
 	if *remote != "" {
 		client := catalog.NewClient(*remote)
@@ -58,17 +57,11 @@ func run() error {
 			fmt.Printf("records: %d\ntokens: %d\ntotal bytes: %d\n", s.Records, s.Tokens, s.TotalBytes)
 			return nil
 		}
-		results, err := client.Search(ctx, catalog.Query{Terms: *search, Source: *source, Type: *typ, Limit: *limit})
+		results, err := client.Search(ctx, query)
 		if err != nil {
 			return err
 		}
-		if len(results) == 0 {
-			fmt.Println("no matches")
-			return nil
-		}
-		for _, r := range results {
-			fmt.Printf("%-14s %-36s %-12s %-8s %10d B  %s\n", r.ID, r.Name, r.Source, r.Type, r.Size, r.Location)
-		}
+		printResults(results)
 		return nil
 	}
 
@@ -93,38 +86,18 @@ func run() error {
 
 	switch {
 	case *serve:
-		logger, err := telemetry.NewLogger(os.Stderr, *logFormat)
+		k, err := serverkit.Start(opts)
 		if err != nil {
 			return err
 		}
-		telemetry.SetLogger(logger)
-		reg := telemetry.NewRegistry()
-		telemetry.RegisterRuntimeMetrics(reg)
-		telemetry.RegisterBuildInfo(reg)
 		srv := catalog.NewServer(cat)
-		srv.EnableTelemetry(reg)
-		// The anomaly flight recorder is mounted ahead of the catalog
-		// routes so every server in the fleet answers
-		// /debug/flightrecorder, even ones with few anomaly sources.
-		fl := flight.New(0)
-		fl.SetNode("catalog")
-		mux := http.NewServeMux()
-		mux.Handle("/debug/flightrecorder", fl.Handler())
+		srv.EnableTelemetry(k.Registry)
+		// The operator endpoints mount ahead of the catalog routes, so
+		// every server in the fleet answers /debug/flightrecorder, even
+		// one with few anomaly sources.
+		mux := k.DebugMux()
 		mux.Handle("/", srv)
-		if *pprofAddr != "" {
-			go telemetry.ServePprof(logger, *pprofAddr)
-		}
-		logger.Info("catalog service listening",
-			slog.String("addr", *addr),
-			slog.Int("records", cat.Len()),
-			slog.String("metrics", "/metrics"))
-		hs := &http.Server{
-			Addr:              *addr,
-			Handler:           mux,
-			ReadHeaderTimeout: 5 * time.Second,
-			IdleTimeout:       2 * time.Minute,
-		}
-		return hs.ListenAndServe()
+		return k.Serve(context.Background(), *addr, mux)
 	case *stats:
 		s := cat.Stats()
 		fmt.Printf("records: %d\ntokens: %d\ntotal bytes: %d\n", s.Records, s.Tokens, s.TotalBytes)
@@ -136,16 +109,18 @@ func run() error {
 		}
 		return nil
 	case *search != "" || *source != "" || *typ != "":
-		results := cat.Search(catalog.Query{Terms: *search, Source: *source, Type: *typ, Limit: *limit})
-		if len(results) == 0 {
-			fmt.Println("no matches")
-			return nil
-		}
-		for _, r := range results {
-			fmt.Printf("%-14s %-36s %-12s %-8s %10d B  %s\n", r.ID, r.Name, r.Source, r.Type, r.Size, r.Location)
-		}
+		printResults(cat.Search(query))
 		return nil
 	default:
 		return fmt.Errorf("nothing to do: pass -serve, -stats, or -search")
+	}
+}
+
+func printResults(results []catalog.Record) {
+	if len(results) == 0 {
+		fmt.Println("no matches")
+	}
+	for _, r := range results {
+		fmt.Printf("%-14s %-36s %-12s %-8s %10d B  %s\n", r.ID, r.Name, r.Source, r.Type, r.Size, r.Location)
 	}
 }

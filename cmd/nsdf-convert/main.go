@@ -21,6 +21,7 @@ import (
 	"nsdfgo/internal/convert"
 	"nsdfgo/internal/idx"
 	"nsdfgo/internal/raster"
+	"nsdfgo/internal/storage"
 )
 
 func main() {
@@ -62,11 +63,11 @@ func run() error {
 	}
 
 	ctx := context.Background()
-	be, err := idx.NewDirBackend(*out)
+	dir, err := storage.NewFileStore(*out)
 	if err != nil {
 		return err
 	}
-	ds, err := convert.ToIDXWith(ctx, be, inputs, convert.IDXOptions{
+	ds, err := convert.ToIDXWith(ctx, storage.NewIDXBackend(dir, ""), inputs, convert.IDXOptions{
 		BitsPerBlock:     *bitsPerBlock,
 		Codec:            *codec,
 		WriteParallelism: *writeParallelism,

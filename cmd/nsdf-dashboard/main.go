@@ -20,28 +20,21 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
-	"nsdfgo/internal/admission"
-	"nsdfgo/internal/cache"
 	"nsdfgo/internal/dashboard"
 	"nsdfgo/internal/dem"
 	"nsdfgo/internal/geotiled"
 	"nsdfgo/internal/idx"
-	"nsdfgo/internal/query"
-	"nsdfgo/internal/shard"
+	"nsdfgo/internal/serverkit"
 	"nsdfgo/internal/storage"
 	"nsdfgo/internal/telemetry"
-	"nsdfgo/internal/telemetry/flight"
-	"nsdfgo/internal/telemetry/trace"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(flag.CommandLine, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "nsdf-dashboard:", err)
 		os.Exit(1)
 	}
@@ -57,211 +50,95 @@ func (d *dataFlags) Set(v string) error {
 	return nil
 }
 
-func run() error {
-	addr := flag.String("addr", ":8080", "listen address")
-	cacheMB := flag.Int("cache-mb", 64, "in-memory block cache size per dataset in MiB")
-	cacheDir := flag.String("cache-dir", "", "directory for an on-disk block cache tier below memory (empty disables; contents are wiped at startup)")
-	cacheDiskBytes := flag.Int64("cache-disk-bytes", 256<<20, "on-disk block cache budget per dataset in bytes (with -cache-dir)")
-	demo := flag.Bool("demo", false, "synthesise and register a demo Tennessee dataset")
-	summaryEvery := flag.Duration("summary-interval", 30*time.Second, "interval between one-line telemetry summaries (0 disables)")
-	requestTimeout := flag.Duration("request-timeout", 0, "per-request deadline bounding all block I/O (0 disables)")
-	slowRequest := flag.Duration("slow-request", time.Second, "log a structured span summary for requests at least this slow (0 disables)")
-	logFormat := flag.String("log-format", telemetry.LogFormatText, "log encoding: text or json")
-	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables)")
-	traceBuffer := flag.Int("trace-buffer", trace.DefaultCapacity, "completed traces retained for /debug/traces")
-	nodeName := flag.String("node-name", "dashboard", "this process's node name, stamped on every span it records")
-	federateTimeout := flag.Duration("federate-timeout", dashboard.DefaultFederateTimeout, "per-peer fetch deadline for /debug/traces?federate=1 assembly (with -peers)")
-	flightBuffer := flag.Int("flight-buffer", flight.DefaultCapacity, "anomaly events retained for /debug/flightrecorder")
-	peers := flag.String("peers", "", "comma-separated name=url store nodes forming the sharded block tier; -data specs then name key prefixes inside it")
-	peerToken := flag.String("peer-token", "", "bearer token for the sharded tier's stores (with -peers)")
-	replicaCount := flag.Int("replicas", 2, "replicas per block key across the sharded tier (with -peers)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "fire a hedged block read at the next replica after this delay; pick a p99-ish value (0 disables hedging)")
-	maxInflight := flag.Int("max-inflight", 0, "admission control: max concurrently served requests (0 disables the concurrency limiter)")
-	maxQueue := flag.Int("max-queue", 64, "admission control: requests allowed to wait for a slot before shedding (with -max-inflight)")
-	queueTimeout := flag.Duration("queue-timeout", 2*time.Second, "admission control: longest a queued request waits for a slot before 429 (with -max-inflight; 0 waits for the request deadline)")
-	tenantRPS := flag.Float64("tenant-rps", 0, "admission control: per-tenant steady request rate in req/s, tenant from "+admission.TenantHeader+" or client address (0 disables rate limiting)")
-	tenantBurst := flag.Float64("tenant-burst", 0, "admission control: per-tenant token-bucket burst (defaults to -tenant-rps)")
-	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint attached to shed (429) responses")
+func run(fs *flag.FlagSet, args []string) error {
+	opts := serverkit.Options{Service: "dashboard", NodeName: "dashboard", CacheMB: 64}
+	opts.ProcessFlags(fs)
+	opts.ServingFlags(fs)
+	addr := fs.String("addr", ":8080", "listen address")
+	demo := fs.Bool("demo", false, "synthesise and register a demo Tennessee dataset")
+	summaryEvery := fs.Duration("summary-interval", 30*time.Second, "interval between one-line telemetry summaries (0 disables)")
+	federateTimeout := fs.Duration("federate-timeout", dashboard.DefaultFederateTimeout, "per-peer fetch deadline for /debug/traces?federate=1 assembly (with -peers)")
+	fs.StringVar(&opts.PeerToken, "peer-token", "", "bearer token for the sharded tier's stores (with -peers)")
 	var data dataFlags
-	flag.Var(&data, "data", "dataset as name=path/to/idx/dir, or name=key/prefix with -peers (repeatable)")
-	flag.Parse()
-
-	logger, err := telemetry.NewLogger(os.Stderr, *logFormat)
+	fs.Var(&data, "data", "dataset as name=path/to/idx/dir, or name=key/prefix with -peers (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if len(data) == 0 && !*demo {
+		return fmt.Errorf("nothing to serve: pass -data name=path or -demo")
+	}
+	k, err := serverkit.Start(opts)
 	if err != nil {
 		return err
 	}
-	telemetry.SetLogger(logger)
-
 	ctx := context.Background()
-	reg := telemetry.NewRegistry()
-	telemetry.RegisterRuntimeMetrics(reg)
-	telemetry.RegisterBuildInfo(reg)
-	traces := trace.NewCollector(*traceBuffer)
-	traces.SetNode(*nodeName)
-	fl := flight.New(*flightBuffer)
-	fl.SetNode(*nodeName)
 	server := dashboard.NewServer()
-	server.EnableTelemetry(reg)
-	server.EnableTracing(traces)
-	server.EnableFlightRecorder(fl)
-	server.SetLogger(logger)
-	// Admission control fronts every data endpoint: per-tenant rate
-	// limiting plus a bounded-concurrency limiter whose overflow is shed
-	// as 429 + Retry-After. Its pressure feeds the idx fetch pools below
-	// so per-request block-fetch fan-out contracts under load.
-	var admit *admission.Controller
-	if *maxInflight > 0 || *tenantRPS > 0 {
-		admit = admission.NewController(admission.Options{
-			MaxConcurrent: *maxInflight,
-			MaxQueue:      *maxQueue,
-			QueueTimeout:  *queueTimeout,
-			TenantRate:    *tenantRPS,
-			TenantBurst:   *tenantBurst,
-			RetryAfter:    *retryAfter,
-		})
-		admit.Instrument(reg, "dashboard")
-		admit.SetFlight(fl)
-		logger.Info("admission control enabled",
-			slog.Int("max_inflight", *maxInflight),
-			slog.Int("max_queue", *maxQueue),
-			slog.Duration("queue_timeout", *queueTimeout),
-			slog.Float64("tenant_rps", *tenantRPS))
-	}
-	// register hooks each engine's fetch pool to the admission limiter's
-	// pressure before exposing it: an engine serving admitted requests
-	// fans out fewer concurrent block fetches as the limiter fills.
-	register := func(name string, e *query.Engine) {
-		if admit != nil {
-			e.SetFetchPressure(admit.Pressure)
+	server.EnableTelemetry(k.Registry)
+	server.EnableTracing(k.Traces)
+	server.EnableFlightRecorder(k.Flight)
+	server.SetLogger(k.Logger)
+	// register exposes ds under name behind its own block cache.
+	register := func(name string, ds *idx.Dataset) error {
+		e, err := k.NewEngine(name, ds)
+		if err != nil {
+			return err
 		}
 		server.Register(name, e)
-	}
-	// newDatasetCache builds one tiered block cache per dataset. Each
-	// dataset gets its own subdirectory of -cache-dir because the disk
-	// tier wipes its directory at startup.
-	newDatasetCache := func(name string) (*cache.Tiered, error) {
-		opts := cache.Options{MemBytes: int64(*cacheMB) << 20}
-		if *cacheDir != "" {
-			opts.DiskDir = filepath.Join(*cacheDir, name)
-			opts.DiskBytes = *cacheDiskBytes
-		}
-		return cache.NewTiered(opts)
-	}
-	// With -peers, datasets live in the sharded block tier rather than on
-	// local disk: the router (replication, hedged reads, failover) drops
-	// under storage.Instrumented and the IDX backend adapter unchanged,
-	// and each -data spec names the dataset's key prefix inside the tier.
-	// Peers are dialled at nsdf-store's /internal/ leaf plane (local
-	// store only): replicating through a peer's router-backed public
-	// plane would route the write again.
-	var shardStore storage.Store
-	if *peers != "" {
-		nodes, err := shard.ParsePeers(*peers, func(target string) storage.Store {
-			return storage.NewClient(target+"/internal", *peerToken)
-		})
-		if err != nil {
-			return err
-		}
-		router, err := shard.NewRouter(nodes, shard.Options{Replicas: *replicaCount, HedgeAfter: *hedgeAfter})
-		if err != nil {
-			return err
-		}
-		router.Instrument(reg)
-		router.SetFlight(fl)
-		shardStore = storage.NewInstrumented(router, reg, "shard")
-		// Federated trace assembly pulls remote spans from the peers'
-		// debug endpoints, which live at the peer base URL (the /internal
-		// suffix is an object-plane detail).
-		targets, err := shard.PeerTargets(*peers)
-		if err != nil {
-			return err
-		}
-		server.EnableFederation(targets, *federateTimeout)
-		logger.Info("sharded block tier enabled",
-			slog.Int("nodes", router.Ring().Len()),
-			slog.Int("replicas", router.Replicas()),
-			slog.Duration("hedge_after", *hedgeAfter))
-	}
-	registered := 0
-	for _, spec := range data {
-		name, path, ok := strings.Cut(spec, "=")
-		if !ok {
-			return fmt.Errorf("bad -data %q (want name=path)", spec)
-		}
-		var be idx.Backend
-		if shardStore != nil {
-			be = storage.NewIDXBackend(shardStore, path)
-		} else {
-			dirBE, err := idx.NewDirBackend(path)
-			if err != nil {
-				return err
-			}
-			be = dirBE
-		}
-		ds, err := idx.Open(ctx, be)
-		if err != nil {
-			return fmt.Errorf("open %s: %w", path, err)
-		}
-		bc, err := newDatasetCache(name)
-		if err != nil {
-			return fmt.Errorf("cache for %s: %w", name, err)
-		}
-		register(name, query.NewWithCache(ds, bc))
-		logger.Info("registered dataset",
+		k.Logger.Info("registered dataset",
 			slog.String("dataset", name),
 			slog.Int("width", ds.Meta.Dims[0]),
 			slog.Int("height", ds.Meta.Dims[1]),
 			slog.Int("fields", len(ds.Meta.Fields)),
 			slog.Int("timesteps", ds.Meta.Timesteps))
-		registered++
+		return nil
+	}
+	// With -peers the datasets live in the sharded block tier and each
+	// -data spec names a key prefix inside it; without, each names a
+	// directory, served by a FileStore rooted there. Either way the IDX
+	// backend adapter sits on an instrumented storage.Store.
+	var tier storage.Store
+	if k.Peers != "" {
+		router, targets, err := k.Tier(nil)
+		if err != nil {
+			return err
+		}
+		tier = storage.NewInstrumented(router, k.Registry, "shard")
+		server.EnableFederation(targets, *federateTimeout)
+	}
+	for _, spec := range data {
+		name, path, ok := strings.Cut(spec, "=")
+		if !ok {
+			return fmt.Errorf("bad -data %q (want name=path)", spec)
+		}
+		store, prefix := tier, path
+		if tier == nil {
+			dir, err := storage.NewFileStore(path)
+			if err != nil {
+				return err
+			}
+			store, prefix = storage.NewInstrumented(dir, k.Registry, "file"), ""
+		}
+		ds, err := idx.Open(ctx, storage.NewIDXBackend(store, prefix))
+		if err != nil {
+			return fmt.Errorf("open %s: %w", path, err)
+		}
+		if err := register(name, ds); err != nil {
+			return err
+		}
 	}
 	if *demo {
 		ds, err := buildDemoDataset(ctx)
 		if err != nil {
 			return fmt.Errorf("demo dataset: %w", err)
 		}
-		bc, err := newDatasetCache("tennessee_demo")
-		if err != nil {
-			return fmt.Errorf("cache for tennessee_demo: %w", err)
+		if err := register("tennessee_demo", ds); err != nil {
+			return err
 		}
-		register("tennessee_demo", query.NewWithCache(ds, bc))
-		logger.Info("registered dataset",
-			slog.String("dataset", "tennessee_demo"),
-			slog.Int("width", 512), slog.Int("height", 256),
-			slog.Int("fields", len(geotiled.TutorialParams)))
-		registered++
-	}
-	if registered == 0 {
-		return fmt.Errorf("nothing to serve: pass -data name=path or -demo")
 	}
 	if *summaryEvery > 0 {
-		go summaryLoop(logger, reg, *summaryEvery)
+		go summaryLoop(k.Logger, k.Registry, *summaryEvery)
 	}
-	if *pprofAddr != "" {
-		go telemetry.ServePprof(logger, *pprofAddr)
-	}
-	logger.Info("dashboard listening",
-		slog.String("addr", *addr),
-		slog.String("metrics", "/metrics"),
-		slog.String("traces", "/debug/traces"))
-	// ReadHeaderTimeout/IdleTimeout keep slow or silent clients from
-	// holding connections open indefinitely; WithRequestTimeout bounds
-	// each request's block I/O when -request-timeout is set; the
-	// admission middleware sits just inside tracing so shed requests are
-	// traced (and counted by the HTTP metrics) but never reach the
-	// router, the caches, or the fetch pools; WithTracing is outermost so
-	// the root span covers the whole request.
-	var inner http.Handler = telemetry.WithRequestTimeout(server, *requestTimeout)
-	inner = admit.Middleware(inner)
-	handler := telemetry.WithTracing(inner, traces,
-		telemetry.TracingOptions{Service: "dashboard", SlowRequest: *slowRequest, Logger: logger, Flight: fl})
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	return telemetry.ServeUntilSignal(context.Background(), srv, logger, fl)
+	return k.Serve(ctx, *addr, k.Handler(server))
 }
 
 // summaryLoop emits a periodic structured operational summary so sweep

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -21,70 +22,60 @@ import (
 	"time"
 
 	"nsdfgo/internal/netmon"
+	"nsdfgo/internal/serverkit"
 	"nsdfgo/internal/telemetry"
-	"nsdfgo/internal/telemetry/flight"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(flag.CommandLine, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "nsdf-netmon:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	probes := flag.Int("probes", 20, "probes per site pair per sweep")
-	seed := flag.Int64("seed", 20240624, "probe noise seed")
-	maxRTT := flag.Duration("max-rtt", 60*time.Millisecond, "constraint: maximum acceptable mean RTT")
-	minGbps := flag.Float64("min-gbps", 15, "constraint: minimum acceptable mean throughput (Gbps)")
-	monitor := flag.Int("monitor", 0, "run N monitoring sweeps and report degradation alerts")
-	degrade := flag.String("degrade", "", "inject degradation before the final sweep: from:to:rttFactor:bwFactor")
-	metricsAddr := flag.String("metrics-addr", "", "serve a /metrics telemetry endpoint on this address while monitoring")
-	logFormat := flag.String("log-format", telemetry.LogFormatText, "log encoding for operational messages: text or json")
-	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address while monitoring (empty disables)")
-	flag.Parse()
-
-	logger, err := telemetry.NewLogger(os.Stderr, *logFormat)
+func run(fs *flag.FlagSet, args []string) error {
+	opts := serverkit.Options{Service: "netmon", NodeName: "netmon"}
+	opts.ProcessFlags(fs)
+	probes := fs.Int("probes", 20, "probes per site pair per sweep")
+	seed := fs.Int64("seed", 20240624, "probe noise seed")
+	maxRTT := fs.Duration("max-rtt", 60*time.Millisecond, "constraint: maximum acceptable mean RTT")
+	minGbps := fs.Float64("min-gbps", 15, "constraint: minimum acceptable mean throughput (Gbps)")
+	monitor := fs.Int("monitor", 0, "run N monitoring sweeps and report degradation alerts")
+	degrade := fs.String("degrade", "", "inject degradation before the final sweep: from:to:rttFactor:bwFactor")
+	metricsAddr := fs.String("metrics-addr", "", "serve a /metrics telemetry endpoint on this address while monitoring")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	k, err := serverkit.Start(opts)
 	if err != nil {
 		return err
 	}
-	telemetry.SetLogger(logger)
-
 	net, err := netmon.NewNetwork(netmon.Testbed(), *seed)
 	if err != nil {
 		return err
 	}
 
 	if *monitor > 0 {
-		reg := telemetry.NewRegistry()
-		telemetry.RegisterRuntimeMetrics(reg)
-		telemetry.RegisterBuildInfo(reg)
-		fl := flight.New(0)
-		fl.SetNode("netmon")
+		ctx, stop := context.WithCancel(context.Background())
+		defer stop()
 		if *metricsAddr != "" {
-			mux := http.NewServeMux()
-			mux.Handle("/metrics", reg.Handler())
-			mux.Handle("/debug/flightrecorder", fl.Handler())
+			mux := k.DebugMux()
 			mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 				telemetry.WriteHealth(w, "netmon")
 			})
-			srv := &http.Server{
-				Addr:              *metricsAddr,
-				Handler:           mux,
-				ReadHeaderTimeout: 5 * time.Second,
-				IdleTimeout:       2 * time.Minute,
-			}
+			// The telemetry listener is a side server: it does not block
+			// the monitor loop and its failure is a logged error, not an
+			// exit. Told to stop (SIGINT/SIGTERM: connections drained,
+			// flight recorder dumped), it stops the loop with it.
 			go func() {
-				if err := srv.ListenAndServe(); err != nil {
-					logger.Error("metrics server failed", slog.String("error", err.Error()))
+				if err := k.Serve(ctx, *metricsAddr, mux); err != nil {
+					k.Logger.Error("metrics server failed", slog.String("error", err.Error()))
+					return
 				}
+				stop()
 			}()
-			logger.Info("telemetry listening", slog.String("addr", *metricsAddr), slog.String("metrics", "/metrics"))
 		}
-		if *pprofAddr != "" {
-			go telemetry.ServePprof(logger, *pprofAddr)
-		}
-		return runMonitor(net, reg, fl, logger, *monitor, *probes, *degrade)
+		return runMonitor(ctx, net, k, *monitor, *probes, *degrade)
 	}
 
 	rep, err := net.Measure(*probes)
@@ -102,17 +93,21 @@ func run() error {
 	return nil
 }
 
-func runMonitor(net *netmon.Network, reg *telemetry.Registry, fl *flight.Recorder, logger *slog.Logger, sweeps, probes int, degrade string) error {
+func runMonitor(ctx context.Context, net *netmon.Network, k *serverkit.Kit, sweeps, probes int, degrade string) error {
 	mon, err := netmon.NewMonitor(net, sweeps+1)
 	if err != nil {
 		return err
 	}
-	mon.SetTelemetry(reg)
+	mon.SetTelemetry(k.Registry)
+	mon.SetFlight(k.Flight)
 	for i := 0; i < sweeps; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		if _, err := mon.Tick(probes); err != nil {
 			return err
 		}
-		fmt.Printf("sweep %d/%d complete  %s\n", i+1, sweeps, monitorSummary(reg))
+		fmt.Printf("sweep %d/%d complete  %s\n", i+1, sweeps, monitorSummary(k.Registry))
 	}
 	if degrade != "" {
 		parts := strings.Split(degrade, ":")
@@ -143,10 +138,9 @@ func runMonitor(net *netmon.Network, reg *telemetry.Registry, fl *flight.Recorde
 	fmt.Printf("%d degradation alert(s):\n", len(alerts))
 	for _, a := range alerts {
 		fmt.Printf("  %-16s %s\n", a.Pair, a.Reason)
-		fl.Record(flight.KindAlert, "", "link %s degraded: %s", a.Pair, a.Reason)
 	}
-	fl.Dump(logger)
-	fmt.Println(monitorSummary(reg))
+	k.Flight.Dump(k.Logger)
+	fmt.Println(monitorSummary(k.Registry))
 	return nil
 }
 

@@ -14,10 +14,11 @@
 //     Retry-After hint, keeping admitted-request latency bounded no
 //     matter the offered load.
 //
-// The controller also exposes its instantaneous Pressure, which the
-// idx fetch pool inherits (idx.Dataset.SetFetchPressure): under load,
-// each admitted read fans out fewer concurrent block fetches, so
-// backend concurrency contracts instead of queueing unboundedly.
+// The controller also exposes its instantaneous Pressure, which an idx
+// fetch pool can be handed (idx.Dataset.SetFetchPressure). It shrinks
+// only a fan-out the embedding program raised with SetFetchParallelism
+// — a read fetches one block at a time by default, and then there is
+// nothing to contract.
 package admission
 
 import (

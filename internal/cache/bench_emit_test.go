@@ -25,7 +25,7 @@ import (
 // pre-change copying LRU with no coalescing, using byte-identical
 // workload shapes, so the JSON is a self-contained before/after record.
 
-// Pre-change baselines (copying LRU, no flight coalescing), recorded
+// Pre-change baselines (copying LRU, no fill coalescing), recorded
 // with the exact harness shapes below: 1024x1024 float32 dataset,
 // 2^14-sample blocks (64 blocks), MemBackend with 2ms Get latency,
 // GOMAXPROCS=4, fetch parallelism 8.

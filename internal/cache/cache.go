@@ -12,8 +12,6 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
-
-	"nsdfgo/internal/telemetry"
 )
 
 // Stats reports cache effectiveness counters.
@@ -51,25 +49,21 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits+s.DiskHits) / float64(total)
 }
 
-// LRU is a least-recently-used block cache with a maximum total payload
-// size. It is safe for concurrent use and satisfies idx.BlockCache.
-// Payloads are held as ref-counted Blocks: Get returns the resident
-// Block (shared, read-only) and Put adopts the caller's buffer instead
-// of copying it.
-type LRU struct {
+// lru is Tiered's memory tier: a least-recently-used block store with a
+// maximum total payload size, safe for concurrent use. Payloads are held
+// as ref-counted Blocks: lookup returns the resident Block (shared,
+// read-only) and PutBlock takes a reference instead of copying.
+type lru struct {
 	mu       sync.Mutex
 	maxBytes int64
 	ll       *list.List // front = most recent
 	items    map[string]*list.Element
-	pool     *bufPool
 	sketch   *freqSketch // nil = no admission filter
 	// onEvict observes size-bound evictions (disk spill). It is called
 	// outside the cache lock while the cache still holds its reference;
 	// a hook that needs the block past the call must Acquire it.
 	onEvict func(key string, blk *Block)
 
-	hits    atomic.Int64
-	misses  atomic.Int64
 	evicts  atomic.Int64
 	rejects atomic.Int64
 	entries atomic.Int64
@@ -81,26 +75,17 @@ type entry struct {
 	blk *Block
 }
 
-// NewLRU constructs a cache bounded to maxBytes of payload, with no
-// admission filter. A bound <= 0 disables caching (all Gets miss without
-// touching the counters, Puts are dropped), which keeps "no cache"
-// configurations uniform in sweeps.
-func NewLRU(maxBytes int64) *LRU {
-	return newLRU(maxBytes, newBufPool(poolBuffersPerSize), false)
-}
-
 // poolBuffersPerSize bounds how many released buffers of each size the
 // recycle pool retains.
 const poolBuffersPerSize = 64
 
-// newLRU is the internal constructor: Tiered shares one buffer pool
-// across tiers and opts into TinyLFU admission.
-func newLRU(maxBytes int64, pool *bufPool, admit bool) *LRU {
-	c := &LRU{
+// newLRU bounds the tier to maxBytes of payload (<= 0 stores nothing);
+// admit opts into TinyLFU admission.
+func newLRU(maxBytes int64, admit bool) *lru {
+	c := &lru{
 		maxBytes: maxBytes,
 		ll:       list.New(),
 		items:    make(map[string]*list.Element),
-		pool:     pool,
 	}
 	if admit && maxBytes > 0 {
 		// Size the sketch for the plausible entry count assuming 64 KiB
@@ -110,26 +95,11 @@ func newLRU(maxBytes int64, pool *bufPool, admit bool) *LRU {
 	return c
 }
 
-// Get returns the cached Block for key and marks it recently used. The
-// Block is shared read-only memory carrying one reference for the
-// caller, who must Release it when done. A disabled cache returns
-// (nil, false) without counting a miss.
-func (c *LRU) Get(key string) (*Block, bool) {
-	if c.maxBytes <= 0 {
-		return nil, false
-	}
-	blk, ok := c.lookup(key)
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return blk, ok
-}
-
-// lookup is Get without the hit/miss accounting; Tiered layers its own
-// counters on top.
-func (c *LRU) lookup(key string) (*Block, bool) {
+// lookup returns the resident Block for key and marks it recently used.
+// The Block is shared read-only memory carrying one reference for the
+// caller, who must Release it when done. Hits and misses are counted by
+// Tiered, not here.
+func (c *lru) lookup(key string) (*Block, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.sketch != nil {
@@ -145,22 +115,10 @@ func (c *LRU) lookup(key string) (*Block, bool) {
 	return blk, true
 }
 
-// Put adopts data as an immutable Block, stores it under key, and
-// returns the Block with one reference owned by the caller. Adoption is
-// the zero-copy contract: the caller must not write to data after Put.
-// The returned Block is valid even when insertion is skipped (disabled
-// cache, oversized payload, admission reject), so callers can always
-// read through it.
-func (c *LRU) Put(key string, data []byte) *Block {
-	blk := newPooledBlock(data, c.pool)
-	c.PutBlock(key, blk)
-	return blk
-}
-
 // PutBlock inserts an existing Block under key, acquiring its own
 // reference on success. It reports false when the cache is disabled,
 // the payload is oversized, or the admission filter refuses the key.
-func (c *LRU) PutBlock(key string, blk *Block) bool {
+func (c *lru) PutBlock(key string, blk *Block) bool {
 	size := int64(blk.Len())
 	if c.maxBytes <= 0 || size > c.maxBytes {
 		return false
@@ -205,7 +163,7 @@ func (c *LRU) PutBlock(key string, blk *Block) bool {
 // Admission is only consulted when the insertion would actually evict.
 // Caller holds mu; evicted entries are appended for post-unlock
 // handling.
-func (c *LRU) makeRoom(key string, size int64, evicted *[]*entry) bool {
+func (c *lru) makeRoom(key string, size int64, evicted *[]*entry) bool {
 	need := c.bytes.Load() + size - c.maxBytes
 	if need <= 0 {
 		return true
@@ -231,7 +189,7 @@ func (c *LRU) makeRoom(key string, size int64, evicted *[]*entry) bool {
 
 // trim evicts until the size bound holds (replacement grew an entry).
 // Caller holds mu.
-func (c *LRU) trim(evicted *[]*entry) {
+func (c *lru) trim(evicted *[]*entry) {
 	for c.bytes.Load() > c.maxBytes {
 		if !c.evictOldest(evicted) {
 			break
@@ -240,7 +198,7 @@ func (c *LRU) trim(evicted *[]*entry) {
 }
 
 // evictOldest removes the least recently used entry. Caller holds mu.
-func (c *LRU) evictOldest(evicted *[]*entry) bool {
+func (c *lru) evictOldest(evicted *[]*entry) bool {
 	el := c.ll.Back()
 	if el == nil {
 		return false
@@ -258,7 +216,7 @@ func (c *LRU) evictOldest(evicted *[]*entry) bool {
 // finishEvictions runs the eviction hook and drops the cache's
 // references, outside the lock so the hook (disk spill) cannot stall
 // readers.
-func (c *LRU) finishEvictions(evicted []*entry) {
+func (c *lru) finishEvictions(evicted []*entry) {
 	for _, e := range evicted {
 		if c.onEvict != nil {
 			c.onEvict(e.key, e.blk)
@@ -269,7 +227,7 @@ func (c *LRU) finishEvictions(evicted []*entry) {
 
 // Remove drops key from the cache if present (invalidation). The
 // eviction hook is not called: invalidated data must not be spilled.
-func (c *LRU) Remove(key string) {
+func (c *lru) Remove(key string) {
 	var blk *Block
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
@@ -288,7 +246,7 @@ func (c *LRU) Remove(key string) {
 
 // Clear empties the cache, keeping counters. Blocks still held by
 // readers stay valid until those readers release them.
-func (c *LRU) Clear() {
+func (c *lru) Clear() {
 	c.mu.Lock()
 	dropped := make([]*Block, 0, c.ll.Len())
 	for el := c.ll.Front(); el != nil; el = el.Next() {
@@ -301,41 +259,5 @@ func (c *LRU) Clear() {
 	c.mu.Unlock()
 	for _, blk := range dropped {
 		blk.Release()
-	}
-}
-
-// Instrument registers the cache's counters with a telemetry registry,
-// labelled with a cache name. Every series reads a lock-free atomic
-// snapshot, so a scrape costs no mutex acquisitions and cannot contend
-// with the read path:
-//
-//	nsdf_cache_hits_total{cache}       Get hits
-//	nsdf_cache_misses_total{cache}     Get misses
-//	nsdf_cache_evictions_total{cache}  size-bound evictions
-//	nsdf_cache_entries{cache}          current entry count
-//	nsdf_cache_bytes{cache}            current payload footprint
-func (c *LRU) Instrument(reg *telemetry.Registry, name string) {
-	reg.CounterFunc("nsdf_cache_hits_total",
-		func() float64 { return float64(c.hits.Load()) }, "cache", name)
-	reg.CounterFunc("nsdf_cache_misses_total",
-		func() float64 { return float64(c.misses.Load()) }, "cache", name)
-	reg.CounterFunc("nsdf_cache_evictions_total",
-		func() float64 { return float64(c.evicts.Load()) }, "cache", name)
-	reg.GaugeFunc("nsdf_cache_entries",
-		func() float64 { return float64(c.entries.Load()) }, "cache", name)
-	reg.GaugeFunc("nsdf_cache_bytes",
-		func() float64 { return float64(c.bytes.Load()) }, "cache", name)
-}
-
-// Stats returns a snapshot of the cache counters. It reads atomics
-// only, so it is safe to call from telemetry exposition at any rate.
-func (c *LRU) Stats() Stats {
-	return Stats{
-		Hits:             c.hits.Load(),
-		Misses:           c.misses.Load(),
-		Evictions:        c.evicts.Load(),
-		AdmissionRejects: c.rejects.Load(),
-		Entries:          int(c.entries.Load()),
-		Bytes:            c.bytes.Load(),
 	}
 }

@@ -7,8 +7,14 @@ import (
 	"testing/quick"
 )
 
+// newPlain builds the cache these tests pin the memory tier through: a
+// Tiered with admission off, so replacement is plain LRU.
+func newPlain(maxBytes int64) *Tiered {
+	return newTiered(maxBytes, false)
+}
+
 // getString is a test helper: Get, copy the payload out, Release.
-func getString(t testing.TB, c *LRU, key string) (string, bool) {
+func getString(t testing.TB, c *Tiered, key string) (string, bool) {
 	t.Helper()
 	blk, ok := c.Get(key)
 	if !ok {
@@ -20,12 +26,12 @@ func getString(t testing.TB, c *LRU, key string) (string, bool) {
 }
 
 // put is a test helper: Put and immediately drop the caller reference.
-func put(c *LRU, key string, data []byte) {
+func put(c *Tiered, key string, data []byte) {
 	c.Put(key, data).Release()
 }
 
 func TestGetPut(t *testing.T) {
-	c := NewLRU(1024)
+	c := newPlain(1024)
 	if _, ok := c.Get("a"); ok {
 		t.Error("empty cache hit")
 	}
@@ -37,7 +43,7 @@ func TestGetPut(t *testing.T) {
 }
 
 func TestEvictionBySize(t *testing.T) {
-	c := NewLRU(10)
+	c := newPlain(10)
 	put(c, "a", []byte("12345"))
 	put(c, "b", []byte("12345"))
 	put(c, "c", []byte("1")) // evicts a (oldest)
@@ -64,7 +70,7 @@ func TestEvictionBySize(t *testing.T) {
 }
 
 func TestLRUOrderRefreshedByGet(t *testing.T) {
-	c := NewLRU(10)
+	c := newPlain(10)
 	put(c, "a", []byte("12345"))
 	put(c, "b", []byte("12345"))
 	if blk, ok := c.Get("a"); ok { // a becomes most recent
@@ -80,7 +86,7 @@ func TestLRUOrderRefreshedByGet(t *testing.T) {
 }
 
 func TestUpdateExistingKey(t *testing.T) {
-	c := NewLRU(100)
+	c := newPlain(100)
 	put(c, "k", []byte("aaaa"))
 	put(c, "k", []byte("bb"))
 	got, ok := getString(t, c, "k")
@@ -93,7 +99,7 @@ func TestUpdateExistingKey(t *testing.T) {
 }
 
 func TestOversizePayloadIgnored(t *testing.T) {
-	c := NewLRU(4)
+	c := newPlain(4)
 	blk := c.Put("big", []byte("123456789"))
 	// The caller can still read through the returned block even though
 	// the cache declined the entry.
@@ -107,11 +113,11 @@ func TestOversizePayloadIgnored(t *testing.T) {
 }
 
 // TestDisabledCacheCountsNothing is the regression test for the
-// disabled-cache telemetry bug: a NewLRU(0) cache used to count a miss
-// on every Get, so nsdf_cache_misses_total reported traffic for a cache
-// that is off.
+// disabled-cache telemetry bug: a zero-capacity cache used to count a
+// miss on every Get, so nsdf_cache_misses_total reported traffic for a
+// cache that is off.
 func TestDisabledCacheCountsNothing(t *testing.T) {
-	c := NewLRU(0)
+	c := newPlain(0)
 	put(c, "a", []byte("x"))
 	if _, ok := c.Get("a"); ok {
 		t.Error("zero-capacity cache stored data")
@@ -129,7 +135,7 @@ func TestDisabledCacheCountsNothing(t *testing.T) {
 }
 
 func TestRemoveAndClear(t *testing.T) {
-	c := NewLRU(100)
+	c := newPlain(100)
 	put(c, "a", []byte("1"))
 	put(c, "b", []byte("2"))
 	c.Remove("a")
@@ -147,7 +153,7 @@ func TestRemoveAndClear(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	c := NewLRU(100)
+	c := newPlain(100)
 	put(c, "a", []byte("1"))
 	getString(t, c, "a")
 	getString(t, c, "a")
@@ -168,7 +174,7 @@ func TestBytesInvariantProperty(t *testing.T) {
 	// After any sequence of puts, tracked bytes equals the sum of live
 	// entries and never exceeds the bound.
 	f := func(ops []uint16) bool {
-		c := NewLRU(64)
+		c := newPlain(64)
 		for _, op := range ops {
 			key := fmt.Sprintf("k%d", op%16)
 			size := int(op % 20)
@@ -179,12 +185,12 @@ func TestBytesInvariantProperty(t *testing.T) {
 			return false
 		}
 		var total int64
-		c.mu.Lock()
-		for _, el := range c.items {
+		c.mem.mu.Lock()
+		for _, el := range c.mem.items {
 			total += int64(el.Value.(*entry).blk.Len())
 		}
-		c.mu.Unlock()
-		return total == s.Bytes && len(c.items) == s.Entries
+		c.mem.mu.Unlock()
+		return total == s.Bytes && len(c.mem.items) == s.Entries
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -192,7 +198,7 @@ func TestBytesInvariantProperty(t *testing.T) {
 }
 
 func BenchmarkGetHit(b *testing.B) {
-	c := NewLRU(1 << 20)
+	c := newPlain(1 << 20)
 	put(c, "key", make([]byte, 4096))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -202,7 +208,7 @@ func BenchmarkGetHit(b *testing.B) {
 }
 
 func BenchmarkPutEvict(b *testing.B) {
-	c := NewLRU(1 << 16)
+	c := newPlain(1 << 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		put(c, fmt.Sprintf("k%d", i), make([]byte, 1024))
@@ -212,7 +218,7 @@ func BenchmarkPutEvict(b *testing.B) {
 // TestPutAdoptsBuffer guards the zero-copy contract: Put adopts the
 // caller's buffer (no copy), and Get returns the same backing storage.
 func TestPutAdoptsBuffer(t *testing.T) {
-	c := NewLRU(1 << 20)
+	c := newPlain(1 << 20)
 	buf := []byte{1, 2, 3, 4}
 	blk := c.Put("k", buf)
 	if &blk.Bytes()[0] != &buf[0] {
@@ -233,7 +239,7 @@ func TestPutAdoptsBuffer(t *testing.T) {
 // reader holding a Block keeps its buffer alive across eviction, and
 // the buffer is recycled only after the last reference drops.
 func TestEvictedBlockSurvivesWhileHeld(t *testing.T) {
-	c := NewLRU(8)
+	c := newPlain(8)
 	payload := []byte{10, 20, 30, 40}
 	c.Put("a", payload).Release()
 	held, ok := c.Get("a")
@@ -314,7 +320,7 @@ func TestFreqSketch(t *testing.T) {
 // under -race, with payload verification to catch any buffer recycled
 // while still referenced.
 func TestLRUStressRace(t *testing.T) {
-	c := NewLRU(4 << 10) // small: constant eviction + pool churn
+	c := newPlain(4 << 10) // small: constant eviction + pool churn
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -5,17 +5,17 @@ import (
 	"sync"
 )
 
-// flightGroup deduplicates concurrent fills of the same key
+// fillGroup deduplicates concurrent fills of the same key
 // (singleflight): the first caller becomes the leader and runs the fill;
-// callers that arrive while it is in flight wait for the leader's result
+// callers that arrive while it is running wait for the leader's result
 // instead of issuing their own backend fetch. Hand-rolled on the stdlib
 // because the module vendors no dependencies.
-type flightGroup struct {
+type fillGroup struct {
 	mu    sync.Mutex
-	calls map[string]*flightCall
+	calls map[string]*fillCall
 }
 
-type flightCall struct {
+type fillCall struct {
 	done     chan struct{}
 	blk      *Block // carries one reference per registered waiter
 	err      error
@@ -23,8 +23,8 @@ type flightCall struct {
 	nwait    int // waiters registered before completion
 }
 
-func newFlightGroup() *flightGroup {
-	return &flightGroup{calls: make(map[string]*flightCall)}
+func newFillGroup() *fillGroup {
+	return &fillGroup{calls: make(map[string]*fillCall)}
 }
 
 // do runs fn once per key across concurrent callers. The leader's Block
@@ -33,7 +33,7 @@ func newFlightGroup() *flightGroup {
 // the caller exactly one reference to release. shared reports whether
 // this caller piggybacked on another's fill. A waiter whose ctx expires
 // before the fill completes returns the ctx error without waiting.
-func (g *flightGroup) do(ctx context.Context, key string, fn func() (*Block, error)) (blk *Block, shared bool, err error) {
+func (g *fillGroup) do(ctx context.Context, key string, fn func() (*Block, error)) (blk *Block, shared bool, err error) {
 	g.mu.Lock()
 	if c, ok := g.calls[key]; ok {
 		c.nwait++
@@ -44,7 +44,7 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (*Block, err
 			// ours. No lock needed: blk/err are immutable after done.
 			return c.blk, true, c.err
 		case <-ctx.Done():
-			// Abandon the flight; return the reference the leader set
+			// Abandon the fill; return the reference the leader set
 			// aside for us (it counted nwait under the lock, so either it
 			// has not completed yet and will see our decrement, or it has
 			// and our reference is already acquired).
@@ -61,7 +61,7 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (*Block, err
 			return nil, false, ctx.Err()
 		}
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c := &fillCall{done: make(chan struct{})}
 	g.calls[key] = c
 	g.mu.Unlock()
 

@@ -62,10 +62,10 @@ func (o Outcome) String() string {
 // counting and fills run uncoalesced, keeping "no cache" sweep
 // configurations uniform.
 type Tiered struct {
-	mem     *LRU
-	disk    *diskTier
-	flights *flightGroup
-	pool    *bufPool
+	mem   *lru
+	disk  *diskTier
+	fills *fillGroup
+	pool  *bufPool
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -76,26 +76,22 @@ type Tiered struct {
 // NewMemTiered builds a memory-only tiered cache (coalescing and
 // admission, no disk tier); unlike NewTiered it cannot fail. memBytes
 // <= 0 disables caching.
-func NewMemTiered(memBytes int64) *Tiered {
-	pool := newBufPool(poolBuffersPerSize)
+func NewMemTiered(memBytes int64) *Tiered { return newTiered(memBytes, true) }
+
+func newTiered(memBytes int64, admit bool) *Tiered {
 	return &Tiered{
-		mem:     newLRU(memBytes, pool, true),
-		flights: newFlightGroup(),
-		pool:    pool,
+		mem:   newLRU(memBytes, admit),
+		fills: newFillGroup(),
+		pool:  newBufPool(poolBuffersPerSize),
 	}
 }
 
 // NewTiered builds a tiered cache from opts. It fails only when the
 // disk tier directory cannot be prepared.
 func NewTiered(opts Options) (*Tiered, error) {
-	pool := newBufPool(poolBuffersPerSize)
-	t := &Tiered{
-		mem:     newLRU(opts.MemBytes, pool, !opts.NoAdmission),
-		flights: newFlightGroup(),
-		pool:    pool,
-	}
+	t := newTiered(opts.MemBytes, !opts.NoAdmission)
 	if opts.DiskDir != "" && opts.DiskBytes > 0 {
-		disk, err := newDiskTier(opts.DiskDir, opts.DiskBytes, pool)
+		disk, err := newDiskTier(opts.DiskDir, opts.DiskBytes, t.pool)
 		if err != nil {
 			return nil, err
 		}
@@ -171,7 +167,7 @@ func (t *Tiered) Put(key string, data []byte) *Block {
 // all concurrent callers of the same key: the first caller fetches,
 // everyone else waits for that result (request coalescing). On success
 // the Block carries one reference owned by the caller. fill receives
-// the leader's ctx; a waiter whose own ctx expires mid-flight returns
+// the leader's ctx; a waiter whose own ctx expires mid-fill returns
 // its ctx error without cancelling the shared fetch.
 func (t *Tiered) GetOrFill(ctx context.Context, key string, fill func(ctx context.Context) ([]byte, error)) (*Block, Outcome, error) {
 	if !t.enabled() {
@@ -186,9 +182,9 @@ func (t *Tiered) GetOrFill(ctx context.Context, key string, fill func(ctx contex
 	if blk, outcome, ok := t.lookupTiers(key); ok {
 		return blk, outcome, nil
 	}
-	blk, shared, err := t.flights.do(ctx, key, func() (*Block, error) {
-		// Double-check under the flight: a previous flight or a writer
-		// may have populated the key after our miss.
+	blk, shared, err := t.fills.do(ctx, key, func() (*Block, error) {
+		// Double-check as the leader: a previous fill or a writer may
+		// have populated the key after our miss.
 		if blk, _, ok := t.lookupTiers(key); ok {
 			return blk, nil
 		}
@@ -231,11 +227,16 @@ func (t *Tiered) Clear() {
 // tiered-level, the rest come from the tiers themselves. Reads atomics
 // only.
 func (t *Tiered) Stats() Stats {
-	s := t.mem.Stats()
-	s.Hits = t.hits.Load()
-	s.Misses = t.misses.Load()
-	s.DiskHits = t.diskHits.Load()
-	s.Coalesced = t.coalesced.Load()
+	s := Stats{
+		Hits:             t.hits.Load(),
+		Misses:           t.misses.Load(),
+		DiskHits:         t.diskHits.Load(),
+		Coalesced:        t.coalesced.Load(),
+		Evictions:        t.mem.evicts.Load(),
+		AdmissionRejects: t.mem.rejects.Load(),
+		Entries:          int(t.mem.entries.Load()),
+		Bytes:            t.mem.bytes.Load(),
+	}
 	if t.disk != nil {
 		s.DiskEntries = int(t.disk.entries.Load())
 		s.DiskBytes = t.disk.bytes.Load()

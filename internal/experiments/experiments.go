@@ -537,8 +537,8 @@ func RunClaimCache(w io.Writer) (ClaimCacheResult, error) {
 	if err := ds.WriteGrid(ctx, "elevation", 0, dem.Scale(dem.FBM(256, 256, Seed, dem.DefaultFBM()), 0, 1000)); err != nil {
 		return ClaimCacheResult{}, err
 	}
-	lru := cache.NewLRU(64 << 20)
-	ds.SetCache(lru)
+	blocks := cache.NewMemTiered(64 << 20)
+	ds.SetCache(blocks)
 	var res ClaimCacheResult
 	written := remote.Stats()
 	start := time.Now()
@@ -555,7 +555,7 @@ func RunClaimCache(w io.Writer) (ClaimCacheResult, error) {
 	res.Warm = time.Since(start)
 	warm := remote.Stats()
 	res.WarmOps, res.WarmWait = warm.Ops-cold.Ops, warm.TotalWait-cold.TotalWait
-	res.HitRate = lru.Stats().HitRate()
+	res.HitRate = blocks.Stats().HitRate()
 	fmt.Fprintf(w, "  cold %8.1fms (%d remote ops, %.1fms network)   warm %8.3fms (%d remote ops)   speedup %.0fx   hit rate %.2f\n",
 		float64(res.Cold)/1e6, res.ColdOps, float64(res.ColdWait)/1e6, float64(res.Warm)/1e6, res.WarmOps,
 		float64(res.Cold)/float64(max64(1, int64(res.Warm))), res.HitRate)

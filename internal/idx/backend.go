@@ -4,17 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 )
 
-// Backend is the object-store abstraction an IDX dataset persists to. The
-// storage package's services (sealstore, dataverse, HTTP object store)
-// are adapted to this interface by the query layer; this package ships a
-// memory backend and a directory backend so datasets work standalone.
+// Backend is the object-store abstraction an IDX dataset persists to.
+// storage.NewIDXBackend adapts every storage.Store (a directory, the
+// HTTP object store, the sharded tier) to it; this package ships only a
+// memory backend, so the engine and its tests work standalone.
 //
 // Every method takes the caller's context: a dataset served over a
 // wide-area object store must abort promptly when the request that
@@ -142,112 +140,4 @@ func (m *MemBackend) NumObjects() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return len(m.objects)
-}
-
-// DirBackend stores objects as files beneath a root directory. Object
-// names use '/' separators and map to subdirectories.
-type DirBackend struct {
-	root string
-}
-
-// NewDirBackend creates (if needed) and wraps the given directory.
-func NewDirBackend(root string) (*DirBackend, error) {
-	if err := os.MkdirAll(root, 0o755); err != nil {
-		return nil, fmt.Errorf("idx: create backend root: %w", err)
-	}
-	return &DirBackend{root: root}, nil
-}
-
-func (d *DirBackend) path(name string) (string, error) {
-	clean := filepath.Clean(filepath.FromSlash(name))
-	if strings.HasPrefix(clean, "..") || filepath.IsAbs(clean) {
-		return "", fmt.Errorf("idx: object name %q escapes backend root", name)
-	}
-	return filepath.Join(d.root, clean), nil
-}
-
-// Get implements Backend.
-func (d *DirBackend) Get(ctx context.Context, name string) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	p, err := d.path(name)
-	if err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(p)
-	if os.IsNotExist(err) {
-		return nil, &NotExistError{Name: name}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("idx: read %q: %w", name, err)
-	}
-	return data, nil
-}
-
-// Put implements Backend.
-func (d *DirBackend) Put(ctx context.Context, name string, data []byte) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	p, err := d.path(name)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return fmt.Errorf("idx: mkdir for %q: %w", name, err)
-	}
-	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("idx: write %q: %w", name, err)
-	}
-	if err := os.Rename(tmp, p); err != nil {
-		return fmt.Errorf("idx: rename %q: %w", name, err)
-	}
-	return nil
-}
-
-// Delete implements Deleter.
-func (d *DirBackend) Delete(ctx context.Context, name string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	p, err := d.path(name)
-	if err != nil {
-		return err
-	}
-	if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("idx: delete %q: %w", name, err)
-	}
-	return nil
-}
-
-// List implements Backend.
-func (d *DirBackend) List(ctx context.Context, prefix string) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var out []string
-	err := filepath.WalkDir(d.root, func(p string, de os.DirEntry, err error) error {
-		if err != nil || de.IsDir() {
-			return err
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(d.root, p)
-		if err != nil {
-			return err
-		}
-		name := filepath.ToSlash(rel)
-		if strings.HasPrefix(name, prefix) && !strings.HasSuffix(name, ".tmp") {
-			out = append(out, name)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("idx: list %q: %w", prefix, err)
-	}
-	sort.Strings(out)
-	return out, nil
 }

@@ -201,7 +201,7 @@ func newKernelBenchDataset(tb testing.TB) (*Dataset, *raster.Grid) {
 	if err := ds.WriteGrid(context.Background(), "v", 0, g); err != nil {
 		tb.Fatal(err)
 	}
-	ds.SetCache(cache.NewLRU(64 << 20))
+	ds.SetCache(cache.NewMemTiered(64 << 20))
 	if _, _, err := ds.ReadFull(context.Background(), "v", 0); err != nil {
 		tb.Fatal(err)
 	}
@@ -538,7 +538,7 @@ func TestBenchReadpathEmit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	concDS.SetCache(cache.NewLRU(128 << 20))
+	concDS.SetCache(cache.NewMemTiered(128 << 20))
 	if _, _, err := concDS.ReadFull(context.Background(), "v", 0); err != nil { // warm the cache
 		t.Fatal(err)
 	}

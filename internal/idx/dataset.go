@@ -48,7 +48,7 @@ type Dataset struct {
 
 // BlockCache is an optional block-level cache consulted before the
 // Backend on reads ("the caching-enabled framework"). The cache package
-// provides the implementations (cache.LRU, cache.Tiered). Blocks are
+// provides the implementation (cache.Tiered). Blocks are
 // ref-counted shared memory: Get hands out the resident payload without
 // copying, and Put adopts the decode buffer instead of copying it.
 type BlockCache interface {
@@ -239,9 +239,6 @@ func (d *Dataset) readErr(err error) error {
 	}
 	return err
 }
-
-// Backend returns the dataset's backend.
-func (d *Dataset) Backend() Backend { return d.be }
 
 // BlockPrefix is the object-name prefix under which every field's blocks
 // are stored; Create clears it when re-creating over an old dataset.

@@ -590,58 +590,6 @@ func TestBlockCacheUsed(t *testing.T) {
 	}
 }
 
-func TestDirBackend(t *testing.T) {
-	dir := t.TempDir()
-	be, err := NewDirBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := be.Put(context.Background(), "a/b/c.bin", []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	data, err := be.Get(context.Background(), "a/b/c.bin")
-	if err != nil || string(data) != "hello" {
-		t.Fatalf("Get: %q, %v", data, err)
-	}
-	if _, err := be.Get(context.Background(), "missing"); !IsNotExist(err) {
-		t.Errorf("missing object error = %v", err)
-	}
-	names, err := be.List(context.Background(), "a/")
-	if err != nil || len(names) != 1 || names[0] != "a/b/c.bin" {
-		t.Errorf("List = %v, %v", names, err)
-	}
-	if _, err := be.Get(context.Background(), "../escape"); err == nil {
-		t.Error("path escape accepted")
-	}
-}
-
-func TestDirBackendDataset(t *testing.T) {
-	be, err := NewDirBackend(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, _ := NewMeta([]int{40, 24}, float32Fields())
-	ds, err := Create(context.Background(), be, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := rampGrid(40, 24)
-	if err := ds.WriteGrid(context.Background(), "elevation", 0, g); err != nil {
-		t.Fatal(err)
-	}
-	ds2, err := Open(context.Background(), be)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _, err := ds2.ReadFull(context.Background(), "elevation", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !raster.Equal(g, out) {
-		t.Error("disk round trip mismatch")
-	}
-}
-
 func TestMemBackendIsolation(t *testing.T) {
 	be := NewMemBackend()
 	data := []byte{1, 2, 3}

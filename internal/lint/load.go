@@ -84,9 +84,6 @@ func NewLoader(moduleRoot string) (*Loader, error) {
 // Fset returns the loader's shared file set.
 func (l *Loader) Fset() *token.FileSet { return l.fset }
 
-// ModulePath returns the module path from go.mod.
-func (l *Loader) ModulePath() string { return l.modulePath }
-
 // Load resolves the given patterns to package directories, loads and
 // type-checks each, and returns them sorted by import path. Supported
 // patterns: "./..." (whole module), "./dir/..." (subtree), "./dir" or

@@ -14,9 +14,9 @@ const cachePackage = "nsdfgo/internal/cache"
 // (cache Get/Peek/GetOrFill/Put, NewBlock, or any wrapper that returns
 // one) or pinned with x.Acquire() carries one reference the function
 // must discharge — by calling Release, deferring it, or transferring
-// ownership (returning the block, passing it to a call such as
-// PutBlock, storing it into a structure, sending it, or capturing it
-// in a function literal). It reports leaks (a missed Release exhausts
+// ownership (returning the block, passing it to a call that adopts
+// it, storing it into a structure, sending it, or capturing it in a
+// function literal). It reports leaks (a missed Release exhausts
 // the buffer pool), double releases (a use-after-free against the
 // pool) and any use of a released block, whose Bytes are by then
 // recycled shared memory.

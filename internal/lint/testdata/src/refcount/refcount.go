@@ -108,14 +108,14 @@ func nilGuardClean(c *cache.Tiered, key string) {
 	}
 }
 
-// transferClean hands the reference to the store, which adopts it:
+// transferClean hands the reference to a callee, which adopts it:
 // nothing to report (ownership transferred at the call).
-func transferClean(l *cache.LRU, c *cache.Tiered, key string) {
+func transferClean(adopt func(string, *cache.Block), c *cache.Tiered, key string) {
 	blk, ok := c.Get(key)
 	if !ok {
 		return
 	}
-	l.PutBlock(key, blk)
+	adopt(key, blk)
 }
 
 // returnClean transfers the reference to the caller: nothing to report.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"nsdfgo/internal/telemetry"
+	"nsdfgo/internal/telemetry/flight"
 )
 
 // Degrade applies multipliers to one directed link, simulating congestion
@@ -58,6 +59,7 @@ type Monitor struct {
 	probes *telemetry.Counter
 	alerts *telemetry.Counter
 	rtt    *telemetry.Histogram
+	fl     *flight.Recorder
 }
 
 // NewMonitor wraps a network with a sliding window of `window` sweeps
@@ -81,6 +83,10 @@ func (m *Monitor) SetTelemetry(reg *telemetry.Registry) {
 	m.alerts = reg.Counter("nsdf_netmon_alerts_total")
 	m.rtt = reg.Histogram("nsdf_netmon_rtt_seconds")
 }
+
+// SetFlight attaches a flight recorder: every alert Alerts raises is
+// also booked as a KindAlert event.
+func (m *Monitor) SetFlight(fl *flight.Recorder) { m.fl = fl }
 
 // Tick performs one measurement sweep and appends it to the window.
 func (m *Monitor) Tick(probes int) (*Report, error) {
@@ -168,6 +174,9 @@ func (m *Monitor) Alerts(rttFactor, bwFactor float64) ([]Alert, error) {
 	}
 	if m.alerts != nil {
 		m.alerts.Add(int64(len(out)))
+	}
+	for _, a := range out {
+		m.fl.Record(flight.KindAlert, "", "link %s degraded: %s", a.Pair, a.Reason)
 	}
 	return out, nil
 }

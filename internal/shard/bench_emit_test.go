@@ -270,7 +270,7 @@ func TestBenchShardEmit(t *testing.T) {
 	scaling4x := points[len(points)-1].SpeedupVs1
 
 	// --- Hedged vs unhedged p99 under a heavy-tail Conditioned profile.
-	// The profile is ProfileHeavyTail scaled ~4x down: 1ms RTT, 2% chance
+	// The profile is a regional link with a heavy tail: 1ms RTT, 2% chance
 	// of a 10ms spike. The scale is deliberately no finer — this host's
 	// timers have a ~1ms granularity floor, so sub-millisecond RTTs would
 	// blur the hedge threshold. The hedge fires at 3ms: above every
@@ -364,7 +364,7 @@ func TestBenchShardEmit(t *testing.T) {
 	doc.Scaling.Readers = readers
 	doc.Scaling.NodeLink = "100 MiB/s serialized link, 100us RTT per node"
 	doc.Scaling.Points = points
-	doc.Hedging.Profile = "RTT 1ms, jitter 200us, 2% x 10ms tail spikes, 1 GiB/s (ProfileHeavyTail scaled 4x down)"
+	doc.Hedging.Profile = "RTT 1ms, jitter 200us, 2% x 10ms tail spikes, 1 GiB/s"
 	doc.Hedging.HedgeAfterUs = float64(hedgeAfter.Microseconds())
 	doc.Hedging.Gets = gets
 	doc.Hedging.UnhedgedP50Ms = float64(up50.Nanoseconds()) / 1e6

@@ -40,12 +40,6 @@ var (
 	ProfileRegional = NetworkProfile{RTT: 2 * time.Millisecond, BandwidthBps: 1 << 28, Jitter: 500 * time.Microsecond}
 	// ProfileCrossCountry approximates a coast-to-coast object store.
 	ProfileCrossCountry = NetworkProfile{RTT: 7 * time.Millisecond, BandwidthBps: 1 << 26, Jitter: 2 * time.Millisecond}
-	// ProfileHeavyTail is ProfileRegional with a 2% chance of a 20x
-	// latency spike per operation: the profile hedged reads are designed
-	// to defeat. The 40ms spike dominates every other delay term, so p99
-	// sits an order of magnitude above p50 — the shape (if not the scale)
-	// of real wide-area tail latency.
-	ProfileHeavyTail = NetworkProfile{RTT: 2 * time.Millisecond, BandwidthBps: 1 << 28, Jitter: 500 * time.Microsecond, TailProb: 0.02, TailSpike: 40 * time.Millisecond}
 )
 
 // Conditioned wraps a Store, delaying every operation according to a

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"nsdfgo/internal/idx"
@@ -19,10 +21,7 @@ func TestIDXBackendRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := raster.New(32, 32)
-	for i := range g.Data {
-		g.Data[i] = float32(i)
-	}
+	g := rampGrid(32, 32)
 	if err := ds.WriteGrid(context.Background(), "elevation", 0, g); err != nil {
 		t.Fatal(err)
 	}
@@ -61,5 +60,137 @@ func TestIDXBackendListStripsPrefix(t *testing.T) {
 	infos, _ := store.List(context.Background(), "root/")
 	if len(infos) != 1 {
 		t.Fatalf("store keys: %+v", infos)
+	}
+}
+
+// fileBackend is how cmd/nsdf-convert and a local `nsdf-dashboard -data
+// name=path` reach a dataset directory: a FileStore rooted at the path,
+// adapted with an empty prefix.
+func fileBackend(t *testing.T, root string) *IDXBackend {
+	t.Helper()
+	fs, err := NewFileStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewIDXBackend(fs, "")
+}
+
+func TestFileStoreIDXBackend(t *testing.T) {
+	ctx := context.Background()
+	be := fileBackend(t, t.TempDir())
+	if err := be.Put(ctx, "a/b/c.bin", []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	data, err := be.Get(ctx, "a/b/c.bin")
+	if err != nil || string(data) != "hello" {
+		t.Fatalf("Get: %q, %v", data, err)
+	}
+	if _, err := be.Get(ctx, "missing"); !idx.IsNotExist(err) {
+		t.Errorf("missing object error = %v", err)
+	}
+	names, err := be.List(ctx, "a/")
+	if err != nil || len(names) != 1 || names[0] != "a/b/c.bin" {
+		t.Errorf("List = %v, %v", names, err)
+	}
+	if _, err := be.Get(ctx, "../escape"); err == nil {
+		t.Error("path escape accepted")
+	}
+	// The idx.Deleter contract: deleting a missing object is no error.
+	if err := be.Delete(ctx, "absent"); err != nil {
+		t.Errorf("Delete(absent) = %v", err)
+	}
+}
+
+func rampGrid(w, h int) *raster.Grid {
+	g := raster.New(w, h)
+	for i := range g.Data {
+		g.Data[i] = float32(i)
+	}
+	return g
+}
+
+func TestFileStoreIDXBackendDataset(t *testing.T) {
+	ctx := context.Background()
+	be := fileBackend(t, t.TempDir())
+	meta, _ := idx.NewMeta([]int{40, 24}, []idx.Field{{Name: "elevation", Type: idx.Float32}})
+	ds, err := idx.Create(ctx, be, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := rampGrid(40, 24)
+	if err := ds.WriteGrid(ctx, "elevation", 0, g); err != nil {
+		t.Fatal(err)
+	}
+	ds2, err := idx.Open(ctx, be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := ds2.ReadFull(ctx, "elevation", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !raster.Equal(g, out) {
+		t.Error("disk round trip mismatch")
+	}
+}
+
+// TestFileStoreIDXBackendOpensExistingDirectory: a .idxdata directory
+// written before idx.DirBackend was folded into FileStore — one file
+// per object at root/<name>, possibly a crashed Put's .tmp beside one —
+// opens and reads back unchanged through the FileStore path.
+func TestFileStoreIDXBackendOpensExistingDirectory(t *testing.T) {
+	ctx := context.Background()
+	mem := idx.NewMemBackend()
+	meta, _ := idx.NewMeta([]int{40, 24}, []idx.Field{{Name: "elevation", Type: idx.Float32}})
+	ds, err := idx.Create(ctx, mem, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := rampGrid(40, 24)
+	if err := ds.WriteGrid(ctx, "elevation", 0, g); err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	names, err := mem.List(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		data, err := mem.Get(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocks, err := mem.List(ctx, idx.BlockPrefix)
+	if err != nil || len(blocks) == 0 {
+		t.Fatalf("blocks = %v, %v", blocks, err)
+	}
+	stray := filepath.Join(root, filepath.FromSlash(blocks[0])) + ".tmp"
+	if err := os.WriteFile(stray, []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	be := fileBackend(t, root)
+	listed, err := be.List(ctx, idx.BlockPrefix)
+	if err != nil || len(listed) != len(blocks) {
+		t.Fatalf("List = %v, %v; want the %d blocks and no .tmp", listed, err, len(blocks))
+	}
+	opened, err := idx.Open(ctx, be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := opened.ReadFull(ctx, "elevation", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !raster.Equal(g, out) {
+		t.Error("existing directory read back differently")
 	}
 }

@@ -403,7 +403,7 @@ func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 
 // CounterFunc registers a counter series whose value is computed at
 // exposition time — the adapter shape for components that already keep
-// their own counters (e.g. cache.LRU). Re-registering replaces fn.
+// their own counters (e.g. cache.Tiered). Re-registering replaces fn.
 func (r *Registry) CounterFunc(name string, fn func() float64, labels ...string) {
 	s := r.lookup(name, KindCounter, labels)
 	r.mu.Lock()
