@@ -1,6 +1,7 @@
 # Developer entry points. `make check` is the full gate: tier-1
 # (build + test, matching ROADMAP.md) plus gofmt, vet, the race detector,
-# the nsdf-lint analyzer suite, a 5-second smoke of each fuzz target, a
+# the nsdf-lint analyzer suite, a 5-second smoke of each of the nine
+# fuzz targets (every parser of untrusted bytes has one), a
 # reduced-size smoke of every benchmark harness (read path, trace
 # overhead, block cache, sharded tier, compression, lint, serving),
 # vet + tests of the bench/ module, which tier-1 does not compile, and
@@ -48,6 +49,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTilePlan$$' -fuzztime=5s ./internal/hz
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecDecode$$' -fuzztime=5s ./internal/compress
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime=5s ./internal/tiff
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime=5s ./internal/netcdf
+	$(GO) test -run '^$$' -fuzz '^FuzzMetaUnmarshalText$$' -fuzztime=5s ./internal/idx
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePeers$$' -fuzztime=5s ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzParseParent$$' -fuzztime=5s ./internal/telemetry/trace
 
@@ -146,7 +149,7 @@ bench-serving-smoke:
 # Measure the analyzer suite itself — module load/type-check cost and
 # per-analyzer wall time over every package — and refresh
 # BENCH_lint.json. One iteration is one whole run of the suite, so the
-# CFGs the four flow-sensitive analyzers share are built once in it;
+# CFGs the three flow-sensitive analyzers share are built once in it;
 # the analyzers are single-threaded, so one P is the stable setting.
 bench-lint:
 	GOMAXPROCS=1 NSDF_BENCH_LINT_ITERS=5 NSDF_BENCH_LINT_OUT=$(CURDIR)/BENCH_lint.json \

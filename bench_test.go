@@ -479,12 +479,10 @@ func BenchmarkCacheLRU(b *testing.B) {
 	c := cache.NewMemTiered(1 << 22)
 	for i := 0; i < 128; i++ {
 		// Put adopts the buffer, so each entry needs its own backing array.
-		c.Put(fmt.Sprintf("blk%d", i), make([]byte, 16<<10)).Release()
+		c.Put(fmt.Sprintf("blk%d", i), make([]byte, 16<<10))
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if blk, ok := c.Get(fmt.Sprintf("blk%d", i%160)); ok { // ~80% hits
-			blk.Release()
-		}
+		c.Get(fmt.Sprintf("blk%d", i%160)) // ~80% hits
 	}
 }

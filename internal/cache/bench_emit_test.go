@@ -125,22 +125,20 @@ func TestBenchCacheEmit(t *testing.T) {
 
 	// --- Hit path: Get on a resident block must not allocate or copy. ---
 	hc := cache.NewMemTiered(1 << 20)
-	hc.Put("key", make([]byte, 64<<10)).Release()
+	hc.Put("key", make([]byte, 64<<10))
 	hitN := 200000
 	if smoke {
 		hitN = 1000
 	}
 	for i := 0; i < 1000; i++ { // warm-up
-		blk, _ := hc.Get("key")
-		blk.Release()
+		hc.Get("key")
 	}
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	t0 := time.Now()
 	for i := 0; i < hitN; i++ {
-		blk, _ := hc.Get("key")
-		blk.Release()
+		hc.Get("key")
 	}
 	hitNs := float64(time.Since(t0).Nanoseconds()) / float64(hitN)
 	runtime.ReadMemStats(&after)
@@ -148,8 +146,7 @@ func TestBenchCacheEmit(t *testing.T) {
 
 	parElapsed := concurrently(4, func(int) {
 		for i := 0; i < hitN/4; i++ {
-			blk, _ := hc.Get("key")
-			blk.Release()
+			hc.Get("key")
 		}
 	})
 	parHitNs := float64(parElapsed.Nanoseconds()) / float64(hitN)
@@ -227,13 +224,11 @@ func TestBenchCacheEmit(t *testing.T) {
 			} else {
 				key = "hot" + strconv.FormatUint(zipf.Uint64(), 10)
 			}
-			blk, _, err := ac.GetOrFill(context.Background(), key, func(context.Context) ([]byte, error) {
+			if _, _, err := ac.GetOrFill(context.Background(), key, func(context.Context) ([]byte, error) {
 				return payload(), nil
-			})
-			if err != nil {
+			}); err != nil {
 				t.Fatal(err)
 			}
-			blk.Release()
 		}
 		return ac.Stats()
 	}

@@ -1,122 +1,22 @@
 package cache
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// Block is an immutable, reference-counted block payload. The cache
-// hands the same Block to every concurrent reader of a key, so a cache
-// hit copies nothing; the reference count keeps the underlying buffer
-// alive until the last holder releases it, even if the cache evicts the
-// entry in the meantime.
-//
-// Ownership rules (see DESIGN.md §11):
-//   - Every Block returned by Get, Put, or GetOrFill carries one
-//     reference owned by the caller, who must call Release exactly once,
-//     promptly (within the request that obtained it).
-//   - Bytes returns the cache's storage and must be treated as
-//     read-only; it is valid only until Release.
-//   - The cache holds its own reference while the entry is resident, so
-//     readers and eviction never race on the buffer's lifetime.
+// Block is an immutable block payload. The cache hands the same Block
+// to every concurrent reader of a key, so a cache hit copies nothing.
+// Its lifetime is the garbage collector's: a reader may keep a Block
+// for as long as it likes, across eviction, Remove and Clear, and owes
+// the cache nothing when it is done (see DESIGN.md §11). Bytes returns
+// shared storage that nobody — reader, filler or cache — may write to.
 type Block struct {
 	data []byte
-	refs atomic.Int64
-	pool *bufPool
 }
 
-// NewBlock wraps data in a Block with one reference, owned by the
-// caller. The Block adopts data: the caller must not write to it
-// afterwards.
-func NewBlock(data []byte) *Block {
-	b := &Block{data: data}
-	b.refs.Store(1)
-	return b
-}
+// NewBlock wraps data in a Block. The Block adopts data: the caller
+// must not write to it afterwards.
+func NewBlock(data []byte) *Block { return &Block{data: data} }
 
-// newPooledBlock is NewBlock for buffers that should return to pool on
-// final release.
-func newPooledBlock(data []byte, pool *bufPool) *Block {
-	b := &Block{data: data, pool: pool}
-	b.refs.Store(1)
-	return b
-}
-
-// Bytes returns the payload. It is read-only shared memory, valid until
-// the holder's Release.
+// Bytes returns the payload: read-only memory shared with every other
+// holder of the Block.
 func (b *Block) Bytes() []byte { return b.data }
 
 // Len returns the payload length.
 func (b *Block) Len() int { return len(b.data) }
-
-// Acquire adds a reference. Only a goroutine that already holds a live
-// reference (directly, or under the lock of a cache tier that does) may
-// call it.
-func (b *Block) Acquire() {
-	if b.refs.Add(1) <= 1 {
-		panic("cache: Acquire on a released Block")
-	}
-}
-
-// Release drops one reference. When the last reference goes, the buffer
-// is recycled into the owning cache's pool; using Bytes' result after
-// Release is a use-after-free against that pool.
-func (b *Block) Release() {
-	n := b.refs.Add(-1)
-	if n < 0 {
-		panic("cache: Block over-released")
-	}
-	if n == 0 {
-		data := b.data
-		b.data = nil
-		if b.pool != nil {
-			b.pool.put(data)
-		}
-	}
-}
-
-// refCount reports the live reference count (tests and invariants).
-func (b *Block) refCount() int64 { return b.refs.Load() }
-
-// bufPool recycles fully released block buffers, bucketed by capacity.
-// IDX block payloads are uniform per dataset, so exact-capacity reuse
-// covers the common case; the disk tier draws its read buffers from
-// here instead of allocating per promotion.
-type bufPool struct {
-	mu      sync.Mutex
-	free    map[int][][]byte
-	perSize int
-}
-
-// newBufPool bounds each capacity bucket to perSize retained buffers.
-func newBufPool(perSize int) *bufPool {
-	return &bufPool{free: make(map[int][][]byte), perSize: perSize}
-}
-
-// get returns a recycled buffer of length n, or nil when none is
-// available.
-func (p *bufPool) get(n int) []byte {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	bufs := p.free[n]
-	if len(bufs) == 0 {
-		return nil
-	}
-	buf := bufs[len(bufs)-1]
-	p.free[n] = bufs[:len(bufs)-1]
-	return buf
-}
-
-// put offers a buffer back for reuse; buckets at capacity drop it for
-// the garbage collector.
-func (p *bufPool) put(buf []byte) {
-	if cap(buf) == 0 {
-		return
-	}
-	buf = buf[:cap(buf)]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.free[cap(buf)]) < p.perSize {
-		p.free[cap(buf)] = append(p.free[cap(buf)], buf)
-	}
-}

@@ -1,11 +1,11 @@
 // Package cache provides the size-bounded, concurrency-safe block cache
 // behind the IDX streaming stack ("the caching-enabled framework also
 // allows users to extract any rectangular subsets of the input data
-// progressively"). Keys are block object names; values are immutable,
-// reference-counted block payloads (Block) shared by all readers, so a
-// cache hit copies nothing. A Tiered cache layers request coalescing, a
-// TinyLFU admission filter, and an optional disk tier on top of the
-// in-memory LRU.
+// progressively"). Keys are block object names; values are immutable
+// block payloads (Block) shared by all readers and owned by the garbage
+// collector, so a cache hit copies nothing and nothing is ever handed
+// back. A Tiered cache layers request coalescing, a TinyLFU admission
+// filter, and an optional disk tier on top of the in-memory LRU.
 package cache
 
 import (
@@ -50,9 +50,9 @@ func (s Stats) HitRate() float64 {
 }
 
 // lru is Tiered's memory tier: a least-recently-used block store with a
-// maximum total payload size, safe for concurrent use. Payloads are held
-// as ref-counted Blocks: lookup returns the resident Block (shared,
-// read-only) and PutBlock takes a reference instead of copying.
+// maximum total payload size, safe for concurrent use. lookup returns
+// the resident Block itself (shared, read-only); PutBlock stores the
+// Block it is given without copying.
 type lru struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -60,8 +60,7 @@ type lru struct {
 	items    map[string]*list.Element
 	sketch   *freqSketch // nil = no admission filter
 	// onEvict observes size-bound evictions (disk spill). It is called
-	// outside the cache lock while the cache still holds its reference;
-	// a hook that needs the block past the call must Acquire it.
+	// outside the cache lock.
 	onEvict func(key string, blk *Block)
 
 	evicts  atomic.Int64
@@ -74,10 +73,6 @@ type entry struct {
 	key string
 	blk *Block
 }
-
-// poolBuffersPerSize bounds how many released buffers of each size the
-// recycle pool retains.
-const poolBuffersPerSize = 64
 
 // newLRU bounds the tier to maxBytes of payload (<= 0 stores nothing);
 // admit opts into TinyLFU admission.
@@ -96,9 +91,7 @@ func newLRU(maxBytes int64, admit bool) *lru {
 }
 
 // lookup returns the resident Block for key and marks it recently used.
-// The Block is shared read-only memory carrying one reference for the
-// caller, who must Release it when done. Hits and misses are counted by
-// Tiered, not here.
+// Hits and misses are counted by Tiered, not here.
 func (c *lru) lookup(key string) (*Block, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -110,30 +103,23 @@ func (c *lru) lookup(key string) (*Block, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	blk := el.Value.(*entry).blk
-	blk.Acquire()
-	return blk, true
+	return el.Value.(*entry).blk, true
 }
 
-// PutBlock inserts an existing Block under key, acquiring its own
-// reference on success. It reports false when the cache is disabled,
-// the payload is oversized, or the admission filter refuses the key.
+// PutBlock inserts blk under key, replacing any previous entry. It
+// reports false when the cache is disabled, the payload is oversized,
+// or the admission filter refuses the key.
 func (c *lru) PutBlock(key string, blk *Block) bool {
 	size := int64(blk.Len())
 	if c.maxBytes <= 0 || size > c.maxBytes {
 		return false
 	}
-	var old *Block
 	var evicted []*entry
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		e := el.Value.(*entry)
-		if e.blk != blk {
-			old = e.blk
-			blk.Acquire()
-			c.bytes.Add(size - int64(old.Len()))
-			e.blk = blk
-		}
+		c.bytes.Add(size - int64(e.blk.Len()))
+		e.blk = blk
 		c.ll.MoveToFront(el)
 		c.trim(&evicted)
 	} else {
@@ -143,15 +129,11 @@ func (c *lru) PutBlock(key string, blk *Block) bool {
 			c.finishEvictions(evicted)
 			return false
 		}
-		blk.Acquire()
 		c.items[key] = c.ll.PushFront(&entry{key: key, blk: blk})
 		c.entries.Add(1)
 		c.bytes.Add(size)
 	}
 	c.mu.Unlock()
-	if old != nil {
-		old.Release()
-	}
 	c.finishEvictions(evicted)
 	return true
 }
@@ -197,7 +179,8 @@ func (c *lru) trim(evicted *[]*entry) {
 	}
 }
 
-// evictOldest removes the least recently used entry. Caller holds mu.
+// evictOldest removes the least recently used entry, keeping it for the
+// eviction hook when there is one. Caller holds mu.
 func (c *lru) evictOldest(evicted *[]*entry) bool {
 	el := c.ll.Back()
 	if el == nil {
@@ -209,55 +192,40 @@ func (c *lru) evictOldest(evicted *[]*entry) bool {
 	c.entries.Add(-1)
 	c.bytes.Add(-int64(e.blk.Len()))
 	c.evicts.Add(1)
-	*evicted = append(*evicted, e)
+	if c.onEvict != nil {
+		*evicted = append(*evicted, e)
+	}
 	return true
 }
 
-// finishEvictions runs the eviction hook and drops the cache's
-// references, outside the lock so the hook (disk spill) cannot stall
-// readers.
+// finishEvictions runs the eviction hook, outside the lock so the hook
+// (disk spill) cannot stall readers.
 func (c *lru) finishEvictions(evicted []*entry) {
 	for _, e := range evicted {
-		if c.onEvict != nil {
-			c.onEvict(e.key, e.blk)
-		}
-		e.blk.Release()
+		c.onEvict(e.key, e.blk)
 	}
 }
 
 // Remove drops key from the cache if present (invalidation). The
 // eviction hook is not called: invalidated data must not be spilled.
 func (c *lru) Remove(key string) {
-	var blk *Block
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		e := el.Value.(*entry)
 		c.ll.Remove(el)
 		delete(c.items, key)
 		c.entries.Add(-1)
 		c.bytes.Add(-int64(e.blk.Len()))
-		blk = e.blk
-	}
-	c.mu.Unlock()
-	if blk != nil {
-		blk.Release()
 	}
 }
 
-// Clear empties the cache, keeping counters. Blocks still held by
-// readers stay valid until those readers release them.
+// Clear empties the cache, keeping counters.
 func (c *lru) Clear() {
 	c.mu.Lock()
-	dropped := make([]*Block, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		dropped = append(dropped, el.Value.(*entry).blk)
-	}
+	defer c.mu.Unlock()
 	c.ll.Init()
 	c.items = make(map[string]*list.Element)
 	c.entries.Store(0)
 	c.bytes.Store(0)
-	c.mu.Unlock()
-	for _, blk := range dropped {
-		blk.Release()
-	}
 }

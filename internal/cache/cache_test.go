@@ -13,21 +13,14 @@ func newPlain(maxBytes int64) *Tiered {
 	return newTiered(maxBytes, false)
 }
 
-// getString is a test helper: Get, copy the payload out, Release.
+// getString is a test helper: Get and copy the payload out.
 func getString(t testing.TB, c *Tiered, key string) (string, bool) {
 	t.Helper()
 	blk, ok := c.Get(key)
 	if !ok {
 		return "", false
 	}
-	s := string(blk.Bytes())
-	blk.Release()
-	return s, true
-}
-
-// put is a test helper: Put and immediately drop the caller reference.
-func put(c *Tiered, key string, data []byte) {
-	c.Put(key, data).Release()
+	return string(blk.Bytes()), true
 }
 
 func TestGetPut(t *testing.T) {
@@ -35,7 +28,7 @@ func TestGetPut(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Error("empty cache hit")
 	}
-	put(c, "a", []byte("hello"))
+	c.Put("a", []byte("hello"))
 	got, ok := getString(t, c, "a")
 	if !ok || got != "hello" {
 		t.Errorf("Get = %q, %v", got, ok)
@@ -44,21 +37,17 @@ func TestGetPut(t *testing.T) {
 
 func TestEvictionBySize(t *testing.T) {
 	c := newPlain(10)
-	put(c, "a", []byte("12345"))
-	put(c, "b", []byte("12345"))
-	put(c, "c", []byte("1")) // evicts a (oldest)
+	c.Put("a", []byte("12345"))
+	c.Put("b", []byte("12345"))
+	c.Put("c", []byte("1")) // evicts a (oldest)
 	if _, ok := c.Get("a"); ok {
 		t.Error("a not evicted")
 	}
-	if blk, ok := c.Get("b"); !ok {
+	if _, ok := c.Get("b"); !ok {
 		t.Error("b evicted prematurely")
-	} else {
-		blk.Release()
 	}
-	if blk, ok := c.Get("c"); !ok {
+	if _, ok := c.Get("c"); !ok {
 		t.Error("c missing")
-	} else {
-		blk.Release()
 	}
 	s := c.Stats()
 	if s.Evictions != 1 {
@@ -71,12 +60,10 @@ func TestEvictionBySize(t *testing.T) {
 
 func TestLRUOrderRefreshedByGet(t *testing.T) {
 	c := newPlain(10)
-	put(c, "a", []byte("12345"))
-	put(c, "b", []byte("12345"))
-	if blk, ok := c.Get("a"); ok { // a becomes most recent
-		blk.Release()
-	}
-	put(c, "c", []byte("1id")) // evicts b
+	c.Put("a", []byte("12345"))
+	c.Put("b", []byte("12345"))
+	c.Get("a")                // a becomes most recent
+	c.Put("c", []byte("1id")) // evicts b
 	if _, ok := getString(t, c, "a"); !ok {
 		t.Error("recently used a evicted")
 	}
@@ -87,8 +74,8 @@ func TestLRUOrderRefreshedByGet(t *testing.T) {
 
 func TestUpdateExistingKey(t *testing.T) {
 	c := newPlain(100)
-	put(c, "k", []byte("aaaa"))
-	put(c, "k", []byte("bb"))
+	c.Put("k", []byte("aaaa"))
+	c.Put("k", []byte("bb"))
 	got, ok := getString(t, c, "k")
 	if !ok || got != "bb" {
 		t.Errorf("updated value = %q", got)
@@ -106,7 +93,6 @@ func TestOversizePayloadIgnored(t *testing.T) {
 	if string(blk.Bytes()) != "123456789" {
 		t.Errorf("declined Put returned wrong payload %q", blk.Bytes())
 	}
-	blk.Release()
 	if _, ok := c.Get("big"); ok {
 		t.Error("oversize payload cached")
 	}
@@ -118,7 +104,7 @@ func TestOversizePayloadIgnored(t *testing.T) {
 // cache that is off.
 func TestDisabledCacheCountsNothing(t *testing.T) {
 	c := newPlain(0)
-	put(c, "a", []byte("x"))
+	c.Put("a", []byte("x"))
 	if _, ok := c.Get("a"); ok {
 		t.Error("zero-capacity cache stored data")
 	}
@@ -136,8 +122,8 @@ func TestDisabledCacheCountsNothing(t *testing.T) {
 
 func TestRemoveAndClear(t *testing.T) {
 	c := newPlain(100)
-	put(c, "a", []byte("1"))
-	put(c, "b", []byte("2"))
+	c.Put("a", []byte("1"))
+	c.Put("b", []byte("2"))
 	c.Remove("a")
 	if _, ok := c.Get("a"); ok {
 		t.Error("removed key present")
@@ -154,7 +140,7 @@ func TestRemoveAndClear(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	c := newPlain(100)
-	put(c, "a", []byte("1"))
+	c.Put("a", []byte("1"))
 	getString(t, c, "a")
 	getString(t, c, "a")
 	c.Get("x")
@@ -178,7 +164,7 @@ func TestBytesInvariantProperty(t *testing.T) {
 		for _, op := range ops {
 			key := fmt.Sprintf("k%d", op%16)
 			size := int(op % 20)
-			put(c, key, make([]byte, size))
+			c.Put(key, make([]byte, size))
 		}
 		s := c.Stats()
 		if s.Bytes > 64 {
@@ -199,11 +185,10 @@ func TestBytesInvariantProperty(t *testing.T) {
 
 func BenchmarkGetHit(b *testing.B) {
 	c := newPlain(1 << 20)
-	put(c, "key", make([]byte, 4096))
+	c.Put("key", make([]byte, 4096))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		blk, _ := c.Get("key")
-		blk.Release()
+		c.Get("key")
 	}
 }
 
@@ -211,7 +196,7 @@ func BenchmarkPutEvict(b *testing.B) {
 	c := newPlain(1 << 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		put(c, fmt.Sprintf("k%d", i), make([]byte, 1024))
+		c.Put(fmt.Sprintf("k%d", i), make([]byte, 1024))
 	}
 }
 
@@ -224,7 +209,6 @@ func TestPutAdoptsBuffer(t *testing.T) {
 	if &blk.Bytes()[0] != &buf[0] {
 		t.Fatal("Put copied the payload instead of adopting it")
 	}
-	blk.Release()
 	got, ok := c.Get("k")
 	if !ok {
 		t.Fatal("entry missing")
@@ -232,66 +216,6 @@ func TestPutAdoptsBuffer(t *testing.T) {
 	if &got.Bytes()[0] != &buf[0] {
 		t.Fatal("Get returned a copy instead of the shared buffer")
 	}
-	got.Release()
-}
-
-// TestEvictedBlockSurvivesWhileHeld is the refcount safety property: a
-// reader holding a Block keeps its buffer alive across eviction, and
-// the buffer is recycled only after the last reference drops.
-func TestEvictedBlockSurvivesWhileHeld(t *testing.T) {
-	c := newPlain(8)
-	payload := []byte{10, 20, 30, 40}
-	c.Put("a", payload).Release()
-	held, ok := c.Get("a")
-	if !ok {
-		t.Fatal("a missing")
-	}
-	// Evict a while the reader still holds it.
-	put(c, "b", make([]byte, 8))
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("a not evicted")
-	}
-	if held.refCount() != 1 {
-		t.Fatalf("held block refcount = %d, want 1 (reader only)", held.refCount())
-	}
-	// The buffer must not have been recycled into the pool while the
-	// reader still holds it.
-	if got := c.pool.get(4); got != nil {
-		t.Fatal("evicted buffer recycled while a reader still held it")
-	}
-	for i, want := range []byte{10, 20, 30, 40} {
-		if held.Bytes()[i] != want {
-			t.Fatalf("held data corrupted at %d: %d", i, held.Bytes()[i])
-		}
-	}
-	held.Release()
-	// Now fully released, the buffer goes back to the pool and the next
-	// same-size request reuses it.
-	if got := c.pool.get(4); got == nil || &got[0] != &payload[0] {
-		t.Fatal("released buffer not recycled into the pool")
-	}
-}
-
-func TestBlockOverReleasePanics(t *testing.T) {
-	blk := NewBlock([]byte{1})
-	blk.Release()
-	defer func() {
-		if recover() == nil {
-			t.Error("over-release did not panic")
-		}
-	}()
-	blk.Release()
-}
-
-func TestBlockAcquireAfterReleasePanics(t *testing.T) {
-	blk := NewBlock([]byte{1})
-	blk.Release()
-	defer func() {
-		if recover() == nil {
-			t.Error("acquire-after-release did not panic")
-		}
-	}()
-	blk.Acquire()
 }
 
 func TestFreqSketch(t *testing.T) {
@@ -317,10 +241,10 @@ func TestFreqSketch(t *testing.T) {
 }
 
 // TestLRUStressRace exercises concurrent mixed Get/Put/Remove/Clear
-// under -race, with payload verification to catch any buffer recycled
-// while still referenced.
+// under -race, with payload verification to catch any buffer written
+// to while a reader can still see it.
 func TestLRUStressRace(t *testing.T) {
-	c := newPlain(4 << 10) // small: constant eviction + pool churn
+	c := newPlain(4 << 10) // small: constant eviction
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -339,14 +263,13 @@ func TestLRUStressRace(t *testing.T) {
 								break
 							}
 						}
-						blk.Release()
 					}
 				case 3, 4, 5:
 					data := make([]byte, 64+k)
 					for j := range data {
 						data[j] = byte(k)
 					}
-					c.Put(key, data).Release()
+					c.Put(key, data)
 				case 6:
 					if i%35 == 6 {
 						c.Clear()

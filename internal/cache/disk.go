@@ -22,7 +22,6 @@ import (
 type diskTier struct {
 	dir      string
 	maxBytes int64
-	pool     *bufPool
 
 	mu      sync.Mutex
 	ll      *list.List // front = most recent
@@ -38,7 +37,7 @@ type diskEntry struct {
 
 // newDiskTier creates (or reuses) dir as a disk cache bounded to
 // maxBytes, wiping any leftover entries from a previous run.
-func newDiskTier(dir string, maxBytes int64, pool *bufPool) (*diskTier, error) {
+func newDiskTier(dir string, maxBytes int64) (*diskTier, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: create disk tier dir: %w", err)
 	}
@@ -57,7 +56,6 @@ func newDiskTier(dir string, maxBytes int64, pool *bufPool) (*diskTier, error) {
 	return &diskTier{
 		dir:      dir,
 		maxBytes: maxBytes,
-		pool:     pool,
 		ll:       list.New(),
 		items:    make(map[string]*list.Element),
 	}, nil
@@ -117,8 +115,9 @@ func (d *diskTier) put(key string, data []byte) {
 	}
 }
 
-// get reads the payload for key into a pooled buffer. A read failure
-// (file vanished, truncated) demotes to a miss and forgets the entry.
+// get reads the payload for key into a fresh buffer of exactly its
+// size, which the caller owns (DESIGN.md §16). A read failure (file
+// vanished, truncated) demotes to a miss and forgets the entry.
 func (d *diskTier) get(key string) ([]byte, bool) {
 	d.mu.Lock()
 	el, ok := d.items[key]
@@ -135,16 +134,12 @@ func (d *diskTier) get(key string) ([]byte, bool) {
 		d.forget(key)
 		return nil, false
 	}
-	buf := d.pool.get(int(size))
-	if buf == nil || int64(len(buf)) != size {
-		buf = make([]byte, size)
-	}
+	buf := make([]byte, size)
 	_, err = io.ReadFull(f, buf)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		d.pool.put(buf)
 		d.forget(key)
 		return nil, false
 	}

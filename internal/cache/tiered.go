@@ -57,7 +57,7 @@ func (o Outcome) String() string {
 // Tiered is the full block cache: an in-memory LRU with TinyLFU
 // admission, an optional disk tier below it, and singleflight request
 // coalescing so N concurrent misses on one key cost one backend fetch.
-// It satisfies idx.BlockCache and idx.FillerCache. A Tiered with no
+// It satisfies idx.BlockCache. A Tiered with no
 // memory bound and no disk dir is fully disabled: lookups miss without
 // counting and fills run uncoalesced, keeping "no cache" sweep
 // configurations uniform.
@@ -65,7 +65,6 @@ type Tiered struct {
 	mem   *lru
 	disk  *diskTier
 	fills *fillGroup
-	pool  *bufPool
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -79,11 +78,7 @@ type Tiered struct {
 func NewMemTiered(memBytes int64) *Tiered { return newTiered(memBytes, true) }
 
 func newTiered(memBytes int64, admit bool) *Tiered {
-	return &Tiered{
-		mem:   newLRU(memBytes, admit),
-		fills: newFillGroup(),
-		pool:  newBufPool(poolBuffersPerSize),
-	}
+	return &Tiered{mem: newLRU(memBytes, admit), fills: newFillGroup()}
 }
 
 // NewTiered builds a tiered cache from opts. It fails only when the
@@ -91,7 +86,7 @@ func newTiered(memBytes int64, admit bool) *Tiered {
 func NewTiered(opts Options) (*Tiered, error) {
 	t := newTiered(opts.MemBytes, !opts.NoAdmission)
 	if opts.DiskDir != "" && opts.DiskBytes > 0 {
-		disk, err := newDiskTier(opts.DiskDir, opts.DiskBytes, t.pool)
+		disk, err := newDiskTier(opts.DiskDir, opts.DiskBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -109,8 +104,7 @@ func (t *Tiered) enabled() bool {
 }
 
 // lookupTiers checks memory then disk, counting the hit and promoting
-// disk hits into memory (subject to admission). The returned Block
-// carries one caller reference.
+// disk hits into memory (subject to admission).
 func (t *Tiered) lookupTiers(key string) (*Block, Outcome, bool) {
 	if blk, ok := t.mem.lookup(key); ok {
 		t.hits.Add(1)
@@ -119,7 +113,7 @@ func (t *Tiered) lookupTiers(key string) (*Block, Outcome, bool) {
 	if t.disk != nil {
 		if data, ok := t.disk.get(key); ok {
 			t.diskHits.Add(1)
-			blk := newPooledBlock(data, t.pool)
+			blk := NewBlock(data)
 			t.mem.PutBlock(key, blk)
 			return blk, OutcomeDiskHit, true
 		}
@@ -127,9 +121,8 @@ func (t *Tiered) lookupTiers(key string) (*Block, Outcome, bool) {
 	return nil, OutcomeFilled, false
 }
 
-// Get returns the cached Block for key from any tier. The Block carries
-// one reference owned by the caller. A fully disabled cache returns
-// (nil, false) without counting a miss.
+// Get returns the cached Block for key from any tier. A fully disabled
+// cache returns (nil, false) without counting a miss.
 func (t *Tiered) Get(key string) (*Block, bool) {
 	if !t.enabled() {
 		return nil, false
@@ -155,20 +148,19 @@ func (t *Tiered) Peek(key string) (*Block, bool) {
 }
 
 // Put adopts data as an immutable Block, offers it to the memory tier,
-// and returns the Block with one caller reference (valid even when the
-// cache declines it). The caller must not write to data after Put.
+// and returns the Block (valid even when the cache declines it). The
+// caller must not write to data after Put.
 func (t *Tiered) Put(key string, data []byte) *Block {
-	blk := newPooledBlock(data, t.pool)
+	blk := NewBlock(data)
 	t.mem.PutBlock(key, blk)
 	return blk
 }
 
 // GetOrFill returns the Block for key, running fill at most once across
 // all concurrent callers of the same key: the first caller fetches,
-// everyone else waits for that result (request coalescing). On success
-// the Block carries one reference owned by the caller. fill receives
-// the leader's ctx; a waiter whose own ctx expires mid-fill returns
-// its ctx error without cancelling the shared fetch.
+// everyone else waits for that result (request coalescing). fill
+// receives the leader's ctx; a waiter whose own ctx expires mid-fill
+// returns its ctx error without cancelling the shared fetch.
 func (t *Tiered) GetOrFill(ctx context.Context, key string, fill func(ctx context.Context) ([]byte, error)) (*Block, Outcome, error) {
 	if !t.enabled() {
 		// Disabled caches do not coalesce either, so "no cache" sweep
@@ -177,7 +169,7 @@ func (t *Tiered) GetOrFill(ctx context.Context, key string, fill func(ctx contex
 		if err != nil {
 			return nil, OutcomeFilled, err
 		}
-		return newPooledBlock(data, t.pool), OutcomeFilled, nil
+		return NewBlock(data), OutcomeFilled, nil
 	}
 	if blk, outcome, ok := t.lookupTiers(key); ok {
 		return blk, outcome, nil
@@ -193,7 +185,7 @@ func (t *Tiered) GetOrFill(ctx context.Context, key string, fill func(ctx contex
 		if err != nil {
 			return nil, err
 		}
-		blk := newPooledBlock(data, t.pool)
+		blk := NewBlock(data)
 		t.mem.PutBlock(key, blk)
 		return blk, nil
 	})

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -59,7 +60,6 @@ func TestGetOrFillCoalesces(t *testing.T) {
 			if string(blk.Bytes()) != "payload" {
 				errs <- fmt.Errorf("wrong payload %q", blk.Bytes())
 			}
-			blk.Release()
 		}()
 	}
 	started.Wait()
@@ -100,52 +100,57 @@ func TestGetOrFillErrorPropagatesAndRetries(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	// A failed flight must not be cached: the next call retries.
-	blk, _, err := c.GetOrFill(context.Background(), "k", fillConst([]byte("ok"), &calls))
-	if err != nil {
+	if _, _, err := c.GetOrFill(context.Background(), "k", fillConst([]byte("ok"), &calls)); err != nil {
 		t.Fatal(err)
 	}
-	blk.Release()
 	if calls.Load() != 2 {
 		t.Errorf("fill calls = %d, want 2", calls.Load())
 	}
 }
 
+// TestGetOrFillWaiterCtxCancel: a waiter whose ctx dies mid-fill returns
+// its ctx error and nothing else happens — the fill runs once, the
+// leader and a waiter that stayed both get the block, and it is cached.
 func TestGetOrFillWaiterCtxCancel(t *testing.T) {
 	c := NewMemTiered(1 << 20)
+	var calls atomic.Int64
 	release := make(chan struct{})
 	leaderIn := make(chan struct{})
-	var leaderBlk *Block
-	var leaderErr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		leaderBlk, _, leaderErr = c.GetOrFill(context.Background(), "k", func(context.Context) ([]byte, error) {
+	fill := func(context.Context) ([]byte, error) {
+		if calls.Add(1) == 1 {
 			close(leaderIn)
-			<-release
-			return []byte("v"), nil
-		})
-	}()
+		}
+		<-release
+		return []byte("v"), nil
+	}
+	errs := make(chan error, 2)
+	read := func() {
+		blk, _, err := c.GetOrFill(context.Background(), "k", fill)
+		if err == nil && string(blk.Bytes()) != "v" {
+			err = fmt.Errorf("wrong payload %q", blk.Bytes())
+		}
+		errs <- err
+	}
+	go read() // the leader
 	<-leaderIn
+	go read() // a waiter that stays (or, arriving late, a hit)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := c.GetOrFill(ctx, "k", fillConst([]byte("v"), nil)); !errors.Is(err, context.Canceled) {
+	if _, _, err := c.GetOrFill(ctx, "k", fill); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled waiter err = %v", err)
 	}
 	close(release)
-	<-done
-	if leaderErr != nil {
-		t.Fatal(leaderErr)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
-	leaderBlk.Release()
-	// Only the cache's own reference may remain on the resident block.
-	blk, ok := c.Get("k")
-	if !ok {
-		t.Fatal("k missing after flight")
+	if got := calls.Load(); got != 1 {
+		t.Errorf("fill ran %d times, want 1", got)
 	}
-	if blk.refCount() != 2 { // cache + this Get
-		t.Errorf("refcount = %d, want 2 (abandoned waiter leaked a reference?)", blk.refCount())
+	if got, ok := c.Get("k"); !ok || string(got.Bytes()) != "v" {
+		t.Error("k not cached after the fill the cancelled waiter abandoned")
 	}
-	blk.Release()
 }
 
 func TestTieredDisabledFillsWithoutCountingOrCoalescing(t *testing.T) {
@@ -156,10 +161,9 @@ func TestTieredDisabledFillsWithoutCountingOrCoalescing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if outcome != OutcomeFilled {
-			t.Errorf("outcome = %v", outcome)
+		if outcome != OutcomeFilled || string(blk.Bytes()) != "v" {
+			t.Errorf("outcome = %v, payload %q", outcome, blk.Bytes())
 		}
-		blk.Release()
 	}
 	if calls.Load() != 3 {
 		t.Errorf("disabled cache coalesced or cached: %d fills", calls.Load())
@@ -176,25 +180,21 @@ func TestAdmissionProtectsHotSet(t *testing.T) {
 	c := NewMemTiered(4 * 1024)
 	hot := []string{"h0", "h1", "h2", "h3"}
 	for _, k := range hot {
-		c.Put(k, make([]byte, 1024)).Release()
+		c.Put(k, make([]byte, 1024))
 	}
 	for i := 0; i < 10; i++ {
 		for _, k := range hot {
-			blk, ok := c.Get(k)
-			if !ok {
+			if _, ok := c.Get(k); !ok {
 				t.Fatalf("hot key %s missing during warm-up", k)
 			}
-			blk.Release()
 		}
 	}
 	for i := 0; i < 10; i++ {
-		c.Put(fmt.Sprintf("scan%d", i), make([]byte, 1024)).Release()
+		c.Put(fmt.Sprintf("scan%d", i), make([]byte, 1024))
 	}
 	for _, k := range hot {
-		if blk, ok := c.Get(k); !ok {
+		if _, ok := c.Get(k); !ok {
 			t.Errorf("scan evicted hot key %s", k)
-		} else {
-			blk.Release()
 		}
 	}
 	if s := c.Stats(); s.AdmissionRejects == 0 {
@@ -207,16 +207,15 @@ func TestAdmissionProtectsHotSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range hot {
-		nc.Put(k, make([]byte, 1024)).Release()
+		nc.Put(k, make([]byte, 1024))
 	}
 	for i := 0; i < 10; i++ {
-		nc.Put(fmt.Sprintf("scan%d", i), make([]byte, 1024)).Release()
+		nc.Put(fmt.Sprintf("scan%d", i), make([]byte, 1024))
 	}
 	survived := 0
 	for _, k := range hot {
-		if blk, ok := nc.Get(k); ok {
+		if _, ok := nc.Get(k); ok {
 			survived++
-			blk.Release()
 		}
 	}
 	if survived != 0 {
@@ -239,9 +238,9 @@ func TestDiskTierSpillPromoteInvalidate(t *testing.T) {
 		}
 		return data
 	}
-	c.Put("a", payload(1)).Release()
-	c.Put("b", payload(2)).Release()
-	c.Put("c", payload(3)).Release() // evicts a -> spills to disk
+	c.Put("a", payload(1))
+	c.Put("b", payload(2))
+	c.Put("c", payload(3)) // evicts a -> spills to disk
 	s := c.Stats()
 	if s.DiskEntries != 1 || s.DiskBytes != 1024 {
 		t.Fatalf("disk tier after spill: %+v", s)
@@ -253,12 +252,11 @@ func TestDiskTierSpillPromoteInvalidate(t *testing.T) {
 	if blk.Bytes()[0] != 1 || blk.Len() != 1024 {
 		t.Fatalf("disk hit served wrong payload")
 	}
-	blk.Release()
 	if s := c.Stats(); s.DiskHits != 1 {
 		t.Errorf("disk hits = %d", s.DiskHits)
 	}
 	// Invalidation purges both tiers.
-	c.Put("a", payload(9)).Release()
+	c.Put("a", payload(9))
 	c.Remove("a")
 	if _, ok := c.Get("a"); ok {
 		t.Error("removed key still served")
@@ -280,6 +278,104 @@ func TestDiskTierSpillPromoteInvalidate(t *testing.T) {
 	}
 }
 
+// TestEvictedBlockSurvivesWhileHeld pins the Block contract (DESIGN.md
+// §11): bytes obtained from Put, Get, Peek, GetOrFill or a disk-tier
+// promotion are immutable and the holder's for as long as it keeps
+// them. Eight readers re-verify five held blocks while the cache evicts
+// and spills them, promotes other keys from disk, replaces, Removes and
+// Clears their keys; under -race any write to a held buffer is a
+// reported race, not only a changed byte.
+func TestEvictedBlockSurvivesWhileHeld(t *testing.T) {
+	c, err := NewTiered(Options{MemBytes: 4 << 10, DiskDir: t.TempDir(), DiskBytes: 8 << 10, NoAdmission: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := func(b byte) []byte { return bytes.Repeat([]byte{b}, 1<<10) }
+	var held []*Block
+	hold := func(blk *Block, ok bool) {
+		if !ok {
+			t.Fatalf("lookup %d missed", len(held))
+		}
+		held = append(held, blk)
+	}
+	hold(c.Put("put", payload(1)), true)
+	c.Put("get", payload(2))
+	hold(c.Get("get"))
+	c.Put("peek", payload(3))
+	hold(c.Peek("peek"))
+	blk, _, err := c.GetOrFill(context.Background(), "fill", fillConst(payload(4), nil))
+	hold(blk, err == nil)
+	c.Put("disk", payload(5))
+	for i := 0; i < 4; i++ { // push "disk" (and the four above) out to the disk tier
+		c.Put(fmt.Sprintf("filler%d", i), payload(0))
+	}
+	before := c.Stats().DiskHits
+	hold(c.Get("disk"))
+	if c.Stats().DiskHits != before+1 {
+		t.Fatal("fifth block was not a disk-tier promotion")
+	}
+
+	want := make([][]byte, len(held))
+	for i := range want {
+		want[i] = payload(byte(i + 1))
+	}
+	intact := func() error {
+		for i, blk := range held {
+			if !bytes.Equal(blk.Bytes(), want[i]) {
+				return fmt.Errorf("held block %d changed under its holder", i)
+			}
+		}
+		return nil
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 8; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := intact(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	keys := []string{"put", "get", "peek", "fill", "disk"}
+	for round := 0; round < 21; round++ {
+		for i := 0; i < 12; i++ { // evict, spill, and age entries out of the disk tier
+			c.Put(fmt.Sprintf("other%d", i), payload(byte(100+i)))
+		}
+		for i := 0; i < 12; i++ { // promote other keys' disk entries into fresh buffers
+			c.Get(fmt.Sprintf("other%d", i))
+		}
+		for _, k := range keys {
+			switch round % 3 {
+			case 0:
+				c.Put(k, payload(0xff)) // replace under the held key
+			case 1:
+				c.Remove(k)
+			}
+		}
+		if round%3 == 2 {
+			c.Clear()
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if err := intact(); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s.Evictions == 0 || s.DiskHits < 2 {
+		t.Errorf("churn exercised too little: %+v", s)
+	}
+}
+
 func diskFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	des, err := os.ReadDir(dir)
@@ -297,7 +393,8 @@ func diskFiles(t *testing.T, dir string) []string {
 
 // TestTieredStressRace mixes Get/Put/Remove/Clear/GetOrFill across
 // goroutines on a tiny two-tier cache (run under -race by `make race`).
-// Payload verification catches buffers recycled while referenced.
+// Payload verification catches a buffer written to while a reader can
+// still see it.
 func TestTieredStressRace(t *testing.T) {
 	c, err := NewTiered(Options{MemBytes: 4 << 10, DiskDir: t.TempDir(), DiskBytes: 16 << 10})
 	if err != nil {
@@ -319,7 +416,6 @@ func TestTieredStressRace(t *testing.T) {
 							break
 						}
 					}
-					blk.Release()
 				}
 				mk := func() []byte {
 					data := make([]byte, 128+k)
@@ -343,7 +439,7 @@ func TestTieredStressRace(t *testing.T) {
 					}
 					check(blk)
 				case 5, 6:
-					c.Put(key, mk()).Release()
+					c.Put(key, mk())
 				case 7:
 					if i%56 == 7 {
 						c.Clear()

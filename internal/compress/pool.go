@@ -11,8 +11,8 @@ import (
 
 // Codec state and scratch are pooled; payloads never are. Every slice a
 // codec returns is freshly allocated at exactly its length and belongs
-// to the caller (the block cache keeps decoded blocks alive behind
-// reference counts), so nothing handed out may alias pooled memory.
+// to the caller (the block cache shares decoded blocks between readers
+// for minutes), so nothing handed out may alias pooled memory.
 
 // inflater is reusable DEFLATE decoder state: the flate reader (about
 // 40 KiB of window and Huffman tables when built fresh), the reader it

@@ -18,6 +18,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -490,9 +491,14 @@ func (s *Server) handlePlayback(w http.ResponseWriter, r *http.Request) {
 	if field == "" {
 		field = meta.Fields[0].Name
 	}
+	if _, err := meta.Field(field); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	prefix := "/api/render?dataset=" + url.QueryEscape(name) + "&field=" + url.QueryEscape(field) + "&t="
 	frames := make([]string, meta.Timesteps)
-	for t := 0; t < meta.Timesteps; t++ {
-		frames[t] = fmt.Sprintf("/api/render?dataset=%s&field=%s&t=%d", name, field, t)
+	for t := range frames {
+		frames[t] = prefix + strconv.Itoa(t)
 	}
 	writeJSON(w, map[string]any{
 		"interval_ms": int(math.Round(1000 / fps)),
@@ -598,15 +604,17 @@ function configure(d) {
 function render() {
   const v = id => document.getElementById(id).value;
   document.getElementById('view').src = '/api/render?dataset=' + encodeURIComponent(v('dataset')) +
-    '&field=' + v('field') + '&t=' + v('time') + '&level=' + v('level') + '&palette=' + v('palette');
+    '&field=' + encodeURIComponent(v('field')) + '&t=' + v('time') + '&level=' + v('level') +
+    '&palette=' + encodeURIComponent(v('palette'));
 }
 document.getElementById('play').onclick = async () => {
   const v = id => document.getElementById(id).value;
-  const plan = await (await fetch('/api/playback?dataset=' + encodeURIComponent(v('dataset')) + '&field=' + v('field'))).json();
+  const plan = await (await fetch('/api/playback?dataset=' + encodeURIComponent(v('dataset')) +
+    '&field=' + encodeURIComponent(v('field')))).json();
   let i = 0;
   const timer = setInterval(() => {
     if (i >= plan.frames.length) { clearInterval(timer); return; }
-    document.getElementById('view').src = plan.frames[i++] + '&palette=' + v('palette');
+    document.getElementById('view').src = plan.frames[i++] + '&palette=' + encodeURIComponent(v('palette'));
   }, plan.interval_ms);
 };
 init();

@@ -8,6 +8,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -230,7 +233,7 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 func TestPlaybackEndpoint(t *testing.T) {
-	_, srv := newTestServer(t)
+	s, srv := newTestServer(t)
 	resp, body := get(t, srv.URL+"/api/playback?dataset=tennessee_30m&fps=4")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %s", resp.Status)
@@ -257,6 +260,38 @@ func TestPlaybackEndpoint(t *testing.T) {
 	resp, _ = get(t, srv.URL+"/api/playback?dataset=tennessee_30m&fps=0")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("fps=0 status %s", resp.Status)
+	}
+	// A field the dataset does not have is refused, so a crafted one
+	// (field=x&palette=jet) cannot smuggle parameters into the frame URLs.
+	for _, field := range []string{"x%26palette%3Djet", "slope"} {
+		resp, body = get(t, srv.URL+"/api/playback?dataset=tennessee_30m&field="+field)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("field=%s: status %s, body %s", field, resp.Status, body)
+		}
+	}
+	// A registered name that needs escaping comes back in frame URLs that
+	// parse to exactly that name and field, and fetch the frame.
+	const name = "soil moisture & temp=1"
+	s.Register(name, s.engines["tennessee_30m"])
+	resp, body = get(t, srv.URL+"/api/playback?field=hillshade&dataset="+url.QueryEscape(name))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %s: %s", resp.Status, body)
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	for i, frame := range out.Frames {
+		u, err := url.Parse(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := url.Values{"dataset": {name}, "field": {"hillshade"}, "t": {strconv.Itoa(i)}}
+		if got := u.Query(); !reflect.DeepEqual(got, want) {
+			t.Errorf("frame %d carries %v, want %v", i, got, want)
+		}
+	}
+	if resp, _ = get(t, srv.URL+out.Frames[1]); resp.StatusCode != http.StatusOK {
+		t.Errorf("escaped frame fetch status %s", resp.Status)
 	}
 }
 

@@ -65,18 +65,11 @@ func readBoxPerSample(d *Dataset, field string, t int, box Box, level int) (*ras
 	}
 
 	blocks := make(map[int][]byte, len(needSet))
-	var held []*cache.Block
-	defer func() {
-		for _, blk := range held {
-			blk.Release()
-		}
-	}()
 	var misses []int
 	for b := range needSet {
 		if d.cache != nil {
-			if blk, ok := d.cache.Get(d.BlockKey(field, t, b)); ok {
+			if blk, ok := d.cache.Peek(d.BlockKey(field, t, b)); ok {
 				stats.BlocksCached++
-				held = append(held, blk)
 				blocks[b] = blk.Bytes()
 				continue
 			}
@@ -85,14 +78,13 @@ func readBoxPerSample(d *Dataset, field string, t int, box Box, level int) (*ras
 	}
 	sort.Ints(misses)
 	for _, b := range misses {
-		blk, n, _, err := bp.fetchBlock(context.Background(), b)
+		raw, n, _, err := bp.fetchBlock(context.Background(), b)
 		if err != nil {
 			return nil, nil, err
 		}
 		stats.BlocksRead++
 		stats.BytesRead += n
-		held = append(held, blk)
-		blocks[b] = blk.Bytes()
+		blocks[b] = raw
 	}
 
 	for i, hzAddr := range addrs {

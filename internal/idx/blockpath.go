@@ -120,35 +120,28 @@ func (p *blockPath) fetchDecode(ctx context.Context, b int) ([]byte, int64, erro
 	return raw, int64(len(enc)), nil
 }
 
-// fetchBlock returns block b as a ref-counted cache Block (the caller
-// must Release it). Misses go through the cache's GetOrFill when
-// available, so concurrent fetches of the same key coalesce into one
+// fetchBlock returns the decoded payload of block b, read-only: with a
+// cache attached it is the cache's shared copy, and a miss goes through
+// GetOrFill, so concurrent fetches of the same key coalesce into one
 // backend Get. encLen is the compressed bytes this call actually
 // fetched — 0 when the block was served from cache or from another
 // caller's in-flight fetch. cached reports a cache-tier hit.
-func (p *blockPath) fetchBlock(ctx context.Context, b int) (blk *cache.Block, encLen int64, cached bool, err error) {
-	d := p.d
-	if d.fillCache != nil {
-		var fetched int64
-		blk, outcome, err := d.fillCache.GetOrFill(ctx, p.key(b), func(ctx context.Context) ([]byte, error) {
-			raw, n, err := p.fetchDecode(ctx, b)
-			fetched = n
-			return raw, err
-		})
-		if err != nil {
-			return nil, 0, false, err
-		}
-		hit := outcome == cache.OutcomeHit || outcome == cache.OutcomeDiskHit
-		return blk, fetched, hit, nil
+func (p *blockPath) fetchBlock(ctx context.Context, b int) (raw []byte, encLen int64, cached bool, err error) {
+	if p.d.cache == nil {
+		raw, n, err := p.fetchDecode(ctx, b)
+		return raw, n, false, err
 	}
-	raw, n, err := p.fetchDecode(ctx, b)
+	var fetched int64
+	blk, outcome, err := p.d.cache.GetOrFill(ctx, p.key(b), func(ctx context.Context) ([]byte, error) {
+		raw, n, err := p.fetchDecode(ctx, b)
+		fetched = n
+		return raw, err
+	})
 	if err != nil {
 		return nil, 0, false, err
 	}
-	if d.cache != nil {
-		return d.cache.Put(p.key(b), raw), n, false, nil
-	}
-	return cache.NewBlock(raw), n, false, nil
+	hit := outcome == cache.OutcomeHit || outcome == cache.OutcomeDiskHit
+	return blk.Bytes(), fetched, hit, nil
 }
 
 // storeBlock puts the encoded block b, books it, and then drops its key
@@ -175,8 +168,8 @@ func (p *blockPath) storeBlock(ctx context.Context, b int, enc []byte) error {
 		}
 	}
 	d.recordBlockWrite(len(enc))
-	if r, ok := d.cache.(cacheRemover); ok {
-		r.Remove(key)
+	if d.cache != nil {
+		d.cache.Remove(key)
 	}
 	return nil
 }
@@ -227,9 +220,9 @@ func (d *Dataset) readLattice(ctx context.Context, spanName, field string, t int
 	plan, spans := p.plan(ctx, hz.TileQuery{P0: r.Offset, N: r.Dims, Level: level})
 	stats.Runs = tileRows(plan.Tiles)
 
-	// take books where a block came from, gathers what it holds of the
-	// query into the output, and gives the block back.
-	take := func(sp blockSpan, blk *cache.Block, n int64, cached bool) {
+	// take books where a block came from and gathers what it holds of
+	// the query into the output.
+	take := func(sp blockSpan, raw []byte, n int64, cached bool) {
 		if cached {
 			stats.BlocksCached++
 		} else {
@@ -240,17 +233,16 @@ func (d *Dataset) readLattice(ctx context.Context, spanName, field string, t int
 		if sc != nil {
 			t0 = time.Now()
 		}
-		gatherTiles(p.f.Type, r.Data, &plan, plan.Tiles[sp.lo:sp.hi], blk.Bytes())
+		gatherTiles(p.f.Type, r.Data, &plan, plan.Tiles[sp.lo:sp.hi], raw)
 		if sc != nil {
 			sc.assembleNS.Add(int64(time.Since(t0)))
 		}
-		blk.Release()
 	}
 	miss := spans[:0]
 	for _, sp := range spans {
 		if d.cache != nil {
-			if blk, ok := d.cachePeek(p.key(sp.block)); ok {
-				take(sp, blk, 0, true)
+			if blk, ok := d.cache.Peek(p.key(sp.block)); ok {
+				take(sp, blk.Bytes(), 0, true)
 				continue
 			}
 		}
@@ -293,23 +285,23 @@ func (d *Dataset) readLattice(ctx context.Context, spanName, field string, t int
 // cancelled; the pool always drains fully before fetchMisses returns, so
 // a cancelled read leaks no goroutines.
 func (p *blockPath) fetchMisses(ctx context.Context, miss []blockSpan, workers int,
-	take func(sp blockSpan, blk *cache.Block, n int64, cached bool)) error {
+	take func(sp blockSpan, raw []byte, n int64, cached bool)) error {
 	if workers = min(workers, len(miss)); workers <= 1 {
 		for _, sp := range miss {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			blk, n, cached, err := p.fetchBlock(ctx, sp.block)
+			raw, n, cached, err := p.fetchBlock(ctx, sp.block)
 			if err != nil {
 				return err
 			}
-			take(sp, blk, n, cached)
+			take(sp, raw, n, cached)
 		}
 		return nil
 	}
 	type fetched struct {
 		sp     blockSpan
-		blk    *cache.Block
+		raw    []byte
 		n      int64
 		cached bool
 		err    error
@@ -322,15 +314,10 @@ func (p *blockPath) fetchMisses(ctx context.Context, miss []blockSpan, workers i
 		go func() {
 			defer wg.Done()
 			for sp := range work {
-				blk, n, cached, err := p.fetchBlock(ctx, sp.block)
+				raw, n, cached, err := p.fetchBlock(ctx, sp.block)
 				select {
-				case results <- fetched{sp: sp, blk: blk, n: n, cached: cached, err: err}:
+				case results <- fetched{sp: sp, raw: raw, n: n, cached: cached, err: err}:
 				case <-ctx.Done():
-					// The collector will never see this block; drop our
-					// reference so its buffer can be recycled.
-					if blk != nil {
-						blk.Release()
-					}
 					return
 				}
 			}
@@ -358,7 +345,7 @@ func (p *blockPath) fetchMisses(ctx context.Context, miss []blockSpan, workers i
 			}
 			continue
 		}
-		take(r.sp, r.blk, r.n, r.cached)
+		take(r.sp, r.raw, r.n, r.cached)
 	}
 	if firstErr == nil {
 		firstErr = ctx.Err()

@@ -33,7 +33,6 @@ type Dataset struct {
 
 	be               Backend
 	cache            BlockCache
-	fillCache        FillerCache
 	parallelism      int
 	writeParallelism int
 	pressure         func() float64
@@ -46,57 +45,33 @@ type Dataset struct {
 	keyCache map[keyCacheID][]string
 }
 
-// BlockCache is an optional block-level cache consulted before the
-// Backend on reads ("the caching-enabled framework"). The cache package
-// provides the implementation (cache.Tiered). Blocks are
-// ref-counted shared memory: Get hands out the resident payload without
-// copying, and Put adopts the decode buffer instead of copying it.
+// BlockCache is the block-level cache consulted before the Backend on
+// reads ("the caching-enabled framework"): the methods of cache.Tiered
+// the block path calls. Blocks are immutable shared memory the garbage
+// collector owns: a lookup hands out the resident payload without
+// copying, Put adopts the decode buffer instead of copying it, and
+// nobody writes to Bytes or hands a Block back.
 type BlockCache interface {
-	// Get returns the cached block, if present. The Block carries one
-	// reference owned by the caller, who must Release it after use and
-	// treat Bytes as read-only.
-	Get(key string) (*cache.Block, bool)
-	// Put adopts data as an immutable cached block and returns it with
-	// one caller reference (valid even when the cache declines the
-	// entry). The caller must not write to data after Put.
-	Put(key string, data []byte) *cache.Block
-}
-
-// FillerCache is a BlockCache that can also coalesce concurrent fills
-// of one key (cache.Tiered). When the attached cache implements it, the
-// read paths route misses through GetOrFill, so N concurrent readers of
-// the same uncached block share a single backend fetch instead of
-// issuing a thundering herd against the object store.
-type FillerCache interface {
-	BlockCache
+	// Peek returns the cached block, if present, without booking a miss:
+	// the read path probes every block of a query first and routes the
+	// misses through GetOrFill, which books the authoritative one.
+	Peek(key string) (*cache.Block, bool)
 	// GetOrFill returns the block for key, running fill at most once
-	// across concurrent callers. See cache.Tiered.GetOrFill.
+	// across concurrent callers, so N readers of one uncached block
+	// share a single backend fetch. See cache.Tiered.GetOrFill.
 	GetOrFill(ctx context.Context, key string, fill func(ctx context.Context) ([]byte, error)) (*cache.Block, cache.Outcome, error)
-}
-
-// cacheRemover is the optional invalidation face of a BlockCache; the
-// write paths use it to purge every tier before refreshing an entry.
-type cacheRemover interface {
+	// Put adopts data as an immutable cached block and returns it (valid
+	// even when the cache declines the entry). The caller must not write
+	// to data after Put.
+	Put(key string, data []byte) *cache.Block
+	// Remove invalidates key in every tier; the write path calls it
+	// after each block store.
 	Remove(key string)
 }
 
-// blockPeeker is the optional uncounted-probe face of a BlockCache
-// (cache.Tiered.Peek). The read paths probe every block in an assembly
-// pre-pass before routing the misses through GetOrFill, which books the
-// authoritative miss — so the pre-pass must not count one too, or every
-// cold block would register two misses.
-type blockPeeker interface {
-	Peek(key string) (*cache.Block, bool)
-}
-
-// cachePeek probes the attached cache without miss accounting when the
-// cache supports it, falling back to a counted Get.
-func (d *Dataset) cachePeek(key string) (*cache.Block, bool) {
-	if p, ok := d.cache.(blockPeeker); ok {
-		return p.Peek(key)
-	}
-	return d.cache.Get(key)
-}
+// FillerCache is BlockCache under the name bench/e2e asserts; nothing
+// else uses it (ROADMAP.md 4(a)).
+type FillerCache = BlockCache
 
 // Create initialises a new dataset in the backend by writing its
 // descriptor. ctx bounds the backend I/O. Creating over an existing
@@ -143,13 +118,9 @@ func Open(ctx context.Context, be Backend) (*Dataset, error) {
 	return &Dataset{Meta: meta, be: be}, nil
 }
 
-// SetCache attaches a block cache used by subsequent reads. Caches that
-// also implement FillerCache get misses routed through GetOrFill
-// (request coalescing).
-func (d *Dataset) SetCache(c BlockCache) {
-	d.cache = c
-	d.fillCache, _ = c.(FillerCache)
-}
+// SetCache attaches a block cache used by subsequent reads and kept
+// coherent by subsequent writes.
+func (d *Dataset) SetCache(c BlockCache) { d.cache = c }
 
 // SetFetchParallelism bounds how many block fetches a single read (2D
 // or 3D) may issue concurrently against the backend. 1 (the default)

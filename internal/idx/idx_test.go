@@ -540,43 +540,22 @@ func TestStoredBytes(t *testing.T) {
 	}
 }
 
-// countingCache wraps a map to observe cache traffic.
-type countingCache struct {
-	m          map[string]*cache.Block
-	gets, hits int
-}
-
-func (c *countingCache) Get(key string) (*cache.Block, bool) {
-	c.gets++
-	blk, ok := c.m[key]
-	if ok {
-		c.hits++
-		blk.Acquire()
-	}
-	return blk, ok
-}
-
-func (c *countingCache) Put(key string, data []byte) *cache.Block {
-	blk := cache.NewBlock(data)
-	blk.Acquire() // the map's reference
-	if old, ok := c.m[key]; ok {
-		old.Release()
-	}
-	c.m[key] = blk
-	return blk
-}
-
 func TestBlockCacheUsed(t *testing.T) {
 	ds, _ := newTestDataset(t, 64, 64, float32Fields())
 	if err := ds.WriteGrid(context.Background(), "elevation", 0, rampGrid(64, 64)); err != nil {
 		t.Fatal(err)
 	}
-	c := &countingCache{m: map[string]*cache.Block{}}
+	c := cache.NewMemTiered(1 << 20)
 	ds.SetCache(c)
+	blocks := int64(ds.Meta.NumBlocks())
 	if _, stats, err := ds.ReadFull(context.Background(), "elevation", 0); err != nil {
 		t.Fatal(err)
 	} else if stats.BlocksCached != 0 {
 		t.Errorf("cold read reported %d cached blocks", stats.BlocksCached)
+	}
+	// The Peek pre-pass books no miss; each block's one fill does.
+	if s := c.Stats(); s.Hits != 0 || s.Misses != blocks {
+		t.Errorf("cold read: hits=%d misses=%d, want 0 and %d", s.Hits, s.Misses, blocks)
 	}
 	_, stats, err := ds.ReadFull(context.Background(), "elevation", 0)
 	if err != nil {
@@ -585,8 +564,8 @@ func TestBlockCacheUsed(t *testing.T) {
 	if stats.BlocksRead != 0 {
 		t.Errorf("warm read fetched %d blocks from backend", stats.BlocksRead)
 	}
-	if stats.BlocksCached == 0 {
-		t.Error("warm read hit no cached blocks")
+	if s := c.Stats(); s.Hits != blocks || s.Misses != blocks {
+		t.Errorf("warm read: hits=%d misses=%d, want %d and %d", s.Hits, s.Misses, blocks, blocks)
 	}
 }
 

@@ -72,7 +72,7 @@ func (d *Dataset) WriteRegion(ctx context.Context, field string, t int, x0, y0 i
 			// payload, and a refresh rejected by admission must not leave
 			// it there); refresh the entry. Put adopts raw, which this
 			// iteration no longer writes to.
-			d.cache.Put(p.key(sp.block), raw).Release()
+			d.cache.Put(p.key(sp.block), raw)
 		}
 	}
 	return nil
@@ -85,10 +85,8 @@ func (d *Dataset) WriteRegion(ctx context.Context, field string, t int, x0, y0 i
 // not-yet-written samples and pow2 padding — at the field's fill value.
 func (p *blockPath) loadBlock(ctx context.Context, b int) ([]byte, error) {
 	if p.d.cache != nil {
-		if blk, ok := p.d.cachePeek(p.key(b)); ok {
-			raw := append([]byte(nil), blk.Bytes()...)
-			blk.Release()
-			return raw, nil
+		if blk, ok := p.d.cache.Peek(p.key(b)); ok {
+			return append([]byte(nil), blk.Bytes()...), nil
 		}
 	}
 	raw, _, err := p.fetchDecode(ctx, b)

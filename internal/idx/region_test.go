@@ -147,7 +147,7 @@ func TestWriteRegionRefreshesCache(t *testing.T) {
 	if err := ds.WriteGrid(context.Background(), "elevation", 0, rampGrid(32, 32)); err != nil {
 		t.Fatal(err)
 	}
-	c := &countingCache{m: map[string]*cache.Block{}}
+	c := cache.NewMemTiered(1 << 20)
 	ds.SetCache(c)
 	if _, _, err := ds.ReadFull(context.Background(), "elevation", 0); err != nil { // warm
 		t.Fatal(err)
@@ -157,12 +157,18 @@ func TestWriteRegionRefreshesCache(t *testing.T) {
 	if err := ds.WriteRegion(context.Background(), "elevation", 0, 0, 0, patch); err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := ds.ReadFull(context.Background(), "elevation", 0)
+	warm := c.Stats()
+	out, stats, err := ds.ReadFull(context.Background(), "elevation", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.At(0, 0) != 1 || out.At(1, 1) != 4 {
 		t.Error("stale cache served after WriteRegion")
+	}
+	// Refreshed, not just purged: the rewritten blocks are hits too.
+	if s := c.Stats(); stats.BlocksRead != 0 || s.Misses != warm.Misses {
+		t.Errorf("read after WriteRegion fetched %d blocks (%d new misses), want the refreshed entries served",
+			stats.BlocksRead, s.Misses-warm.Misses)
 	}
 }
 

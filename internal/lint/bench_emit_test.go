@@ -16,10 +16,10 @@ import (
 // wall time over every package (with the slowest packages broken out),
 // and the findings count — and writes BENCH_lint.json, so lint runtime
 // joins the repo's perf trajectory alongside the read-path, cache, and
-// shard benchmarks. The flow-sensitive analyzers (spanend, refcount,
-// lockorder, ctxleak — four specs of the obligation engine) share one
-// CFG per function and each run a dataflow fixpoint over it, so their
-// cost is the one to watch as the codebase grows.
+// shard benchmarks. The flow-sensitive analyzers (spanend, lockorder,
+// ctxleak — three specs of the obligation engine) share one CFG per
+// function and each run a dataflow fixpoint over it, so their cost is
+// the one to watch as the codebase grows.
 
 type benchAnalyzer struct {
 	Name       string  `json:"name"`
@@ -127,7 +127,7 @@ func TestBenchLintEmit(t *testing.T) {
 	}{
 		Description: "nsdf-lint analyzer suite over the whole module: load/type-check cost, " +
 			"per-analyzer wall time (min over iterations) with the slowest packages broken out, and " +
-			"pre-suppression findings count. The four flow-sensitive analyzers (spanend, refcount, lockorder, " +
+			"pre-suppression findings count. The three flow-sensitive analyzers (spanend, lockorder, " +
 			"ctxleak) are specs of one obligation engine: each function's CFG is built once per run, charged " +
 			"to the first spec that visits the function, and each spec runs its own dataflow fixpoint over it. " +
 			"Regenerate with `make bench-lint`.",

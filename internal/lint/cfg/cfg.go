@@ -1,7 +1,7 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
 // function bodies and runs forward dataflow analyses over them (see
 // dataflow.go). It is the foundation of the obligation engine in
-// internal/lint (obligation.go: refcount, lockorder, ctxleak, spanend):
+// internal/lint (obligation.go: lockorder, ctxleak, spanend):
 // an AST walk can only ask "does an End() appear somewhere in this
 // function", a CFG-based analysis asks "is the obligation discharged
 // on *every* path", with branches, short-circuit conditionals, loops,
@@ -16,7 +16,7 @@
 //     atomic condition becomes the last node of its own block, and the
 //     two outgoing edges carry the condition expression and the branch
 //     polarity, so analyses can refine facts per branch (`if ok`,
-//     `if err != nil`, `if blk == nil`).
+//     `if err != nil`).
 //   - a range statement appears as a single node in its head block
 //     (analyses interpret Key/Value/X and must ignore its Body, which
 //     is built into successor blocks).
@@ -25,7 +25,7 @@
 //   - return statements produce Return edges into the exit block,
 //     explicit panic(...) calls produce Panic edges, and falling off
 //     the end of the body produces a Return edge, so "can this function
-//     exit while still owing a Release/Unlock/cancel" is a question
+//     exit while still owing an End/Unlock/cancel" is a question
 //     about the exit block's predecessor edges.
 //   - defer statements stay in their block as ordinary nodes.
 package cfg

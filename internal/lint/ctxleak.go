@@ -50,11 +50,10 @@ var ctxLeakSpec = &obSpec{
 	discharge: func(_ *Pass, call *ast.CallExpr) ast.Expr { return call.Fun },
 	merge:     mergeKeepOwed,
 	msg: obMessages{
-		leak:         `context derived by {src} can reach return without {name} being called: goroutine/timer leak`,
-		discard:      `cancel function from {src} is discarded: the derived context can never be cancelled`,
-		discardBlank: `cancel function from {src} is discarded: the derived context can never be cancelled`,
-		reassign:     `"{name}" is reassigned while the previous cancel from {src} was never called`,
-		overwrite:    `"{name}" is overwritten while the cancel from {src} was never called`,
-		deferTwice:   `"{name}" is deferred twice`,
+		leak:       `context derived by {src} can reach return without {name} being called: goroutine/timer leak`,
+		discard:    `cancel function from {src} is discarded: the derived context can never be cancelled`,
+		reassign:   `"{name}" is reassigned while the previous cancel from {src} was never called`,
+		overwrite:  `"{name}" is overwritten while the cancel from {src} was never called`,
+		deferTwice: `"{name}" is deferred twice`,
 	},
 }

@@ -1,20 +1,19 @@
-// Package lint is the repo's own static-analysis suite: eleven
-// analyzers that machine-check the conventions the serving stack
-// depends on. Seven are syntactic — nsdf_-prefixed constant metric
-// names, no silently dropped storage/IDX errors, an allocation-free hot
-// path, no mutex-holding struct passed by value, abortable worker
-// goroutines, caller-threaded contexts (no context.Background() in
-// library code, no context-free http.NewRequest in outbound calls).
-// Four are flow-sensitive and are one analysis: obligation.go checks,
-// over the control-flow graphs of internal/lint/cfg, that a resource
-// acquired by a call is discharged exactly once on every path, and
-// refcount (cache.Block references), lockorder (mutexes, plus the
+// Package lint is the repo's own static-analysis suite: ten analyzers
+// that machine-check the conventions the serving stack depends on.
+// Seven are syntactic — nsdf_-prefixed constant metric names, no
+// silently dropped storage/IDX errors, an allocation-free hot path, no
+// mutex-holding struct passed by value, abortable worker goroutines,
+// caller-threaded contexts (no context.Background() in library code, no
+// context-free http.NewRequest in outbound calls). Three are
+// flow-sensitive and are one analysis: obligation.go checks, over the
+// control-flow graphs of internal/lint/cfg, that a resource acquired by
+// a call is discharged on every path, and lockorder (mutexes, plus the
 // whole-repo lock-order cycle check), ctxleak (cancel functions of
-// derived contexts) and spanend (trace spans) are the four specs it
+// derived contexts) and spanend (trace spans) are the three specs it
 // runs. The project-specific names the analyzers match on (package
-// paths, registry methods) are constants beside each analyzer.
-// It is built only on go/ast, go/parser, go/types,
-// and go/importer, so `make lint` needs nothing beyond the Go toolchain.
+// paths, registry methods) are constants beside each analyzer. It is
+// built only on go/ast, go/parser, go/types, and go/importer, so
+// `make lint` needs nothing beyond the Go toolchain.
 //
 // A finding can be suppressed — sparingly, with a reason — by an allow
 // comment on the same line or the line above:
@@ -118,7 +117,6 @@ func Analyzers() []*Analyzer {
 		CtxBackgroundAnalyzer,
 		CtxHTTPAnalyzer,
 		SpanEndAnalyzer,
-		RefCountAnalyzer,
 		LockOrderAnalyzer,
 		CtxLeakAnalyzer,
 	}

@@ -75,7 +75,7 @@ func renderFindings(pkg *Package, findings []Finding) string {
 // cases, so a matching golden proves the analyzer fires where it must
 // and stays quiet where the escape hatch is used.
 func TestAnalyzerGoldens(t *testing.T) {
-	for _, name := range []string{"metricname", "droppederr", "hotalloc", "lockcopy", "goleak", "ctxbackground", "ctxhttp", "spanend", "refcount", "lockorder", "ctxleak"} {
+	for _, name := range []string{"metricname", "droppederr", "hotalloc", "lockcopy", "goleak", "ctxbackground", "ctxhttp", "spanend", "lockorder", "ctxleak"} {
 		t.Run(name, func(t *testing.T) {
 			pkg := loadFixture(t, name)
 			a := analyzerByName(t, name)
@@ -106,7 +106,7 @@ func TestAnalyzerGoldens(t *testing.T) {
 // that no finding lands on a line covered by a //lint:allow comment
 // (same line or the line below it) in any fixture.
 func TestAllowCommentSuppresses(t *testing.T) {
-	for _, name := range []string{"metricname", "droppederr", "hotalloc", "lockcopy", "goleak", "ctxbackground", "ctxhttp", "spanend", "refcount", "lockorder", "ctxleak"} {
+	for _, name := range []string{"metricname", "droppederr", "hotalloc", "lockcopy", "goleak", "ctxbackground", "ctxhttp", "spanend", "lockorder", "ctxleak"} {
 		pkg := loadFixture(t, name)
 		a := analyzerByName(t, name)
 		findings := Run([]*Package{pkg}, []*Analyzer{a})
@@ -194,7 +194,7 @@ func TestRepoIsFlowLintClean(t *testing.T) {
 // never pass as a clean run: both a panic and an InternalErrorf call
 // surface as errors naming the analyzer and the package.
 func TestRunAllReportsInternalErrors(t *testing.T) {
-	pkg := loadFixture(t, "refcount")
+	pkg := loadFixture(t, "spanend")
 	panicky := &Analyzer{
 		Name: "panicky",
 		Doc:  "test analyzer that always panics",
@@ -258,22 +258,22 @@ func TestRepoIsLintClean(t *testing.T) {
 }
 
 // TestObligationIsASpec proves a new obligation is a spec value, not a
-// new analyzer: a throw-away fifth spec (os.Open must reach Close) run
-// through the same engine finds the leak and the double release and
-// stays quiet on the deferred and the handed-on file.
+// new analyzer: a throw-away fourth spec (time.NewTicker must reach
+// Stop) run through the same engine finds the leak and the discarded
+// ticker and stays quiet on the deferred and the handed-on one.
 func TestObligationIsASpec(t *testing.T) {
 	spec := &obSpec{
-		name: "fileclose",
+		name: "tickerstop",
 		acquire: func(pass *Pass, call *ast.CallExpr) (obAcquire, bool) {
 			fn := calleeFunc(pass.Pkg.Info, call)
-			return obAcquire{src: "os.Open"}, fn != nil && fn.FullName() == "os.Open"
+			return obAcquire{src: "time.NewTicker"}, fn != nil && fn.FullName() == "time.NewTicker"
 		},
-		holds:     func(t types.Type) bool { return pointsTo(t, "os", "File") },
-		discharge: func(_ *Pass, call *ast.CallExpr) ast.Expr { return methodRecv(call, "Close") },
-		merge:     mergeAbandon,
+		holds:     func(t types.Type) bool { return pointsTo(t, "time", "Ticker") },
+		discharge: func(_ *Pass, call *ast.CallExpr) ast.Expr { return methodRecv(call, "Stop") },
+		merge:     mergeKeepOwed,
 		msg: obMessages{
-			leak:          `file "{name}" from {src} can reach {arg} without Close`,
-			doubleRelease: `"{name}" is closed twice (opened at line {line})`,
+			leak:    `ticker "{name}" from {src} can reach {arg} without Stop`,
+			discard: `ticker from {src} is discarded: nothing can stop it`,
 		},
 	}
 	pkg := loadFixture(t, "obligation")
@@ -289,8 +289,8 @@ func TestObligationIsASpec(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct{ fn, want string }{
-		{"leak", `file "f" from os.Open can reach the return at line 16 without Close`},
-		{"doubleClose", `"f" is closed twice (opened at line 21)`},
+		{"leak", `ticker "t" from time.NewTicker can reach the return at line 17 without Stop`},
+		{"discarded", `ticker from time.NewTicker is discarded: nothing can stop it`},
 		{"deferred", ""},
 		{"escaped", ""},
 	} {

@@ -12,60 +12,52 @@ import (
 )
 
 // This file is the one flow-sensitive analysis in the suite: a resource
-// acquired by a call must be discharged exactly once on every path.
-// refcount, ctxleak, spanend and the per-path half of lockorder are
-// four obSpec values run through it; a new obligation is a new spec,
-// not a new analyzer (TestObligationIsASpec). Per function body the
-// engine builds the CFG (once per package, shared by the specs), runs
-// the forward fixpoint over obFacts, replays the converged facts once
-// with reporting on, and checks every Return edge for resources still
-// owed. Paths that exit by panicking are not checked: the deferred
-// discharges run during the unwind and the process is dying anyway.
+// acquired by a call must be discharged on every path. ctxleak, spanend
+// and the per-path half of lockorder are three obSpec values run
+// through it; a new obligation is a new spec, not a new analyzer
+// (TestObligationIsASpec). Per function body the engine builds the CFG
+// (once per package, shared by the specs), runs the forward fixpoint
+// over obFacts, replays the converged facts once with reporting on, and
+// checks every Return edge for resources still owed. Paths that exit by
+// panicking are not checked: the deferred discharges run during the
+// unwind and the process is dying anyway.
 
 // obState is what one path knows about one resource.
 type obState uint8
 
+// A discharged resource has no state: its fact is dropped, so a mutex
+// may be locked again and a second cancel() or End() is just a call.
+// Where two paths disagree the larger state wins: a deferred discharge
+// counts only if both paths deferred it, and a hand-off on either path
+// ends the obligation.
 const (
-	obOwed      obState = iota + 1 // a discharge is owed on this path
-	obGuarded                      // owed iff the ok/err result bound beside it says the acquire succeeded
-	obDeferred                     // a deferred discharge runs at exit
-	obReleased                     // discharged; touching it again is a use after release
-	obEscaped                      // handed on (returned, stored, passed, sent, captured): someone else's obligation
-	obAbandoned                    // paths disagree about it; tracking stops rather than guess
+	obDeferred obState = iota + 1 // a deferred discharge runs at exit
+	obOwed                        // a discharge is owed on this path
+	obEscaped                     // handed on (returned, stored, passed, sent, captured): someone else's obligation
 )
 
-func (s obState) owed() bool { return s == obOwed || s == obGuarded }
-func (s obState) held() bool { return s <= obDeferred }
-
-// obMerge is what a merge point does with a resource the two incoming
-// paths disagree about. The three rules differ for a reason each.
+// obMerge is what a merge point does with a resource only one of the
+// two incoming paths knows. The two rules differ for a reason each.
 type obMerge uint8
 
 const (
-	// mergeKeepOwed: discharged on one path, owed on the other, stays
-	// owed, so the owing path is reported at exit. Right where a second
-	// discharge is harmless (cancel functions and Span.End are
-	// idempotent): demanding one more never asks for a bug.
+	// mergeKeepOwed: discharged (or never acquired) on one path, owed on
+	// the other, stays owed, so the owing path is reported at exit.
+	// Right where a second discharge is harmless (cancel functions and
+	// Span.End are idempotent): demanding one more never asks for a bug.
 	mergeKeepOwed obMerge = iota
-	// mergeAbandon: the same disagreement stops the tracking. A second
-	// Block.Release panics, so code that releases on one arm decides
-	// the other arm by a condition the analysis cannot see; asking for
-	// another Release there would ask for a double free.
-	mergeAbandon
-	// mergeIntersect: a resource is in the set only while held, and
-	// after a merge only if held on both paths — conditional locking
-	// pairs with an equally conditional unlock. Released resources are
-	// dropped, not remembered: a mutex may be locked again.
+	// mergeIntersect: a resource is in the set after a merge only if
+	// held on both paths — conditional locking pairs with an equally
+	// conditional unlock.
 	mergeIntersect
 )
 
 // obAcquire describes one acquiring call.
 type obAcquire struct {
-	// src renders the call for messages ("c.Get", "context.WithCancel").
+	// src renders the call for messages ("trace.Start", "context.WithCancel").
 	src string
-	// recv, when set, is the receiver the obligation lands on (mu.Lock(),
-	// blk.Acquire()); otherwise it lands on the results obSpec.holds
-	// accepts.
+	// recv, when set, is the receiver the obligation lands on
+	// (mu.Lock()); otherwise it lands on the results obSpec.holds accepts.
 	recv ast.Expr
 	// class, release and shared are lockorder's: the lock's name in the
 	// whole-repo graph, the method that unlocks it, and read mode.
@@ -75,15 +67,11 @@ type obAcquire struct {
 
 // obFact is the fact for one resource; it is a value and comparable.
 type obFact struct {
-	state obState
-	// okGuard and errGuard are the bool and error variables bound by the
-	// acquiring assignment: the resource exists only where ok is true /
-	// err is nil.
-	okGuard, errGuard types.Object
-	pos               token.Pos // the acquiring call
-	src               string
-	class, release    string
-	shared            bool
+	state          obState
+	pos            token.Pos // the acquiring call
+	src            string
+	class, release string
+	shared         bool
 }
 
 // obFacts maps a resource — a variable's types.Object, or with
@@ -101,22 +89,15 @@ func (f obFacts) clone() obFacts {
 // obMessages are a spec's finding templates; an empty one means the
 // event is not a finding for that resource. Placeholders: {name} the
 // variable or receiver, {src} and {line} the acquiring call and its
-// line, {release} the unlocking method, {arg} the event's own detail.
+// line, {release} the unlocking method, {arg} the return a leak reaches.
 type obMessages struct {
 	leak            string // owed on a return edge; {arg} names the return
-	discard         string // acquiring call used as a statement
-	discardBlank    string // resource result assigned to _
+	discard         string // resource result dropped: call used as a statement, or assigned to _
 	reassign        string // acquired again into a variable that still owes
-	overwrite       string // a variable that still owes is overwritten; {arg} says how
+	overwrite       string // a variable that still owes is overwritten
 	reacquire       string // receiver acquired while already held
-	doubleRelease   string // discharged twice
 	releaseDeferred string // discharged explicitly with a deferred discharge pending
-	deferReleased   string // discharge deferred after an explicit one
 	deferTwice      string // discharge deferred twice
-	useStored       string // released resource stored
-	useEscapes      string // released resource handed on
-	useField        string // field or method value of a released resource
-	useMethod       string // method {arg} called on a released resource
 }
 
 // obSpec is one obligation: what acquires the resource, what discharges
@@ -131,7 +112,7 @@ type obSpec struct {
 	// assignment moves the obligation to. Receiver-only specs leave it nil.
 	holds func(t types.Type) bool
 	// discharge returns the expression naming the resource that call
-	// discharges — the receiver of Release/End/Unlock, or the called
+	// discharges — the receiver of End/Unlock, or the called
 	// cancel variable — or nil.
 	discharge func(pass *Pass, call *ast.CallExpr) ast.Expr
 	// exprKeys keys resources by the rendered receiver expression
@@ -148,7 +129,7 @@ type obSpec struct {
 
 // obligationSpecs is every obligation the suite checks, in Analyzers()
 // order.
-var obligationSpecs = []*obSpec{spanEndSpec, refCountSpec, lockOrderSpec, ctxLeakSpec}
+var obligationSpecs = []*obSpec{spanEndSpec, lockOrderSpec, ctxLeakSpec}
 
 // run is the Analyzer.Run of a spec: every declared function and every
 // function literal is its own flow problem, and one that contains no
@@ -239,7 +220,7 @@ func (s *obSpec) check(pass *Pass, body *ast.BlockStmt, ft *ast.FuncType, fn *ty
 			line = pass.Pkg.Fset.Position(e.From.Nodes[n-1].Pos()).Line
 		}
 		for key, fact := range f {
-			if prev, seen := leaks[key]; fact.state.owed() && (!seen || line < prev.line) {
+			if prev, seen := leaks[key]; fact.state == obOwed && (!seen || line < prev.line) {
 				leaks[key] = leak{key, fact, line}
 			}
 		}
@@ -303,18 +284,22 @@ func (a *obFlow) Equal(x, y obFacts) bool {
 	return true
 }
 
-// Join merges two paths. A resource only one of them knows stays
-// (its obligation wins) except under mergeIntersect.
+// Join merges two paths: of two facts of one resource the larger state
+// wins (see obState), and a resource only one path knows stays (its
+// obligation wins) except under mergeIntersect.
 func (a *obFlow) Join(x, y obFacts) obFacts {
+	intersect := a.spec.merge == mergeIntersect
 	out := make(obFacts, len(x))
 	for k, vx := range x {
-		if vy, ok := y[k]; ok {
-			out[k] = a.joinFact(vx, vy)
-		} else if a.spec.merge != mergeIntersect {
+		vy, both := y[k]
+		if both && vy.state > vx.state {
+			vx = vy
+		}
+		if both || !intersect {
 			out[k] = vx
 		}
 	}
-	if a.spec.merge != mergeIntersect {
+	if !intersect {
 		for k, vy := range y {
 			if _, ok := x[k]; !ok {
 				out[k] = vy
@@ -324,93 +309,9 @@ func (a *obFlow) Join(x, y obFacts) obFacts {
 	return out
 }
 
-// joinFact merges two facts of one resource: a hand-off on either path
-// ends the obligation, guarded and unguarded debt stay guarded, a
-// deferred discharge counts only if both paths deferred it, and debt
-// against a discharge follows the spec's merge rule.
-func (a *obFlow) joinFact(x, y obFact) obFact {
-	if x.state == y.state {
-		if x.okGuard != y.okGuard {
-			x.okGuard = nil
-		}
-		if x.errGuard != y.errGuard {
-			x.errGuard = nil
-		}
-		return x
-	}
-	hi, lo := x, y
-	if hi.state < lo.state {
-		hi, lo = lo, hi
-	}
-	switch {
-	case hi.state >= obEscaped, hi.state == obGuarded:
-		return hi
-	case lo.state.owed() && a.spec.merge != mergeAbandon:
-		return lo
-	}
-	lo.state = obAbandoned
-	return lo
-}
-
-// Refine narrows facts along a conditional edge: `if ok` and
-// `if err != nil` decide a guarded acquire, and a nil test on the
-// resource itself decides it directly. Where the acquire did not
-// happen there is nothing to track.
-func (a *obFlow) Refine(f obFacts, cond ast.Expr, branch bool) obFacts {
-	var out obFacts
-	settle := func(key any, fact obFact, acquired bool) {
-		if out == nil {
-			out = f.clone()
-		}
-		if !acquired {
-			delete(out, key)
-			return
-		}
-		fact.state, fact.okGuard, fact.errGuard = obOwed, nil, nil
-		out[key] = fact
-	}
-	info := a.pass.Pkg.Info
-	switch c := ast.Unparen(cond).(type) {
-	case *ast.Ident:
-		guard := info.Uses[c]
-		for key, fact := range f {
-			if fact.state == obGuarded && guard != nil && fact.okGuard == guard {
-				settle(key, fact, branch)
-			}
-		}
-	case *ast.BinaryExpr:
-		operand := c.X
-		if isNilIdent(c.X) {
-			operand = c.Y
-		} else if !isNilIdent(c.Y) {
-			break
-		}
-		id, ok := ast.Unparen(operand).(*ast.Ident)
-		if !ok || info.Uses[id] == nil || (c.Op != token.EQL && c.Op != token.NEQ) {
-			break
-		}
-		obj := info.Uses[id]
-		nonNil := branch == (c.Op == token.NEQ)
-		if fact, ok := f[obj]; ok && fact.state.owed() {
-			settle(obj, fact, nonNil)
-			break
-		}
-		for key, fact := range f {
-			if fact.state == obGuarded && fact.errGuard == obj {
-				settle(key, fact, !nonNil)
-			}
-		}
-	}
-	if out == nil {
-		return f
-	}
-	return out
-}
-
-func isNilIdent(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "nil"
-}
+// Refine is cfg.Analysis's hook for conditional edges; no condition
+// decides an obligation.
+func (a *obFlow) Refine(f obFacts, _ ast.Expr, _ bool) obFacts { return f }
 
 func (a *obFlow) put(key any, fact obFact) {
 	if !a.own {
@@ -525,8 +426,8 @@ func (a *obFlow) Transfer(f obFacts, n ast.Node) obFacts {
 		}
 	case *ast.RangeStmt:
 		a.scan(s.X, false)
-		a.kill(s.Key, "range")
-		a.kill(s.Value, "range")
+		a.kill(s.Key)
+		a.kill(s.Value)
 	case *ast.SendStmt:
 		a.scan(s.Chan, false)
 		a.scan(s.Value, true)
@@ -591,26 +492,21 @@ func (a *obFlow) assign(lhs, rhs []ast.Expr) {
 			// `_ = x` quiets the compiler; it neither discharges nor hands on.
 		case dst != nil && a.spec.holds(dst.Type()):
 			// Alias: the obligation follows the new name.
-			a.kill(lhs[i], "alias")
+			a.kill(lhs[i])
 			a.put(dst, fact)
-			fact.state = obEscaped
-			a.put(src, fact)
+			a.escape(src)
 		default:
 			// Stored into a field, element or interface: the structure owns it.
-			if fact.state == obReleased {
-				a.reportf(r.Pos(), a.spec.msg.useStored, src, fact, "")
-			}
-			fact.state = obEscaped
-			a.put(src, fact)
+			a.escape(src)
 		}
 	}
 }
 
 // overwrite is a plain assignment to l: a variable loses its fact, any
-// other target is walked for uses (m[blk.Len()] = v).
+// other target is walked for uses (m[key(x)] = v).
 func (a *obFlow) overwrite(l ast.Expr) {
 	if _, isIdent := ast.Unparen(l).(*ast.Ident); isIdent {
-		a.kill(l, "assignment")
+		a.kill(l)
 	} else {
 		a.scan(l, false)
 	}
@@ -618,39 +514,20 @@ func (a *obFlow) overwrite(l ast.Expr) {
 
 // kill forgets an overwritten variable; losing one that still owes is a
 // finding.
-func (a *obFlow) kill(l ast.Expr, how string) {
+func (a *obFlow) kill(l ast.Expr) {
 	if obj, fact, ok := a.tracked(l); ok {
 		if fact.state == obOwed {
-			a.reportf(l.Pos(), a.spec.msg.overwrite, obj, fact, how)
+			a.reportf(l.Pos(), a.spec.msg.overwrite, obj, fact, "")
 		}
 		a.drop(obj)
 	}
 }
 
 // bind is the acquiring assignment: each result that is the resource
-// starts an obligation on the variable receiving it, guarded by the
-// bool or error bound beside it.
+// starts an obligation on the variable receiving it.
 func (a *obFlow) bind(lhs []ast.Expr, call *ast.CallExpr, acq obAcquire) {
 	a.scan(call, false)
-	var okGuard, errGuard types.Object
-	for _, l := range lhs {
-		if obj := a.obj(l); obj != nil {
-			switch t := obj.Type().(type) {
-			case *types.Basic:
-				if t.Info()&types.IsBoolean != 0 {
-					okGuard = obj
-				}
-			case *types.Named:
-				if t.Obj().Pkg() == nil && t.Obj().Name() == "error" {
-					errGuard = obj
-				}
-			}
-		}
-	}
-	fact := obFact{state: obOwed, okGuard: okGuard, errGuard: errGuard, pos: call.Pos(), src: acq.src}
-	if okGuard != nil || errGuard != nil {
-		fact.state = obGuarded
-	}
+	fact := obFact{state: obOwed, pos: call.Pos(), src: acq.src}
 	for i, l := range lhs {
 		if !a.spec.holds(resultType(a.pass, call, i, len(lhs))) {
 			continue
@@ -658,7 +535,7 @@ func (a *obFlow) bind(lhs []ast.Expr, call *ast.CallExpr, acq obAcquire) {
 		obj := a.obj(l)
 		switch {
 		case isBlank(l):
-			a.reportf(call.Pos(), a.spec.msg.discardBlank, nil, fact, "")
+			a.reportf(call.Pos(), a.spec.msg.discard, nil, fact, "")
 		case obj == nil:
 			// A field or element receives it: the structure owns it.
 		default:
@@ -685,7 +562,7 @@ func resultType(pass *Pass, call *ast.CallExpr, i, n int) types.Type {
 	return nil
 }
 
-// deferStmt: `defer x.Release()` and a deferred closure that discharges
+// deferStmt: `defer x.End()` and a deferred closure that discharges
 // x both discharge it at exit; whatever else a deferred call mentions
 // is handed to it.
 func (a *obFlow) deferStmt(s *ast.DeferStmt) {
@@ -713,10 +590,7 @@ func (a *obFlow) deferStmt(s *ast.DeferStmt) {
 
 func (a *obFlow) deferDischarge(key any, pos token.Pos) {
 	fact := a.f[key]
-	switch fact.state {
-	case obReleased:
-		a.reportf(pos, a.spec.msg.deferReleased, key, fact, "")
-	case obDeferred:
+	if fact.state == obDeferred {
 		a.reportf(pos, a.spec.msg.deferTwice, key, fact, "")
 	}
 	fact.state = obDeferred
@@ -743,10 +617,7 @@ func (a *obFlow) escapeMentioned(n ast.Node, skip map[any]bool) {
 func (a *obFlow) scan(e ast.Expr, escape bool) {
 	switch ex := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		if obj, fact, ok := a.tracked(ex); ok && escape {
-			if fact.state == obReleased {
-				a.reportf(ex.Pos(), a.spec.msg.useEscapes, obj, fact, "")
-			}
+		if obj := a.obj(ex); obj != nil && escape {
 			a.escape(obj)
 		}
 	case *ast.CallExpr:
@@ -758,13 +629,7 @@ func (a *obFlow) scan(e ast.Expr, escape bool) {
 	case *ast.TypeAssertExpr:
 		a.scan(ex.X, escape)
 	case *ast.SelectorExpr:
-		if obj, fact, ok := a.tracked(ex.X); ok {
-			if fact.state == obReleased {
-				a.reportf(ex.Pos(), a.spec.msg.useField, obj, fact, "")
-			}
-			return
-		}
-		a.scan(ex.X, false)
+		a.scan(ex.X, false) // a field or method of x is a use, not a hand-off
 	case *ast.BinaryExpr:
 		a.scan(ex.X, false)
 		a.scan(ex.Y, false)
@@ -786,47 +651,25 @@ func (a *obFlow) scan(e ast.Expr, escape bool) {
 	}
 }
 
-// call applies one call: a discharge, an acquire onto the receiver, a
-// method of a tracked variable (a use, not a hand-off), or any other
-// call, whose arguments are handed to the callee.
+// call applies one call: a discharge, an acquire onto the receiver, or
+// any other call, whose arguments are handed to the callee.
 func (a *obFlow) call(call *ast.CallExpr) {
 	if key, ok := a.discharged(call); ok {
-		fact := a.f[key]
-		switch fact.state {
-		case obReleased:
-			a.reportf(call.Pos(), a.spec.msg.doubleRelease, key, fact, "")
-			return
-		case obDeferred:
+		if fact := a.f[key]; fact.state == obDeferred {
 			a.reportf(call.Pos(), a.spec.msg.releaseDeferred, key, fact, "")
 		}
-		if a.spec.merge == mergeIntersect {
-			a.drop(key) // not held any more; see mergeIntersect
-		} else {
-			fact.state = obReleased
-			a.put(key, fact)
-		}
+		a.drop(key)
 		return
 	}
 	if acq, ok := a.spec.acquire(a.pass, call); ok && acq.recv != nil {
 		if key := a.recvKey(acq.recv); key != nil {
-			if prior, ok := a.f[key]; ok && prior.state.held() && !(prior.shared && acq.shared) {
+			if prior, ok := a.f[key]; ok && !(prior.shared && acq.shared) {
 				a.reportf(call.Pos(), a.spec.msg.reacquire, key, prior, "")
 			}
 			if a.report && a.fn != nil && a.spec.onAcquire != nil {
 				a.spec.onAcquire(a.pass, a.fn, a.f, acq, call.Pos())
 			}
 			a.put(key, obFact{state: obOwed, pos: call.Pos(), src: acq.src, class: acq.class, release: acq.release, shared: acq.shared})
-			return
-		}
-	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if obj, fact, ok := a.tracked(sel.X); ok {
-			if fact.state == obReleased {
-				a.reportf(call.Pos(), a.spec.msg.useMethod, obj, fact, sel.Sel.Name)
-			}
-			for _, arg := range call.Args {
-				a.scan(arg, true)
-			}
 			return
 		}
 	}

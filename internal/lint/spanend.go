@@ -50,9 +50,8 @@ var spanEndSpec = &obSpec{
 	discharge: func(_ *Pass, call *ast.CallExpr) ast.Expr { return methodRecv(call, "End") },
 	merge:     mergeKeepOwed,
 	msg: obMessages{
-		leak:         "span \"{name}\" is started but never ended on all paths: add `defer {name}.End()`",
-		discard:      `span from {src} is discarded: assign it and call End()`,
-		discardBlank: `span from {src} is discarded: assign it and call End()`,
+		leak:    "span \"{name}\" is started but never ended on all paths: add `defer {name}.End()`",
+		discard: `span from {src} is discarded: assign it and call End()`,
 	},
 }
 

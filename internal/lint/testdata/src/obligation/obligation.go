@@ -1,50 +1,39 @@
 // Package obligation is a lint fixture for TestObligationIsASpec: four
 // tiny bodies over a resource none of the shipped analyzers knows
-// (os.Open must reach Close), checked by a spec that exists only in the
-// test.
+// (time.NewTicker must reach Stop), checked by a spec that exists only
+// in the test.
 package obligation
 
-import "os"
+import "time"
 
-// leak returns on the happy path with the file still open.
-func leak(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
+// leak returns on the quiet path with the ticker still running.
+func leak(d time.Duration, quit <-chan struct{}) bool {
+	t := time.NewTicker(d)
+	select {
+	case <-t.C:
+		t.Stop()
+		return true
+	case <-quit:
+		return false
 	}
-	_ = f
-	return nil
 }
 
-// doubleClose closes the same file twice.
-func doubleClose(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		return
-	}
-	f.Close()
-	f.Close()
+// discarded starts a ticker nothing can ever stop.
+func discarded(d time.Duration) {
+	time.NewTicker(d)
 }
 
 // deferred is the canonical correct shape.
-func deferred(path string) (int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
+func deferred(d time.Duration, n int) {
+	t := time.NewTicker(d)
+	defer t.Stop()
+	for i := 0; i < n; i++ {
+		<-t.C
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
 }
 
-// escaped hands the open file to the caller.
-func escaped(path string) (*os.File, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
+// escaped hands the running ticker to the caller.
+func escaped(d time.Duration) *time.Ticker {
+	t := time.NewTicker(d)
+	return t
 }

@@ -146,7 +146,11 @@ func (f *File) VarLen(v *Var) (int, error) {
 		if id < 0 || id >= len(f.Dims) {
 			return 0, fmt.Errorf("netcdf: variable %q references unknown dimension %d", v.Name, id)
 		}
-		n *= f.Dims[id].Len
+		l := f.Dims[id].Len
+		if l > 0 && n > math.MaxInt/l {
+			return 0, fmt.Errorf("netcdf: variable %q: element count overflows", v.Name)
+		}
+		n *= l
 	}
 	return n, nil
 }
@@ -378,6 +382,27 @@ type ncDecoder struct {
 	wide bool
 }
 
+// count bounds a count read from the header by what the rest of the
+// file could hold — n items of at least minBytes each. Every count that
+// sizes an allocation or a loop goes through it, so a hostile header
+// cannot ask for more memory or time than its own length pays for.
+func (d *ncDecoder) count(n uint32, minBytes int, what string) (int, error) {
+	if rest := max(len(d.data)-d.pos, 0); int64(n)*int64(minBytes) > int64(rest) {
+		return 0, fmt.Errorf("netcdf: %d %s at offset %d cannot fit in the %d bytes left", n, what, d.pos, rest)
+	}
+	return int(n), nil
+}
+
+// Smallest encodings of the header's list items: a dimension is a name
+// length and a length; an attribute a name length, a type and an
+// element count; a variable a name length, a dimension count, an empty
+// attribute list, a type, a size and a 32-bit offset.
+const (
+	minDimBytes  = 8
+	minAttrBytes = 12
+	minVarBytes  = 28
+)
+
 func (d *ncDecoder) u32() (uint32, error) {
 	if d.pos+4 > len(d.data) {
 		return 0, fmt.Errorf("netcdf: truncated at offset %d", d.pos)
@@ -401,15 +426,16 @@ func (d *ncDecoder) offset() (int, error) {
 }
 
 func (d *ncDecoder) name() (string, error) {
-	n, err := d.u32()
+	raw, err := d.u32()
 	if err != nil {
 		return "", err
 	}
-	if d.pos+int(n) > len(d.data) {
-		return "", fmt.Errorf("netcdf: truncated name at %d", d.pos)
+	n, err := d.count(raw, 1, "name bytes")
+	if err != nil {
+		return "", err
 	}
-	s := string(d.data[d.pos : d.pos+int(n)])
-	d.pos += int(n) + pad4(int(n))
+	s := string(d.data[d.pos : d.pos+n])
+	d.pos += n + pad4(n)
 	return s, nil
 }
 
@@ -418,18 +444,22 @@ func (d *ncDecoder) attrs() ([]Attr, error) {
 	if err != nil {
 		return nil, err
 	}
-	count, err := d.u32()
+	rawCount, err := d.u32()
 	if err != nil {
 		return nil, err
 	}
-	if tag == 0 && count == 0 {
+	if tag == 0 && rawCount == 0 {
 		return nil, nil
 	}
 	if tag != tagAttribute {
 		return nil, fmt.Errorf("netcdf: expected attribute list, got tag %#x", tag)
 	}
+	count, err := d.count(rawCount, minAttrBytes, "attributes")
+	if err != nil {
+		return nil, err
+	}
 	out := make([]Attr, 0, count)
-	for i := uint32(0); i < count; i++ {
+	for i := 0; i < count; i++ {
 		name, err := d.name()
 		if err != nil {
 			return nil, err
@@ -442,14 +472,15 @@ func (d *ncDecoder) attrs() ([]Attr, error) {
 		if typ.Size() == 0 {
 			return nil, fmt.Errorf("netcdf: attribute %q has invalid type %d", name, typRaw)
 		}
-		nelems, err := d.u32()
+		rawElems, err := d.u32()
 		if err != nil {
 			return nil, err
 		}
-		total := int(nelems) * typ.Size()
-		if d.pos+total > len(d.data) {
-			return nil, fmt.Errorf("netcdf: attribute %q payload truncated", name)
+		nelems, err := d.count(rawElems, typ.Size(), "attribute elements")
+		if err != nil {
+			return nil, err
 		}
+		total := nelems * typ.Size()
 		payload := d.data[d.pos : d.pos+total]
 		d.pos += total + pad4(total)
 		var value any
@@ -514,12 +545,16 @@ func (d *ncDecoder) decode() (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	count, err := d.u32()
+	rawCount, err := d.u32()
 	if err != nil {
 		return nil, err
 	}
 	if tag == tagDimension {
-		for i := uint32(0); i < count; i++ {
+		count, err := d.count(rawCount, minDimBytes, "dimensions")
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i < count; i++ {
 			name, err := d.name()
 			if err != nil {
 				return nil, err
@@ -533,7 +568,7 @@ func (d *ncDecoder) decode() (*File, error) {
 			}
 			f.Dims = append(f.Dims, Dim{Name: name, Len: int(length)})
 		}
-	} else if tag != 0 || count != 0 {
+	} else if tag != 0 || rawCount != 0 {
 		return nil, fmt.Errorf("netcdf: expected dimension list, got tag %#x", tag)
 	}
 
@@ -547,21 +582,29 @@ func (d *ncDecoder) decode() (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	count, err = d.u32()
+	rawCount, err = d.u32()
 	if err != nil {
 		return nil, err
 	}
 	if tag == tagVariable {
-		for i := uint32(0); i < count; i++ {
+		count, err := d.count(rawCount, minVarBytes, "variables")
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i < count; i++ {
 			var v Var
 			if v.Name, err = d.name(); err != nil {
 				return nil, err
 			}
-			ndims, err := d.u32()
+			rawDims, err := d.u32()
 			if err != nil {
 				return nil, err
 			}
-			for j := uint32(0); j < ndims; j++ {
+			ndims, err := d.count(rawDims, 4, "dimension ids")
+			if err != nil {
+				return nil, err
+			}
+			for j := 0; j < ndims; j++ {
 				id, err := d.u32()
 				if err != nil {
 					return nil, err
@@ -590,14 +633,14 @@ func (d *ncDecoder) decode() (*File, error) {
 			if err != nil {
 				return nil, err
 			}
-			total := n * v.Type.Size()
-			if begin < 0 || begin+total > len(d.data) {
-				return nil, fmt.Errorf("netcdf: variable %q data at %d..%d beyond file", v.Name, begin, begin+total)
+			size := v.Type.Size()
+			if begin < 0 || begin > len(d.data) || n > (len(d.data)-begin)/size {
+				return nil, fmt.Errorf("netcdf: variable %q: %d elements of %d bytes at offset %d run beyond the file", v.Name, n, size, begin)
 			}
-			v.Data = d.data[begin : begin+total]
+			v.Data = d.data[begin : begin+n*size]
 			f.Vars = append(f.Vars, v)
 		}
-	} else if tag != 0 || count != 0 {
+	} else if tag != 0 || rawCount != 0 {
 		return nil, fmt.Errorf("netcdf: expected variable list, got tag %#x", tag)
 	}
 	return f, nil

@@ -39,7 +39,6 @@ func (c *Cached) Get(ctx context.Context, key string) ([]byte, error) {
 	}
 	out := make([]byte, blk.Len())
 	copy(out, blk.Bytes())
-	blk.Release()
 	return out, nil
 }
 

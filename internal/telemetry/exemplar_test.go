@@ -8,7 +8,7 @@ import (
 )
 
 func TestObserveExemplarPerBucket(t *testing.T) {
-	reg := newLenientRegistry()
+	reg := NewRegistry()
 	h := reg.Histogram("req_seconds", "service", "dash")
 
 	h.ObserveExemplar(0.2, "trace-mid")   // le="0.25" bucket
@@ -35,7 +35,7 @@ func TestObserveExemplarPerBucket(t *testing.T) {
 }
 
 func TestWriteExemplarsAndHandler(t *testing.T) {
-	reg := newLenientRegistry()
+	reg := NewRegistry()
 	reg.Counter("ops_total").Add(3) // non-histogram families are skipped
 	h := reg.Histogram("req_seconds", "service", "store")
 	h.ObserveExemplar(0.2, "0123456789abcdef0123456789abcdef")
@@ -64,7 +64,7 @@ func TestWriteExemplarsAndHandler(t *testing.T) {
 }
 
 func TestHistogramExemplarConcurrent(t *testing.T) {
-	reg := newLenientRegistry()
+	reg := NewRegistry()
 	h := reg.Histogram("req_seconds")
 	done := make(chan struct{})
 	for w := 0; w < 4; w++ {

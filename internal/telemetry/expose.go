@@ -195,19 +195,17 @@ func (r *StatusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter 
 // service-wide latency histogram — the shared middleware state for the
 // catalog and dashboard servers.
 type HTTPMetrics struct {
-	reg      *Registry
-	service  string
-	lat      *Histogram
-	inFlight *Gauge
+	reg     *Registry
+	service string
+	lat     *Histogram
 }
 
 // NewHTTPMetrics registers the nsdf_http_* families for one service.
 func NewHTTPMetrics(reg *Registry, service string) *HTTPMetrics {
 	return &HTTPMetrics{
-		reg:      reg,
-		service:  service,
-		lat:      reg.Histogram("nsdf_http_request_seconds", "service", service),
-		inFlight: reg.Gauge("nsdf_http_in_flight", "service", service),
+		reg:     reg,
+		service: service,
+		lat:     reg.Histogram("nsdf_http_request_seconds", "service", service),
 	}
 }
 
@@ -238,18 +236,6 @@ func (m *HTTPMetrics) ObserveTraced(route string, code int, elapsed time.Duratio
 	m.reg.Counter("nsdf_http_requests_total",
 		"service", m.service, "route", route, "class", statusClass(code)).Inc()
 	m.lat.ObserveExemplar(elapsed.Seconds(), traceID)
-}
-
-// Wrap times handler and records it under route.
-func (m *HTTPMetrics) Wrap(route string, handler func(http.ResponseWriter, *http.Request)) func(http.ResponseWriter, *http.Request) {
-	return func(w http.ResponseWriter, r *http.Request) {
-		rec := NewStatusRecorder(w)
-		m.inFlight.Add(1)
-		start := time.Now()
-		handler(rec, r)
-		m.inFlight.Add(-1)
-		m.Observe(route, rec.Code, time.Since(start))
-	}
 }
 
 // WithRequestTimeout bounds every request's context with a deadline of d

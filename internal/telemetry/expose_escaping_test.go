@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestExpositionEscapesLabelValues checks the text exposition stays
@@ -100,20 +101,28 @@ func TestStatusRecorderDefaults200(t *testing.T) {
 	}
 }
 
-// TestWrapRecordsStatusClass ties the recorder into HTTPMetrics.Wrap: a
-// 404 handler must land in the 4xx class and a plain-body handler in 2xx.
+// TestWrapRecordsStatusClass ties the recorder into HTTPMetrics the way
+// the servers do — handler wrapped in a StatusRecorder, its Code handed
+// to Observe: a 404 handler must land in the 4xx class, a plain-body
+// handler in 2xx, and each request is one latency observation.
 func TestWrapRecordsStatusClass(t *testing.T) {
 	reg := NewRegistry()
 	m := NewHTTPMetrics(reg, "test")
 
-	notFound := m.Wrap("missing", func(w http.ResponseWriter, _ *http.Request) {
+	serve := func(route string, handler http.HandlerFunc) {
+		rec := NewStatusRecorder(httptest.NewRecorder())
+		handler(rec, httptest.NewRequest("GET", "/"+route, nil))
+		m.Observe(route, rec.Code, time.Millisecond)
+	}
+	serve("missing", func(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "nope", http.StatusNotFound)
 	})
-	plain := m.Wrap("plain", func(w http.ResponseWriter, _ *http.Request) {
+	serve("plain", func(w http.ResponseWriter, _ *http.Request) {
 		w.Write([]byte("hi")) //lint:allow droppederr test handler
 	})
-	notFound(httptest.NewRecorder(), httptest.NewRequest("GET", "/missing", nil))
-	plain(httptest.NewRecorder(), httptest.NewRequest("GET", "/plain", nil))
+	if snap := reg.Histogram("nsdf_http_request_seconds", "service", "test").Snapshot(); snap.Count != 2 {
+		t.Errorf("latency observations = %d, want 2", snap.Count)
+	}
 
 	var sb strings.Builder
 	if err := reg.WriteExposition(&sb); err != nil {

@@ -41,9 +41,7 @@ func TestStrictAcceptsConformingName(t *testing.T) {
 
 // TestNonStrictLogsOnceAndStillRegisters checks non-strict mode: a bad
 // name is reported on the standard logger exactly once per name, but
-// the series still works so production callers never crash. SetStrict
-// is forced off so the test also passes under -tags nsdfstrict, where
-// the build-time default flips to strict.
+// the series still works so production callers never crash.
 func TestNonStrictLogsOnceAndStillRegisters(t *testing.T) {
 	var buf bytes.Buffer
 	old := log.Writer()
@@ -51,7 +49,6 @@ func TestNonStrictLogsOnceAndStillRegisters(t *testing.T) {
 	defer log.SetOutput(old)
 
 	r := NewRegistry()
-	r.SetStrict(false)
 	c := r.Counter("bad-name.total")
 	c.Inc()
 	c.Inc()

@@ -275,11 +275,11 @@ type Registry struct {
 	warned   map[string]bool
 }
 
-// NewRegistry returns an empty registry. It is strict (invalid metric
-// names panic instead of logging) when the build tag nsdfstrict is set;
-// see SetStrict.
+// NewRegistry returns an empty registry in logging mode: a misnamed
+// metric is reported once but still registered, so production services
+// never crash over a label. See SetStrict.
 func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family), strict: strictDefault}
+	return &Registry{families: make(map[string]*family)}
 }
 
 // SetStrict switches misnamed-metric handling between logging (false,

@@ -12,21 +12,11 @@ import (
 	"time"
 )
 
-// newLenientRegistry returns a registry with strict naming off, so the
-// mechanics tests below can keep their compact metric names under any
-// build tag (-tags nsdfstrict flips the default to panic-on-bad-name).
-// Naming enforcement itself is covered in strict_test.go.
-func newLenientRegistry() *Registry {
-	r := NewRegistry()
-	r.SetStrict(false)
-	return r
-}
-
 // TestConcurrentCounters hammers one counter, one gauge, and one
 // histogram from many goroutines; run under -race this doubles as the
 // data-race check for the whole hot path.
 func TestConcurrentCounters(t *testing.T) {
-	reg := newLenientRegistry()
+	reg := NewRegistry()
 	const goroutines = 16
 	const perG = 2000
 
@@ -79,7 +69,7 @@ func TestCounterMonotonic(t *testing.T) {
 // TestSameSeriesSameInstance checks that registry lookups are idempotent
 // and that label order does not split a series.
 func TestSameSeriesSameInstance(t *testing.T) {
-	reg := newLenientRegistry()
+	reg := NewRegistry()
 	a := reg.Counter("x_total", "a", "1", "b", "2")
 	b := reg.Counter("x_total", "b", "2", "a", "1")
 	if a != b {
@@ -122,7 +112,7 @@ func TestHistogramPercentiles(t *testing.T) {
 // TestExpositionGolden locks the text format: family ordering, label
 // canonicalisation, cumulative buckets, sum/count, and quantile lines.
 func TestExpositionGolden(t *testing.T) {
-	reg := newLenientRegistry()
+	reg := NewRegistry()
 	reg.Counter("bb_ops_total", "op", "get").Add(7)
 	reg.Counter("bb_ops_total", "op", "put").Add(3)
 	reg.Gauge("aa_entries").Set(12.5)
@@ -201,7 +191,7 @@ dd_seconds_count 3
 
 // TestHandlerServesExposition exercises the /metrics handler end to end.
 func TestHandlerServesExposition(t *testing.T) {
-	reg := newLenientRegistry()
+	reg := NewRegistry()
 	reg.Counter("up_total").Inc()
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
@@ -222,41 +212,9 @@ func TestHandlerServesExposition(t *testing.T) {
 	}
 }
 
-// TestHTTPMetricsWrap checks the middleware counts status classes and
-// observes latency.
-func TestHTTPMetricsWrap(t *testing.T) {
-	reg := newLenientRegistry()
-	m := NewHTTPMetrics(reg, "svc")
-	ok := m.Wrap("/ok", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("hi"))
-	})
-	missing := m.Wrap("/missing", func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "nope", http.StatusNotFound)
-	})
-	for i := 0; i < 3; i++ {
-		rec := httptest.NewRecorder()
-		ok(rec, httptest.NewRequest("GET", "/ok", nil))
-	}
-	rec := httptest.NewRecorder()
-	missing(rec, httptest.NewRequest("GET", "/missing", nil))
-
-	if got := reg.Counter("nsdf_http_requests_total", "service", "svc", "route", "/ok", "class", "2xx").Value(); got != 3 {
-		t.Errorf("2xx count = %d, want 3", got)
-	}
-	if got := reg.Counter("nsdf_http_requests_total", "service", "svc", "route", "/missing", "class", "4xx").Value(); got != 1 {
-		t.Errorf("4xx count = %d, want 1", got)
-	}
-	if snap := reg.Histogram("nsdf_http_request_seconds", "service", "svc").Snapshot(); snap.Count != 4 {
-		t.Errorf("latency observations = %d, want 4", snap.Count)
-	}
-	if got := reg.Gauge("nsdf_http_in_flight", "service", "svc").Value(); got != 0 {
-		t.Errorf("in-flight gauge = %g, want 0 after completion", got)
-	}
-}
-
 // TestSumFamilyAndQuantiles covers the cmd-level summary helpers.
 func TestSumFamilyAndQuantiles(t *testing.T) {
-	reg := newLenientRegistry()
+	reg := NewRegistry()
 	reg.Counter("t_total", "k", "a").Add(2)
 	reg.Counter("t_total", "k", "b").Add(5)
 	if got := reg.SumFamily("t_total"); got != 7 {
