@@ -21,7 +21,9 @@ import (
 	"nsdfgo/internal/netcdf"
 	"nsdfgo/internal/query"
 	"nsdfgo/internal/raster"
+	"nsdfgo/internal/shard"
 	"nsdfgo/internal/storage"
+	"nsdfgo/internal/telemetry"
 	"nsdfgo/internal/tiff"
 )
 
@@ -210,22 +212,50 @@ func TestNetCDFPipelineIntegration(t *testing.T) {
 	}
 }
 
-// TestWorkflowSurvivesFlakyStorage runs the step-2/3 conversion against a
-// flaky store behind retries — failure injection at the integration level.
+// TestWorkflowSurvivesFlakyStorage runs the step-2/3 conversion onto the
+// replicated tier with one faulty node — failure injection at the
+// integration level, over what ships: a 3-node shard.Router at R=2 whose
+// node c fails a share p of its operations. Every key keeps a healthy
+// replica, so the write quorum and read failover carry the dataset
+// through bit-exact, and the router books the failovers.
 func TestWorkflowSurvivesFlakyStorage(t *testing.T) {
-	flaky := storage.NewRetry(storage.NewFlaky(storage.NewMemStore(), 0.15, 5), 12, 0)
-	scene := dem.Tennessee(96, 48, 9)
-	ds, err := convert.ToIDX(context.Background(), storage.NewIDXBackend(flaky, "ds"),
-		[]convert.Input{{FieldName: "elevation", Grid: scene}}, 8, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, _, err := ds.ReadFull(context.Background(), "elevation", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !raster.Equal(scene, back) {
-		t.Fatal("data corrupted through flaky storage")
+	ctx := context.Background()
+	for _, p := range []float64{0.15, 1} {
+		t.Run(fmt.Sprintf("p=%v", p), func(t *testing.T) {
+			faulty := storage.NewConditioned(storage.NewMemStore(), storage.NetworkProfile{FailProb: p}, 5)
+			r, err := shard.NewRouter([]shard.Node{
+				{Name: "a", Store: storage.NewMemStore()},
+				{Name: "b", Store: storage.NewMemStore()},
+				{Name: "c", Store: faulty},
+			}, shard.Options{Replicas: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := telemetry.NewRegistry()
+			r.Instrument(reg)
+			scene := dem.Tennessee(96, 48, 9)
+			if _, err := convert.ToIDX(ctx, storage.NewIDXBackend(r, "ds"),
+				[]convert.Input{{FieldName: "elevation", Grid: scene}}, 8, ""); err != nil {
+				t.Fatal(err)
+			}
+			ds, err := idx.Open(ctx, storage.NewIDXBackend(r, "ds"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, _, err := ds.ReadFull(ctx, "elevation", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !raster.Equal(scene, back) {
+				t.Fatal("data corrupted through flaky storage")
+			}
+			if faulty.Stats().Failed == 0 {
+				t.Fatal("node c injected no failure; the test exercises nothing")
+			}
+			if n := reg.Counter("nsdf_shard_replica_failovers_total").Value(); n == 0 {
+				t.Fatal("no replica failover booked")
+			}
+		})
 	}
 }
 

@@ -75,10 +75,10 @@ func renderFindings(pkg *Package, findings []Finding) string {
 // cases, so a matching golden proves the analyzer fires where it must
 // and stays quiet where the escape hatch is used.
 func TestAnalyzerGoldens(t *testing.T) {
-	for _, name := range []string{"metricname", "droppederr", "hotalloc", "lockcopy", "goleak", "ctxbackground", "ctxhttp", "spanend", "lockorder", "ctxleak"} {
+	for _, a := range Analyzers() {
+		name := a.Name
 		t.Run(name, func(t *testing.T) {
 			pkg := loadFixture(t, name)
-			a := analyzerByName(t, name)
 			findings := Run([]*Package{pkg}, []*Analyzer{a})
 			if len(findings) == 0 {
 				t.Fatalf("analyzer %s produced no findings on its fixture", name)
@@ -106,9 +106,9 @@ func TestAnalyzerGoldens(t *testing.T) {
 // that no finding lands on a line covered by a //lint:allow comment
 // (same line or the line below it) in any fixture.
 func TestAllowCommentSuppresses(t *testing.T) {
-	for _, name := range []string{"metricname", "droppederr", "hotalloc", "lockcopy", "goleak", "ctxbackground", "ctxhttp", "spanend", "lockorder", "ctxleak"} {
+	for _, a := range Analyzers() {
+		name := a.Name
 		pkg := loadFixture(t, name)
-		a := analyzerByName(t, name)
 		findings := Run([]*Package{pkg}, []*Analyzer{a})
 
 		src, err := os.ReadFile(filepath.Join(pkg.Dir, name+".go"))

@@ -146,7 +146,7 @@ func (s *store) finish() {
 }
 
 // lockNoUnlock never unlocks at all — must fire. (This case and the
-// next were lockcopy's "Lock pairs with an Unlock somewhere" check; the
+// next were once a syntactic "Lock pairs with an Unlock somewhere" check; the
 // per-path analysis subsumes it.)
 func (s *store) lockNoUnlock() {
 	s.mu.Lock() // want: path can reach return without Unlock

@@ -15,7 +15,7 @@ import (
 // the idx read pipeline, which consumes cache.Blocks directly.
 //
 // Layer it between the instrumentation and the backend so cache hits skip
-// the (possibly remote, retried, WAN-conditioned) inner store entirely:
+// the (possibly remote, WAN-conditioned) inner store entirely:
 //
 //	store := storage.NewInstrumented(storage.NewCached(inner, tiered), reg, "seal")
 type Cached struct {

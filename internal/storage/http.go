@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"context"
+	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -46,7 +47,7 @@ func NewServer(store Store, token string) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.AuthToken != "" {
 		got := r.Header.Get("Authorization")
-		if got != "Bearer "+s.AuthToken {
+		if subtle.ConstantTimeCompare([]byte(got), []byte("Bearer "+s.AuthToken)) != 1 {
 			http.Error(w, "unauthorized", http.StatusUnauthorized)
 			return
 		}

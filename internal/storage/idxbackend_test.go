@@ -136,8 +136,9 @@ func TestFileStoreIDXBackendDataset(t *testing.T) {
 
 // TestFileStoreIDXBackendOpensExistingDirectory: a .idxdata directory
 // written before idx.DirBackend was folded into FileStore — one file
-// per object at root/<name>, possibly a crashed Put's .tmp beside one —
-// opens and reads back unchanged through the FileStore path.
+// per object at root/<name>, possibly a crashed Put's staging file left
+// in root/.nsdf-tmp — opens and reads back unchanged through the
+// FileStore path.
 func TestFileStoreIDXBackendOpensExistingDirectory(t *testing.T) {
 	ctx := context.Background()
 	mem := idx.NewMemBackend()
@@ -172,15 +173,17 @@ func TestFileStoreIDXBackendOpensExistingDirectory(t *testing.T) {
 	if err != nil || len(blocks) == 0 {
 		t.Fatalf("blocks = %v, %v", blocks, err)
 	}
-	stray := filepath.Join(root, filepath.FromSlash(blocks[0])) + ".tmp"
-	if err := os.WriteFile(stray, []byte("partial"), 0o644); err != nil {
+	if err := os.MkdirAll(filepath.Join(root, fileStoreTmp), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, fileStoreTmp, "put-1"), []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	be := fileBackend(t, root)
-	listed, err := be.List(ctx, idx.BlockPrefix)
-	if err != nil || len(listed) != len(blocks) {
-		t.Fatalf("List = %v, %v; want the %d blocks and no .tmp", listed, err, len(blocks))
+	listed, err := be.List(ctx, "")
+	if err != nil || len(listed) != len(names) {
+		t.Fatalf("List = %v, %v; want the %d objects and no staging file", listed, err, len(names))
 	}
 	opened, err := idx.Open(ctx, be)
 	if err != nil {

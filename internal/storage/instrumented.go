@@ -15,12 +15,10 @@ import (
 // carries an active trace, each operation additionally records a
 // storage.<op> span annotated with the backend label, so /debug/traces
 // shows exactly which store the time went to. Layer it outermost so the
-// histogram captures the full cost (retries, simulated WAN delay, the
-// store itself):
+// histogram captures the full cost (simulated WAN delay, the store
+// itself):
 //
-//	store := storage.NewInstrumented(
-//	    storage.NewRetry(storage.NewConditioned(inner, profile, seed), 3, 0),
-//	    reg, "seal")
+//	store := storage.NewInstrumented(storage.NewConditioned(inner, profile, seed), reg, "seal")
 type Instrumented struct {
 	inner   Store
 	backend string

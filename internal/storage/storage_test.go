@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -72,11 +73,15 @@ func TestStoreConformance(t *testing.T) {
 			if err := s.Put(ctx, "z/e.bin", []byte("y")); err != nil {
 				t.Fatal(err)
 			}
+			// A key ending in .tmp is a key like any other.
+			if err := s.Put(ctx, "a/draft.tmp", []byte("t")); err != nil {
+				t.Fatal(err)
+			}
 			infos, err := s.List(ctx, "a/")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(infos) != 2 || infos[0].Key != "a/b/c.bin" || infos[1].Key != "a/d.bin" {
+			if len(infos) != 3 || infos[0].Key != "a/b/c.bin" || infos[1].Key != "a/d.bin" || infos[2].Key != "a/draft.tmp" {
 				t.Fatalf("List: %+v", infos)
 			}
 			// Delete; deleting twice is fine.
@@ -127,6 +132,9 @@ func TestInvalidKeysRejected(t *testing.T) {
 	if err := fs.Put(ctx, "../escape", []byte("x")); err == nil {
 		t.Error("file store path escape accepted")
 	}
+	if _, err := fs.Get(ctx, fileStoreTmp+"/put-1"); errors.Is(err, ErrNotExist) || err == nil {
+		t.Errorf("file store Get reached its staging directory: %v", err)
+	}
 }
 
 func TestAuthRejectsBadToken(t *testing.T) {
@@ -134,12 +142,16 @@ func TestAuthRejectsBadToken(t *testing.T) {
 	defer srv.Close()
 	ctx := context.Background()
 
-	wrong := NewClient(srv.URL, "bad")
-	if err := wrong.Put(ctx, "k", []byte("v")); !errors.Is(err, ErrUnauthorized) {
-		t.Errorf("wrong token Put: %v", err)
-	}
-	if _, err := wrong.Get(ctx, "k"); !errors.Is(err, ErrUnauthorized) {
-		t.Errorf("wrong token Get: %v", err)
+	// "goad" is wrong at the correct length; "goo" is the token minus
+	// its last byte.
+	for _, token := range []string{"bad", "goad", "goo"} {
+		wrong := NewClient(srv.URL, token)
+		if err := wrong.Put(ctx, "k", []byte("v")); !errors.Is(err, ErrUnauthorized) {
+			t.Errorf("token %q Put: %v", token, err)
+		}
+		if _, err := wrong.Get(ctx, "k"); !errors.Is(err, ErrUnauthorized) {
+			t.Errorf("token %q Get: %v", token, err)
+		}
 	}
 	none := NewClient(srv.URL, "")
 	if _, err := none.List(ctx, ""); !errors.Is(err, ErrUnauthorized) {
@@ -317,23 +329,73 @@ func TestDataverseDOIsUnique(t *testing.T) {
 	}
 }
 
+// TestConcurrentStoreAccess holds every Store to its concurrency contract:
+// workers Put two different payloads to shared keys, and every Get returns
+// one of them whole; a List racing a Delete under its prefix succeeds.
 func TestConcurrentStoreAccess(t *testing.T) {
 	ctx := context.Background()
-	s := NewMemStore()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				key := fmt.Sprintf("w%d/k%d", w, i%10)
-				s.Put(ctx, key, []byte{byte(i)})
-				s.Get(ctx, key)
-				s.List(ctx, fmt.Sprintf("w%d/", w))
+	payloads := [][]byte{bytes.Repeat([]byte{'a'}, 256<<10), bytes.Repeat([]byte{'b'}, 192<<10)}
+	for name, s := range storeImpls(t) {
+		t.Run(name, func(t *testing.T) {
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < 10; i++ {
+						key := fmt.Sprintf("shared/k%d", i%3)
+						if err := s.Put(ctx, key, payloads[w%2]); err != nil {
+							t.Errorf("Put(%q): %v", key, err)
+							return
+						}
+						got, err := s.Get(ctx, key)
+						if err != nil {
+							t.Errorf("Get(%q): %v", key, err)
+							return
+						}
+						if !bytes.Equal(got, payloads[0]) && !bytes.Equal(got, payloads[1]) {
+							t.Errorf("Get(%q) = %d bytes equal to neither payload", key, len(got))
+							return
+						}
+						if _, err := s.List(ctx, "shared/"); err != nil {
+							t.Errorf("List: %v", err)
+							return
+						}
+					}
+				}(w)
 			}
-		}(w)
+			wg.Wait()
+
+			const n = 200
+			for i := 0; i < n; i++ {
+				if err := s.Put(ctx, fmt.Sprintf("gone/k%03d", i), []byte("x")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			deleted := make(chan struct{})
+			go func() {
+				defer close(deleted)
+				for i := 0; i < n; i++ {
+					if err := s.Delete(ctx, fmt.Sprintf("gone/k%03d", i)); err != nil {
+						t.Errorf("Delete: %v", err)
+						return
+					}
+				}
+			}()
+			for listing := true; listing; {
+				select {
+				case <-deleted:
+					listing = false
+				default:
+				}
+				if _, err := s.List(ctx, "gone/"); err != nil {
+					t.Errorf("List during Delete: %v", err)
+					break
+				}
+			}
+			<-deleted
+		})
 	}
-	wg.Wait()
 }
 
 func TestMemStorePutGetProperty(t *testing.T) {

@@ -4,8 +4,8 @@
 // object service and client (the shape of an S3-compatible endpoint), a
 // private bearer-token-protected deployment standing in for Seal Storage,
 // a public repository with persistent identifiers and metadata standing in
-// for Dataverse, and a wide-area network conditioner that injects latency
-// and bandwidth limits so streaming experiments behave like remote access.
+// for Dataverse, and a WAN conditioner injecting latency, bandwidth and
+// transient failures so streaming experiments behave like remote access.
 package storage
 
 import (
@@ -178,21 +178,25 @@ func (s *MemStore) TotalBytes() int64 {
 	return total
 }
 
-// FileStore is a Store rooted at a directory.
+// FileStore is a Store rooted at a directory. Each Put stages its payload
+// in a temp file of its own under root/.nsdf-tmp, a directory outside the
+// key space, and renames it into place.
 type FileStore struct {
-	root string
+	root, tmp string
 }
+
+const fileStoreTmp = ".nsdf-tmp"
 
 // NewFileStore creates (if needed) and wraps the directory root.
 func NewFileStore(root string) (*FileStore, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create root: %w", err)
 	}
-	return &FileStore{root: root}, nil
+	return &FileStore{root: root, tmp: filepath.Join(root, fileStoreTmp)}, nil
 }
 
 func (s *FileStore) path(key string) (string, error) {
-	if !ValidKey(key) {
+	if !ValidKey(key) || key == fileStoreTmp || strings.HasPrefix(key, fileStoreTmp+"/") {
 		return "", fmt.Errorf("storage: invalid key %q", key)
 	}
 	return filepath.Join(s.root, filepath.FromSlash(key)), nil
@@ -207,15 +211,21 @@ func (s *FileStore) Put(ctx context.Context, key string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return fmt.Errorf("storage: mkdir: %w", err)
+	for _, dir := range []string{filepath.Dir(p), s.tmp} {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return fmt.Errorf("storage: mkdir: %w", err)
+		}
 	}
-	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.CreateTemp(s.tmp, "put-*")
+	if err != nil {
 		return fmt.Errorf("storage: write: %w", err)
 	}
-	if err := os.Rename(tmp, p); err != nil {
-		return fmt.Errorf("storage: rename: %w", err)
+	_, err = f.Write(data)
+	if err = errors.Join(err, f.Chmod(0o644), f.Close()); err == nil { // CreateTemp makes 0600
+		err = os.Rename(f.Name(), p)
+	}
+	if err != nil {
+		return fmt.Errorf("storage: write: %w", errors.Join(err, os.Remove(f.Name())))
 	}
 	return nil
 }
@@ -284,6 +294,9 @@ func (s *FileStore) List(ctx context.Context, prefix string) ([]ObjectInfo, erro
 	}
 	var out []ObjectInfo
 	err := filepath.WalkDir(s.root, func(p string, de os.DirEntry, err error) error {
+		if p == s.tmp {
+			return filepath.SkipDir
+		}
 		if err != nil || de.IsDir() {
 			return err
 		}
@@ -292,10 +305,13 @@ func (s *FileStore) List(ctx context.Context, prefix string) ([]ObjectInfo, erro
 			return err
 		}
 		key := filepath.ToSlash(rel)
-		if !strings.HasPrefix(key, prefix) || strings.HasSuffix(key, ".tmp") {
+		if !strings.HasPrefix(key, prefix) {
 			return nil
 		}
 		fi, err := de.Info()
+		if os.IsNotExist(err) {
+			return nil // deleted by a concurrent Delete mid-walk: absent
+		}
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,7 @@
 // Package flight is the anomaly flight recorder of the NSDF serving
 // stack: a fixed-size, lock-free ring of the most recent anomalous
-// events — shed requests, hedge fires, replica failovers, retry
-// exhaustion, slow requests — each stamped with the trace ID it
+// events — shed requests, hedge fires, replica failovers, slow
+// requests, monitoring alerts — each stamped with the trace ID it
 // happened under. When something goes wrong in a classroom deployment
 // the interesting history is almost always the last few hundred
 // anomalies, not a full log: the ring is served at /debug/flightrecorder
@@ -39,9 +39,6 @@ const (
 	// KindFailover is a replica lost mid-operation (read failover or a
 	// degraded replicated write).
 	KindFailover Kind = "replica_failover"
-	// KindRetryExhausted is a storage operation that failed through its
-	// whole retry budget.
-	KindRetryExhausted Kind = "retry_exhausted"
 	// KindSlowRequest is a request slower than the server's
 	// -slow-request threshold.
 	KindSlowRequest Kind = "slow_request"
