@@ -31,7 +31,7 @@ import (
 
 func BenchmarkTableIAggregation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTableI(io.Discard); err != nil {
+		if _, err := experiments.RunTableI(context.Background(), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -39,7 +39,7 @@ func BenchmarkTableIAggregation(b *testing.B) {
 
 func BenchmarkFig1GoalsSelfTest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig1(io.Discard); err != nil {
+		if _, err := experiments.RunFig1(context.Background(), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -47,7 +47,7 @@ func BenchmarkFig1GoalsSelfTest(b *testing.B) {
 
 func BenchmarkFig2ProbeMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig2(io.Discard); err != nil {
+		if _, err := experiments.RunFig2(context.Background(), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,7 +55,7 @@ func BenchmarkFig2ProbeMatrix(b *testing.B) {
 
 func BenchmarkFig3Conversion(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig3(io.Discard); err != nil {
+		if _, err := experiments.RunFig3(context.Background(), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,7 +63,7 @@ func BenchmarkFig3Conversion(b *testing.B) {
 
 func BenchmarkFig4Workflow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig4(io.Discard); err != nil {
+		if _, err := experiments.RunFig4(context.Background(), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -71,7 +71,7 @@ func BenchmarkFig4Workflow(b *testing.B) {
 
 func BenchmarkFig5GeotiledSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig5(io.Discard); err != nil {
+		if _, err := experiments.RunFig5(context.Background(), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,7 +79,7 @@ func BenchmarkFig5GeotiledSweep(b *testing.B) {
 
 func BenchmarkFig6Validation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig6(io.Discard); err != nil {
+		if _, err := experiments.RunFig6(context.Background(), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,7 +87,7 @@ func BenchmarkFig6Validation(b *testing.B) {
 
 func BenchmarkFig7DashboardSession(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig7(io.Discard); err != nil {
+		if _, err := experiments.RunFig7(context.Background(), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,7 +95,7 @@ func BenchmarkFig7DashboardSession(b *testing.B) {
 
 func BenchmarkFig8SurveyCharts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig8(io.Discard); err != nil {
+		if _, err := experiments.RunFig8(context.Background(), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,7 +103,7 @@ func BenchmarkFig8SurveyCharts(b *testing.B) {
 
 func BenchmarkClaimSizeReduction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunClaim20(io.Discard); err != nil {
+		if _, err := experiments.RunClaim20(context.Background(), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func BenchmarkClaimSizeReduction(b *testing.B) {
 
 func BenchmarkCacheColdWarm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunClaimCache(io.Discard); err != nil {
+		if _, err := experiments.RunClaimCache(context.Background(), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -119,7 +119,7 @@ func BenchmarkCacheColdWarm(b *testing.B) {
 
 func BenchmarkClaimCloudAcquisition(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunClaimCloud(io.Discard); err != nil {
+		if _, err := experiments.RunClaimCloud(context.Background(), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,9 +10,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 
 	"nsdfgo/internal/experiments"
 )
@@ -36,12 +38,14 @@ func run() error {
 		}
 		return nil
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
 	if *id == "all" {
-		return experiments.All(os.Stdout)
+		return experiments.All(ctx, os.Stdout)
 	}
 	for _, r := range runners {
 		if r.ID == *id {
-			return r.Run(os.Stdout)
+			return r.Run(ctx, os.Stdout)
 		}
 	}
 	return fmt.Errorf("unknown experiment %q (try -list)", *id)

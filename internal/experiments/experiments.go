@@ -43,7 +43,7 @@ type TableIResult struct {
 }
 
 // RunTableI regenerates Table I (participants per session).
-func RunTableI(w io.Writer) (TableIResult, error) {
+func RunTableI(_ context.Context, w io.Writer) (TableIResult, error) {
 	sessions := survey.PaperSessions()
 	fmt.Fprintln(w, "== Table I: participants and professional backgrounds across tutorial presentations ==")
 	fmt.Fprint(w, survey.RenderTable(sessions))
@@ -58,7 +58,7 @@ type Fig1Result struct {
 
 // RunFig1 regenerates Fig. 1 as a capability checklist: each tutorial
 // goal is exercised against the library and reported.
-func RunFig1(w io.Writer) (Fig1Result, error) {
+func RunFig1(ctx context.Context, w io.Writer) (Fig1Result, error) {
 	fmt.Fprintln(w, "== Fig. 1: tutorial goals, demonstrated against the library ==")
 	res := Fig1Result{Goals: map[string]bool{}}
 
@@ -68,13 +68,10 @@ func RunFig1(w io.Writer) (Fig1Result, error) {
 	if err != nil {
 		return res, err
 	}
-	//lint:allow ctxbackground experiment harness runs standalone from the CLI
-	_, trail, err := wf.Run(context.Background())
+	_, trail, err := wf.Run(ctx)
 	res.Goals["construct a modular workflow on top of NSDF"] = err == nil && !trail.Failed()
 
 	// Goal 2: upload, download, and stream data (public + private).
-	//lint:allow ctxbackground experiment harness runs standalone from the CLI
-	ctx := context.Background()
 	priv := storage.NewMemStore()
 	upErr := priv.Put(ctx, "probe/object", []byte("payload"))
 	_, downErr := priv.Get(ctx, "probe/object")
@@ -83,8 +80,7 @@ func RunFig1(w io.Writer) (Fig1Result, error) {
 	// Goal 3: deploy NSDF services such as the NSDF-dashboard.
 	dashboardOK := false
 	if bbEngine, err2 := func() (*query.Engine, error) {
-		//lint:allow ctxbackground experiment harness runs standalone from the CLI
-		bb, _, err := wf.Run(context.Background())
+		bb, _, err := wf.Run(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -115,7 +111,7 @@ type Fig2Result struct {
 // RunFig2 regenerates Fig. 2: the NSDF testbed structure with its
 // computing/networking/storage services, reported as the NSDF-Plugin's
 // latency and throughput matrices plus the flagged constraints.
-func RunFig2(w io.Writer) (Fig2Result, error) {
+func RunFig2(_ context.Context, w io.Writer) (Fig2Result, error) {
 	net, err := netmon.NewNetwork(netmon.Testbed(), Seed)
 	if err != nil {
 		return Fig2Result{}, err
@@ -153,7 +149,7 @@ type Fig3Result struct {
 // environments — the same TIFF is fetched from three differently
 // conditioned stores (local, regional cloud, cross-country cloud) and
 // converted to IDX, timing each path.
-func RunFig3(w io.Writer) (Fig3Result, error) {
+func RunFig3(ctx context.Context, w io.Writer) (Fig3Result, error) {
 	fmt.Fprintln(w, "== Fig. 3: data conversion across storage environments ==")
 	g := dem.Scale(dem.FBM(256, 256, Seed, dem.DefaultFBM()), 0, 2000)
 	var tiffBuf bytes.Buffer
@@ -161,8 +157,6 @@ func RunFig3(w io.Writer) (Fig3Result, error) {
 		return Fig3Result{}, err
 	}
 	payload := tiffBuf.Bytes()
-	//lint:allow ctxbackground experiment harness runs standalone from the CLI
-	ctx := context.Background()
 
 	profiles := map[string]storage.NetworkProfile{
 		"local":         storage.ProfileLocal,
@@ -214,14 +208,13 @@ type Fig4Result struct {
 
 // RunFig4 regenerates Fig. 4: the four sequential workflow steps, timed
 // and recorded in a provenance trail.
-func RunFig4(w io.Writer) (Fig4Result, error) {
+func RunFig4(ctx context.Context, w io.Writer) (Fig4Result, error) {
 	fabric := core.NewFabric()
 	wf, err := fabric.TutorialWorkflow(core.TutorialConfig{Width: 256, Height: 128, Seed: Seed})
 	if err != nil {
 		return Fig4Result{}, err
 	}
-	//lint:allow ctxbackground experiment harness runs standalone from the CLI
-	_, trail, err := wf.Run(context.Background())
+	_, trail, err := wf.Run(ctx)
 	if err != nil {
 		return Fig4Result{}, err
 	}
@@ -250,7 +243,7 @@ type Fig5Result struct {
 // RunFig5 regenerates Fig. 5: GEOtiled terrain-parameter generation —
 // tiled computation across worker counts versus the untiled baseline,
 // with bit-for-bit accuracy preservation checked.
-func RunFig5(w io.Writer) (Fig5Result, error) {
+func RunFig5(_ context.Context, w io.Writer) (Fig5Result, error) {
 	fmt.Fprintln(w, "== Fig. 5: GEOtiled terrain generation (tiled vs untiled, accuracy preserved) ==")
 	d := dem.Scale(dem.FBM(1024, 1024, Seed, dem.DefaultFBM()), 0, 2500)
 	res := Fig5Result{TiledElapsed: map[int]time.Duration{}, Identical: true, Cores: runtime.GOMAXPROCS(0)}
@@ -291,9 +284,8 @@ type Fig6Result struct {
 // RunFig6 regenerates Fig. 6: static visualization validation — the
 // original TIFF-based rasters compared to the IDX round trip with
 // scientific metrics. The lossless path must be identical.
-func RunFig6(w io.Writer) (Fig6Result, error) {
+func RunFig6(ctx context.Context, w io.Writer) (Fig6Result, error) {
 	fmt.Fprintln(w, "== Fig. 6: static validation of TIFF-derived vs IDX-derived rasters ==")
-	ctx := context.Background() //lint:allow ctxbackground experiment harness runs standalone from the CLI
 	d := dem.Tennessee(512, 256, Seed)
 	res := Fig6Result{Reports: map[string]metrics.Report{}}
 	for _, p := range geotiled.TutorialParams {
@@ -348,9 +340,8 @@ type Fig7Result struct {
 // RunFig7 regenerates Fig. 7: the interactive dashboard session — a
 // zoom/pan/snip interaction mix against a remote (conditioned) store,
 // showing progressive refinement costs and the effect of the cache.
-func RunFig7(w io.Writer) (Fig7Result, error) {
+func RunFig7(ctx context.Context, w io.Writer) (Fig7Result, error) {
 	fmt.Fprintln(w, "== Fig. 7: interactive dashboard session against a remote store ==")
-	ctx := context.Background() //lint:allow ctxbackground experiment harness runs standalone from the CLI
 	meta, err := idx.NewMeta([]int{512, 512}, []idx.Field{{Name: "elevation", Type: idx.Float32}})
 	if err != nil {
 		return Fig7Result{}, err
@@ -426,7 +417,7 @@ type Fig8Result struct {
 // RunFig8 regenerates Fig. 8: the four survey charts, synthesised for the
 // 108 participants of Table I under the paper's "overwhelmingly positive"
 // calibration.
-func RunFig8(w io.Writer) (Fig8Result, error) {
+func RunFig8(_ context.Context, w io.Writer) (Fig8Result, error) {
 	n := survey.Total(survey.PaperSessions())
 	dists := survey.SynthesizeResponses(survey.Fig8Questions(), n, Seed)
 	fmt.Fprintln(w, "== Fig. 8: tutorial survey responses (user experience & technology exposure) ==")
@@ -451,9 +442,8 @@ type Claim20Result struct {
 // data accuracy". Both containers hold the same float32 samples with
 // DEFLATE compression; IDX's HZ reordering groups spatially-coherent
 // samples, which is where the additional reduction comes from.
-func RunClaim20(w io.Writer) (Claim20Result, error) {
+func RunClaim20(ctx context.Context, w io.Writer) (Claim20Result, error) {
 	fmt.Fprintln(w, "== Claim §IV-B: TIFF -> IDX size reduction with accuracy preserved ==")
-	ctx := context.Background() //lint:allow ctxbackground experiment harness runs standalone from the CLI
 	d := dem.Tennessee(1024, 512, Seed)
 	res := Claim20Result{TIFFBytes: map[string]int64{}, IDXBytes: map[string]int64{}, AllIdentical: true}
 	var tiffTotal, idxTotal int64
@@ -521,9 +511,8 @@ type ClaimCacheResult struct {
 
 // RunClaimCache measures §III-A's caching claim: warm-cache access must
 // be far faster than cold remote access.
-func RunClaimCache(w io.Writer) (ClaimCacheResult, error) {
+func RunClaimCache(ctx context.Context, w io.Writer) (ClaimCacheResult, error) {
 	fmt.Fprintln(w, "== Claim §III-A: caching-enabled streaming (cold vs warm) ==")
-	ctx := context.Background() //lint:allow ctxbackground experiment harness runs standalone from the CLI
 	meta, err := idx.NewMeta([]int{256, 256}, []idx.Field{{Name: "elevation", Type: idx.Float32}})
 	if err != nil {
 		return ClaimCacheResult{}, err
@@ -586,7 +575,7 @@ type CloudOutcome struct {
 // under both policies. Expected shape: Cheapest spends (near) zero
 // dollars; Fastest finishes sooner thanks to quick-booting commercial
 // capacity.
-func RunClaimCloud(w io.Writer) (ClaimCloudResult, error) {
+func RunClaimCloud(_ context.Context, w io.Writer) (ClaimCloudResult, error) {
 	fmt.Fprintln(w, "== NSDF-Cloud: ad-hoc clusters across academic and commercial clouds ==")
 	tasks := make([]cloudsim.Task, 400)
 	for i := range tasks {
@@ -664,9 +653,9 @@ func max64(a, b int64) int64 {
 }
 
 // discard drops the typed result so every Run* fits one signature.
-func discard[T any](f func(io.Writer) (T, error)) func(io.Writer) error {
-	return func(w io.Writer) error {
-		_, err := f(w)
+func discard[T any](f func(context.Context, io.Writer) (T, error)) func(context.Context, io.Writer) error {
+	return func(ctx context.Context, w io.Writer) error {
+		_, err := f(ctx, w)
 		return err
 	}
 }
@@ -675,11 +664,11 @@ func discard[T any](f func(io.Writer) (T, error)) func(io.Writer) error {
 // order. The CLI's -run flag and the -run all loop both draw from it.
 func Runners() []struct {
 	ID  string
-	Run func(io.Writer) error
+	Run func(context.Context, io.Writer) error
 } {
 	return []struct {
 		ID  string
-		Run func(io.Writer) error
+		Run func(context.Context, io.Writer) error
 	}{
 		{"fig1", discard(RunFig1)},
 		{"fig2", discard(RunFig2)},
@@ -697,9 +686,9 @@ func Runners() []struct {
 }
 
 // All runs every experiment in paper order.
-func All(w io.Writer) error {
+func All(ctx context.Context, w io.Writer) error {
 	for _, r := range Runners() {
-		if err := r.Run(w); err != nil {
+		if err := r.Run(ctx, w); err != nil {
 			return fmt.Errorf("experiments: %s: %w", r.ID, err)
 		}
 		fmt.Fprintln(w)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"strings"
 	"testing"
@@ -10,7 +11,7 @@ import (
 
 func TestTableIMatchesPaper(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := RunTableI(&buf)
+	res, err := RunTableI(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestTableIMatchesPaper(t *testing.T) {
 
 func TestFig1AllGoalsDemonstrated(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := RunFig1(&buf)
+	res, err := RunFig1(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestFig1AllGoalsDemonstrated(t *testing.T) {
 
 func TestFig2ShapeHolds(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := RunFig2(&buf)
+	res, err := RunFig2(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestFig2ShapeHolds(t *testing.T) {
 
 func TestFig3ShapeHolds(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := RunFig3(&buf)
+	res, err := RunFig3(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestFig3ShapeHolds(t *testing.T) {
 
 func TestFig4WorkflowCompletes(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := RunFig4(&buf)
+	res, err := RunFig4(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestFig5TiledCorrectAndScales(t *testing.T) {
 		t.Skip("1024x1024 terrain sweep")
 	}
 	var buf bytes.Buffer
-	res, err := RunFig5(&buf)
+	res, err := RunFig5(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestFig5TiledCorrectAndScales(t *testing.T) {
 
 func TestFig6AllIdentical(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := RunFig6(&buf)
+	res, err := RunFig6(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestFig6AllIdentical(t *testing.T) {
 
 func TestFig7ProgressiveAndCacheShape(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := RunFig7(&buf)
+	res, err := RunFig7(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestFig7ProgressiveAndCacheShape(t *testing.T) {
 
 func TestFig8OverwhelminglyPositive(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := RunFig8(&buf)
+	res, err := RunFig8(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestClaim20ShapeHolds(t *testing.T) {
 		t.Skip("1024x512 four-parameter conversion")
 	}
 	var buf bytes.Buffer
-	res, err := RunClaim20(&buf)
+	res, err := RunClaim20(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestClaim20ShapeHolds(t *testing.T) {
 
 func TestClaimCacheShapeHolds(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := RunClaimCache(&buf)
+	res, err := RunClaimCache(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestClaimCacheShapeHolds(t *testing.T) {
 
 func TestClaimCloudShapeHolds(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := RunClaimCloud(&buf)
+	res, err := RunClaimCloud(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestAllRunsCleanly(t *testing.T) {
 		t.Skip("full experiment sweep")
 	}
 	start := time.Now()
-	if err := All(io.Discard); err != nil {
+	if err := All(context.Background(), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("full sweep in %v", time.Since(start))

@@ -58,7 +58,6 @@ func (d DType) String() string {
 // ParseDType converts a metadata type name to a DType.
 func ParseDType(s string) (DType, error) {
 	for _, d := range []DType{Float32, Float64, Uint8, Uint16, Int16, Uint32} {
-		//lint:allow hotalloc cold metadata parse; String only formats on the unknown fallback
 		if d.String() == s {
 			return d, nil
 		}

@@ -115,7 +115,6 @@ func (d *Dataset) blockKeys(field string, t int) []string {
 	}
 	keys := make([]string, n)
 	for b := 0; b < n; b++ {
-		//lint:allow hotalloc this loop is the precompute: it formats every key once per (field,t)
 		keys[b] = d.BlockKey(field, t, b)
 	}
 	if d.keyCache == nil {

@@ -13,7 +13,7 @@ import (
 // exactly the bug class that let a disconnected dashboard client keep
 // a worker pool fetching blocks. Package main (process entry points own
 // the root context) and _test.go files are exempt; anything else needs
-// an explicit //lint:allow ctxbackground with a reason.
+// an explicit allow comment naming ctxbackground, with a reason.
 var CtxBackgroundAnalyzer = bannedCalls("ctxbackground",
 	"library code must thread the caller's context, not call context.Background()/context.TODO()",
 	"context", map[string]string{
@@ -29,7 +29,7 @@ var CtxBackgroundAnalyzer = bannedCalls("ctxbackground",
 // branch. Library code must use http.NewRequestWithContext with the
 // caller's context. Package main (an entry point may legitimately own
 // a root request) and _test.go files are exempt; anything else needs
-// an explicit //lint:allow ctxhttp with a reason.
+// an explicit allow comment naming ctxhttp, with a reason.
 var CtxHTTPAnalyzer = bannedCalls("ctxhttp",
 	"outbound requests must carry the caller's context: use http.NewRequestWithContext, not http.NewRequest",
 	"net/http", map[string]string{

@@ -12,11 +12,11 @@
 // are decomposed so that a basic block's Nodes list contains only
 // simple statements and atomic branch conditions:
 //
-//   - if/for conditions are split at && and || (short-circuit): each
-//     atomic condition becomes the last node of its own block, and the
-//     two outgoing edges carry the condition expression and the branch
-//     polarity, so analyses can refine facts per branch (`if ok`,
-//     `if err != nil`).
+//   - if/for conditions are split at &&, || and ! (short-circuit): each
+//     atomic condition becomes the last node of its own block, with one
+//     Flow edge to where control goes when it is true and one to where
+//     it goes when it is false, so an operand that may not be evaluated
+//     sits on its own path.
 //   - a range statement appears as a single node in its head block
 //     (analyses interpret Key/Value/X and must ignore its Body, which
 //     is built into successor blocks).
@@ -40,13 +40,10 @@ import (
 type EdgeKind int
 
 const (
-	// Flow is an unconditional transfer (fallthrough, jump, loop back
-	// edge, or the nondeterministic enter/skip pair of a range loop or
-	// select).
+	// Flow is any transfer within the body: fallthrough, jump, loop back
+	// edge, either outcome of a branch condition, or the nondeterministic
+	// enter/skip pair of a range loop or select.
 	Flow EdgeKind = iota
-	// Cond is a conditional transfer: Edge.Cond is the atomic condition
-	// and Edge.Branch the value it takes along this edge.
-	Cond
 	// Return enters the exit block via a return statement or by falling
 	// off the end of the function body.
 	Return
@@ -59,8 +56,6 @@ func (k EdgeKind) String() string {
 	switch k {
 	case Flow:
 		return "flow"
-	case Cond:
-		return "cond"
 	case Return:
 		return "return"
 	case Panic:
@@ -73,10 +68,6 @@ func (k EdgeKind) String() string {
 type Edge struct {
 	From, To *Block
 	Kind     EdgeKind
-	// Cond is the atomic branch condition (Kind == Cond only).
-	Cond ast.Expr
-	// Branch is the value Cond takes along this edge.
-	Branch bool
 }
 
 // Block is a basic block: a maximal run of simple statements and atomic
@@ -118,13 +109,13 @@ func Build(body *ast.BlockStmt) (*Graph, error) {
 	b.cur = b.g.Entry
 	b.stmt(body)
 	// Falling off the end of the body is an implicit return.
-	b.edge(b.g.Exit, Return, nil, false)
+	b.edge(b.g.Exit, Return)
 	for _, pg := range b.gotos {
 		target, ok := b.labels[pg.label]
 		if !ok {
 			return nil, fmt.Errorf("cfg: goto %s has no label", pg.label)
 		}
-		b.connect(pg.from, target, Flow, nil, false)
+		b.connect(pg.from, target, Flow)
 	}
 	if b.err != nil {
 		return nil, b.err
@@ -168,19 +159,19 @@ func (b *builder) newBlock() *Block {
 }
 
 // connect adds an edge between two specific blocks.
-func (b *builder) connect(from, to *Block, kind EdgeKind, cond ast.Expr, branch bool) {
-	e := &Edge{From: from, To: to, Kind: kind, Cond: cond, Branch: branch}
+func (b *builder) connect(from, to *Block, kind EdgeKind) {
+	e := &Edge{From: from, To: to, Kind: kind}
 	from.Succs = append(from.Succs, e)
 	to.Preds = append(to.Preds, e)
 }
 
 // edge adds an edge from the current block; a nil current block means
 // the point is unreachable and the edge is dropped.
-func (b *builder) edge(to *Block, kind EdgeKind, cond ast.Expr, branch bool) {
+func (b *builder) edge(to *Block, kind EdgeKind) {
 	if b.cur == nil {
 		return
 	}
-	b.connect(b.cur, to, kind, cond, branch)
+	b.connect(b.cur, to, kind)
 }
 
 // add appends a node to the current block, materialising an unreachable
@@ -231,7 +222,7 @@ func (b *builder) findContinue(label string) *Block {
 }
 
 // cond lowers a branch condition into the graph, splitting short-circuit
-// operators so every Cond edge carries an atomic condition.
+// operators so every condition block ends in one atomic condition.
 func (b *builder) cond(e ast.Expr, t, f *Block) {
 	switch ex := ast.Unparen(e).(type) {
 	case *ast.UnaryExpr:
@@ -255,10 +246,9 @@ func (b *builder) cond(e ast.Expr, t, f *Block) {
 			return
 		}
 	}
-	e = ast.Unparen(e)
-	b.add(e)
-	b.edge(t, Cond, e, true)
-	b.edge(f, Cond, e, false)
+	b.add(ast.Unparen(e))
+	b.edge(t, Flow)
+	b.edge(f, Flow)
 	b.cur = nil
 }
 
@@ -292,11 +282,11 @@ func (b *builder) stmt(s ast.Stmt) {
 		b.cond(s.Cond, then, els)
 		b.cur = then
 		b.stmt(s.Body)
-		b.edge(done, Flow, nil, false)
+		b.edge(done, Flow)
 		if s.Else != nil {
 			b.cur = els
 			b.stmt(s.Else)
-			b.edge(done, Flow, nil, false)
+			b.edge(done, Flow)
 		}
 		b.cur = done
 	case *ast.ForStmt:
@@ -305,12 +295,12 @@ func (b *builder) stmt(s ast.Stmt) {
 		head := b.newBlock()
 		body := b.newBlock()
 		done := b.newBlock()
-		b.edge(head, Flow, nil, false)
+		b.edge(head, Flow)
 		b.cur = head
 		if s.Cond != nil {
 			b.cond(s.Cond, body, done)
 		} else {
-			b.edge(body, Flow, nil, false)
+			b.edge(body, Flow)
 			b.cur = nil
 		}
 		cont := head
@@ -322,12 +312,12 @@ func (b *builder) stmt(s ast.Stmt) {
 		b.pushFrame(label, done, cont)
 		b.cur = body
 		b.stmt(s.Body)
-		b.edge(cont, Flow, nil, false)
+		b.edge(cont, Flow)
 		b.popFrame()
 		if post != nil {
 			b.cur = post
 			b.stmt(s.Post)
-			b.edge(head, Flow, nil, false)
+			b.edge(head, Flow)
 		}
 		b.cur = done
 	case *ast.RangeStmt:
@@ -335,15 +325,15 @@ func (b *builder) stmt(s ast.Stmt) {
 		head := b.newBlock()
 		body := b.newBlock()
 		done := b.newBlock()
-		b.edge(head, Flow, nil, false)
+		b.edge(head, Flow)
 		b.cur = head
 		b.add(s) // analyses interpret Key/Value/X only; Body is below
-		b.edge(body, Flow, nil, false)
-		b.edge(done, Flow, nil, false)
+		b.edge(body, Flow)
+		b.edge(done, Flow)
 		b.pushFrame(label, done, head)
 		b.cur = body
 		b.stmt(s.Body)
-		b.edge(head, Flow, nil, false)
+		b.edge(head, Flow)
 		b.popFrame()
 		b.cur = done
 	case *ast.SwitchStmt:
@@ -370,13 +360,13 @@ func (b *builder) stmt(s ast.Stmt) {
 		for _, cl := range s.Body.List {
 			comm := cl.(*ast.CommClause)
 			cb := b.newBlock()
-			b.connect(head, cb, Flow, nil, false)
+			b.connect(head, cb, Flow)
 			b.cur = cb
 			b.stmt(comm.Comm) // nil for default
 			for _, st := range comm.Body {
 				b.stmt(st)
 			}
-			b.edge(done, Flow, nil, false)
+			b.edge(done, Flow)
 		}
 		b.popFrame()
 		if len(s.Body.List) == 0 {
@@ -386,7 +376,7 @@ func (b *builder) stmt(s ast.Stmt) {
 		}
 	case *ast.ReturnStmt:
 		b.add(s)
-		b.edge(b.g.Exit, Return, nil, false)
+		b.edge(b.g.Exit, Return)
 		b.cur = nil
 	case *ast.BranchStmt:
 		label := ""
@@ -396,14 +386,14 @@ func (b *builder) stmt(s ast.Stmt) {
 		switch s.Tok {
 		case token.BREAK:
 			if to := b.findBreak(label); to != nil {
-				b.edge(to, Flow, nil, false)
+				b.edge(to, Flow)
 			} else if b.err == nil {
 				b.err = fmt.Errorf("cfg: break outside breakable construct at offset %d", s.Pos())
 			}
 			b.cur = nil
 		case token.CONTINUE:
 			if to := b.findContinue(label); to != nil {
-				b.edge(to, Flow, nil, false)
+				b.edge(to, Flow)
 			} else if b.err == nil {
 				b.err = fmt.Errorf("cfg: continue outside loop at offset %d", s.Pos())
 			}
@@ -415,7 +405,7 @@ func (b *builder) stmt(s ast.Stmt) {
 			b.cur = nil
 		case token.FALLTHROUGH:
 			if b.fallthroughTo != nil {
-				b.edge(b.fallthroughTo, Flow, nil, false)
+				b.edge(b.fallthroughTo, Flow)
 			}
 			b.cur = nil
 		}
@@ -425,7 +415,7 @@ func (b *builder) stmt(s ast.Stmt) {
 			lb = b.newBlock()
 			b.labels[s.Label.Name] = lb
 		}
-		b.edge(lb, Flow, nil, false)
+		b.edge(lb, Flow)
 		b.cur = lb
 		b.pendingLabel = s.Label.Name
 		b.stmt(s.Stmt)
@@ -435,7 +425,7 @@ func (b *builder) stmt(s ast.Stmt) {
 	case *ast.ExprStmt:
 		b.add(s)
 		if isPanicCall(s.X) {
-			b.edge(b.g.Exit, Panic, nil, false)
+			b.edge(b.g.Exit, Panic)
 			b.cur = nil
 		}
 	default:
@@ -465,13 +455,13 @@ func (b *builder) switchClauses(label string, clauses []ast.Stmt, allowFallthrou
 		}
 	}
 	if !hasDefault {
-		b.connect(head, done, Flow, nil, false)
+		b.connect(head, done, Flow)
 	}
 	b.pushFrame(label, done, nil)
 	savedFT := b.fallthroughTo
 	for i, cl := range clauses {
 		cc := cl.(*ast.CaseClause)
-		b.connect(head, bodies[i], Flow, nil, false)
+		b.connect(head, bodies[i], Flow)
 		b.cur = bodies[i]
 		for _, e := range cc.List {
 			b.add(e) // case expressions are evaluated (uses, not branches)
@@ -484,7 +474,7 @@ func (b *builder) switchClauses(label string, clauses []ast.Stmt, allowFallthrou
 		for _, st := range cc.Body {
 			b.stmt(st)
 		}
-		b.edge(done, Flow, nil, false)
+		b.edge(done, Flow)
 	}
 	b.fallthroughTo = savedFT
 	b.popFrame()

@@ -56,18 +56,39 @@ func reachable(g *Graph) map[*Block]bool {
 	return seen
 }
 
-// condEdges collects every Cond edge reachable from the entry, rendered
-// as "expr=branch".
-func condEdges(g *Graph) []string {
-	var out []string
-	for b := range reachable(g) {
-		for _, e := range b.Succs {
-			if e.Kind == Cond {
-				out = append(out, fmt.Sprintf("%s=%v", exprString(e.Cond), e.Branch))
+// identBlock returns the reachable block that evaluates the bare
+// identifier name as a condition.
+func identBlock(t *testing.T, g *Graph, name string) *Block {
+	t.Helper()
+	for blk := range reachable(g) {
+		for _, n := range blk.Nodes {
+			if id, ok := n.(*ast.Ident); ok && id.Name == name {
+				return blk
 			}
 		}
 	}
-	return out
+	t.Fatalf("no block evaluates %s", name)
+	return nil
+}
+
+// useBlock returns the reachable block that runs the statement use(arg).
+func useBlock(t *testing.T, g *Graph, arg string) *Block {
+	t.Helper()
+	for blk := range reachable(g) {
+		for _, n := range blk.Nodes {
+			es, ok := n.(*ast.ExprStmt)
+			if !ok {
+				continue
+			}
+			if call, ok := es.X.(*ast.CallExpr); ok && len(call.Args) == 1 {
+				if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Value == arg {
+					return blk
+				}
+			}
+		}
+	}
+	t.Fatalf("no block runs use(%s)", arg)
+	return nil
 }
 
 func exprString(e ast.Expr) string {
@@ -93,15 +114,13 @@ func TestIfElseDiamond(t *testing.T) {
 		x = 3
 	}
 	use(x)`)
-	edges := condEdges(g)
-	if len(edges) != 2 {
-		t.Fatalf("want 2 cond edges, got %v", edges)
+	head := identBlock(t, g, "cond")
+	if len(head.Succs) != 2 {
+		t.Fatalf("condition block has %d successors, want 2", len(head.Succs))
 	}
-	want := map[string]bool{"cond=true": true, "cond=false": true}
-	for _, e := range edges {
-		if !want[e] {
-			t.Errorf("unexpected cond edge %q", e)
-		}
+	then, els := head.Succs[0].To, head.Succs[1].To
+	if then == els || len(then.Succs) != 1 || len(els.Succs) != 1 || then.Succs[0].To != els.Succs[0].To {
+		t.Error("then and else do not meet at one join block")
 	}
 	// Exactly one implicit return.
 	if k := exitEdges(g); k[Return] != 1 || k[Panic] != 0 {
@@ -109,68 +128,46 @@ func TestIfElseDiamond(t *testing.T) {
 	}
 }
 
-// TestShortCircuitAnd proves `a && b` is decomposed: b is only
-// evaluated on a's true edge, and both atoms emit their own polarity
-// pair.
+// assertShortCircuit checks that b is evaluated only after a — its one
+// predecessor edge comes from a's block — and that a's other edge goes
+// straight to skip, so the outcome that decides without b never runs it.
+func assertShortCircuit(t *testing.T, g *Graph, skip *Block) {
+	t.Helper()
+	a, b := identBlock(t, g, "a"), identBlock(t, g, "b")
+	if len(b.Preds) != 1 || b.Preds[0].From != a {
+		t.Fatalf("b has %d predecessor edges, want exactly one, from a's block", len(b.Preds))
+	}
+	if len(a.Succs) != 2 {
+		t.Fatalf("a's block has %d successors, want 2", len(a.Succs))
+	}
+	other := a.Succs[0].To
+	if other == b {
+		other = a.Succs[1].To
+	}
+	if other != skip {
+		t.Errorf("a's other edge goes to block %d, want block %d, skipping b", other.Index, skip.Index)
+	}
+}
+
+// TestShortCircuitAnd proves `a && b` is decomposed: b is evaluated
+// only on one of a's edges, and the other goes past the body.
 func TestShortCircuitAnd(t *testing.T) {
 	g := build(t, `
 	if a && b {
 		use(1)
 	}
 	use(2)`)
-	edges := condEdges(g)
-	want := map[string]bool{"a=true": true, "a=false": true, "b=true": true, "b=false": true}
-	if len(edges) != 4 {
-		t.Fatalf("want 4 cond edges for a && b, got %v", edges)
-	}
-	for _, e := range edges {
-		if !want[e] {
-			t.Errorf("unexpected cond edge %q", e)
-		}
-	}
-	// The b-block must be reachable only via a=true.
-	var bBlock *Block
-	for blk := range reachable(g) {
-		for _, n := range blk.Nodes {
-			if id, ok := n.(*ast.Ident); ok && id.Name == "b" {
-				bBlock = blk
-			}
-		}
-	}
-	if bBlock == nil {
-		t.Fatal("no block evaluates b")
-	}
-	for _, e := range bBlock.Preds {
-		if e.Kind != Cond || exprString(e.Cond) != "a" || !e.Branch {
-			t.Errorf("b's predecessor edge is %s %s=%v, want cond a=true", e.Kind, exprString(e.Cond), e.Branch)
-		}
-	}
+	assertShortCircuit(t, g, useBlock(t, g, "2"))
 }
 
-// TestShortCircuitOrNot proves `!a || b` routes correctly: ! swaps the
-// polarity, so b evaluates only when a is true.
+// TestShortCircuitOrNot proves `!a || b` routes correctly: b is
+// evaluated only on one of a's edges, and the other enters the body.
 func TestShortCircuitOrNot(t *testing.T) {
 	g := build(t, `
 	if !a || b {
 		use(1)
 	}`)
-	var bBlock *Block
-	for blk := range reachable(g) {
-		for _, n := range blk.Nodes {
-			if id, ok := n.(*ast.Ident); ok && id.Name == "b" {
-				bBlock = blk
-			}
-		}
-	}
-	if bBlock == nil {
-		t.Fatal("no block evaluates b")
-	}
-	for _, e := range bBlock.Preds {
-		if e.Kind != Cond || exprString(e.Cond) != "a" || !e.Branch {
-			t.Errorf("b's predecessor edge is %s=%v of %s, want a=true (|| tries b when !a is false)",
-				e.Kind, e.Branch, exprString(e.Cond))
-		}
-	}
+	assertShortCircuit(t, g, useBlock(t, g, "1"))
 }
 
 // TestForLoopBackEdge proves a for loop has a back edge to its head and
@@ -199,8 +196,8 @@ func TestForLoopBackEdge(t *testing.T) {
 	if head == nil {
 		t.Fatal("no condition block for i < n")
 	}
-	// The head must be on a cycle: some path from its true-successor
-	// leads back to it.
+	// The head must be on a cycle: some path from its successors leads
+	// back to it.
 	onCycle := false
 	var walk func(b *Block, seen map[*Block]bool)
 	walk = func(b *Block, seen map[*Block]bool) {
@@ -217,9 +214,7 @@ func TestForLoopBackEdge(t *testing.T) {
 		}
 	}
 	for _, e := range head.Succs {
-		if e.Kind == Cond && e.Branch {
-			walk(e.To, map[*Block]bool{})
-		}
+		walk(e.To, map[*Block]bool{})
 	}
 	if !onCycle {
 		t.Error("loop body has no back edge to the condition head")
@@ -383,30 +378,7 @@ func TestSwitchWithFallthrough(t *testing.T) {
 		use(2)
 	}
 	use(3)`)
-	var case1, case2 *Block
-	for blk := range reachable(g) {
-		for _, n := range blk.Nodes {
-			es, ok := n.(*ast.ExprStmt)
-			if !ok {
-				continue
-			}
-			call, ok := es.X.(*ast.CallExpr)
-			if !ok || len(call.Args) != 1 {
-				continue
-			}
-			if lit, ok := call.Args[0].(*ast.BasicLit); ok {
-				switch lit.Value {
-				case "1":
-					case1 = blk
-				case "2":
-					case2 = blk
-				}
-			}
-		}
-	}
-	if case1 == nil || case2 == nil {
-		t.Fatal("case bodies not found")
-	}
+	case1, case2 := useBlock(t, g, "1"), useBlock(t, g, "2")
 	linked := false
 	for _, e := range case1.Succs {
 		if e.To == case2 {
@@ -419,8 +391,8 @@ func TestSwitchWithFallthrough(t *testing.T) {
 }
 
 // parityAnalysis is a minimal dataflow client: it tracks whether
-// variable x is "set" (assigned a value) and exercises Join at merges,
-// Refine on branches, and fixpoint over loops.
+// variable x is "set" (assigned a value) and exercises Join at merges
+// and fixpoint over loops.
 type parityAnalysis struct{}
 
 // parityFact: 0 unknown, 1 set, 2 maybe (merge of set/unset).
@@ -435,7 +407,6 @@ func (parityAnalysis) Transfer(f parityFact, n ast.Node) parityFact {
 	}
 	return f
 }
-func (parityAnalysis) Refine(f parityFact, cond ast.Expr, branch bool) parityFact { return f }
 func (parityAnalysis) Join(a, b parityFact) parityFact {
 	if a == b {
 		return a
@@ -460,54 +431,11 @@ func TestForwardFixpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Forward: %v", err)
 	}
-	if !res.Reached(g.Exit) {
+	got, reached := res.In[g.Exit]
+	if !reached {
 		t.Fatal("exit not reached")
 	}
-	if got := res.In[g.Exit]; got != 2 {
+	if got != 2 {
 		t.Errorf("exit fact = %d, want 2 (maybe: set on one path only)", got)
-	}
-}
-
-// TestForwardEdgeFact proves EdgeFact refines along the requested cond
-// edge.
-type refineAnalysis struct{}
-
-func (refineAnalysis) Entry() parityFact                            { return 0 }
-func (refineAnalysis) Transfer(f parityFact, n ast.Node) parityFact { return f }
-func (refineAnalysis) Join(a, b parityFact) parityFact              { return max(a, b) }
-func (refineAnalysis) Equal(a, b parityFact) bool                   { return a == b }
-func (refineAnalysis) Refine(f parityFact, c ast.Expr, br bool) parityFact {
-	if id, ok := c.(*ast.Ident); ok && id.Name == "ok" && br {
-		return 1
-	}
-	return f
-}
-
-func TestForwardEdgeFact(t *testing.T) {
-	g := build(t, `
-	if ok {
-		use(1)
-	}`)
-	res, err := Forward[parityFact](g, refineAnalysis{})
-	if err != nil {
-		t.Fatalf("Forward: %v", err)
-	}
-	checked := false
-	for blk := range reachable(g) {
-		for _, e := range blk.Succs {
-			if e.Kind == Cond && e.Branch {
-				f, ok := res.EdgeFact(e)
-				if !ok {
-					t.Fatal("EdgeFact on reachable edge returned !ok")
-				}
-				if f != 1 {
-					t.Errorf("EdgeFact on ok=true edge = %d, want refined 1", f)
-				}
-				checked = true
-			}
-		}
-	}
-	if !checked {
-		t.Fatal("no cond edge found")
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // Analysis is a forward dataflow problem over a Graph. F is the fact
-// type flowing along edges; it must behave as a value (Transfer, Refine,
-// and Join must not mutate their inputs). The lattice must be finite in
+// type flowing along edges; it must behave as a value (Transfer and Join
+// must not mutate their inputs). The lattice must be finite in
 // height for the fixpoint to converge; Forward enforces a step budget as
 // a backstop and reports non-convergence as an error instead of looping.
 type Analysis[F any] interface {
@@ -16,10 +16,6 @@ type Analysis[F any] interface {
 	// Transfer flows a fact through one block node (a simple statement
 	// or an atomic condition expression).
 	Transfer(fact F, n ast.Node) F
-	// Refine specialises a fact along a conditional edge: cond is the
-	// atomic branch condition and branch the value it takes on the edge.
-	// Analyses with no branch sensitivity return fact unchanged.
-	Refine(fact F, cond ast.Expr, branch bool) F
 	// Join merges the facts of two incoming edges at a merge point.
 	Join(a, b F) F
 	// Equal reports whether two facts are equal (fixpoint detection).
@@ -28,31 +24,10 @@ type Analysis[F any] interface {
 
 // Result holds the converged facts of one Forward run.
 type Result[F any] struct {
-	a Analysis[F]
 	// In and Out are the facts at block entry and exit; only blocks
-	// reachable from Entry are present.
+	// reachable from Entry are present. The fact flowing along an edge is
+	// its source block's Out.
 	In, Out map[*Block]F
-}
-
-// Reached reports whether the block is reachable from the entry.
-func (r *Result[F]) Reached(b *Block) bool {
-	_, ok := r.In[b]
-	return ok
-}
-
-// EdgeFact returns the fact flowing along e: the source block's out-fact
-// refined by the edge condition. ok is false when the source block is
-// unreachable.
-func (r *Result[F]) EdgeFact(e *Edge) (F, bool) {
-	out, ok := r.Out[e.From]
-	if !ok {
-		var zero F
-		return zero, false
-	}
-	if e.Kind == Cond {
-		out = r.a.Refine(out, e.Cond, e.Branch)
-	}
-	return out, true
 }
 
 // Forward runs the analysis to fixpoint with a worklist, joining facts
@@ -61,7 +36,7 @@ func (r *Result[F]) EdgeFact(e *Edge) (F, bool) {
 // not converging (an analyzer bug), reported as an error so the driver
 // can fail loudly instead of hanging.
 func Forward[F any](g *Graph, a Analysis[F]) (*Result[F], error) {
-	r := &Result[F]{a: a, In: make(map[*Block]F), Out: make(map[*Block]F)}
+	r := &Result[F]{In: make(map[*Block]F), Out: make(map[*Block]F)}
 	r.In[g.Entry] = a.Entry()
 	queue := []*Block{g.Entry}
 	queued := map[*Block]bool{g.Entry: true}
@@ -83,19 +58,15 @@ func Forward[F any](g *Graph, a Analysis[F]) (*Result[F], error) {
 		}
 		r.Out[b] = out
 		for _, e := range b.Succs {
-			f := out
-			if e.Kind == Cond {
-				f = a.Refine(f, e.Cond, e.Branch)
-			}
 			in, seen := r.In[e.To]
 			if seen {
-				joined := a.Join(in, f)
+				joined := a.Join(in, out)
 				if a.Equal(joined, in) {
 					continue
 				}
 				r.In[e.To] = joined
 			} else {
-				r.In[e.To] = f
+				r.In[e.To] = out
 			}
 			if !queued[e.To] {
 				queued[e.To] = true

@@ -1,20 +1,20 @@
-// Package lint is the repo's own static-analysis suite: nine analyzers
-// that machine-check the conventions the serving stack depends on.
-// Six are syntactic — nsdf_-prefixed constant metric names, no
-// silently dropped storage/IDX errors, an allocation-free hot path,
-// abortable worker goroutines, caller-threaded contexts (no
-// context.Background() in library code, no context-free
-// http.NewRequest in outbound calls); mutexes copied by value are left
-// to go vet's copylocks pass. Three are
+// Package lint is the repo's own static-analysis suite: seven analyzers
+// that machine-check the conventions the serving stack depends on and
+// no test or go vet pass sees. Four are syntactic — nsdf_-prefixed
+// constant metric names, no silently dropped storage/IDX errors, and
+// caller-threaded contexts (no context.Background() in library code, no
+// context-free http.NewRequest in outbound calls). Three are
 // flow-sensitive and are one analysis: obligation.go checks, over the
 // control-flow graphs of internal/lint/cfg, that a resource acquired by
 // a call is discharged on every path, and lockorder (mutexes, plus the
 // whole-repo lock-order cycle check), ctxleak (cancel functions of
 // derived contexts) and spanend (trace spans) are the three specs it
-// runs. The project-specific names the analyzers match on (package
-// paths, registry methods) are constants beside each analyzer. It is
-// built only on go/ast, go/parser, go/types, and go/importer, so
-// `make lint` needs nothing beyond the Go toolchain.
+// runs. Allocation and worker abort are policed by measurement, in
+// tests, and copied mutexes by go vet's copylocks pass. The
+// project-specific names the analyzers match on (package paths,
+// registry methods) are constants beside each analyzer. It is built
+// only on go/ast, go/parser, go/types, and go/importer, so `make lint`
+// needs nothing beyond the Go toolchain.
 //
 // A finding can be suppressed — sparingly, with a reason — by an allow
 // comment on the same line or the line above:
@@ -24,7 +24,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"sort"
 	"strings"
@@ -112,8 +111,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		MetricNameAnalyzer,
 		DroppedErrAnalyzer,
-		HotAllocAnalyzer,
-		GoLeakAnalyzer,
 		CtxBackgroundAnalyzer,
 		CtxHTTPAnalyzer,
 		SpanEndAnalyzer,
@@ -205,8 +202,8 @@ type allowIndex map[string]map[int]map[string]bool
 // buildAllowIndex scans every comment in every file for allow
 // directives. A directive names one analyzer or a comma-separated list:
 //
-//	//lint:allow hotalloc
-//	//lint:allow droppederr,goleak best-effort shutdown path
+//	//lint:allow droppederr
+//	//lint:allow droppederr,ctxleak best-effort shutdown path
 func buildAllowIndex(pkgs []*Package) allowIndex {
 	idx := make(allowIndex)
 	for _, pkg := range pkgs {
@@ -257,47 +254,4 @@ func (idx allowIndex) suppresses(f Finding) bool {
 		}
 	}
 	return false
-}
-
-// inspectWithLoopDepth walks the subtree rooted at n, calling fn with
-// the number of enclosing for/range statements whose *body* (or
-// post/cond clauses) contains the node. Function literals reset the
-// depth: a closure defined in a loop body is not itself "in a loop"
-// unless it contains one.
-func inspectWithLoopDepth(root ast.Node, fn func(n ast.Node, depth int) bool) {
-	var walk func(n ast.Node, depth int)
-	walk = func(n ast.Node, depth int) {
-		if n == nil {
-			return
-		}
-		if !fn(n, depth) {
-			return
-		}
-		switch s := n.(type) {
-		case *ast.ForStmt:
-			walk(s.Init, depth)
-			walk(s.Cond, depth+1)
-			walk(s.Post, depth+1)
-			walk(s.Body, depth+1)
-			return
-		case *ast.RangeStmt:
-			walk(s.Key, depth)
-			walk(s.Value, depth)
-			walk(s.X, depth)
-			walk(s.Body, depth+1)
-			return
-		case *ast.FuncLit:
-			walk(s.Type, 0)
-			walk(s.Body, 0)
-			return
-		}
-		ast.Inspect(n, func(child ast.Node) bool {
-			if child == nil || child == n {
-				return child == n
-			}
-			walk(child, depth)
-			return false
-		})
-	}
-	walk(root, 0)
 }

@@ -81,9 +81,6 @@ func NewLoader(moduleRoot string) (*Loader, error) {
 	}, nil
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Load resolves the given patterns to package directories, loads and
 // type-checks each, and returns them sorted by import path. Supported
 // patterns: "./..." (whole module), "./dir/..." (subtree), "./dir" or

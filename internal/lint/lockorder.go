@@ -25,9 +25,10 @@ import (
 // "pkg.var". Acquisitions made while another class is held become
 // edges, extended through calls: when f calls g while holding A, every
 // lock g (transitively) takes is ordered after A. After all packages
-// are analyzed, a Finish pass condenses the graph with Tarjan's SCC and
-// reports every cycle — the classic AB/BA inversion that deadlocks two
-// goroutines — once, with the full cycle path.
+// are analyzed, a Finish pass walks the graph depth first and reports
+// every cycle it closes — the classic AB/BA inversion that deadlocks two
+// goroutines, or a longer loop across more methods — once, with the
+// full cycle path.
 var LockOrderAnalyzer = &Analyzer{
 	Name:   "lockorder",
 	Doc:    "no path exits holding a mutex; no lock-order cycles across the repo",
@@ -283,11 +284,7 @@ func finishLockOrder(pass *Pass) {
 			if !ok {
 				continue
 			}
-			acquired := make([]string, 0, len(calleeSet))
-			for c := range calleeSet {
-				acquired = append(acquired, c)
-			}
-			sort.Strings(acquired)
+			acquired := sortedKeys(calleeSet)
 			for _, held := range call.held {
 				for _, to := range acquired {
 					if held == to {
@@ -316,134 +313,49 @@ func less(a, b token.Position) bool {
 	return a.Column < b.Column
 }
 
-// reportLockCycles condenses the graph with Tarjan's SCC algorithm and
-// reports one finding per non-trivial component, with a concrete cycle
-// path as the witness.
+// reportLockCycles walks the graph depth first, taking classes and
+// their successors in sorted order. An edge back to a class still on the
+// walk closes a cycle: the walk from that class to here, plus the edge.
+// No two such edges close the same set of classes, so each cycle is
+// reported once, at the earliest position among its edges.
 func reportLockCycles(pass *Pass, edges map[string]map[string]token.Position) {
-	nodes := make([]string, 0, len(edges))
-	nodeSet := map[string]bool{}
-	for from, tos := range edges {
-		if !nodeSet[from] {
-			nodeSet[from] = true
-			nodes = append(nodes, from)
-		}
-		for to := range tos {
-			if !nodeSet[to] {
-				nodeSet[to] = true
-				nodes = append(nodes, to)
+	var walk []string
+	onWalk := map[string]int{} // class → its index in walk
+	done := map[string]bool{}
+	var visit func(from string)
+	visit = func(from string) {
+		onWalk[from] = len(walk)
+		walk = append(walk, from)
+		for _, to := range sortedKeys(edges[from]) {
+			if i, ok := onWalk[to]; ok {
+				cycle := append(append([]string(nil), walk[i:]...), to)
+				witness := edges[from][to]
+				for j := 0; j+1 < len(cycle); j++ {
+					if pos := edges[cycle[j]][cycle[j+1]]; less(pos, witness) {
+						witness = pos
+					}
+				}
+				pass.ReportAt(witness, "lock-order cycle: %s — two goroutines taking these locks in different orders will deadlock", strings.Join(cycle, " -> "))
+			} else if !done[to] {
+				visit(to)
 			}
 		}
+		walk = walk[:len(walk)-1]
+		delete(onWalk, from)
+		done[from] = true
 	}
-	sort.Strings(nodes)
+	for _, from := range sortedKeys(edges) {
+		if !done[from] {
+			visit(from)
+		}
+	}
+}
 
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	next := 0
-	var sccs [][]string
-
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		tos := make([]string, 0, len(edges[v]))
-		for to := range edges[v] {
-			tos = append(tos, to)
-		}
-		sort.Strings(tos)
-		for _, w := range tos {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] {
-				if index[w] < low[v] {
-					low[v] = index[w]
-				}
-			}
-		}
-		if low[v] == index[v] {
-			var comp []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			if len(comp) > 1 {
-				sccs = append(sccs, comp)
-			}
-		}
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	for _, v := range nodes {
-		if _, seen := index[v]; !seen {
-			strongconnect(v)
-		}
-	}
-
-	for _, comp := range sccs {
-		sort.Strings(comp)
-		inComp := map[string]bool{}
-		for _, n := range comp {
-			inComp[n] = true
-		}
-		// Find a concrete cycle path starting from the lexicographically
-		// first node, greedy by sorted successor order within the SCC.
-		start := comp[0]
-		path := []string{start}
-		visited := map[string]bool{start: true}
-		cur := start
-		for {
-			tos := make([]string, 0, len(edges[cur]))
-			for to := range edges[cur] {
-				if inComp[to] {
-					tos = append(tos, to)
-				}
-			}
-			sort.Strings(tos)
-			if len(tos) == 0 {
-				break
-			}
-			nextNode := tos[0]
-			// Prefer closing the cycle back to start.
-			for _, t := range tos {
-				if t == start {
-					nextNode = t
-					break
-				}
-			}
-			path = append(path, nextNode)
-			if nextNode == start || visited[nextNode] {
-				break
-			}
-			visited[nextNode] = true
-			cur = nextNode
-		}
-		// Witness position: the earliest edge position in the component.
-		var witness token.Position
-		haveWitness := false
-		for _, from := range comp {
-			for to, pos := range edges[from] {
-				if !inComp[to] {
-					continue
-				}
-				if !haveWitness || less(pos, witness) {
-					witness = pos
-					haveWitness = true
-				}
-			}
-		}
-		if !haveWitness {
-			continue
-		}
-		pass.ReportAt(witness, "lock-order cycle: %s — two goroutines taking these locks in different orders will deadlock", strings.Join(path, " -> "))
-	}
+	sort.Strings(keys)
+	return keys
 }

@@ -211,7 +211,7 @@ func (s *obSpec) check(pass *Pass, body *ast.BlockStmt, ft *ast.FuncType, fn *ty
 	}
 	leaks := map[any]leak{}
 	for _, e := range g.Exit.Preds {
-		f, ok := res.EdgeFact(e)
+		f, ok := res.Out[e.From]
 		if e.Kind != cfg.Return || !ok {
 			continue
 		}
@@ -308,10 +308,6 @@ func (a *obFlow) Join(x, y obFacts) obFacts {
 	}
 	return out
 }
-
-// Refine is cfg.Analysis's hook for conditional edges; no condition
-// decides an obligation.
-func (a *obFlow) Refine(f obFacts, _ ast.Expr, _ bool) obFacts { return f }
 
 func (a *obFlow) put(key any, fact obFact) {
 	if !a.own {

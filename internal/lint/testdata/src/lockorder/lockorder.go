@@ -158,3 +158,38 @@ func (t *table) rlockNoRUnlock(k string) int {
 	t.rw.RLock() // want: path can reach return without RUnlock
 	return t.m[k]
 }
+
+// ring holds three mutexes that three methods take in rotating pairs:
+// a -> b, b -> c, c -> a. No two methods invert each other, so only a
+// search that follows the whole three-edge loop finds the deadlock.
+type ring struct {
+	a, b, c sync.Mutex
+	n       int
+}
+
+// ab orders a before b — the cycle's earliest edge, so its witness.
+func (r *ring) ab() {
+	r.a.Lock()
+	defer r.a.Unlock()
+	r.b.Lock() // want: cycle witness (a -> b edge)
+	r.n++
+	r.b.Unlock()
+}
+
+// bc orders b before c.
+func (r *ring) bc() {
+	r.b.Lock()
+	defer r.b.Unlock()
+	r.c.Lock()
+	r.n++
+	r.c.Unlock()
+}
+
+// ca orders c before a, closing the loop.
+func (r *ring) ca() {
+	r.c.Lock()
+	defer r.c.Unlock()
+	r.a.Lock()
+	r.n++
+	r.a.Unlock()
+}
