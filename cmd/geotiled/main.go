@@ -11,43 +11,41 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"nsdfgo/internal/dem"
 	"nsdfgo/internal/geotiled"
-	"nsdfgo/internal/raster"
 	"nsdfgo/internal/tiff"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(flag.CommandLine, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "geotiled:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	region := flag.String("region", "tennessee", "scene to synthesise: tennessee or conus")
-	width := flag.Int("width", 1024, "scene width in pixels")
-	height := flag.Int("height", 512, "scene height in pixels")
-	seed := flag.Uint64("seed", 20240624, "synthesis seed")
-	params := flag.String("params", "elevation,slope,aspect,hillshade", "comma-separated terrain parameters")
-	out := flag.String("out", ".", "output directory for GeoTIFFs")
-	tileSize := flag.Int("tile", 512, "GEOtiled tile size in pixels")
-	workers := flag.Int("workers", 0, "tile workers (0 = GOMAXPROCS)")
-	flag.Parse()
-
-	var d *raster.Grid
-	switch *region {
-	case "tennessee":
-		d = dem.Tennessee(*width, *height, *seed)
-	case "conus":
-		d = dem.CONUS(*width, *height, *seed)
-	default:
-		return fmt.Errorf("unknown region %q (want tennessee or conus)", *region)
+func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
+	region := fs.String("region", "tennessee", "scene to synthesise: tennessee or conus")
+	width := fs.Int("width", 1024, "scene width in pixels")
+	height := fs.Int("height", 512, "scene height in pixels")
+	seed := fs.Uint64("seed", 20240624, "synthesis seed")
+	params := fs.String("params", "elevation,slope,aspect,hillshade", "comma-separated terrain parameters")
+	out := fs.String("out", ".", "output directory for GeoTIFFs")
+	tileSize := fs.Int("tile", 512, "GEOtiled tile size in pixels")
+	workers := fs.Int("workers", 0, "tile workers (0 = GOMAXPROCS)")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
+
+	scene, err := dem.Region(*region)
+	if err != nil {
+		return err
+	}
+	d := scene(*width, *height, *seed)
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err
 	}
@@ -75,7 +73,7 @@ func run() error {
 			return fmt.Errorf("write %s: %w", path, err)
 		}
 		st := g.ComputeStats()
-		fmt.Printf("wrote %-40s %dx%d  min=%.2f max=%.2f mean=%.2f\n", path, g.W, g.H, st.Min, st.Max, st.Mean)
+		fmt.Fprintf(stdout, "wrote %-40s %dx%d  min=%.2f max=%.2f mean=%.2f\n", path, g.W, g.H, st.Min, st.Max, st.Mean)
 	}
 	return nil
 }

@@ -16,6 +16,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"nsdfgo/internal/convert"
@@ -25,30 +26,32 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(flag.CommandLine, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "nsdf-convert:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	out := flag.String("out", "dataset.idxdata", "output directory for the IDX dataset")
-	codec := flag.String("codec", "", "block codec (default: per-type shuffle+zlib)")
-	bitsPerBlock := flag.Int("bitsperblock", idx.DefaultBitsPerBlock, "samples per block = 2^bitsperblock")
-	validate := flag.Bool("validate", true, "read back and verify every field bit-for-bit")
-	variable := flag.String("variable", "", "NetCDF variable to extract (default: first 2D data variable)")
-	rawWidth := flag.Int("raw-width", 0, "width of raw float32 inputs")
-	rawHeight := flag.Int("raw-height", 0, "height of raw float32 inputs")
-	writeParallelism := flag.Int("write-parallelism", 0, "concurrent block writes per field (0 = GOMAXPROCS)")
-	flag.Parse()
-	if flag.NArg() == 0 {
+func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
+	out := fs.String("out", "dataset.idxdata", "output directory for the IDX dataset")
+	codec := fs.String("codec", "", "block codec (default: per-type shuffle+zlib)")
+	bitsPerBlock := fs.Int("bitsperblock", idx.DefaultBitsPerBlock, "samples per block = 2^bitsperblock")
+	validate := fs.Bool("validate", true, "read back and verify every field bit-for-bit")
+	variable := fs.String("variable", "", "NetCDF variable to extract (default: first 2D data variable)")
+	rawWidth := fs.Int("raw-width", 0, "width of raw float32 inputs")
+	rawHeight := fs.Int("raw-height", 0, "height of raw float32 inputs")
+	writeParallelism := fs.Int("write-parallelism", 0, "concurrent block writes per field (0 = GOMAXPROCS)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() == 0 {
 		return fmt.Errorf("no inputs (usage: nsdf-convert -out DIR file.{tif,nc,png,raw}...)")
 	}
 
 	opts := convert.Options{Variable: *variable, RawWidth: *rawWidth, RawHeight: *rawHeight}
 	var inputs []convert.Input
 	sizes := map[string]int64{}
-	for _, path := range flag.Args() {
+	for _, path := range fs.Args() {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
@@ -92,10 +95,10 @@ func run() error {
 		}
 		srcTotal += sizes[in.FieldName]
 		idxTotal += stored
-		fmt.Printf("field %-24s source %10d B -> IDX %10d B  (%.1f%% reduction)\n",
+		fmt.Fprintf(stdout, "field %-24s source %10d B -> IDX %10d B  (%.1f%% reduction)\n",
 			in.FieldName, sizes[in.FieldName], stored, 100*(1-float64(stored)/float64(sizes[in.FieldName])))
 	}
-	fmt.Printf("dataset %s: %d fields, %dx%d, %d levels, overall reduction %.1f%%\n",
+	fmt.Fprintf(stdout, "dataset %s: %d fields, %dx%d, %d levels, overall reduction %.1f%%\n",
 		*out, len(inputs), inputs[0].Grid.W, inputs[0].Grid.H, ds.Meta.MaxLevel(),
 		100*(1-float64(idxTotal)/float64(srcTotal)))
 	return nil

@@ -24,6 +24,7 @@ import (
 	"strings"
 	"time"
 
+	"nsdfgo/internal/convert"
 	"nsdfgo/internal/dashboard"
 	"nsdfgo/internal/dem"
 	"nsdfgo/internal/geotiled"
@@ -54,6 +55,9 @@ func run(fs *flag.FlagSet, args []string) error {
 	opts := serverkit.Options{Service: "dashboard", NodeName: "dashboard", CacheMB: 64}
 	opts.ProcessFlags(fs)
 	opts.ServingFlags(fs)
+	fs.IntVar(&opts.CacheMB, "cache-mb", opts.CacheMB, "in-memory cache size in MiB, per dataset (0 disables)")
+	fs.StringVar(&opts.Cache.DiskDir, "cache-dir", "", "directory for an on-disk cache tier below memory (empty disables; contents are wiped at startup)")
+	fs.Int64Var(&opts.Cache.DiskBytes, "cache-disk-bytes", 256<<20, "on-disk cache budget in bytes, per dataset (with -cache-dir)")
 	addr := fs.String("addr", ":8080", "listen address")
 	demo := fs.Bool("demo", false, "synthesise and register a demo Tennessee dataset")
 	summaryEvery := fs.Duration("summary-interval", 30*time.Second, "interval between one-line telemetry summaries (0 disables)")
@@ -176,27 +180,13 @@ func logSummary(logger *slog.Logger, reg *telemetry.Registry) {
 // buildDemoDataset synthesises the tutorial's Tennessee scene in memory.
 func buildDemoDataset(ctx context.Context) (*idx.Dataset, error) {
 	d := dem.Tennessee(512, 256, 20240624)
-	fields := make([]idx.Field, 0, len(geotiled.TutorialParams))
-	for _, p := range geotiled.TutorialParams {
-		fields = append(fields, idx.Field{Name: p.String(), Type: idx.Float32})
-	}
-	meta, err := idx.NewMeta([]int{512, 256}, fields)
-	if err != nil {
-		return nil, err
-	}
-	meta.Geo = d.Geo
-	ds, err := idx.Create(ctx, idx.NewMemBackend(), meta)
-	if err != nil {
-		return nil, err
-	}
+	inputs := make([]convert.Input, 0, len(geotiled.TutorialParams))
 	for _, p := range geotiled.TutorialParams {
 		g, err := geotiled.ComputeTiled(d, p, geotiled.Options{})
 		if err != nil {
 			return nil, err
 		}
-		if err := ds.WriteGrid(ctx, p.String(), 0, g); err != nil {
-			return nil, err
-		}
+		inputs = append(inputs, convert.Input{FieldName: p.String(), Grid: g})
 	}
-	return ds, nil
+	return convert.ToIDXWith(ctx, idx.NewMemBackend(), inputs, convert.IDXOptions{})
 }

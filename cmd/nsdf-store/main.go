@@ -76,18 +76,6 @@ func run(fs *flag.FlagSet, args []string) error {
 		}
 		backend = "shard"
 	}
-	// The read-through cache (when enabled) sits under the
-	// instrumentation, so the latency histograms reflect what clients
-	// experienced (hits included) while nsdf_cache_* reports the cache's
-	// own effectiveness.
-	if k.CacheMB > 0 || k.Cache.DiskDir != "" {
-		tiered, err := k.NewCache("")
-		if err != nil {
-			return fmt.Errorf("object cache: %w", err)
-		}
-		tiered.Instrument(k.Registry, "store")
-		inner = storage.NewCached(inner, tiered)
-	}
 	store := storage.NewInstrumented(inner, k.Registry, backend)
 
 	// The operator endpoints stay reachable, unauthenticated, even with

@@ -13,8 +13,9 @@ import (
 // TestFlagsGolden compares the command line run declares — name, type
 // and default of every flag — with testdata/flags.golden, which was
 // recorded from the binary before the shared flags moved into
-// internal/serverkit. run is handed -h, so it returns from Parse with
-// every flag declared and nothing started.
+// internal/serverkit, less the three cache flags the store dropped with
+// its read-through cache. run is handed -h, so it returns from Parse
+// with every flag declared and nothing started.
 func TestFlagsGolden(t *testing.T) {
 	fs := flag.NewFlagSet("nsdf-store", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)

@@ -13,29 +13,33 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"nsdfgo/internal/catalog"
 	"nsdfgo/internal/core"
+	"nsdfgo/internal/idx"
 	"nsdfgo/internal/metrics"
 	"nsdfgo/internal/raster"
 	"nsdfgo/internal/somospie"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(flag.CommandLine, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "somospie:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	width := flag.Int("width", 192, "region width in pixels")
-	height := flag.Int("height", 128, "region height in pixels")
-	observations := flag.Int("observations", 1200, "sparse observation count")
-	testFrac := flag.Float64("test-fraction", 0.25, "held-out fraction for evaluation")
-	seed := flag.Uint64("seed", 20240624, "synthesis seed")
-	flag.Parse()
+func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
+	width := fs.Int("width", 192, "region width in pixels")
+	height := fs.Int("height", 128, "region height in pixels")
+	observations := fs.Int("observations", 1200, "sparse observation count")
+	testFrac := fs.Float64("test-fraction", 0.25, "held-out fraction for evaluation")
+	seed := fs.Uint64("seed", 20240624, "synthesis seed")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	fabric := core.NewFabric()
 	w, err := fabric.MoistureWorkflow(core.MoistureConfig{
@@ -45,22 +49,22 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("running SOMOSPIE workflow: %dx%d, %d observations, seed %d\n\n",
+	fmt.Fprintf(stdout, "running SOMOSPIE workflow: %dx%d, %d observations, seed %d\n\n",
 		*width, *height, *observations, *seed)
 	bb, trail, err := w.Run(context.Background())
-	fmt.Println("provenance trail:")
-	fmt.Print(trail.String())
+	fmt.Fprintln(stdout, "provenance trail:")
+	fmt.Fprint(stdout, trail.String())
 	if err != nil {
 		return err
 	}
 
 	reports, _ := core.Fetch[[]somospie.EvalReport](bb, core.KeyEvaluations)
-	fmt.Println("\nmodel competition (held-out evaluation):")
+	fmt.Fprintln(stdout, "\nmodel competition (held-out evaluation):")
 	for _, rep := range reports {
-		fmt.Printf("  %s\n", rep)
+		fmt.Fprintf(stdout, "  %s\n", rep)
 	}
 	best, _ := core.Fetch[string](bb, core.KeyBestModel)
-	fmt.Printf("winner: %s\n", best)
+	fmt.Fprintf(stdout, "winner: %s\n", best)
 
 	pred, _ := core.Fetch[*raster.Grid](bb, core.KeyPrediction)
 	truth, _ := core.Fetch[*raster.Grid](bb, core.KeyTruth)
@@ -68,13 +72,15 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\ngridded product vs truth: %s\n", rep)
+	fmt.Fprintf(stdout, "\ngridded product vs truth: %s\n", rep)
 
 	doi, _ := core.Fetch[string](bb, core.KeyDOI)
-	fmt.Printf("\nobservation product: %s (NetCDF on Dataverse)\n", doi)
-	fmt.Println("catalog records:")
+	fmt.Fprintf(stdout, "\nobservation product: %s (NetCDF on Dataverse)\n", doi)
+	ds, _ := core.Fetch[*idx.Dataset](bb, core.KeyDataset)
+	fmt.Fprintf(stdout, "gridded product: IDX, %d fields, %d levels\n", len(ds.Meta.Fields), ds.Meta.MaxLevel())
+	fmt.Fprintln(stdout, "catalog records:")
 	for _, r := range fabric.Catalog.Search(catalog.Query{Terms: "moisture", Limit: 10}) {
-		fmt.Printf("  %-24s %-12s %9d B  %s\n", r.Name, r.Source, r.Size, r.Location)
+		fmt.Fprintf(stdout, "  %-24s %-12s %9d B  %s\n", r.Name, r.Source, r.Size, r.Location)
 	}
 	return nil
 }

@@ -19,6 +19,7 @@ import (
 	"log"
 	"time"
 
+	"nsdfgo/internal/convert"
 	"nsdfgo/internal/dem"
 	"nsdfgo/internal/idx"
 	"nsdfgo/internal/query"
@@ -34,18 +35,10 @@ func main() {
 	scene := dem.CONUS(w, h, 20240624)
 
 	remoteStore := storage.NewConditioned(storage.NewMemStore(), storage.ProfileCrossCountry, 1)
-	meta, err := idx.NewMeta([]int{w, h}, []idx.Field{{Name: "elevation", Type: idx.Float32}})
-	if err != nil {
-		log.Fatal(err)
-	}
-	meta.BitsPerBlock = 13
-	meta.Geo = scene.Geo
-	ds, err := idx.Create(context.Background(), storage.NewIDXBackend(remoteStore, "conus_30m"), meta)
-	if err != nil {
-		log.Fatal(err)
-	}
 	start := time.Now()
-	if err := ds.WriteGrid(context.Background(), "elevation", 0, scene); err != nil {
+	ds, err := convert.ToIDXWith(context.Background(), storage.NewIDXBackend(remoteStore, "conus_30m"),
+		[]convert.Input{{FieldName: "elevation", Grid: scene}}, convert.IDXOptions{BitsPerBlock: 13})
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("uploaded to remote store in %.1fs (%d blocks)\n\n",

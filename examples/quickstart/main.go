@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log"
 
+	"nsdfgo/internal/convert"
 	"nsdfgo/internal/dem"
 	"nsdfgo/internal/idx"
 	"nsdfgo/internal/query"
@@ -26,20 +27,13 @@ func main() {
 	elevation := dem.Scale(dem.FBM(256, 256, 42, dem.DefaultFBM()), 0, 2000)
 	fmt.Println("generated 256x256 synthetic DEM")
 
-	// 2. Create an IDX dataset in memory and write the grid. The samples
-	// are reordered along the hierarchical Z-order curve and stored as
-	// independently compressed blocks.
-	meta, err := idx.NewMeta([]int{256, 256}, []idx.Field{{Name: "elevation", Type: idx.Float32}})
-	if err != nil {
-		log.Fatal(err)
-	}
-	meta.BitsPerBlock = 12 // 4096 samples per block
+	// 2. Convert the grid to an IDX dataset in memory. The samples are
+	// reordered along the hierarchical Z-order curve and stored as
+	// independently compressed blocks of 2^12 = 4096 samples.
 	backend := idx.NewMemBackend()
-	ds, err := idx.Create(context.Background(), backend, meta)
+	ds, err := convert.ToIDXWith(context.Background(), backend,
+		[]convert.Input{{FieldName: "elevation", Grid: elevation}}, convert.IDXOptions{BitsPerBlock: 12})
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := ds.WriteGrid(context.Background(), "elevation", 0, elevation); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("stored as IDX: %d blocks, %d bytes total\n", backend.NumObjects()-1, backend.TotalBytes())

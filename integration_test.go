@@ -75,7 +75,7 @@ func TestFullStackOverHTTP(t *testing.T) {
 		}
 		inputs = append(inputs, convert.Input{FieldName: name, Grid: g})
 	}
-	ds, err := convert.ToIDX(context.Background(), storage.NewIDXBackend(seal, "datasets/tn"), inputs, 10, "")
+	ds, err := convert.ToIDXWith(context.Background(), storage.NewIDXBackend(seal, "datasets/tn"), inputs, convert.IDXOptions{BitsPerBlock: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestNetCDFPipelineIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := convert.ToIDX(context.Background(), idx.NewMemBackend(), []convert.Input{{FieldName: "soil_moisture", Grid: loaded}}, 0, "")
+	ds, err := convert.ToIDXWith(context.Background(), idx.NewMemBackend(), []convert.Input{{FieldName: "soil_moisture", Grid: loaded}}, convert.IDXOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,8 +234,7 @@ func TestWorkflowSurvivesFlakyStorage(t *testing.T) {
 			reg := telemetry.NewRegistry()
 			r.Instrument(reg)
 			scene := dem.Tennessee(96, 48, 9)
-			if _, err := convert.ToIDX(ctx, storage.NewIDXBackend(r, "ds"),
-				[]convert.Input{{FieldName: "elevation", Grid: scene}}, 8, ""); err != nil {
+			if _, err := convert.ToIDXWith(ctx, storage.NewIDXBackend(r, "ds"), []convert.Input{{FieldName: "elevation", Grid: scene}}, convert.IDXOptions{BitsPerBlock: 8}); err != nil {
 				t.Fatal(err)
 			}
 			ds, err := idx.Open(ctx, storage.NewIDXBackend(r, "ds"))

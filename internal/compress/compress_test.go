@@ -197,14 +197,24 @@ func TestLZ4DecodeRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// decodeZFP decodes a zfp payload without a size hint and returns its
+// samples, the way a reader that trusts the frame's count sees them.
+func decodeZFP(z ZFPLike, enc []byte) ([]float32, error) {
+	raw, err := z.Decode(enc, -1)
+	if err != nil {
+		return nil, err
+	}
+	return bytesFloat32(raw), nil
+}
+
 func TestZFPLosslessRoundTrip(t *testing.T) {
 	z := ZFPLike{Tolerance: 0}
 	values := []float32{0, 1.5, -2.25, float32(math.Pi), 1e-20, 1e20, float32(math.NaN()), float32(math.Inf(1))}
-	enc, err := z.EncodeFloat32(values)
+	enc, err := z.Encode(float32Bytes(values))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := z.DecodeFloat32(enc)
+	dec, err := decodeZFP(z, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +239,11 @@ func TestZFPLossyBoundsError(t *testing.T) {
 	}
 	for _, tol := range []float64{0.5, 0.01, 1e-4} {
 		z := ZFPLike{Tolerance: tol}
-		enc, err := z.EncodeFloat32(values)
+		enc, err := z.Encode(float32Bytes(values))
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := z.DecodeFloat32(enc)
+		dec, err := decodeZFP(z, enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +259,7 @@ func TestZFPLossyCompressesSmoothData(t *testing.T) {
 		values[i] = float32(math.Sin(float64(i) / 500.0 * math.Pi))
 	}
 	z := ZFPLike{Tolerance: 1e-3}
-	enc, err := z.EncodeFloat32(values)
+	enc, err := z.Encode(float32Bytes(values))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +272,11 @@ func TestZFPLossyCompressesSmoothData(t *testing.T) {
 func TestZFPPreservesNonFinite(t *testing.T) {
 	values := []float32{1, 2, float32(math.NaN()), 4, float32(math.Inf(-1)), 6}
 	z := ZFPLike{Tolerance: 0.1}
-	enc, err := z.EncodeFloat32(values)
+	enc, err := z.Encode(float32Bytes(values))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := z.DecodeFloat32(enc)
+	dec, err := decodeZFP(z, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,14 +292,14 @@ func TestZFPPreservesNonFinite(t *testing.T) {
 }
 
 func TestZFPNegativeToleranceRejected(t *testing.T) {
-	if _, err := (ZFPLike{Tolerance: -1}).EncodeFloat32([]float32{1}); err == nil {
+	if _, err := (ZFPLike{Tolerance: -1}).Encode(float32Bytes([]float32{1})); err == nil {
 		t.Error("negative tolerance accepted")
 	}
 }
 
 func TestZFPDecodeRejectsCorrupt(t *testing.T) {
 	z := ZFPLike{Tolerance: 0.1}
-	enc, err := z.EncodeFloat32([]float32{1, 2, 3})
+	enc, err := z.Encode(float32Bytes([]float32{1, 2, 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +309,7 @@ func TestZFPDecodeRejectsCorrupt(t *testing.T) {
 		"bad ver":   append(append([]byte{}, enc[:4]...), append([]byte{99}, enc[5:]...)...),
 	}
 	for name, src := range cases {
-		if _, err := z.DecodeFloat32(src); err == nil {
+		if _, err := z.Decode(src, -1); err == nil {
 			t.Errorf("%s: corrupt input decoded without error", name)
 		}
 	}
@@ -307,11 +317,11 @@ func TestZFPDecodeRejectsCorrupt(t *testing.T) {
 
 func TestZFPEmptyInput(t *testing.T) {
 	z := ZFPLike{Tolerance: 0.5}
-	enc, err := z.EncodeFloat32(nil)
+	enc, err := z.Encode(float32Bytes(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := z.DecodeFloat32(enc)
+	dec, err := decodeZFP(z, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +392,7 @@ func BenchmarkZFPEncode(b *testing.B) {
 	b.SetBytes(int64(4 * len(values)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := z.EncodeFloat32(values); err != nil {
+		if _, err := z.Encode(float32Bytes(values)); err != nil {
 			b.Fatal(err)
 		}
 	}

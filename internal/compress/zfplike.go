@@ -37,29 +37,6 @@ const (
 	maxDeflateRatio = 1032
 )
 
-// EncodeFloat32 compresses values under the codec's error bound.
-func (z ZFPLike) EncodeFloat32(values []float32) ([]byte, error) {
-	raw := make([]byte, 4*len(values))
-	for i, v := range values {
-		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
-	}
-	return z.Encode(raw)
-}
-
-// DecodeFloat32 reverses EncodeFloat32. The returned slice has the length
-// recorded at encode time.
-func (z ZFPLike) DecodeFloat32(src []byte) ([]float32, error) {
-	raw, err := z.Decode(src, -1)
-	if err != nil {
-		return nil, err
-	}
-	values := make([]float32, len(raw)/4)
-	for i := range values {
-		values[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
-	return values, nil
-}
-
 // Name returns the codec registry identifier for this tolerance, e.g.
 // "zfp-0.001". Registered instances (see init) expose the lossy codec to
 // IDX field descriptors for float32 fields.

@@ -191,12 +191,6 @@ type IDXOptions struct {
 	WriteParallelism int
 }
 
-// ToIDX writes the inputs as fields of a new IDX dataset on the backend
-// with default write parallelism. See ToIDXWith.
-func ToIDX(ctx context.Context, be idx.Backend, inputs []Input, bitsPerBlock int, codec string) (*idx.Dataset, error) {
-	return ToIDXWith(ctx, be, inputs, IDXOptions{BitsPerBlock: bitsPerBlock, Codec: codec})
-}
-
 // ToIDXWith writes the inputs as fields of a new IDX dataset on the
 // backend. All inputs must share dimensions; georeferencing is taken from
 // the first input that has it. ctx bounds all backend I/O. Returns the

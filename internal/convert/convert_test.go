@@ -213,10 +213,10 @@ func TestToIDXMultiFormat(t *testing.T) {
 		gB.Data[i] += 1000
 	}
 	be := idx.NewMemBackend()
-	ds, err := ToIDX(context.Background(), be, []Input{
+	ds, err := ToIDXWith(context.Background(), be, []Input{
 		{FieldName: "from_tiff", Grid: gA},
 		{FieldName: "from_netcdf", Grid: gB},
-	}, 8, "")
+	}, IDXOptions{BitsPerBlock: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,22 +241,22 @@ func TestToIDXMultiFormat(t *testing.T) {
 
 func TestToIDXValidation(t *testing.T) {
 	be := idx.NewMemBackend()
-	if _, err := ToIDX(context.Background(), be, nil, 8, ""); err == nil {
+	if _, err := ToIDXWith(context.Background(), be, nil, IDXOptions{BitsPerBlock: 8}); err == nil {
 		t.Error("empty inputs accepted")
 	}
-	if _, err := ToIDX(context.Background(), be, []Input{
+	if _, err := ToIDXWith(context.Background(), be, []Input{
 		{FieldName: "a", Grid: testGrid(4, 4)},
 		{FieldName: "b", Grid: testGrid(5, 4)},
-	}, 8, ""); err == nil {
+	}, IDXOptions{BitsPerBlock: 8}); err == nil {
 		t.Error("mismatched dims accepted")
 	}
-	if _, err := ToIDX(context.Background(), be, []Input{
+	if _, err := ToIDXWith(context.Background(), be, []Input{
 		{FieldName: "a", Grid: testGrid(4, 4)},
 		{FieldName: "a", Grid: testGrid(4, 4)},
-	}, 8, ""); err == nil {
+	}, IDXOptions{BitsPerBlock: 8}); err == nil {
 		t.Error("duplicate field accepted")
 	}
-	if _, err := ToIDX(context.Background(), be, []Input{{FieldName: "a", Grid: testGrid(4, 4)}}, 8, "nope"); err == nil {
+	if _, err := ToIDXWith(context.Background(), be, []Input{{FieldName: "a", Grid: testGrid(4, 4)}}, IDXOptions{BitsPerBlock: 8, Codec: "nope"}); err == nil {
 		t.Error("unknown codec accepted")
 	}
 }
@@ -270,7 +270,7 @@ func TestEndToEndNetCDFToIDX(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := ToIDX(context.Background(), idx.NewMemBackend(), []Input{{FieldName: SanitizeFieldName("soil.nc"), Grid: loaded}}, 0, "")
+	ds, err := ToIDXWith(context.Background(), idx.NewMemBackend(), []Input{{FieldName: SanitizeFieldName("soil.nc"), Grid: loaded}}, IDXOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

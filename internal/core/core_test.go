@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -198,6 +199,17 @@ func TestTutorialWorkflowEndToEnd(t *testing.T) {
 	}
 	if ds.Meta.Geo == nil {
 		t.Error("dataset lost georeferencing through the TIFF round trip")
+	}
+	// Stored sizes are a deterministic function of the seed, the default
+	// codec and the block layout; these were recorded before step 2 moved
+	// onto convert.ToIDXWith, which must store every block byte-identically.
+	idxBytes, err := Fetch[map[string]int64](bb, KeyIDXBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantIDXBytes := map[string]int64{"elevation": 23616, "slope": 26242, "aspect": 23895, "hillshade": 22675}
+	if !reflect.DeepEqual(idxBytes, wantIDXBytes) {
+		t.Errorf("stored IDX bytes %v, want %v", idxBytes, wantIDXBytes)
 	}
 
 	// Step 3: validation identical for every field.

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"nsdfgo/internal/catalog"
+	"nsdfgo/internal/convert"
 	"nsdfgo/internal/dashboard"
 	"nsdfgo/internal/dem"
 	"nsdfgo/internal/geotiled"
@@ -72,8 +73,8 @@ func (c TutorialConfig) withDefaults() (TutorialConfig, error) {
 	if c.Region == "" {
 		c.Region = "tennessee"
 	}
-	if c.Region != "tennessee" && c.Region != "conus" {
-		return c, fmt.Errorf("core: unknown region %q", c.Region)
+	if _, err := dem.Region(c.Region); err != nil {
+		return c, err
 	}
 	if c.Width == 0 {
 		c.Width = 512
@@ -151,13 +152,11 @@ func (f *Fabric) TutorialWorkflow(cfg TutorialConfig) (*Workflow, error) {
 // the USGS download), run GEOtiled, publish the TIFFs to Dataverse, and
 // catalogue them.
 func (f *Fabric) stepGenerate(ctx context.Context, cfg TutorialConfig, bb *Blackboard) error {
-	var demGrid *raster.Grid
-	switch cfg.Region {
-	case "conus":
-		demGrid = dem.CONUS(cfg.Width, cfg.Height, cfg.Seed)
-	default:
-		demGrid = dem.Tennessee(cfg.Width, cfg.Height, cfg.Seed)
+	scene, err := dem.Region(cfg.Region)
+	if err != nil {
+		return err
 	}
+	demGrid := scene(cfg.Width, cfg.Height, cfg.Seed)
 	opts := geotiled.Options{TileSize: cfg.TileSize, Workers: cfg.Workers}
 	grids := make(map[string]*raster.Grid, len(cfg.Params))
 	for _, p := range cfg.Params {
@@ -216,7 +215,7 @@ func (f *Fabric) stepConvert(ctx context.Context, cfg TutorialConfig, bb *Blackb
 	}
 	// Pull every published TIFF back from the repository first: the
 	// conversion consumes the public artifacts, not in-memory state.
-	images := make(map[string]*tiff.Image, len(cfg.Params))
+	inputs := make([]convert.Input, 0, len(cfg.Params))
 	for _, p := range cfg.Params {
 		name := p.String()
 		data, err := f.Dataverse.GetFile(ctx, doi, name+".tif")
@@ -227,37 +226,24 @@ func (f *Fabric) stepConvert(ctx context.Context, cfg TutorialConfig, bb *Blackb
 		if err != nil {
 			return fmt.Errorf("decode %s.tif: %w", name, err)
 		}
-		images[name] = im
+		inputs = append(inputs, convert.Input{FieldName: name, Grid: im.Grid()})
 	}
-	fields := make([]idx.Field, 0, len(cfg.Params))
-	for _, p := range cfg.Params {
-		fields = append(fields, idx.Field{Name: p.String(), Type: idx.Float32})
-	}
-	meta, err := idx.NewMeta([]int{cfg.Width, cfg.Height}, fields)
-	if err != nil {
-		return err
-	}
-	meta.Geo = images[cfg.Params[0].String()].Geo
 	be := storage.NewIDXBackend(f.Private, "datasets/"+cfg.DatasetName)
-	ds, err := idx.Create(ctx, be, meta)
+	ds, err := convert.ToIDXWith(ctx, be, inputs, convert.IDXOptions{})
 	if err != nil {
 		return err
 	}
 	idxBytes := make(map[string]int64, len(cfg.Params))
-	for _, p := range cfg.Params {
-		name := p.String()
-		if err := ds.WriteGrid(ctx, name, 0, images[name].Grid()); err != nil {
-			return fmt.Errorf("write %s: %w", name, err)
-		}
-		n, err := ds.StoredBytes(ctx, name, 0)
+	for _, in := range inputs {
+		n, err := ds.StoredBytes(ctx, in.FieldName, 0)
 		if err != nil {
 			return err
 		}
-		idxBytes[name] = n
+		idxBytes[in.FieldName] = n
 		if _, err := f.Catalog.Add(catalog.Record{
-			Name: fmt.Sprintf("%s_%s.idx", cfg.Region, name), Source: "sealstorage", Type: "idx",
+			Name: fmt.Sprintf("%s_%s.idx", cfg.Region, in.FieldName), Source: "sealstorage", Type: "idx",
 			Size: n, Location: "datasets/" + cfg.DatasetName,
-			Keywords: []string{"terrain", name, cfg.Region, "multiresolution"},
+			Keywords: []string{"terrain", in.FieldName, cfg.Region, "multiresolution"},
 		}); err != nil {
 			return err
 		}

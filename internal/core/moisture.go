@@ -6,9 +6,9 @@ import (
 	"fmt"
 
 	"nsdfgo/internal/catalog"
+	"nsdfgo/internal/convert"
 	"nsdfgo/internal/dem"
 	"nsdfgo/internal/geotiled"
-	"nsdfgo/internal/idx"
 	"nsdfgo/internal/netcdf"
 	"nsdfgo/internal/query"
 	"nsdfgo/internal/raster"
@@ -235,22 +235,12 @@ func (f *Fabric) moisturePublish(ctx context.Context, cfg MoistureConfig, bb *Bl
 	if err != nil {
 		return err
 	}
-	meta, err := idx.NewMeta([]int{cfg.Width, cfg.Height}, []idx.Field{
-		{Name: "soil_moisture_pred", Type: idx.Float32},
-		{Name: "soil_moisture_truth", Type: idx.Float32},
-	})
-	if err != nil {
-		return err
-	}
 	be := storage.NewIDXBackend(f.Private, "datasets/"+cfg.DatasetName)
-	ds, err := idx.Create(ctx, be, meta)
+	ds, err := convert.ToIDXWith(ctx, be, []convert.Input{
+		{FieldName: "soil_moisture_pred", Grid: pred},
+		{FieldName: "soil_moisture_truth", Grid: truth},
+	}, convert.IDXOptions{})
 	if err != nil {
-		return err
-	}
-	if err := ds.WriteGrid(ctx, "soil_moisture_pred", 0, pred); err != nil {
-		return err
-	}
-	if err := ds.WriteGrid(ctx, "soil_moisture_truth", 0, truth); err != nil {
 		return err
 	}
 	size, err := ds.StoredBytes(ctx, "soil_moisture_pred", 0)

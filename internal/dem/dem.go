@@ -15,6 +15,7 @@
 package dem
 
 import (
+	"fmt"
 	"math"
 
 	"nsdfgo/internal/raster"
@@ -270,6 +271,18 @@ func CONUS(w, h int, seed uint64) *raster.Grid {
 		PixelH: (49.38 - 24.52) / float64(h),
 	}
 	return g
+}
+
+// Region returns the scene generator the tutorial names region: Tennessee
+// for "tennessee", CONUS for "conus". Any other name is an error.
+func Region(region string) (func(w, h int, seed uint64) *raster.Grid, error) {
+	switch region {
+	case "tennessee":
+		return Tennessee, nil
+	case "conus":
+		return CONUS, nil
+	}
+	return nil, fmt.Errorf("dem: unknown region %q (want tennessee or conus)", region)
 }
 
 func gaussian(x, mu, sigma float64) float64 {

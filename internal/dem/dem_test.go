@@ -134,6 +134,21 @@ func TestCONUSScene(t *testing.T) {
 	}
 }
 
+func TestRegion(t *testing.T) {
+	for region, want := range map[string]*raster.Grid{"tennessee": Tennessee(32, 16, 5), "conus": CONUS(32, 16, 5)} {
+		gen, err := Region(region)
+		if err != nil {
+			t.Fatalf("%s: %v", region, err)
+		}
+		if !raster.Equal(gen(32, 16, 5), want) {
+			t.Errorf("%s: generator differs from the scene function", region)
+		}
+	}
+	if _, err := Region("mars"); err == nil {
+		t.Error("unknown region accepted")
+	}
+}
+
 func TestSceneGeorefCoversBoundingBox(t *testing.T) {
 	g := Tennessee(100, 40, 1)
 	gx, _ := g.Geo.PixelToGeo(99, 0)

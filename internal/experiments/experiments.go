@@ -18,6 +18,7 @@ import (
 
 	"nsdfgo/internal/cache"
 	"nsdfgo/internal/cloudsim"
+	"nsdfgo/internal/convert"
 	"nsdfgo/internal/core"
 	"nsdfgo/internal/dem"
 	"nsdfgo/internal/geotiled"
@@ -180,15 +181,8 @@ func RunFig3(ctx context.Context, w io.Writer) (Fig3Result, error) {
 		if err != nil {
 			return res, err
 		}
-		meta, err := idx.NewMeta([]int{im.Width, im.Height}, []idx.Field{{Name: "elevation", Type: idx.Float32}})
-		if err != nil {
-			return res, err
-		}
-		ds, err := idx.Create(ctx, idx.NewMemBackend(), meta)
-		if err != nil {
-			return res, err
-		}
-		if err := ds.WriteGrid(ctx, "elevation", 0, im.Grid()); err != nil {
+		inputs := []convert.Input{{FieldName: "elevation", Grid: im.Grid()}}
+		if _, err := convert.ToIDXWith(ctx, idx.NewMemBackend(), inputs, convert.IDXOptions{}); err != nil {
 			return res, err
 		}
 		res.Sources[name] = time.Since(start)
@@ -303,15 +297,9 @@ func RunFig6(ctx context.Context, w io.Writer) (Fig6Result, error) {
 			return res, err
 		}
 		// IDX round trip.
-		meta, err := idx.NewMeta([]int{g.W, g.H}, []idx.Field{{Name: p.String(), Type: idx.Float32}})
+		inputs := []convert.Input{{FieldName: p.String(), Grid: im.Grid()}}
+		ds, err := convert.ToIDXWith(ctx, idx.NewMemBackend(), inputs, convert.IDXOptions{})
 		if err != nil {
-			return res, err
-		}
-		ds, err := idx.Create(ctx, idx.NewMemBackend(), meta)
-		if err != nil {
-			return res, err
-		}
-		if err := ds.WriteGrid(ctx, p.String(), 0, im.Grid()); err != nil {
 			return res, err
 		}
 		back, _, err := ds.ReadFull(ctx, p.String(), 0)
@@ -342,18 +330,11 @@ type Fig7Result struct {
 // showing progressive refinement costs and the effect of the cache.
 func RunFig7(ctx context.Context, w io.Writer) (Fig7Result, error) {
 	fmt.Fprintln(w, "== Fig. 7: interactive dashboard session against a remote store ==")
-	meta, err := idx.NewMeta([]int{512, 512}, []idx.Field{{Name: "elevation", Type: idx.Float32}})
-	if err != nil {
-		return Fig7Result{}, err
-	}
-	meta.BitsPerBlock = 12
 	remote := storage.NewConditioned(storage.NewMemStore(), storage.ProfileCrossCountry, Seed)
-	ds, err := idx.Create(ctx, storage.NewIDXBackend(remote, "conus"), meta)
-	if err != nil {
-		return Fig7Result{}, err
-	}
 	g := dem.Scale(dem.FBM(512, 512, Seed, dem.DefaultFBM()), 0, 3000)
-	if err := ds.WriteGrid(ctx, "elevation", 0, g); err != nil {
+	ds, err := convert.ToIDXWith(ctx, storage.NewIDXBackend(remote, "conus"),
+		[]convert.Input{{FieldName: "elevation", Grid: g}}, convert.IDXOptions{BitsPerBlock: 12})
+	if err != nil {
 		return Fig7Result{}, err
 	}
 	engine := query.New(ds, 64<<20)
@@ -459,15 +440,8 @@ func RunClaim20(ctx context.Context, w io.Writer) (Claim20Result, error) {
 		res.TIFFBytes[p.String()] = int64(buf.Len())
 		tiffTotal += int64(buf.Len())
 
-		meta, err := idx.NewMeta([]int{g.W, g.H}, []idx.Field{{Name: p.String(), Type: idx.Float32}})
+		ds, err := convert.ToIDXWith(ctx, idx.NewMemBackend(), []convert.Input{{FieldName: p.String(), Grid: g}}, convert.IDXOptions{})
 		if err != nil {
-			return res, err
-		}
-		ds, err := idx.Create(ctx, idx.NewMemBackend(), meta)
-		if err != nil {
-			return res, err
-		}
-		if err := ds.WriteGrid(ctx, p.String(), 0, g); err != nil {
 			return res, err
 		}
 		n, err := ds.StoredBytes(ctx, p.String(), 0)
@@ -513,17 +487,11 @@ type ClaimCacheResult struct {
 // be far faster than cold remote access.
 func RunClaimCache(ctx context.Context, w io.Writer) (ClaimCacheResult, error) {
 	fmt.Fprintln(w, "== Claim §III-A: caching-enabled streaming (cold vs warm) ==")
-	meta, err := idx.NewMeta([]int{256, 256}, []idx.Field{{Name: "elevation", Type: idx.Float32}})
-	if err != nil {
-		return ClaimCacheResult{}, err
-	}
-	meta.BitsPerBlock = 12
 	remote := storage.NewConditioned(storage.NewMemStore(), storage.ProfileCrossCountry, Seed)
-	ds, err := idx.Create(ctx, storage.NewIDXBackend(remote, "ds"), meta)
+	g := dem.Scale(dem.FBM(256, 256, Seed, dem.DefaultFBM()), 0, 1000)
+	ds, err := convert.ToIDXWith(ctx, storage.NewIDXBackend(remote, "ds"),
+		[]convert.Input{{FieldName: "elevation", Grid: g}}, convert.IDXOptions{BitsPerBlock: 12})
 	if err != nil {
-		return ClaimCacheResult{}, err
-	}
-	if err := ds.WriteGrid(ctx, "elevation", 0, dem.Scale(dem.FBM(256, 256, Seed, dem.DefaultFBM()), 0, 1000)); err != nil {
 		return ClaimCacheResult{}, err
 	}
 	blocks := cache.NewMemTiered(64 << 20)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -204,6 +205,13 @@ func TestClaim20ShapeHolds(t *testing.T) {
 	if !res.AllIdentical {
 		t.Error("accuracy not preserved")
 	}
+	// Both sizes are deterministic functions of Seed and the default
+	// codecs, recorded before the conversion moved onto convert.ToIDXWith.
+	wantTIFF := map[string]int64{"elevation": 1831780, "slope": 1907898, "aspect": 1847350, "hillshade": 1747858}
+	wantIDX := map[string]int64{"elevation": 1426602, "slope": 1652819, "aspect": 1621006, "hillshade": 1421953}
+	if !reflect.DeepEqual(res.TIFFBytes, wantTIFF) || !reflect.DeepEqual(res.IDXBytes, wantIDX) {
+		t.Errorf("TIFF bytes %v, IDX bytes %v; want %v, %v", res.TIFFBytes, res.IDXBytes, wantTIFF, wantIDX)
+	}
 	// The paper reports ~20%; accept a generous band around it since our
 	// codec stack differs, but the direction (IDX smaller) must hold.
 	if res.MeanReduction <= 0.05 {
@@ -223,8 +231,9 @@ func TestClaimCacheShapeHolds(t *testing.T) {
 	// The claim is asserted on what each pass asked of the remote store,
 	// not on wall clock: host load (or the race detector) moves Cold and
 	// Warm, it cannot make a cached pass touch the network.
-	if res.ColdOps <= 0 || res.ColdWait <= 0 {
-		t.Errorf("cold pass sent %d remote ops and waited %v, want both > 0", res.ColdOps, res.ColdWait)
+	// 16 = the 256x256 raster's 2^16 samples in 2^12-sample blocks.
+	if res.ColdOps != 16 || res.ColdWait <= 0 {
+		t.Errorf("cold pass sent %d remote ops and waited %v, want 16 and > 0", res.ColdOps, res.ColdWait)
 	}
 	if res.WarmOps != 0 || res.WarmWait != 0 {
 		t.Errorf("warm pass sent %d remote ops and waited %v, want none", res.WarmOps, res.WarmWait)

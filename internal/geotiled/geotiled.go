@@ -193,21 +193,6 @@ func ComputeTiled(dem *raster.Grid, p Param, o Options) (*raster.Grid, error) {
 	return out, nil
 }
 
-// ComputeAll evaluates every terrain parameter with the tiled path,
-// returning a map keyed by parameter. This is the "GEOtiled Terrain
-// Generation component" of Fig. 5.
-func ComputeAll(dem *raster.Grid, o Options) (map[Param]*raster.Grid, error) {
-	out := make(map[Param]*raster.Grid, len(AllParams))
-	for _, p := range AllParams {
-		g, err := ComputeTiled(dem, p, o)
-		if err != nil {
-			return nil, fmt.Errorf("geotiled: %s: %w", p, err)
-		}
-		out[p] = g
-	}
-	return out, nil
-}
-
 // TileSpec describes one tile interior within the full grid.
 type TileSpec struct {
 	// X0, Y0 anchor the tile interior in grid pixels.

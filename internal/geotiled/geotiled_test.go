@@ -260,23 +260,6 @@ func TestTiledSingleTileDegenerate(t *testing.T) {
 	}
 }
 
-func TestComputeAll(t *testing.T) {
-	d := dem.Scale(dem.FBM(64, 48, 2, dem.DefaultFBM()), 0, 800)
-	all, err := ComputeAll(d, Options{TileSize: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != len(AllParams) {
-		t.Fatalf("got %d params, want %d", len(all), len(AllParams))
-	}
-	for _, p := range AllParams {
-		g, ok := all[p]
-		if !ok || g.W != 64 || g.H != 48 {
-			t.Errorf("%s missing or misshapen", p)
-		}
-	}
-}
-
 func TestGeorefPropagates(t *testing.T) {
 	d := dem.Tennessee(64, 32, 3)
 	out, err := ComputeTiled(d, Slope, Options{TileSize: 32})

@@ -53,8 +53,10 @@ type Options struct {
 	// PeerToken is their bearer token.
 	Peers, PeerToken string
 	Shard            shard.Options
-	// CacheMB is each NewCache's memory budget in MiB, the -cache-mb
-	// unit; it stands in for Cache.MemBytes.
+	// CacheMB is each NewEngine cache's memory budget in MiB, the
+	// -cache-mb unit; it stands in for Cache.MemBytes. No shared flag
+	// binds it or Cache: the dashboard, the one service that builds
+	// caches, declares them.
 	CacheMB int
 	Cache   cache.Options
 }
@@ -65,9 +67,9 @@ func (o *Options) ProcessFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.PprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (empty disables)")
 }
 
-// ServingFlags binds the seventeen more a data server takes. The two
-// defaults that differ per service, -node-name and -cache-mb, are the
-// values o already holds.
+// ServingFlags binds the fourteen more a data server takes. The
+// default that differs per service, -node-name, is the value o already
+// holds.
 func (o *Options) ServingFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.NodeName, "node-name", o.NodeName, "this process's node name, stamped on every span and flight event; with -peers on nsdf-store also its ring name, which must be consistent fleet-wide")
 	fs.IntVar(&o.TraceBuffer, "trace-buffer", trace.DefaultCapacity, "completed traces retained for /debug/traces")
@@ -83,9 +85,6 @@ func (o *Options) ServingFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.Peers, "peers", "", "comma-separated name=url store nodes forming the sharded block tier (empty disables sharding)")
 	fs.IntVar(&o.Shard.Replicas, "replicas", 2, "replicas per block key across the sharded tier (with -peers)")
 	fs.DurationVar(&o.Shard.HedgeAfter, "hedge-after", 0, "fire a hedged read at the next replica after this delay; pick a p99-ish value (0 disables hedging)")
-	fs.IntVar(&o.CacheMB, "cache-mb", o.CacheMB, "in-memory cache size in MiB, per dataset on nsdf-dashboard (0 disables)")
-	fs.StringVar(&o.Cache.DiskDir, "cache-dir", "", "directory for an on-disk cache tier below memory (empty disables; contents are wiped at startup)")
-	fs.Int64Var(&o.Cache.DiskBytes, "cache-disk-bytes", 256<<20, "on-disk cache budget in bytes, per dataset on nsdf-dashboard (with -cache-dir)")
 }
 
 // Kit is a started process: its Options and the plumbing every layer
@@ -164,24 +163,19 @@ func (k *Kit) Tier(local storage.Store) (storage.Store, map[string]string, error
 	return router, targets, err
 }
 
-// NewCache builds one tiered cache of CacheMB. Each name gets its own
-// subdirectory of Cache.DiskDir, because the disk tier wipes its
-// directory at startup; the empty name uses DiskDir itself.
-func (k *Kit) NewCache(name string) (*cache.Tiered, error) {
+// NewEngine wraps ds in a query engine over a tiered cache of CacheMB
+// and hands its fetch pool the admission limiter's pressure. The disk
+// tier wipes its directory at startup, so each name gets its own
+// subdirectory of Cache.DiskDir. Pressure only shrinks a fan-out the
+// embedding program raised with SetFetchParallelism; nothing here does,
+// so block fetches are serial (ROADMAP 4(c)).
+func (k *Kit) NewEngine(name string, ds *idx.Dataset) (*query.Engine, error) {
 	opts := k.Cache
 	opts.MemBytes = int64(k.CacheMB) << 20
 	if opts.DiskDir != "" {
 		opts.DiskDir = filepath.Join(opts.DiskDir, name)
 	}
-	return cache.NewTiered(opts)
-}
-
-// NewEngine wraps ds in a query engine over its own NewCache and hands
-// its fetch pool the admission limiter's pressure. Pressure only shrinks
-// a fan-out the embedding program raised with SetFetchParallelism;
-// nothing here does, so block fetches are serial (ROADMAP 2(f)).
-func (k *Kit) NewEngine(name string, ds *idx.Dataset) (*query.Engine, error) {
-	blocks, err := k.NewCache(name)
+	blocks, err := cache.NewTiered(opts)
 	if err != nil {
 		return nil, fmt.Errorf("cache for %s: %w", name, err)
 	}

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"nsdfgo/internal/admission"
-	"nsdfgo/internal/cache"
 	"nsdfgo/internal/shard"
 	"nsdfgo/internal/telemetry/flight"
 	"nsdfgo/internal/telemetry/trace"
@@ -34,8 +33,7 @@ func TestFlagsBindIntoOptions(t *testing.T) {
 	o.ServingFlags(fs)
 	err := fs.Parse(strings.Fields(`-log-format json -pprof-addr :1 -node-name n -trace-buffer 2 -flight-buffer 3
 		-slow-request 4s -request-timeout 5s -max-inflight 6 -max-queue 7 -queue-timeout 8s -tenant-rps 9
-		-tenant-burst 10 -retry-after 11s -peers a=http://h -replicas 12 -hedge-after 13s -cache-mb 14
-		-cache-dir d -cache-disk-bytes 15`))
+		-tenant-burst 10 -retry-after 11s -peers a=http://h -replicas 12 -hedge-after 13s`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +43,6 @@ func TestFlagsBindIntoOptions(t *testing.T) {
 		Admission: admission.Options{MaxConcurrent: 6, MaxQueue: 7, QueueTimeout: 8 * time.Second,
 			TenantRate: 9, TenantBurst: 10, RetryAfter: 11 * time.Second},
 		Peers: "a=http://h", Shard: shard.Options{Replicas: 12, HedgeAfter: 13 * time.Second},
-		CacheMB: 14, Cache: cache.Options{DiskDir: "d", DiskBytes: 15},
 	}
 	if !reflect.DeepEqual(o, want) {
 		t.Errorf("parsed options\n got %+v\nwant %+v", o, want)

@@ -2,8 +2,7 @@
 // storage.Store nodes: a consistent-hash ring with virtual nodes places
 // every key on R replicas, and Router — itself a storage.Store — fans
 // reads out with hedging and failover, so it drops transparently under
-// storage.Cached, storage.Instrumented, storage.NewIDXBackend, and the
-// IDX fetch pool. This is the paper's Seal Storage + cloud deployment
+// storage.Instrumented, storage.NewIDXBackend, and the IDX fetch pool. This is the paper's Seal Storage + cloud deployment
 // story made horizontal: node count becomes the read-throughput knob
 // (DataFed-style federated storage), and hedged reads tame the p99 tail
 // of any single node.

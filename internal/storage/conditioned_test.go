@@ -3,9 +3,21 @@ package storage
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// countingStore wraps a Store and counts Gets.
+type countingStore struct {
+	Store
+	gets atomic.Int64
+}
+
+func (s *countingStore) Get(ctx context.Context, key string) ([]byte, error) {
+	s.gets.Add(1)
+	return s.Store.Get(ctx, key)
+}
 
 // TestConditionedDelayStreamGolden pins the seeded delay stream: at seed 1
 // the first 64 draws of each profile equal constants recorded before
