@@ -131,7 +131,7 @@ func run(fs *flag.FlagSet, args []string) error {
 		}
 	}
 	if *demo {
-		ds, err := buildDemoDataset(ctx)
+		ds, err := buildDemoDataset(ctx, k.Registry)
 		if err != nil {
 			return fmt.Errorf("demo dataset: %w", err)
 		}
@@ -164,9 +164,9 @@ func logSummary(logger *slog.Logger, reg *telemetry.Registry) {
 	args := []any{
 		slog.Float64("http_requests", reg.SumFamily("nsdf_http_requests_total")),
 		slog.Float64("cache_hit_pct", hitRate),
-		slog.Float64("blocks_read", reg.SumFamily("nsdf_idx_blocks_read_total")),
-		slog.Float64("blocks_cached", reg.SumFamily("nsdf_idx_blocks_cached_total")),
-		slog.Float64("bytes_read", reg.SumFamily("nsdf_idx_bytes_read_total")),
+		slog.Float64("cache_misses", misses),
+		slog.Float64("storage_ops", reg.SumFamily("nsdf_storage_ops_total")),
+		slog.Float64("storage_bytes", reg.SumFamily("nsdf_storage_bytes_total")),
 	}
 	if p50, p95, p99, ok := reg.FamilyQuantiles("nsdf_http_request_seconds"); ok {
 		args = append(args,
@@ -177,8 +177,10 @@ func logSummary(logger *slog.Logger, reg *telemetry.Registry) {
 	logger.Info("telemetry summary", args...)
 }
 
-// buildDemoDataset synthesises the tutorial's Tennessee scene in memory.
-func buildDemoDataset(ctx context.Context) (*idx.Dataset, error) {
+// buildDemoDataset synthesises the tutorial's Tennessee scene in an
+// instrumented memory store, so the demo's block I/O shows up as
+// nsdf_storage_ops_total{backend="mem"} like any other dataset's.
+func buildDemoDataset(ctx context.Context, reg *telemetry.Registry) (*idx.Dataset, error) {
 	d := dem.Tennessee(512, 256, 20240624)
 	inputs := make([]convert.Input, 0, len(geotiled.TutorialParams))
 	for _, p := range geotiled.TutorialParams {
@@ -188,5 +190,6 @@ func buildDemoDataset(ctx context.Context) (*idx.Dataset, error) {
 		}
 		inputs = append(inputs, convert.Input{FieldName: p.String(), Grid: g})
 	}
-	return convert.ToIDXWith(ctx, idx.NewMemBackend(), inputs, convert.IDXOptions{})
+	be := storage.NewIDXBackend(storage.NewInstrumented(storage.NewMemStore(), reg, "mem"), "")
+	return convert.ToIDXWith(ctx, be, inputs, convert.IDXOptions{})
 }

@@ -13,6 +13,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 
@@ -20,32 +21,34 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(flag.CommandLine, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "nsdf-experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	id := flag.String("run", "all", "experiment id (see -list) or all")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	flag.Parse()
+func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
+	id := fs.String("run", "all", "experiment id (see -list) or all")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	runners := experiments.Runners()
 	if *list {
 		for _, r := range runners {
-			fmt.Println(r.ID)
+			fmt.Fprintln(stdout, r.ID)
 		}
 		return nil
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	if *id == "all" {
-		return experiments.All(ctx, os.Stdout)
+		return experiments.All(ctx, stdout)
 	}
 	for _, r := range runners {
 		if r.ID == *id {
-			return r.Run(ctx, os.Stdout)
+			return r.Run(ctx, stdout)
 		}
 	}
 	return fmt.Errorf("unknown experiment %q (try -list)", *id)

@@ -15,6 +15,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -23,22 +24,24 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(flag.CommandLine, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "nsdf-fuse:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	storeSpec := flag.String("store", "", "object store: a directory path or an http(s):// endpoint")
-	token := flag.String("token", "", "bearer token for private HTTP stores")
-	mappingName := flag.String("mapping", "one-to-one", "mapping package: one-to-one, chunked, or compressed")
-	chunkKB := flag.Int("chunk-kb", 1024, "chunk size in KiB for the chunked mapping")
-	flag.Parse()
+func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
+	storeSpec := fs.String("store", "", "object store: a directory path or an http(s):// endpoint")
+	token := fs.String("token", "", "bearer token for private HTTP stores")
+	mappingName := fs.String("mapping", "one-to-one", "mapping package: one-to-one, chunked, or compressed")
+	chunkKB := fs.Int("chunk-kb", 1024, "chunk size in KiB for the chunked mapping")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *storeSpec == "" {
 		return fmt.Errorf("-store is required")
 	}
-	if flag.NArg() == 0 {
+	if fs.NArg() == 0 {
 		return fmt.Errorf("no command (want ls, put, get, or rm)")
 	}
 
@@ -46,11 +49,11 @@ func run() error {
 	if strings.HasPrefix(*storeSpec, "http://") || strings.HasPrefix(*storeSpec, "https://") {
 		store = storage.NewClient(*storeSpec, *token)
 	} else {
-		fs, err := storage.NewFileStore(*storeSpec)
+		dir, err := storage.NewFileStore(*storeSpec)
 		if err != nil {
 			return err
 		}
-		store = fs
+		store = dir
 	}
 	var mapping fusefs.Mapping
 	switch *mappingName {
@@ -65,7 +68,7 @@ func run() error {
 	}
 
 	ctx := context.Background()
-	args := flag.Args()
+	args = fs.Args()
 	switch args[0] {
 	case "ls":
 		prefix := ""
@@ -81,7 +84,7 @@ func run() error {
 			if f.Size >= 0 {
 				size = fmt.Sprint(f.Size)
 			}
-			fmt.Printf("%12s  %s\n", size, f.Path)
+			fmt.Fprintf(stdout, "%12s  %s\n", size, f.Path)
 		}
 		return nil
 	case "put":
@@ -100,7 +103,7 @@ func run() error {
 		if err := mapping.Write(ctx, store, remote, data); err != nil {
 			return err
 		}
-		fmt.Printf("put %s -> %s (%d bytes, %s mapping)\n", local, remote, len(data), mapping.Name())
+		fmt.Fprintf(stdout, "put %s -> %s (%d bytes, %s mapping)\n", local, remote, len(data), mapping.Name())
 		return nil
 	case "get":
 		if len(args) < 3 {
@@ -113,7 +116,7 @@ func run() error {
 		if err := os.WriteFile(args[2], data, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("get %s -> %s (%d bytes)\n", args[1], args[2], len(data))
+		fmt.Fprintf(stdout, "get %s -> %s (%d bytes)\n", args[1], args[2], len(data))
 		return nil
 	case "rm":
 		if len(args) < 2 {
@@ -122,7 +125,7 @@ func run() error {
 		if err := mapping.Remove(ctx, store, args[1]); err != nil {
 			return err
 		}
-		fmt.Printf("rm %s\n", args[1])
+		fmt.Fprintf(stdout, "rm %s\n", args[1])
 		return nil
 	default:
 		return fmt.Errorf("unknown command %q (want ls, put, get, or rm)", args[0])

@@ -11,20 +11,24 @@ import (
 	"nsdfgo/internal/dem"
 	"nsdfgo/internal/idx"
 	"nsdfgo/internal/query"
+	"nsdfgo/internal/storage"
 	"nsdfgo/internal/telemetry"
 )
 
 // TestMetricsEndpointBreadth drives the dashboard the way a tutorial
 // session would — browse, render, re-render — then scrapes /metrics and
-// checks the acceptance bar: at least 12 distinct series spanning idx
-// block I/O, cache effectiveness, and HTTP latency with percentiles.
+// checks the acceptance bar: at least 12 distinct series spanning block
+// I/O (owned by the instrumented store), cache effectiveness, and HTTP
+// latency with percentiles.
 func TestMetricsEndpointBreadth(t *testing.T) {
+	reg := telemetry.NewRegistry()
 	meta, err := idx.NewMeta([]int{64, 64}, []idx.Field{{Name: "elevation", Type: idx.Float32, Codec: "zlib"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	meta.BitsPerBlock = 8
-	ds, err := idx.Create(context.Background(), idx.NewMemBackend(), meta)
+	be := storage.NewIDXBackend(storage.NewInstrumented(storage.NewMemStore(), reg, "mem"), "")
+	ds, err := idx.Create(context.Background(), be, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +37,6 @@ func TestMetricsEndpointBreadth(t *testing.T) {
 	}
 
 	s := NewServer()
-	reg := telemetry.NewRegistry()
 	s.EnableTelemetry(reg)
 	s.Register("demo", query.New(ds, 1<<20))
 	srv := httptest.NewServer(s)
@@ -77,8 +80,8 @@ func TestMetricsEndpointBreadth(t *testing.T) {
 
 	// Spot-check each dimension the issue names.
 	for _, want := range []string{
-		`nsdf_idx_blocks_read_total{dataset="demo"}`,
-		`nsdf_idx_blocks_cached_total{dataset="demo"}`,
+		`nsdf_storage_ops_total{backend="mem",op="get"}`,
+		`nsdf_storage_bytes_total{backend="mem",direction="down"}`,
 		`nsdf_cache_hits_total{cache="demo"}`,
 		`nsdf_cache_misses_total{cache="demo"}`,
 		`nsdf_http_requests_total{class="2xx",route="/api/render",service="dashboard"} 2`,

@@ -236,8 +236,9 @@ type Fig5Result struct {
 
 // RunFig5 regenerates Fig. 5: GEOtiled terrain-parameter generation —
 // tiled computation across worker counts versus the untiled baseline,
-// with bit-for-bit accuracy preservation checked.
-func RunFig5(_ context.Context, w io.Writer) (Fig5Result, error) {
+// with bit-for-bit accuracy preservation checked. A cancelled ctx stops
+// the sweep before the next worker count.
+func RunFig5(ctx context.Context, w io.Writer) (Fig5Result, error) {
 	fmt.Fprintln(w, "== Fig. 5: GEOtiled terrain generation (tiled vs untiled, accuracy preserved) ==")
 	d := dem.Scale(dem.FBM(1024, 1024, Seed, dem.DefaultFBM()), 0, 2500)
 	res := Fig5Result{TiledElapsed: map[int]time.Duration{}, Identical: true, Cores: runtime.GOMAXPROCS(0)}
@@ -252,6 +253,9 @@ func RunFig5(_ context.Context, w io.Writer) (Fig5Result, error) {
 	fmt.Fprintf(w, "  untiled baseline: %8.1fms\n", float64(res.UntiledElapsed)/1e6)
 
 	for _, workers := range []int{1, 2, 4, 8} {
+		if err := ctx.Err(); err != nil {
+			return res, err
+		}
 		start = time.Now()
 		tiled, err := geotiled.ComputeTiled(d, geotiled.Slope, geotiled.Options{TileSize: 256, Workers: workers})
 		if err != nil {

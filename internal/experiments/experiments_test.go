@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"reflect"
 	"strings"
@@ -109,6 +110,10 @@ func TestFig4WorkflowCompletes(t *testing.T) {
 	}
 }
 
+// TestFig5TiledCorrectAndScales checks that every worker count's tiled
+// output is bit-identical to the untiled baseline and logs the timings.
+// It asserts nothing about them: wall-clock ordering between worker
+// counts is the host's load, not the code's.
 func TestFig5TiledCorrectAndScales(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024x1024 terrain sweep")
@@ -118,18 +123,19 @@ func TestFig5TiledCorrectAndScales(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Log("\n" + buf.String())
 	if !res.Identical {
 		t.Error("tiled output diverged from untiled baseline")
 	}
-	// Shape: with >1 cores, 8 workers must beat 1 worker. On a single
-	// core, wall-clock parallel speedup is physically unavailable, so we
-	// only require that tiling overhead stays bounded.
-	if res.Cores > 1 {
-		if res.TiledElapsed[8] >= res.TiledElapsed[1] {
-			t.Errorf("no scaling on %d cores: 1w=%v 8w=%v", res.Cores, res.TiledElapsed[1], res.TiledElapsed[8])
-		}
-	} else if res.TiledElapsed[1] > res.UntiledElapsed*3 {
-		t.Errorf("tiling overhead too high: untiled=%v tiled(1w)=%v", res.UntiledElapsed, res.TiledElapsed[1])
+	if n := strings.Count(buf.String(), "identical=true"); n != 4 {
+		t.Errorf("%d of 4 tiled runs printed identical=true:\n%s", n, buf.String())
+	}
+
+	// A cancelled context stops the sweep before the first worker count.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, err := RunFig5(ctx, io.Discard); !errors.Is(err, context.Canceled) || len(res.TiledElapsed) != 0 {
+		t.Errorf("cancelled RunFig5 = %d tiled runs, %v; want none and context.Canceled", len(res.TiledElapsed), err)
 	}
 }
 

@@ -86,33 +86,21 @@ func (p *blockPath) plan(ctx context.Context, q hz.TileQuery) (hz.TilePlan, []bl
 
 // fetchDecode gets block b from the backend and decodes it — the raw
 // fetch under every cache layer. It returns the decoded payload, which
-// the caller owns, and the compressed size, and accumulates the fetch
-// and decode stage times (with a storage.get record per block when the
-// request is traced).
+// the caller owns, and the compressed size, and accumulates the decode
+// stage time; the fetch itself is the store's to measure.
 func (p *blockPath) fetchDecode(ctx context.Context, b int) ([]byte, int64, error) {
+	enc, err := p.d.be.Get(ctx, p.key(b))
+	if err != nil {
+		return nil, 0, fmt.Errorf("idx: block %d: %w", b, err)
+	}
 	sc := p.sc
 	var t0 time.Time
 	if sc != nil {
 		t0 = time.Now()
 	}
-	enc, err := p.d.be.Get(ctx, p.key(b))
-	var t1 time.Time
-	if sc != nil {
-		t1 = time.Now()
-		sc.fetchNS.Add(int64(t1.Sub(t0)))
-		if sc.traced {
-			trace.Record(ctx, "storage.get", t0, t1,
-				trace.Str("dataset", p.d.name),
-				trace.Int("block", int64(b)),
-				trace.Int("bytes", int64(len(enc))))
-		}
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("idx: block %d: %w", b, err)
-	}
 	raw, err := p.codec.Decode(enc, p.rawLen)
 	if sc != nil {
-		sc.decodeNS.Add(int64(time.Since(t1)))
+		sc.decodeNS.Add(int64(time.Since(t0)))
 	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("idx: decode block %d: %w", b, err)
@@ -144,32 +132,16 @@ func (p *blockPath) fetchBlock(ctx context.Context, b int) (raw []byte, encLen i
 	return blk.Bytes(), fetched, hit, nil
 }
 
-// storeBlock puts the encoded block b, books it, and then drops its key
-// from every tier of the attached cache, so no read after a write is
-// served the block's previous payload.
+// storeBlock puts the encoded block b and then drops its key from every
+// tier of the attached cache, so no read after a write is served the
+// block's previous payload.
 func (p *blockPath) storeBlock(ctx context.Context, b int, enc []byte) error {
-	d, sc := p.d, p.sc
 	key := p.key(b)
-	var t0 time.Time
-	if sc != nil {
-		t0 = time.Now()
-	}
-	if err := d.be.Put(ctx, key, enc); err != nil {
+	if err := p.d.be.Put(ctx, key, enc); err != nil {
 		return fmt.Errorf("idx: store block %d: %w", b, err)
 	}
-	if sc != nil {
-		t1 := time.Now()
-		sc.storeNS.Add(int64(t1.Sub(t0)))
-		if sc.traced {
-			trace.Record(ctx, "storage.put", t0, t1,
-				trace.Str("dataset", d.name),
-				trace.Int("block", int64(b)),
-				trace.Int("bytes", int64(len(enc))))
-		}
-	}
-	d.recordBlockWrite(len(enc))
-	if d.cache != nil {
-		d.cache.Remove(key)
+	if p.d.cache != nil {
+		p.d.cache.Remove(key)
 	}
 	return nil
 }
@@ -252,28 +224,18 @@ func (d *Dataset) readLattice(ctx context.Context, spanName, field string, t int
 		return nil, nil, d.readErr(err)
 	}
 
-	if sc != nil {
-		d.observeReadStages(sc)
-		if sc.traced {
-			end := time.Now()
-			trace.RecordDuration(ctx, "idx.fetch", end, sc.fetch(),
-				trace.Str("dataset", d.name),
-				trace.Int("blocks", int64(stats.BlocksRead)),
-				trace.Int("bytes", stats.BytesRead))
-			trace.RecordDuration(ctx, "idx.decode", end, sc.decode(),
-				trace.Str("dataset", d.name))
-			trace.RecordDuration(ctx, "idx.assemble", end, sc.assemble(),
-				trace.Str("dataset", d.name))
-			span.SetAttr(
-				trace.Int("blocks_read", int64(stats.BlocksRead)),
-				trace.Int("blocks_cached", int64(stats.BlocksCached)),
-				trace.Int("runs", int64(stats.Runs)))
-		}
+	if sc != nil && sc.traced {
+		end := time.Now()
+		trace.RecordDuration(ctx, "idx.decode", end, sc.decode(),
+			trace.Str("dataset", d.name))
+		trace.RecordDuration(ctx, "idx.assemble", end, sc.assemble(),
+			trace.Str("dataset", d.name))
+		span.SetAttr(
+			trace.Int("blocks_read", int64(stats.BlocksRead)),
+			trace.Int("blocks_cached", int64(stats.BlocksCached)),
+			trace.Int("runs", int64(stats.Runs)))
 	}
-	d.recordRead(stats)
-	if d.tel != nil {
-		d.tel.readSeconds.ObserveSince(start)
-	}
+	d.observeRead(sc, stats.Runs, start)
 	return r, stats, nil
 }
 
@@ -470,15 +432,12 @@ func (d *Dataset) writeField(ctx context.Context, spanName, field string, t int,
 	if err := <-errCh; err != nil {
 		return err
 	}
-	if sc != nil {
-		d.observeWriteStages(sc)
-		if sc.traced {
-			end := time.Now()
-			trace.RecordDuration(ctx, "idx.encode", end, sc.encode(),
-				trace.Str("dataset", d.name))
-			trace.RecordDuration(ctx, "idx.store", end, sc.store(),
-				trace.Str("dataset", d.name))
-		}
+	if d.tel != nil {
+		d.tel.stageEncode.Observe(sc.encode().Seconds())
+	}
+	if sc != nil && sc.traced {
+		trace.RecordDuration(ctx, "idx.encode", time.Now(), sc.encode(),
+			trace.Str("dataset", d.name))
 	}
 	return nil
 }

@@ -139,7 +139,9 @@ func Start(o Options) (*Kit, error) {
 // the ring under NodeName. The map is peer name → base URL, where a
 // peer's debug endpoints live.
 func (k *Kit) Tier(local storage.Store) (storage.Store, map[string]string, error) {
-	nodes, err := shard.ParsePeers(k.Peers, func(target string) storage.Store {
+	targets := make(map[string]string)
+	nodes, err := shard.ParsePeers(k.Peers, func(name, target string) storage.Store {
+		targets[name] = target
 		return storage.NewClient(target+InternalPlane, k.PeerToken)
 	})
 	if err != nil {
@@ -159,8 +161,7 @@ func (k *Kit) Tier(local storage.Store) (storage.Store, map[string]string, error
 		slog.Int("nodes", router.Ring().Len()),
 		slog.Int("replicas", router.Replicas()),
 		slog.Duration("hedge_after", k.Shard.HedgeAfter))
-	targets, err := shard.PeerTargets(k.Peers)
-	return router, targets, err
+	return router, targets, nil
 }
 
 // NewEngine wraps ds in a query engine over a tiered cache of CacheMB

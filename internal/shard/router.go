@@ -57,7 +57,6 @@ type Router struct {
 
 	// Telemetry is nil until Instrument; every recording site is
 	// nil-safe so an uninstrumented router costs nothing.
-	gets        *telemetry.Counter
 	hedgesFired *telemetry.Counter
 	hedgesWon   *telemetry.Counter
 	failovers   *telemetry.Counter
@@ -108,11 +107,11 @@ func (r *Router) Ring() *Ring { return r.ring }
 func (r *Router) Replicas() int { return r.replicas }
 
 // Instrument registers the router's metric families in reg:
-// nsdf_shard_{gets,hedges_fired,hedges_won,replica_failovers}_total plus
+// nsdf_shard_{hedges_fired,hedges_won,replica_failovers}_total plus
 // the per-node nsdf_shard_node_up / nsdf_shard_node_vnodes gauges and
-// nsdf_shard_node_gets_total counters.
+// nsdf_shard_node_gets_total counters. The router's own op counts are
+// storage.Instrumented's, wrapped around it.
 func (r *Router) Instrument(reg *telemetry.Registry) {
-	r.gets = reg.Counter("nsdf_shard_gets_total")
 	r.hedgesFired = reg.Counter("nsdf_shard_hedges_fired_total")
 	r.hedgesWon = reg.Counter("nsdf_shard_hedges_won_total")
 	r.failovers = reg.Counter("nsdf_shard_replica_failovers_total")
@@ -164,39 +163,57 @@ func nodeFailure(err error) bool {
 		!errors.Is(err, context.DeadlineExceeded)
 }
 
-// getResult carries one replica's response through the hedging loop.
-type getResult struct {
-	data   []byte
+// readResult carries one replica's response through the replica loop.
+type readResult[T any] struct {
+	val    T
 	err    error
 	launch int
 }
 
-// Get implements storage.Store with hedged, failing-over reads. The
-// request is tried against the key's replicas in ring order: replica
-// i+1 launches either when replica i errors (failover) or when
-// HedgeAfter elapses with no response (hedge). The first success wins
-// and cancels the rest. ErrNotExist from one replica still probes the
-// others — a partially-written key must be served from whichever
-// replica has it — and only becomes the result once every replica has
-// missed.
-//
-// Under an active trace every replica attempt books a shard.get span
-// annotated with its node, whether it was a hedge, and its outcome —
-// hedge losers are tagged outcome=cancelled rather than dropped, so a
-// trace shows which node the winning bytes came from and what the
-// hedge cost.
+// Get implements storage.Store with hedged, failing-over reads (see
+// readReplicas).
 func (r *Router) Get(ctx context.Context, key string) ([]byte, error) {
+	return readReplicas(ctx, r, "shard.get", key, func(ctx context.Context, node string) ([]byte, error) {
+		inc(r.nodeGets[node])
+		return r.stores[node].Get(ctx, key)
+	})
+}
+
+// Stat implements storage.Store through the same replica loop as Get:
+// it hedges, fails over, and books its spans and flight events alike.
+func (r *Router) Stat(ctx context.Context, key string) (storage.ObjectInfo, error) {
+	return readReplicas(ctx, r, "shard.stat", key, func(ctx context.Context, node string) (storage.ObjectInfo, error) {
+		return r.stores[node].Stat(ctx, key)
+	})
+}
+
+// readReplicas is the router's one replica loop, shared by every read.
+// read is tried against key's replicas in ring order: replica i+1
+// launches either when replica i errors (failover) or when HedgeAfter
+// elapses with no response (hedge). The first success wins and cancels
+// the rest. ErrNotExist from one replica still probes the others — a
+// partially-written key must be served from whichever replica has it —
+// and only becomes the result once every replica has missed.
+//
+// Under an active trace every replica attempt books a span (spanName,
+// "shard.get" or "shard.stat") annotated with its node, whether it was a
+// hedge, and its outcome — hedge losers are tagged outcome=cancelled
+// rather than dropped, so a trace shows which node the winning answer
+// came from and what the hedge cost.
+func readReplicas[T any](ctx context.Context, r *Router, spanName, key string,
+	read func(ctx context.Context, node string) (T, error)) (T, error) {
+	var zero T
 	replicas := r.ring.Replicas(key, r.replicas)
 	if len(replicas) == 0 {
-		return nil, errors.New("shard: ring has no nodes")
+		return zero, errors.New("shard: ring has no nodes")
 	}
-	inc(r.gets)
+	op := strings.TrimPrefix(spanName, "shard.")
 
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	// Buffered to len(replicas): losers complete their sends after we
 	// return, so none of the launched goroutines can leak.
-	results := make(chan getResult, len(replicas))
+	results := make(chan readResult[T], len(replicas))
 	hedged := make([]bool, len(replicas))
 	launchedAt := make([]time.Time, len(replicas))
 	settled := make([]bool, len(replicas))
@@ -214,7 +231,7 @@ func (r *Router) Get(ctx context.Context, key string) ([]byte, error) {
 		if hedged[i] {
 			hedge = "true"
 		}
-		trace.Record(ctx, "shard.get", launchedAt[i], end,
+		trace.Record(ctx, spanName, launchedAt[i], end,
 			trace.Str("node", replicas[i]),
 			trace.Str("hedge", hedge),
 			trace.Str("outcome", outcome))
@@ -235,13 +252,9 @@ func (r *Router) Get(ctx context.Context, key string) ([]byte, error) {
 	launch := func(i int, isHedge bool) {
 		hedged[i] = isHedge
 		launchedAt[i] = time.Now()
-		st := r.stores[replicas[i]]
-		if c, ok := r.nodeGets[replicas[i]]; ok {
-			c.Inc()
-		}
 		go func() {
-			data, err := st.Get(gctx, key)
-			results <- getResult{data: data, err: err, launch: i}
+			val, err := read(gctx, replicas[i])
+			results <- readResult[T]{val: val, err: err, launch: i}
 		}()
 	}
 	launch(0, false)
@@ -267,12 +280,12 @@ func (r *Router) Get(ctx context.Context, key string) ([]byte, error) {
 				}
 				span(res.launch, "ok", time.Now())
 				settleLosers()
-				return res.data, nil
+				return res.val, nil
 			}
 			if err := ctx.Err(); err != nil {
 				span(res.launch, "cancelled", time.Now())
 				settleLosers()
-				return nil, err
+				return zero, err
 			}
 			if nodeFailure(res.err) {
 				span(res.launch, "error", time.Now())
@@ -283,7 +296,7 @@ func (r *Router) Get(ctx context.Context, key string) ([]byte, error) {
 				if next < len(replicas) {
 					inc(r.failovers)
 					r.fl.Load().Record(flight.KindFailover, trace.ID(ctx),
-						"get key=%s node=%s -> %s err=%v", key, name, replicas[next], res.err)
+						"%s key=%s node=%s -> %s err=%v", op, key, name, replicas[next], res.err)
 				}
 			} else if errors.Is(res.err, storage.ErrNotExist) {
 				span(res.launch, "miss", time.Now())
@@ -302,33 +315,34 @@ func (r *Router) Get(ctx context.Context, key string) ([]byte, error) {
 			if next < len(replicas) {
 				inc(r.hedgesFired)
 				r.fl.Load().Record(flight.KindHedgeFired, trace.ID(ctx),
-					"get key=%s replica=%s after=%s", key, replicas[next], r.hedgeAfter)
+					"%s key=%s replica=%s after=%s", op, key, replicas[next], r.hedgeAfter)
 				launch(next, true)
 				next++
 				outstanding++
 			}
 		case <-ctx.Done():
 			settleLosers()
-			return nil, ctx.Err()
+			return zero, ctx.Err()
 		}
 	}
 	if miss != nil && firstErr == nil {
-		return nil, miss
+		return zero, miss
 	}
 	if firstErr != nil {
-		return nil, fmt.Errorf("shard: all %d replicas of %q failed: %w", len(replicas), key, firstErr)
+		return zero, fmt.Errorf("shard: all %d replicas of %q failed: %w", len(replicas), key, firstErr)
 	}
-	return nil, fmt.Errorf("%w: %q", storage.ErrNotExist, key)
+	return zero, fmt.Errorf("%w: %q", storage.ErrNotExist, key)
 }
 
-// fanOut runs op against every named node in parallel and returns the
-// per-node errors in the same order.
-func (r *Router) fanOut(ctx context.Context, names []string, op func(ctx context.Context, st storage.Store) error) []error {
+// fanOut runs op against every named node in parallel — i is the
+// node's index in names — and returns the per-node errors in the same
+// order.
+func (r *Router) fanOut(ctx context.Context, names []string, op func(ctx context.Context, i int, st storage.Store) error) []error {
 	errs := make([]error, len(names))
 	done := make(chan int, len(names))
 	for i, name := range names {
 		go func(i int, st storage.Store) {
-			errs[i] = op(ctx, st)
+			errs[i] = op(ctx, i, st)
 			done <- i
 		}(i, r.stores[name])
 	}
@@ -380,7 +394,7 @@ func (r *Router) Put(ctx context.Context, key string, data []byte) error {
 	if len(names) == 0 {
 		return errors.New("shard: ring has no nodes")
 	}
-	errs := r.fanOut(ctx, names, func(ctx context.Context, st storage.Store) error {
+	errs := r.fanOut(ctx, names, func(ctx context.Context, _ int, st storage.Store) error {
 		return st.Put(ctx, key, data)
 	})
 	return r.writeQuorum(ctx, "put", key, names, errs)
@@ -393,47 +407,10 @@ func (r *Router) Delete(ctx context.Context, key string) error {
 	if len(names) == 0 {
 		return errors.New("shard: ring has no nodes")
 	}
-	errs := r.fanOut(ctx, names, func(ctx context.Context, st storage.Store) error {
+	errs := r.fanOut(ctx, names, func(ctx context.Context, _ int, st storage.Store) error {
 		return st.Delete(ctx, key)
 	})
 	return r.writeQuorum(ctx, "delete", key, names, errs)
-}
-
-// Stat implements storage.Store by trying the key's replicas in ring
-// order: node failures fail over (counted), and ErrNotExist is returned
-// only after every replica has missed.
-func (r *Router) Stat(ctx context.Context, key string) (storage.ObjectInfo, error) {
-	names := r.ring.Replicas(key, r.replicas)
-	if len(names) == 0 {
-		return storage.ObjectInfo{}, errors.New("shard: ring has no nodes")
-	}
-	var firstErr, miss error
-	for i, name := range names {
-		info, err := r.stores[name].Stat(ctx, key)
-		if err == nil {
-			r.markNode(name, true)
-			return info, nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return storage.ObjectInfo{}, cerr
-		}
-		if nodeFailure(err) {
-			r.markNode(name, false)
-			if firstErr == nil {
-				firstErr = err
-			}
-			if i < len(names)-1 {
-				inc(r.failovers)
-			}
-		} else if errors.Is(err, storage.ErrNotExist) {
-			r.markNode(name, true)
-			miss = err
-		}
-	}
-	if miss != nil && firstErr == nil {
-		return storage.ObjectInfo{}, miss
-	}
-	return storage.ObjectInfo{}, fmt.Errorf("shard: stat %q failed on all %d replicas: %w", key, len(names), firstErr)
 }
 
 // List implements storage.Store by querying every node in parallel and
@@ -447,17 +424,10 @@ func (r *Router) List(ctx context.Context, prefix string) ([]storage.ObjectInfo,
 		return nil, errors.New("shard: ring has no nodes")
 	}
 	lists := make([][]storage.ObjectInfo, len(names))
-	errs := make([]error, len(names))
-	done := make(chan int, len(names))
-	for i, name := range names {
-		go func(i int, st storage.Store) {
-			lists[i], errs[i] = st.List(ctx, prefix)
-			done <- i
-		}(i, r.stores[name])
-	}
-	for range names {
-		<-done
-	}
+	errs := r.fanOut(ctx, names, func(ctx context.Context, i int, st storage.Store) (err error) {
+		lists[i], err = st.List(ctx, prefix)
+		return err
+	})
 	failed := 0
 	var firstErr error
 	for i, err := range errs {
@@ -499,15 +469,14 @@ func (r *Router) List(ctx context.Context, prefix string) ([]storage.ObjectInfo,
 	return out, nil
 }
 
-// peer is one entry of a -peers spec.
-type peer struct{ name, target string }
-
-// parsePeerSpec parses a comma-separated list of name=target entries
-// ("a=http://host1:9000,b=http://host2:9000") in spec order. Names are
-// the ring placement identity, so a repeated name is an error here for
-// every consumer of the spec, not only for the one that builds a ring.
-func parsePeerSpec(spec string) ([]peer, error) {
-	var peers []peer
+// ParsePeers parses a comma-separated list of name=target peer specs
+// ("a=http://host1:9000,b=http://host2:9000") into nodes in spec order,
+// dialing each entry with dial, which also sees the name — so a caller
+// that wants the name → target map records it there. Names are the ring
+// placement identity, so a fleet must use the same name for the same
+// store everywhere, and a repeated name is an error.
+func ParsePeers(spec string, dial func(name, target string) storage.Store) ([]Node, error) {
+	var nodes []Node
 	seen := make(map[string]bool)
 	for _, entry := range strings.Split(spec, ",") {
 		entry = strings.TrimSpace(entry)
@@ -522,39 +491,7 @@ func parsePeerSpec(spec string) ([]peer, error) {
 			return nil, fmt.Errorf("shard: duplicate peer name %q", name)
 		}
 		seen[name] = true
-		peers = append(peers, peer{name, target})
-	}
-	return peers, nil
-}
-
-// ParsePeers parses a comma-separated list of name=target peer specs
-// ("a=http://host1:9000,b=http://host2:9000"), dialing each target with
-// dial. Names are the ring placement identity, so a fleet must use the
-// same name for the same store everywhere.
-func ParsePeers(spec string, dial func(target string) storage.Store) ([]Node, error) {
-	peers, err := parsePeerSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	var nodes []Node
-	for _, p := range peers {
-		nodes = append(nodes, Node{Name: p.name, Store: dial(p.target)})
+		nodes = append(nodes, Node{Name: name, Store: dial(name, target)})
 	}
 	return nodes, nil
-}
-
-// PeerTargets parses the same name=target spec as ParsePeers into a
-// name -> base-URL map, without dialing anything — the form federated
-// trace assembly wants, since it talks to peers' debug endpoints
-// rather than their object planes.
-func PeerTargets(spec string) (map[string]string, error) {
-	peers, err := parsePeerSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	targets := make(map[string]string, len(peers))
-	for _, p := range peers {
-		targets[p.name] = p.target
-	}
-	return targets, nil
 }

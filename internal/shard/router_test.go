@@ -430,7 +430,9 @@ func TestRouterPartialWriteProbe(t *testing.T) {
 // node flaps and writers refresh keys — run under -race by `make race`,
 // this is the concurrency pin for the fan-out/hedge/failover paths.
 func TestRouterStress(t *testing.T) {
-	r, flips, reg := newTestCluster(t, 4, shard.Options{Replicas: 2, HedgeAfter: 200 * time.Microsecond})
+	router, flips, reg := newTestCluster(t, 4, shard.Options{Replicas: 2, HedgeAfter: 200 * time.Microsecond})
+	// Wrapped as every server wraps it: Instrumented counts the router's ops.
+	r := storage.NewInstrumented(router, reg, "shard")
 	ctx := context.Background()
 	const K = 64
 	key := func(i int) string { return fmt.Sprintf("blocks/%03d", i%K) }
@@ -488,7 +490,7 @@ func TestRouterStress(t *testing.T) {
 	for err := range errCh {
 		t.Error(err)
 	}
-	if gets := counter(reg, "nsdf_shard_gets_total"); gets == 0 {
+	if gets := counter(reg, "nsdf_storage_ops_total", "backend", "shard", "op", "get"); gets == 0 {
 		t.Fatal("stress run recorded no shard gets")
 	}
 }
@@ -539,7 +541,11 @@ func TestRouterServesIDXDataset(t *testing.T) {
 }
 
 func TestParsePeers(t *testing.T) {
-	dial := func(target string) storage.Store { return storage.NewClient(target, "") }
+	targets := map[string]string{}
+	dial := func(name, target string) storage.Store {
+		targets[name] = target
+		return storage.NewClient(target, "")
+	}
 	nodes, err := shard.ParsePeers("a=http://h1:9000, b=http://h2:9000", dial)
 	if err != nil {
 		t.Fatal(err)
@@ -550,6 +556,9 @@ func TestParsePeers(t *testing.T) {
 	if nodes[0].Store == nil || nodes[1].Store == nil {
 		t.Fatal("ParsePeers returned nil stores")
 	}
+	if targets["a"] != "http://h1:9000" || targets["b"] != "http://h2:9000" {
+		t.Fatalf("dial saw %v", targets)
+	}
 	if got, err := shard.ParsePeers("", dial); err != nil || len(got) != 0 {
 		t.Fatalf("empty spec = %v, %v", got, err)
 	}
@@ -559,35 +568,30 @@ func TestParsePeers(t *testing.T) {
 	if _, err := shard.ParsePeers("=http://h", dial); err == nil {
 		t.Fatal("empty name accepted")
 	}
-	// A repeated name is refused by both readers of the spec, with the
-	// same error: PeerTargets used to keep the last target silently, so
-	// federation queried one URL while the ring refused to start.
-	_, ringErr := shard.ParsePeers("a=http://x,a=http://y", dial)
-	_, fedErr := shard.PeerTargets("a=http://x,a=http://y")
-	if ringErr == nil || fedErr == nil || ringErr.Error() != fedErr.Error() {
-		t.Fatalf("duplicate name: ParsePeers err %v, PeerTargets err %v", ringErr, fedErr)
+	// A repeated name is refused: the ring and the federation map are
+	// built from the same pass, so neither may keep the last target.
+	if _, err := shard.ParsePeers("a=http://x,a=http://y", dial); err == nil {
+		t.Fatal("duplicate name accepted")
 	}
 }
 
-// FuzzParsePeers: the peer-spec parser never panics, its two exported
-// readers accept exactly the same specs, and an accepted spec
-// re-rendered as name=target,... parses to the same pairs in the same
-// order with no name repeated.
+// FuzzParsePeers: the peer-spec parser never panics, dials each accepted
+// node exactly once under its own name, and an accepted spec re-rendered
+// as name=target,... parses to the same pairs in the same order with no
+// name repeated.
 func FuzzParsePeers(f *testing.F) {
 	for _, seed := range []string{"", "a=http://h1:9000, b=http://h2:9000", "a=x,a=y", "justaurl", "=x", "a=", ",,a=b=c,", " a = x , b=\t"} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
 		var dialled []string
-		dial := func(target string) storage.Store {
+		targets := map[string]string{}
+		dial := func(name, target string) storage.Store {
 			dialled = append(dialled, target)
+			targets[name] = target
 			return storage.NewMemStore()
 		}
 		nodes, err := shard.ParsePeers(spec, dial)
-		targets, terr := shard.PeerTargets(spec)
-		if (err == nil) != (terr == nil) {
-			t.Fatalf("ParsePeers err %v but PeerTargets err %v", err, terr)
-		}
 		if err != nil {
 			return
 		}
@@ -597,7 +601,7 @@ func FuzzParsePeers(f *testing.F) {
 		entries := make([]string, len(nodes))
 		for i, n := range nodes {
 			if targets[n.Name] != dialled[i] {
-				t.Fatalf("peer %q: ring dials %q, federation queries %q", n.Name, dialled[i], targets[n.Name])
+				t.Fatalf("peer %q: dialled %q, recorded %q", n.Name, dialled[i], targets[n.Name])
 			}
 			entries[i] = n.Name + "=" + dialled[i]
 		}

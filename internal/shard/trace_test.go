@@ -7,6 +7,7 @@ import (
 
 	"nsdfgo/internal/shard"
 	"nsdfgo/internal/storage"
+	"nsdfgo/internal/telemetry"
 	"nsdfgo/internal/telemetry/flight"
 	"nsdfgo/internal/telemetry/trace"
 )
@@ -144,6 +145,103 @@ func TestFailoverSpanAndFlightEvent(t *testing.T) {
 		t.Fatalf("outcomes %v, want error and ok", outcomes)
 	}
 	events := fl.Snapshot()
+	if len(events) != 1 || events[0].Kind != flight.KindFailover {
+		t.Fatalf("flight events = %+v, want one replica_failover", events)
+	}
+}
+
+// slowStat delays every Stat by a fixed amount (honouring ctx).
+type slowStat struct {
+	storage.Store
+	delay time.Duration
+}
+
+func (s *slowStat) Stat(ctx context.Context, key string) (storage.ObjectInfo, error) {
+	t := time.NewTimer(s.delay)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return storage.ObjectInfo{}, ctx.Err()
+	case <-t.C:
+	}
+	return s.Store.Stat(ctx, key)
+}
+
+// TestStatHedgesAndFailsOver: Stat runs Get's replica loop, so a slow
+// replica is hedged past and a dead one failed over, each booking its
+// counter, its flight event and shard.stat spans.
+func TestStatHedgesAndFailsOver(t *testing.T) {
+	ctx := context.Background()
+	flips := map[string]*flipStore{}
+	var nodes []shard.Node
+	stats := map[string]*slowStat{}
+	for _, name := range []string{"a", "b"} {
+		flips[name] = &flipStore{inner: storage.NewMemStore()}
+		if err := flips[name].inner.Put(ctx, "k", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		stats[name] = &slowStat{Store: flips[name]}
+		nodes = append(nodes, shard.Node{Name: name, Store: stats[name]})
+	}
+	r, err := shard.NewRouter(nodes, shard.Options{Replicas: 2, HedgeAfter: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	r.Instrument(reg)
+	primary := r.Ring().Replicas("k", 2)[0]
+
+	// tracedStat runs one Stat under a fresh trace and a fresh flight
+	// recorder, and returns the shard.stat span outcomes and the events.
+	tracedStat := func() (map[string]trace.SpanData, []flight.Event) {
+		t.Helper()
+		fl := flight.New(8)
+		r.SetFlight(fl)
+		col := trace.NewCollector(4)
+		root := col.StartTrace("", "test.stat")
+		// The deadline only bounds a Stat that never hedges.
+		sctx, cancel := context.WithTimeout(trace.NewContext(ctx, root), 5*time.Second)
+		defer cancel()
+		info, err := r.Stat(sctx, "k")
+		if err != nil || info.Size != 1 {
+			t.Fatalf("Stat = %+v, %v", info, err)
+		}
+		root.End()
+		spans := map[string]trace.SpanData{}
+		for _, sp := range col.Find(root.TraceID()).Spans {
+			if sp.Name == "shard.stat" {
+				spans[sp.Attrs["outcome"]] = sp
+			}
+		}
+		return spans, fl.Snapshot()
+	}
+
+	// A primary slower than any test timeout: only the hedge can answer.
+	stats[primary].delay = time.Minute
+	spans, events := tracedStat()
+	if got := counter(reg, "nsdf_shard_hedges_fired_total"); got != 1 {
+		t.Fatalf("hedges_fired = %d, want 1", got)
+	}
+	if got := counter(reg, "nsdf_shard_hedges_won_total"); got != 1 {
+		t.Fatalf("hedges_won = %d, want 1", got)
+	}
+	if len(spans) != 2 || spans["ok"].Attrs["hedge"] != "true" || spans["cancelled"].Attrs["node"] != primary {
+		t.Fatalf("hedged Stat spans %+v, want a hedged ok and the primary cancelled", spans)
+	}
+	if len(events) != 1 || events[0].Kind != flight.KindHedgeFired {
+		t.Fatalf("flight events = %+v, want one hedge_fired", events)
+	}
+
+	// A dead primary: the Stat fails over and books the loss.
+	stats[primary].delay = 0
+	flips[primary].down.Store(true)
+	spans, events = tracedStat()
+	if got := counter(reg, "nsdf_shard_replica_failovers_total"); got != 1 {
+		t.Fatalf("failovers = %d, want 1", got)
+	}
+	if len(spans) != 2 || spans["error"].Attrs["node"] != primary {
+		t.Fatalf("failed-over Stat spans %+v, want the primary's error and an ok", spans)
+	}
 	if len(events) != 1 || events[0].Kind != flight.KindFailover {
 		t.Fatalf("flight events = %+v, want one replica_failover", events)
 	}

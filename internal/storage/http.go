@@ -22,7 +22,7 @@ import (
 //
 //	PUT    /obj/<key>            store an object
 //	GET    /obj/<key>            fetch an object
-//	HEAD   /obj/<key>            object metadata (ETag, Content-Length)
+//	HEAD   /obj/<key>            object size (Content-Length)
 //	DELETE /obj/<key>            remove an object
 //	GET    /list?prefix=<p>      JSON array of ObjectInfo
 //	GET    /healthz              liveness probe
@@ -110,7 +110,6 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request, key string
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("ETag", `"`+etag(data)+`"`)
 		// A declared length keeps the body out of chunked encoding, so
 		// the client can read it into one buffer of exactly this size.
 		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
@@ -128,7 +127,6 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request, key string
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		w.Header().Set("ETag", `"`+info.ETag+`"`)
 		w.Header().Set("Content-Length", strconv.FormatInt(info.Size, 10))
 		w.WriteHeader(http.StatusOK)
 	case http.MethodDelete:
@@ -275,11 +273,7 @@ func (c *Client) Stat(ctx context.Context, key string) (ObjectInfo, error) {
 	if resp.StatusCode != http.StatusOK {
 		return ObjectInfo{}, fmt.Errorf("storage: stat %q: status %s", key, resp.Status)
 	}
-	return ObjectInfo{
-		Key:  key,
-		Size: resp.ContentLength,
-		ETag: strings.Trim(resp.Header.Get("ETag"), `"`),
-	}, nil
+	return ObjectInfo{Key: key, Size: resp.ContentLength}, nil
 }
 
 // List implements Store.

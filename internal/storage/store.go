@@ -10,8 +10,6 @@ package storage
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -34,8 +32,6 @@ type ObjectInfo struct {
 	Key string
 	// Size is the payload length in bytes.
 	Size int64
-	// ETag is a content hash usable for validation.
-	ETag string
 	// ModTime is the last write time.
 	ModTime time.Time
 }
@@ -55,12 +51,6 @@ type Store interface {
 	// List returns metadata for all objects whose key begins with prefix,
 	// sorted by key.
 	List(ctx context.Context, prefix string) ([]ObjectInfo, error)
-}
-
-// etag computes the content hash used for ETags.
-func etag(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:8])
 }
 
 // ValidKey reports whether key is acceptable: non-empty, slash-separated
@@ -147,7 +137,7 @@ func (s *MemStore) Stat(ctx context.Context, key string) (ObjectInfo, error) {
 	if !ok {
 		return ObjectInfo{}, fmt.Errorf("%w: %q", ErrNotExist, key)
 	}
-	return ObjectInfo{Key: key, Size: int64(len(obj.data)), ETag: etag(obj.data), ModTime: obj.modTime}, nil
+	return ObjectInfo{Key: key, Size: int64(len(obj.data)), ModTime: obj.modTime}, nil
 }
 
 // List implements Store.
@@ -160,7 +150,7 @@ func (s *MemStore) List(ctx context.Context, prefix string) ([]ObjectInfo, error
 	var out []ObjectInfo
 	for key, obj := range s.objects {
 		if strings.HasPrefix(key, prefix) {
-			out = append(out, ObjectInfo{Key: key, Size: int64(len(obj.data)), ETag: etag(obj.data), ModTime: obj.modTime})
+			out = append(out, ObjectInfo{Key: key, Size: int64(len(obj.data)), ModTime: obj.modTime})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
@@ -280,11 +270,7 @@ func (s *FileStore) Stat(ctx context.Context, key string) (ObjectInfo, error) {
 	if err != nil {
 		return ObjectInfo{}, fmt.Errorf("storage: stat: %w", err)
 	}
-	data, err := os.ReadFile(p)
-	if err != nil {
-		return ObjectInfo{}, fmt.Errorf("storage: stat read: %w", err)
-	}
-	return ObjectInfo{Key: key, Size: fi.Size(), ETag: etag(data), ModTime: fi.ModTime()}, nil
+	return ObjectInfo{Key: key, Size: fi.Size(), ModTime: fi.ModTime()}, nil
 }
 
 // List implements Store.

@@ -14,6 +14,7 @@ import (
 	"nsdfgo/internal/geotiled"
 	"nsdfgo/internal/idx"
 	"nsdfgo/internal/query"
+	"nsdfgo/internal/storage"
 	"nsdfgo/internal/telemetry"
 	"nsdfgo/internal/telemetry/trace"
 )
@@ -21,8 +22,10 @@ import (
 // TestTraceEndToEnd is the acceptance path for the tracing subsystem: a
 // dashboard box read issued with a client-supplied X-NSDF-Trace-Id must
 // be findable at /debug/traces as one trace containing the query, IDX
-// pipeline (plan, fetch, decode, assemble), and storage spans, each with
-// a non-zero duration and the right dataset attribution.
+// pipeline (plan, decode, assemble), and storage spans, each with a
+// non-zero duration and the right attribution — and each storage fact
+// recorded once: one storage.get span per Get the instrumented store
+// counts.
 func TestTraceEndToEnd(t *testing.T) {
 	ctx := context.Background()
 
@@ -35,7 +38,9 @@ func TestTraceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := idx.Create(ctx, idx.NewMemBackend(), meta)
+	reg := telemetry.NewRegistry()
+	be := storage.NewIDXBackend(storage.NewInstrumented(storage.NewMemStore(), reg, "mem"), "")
+	ds, err := idx.Create(ctx, be, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +48,6 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := telemetry.NewRegistry()
 	col := trace.NewCollector(16)
 	dash := dashboard.NewServer()
 	dash.EnableTelemetry(reg)
@@ -63,6 +67,8 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set(telemetry.TraceIDHeader, traceID)
+	gets := reg.Counter("nsdf_storage_ops_total", "backend", "mem", "op", "get")
+	gets0 := gets.Value()
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +109,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	// and the dataset attributed.
 	for _, name := range []string{
 		"http /api/data", "query.read",
-		"idx.read", "idx.plan", "idx.fetch", "idx.decode", "idx.assemble",
+		"idx.read", "idx.plan", "idx.decode", "idx.assemble",
 		"storage.get",
 	} {
 		sp := data.Span(name)
@@ -115,16 +121,30 @@ func TestTraceEndToEnd(t *testing.T) {
 			t.Errorf("span %q duration %v, want > 0", name, sp.Duration)
 		}
 		switch name {
-		case "query.read", "idx.read", "idx.fetch", "idx.decode", "idx.assemble", "storage.get":
+		case "query.read", "idx.read", "idx.decode", "idx.assemble":
 			if sp.Attrs["dataset"] != "tennessee" {
 				t.Errorf("span %q dataset attr %q, want tennessee", name, sp.Attrs["dataset"])
 			}
+		case "storage.get":
+			if sp.Attrs["backend"] != "mem" {
+				t.Errorf("span %q backend attr %q, want mem", name, sp.Attrs["backend"])
+			}
 		}
+	}
+	// One owner per storage fact: the store's Get count and its spans.
+	spans := 0
+	for _, sp := range data.Spans {
+		if sp.Name == "storage.get" {
+			spans++
+		}
+	}
+	if n := gets.Value() - gets0; n == 0 || int64(spans) != n {
+		t.Errorf("trace holds %d storage.get spans for %d counted Gets, want one each", spans, n)
 	}
 
 	// The per-stage histograms must have absorbed the same request.
 	series := scrape(t, srv.URL)
-	for _, stage := range []string{"plan", "fetch", "decode", "assemble"} {
+	for _, stage := range []string{"plan", "decode", "assemble"} {
 		key := `nsdf_idx_stage_seconds_count{dataset="tennessee",stage="` + stage + `"}`
 		if series[key] == "" || series[key] == "0" {
 			t.Errorf("stage histogram %s count = %q, want >= 1", key, series[key])
