@@ -5,9 +5,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
+
+	"nsdfgo/internal/catalog"
+	"nsdfgo/internal/serverkit"
+	"nsdfgo/internal/telemetry/trace"
 )
 
 // TestFlagsGolden compares the command line run declares — name, type
@@ -32,5 +38,44 @@ func TestFlagsGolden(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Errorf("flag set differs from testdata/flags.golden\n got:\n%swant:\n%s", got.String(), want)
+	}
+}
+
+// TestSearchIsTraced serves a catalog the way -serve does and checks a
+// /search response carries its trace ID and that the trace is then
+// listed at /debug/traces: catalog requests pass through the kit's
+// middleware like every other service's.
+func TestSearchIsTraced(t *testing.T) {
+	k, err := serverkit.Start(serverkit.Options{Service: "catalog", NodeName: "catalog"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := catalog.New()
+	if _, err := cat.Add(catalog.Record{Name: "dem.tif", Source: "dataverse", Type: "tiff"}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(handler(k, cat))
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/search?q=dem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	id := resp.Header.Get(trace.TraceIDHeader)
+	if resp.StatusCode != http.StatusOK || !trace.ValidID(id) {
+		t.Fatalf("/search = %d with trace ID %q, want 200 with a valid ID", resp.StatusCode, id)
+	}
+	resp, err = http.Get(srv.URL + "/debug/traces?trace=" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "http /search") {
+		t.Errorf("/debug/traces?trace=%s = %d, want the /search trace:\n%s", id, resp.StatusCode, body)
 	}
 }

@@ -18,7 +18,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 	"time"
 
@@ -31,24 +33,31 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run walks through the example, writing what it shows to stdout.
+func run(stdout io.Writer) error {
 	const w, h = 256, 128
 	const months = 12
 	const seed = 20240624
 
 	// A moisture climatology over synthetic terrain, evolved monthly.
-	fmt.Println("building 12-month synthetic soil-moisture series...")
+	fmt.Fprintln(stdout, "building 12-month synthetic soil-moisture series...")
 	elevation := dem.Scale(dem.FBM(w, h, seed, dem.DefaultFBM()), 100, 1500)
 	slope, err := geotiled.ComputeTiled(elevation, geotiled.Slope, geotiled.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	aspect, err := geotiled.ComputeTiled(elevation, geotiled.Aspect, geotiled.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	base, err := somospie.SyntheticTruth(elevation, slope, aspect, seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	series := dem.TimeSeries(base, seed, dem.SeriesOptions{
 		Steps: months, SeasonalAmp: 0.18, NoiseAmp: 0.04, Period: months,
@@ -58,18 +67,18 @@ func main() {
 	// regional object store.
 	meta, err := idx.NewMeta([]int{w, h}, []idx.Field{{Name: "soil_moisture", Type: idx.Float32}})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	meta.Timesteps = months
 	meta.BitsPerBlock = 12
 	remote := storage.NewConditioned(storage.NewMemStore(), storage.ProfileRegional, seed)
 	ds, err := idx.Create(context.Background(), storage.NewIDXBackend(remote, "moisture_2016"), meta)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for t, g := range series {
 		if err := ds.WriteGrid(context.Background(), "soil_moisture", t, g); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	engine := query.New(ds, 64<<20)
@@ -77,23 +86,29 @@ func main() {
 
 	// Playback pass 1: cold, over the wire.
 	monthNames := []string{"Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"}
-	playback := func(label string) time.Duration {
+	playback := func(label string) (time.Duration, error) {
 		start := time.Now()
-		fmt.Printf("\n== playback (%s): monthly mean moisture, preview level ==\n", label)
+		fmt.Fprintf(stdout, "\n== playback (%s): monthly mean moisture, preview level ==\n", label)
 		for t := 0; t < months; t++ {
 			res, err := engine.Read(context.Background(), query.Request{Field: "soil_moisture", Time: t, Level: 10})
 			if err != nil {
-				log.Fatal(err)
+				return 0, err
 			}
 			st := res.Grid.ComputeStats()
 			bar := strings.Repeat("#", int(st.Mean*120))
-			fmt.Printf("  %s  mean %.3f  %s\n", monthNames[t], st.Mean, bar)
+			fmt.Fprintf(stdout, "  %s  mean %.3f  %s\n", monthNames[t], st.Mean, bar)
 		}
-		return time.Since(start)
+		return time.Since(start), nil
 	}
-	cold := playback("cold cache")
-	warm := playback("warm cache")
-	fmt.Printf("\nplayback timing: cold %.1fms, warm %.1fms (%.0fx)\n",
+	cold, err := playback("cold cache")
+	if err != nil {
+		return err
+	}
+	warm, err := playback("warm cache")
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "\nplayback timing: cold %.1fms, warm %.1fms (%.0fx)\n",
 		float64(cold)/1e6, float64(warm)/1e6, float64(cold)/float64(warm))
 
 	// Seasonal verdict: wettest and driest months must be half a year apart.
@@ -102,7 +117,7 @@ func main() {
 	for t := 0; t < months; t++ {
 		res, err := engine.Read(context.Background(), query.Request{Field: "soil_moisture", Time: t, Level: 10})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		m := res.Grid.ComputeStats().Mean
 		if m > wetMean {
@@ -112,6 +127,7 @@ func main() {
 			dryMean, driest = m, t
 		}
 	}
-	fmt.Printf("wettest month %s (%.3f), driest %s (%.3f)\n",
+	fmt.Fprintf(stdout, "wettest month %s (%.3f), driest %s (%.3f)\n",
 		monthNames[wettest], wetMean, monthNames[driest], dryMean)
+	return nil
 }

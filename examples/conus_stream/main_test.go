@@ -1,0 +1,19 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestRun runs the example at its default size and checks one line of
+// its output that the seeded data fixes.
+func TestRun(t *testing.T) {
+	var out strings.Builder
+	if err := run(&out); err != nil {
+		t.Fatal(err)
+	}
+	const want = "  window NW corner: -115.72°E 43.53°N\n"
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("output lacks %q:\n%s", want, out.String())
+	}
+}

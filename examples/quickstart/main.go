@@ -14,7 +14,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"nsdfgo/internal/convert"
 	"nsdfgo/internal/dem"
@@ -23,9 +25,16 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run walks through the example, writing what it shows to stdout.
+func run(stdout io.Writer) error {
 	// 1. Generate a 256x256 synthetic elevation model (deterministic).
 	elevation := dem.Scale(dem.FBM(256, 256, 42, dem.DefaultFBM()), 0, 2000)
-	fmt.Println("generated 256x256 synthetic DEM")
+	fmt.Fprintln(stdout, "generated 256x256 synthetic DEM")
 
 	// 2. Convert the grid to an IDX dataset in memory. The samples are
 	// reordered along the hierarchical Z-order curve and stored as
@@ -34,9 +43,9 @@ func main() {
 	ds, err := convert.ToIDXWith(context.Background(), backend,
 		[]convert.Input{{FieldName: "elevation", Grid: elevation}}, convert.IDXOptions{BitsPerBlock: 12})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("stored as IDX: %d blocks, %d bytes total\n", backend.NumObjects()-1, backend.TotalBytes())
+	fmt.Fprintf(stdout, "stored as IDX: %d blocks, %d bytes total\n", backend.NumObjects()-1, backend.TotalBytes())
 
 	// 3. Stream it back progressively through the storage-oblivious query
 	// API: coarse levels arrive from a tiny prefix of the data.
@@ -46,12 +55,12 @@ func main() {
 		query.Request{Field: "elevation", Level: query.LevelFull},
 		4, 4,
 		func(r query.Result) error {
-			fmt.Printf("  level %2d: %4dx%-4d grid from %6d compressed bytes\n",
+			fmt.Fprintf(stdout, "  level %2d: %4dx%-4d grid from %6d compressed bytes\n",
 				r.Level, r.Grid.W, r.Grid.H, r.Stats.BytesRead)
 			return nil
 		})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 4. Ad-hoc analysis of a subregion, dashboard-style.
@@ -61,8 +70,9 @@ func main() {
 		Level: query.LevelFull,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	st := res.Grid.ComputeStats()
-	fmt.Printf("central 128x128 region: min=%.1f m, max=%.1f m, mean=%.1f m\n", st.Min, st.Max, st.Mean)
+	fmt.Fprintf(stdout, "central 128x128 region: min=%.1f m, max=%.1f m, mean=%.1f m\n", st.Min, st.Max, st.Mean)
+	return nil
 }

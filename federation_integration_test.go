@@ -133,7 +133,7 @@ func TestFederatedTraceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(telemetry.TraceIDHeader, traceID)
+	req.Header.Set(trace.TraceIDHeader, traceID)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestFederatedTraceEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("data read status %s", resp.Status)
 	}
-	if got := resp.Header.Get(telemetry.TraceIDHeader); got != traceID {
+	if got := resp.Header.Get(trace.TraceIDHeader); got != traceID {
 		t.Fatalf("response trace header %q, want %q", got, traceID)
 	}
 

@@ -4,13 +4,12 @@
 // lets users discover them with term queries. The production deployment
 // indexes over 1.59 billion records; this implementation provides the
 // same record model, bulk ingest, inverted-index term search, prefix
-// search, facet filters, persistence, and an HTTP API, at laptop scale.
+// search, facet filters, loading from JSON lines, and an HTTP API, at
+// laptop scale.
 package catalog
 
 import (
 	"bufio"
-	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -116,9 +115,14 @@ func (c *Catalog) Add(records ...Record) (int, error) {
 		if r.Name == "" {
 			return added, fmt.Errorf("catalog: record needs a name")
 		}
-		if r.ID == "" {
+		// An assigned ID skips those already taken, such as the ones a
+		// loaded catalog file carries.
+		for r.ID == "" {
 			c.nextID++
-			r.ID = fmt.Sprintf("nsdf-%09d", c.nextID)
+			id := fmt.Sprintf("nsdf-%09d", c.nextID)
+			if _, taken := c.byID[id]; !taken {
+				r.ID = id
+			}
 		}
 		if _, dup := c.byID[r.ID]; dup {
 			return added, fmt.Errorf("catalog: duplicate record id %q", r.ID)
@@ -286,21 +290,8 @@ func (c *Catalog) Stats() Stats {
 	return s
 }
 
-// Save writes the catalog as JSON lines, one record per line.
-func (c *Catalog) Save(w io.Writer) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range c.records {
-		if err := enc.Encode(&c.records[i]); err != nil {
-			return fmt.Errorf("catalog: save record %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// Load reads JSON-lines records written by Save into a fresh catalog.
+// Load reads JSON-lines records, one Record per line, into a fresh
+// catalog.
 func Load(r io.Reader) (*Catalog, error) {
 	c := New()
 	dec := json.NewDecoder(bufio.NewReader(r))
@@ -316,40 +307,4 @@ func Load(r io.Reader) (*Catalog, error) {
 		}
 	}
 	return c, nil
-}
-
-// Snapshot serialises the catalog to bytes (Save into a buffer).
-func (c *Catalog) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// ObjectStore is the subset of the storage.Store interface the catalog
-// needs for persistence (declared locally to keep the import graph
-// acyclic; storage.Store satisfies it).
-type ObjectStore interface {
-	Put(ctx context.Context, key string, data []byte) error
-	Get(ctx context.Context, key string) ([]byte, error)
-}
-
-// SaveToStore persists the catalog as one JSON-lines object, so the
-// index itself lives on the same durable fabric as the data it describes.
-func (c *Catalog) SaveToStore(ctx context.Context, store ObjectStore, key string) error {
-	data, err := c.Snapshot()
-	if err != nil {
-		return err
-	}
-	return store.Put(ctx, key, data)
-}
-
-// LoadFromStore restores a catalog persisted with SaveToStore.
-func LoadFromStore(ctx context.Context, store ObjectStore, key string) (*Catalog, error) {
-	data, err := store.Get(ctx, key)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: load from store: %w", err)
-	}
-	return Load(bytes.NewReader(data))
 }

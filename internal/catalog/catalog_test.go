@@ -1,9 +1,11 @@
 package catalog
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -178,6 +180,27 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadThenAddAssignsFreshID adds a record without an ID to a
+// catalog loaded from a file whose records already carry the first
+// assigned IDs: Add must skip the taken ones, not fail on a duplicate.
+func TestLoadThenAddAssignsFreshID(t *testing.T) {
+	var buf bytes.Buffer
+	if err := loaded(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Add(Record{Name: "new.tif"}); err != nil {
+		t.Fatalf("Add after Load: %v", err)
+	}
+	res := c.Search(Query{NamePrefix: "new"})
+	if len(res) != 1 || res[0].ID != "nsdf-000000005" {
+		t.Errorf("added record = %+v, want ID nsdf-000000005", res)
+	}
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader("not json\n")); err == nil {
 		t.Error("garbage accepted")
@@ -342,6 +365,12 @@ func TestHTTPAPI(t *testing.T) {
 		t.Errorf("garbage ingest status %s", resp.Status)
 	}
 	resp.Body.Close()
+	dup, _ := json.Marshal([]Record{{ID: results[0].ID, Name: "again"}})
+	resp, _ = http.Post(srv.URL+"/records", "application/json", bytes.NewReader(dup))
+	if resp.StatusCode != http.StatusConflict {
+		t.Errorf("duplicate-ID ingest status %s", resp.Status)
+	}
+	resp.Body.Close()
 	resp, _ = http.Get(srv.URL + "/search?limit=-2")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad limit status %s", resp.Status)
@@ -384,4 +413,18 @@ func BenchmarkSearchLargeCatalog(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Search(Query{Terms: fmt.Sprintf("terrain region%d", i%50), Limit: 20})
 	}
+}
+
+// Save writes the catalog as JSON lines, one record per line.
+func (c *Catalog) Save(w io.Writer) error {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for i := range c.records {
+		if err := enc.Encode(&c.records[i]); err != nil {
+			return fmt.Errorf("catalog: save record %d: %w", i, err)
+		}
+	}
+	return bw.Flush()
 }

@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -13,8 +12,8 @@ import (
 )
 
 // Client talks to a catalog Server over HTTP, mirroring the Catalog's
-// Add/Get/Search/Stats API so tools work identically against a local or
-// remote catalog.
+// Search and Stats so nsdf-catalog queries a local or remote catalog
+// alike.
 type Client struct {
 	base string
 	http *http.Client
@@ -26,56 +25,6 @@ func NewClient(baseURL string) *Client {
 		base: strings.TrimRight(baseURL, "/"),
 		http: &http.Client{Timeout: 30 * time.Second},
 	}
-}
-
-// Add ingests records remotely and returns the number added.
-func (c *Client) Add(ctx context.Context, records ...Record) (int, error) {
-	body, err := json.Marshal(records)
-	if err != nil {
-		return 0, fmt.Errorf("catalog: client: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/records", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return 0, fmt.Errorf("catalog: client: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return 0, fmt.Errorf("catalog: client: ingest status %s", resp.Status)
-	}
-	var out map[string]int
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, fmt.Errorf("catalog: client: %w", err)
-	}
-	return out["added"], nil
-}
-
-// Get fetches one record by id.
-func (c *Client) Get(ctx context.Context, id string) (Record, bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/records/"+url.PathEscape(id), nil)
-	if err != nil {
-		return Record{}, false, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return Record{}, false, fmt.Errorf("catalog: client: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return Record{}, false, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return Record{}, false, fmt.Errorf("catalog: client: get status %s", resp.Status)
-	}
-	var rec Record
-	if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
-		return Record{}, false, fmt.Errorf("catalog: client: %w", err)
-	}
-	return rec, true, nil
 }
 
 // Search runs a remote query.

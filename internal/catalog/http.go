@@ -17,10 +17,8 @@ import (
 //	GET  /search?q=&source=&type=&prefix=&limit=
 //	GET  /stats             catalog summary
 //	GET  /healthz           liveness probe
-//	GET  /metrics           telemetry exposition (when enabled)
 type Server struct {
 	cat *Catalog
-	reg *telemetry.Registry
 	tel *telemetry.HTTPMetrics
 }
 
@@ -29,10 +27,9 @@ func NewServer(cat *Catalog) *Server { return &Server{cat: cat} }
 
 // EnableTelemetry attaches a metrics registry: every request is counted
 // under nsdf_http_requests_total{service="catalog",route,class} and timed
-// in nsdf_http_request_seconds{service="catalog"}, and the registry's
-// exposition is served at /metrics.
+// in nsdf_http_request_seconds{service="catalog"}. The process serves the
+// registry's exposition itself (serverkit's DebugMux).
 func (s *Server) EnableTelemetry(reg *telemetry.Registry) {
-	s.reg = reg
 	s.tel = telemetry.NewHTTPMetrics(reg, "catalog")
 }
 
@@ -40,10 +37,6 @@ func (s *Server) EnableTelemetry(reg *telemetry.Registry) {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.tel == nil {
 		s.route(w, r)
-		return
-	}
-	if r.URL.Path == "/metrics" {
-		s.reg.Handler().ServeHTTP(w, r)
 		return
 	}
 	rec := telemetry.NewStatusRecorder(w)

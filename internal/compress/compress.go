@@ -14,7 +14,6 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -56,18 +55,6 @@ func Lookup(name string) (Codec, error) {
 		return nil, fmt.Errorf("compress: unknown codec %q", name)
 	}
 	return c, nil
-}
-
-// Names returns the sorted names of all registered codecs.
-func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func init() {

@@ -175,7 +175,7 @@ func TestPooledDecodesDoNotAlias(t *testing.T) {
 // silently truncated or grown block.
 func TestPresizedDecodeRejectsWrongLength(t *testing.T) {
 	block := terrainBlock(16<<10, 0)
-	for _, name := range Names() {
+	for _, name := range codecNames() {
 		codec, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)

@@ -74,16 +74,7 @@ func (s ShuffleZlib) Decode(src []byte, dstSize int) ([]byte, error) {
 	return out, nil
 }
 
-// Shuffle transposes src (a sequence of elemSize-byte elements) into
-// byte-plane order. A trailing fragment shorter than one element is
-// appended unshuffled, so any payload length is accepted.
-func Shuffle(src []byte, elemSize int) []byte {
-	out := make([]byte, len(src))
-	shuffleInto(out, src, elemSize)
-	return out
-}
-
-// Unshuffle inverts Shuffle.
+// Unshuffle inverts the byte-plane transpose shuffleInto applies.
 func Unshuffle(src []byte, elemSize int) []byte {
 	out := make([]byte, len(src))
 	unshuffleInto(out, src, elemSize)

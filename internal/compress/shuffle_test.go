@@ -104,3 +104,12 @@ func BenchmarkShuffleZlibEncode(b *testing.B) {
 		}
 	}
 }
+
+// Shuffle transposes src (a sequence of elemSize-byte elements) into
+// byte-plane order. A trailing fragment shorter than one element is
+// appended unshuffled, so any payload length is accepted.
+func Shuffle(src []byte, elemSize int) []byte {
+	out := make([]byte, len(src))
+	shuffleInto(out, src, elemSize)
+	return out
+}

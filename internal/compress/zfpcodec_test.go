@@ -96,3 +96,22 @@ func TestZFPTighterToleranceCostsMoreBytes(t *testing.T) {
 		}
 	}
 }
+
+// MaxAbsError returns the largest absolute difference between a and b,
+// ignoring pairs where both are NaN. It is the quantity ZFPLike bounds.
+func MaxAbsError(a, b []float32) float64 {
+	if len(a) != len(b) {
+		return math.Inf(1)
+	}
+	maxErr := 0.0
+	for i := range a {
+		fa, fb := float64(a[i]), float64(b[i])
+		if math.IsNaN(fa) && math.IsNaN(fb) {
+			continue
+		}
+		if d := math.Abs(fa - fb); d > maxErr {
+			maxErr = d
+		}
+	}
+	return maxErr
+}

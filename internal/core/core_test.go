@@ -167,7 +167,7 @@ func TestTutorialWorkflowEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Steps(); len(got) != 4 || got[0] != "generate" || got[3] != "visualize" {
+	if got := stepNames(w); len(got) != 4 || got[0] != "generate" || got[3] != "visualize" {
 		t.Fatalf("steps = %v", got)
 	}
 	bb, trail, err := w.Run(context.Background())
@@ -330,4 +330,13 @@ func TestTrailStringRendersAllSteps(t *testing.T) {
 			t.Errorf("trail missing s%d:\n%s", i, s)
 		}
 	}
+}
+
+// stepNames returns w's step names in insertion order.
+func stepNames(w *Workflow) []string {
+	out := make([]string, len(w.steps))
+	for i, s := range w.steps {
+		out[i] = s.Name
+	}
+	return out
 }

@@ -19,7 +19,7 @@ func TestMoistureWorkflowEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps := w.Steps()
+	steps := stepNames(w)
 	want := []string{"terrain", "observe", "train", "downscale", "publish"}
 	if len(steps) != len(want) {
 		t.Fatalf("steps %v", steps)

@@ -181,15 +181,6 @@ func (w *Workflow) Add(s Step) *Workflow {
 	return w
 }
 
-// Steps returns the step names in insertion order.
-func (w *Workflow) Steps() []string {
-	out := make([]string, len(w.steps))
-	for i, s := range w.steps {
-		out[i] = s.Name
-	}
-	return out
-}
-
 // order topologically sorts the steps, preferring insertion order among
 // ready steps so runs are deterministic. It rejects duplicate names,
 // unknown dependencies, and cycles.

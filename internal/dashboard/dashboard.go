@@ -388,8 +388,12 @@ func (s *Server) handleData(w http.ResponseWriter, r *http.Request) {
 
 // handleScript serves the snipping tool's generated Python script.
 func (s *Server) handleScript(w http.ResponseWriter, r *http.Request) {
-	_, req, err := s.regionRequest(r)
+	e, req, err := s.regionRequest(r)
 	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if _, err := e.Dataset().Meta.Field(req.Field); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -181,6 +181,59 @@ func TestScriptEndpoint(t *testing.T) {
 	}
 }
 
+// TestScriptEndpointEscapesNames checks the generated script cannot be
+// turned into other Python: a field the dataset does not have is a 400,
+// not a script with a line of the caller's code, and a registered
+// dataset whose name needs escaping gets a URL that parses back to it
+// and fetches the same array as /api/data.
+func TestScriptEndpointEscapesNames(t *testing.T) {
+	s, srv := newTestServer(t)
+	inject := url.QueryEscape("x\"\nimport os;os.system(\"id\")\n#")
+	resp, body := get(t, srv.URL+"/api/script?dataset=tennessee_30m&field="+inject)
+	if resp.StatusCode != http.StatusBadRequest || strings.Contains(string(body), "\nimport os") {
+		t.Fatalf("injected field: status %s, body:\n%s", resp.Status, body)
+	}
+
+	const name = "soil moisture & temp=1"
+	e, err := s.engine("tennessee_30m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Register(name, e)
+	region := "&field=hillshade&t=1&x0=8&y0=8&x1=24&y1=16&level=10"
+	resp, body = get(t, srv.URL+"/api/script?dataset="+url.QueryEscape(name)+region)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("script for %q: status %s: %s", name, resp.Status, body)
+	}
+	// The script's URL is the concatenation of the string literals
+	// between "URL = (" and ")".
+	_, rest, _ := strings.Cut(string(body), "URL = (\n")
+	literals, _, _ := strings.Cut(rest, "\n)")
+	var scriptURL string
+	for _, line := range strings.Split(literals, "\n") {
+		lit, err := strconv.Unquote(strings.TrimSpace(line))
+		if err != nil {
+			t.Fatalf("script URL line %q is not one string literal: %v\n%s", line, err, body)
+		}
+		scriptURL += lit
+	}
+	u, err := url.Parse(scriptURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := u.Query(); q.Get("dataset") != name || q.Get("field") != "hillshade" {
+		t.Fatalf("script URL %s names dataset %q field %q, want %q hillshade", scriptURL, q.Get("dataset"), q.Get("field"), name)
+	}
+	resp, fromScript := get(t, scriptURL)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("script URL %s: status %s", scriptURL, resp.Status)
+	}
+	_, direct := get(t, srv.URL+"/api/data?dataset="+url.QueryEscape(name)+region)
+	if !reflect.DeepEqual(fromScript, direct) {
+		t.Errorf("script URL fetched %d bytes that differ from /api/data's %d", len(fromScript), len(direct))
+	}
+}
+
 func TestSliceEndpoints(t *testing.T) {
 	_, srv := newTestServer(t)
 	resp, body := get(t, srv.URL+"/api/slice?dataset=tennessee_30m&axis=h&index=5")

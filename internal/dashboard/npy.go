@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/url"
 	"strings"
 	"sync"
 
@@ -119,7 +120,8 @@ func DecodeNPY(data []byte) (*raster.Grid, error) {
 
 // PythonScript generates the snippet the snipping tool offers alongside
 // the array download: a standalone script that re-extracts the same
-// region from the dashboard at a later time.
+// region from the dashboard at a later time. The dataset and field are
+// query-escaped, so no name can end the Python string literal.
 func PythonScript(baseURL, dataset, field string, t int, x0, y0, x1, y1, level int) string {
 	return fmt.Sprintf(`# Generated by the NSDF dashboard snipping tool.
 # Re-extracts the selected region as a NumPy array.
@@ -139,5 +141,5 @@ with urllib.request.urlopen(URL) as resp:
 
 print("region shape:", data.shape)
 print("min=%%g max=%%g mean=%%g" %% (data.min(), data.max(), data.mean()))
-`, baseURL, dataset, field, t, x0, y0, x1, y1, level)
+`, baseURL, url.QueryEscape(dataset), url.QueryEscape(field), t, x0, y0, x1, y1, level)
 }

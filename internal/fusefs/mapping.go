@@ -2,10 +2,10 @@
 // 2022): a file-system facade over S3-compatible object storage, with
 // pluggable "mapping packages" that decide how files map to objects. The
 // original service mounts through the Linux kernel's FUSE layer — a
-// hardware/OS gate for a portable reproduction — so this package exposes
-// the same mapping logic as an in-process io/fs.FS, which exercises the
-// identical name↔key and split/join code paths the NSDF-FUSE paper
-// benchmarks.
+// hardware/OS gate for a portable reproduction — so this package provides
+// the mapping packages themselves, which nsdf-fuse drives directly over a
+// store: the identical name↔key and split/join code paths the NSDF-FUSE
+// paper benchmarks.
 //
 // Three mapping packages are provided, mirroring the design space the
 // paper studies:

@@ -29,7 +29,7 @@ func FuzzHZRuns(f *testing.F) {
 		L := int(level) % (m + 1)
 		s := b.LevelStrides(L)
 		sx, sy := s[0], s[1]
-		dims := b.Pow2Dims()
+		dims := pow2Dims(b)
 
 		x0 := int(rx0) % dims[0]
 		x1 := x0 + 1 + int(rx1)%(dims[0]-x0)
@@ -134,7 +134,7 @@ func FuzzTilePlan(f *testing.F) {
 		raw := [Axes][2]uint16{{rx0, rnx}, {ry0, rny}, {rz0, rnz}}
 		lo, hi := [Axes]int{}, [Axes]int{1, 1, 1}
 		s := b.LevelStrides(L)
-		for a, d := range b.Pow2Dims() {
+		for a, d := range pow2Dims(b) {
 			lo[a] = int(raw[a][0]) % d
 			hi[a] = min(d, lo[a]+(1+int(raw[a][1])%side)*s[a])
 		}

@@ -67,16 +67,6 @@ func Parse(s string) (Bitmask, error) {
 	return b, nil
 }
 
-// MustParse is like Parse but panics on error. Intended for constants and
-// tests.
-func MustParse(s string) Bitmask {
-	b, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 // Guess constructs a bitmask for a grid with the given dimensions,
 // following the same heuristic as OpenVisus: repeatedly split the axis
 // with the largest remaining extent, so that the coarsest bits separate
@@ -135,19 +125,6 @@ func (b Bitmask) Dims() int { return b.ndim }
 // AxisBits returns how many bits the mask assigns to axis a, i.e. the
 // log2 of the (power-of-two padded) extent along that axis.
 func (b Bitmask) AxisBits(a int) int { return b.perAxisBits[a] }
-
-// Pow2Dims returns the power-of-two padded grid dimensions addressed by
-// the mask.
-func (b Bitmask) Pow2Dims() []int {
-	out := make([]int, b.ndim)
-	for a := 0; a < b.ndim; a++ {
-		out[a] = 1 << b.perAxisBits[a]
-	}
-	return out
-}
-
-// Axis returns the axis assigned to bit k, where k=0 is the coarsest bit.
-func (b Bitmask) Axis(k int) int { return b.axes[k] }
 
 // Interleave computes the Z-order (Morton) address of the point p.
 // The coordinate bits are distributed according to the mask: the last
@@ -209,21 +186,6 @@ func HZToZ(h uint64, m int) uint64 {
 	return q << (m - l)
 }
 
-// Level returns the HZ level of the hierarchical address h. Level 0 holds
-// exactly one sample; level l>0 holds 2^(l-1) samples.
-func Level(h uint64) int {
-	return bits.Len64(h)
-}
-
-// LevelRange returns the half-open HZ address range [lo, hi) occupied by
-// level l under a mask with m bits. Level 0 is [0,1).
-func LevelRange(l, m int) (lo, hi uint64) {
-	if l == 0 {
-		return 0, 1
-	}
-	return uint64(1) << (l - 1), uint64(1) << l
-}
-
 // PointHZ computes the hierarchical-Z address of point p directly.
 func (b Bitmask) PointHZ(p []int) uint64 {
 	return ZToHZ(b.Interleave(p), b.m)
@@ -264,7 +226,3 @@ func ceilLog2(v int) int {
 	}
 	return bits.Len(uint(v - 1))
 }
-
-// CeilLog2 is the exported form of ceilLog2, used by the idx package to
-// compute padded grid extents.
-func CeilLog2(v int) int { return ceilLog2(v) }

@@ -1,7 +1,9 @@
 package hz
 
 import (
+	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -71,14 +73,11 @@ func TestGuessRectangular(t *testing.T) {
 	if b.Bits() != 16 {
 		t.Fatalf("Bits() = %d, want 16", b.Bits())
 	}
-	for k := 0; k < 4; k++ {
-		if b.Axis(k) != 0 {
-			t.Errorf("Axis(%d) = %d, want 0", k, b.Axis(k))
-		}
+	if !strings.HasPrefix(b.String(), "V0000") {
+		t.Errorf("mask %s: the first 4 coarse bits are not all axis 0", b)
 	}
-	d := b.Pow2Dims()
-	if d[0] != 1024 || d[1] != 64 {
-		t.Errorf("Pow2Dims = %v, want [1024 64]", d)
+	if d := pow2Dims(b); d[0] != 1024 || d[1] != 64 {
+		t.Errorf("padded dims = %v, want [1024 64]", d)
 	}
 }
 
@@ -87,9 +86,8 @@ func TestGuessNonPow2Pads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := b.Pow2Dims()
-	if d[0] != 512 || d[1] != 256 {
-		t.Errorf("Pow2Dims = %v, want [512 256]", d)
+	if d := pow2Dims(b); d[0] != 512 || d[1] != 256 {
+		t.Errorf("padded dims = %v, want [512 256]", d)
 	}
 }
 
@@ -219,48 +217,19 @@ func TestZToHZKnownValues(t *testing.T) {
 	}
 }
 
-func TestLevel(t *testing.T) {
-	cases := []struct {
-		h uint64
-		l int
-	}{
-		{0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {7, 3}, {8, 4}, {1 << 20, 21},
-	}
-	for _, c := range cases {
-		if got := Level(c.h); got != c.l {
-			t.Errorf("Level(%d) = %d, want %d", c.h, got, c.l)
-		}
-	}
-}
-
+// TestLevelRange checks the layout ZToHZ documents: level l, the z
+// addresses with m-l trailing zeros, occupies HZ addresses
+// [2^(l-1), 2^l), and level 0 is [0,1).
 func TestLevelRange(t *testing.T) {
-	lo, hi := LevelRange(0, 8)
-	if lo != 0 || hi != 1 {
-		t.Errorf("LevelRange(0) = [%d,%d), want [0,1)", lo, hi)
-	}
-	lo, hi = LevelRange(3, 8)
-	if lo != 4 || hi != 8 {
-		t.Errorf("LevelRange(3) = [%d,%d), want [4,8)", lo, hi)
-	}
-	// Levels partition [0, 2^m).
-	var total uint64
-	for l := 0; l <= 8; l++ {
-		lo, hi := LevelRange(l, 8)
-		total += hi - lo
-	}
-	if total != 256 {
-		t.Errorf("levels cover %d addresses, want 256", total)
-	}
-}
-
-func TestLevelConsistentWithRange(t *testing.T) {
-	const m = 10
-	for l := 0; l <= m; l++ {
-		lo, hi := LevelRange(l, m)
-		for h := lo; h < hi; h += 7 {
-			if Level(h) != l {
-				t.Fatalf("Level(%d) = %d, want %d", h, Level(h), l)
-			}
+	const m = 8
+	for z := uint64(0); z < 1<<m; z++ {
+		lo, hi := uint64(0), uint64(1)
+		if z != 0 {
+			l := m - bits.TrailingZeros64(z)
+			lo, hi = 1<<(l-1), 1<<l
+		}
+		if h := ZToHZ(z, m); h < lo || h >= hi {
+			t.Fatalf("ZToHZ(%d,%d) = %d, outside its level's range [%d,%d)", z, m, h, lo, hi)
 		}
 	}
 }
@@ -315,8 +284,8 @@ func TestLevelStridesMatchHZLevels(t *testing.T) {
 			for y := 0; y < 8; y++ {
 				h := b.PointHZ([]int{x, y})
 				onLattice := x%s[0] == 0 && y%s[1] == 0
-				if onLattice != (Level(h) <= L) {
-					t.Fatalf("L=%d point (%d,%d): lattice=%v level=%d", L, x, y, onLattice, Level(h))
+				if level := bits.Len64(h); onLattice != (level <= L) {
+					t.Fatalf("L=%d point (%d,%d): lattice=%v level=%d", L, x, y, onLattice, level)
 				}
 			}
 		}
@@ -336,8 +305,8 @@ func TestLevelStridesPanicsOutOfRange(t *testing.T) {
 func TestCeilLog2(t *testing.T) {
 	cases := []struct{ v, want int }{{1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {1024, 10}, {1025, 11}}
 	for _, c := range cases {
-		if got := CeilLog2(c.v); got != c.want {
-			t.Errorf("CeilLog2(%d) = %d, want %d", c.v, got, c.want)
+		if got := ceilLog2(c.v); got != c.want {
+			t.Errorf("ceilLog2(%d) = %d, want %d", c.v, got, c.want)
 		}
 	}
 }
@@ -386,4 +355,23 @@ func BenchmarkHZToZ(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = HZToZ(uint64(i)&0xFFFFF, 20)
 	}
+}
+
+// MustParse is like Parse but panics on error. The tests use it for
+// constant bitmasks.
+func MustParse(s string) Bitmask {
+	b, err := Parse(s)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// pow2Dims returns the power-of-two padded grid dimensions b addresses.
+func pow2Dims(b Bitmask) []int {
+	out := make([]int, b.Dims())
+	for a := range out {
+		out[a] = 1 << b.AxisBits(a)
+	}
+	return out
 }

@@ -1,6 +1,7 @@
 package hz
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -67,7 +68,7 @@ func TestHZRunsMatchPerSample(t *testing.T) {
 		}
 		s := b.LevelStrides(L)
 		sx, sy := s[0], s[1]
-		dims := b.Pow2Dims()
+		dims := pow2Dims(b)
 		// Random half-open box inside the padded grid, then aligned to
 		// the level lattice the way ReadBox aligns it.
 		x0 := r.Intn(dims[0])
@@ -114,7 +115,7 @@ func TestHZRunsMatchPerSample(t *testing.T) {
 func TestHZRunsNonSquareFullGrid(t *testing.T) {
 	for _, ms := range []string{"V000111", "V111000", "V0101", "V10", "V01", "V1100110"} {
 		b := MustParse(ms)
-		dims := b.Pow2Dims()
+		dims := pow2Dims(b)
 		w, h := dims[0], dims[1]
 		runs := b.HZRuns(nil, RunQuery{NX: w, NY: h, Level: b.Bits(), OutW: w})
 		got := expandRuns(t, runs, 0)
@@ -158,7 +159,7 @@ func TestHZRunsAreMaximal(t *testing.T) {
 	// decompose into runs of exactly 2 here, never 1.
 	var finest int
 	for _, r := range runs {
-		if Level(r.HZ) == 8 {
+		if bits.Len64(r.HZ) == 8 {
 			finest++
 			if r.N != 2 {
 				t.Fatalf("finest-level run %+v has length %d, want 2", r, r.N)

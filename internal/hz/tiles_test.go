@@ -118,7 +118,7 @@ func TestTilePlanMatchesRuns(t *testing.T) {
 		b := randomMask(r, 2+trial%2)
 		m := b.Bits()
 		lo, hi := [Axes]int{}, [Axes]int{1, 1, 1}
-		for a, d := range b.Pow2Dims() {
+		for a, d := range pow2Dims(b) {
 			lo[a] = r.Intn(d)
 			hi[a] = lo[a] + 1 + r.Intn(d-lo[a])
 		}
@@ -137,7 +137,7 @@ func TestTilePlanMatchesRuns(t *testing.T) {
 	for _, ms := range masks {
 		b := MustParse(ms)
 		hi := [Axes]int{1, 1, 1}
-		copy(hi[:], b.Pow2Dims())
+		copy(hi[:], pow2Dims(b))
 		for level := 0; level <= b.Bits(); level++ {
 			for split := 0; split <= b.Bits(); split++ {
 				q, _ := latticeQuery(b, [Axes]int{}, hi, level, split)

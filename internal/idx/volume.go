@@ -22,9 +22,6 @@ type Box3 struct {
 	X1, Y1, Z1 int
 }
 
-// Empty reports whether the box contains no voxels.
-func (b Box3) Empty() bool { return b.X1 <= b.X0 || b.Y1 <= b.Y0 || b.Z1 <= b.Z0 }
-
 // FullBox3 returns the dataset's entire 3D extent.
 func (d *Dataset) FullBox3() Box3 {
 	return Box3{X1: d.Meta.Dims[0], Y1: d.Meta.Dims[1], Z1: d.Meta.Dims[2]}
@@ -67,11 +64,6 @@ type Volume3 struct {
 	// Offset is the full-resolution coordinate of the result's first
 	// sample; Stride is the sampling stride per axis at the read level.
 	Offset, Stride [3]int
-}
-
-// At returns the sample at result coordinates (x,y,z).
-func (v *Volume3) At(x, y, z int) float32 {
-	return v.Data[(z*v.Dims[1]+y)*v.Dims[0]+x]
 }
 
 // ReadBox3D extracts the level-L lattice samples within box from a 3D

@@ -79,7 +79,7 @@ func TestVolumeSubBox(t *testing.T) {
 		for y := 0; y < 8; y++ {
 			for x := 0; x < 8; x++ {
 				want := float32((4 + x) + 100*(2+y) + 10000*(1+z))
-				if got := vol.At(x, y, z); got != want {
+				if got := at3(vol, x, y, z); got != want {
 					t.Fatalf("(%d,%d,%d) = %v, want %v", x, y, z, got, want)
 				}
 			}
@@ -107,7 +107,7 @@ func TestVolumeCoarseLevels(t *testing.T) {
 					sy := vol.Offset[1] + y*vol.Stride[1]
 					sz := vol.Offset[2] + z*vol.Stride[2]
 					want := data[(sz*h+sy)*w+sx]
-					if got := vol.At(x, y, z); got != want {
+					if got := at3(vol, x, y, z); got != want {
 						t.Fatalf("level %d (%d,%d,%d): %v != %v", level, x, y, z, got, want)
 					}
 				}
@@ -152,7 +152,7 @@ func TestVolumeSliceZ(t *testing.T) {
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			want := data[(3*h+y)*w+x]
-			if got := slice.At(x, y, 0); got != want {
+			if got := at3(slice, x, y, 0); got != want {
 				t.Fatalf("(%d,%d): %v != %v", x, y, got, want)
 			}
 		}
@@ -283,4 +283,9 @@ func BenchmarkVolumeSliceZ(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// at3 returns v's sample at result coordinates (x,y,z).
+func at3(v *Volume3, x, y, z int) float32 {
+	return v.Data[(z*v.Dims[1]+y)*v.Dims[0]+x]
 }

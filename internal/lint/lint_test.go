@@ -303,3 +303,16 @@ func TestObligationIsASpec(t *testing.T) {
 		}
 	}
 }
+
+// Run executes the analyzers over the packages and returns the findings
+// that survive allow-comment suppression, sorted by position. An
+// analyzer internal error (see RunAll) panics: tests and callers that
+// use Run treat a malfunctioning analyzer as a hard failure, never as a
+// clean result.
+func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
+	findings, errs := RunAll(pkgs, analyzers)
+	if len(errs) > 0 {
+		panic(fmt.Sprintf("lint: %d internal analyzer error(s), first: %v", len(errs), errs[0]))
+	}
+	return findings
+}

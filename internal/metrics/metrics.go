@@ -100,29 +100,6 @@ func Compare(ref, test []float32, w, h int) (Report, error) {
 	return rep, nil
 }
 
-// RMSE computes only the root-mean-square error between two equal-length
-// slices, ignoring non-finite pairs.
-func RMSE(a, b []float32) float64 {
-	if len(a) != len(b) {
-		return math.NaN()
-	}
-	var sum float64
-	n := 0
-	for i := range a {
-		x, y := float64(a[i]), float64(b[i])
-		if math.IsNaN(x) || math.IsNaN(y) || math.IsInf(x, 0) || math.IsInf(y, 0) {
-			continue
-		}
-		d := x - y
-		sum += d * d
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Sqrt(sum / float64(n))
-}
-
 // ssim computes the mean SSIM over non-overlapping 8x8 windows, using the
 // dynamic range of ref for the stabilising constants. Windows containing
 // non-finite samples are skipped. Returns 1 for degenerate inputs with no

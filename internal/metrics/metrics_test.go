@@ -157,18 +157,6 @@ func TestCompareConstantRaster(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	if v := RMSE([]float32{0, 0}, []float32{3, 4}); math.Abs(v-math.Sqrt(12.5)) > 1e-9 {
-		t.Errorf("RMSE = %v, want sqrt(12.5)", v)
-	}
-	if v := RMSE([]float32{1}, []float32{1, 2}); !math.IsNaN(v) {
-		t.Errorf("length mismatch should give NaN, got %v", v)
-	}
-	if v := RMSE(nil, nil); v != 0 {
-		t.Errorf("empty RMSE = %v, want 0", v)
-	}
-}
-
 func TestCompareSymmetryOfErrorProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

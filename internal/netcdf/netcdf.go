@@ -155,16 +155,6 @@ func (f *File) VarLen(v *Var) (int, error) {
 	return n, nil
 }
 
-// Attr returns a variable attribute value by name.
-func (v *Var) Attr(name string) (any, bool) {
-	for _, a := range v.Attrs {
-		if a.Name == name {
-			return a.Value, true
-		}
-	}
-	return nil, false
-}
-
 // Validate checks the structural invariants before encoding.
 func (f *File) Validate() error {
 	for i, d := range f.Dims {
@@ -359,17 +349,8 @@ func (f *File) Encode(w io.Writer) error {
 	return nil
 }
 
-// Decode parses a NetCDF classic (CDF-1 or CDF-2) stream with fixed-size
-// variables.
-func Decode(r io.Reader) (*File, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("netcdf: read: %w", err)
-	}
-	return DecodeBytes(data)
-}
-
-// DecodeBytes parses an in-memory NetCDF classic file.
+// DecodeBytes parses an in-memory NetCDF classic (CDF-1 or CDF-2) file
+// with fixed-size variables.
 func DecodeBytes(data []byte) (*File, error) {
 	d := &ncDecoder{data: data}
 	return d.decode()

@@ -63,10 +63,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if units, ok := v.Attr("units"); !ok || units.(string) != "K" {
+	if units, ok := attr(v, "units"); !ok || units.(string) != "K" {
 		t.Errorf("units attr %v", units)
 	}
-	if vr, ok := v.Attr("valid_range"); !ok || vr.([]float32)[1] != 400 {
+	if vr, ok := attr(v, "valid_range"); !ok || vr.([]float32)[1] != 400 {
 		t.Errorf("valid_range %v", vr)
 	}
 	if !bytes.Equal(v.Data, f.Vars[0].Data) {
@@ -198,7 +198,7 @@ func TestGridRoundTripWithGeoref(t *testing.T) {
 	}
 	// CF units attribute present.
 	v, _ := back.Var("soil_moisture")
-	if u, ok := v.Attr("units"); !ok || u.(string) != "m3 m-3" {
+	if u, ok := attr(v, "units"); !ok || u.(string) != "m3 m-3" {
 		t.Errorf("units %v", u)
 	}
 }
@@ -303,4 +303,14 @@ func BenchmarkEncode512(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// attr returns v's attribute value by name.
+func attr(v *Var, name string) (any, bool) {
+	for _, a := range v.Attrs {
+		if a.Name == name {
+			return a.Value, true
+		}
+	}
+	return nil, false
 }

@@ -108,9 +108,6 @@ func (m *Monitor) Tick(probes int) (*Report, error) {
 	return rep, nil
 }
 
-// Sweeps returns how many reports the window currently holds.
-func (m *Monitor) Sweeps() int { return len(m.history) }
-
 // Alert flags one degrading directed link.
 type Alert struct {
 	// Pair is "from->to".

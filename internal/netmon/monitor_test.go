@@ -60,8 +60,8 @@ func TestMonitorWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.Sweeps() != 3 {
-		t.Errorf("window holds %d sweeps, want 3", m.Sweeps())
+	if len(m.history) != 3 {
+		t.Errorf("window holds %d sweeps, want 3", len(m.history))
 	}
 }
 
@@ -151,15 +151,5 @@ func TestMonitorDetectsThroughputCollapse(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("throughput collapse not flagged: %+v", alerts)
-	}
-}
-
-func TestMonitorTransferTimeReflectsDegradation(t *testing.T) {
-	n := testNetwork(t)
-	before, _ := n.TransferTime("utah", "utk", 1<<30)
-	n.Degrade("utah", "utk", 2, 8)
-	after, _ := n.TransferTime("utah", "utk", 1<<30)
-	if after < 4*before {
-		t.Errorf("degraded transfer %v not clearly slower than %v", after, before)
 	}
 }

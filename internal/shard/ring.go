@@ -83,22 +83,6 @@ func (r *Ring) Add(node string) {
 	sort.Slice(r.vnodes, func(i, j int) bool { return r.vnodes[i].hash < r.vnodes[j].hash })
 }
 
-// Remove deletes node's vnodes from the ring. Removing an absent node is
-// a no-op.
-func (r *Ring) Remove(node string) {
-	if _, ok := r.nodes[node]; !ok {
-		return
-	}
-	delete(r.nodes, node)
-	kept := r.vnodes[:0]
-	for _, v := range r.vnodes {
-		if v.node != node {
-			kept = append(kept, v)
-		}
-	}
-	r.vnodes = kept
-}
-
 // Len reports the number of nodes on the ring.
 func (r *Ring) Len() int { return len(r.nodes) }
 
@@ -114,15 +98,6 @@ func (r *Ring) Nodes() []string {
 
 // VirtualNodes reports the per-node vnode count.
 func (r *Ring) VirtualNodes() int { return r.virtualNodes }
-
-// Primary returns the node owning key, or "" on an empty ring.
-func (r *Ring) Primary(key string) string {
-	reps := r.Replicas(key, 1)
-	if len(reps) == 0 {
-		return ""
-	}
-	return reps[0]
-}
 
 // Replicas returns the n distinct nodes responsible for key, in
 // preference order: the first vnode at or clockwise of hash(key) names
@@ -146,17 +121,6 @@ func (r *Ring) Replicas(key string, n int) []string {
 		}
 		seen[v.node] = struct{}{}
 		out = append(out, v.node)
-	}
-	return out
-}
-
-// Spread counts, for each node, how many of the given keys it owns as
-// primary — the load-balance diagnostic the distribution tests and the
-// per-node gauges use.
-func (r *Ring) Spread(keys []string) map[string]int {
-	out := make(map[string]int, len(r.nodes))
-	for _, k := range keys {
-		out[r.Primary(k)]++
 	}
 	return out
 }

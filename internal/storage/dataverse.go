@@ -200,26 +200,3 @@ func (d *Dataverse) Info(doi string) (DatasetInfo, error) {
 	}
 	return info, nil
 }
-
-// Search returns datasets whose title, description, or subject contains
-// the query (case-insensitive), sorted by DOI. Only published datasets
-// are visible, matching Dataverse's public search.
-func (d *Dataverse) Search(query string) []DatasetInfo {
-	q := strings.ToLower(query)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []DatasetInfo
-	for doi, ds := range d.datasets {
-		if ds.version == 0 {
-			continue
-		}
-		hay := strings.ToLower(ds.meta.Title + " " + ds.meta.Description + " " + ds.meta.Subject)
-		if q == "" || strings.Contains(hay, q) {
-			info := DatasetInfo{DOI: doi, Meta: ds.meta, Version: ds.version, Published: ds.published}
-			info.Files = append([]string(nil), ds.versions[ds.version]...)
-			out = append(out, info)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].DOI < out[j].DOI })
-	return out
-}

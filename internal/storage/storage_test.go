@@ -180,16 +180,6 @@ func TestMemStoreIsolation(t *testing.T) {
 	}
 }
 
-func TestMemStoreTotalBytes(t *testing.T) {
-	ctx := context.Background()
-	s := NewMemStore()
-	s.Put(ctx, "a", make([]byte, 10))
-	s.Put(ctx, "b", make([]byte, 5))
-	if s.TotalBytes() != 15 {
-		t.Errorf("TotalBytes = %d", s.TotalBytes())
-	}
-}
-
 func TestConditionedAddsLatency(t *testing.T) {
 	ctx := context.Background()
 	inner := NewMemStore()
@@ -249,12 +239,9 @@ func TestDataverseLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Unpublished: not downloadable, not searchable.
+	// Unpublished: not downloadable.
 	if _, err := dv.GetFile(ctx, doi, "elevation.tif"); err == nil {
 		t.Error("draft file downloadable before publish")
-	}
-	if res := dv.Search("CONUS"); len(res) != 0 {
-		t.Errorf("draft visible in search: %+v", res)
 	}
 	if err := dv.AddFile(ctx, doi, "elevation.tif", []byte("tif-bytes-v1")); err != nil {
 		t.Fatal(err)
@@ -281,11 +268,6 @@ func TestDataverseLifecycle(t *testing.T) {
 	cur, _ := dv.GetFile(ctx, doi, "elevation.tif")
 	if string(cur) != "tif-bytes-v2" {
 		t.Fatalf("latest: %q", cur)
-	}
-	// Search finds it now.
-	res := dv.Search("conus")
-	if len(res) != 1 || res[0].DOI != doi {
-		t.Errorf("Search: %+v", res)
 	}
 	info, err := dv.Info(doi)
 	if err != nil || info.Version != 2 || len(info.Files) != 1 {

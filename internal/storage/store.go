@@ -157,17 +157,6 @@ func (s *MemStore) List(ctx context.Context, prefix string) ([]ObjectInfo, error
 	return out, nil
 }
 
-// TotalBytes returns the sum of stored payload sizes.
-func (s *MemStore) TotalBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var total int64
-	for _, obj := range s.objects {
-		total += int64(len(obj.data))
-	}
-	return total
-}
-
 // FileStore is a Store rooted at a directory. Each Put stages its payload
 // in a temp file of its own under root/.nsdf-tmp, a directory outside the
 // key space, and renames it into place.

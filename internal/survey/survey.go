@@ -149,15 +149,6 @@ func (d *Distribution) PercentPositive() float64 {
 	return float64(d.Counts[Agree]+d.Counts[StronglyAgree]) / float64(n)
 }
 
-// Add records one response.
-func (d *Distribution) Add(l Level) error {
-	if l < 0 || l >= numLevels {
-		return fmt.Errorf("survey: invalid level %d", int(l))
-	}
-	d.Counts[l]++
-	return nil
-}
-
 // SynthesizeResponses generates the Fig. 8 response distributions for n
 // respondents under the paper's qualitative calibration: responses are
 // drawn with ~60% strongly agree, ~30% agree, ~7% neutral, ~3% negative.

@@ -107,19 +107,6 @@ func TestDistributionEmpty(t *testing.T) {
 	}
 }
 
-func TestDistributionAdd(t *testing.T) {
-	var d Distribution
-	if err := d.Add(Agree); err != nil {
-		t.Fatal(err)
-	}
-	if d.Counts[Agree] != 1 {
-		t.Error("Add did not count")
-	}
-	if err := d.Add(Level(9)); err == nil {
-		t.Error("invalid level accepted")
-	}
-}
-
 func TestSynthesizeResponsesDeterministicAndPositive(t *testing.T) {
 	qs := Fig8Questions()
 	a := SynthesizeResponses(qs, 108, 7)

@@ -163,11 +163,6 @@ func (r *Recorder) Snapshot() []Event {
 	return out
 }
 
-// WriteText renders the ring human-readably, oldest first.
-func (r *Recorder) WriteText(w io.Writer) {
-	r.writeEvents(w, r.Snapshot())
-}
-
 // writeEvents renders the header line and one line per event.
 func (r *Recorder) writeEvents(w io.Writer, events []Event) {
 	fmt.Fprintf(w, "flightrecorder  events=%d recorded=%d capacity=%d\n",

@@ -61,17 +61,6 @@ type Gauge struct {
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -271,25 +260,13 @@ type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
 	names    []string
-	strict   bool
 	warned   map[string]bool
 }
 
-// NewRegistry returns an empty registry in logging mode: a misnamed
-// metric is reported once but still registered, so production services
-// never crash over a label. See SetStrict.
+// NewRegistry returns an empty registry. A misnamed metric is reported
+// once but still registered, so services never crash over a label.
 func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
-}
-
-// SetStrict switches misnamed-metric handling between logging (false,
-// the default) and panicking (true) — tests use strict registries so a
-// dynamically built name that dodges the metricname analyzer still
-// fails loudly. Call it before the registry sees traffic.
-func (r *Registry) SetStrict(on bool) {
-	r.mu.Lock()
-	r.strict = on
-	r.mu.Unlock()
 }
 
 // checkName validates a family name on first registration. Caller holds
@@ -297,9 +274,6 @@ func (r *Registry) SetStrict(on bool) {
 func (r *Registry) checkName(name string) {
 	if MetricNamePattern.MatchString(name) {
 		return
-	}
-	if r.strict {
-		panic(fmt.Sprintf("telemetry: metric name %q does not match %s", name, MetricNamePattern))
 	}
 	if r.warned == nil {
 		r.warned = make(map[string]bool)

@@ -32,8 +32,8 @@ func TestConcurrentCounters(t *testing.T) {
 			h := reg.Histogram("latency_seconds")
 			for i := 0; i < perG; i++ {
 				c.Inc()
-				gg.Add(1)
-				gg.Add(-1)
+				gg.Set(1)
+				gg.Set(0)
 				h.Observe(0.003)
 			}
 		}()

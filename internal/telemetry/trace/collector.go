@@ -97,17 +97,6 @@ func (c *Collector) publish(t *TraceData) {
 	c.mu.Unlock()
 }
 
-// Total reports how many traces have ever been published (including
-// evicted ones).
-func (c *Collector) Total() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.added
-}
-
-// Capacity reports the ring size.
-func (c *Collector) Capacity() int { return len(c.buf) }
-
 // Snapshot returns the retained traces, newest first. The returned
 // slice and its TraceData are immutable snapshots safe to read without
 // locks.

@@ -33,7 +33,7 @@ func TestRingEvictionConcurrent(t *testing.T) {
 	wg.Wait()
 
 	total := writers * perWriter
-	if got := col.Total(); got != uint64(total) {
+	if got := col.added; got != uint64(total) {
 		t.Fatalf("Total = %d, want %d", got, total)
 	}
 	snap := col.Snapshot()

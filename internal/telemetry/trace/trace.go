@@ -120,16 +120,6 @@ type TraceData struct {
 	seq uint64
 }
 
-// Span finds the first recorded span with the given name, or nil.
-func (t *TraceData) Span(name string) *SpanData {
-	for i := range t.Spans {
-		if t.Spans[i].Name == name {
-			return &t.Spans[i]
-		}
-	}
-	return nil
-}
-
 // HasAttr reports whether any span carries the attribute key=value.
 func (t *TraceData) HasAttr(key, value string) bool {
 	for i := range t.Spans {

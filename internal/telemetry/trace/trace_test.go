@@ -161,7 +161,7 @@ func TestSpanTree(t *testing.T) {
 	}
 	// Double End must not re-publish or change the snapshot.
 	root.End()
-	if got := col.Total(); got != 1 {
+	if got := col.added; got != 1 {
 		t.Fatalf("Total = %d after double End, want 1", got)
 	}
 }
@@ -199,4 +199,14 @@ func TestLateSpanDropped(t *testing.T) {
 	if got := len(root.Finished().Spans); got != before {
 		t.Fatalf("late span mutated the finished trace: %d -> %d spans", before, got)
 	}
+}
+
+// Span finds the first recorded span with the given name, or nil.
+func (t *TraceData) Span(name string) *SpanData {
+	for i := range t.Spans {
+		if t.Spans[i].Name == name {
+			return &t.Spans[i]
+		}
+	}
+	return nil
 }

@@ -11,14 +11,6 @@ import (
 	"nsdfgo/internal/telemetry/trace"
 )
 
-// TraceIDHeader is the HTTP header carrying a request's trace ID, both
-// inbound (a client or upstream service propagating its own ID) and
-// outbound (the serving stack echoing the ID it used, so a student can
-// paste it straight into /debug/traces?trace=). It now lives in the
-// trace package (which also defines the cross-process ParentHeader);
-// this alias keeps existing call sites compiling.
-const TraceIDHeader = trace.TraceIDHeader
-
 // TracingOptions configures WithTracing.
 type TracingOptions struct {
 	// Service labels the root span (e.g. "dashboard", "store").
@@ -51,11 +43,11 @@ func WithTracing(next http.Handler, col *trace.Collector, opts TracingOptions) h
 		logger = slog.Default()
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(TraceIDHeader)
+		id := r.Header.Get(trace.TraceIDHeader)
 		if !trace.ValidID(id) {
 			id = trace.NewID()
 		}
-		w.Header().Set(TraceIDHeader, id)
+		w.Header().Set(trace.TraceIDHeader, id)
 		root := col.StartTrace(id, "http "+r.URL.Path,
 			trace.Str("service", opts.Service),
 			trace.Str("method", r.Method))

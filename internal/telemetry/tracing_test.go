@@ -38,21 +38,27 @@ func TestTracingAdoptsInboundID(t *testing.T) {
 	}), col, TracingOptions{Service: "test"})
 
 	req := httptest.NewRequest("GET", "/api/data", nil)
-	req.Header.Set(TraceIDHeader, id)
+	req.Header.Set(trace.TraceIDHeader, id)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 
 	if seen != id {
 		t.Fatalf("handler context carried trace %q, want %q", seen, id)
 	}
-	if got := rec.Header().Get(TraceIDHeader); got != id {
+	if got := rec.Header().Get(trace.TraceIDHeader); got != id {
 		t.Fatalf("response header = %q, want %q", got, id)
 	}
 	data := col.Find(id)
 	if data == nil {
 		t.Fatalf("trace %s not in collector", id)
 	}
-	root := data.Span("http /api/data")
+	var root *trace.SpanData
+	for i := range data.Spans {
+		if data.Spans[i].Name == "http /api/data" {
+			root = &data.Spans[i]
+			break
+		}
+	}
 	if root == nil {
 		t.Fatalf("root span missing: %+v", data.Spans)
 	}
@@ -70,11 +76,11 @@ func TestTracingRejectsMalformedID(t *testing.T) {
 	for _, bad := range []string{"", "short", strings.Repeat("Z", 32), strings.Repeat("a", 33)} {
 		req := httptest.NewRequest("GET", "/x", nil)
 		if bad != "" {
-			req.Header.Set(TraceIDHeader, bad)
+			req.Header.Set(trace.TraceIDHeader, bad)
 		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
-		got := rec.Header().Get(TraceIDHeader)
+		got := rec.Header().Get(trace.TraceIDHeader)
 		if got == bad {
 			t.Errorf("malformed inbound ID %q was adopted", bad)
 		}
@@ -102,7 +108,7 @@ func TestSlowRequestLog(t *testing.T) {
 	}), col, TracingOptions{Service: "test", SlowRequest: time.Second, Logger: logger})
 
 	req := httptest.NewRequest("GET", "/api/data", nil)
-	req.Header.Set(TraceIDHeader, id)
+	req.Header.Set(trace.TraceIDHeader, id)
 	h.ServeHTTP(httptest.NewRecorder(), req)
 
 	out := buf.String()

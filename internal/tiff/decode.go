@@ -12,18 +12,9 @@ import (
 	"nsdfgo/internal/raster"
 )
 
-// Decode parses a TIFF stream produced by this package or any writer of
-// baseline single-band strip TIFFs (uncompressed or Deflate). Both byte
-// orders are accepted. Only the first IFD is read.
-func Decode(r io.Reader) (*Image, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("tiff: read: %w", err)
-	}
-	return DecodeBytes(data)
-}
-
-// DecodeBytes parses an in-memory TIFF file.
+// DecodeBytes parses an in-memory TIFF file produced by this package or
+// any writer of baseline single-band strip TIFFs (uncompressed or
+// Deflate). Both byte orders are accepted. Only the first IFD is read.
 func DecodeBytes(data []byte) (*Image, error) {
 	if len(data) < 8 {
 		return nil, fmt.Errorf("tiff: file of %d bytes is too short for a header", len(data))

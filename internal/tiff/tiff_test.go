@@ -27,7 +27,7 @@ func roundTrip(t *testing.T, im *Image, opts EncodeOptions) *Image {
 	if err := Encode(&buf, im, opts); err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	out, err := Decode(&buf)
+	out, err := DecodeBytes(buf.Bytes())
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestRoundTripFloat32Deflate(t *testing.T) {
 	if buf.Len() >= raw.Len() {
 		t.Errorf("deflate (%d bytes) not smaller than raw (%d bytes) on smooth data", buf.Len(), raw.Len())
 	}
-	out, err := Decode(&buf)
+	out, err := DecodeBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err := Encode(&buf, FromGrid(g), EncodeOptions{Compression: CompressionDeflate, RowsPerStrip: int(hRaw%5) + 1}); err != nil {
 			return false
 		}
-		out, err := Decode(&buf)
+		out, err := DecodeBytes(buf.Bytes())
 		if err != nil {
 			return false
 		}

@@ -66,7 +66,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(telemetry.TraceIDHeader, traceID)
+	req.Header.Set(trace.TraceIDHeader, traceID)
 	gets := reg.Counter("nsdf_storage_ops_total", "backend", "mem", "op", "get")
 	gets0 := gets.Value()
 	resp, err := http.DefaultClient.Do(req)
@@ -78,7 +78,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("data read status %s", resp.Status)
 	}
-	if got := resp.Header.Get(telemetry.TraceIDHeader); got != traceID {
+	if got := resp.Header.Get(trace.TraceIDHeader); got != traceID {
 		t.Fatalf("response trace header %q, want the client-supplied %q", got, traceID)
 	}
 
@@ -112,7 +112,13 @@ func TestTraceEndToEnd(t *testing.T) {
 		"idx.read", "idx.plan", "idx.decode", "idx.assemble",
 		"storage.get",
 	} {
-		sp := data.Span(name)
+		var sp *trace.SpanData
+		for i := range data.Spans {
+			if data.Spans[i].Name == name {
+				sp = &data.Spans[i]
+				break
+			}
+		}
 		if sp == nil {
 			t.Errorf("span %q missing from trace (got %d spans)", name, len(data.Spans))
 			continue
