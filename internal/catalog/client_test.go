@@ -1,7 +1,10 @@
 package catalog
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 )
@@ -38,6 +41,27 @@ func TestClientStats(t *testing.T) {
 	stats, err := c.Stats(ctx)
 	if err != nil || stats.Records != 4 {
 		t.Fatalf("Stats: %+v, %v", stats, err)
+	}
+}
+
+// TestClientDuplicateIDSurfaced posts a record whose ID the server's
+// catalog already holds: the server must answer 409 and keep the first.
+func TestClientDuplicateIDSurfaced(t *testing.T) {
+	c, cat := newClientFixture(t)
+	if _, err := cat.Add(Record{ID: "dup", Name: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal([]Record{{ID: "dup", Name: "b"}})
+	resp, err := http.Post(c.base+"/records", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Errorf("duplicate-ID ingest status %s, want 409", resp.Status)
+	}
+	if rec, ok := cat.Get("dup"); !ok || rec.Name != "a" {
+		t.Errorf("record after duplicate ingest = %+v, %v", rec, ok)
 	}
 }
 
