@@ -1,6 +1,6 @@
 # Developer entry points. `make check` is the full gate: tier-1
 # (build + test, matching ROADMAP.md) plus gofmt, vet, the race detector,
-# the nsdf-lint analyzer suite, a 5-second smoke of each of the nine
+# the nsdf-lint analyzer suite, a 5-second smoke of each of the ten
 # fuzz targets (every parser of untrusted bytes has one), a
 # reduced-size smoke of every benchmark harness (read path, trace
 # overhead, block cache, sharded tier, compression, lint, serving),
@@ -53,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMetaUnmarshalText$$' -fuzztime=5s ./internal/idx
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePeers$$' -fuzztime=5s ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzParseParent$$' -fuzztime=5s ./internal/telemetry/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzDashboardQuery$$' -fuzztime=5s ./internal/dashboard
 
 # bench/ is a module of its own (it imports this one through a replace),
 # so `go build ./... && go test ./...` here never compiles it: vet and

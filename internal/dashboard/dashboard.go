@@ -207,99 +207,91 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	tel.ObserveTraced(route, rec.Code, time.Since(start), trace.ID(r.Context()))
 }
 
+// routes maps every dashboard path to its handler. ServeHTTP labels
+// telemetry with the path only when it is a key here, which bounds the
+// route label's cardinality.
+var routes = map[string]func(*Server, http.ResponseWriter, *http.Request){
+	"/healthz":        func(_ *Server, w http.ResponseWriter, _ *http.Request) { telemetry.WriteHealth(w, "dashboard") },
+	"/api/datasets":   func(s *Server, w http.ResponseWriter, _ *http.Request) { writeJSON(w, s.Datasets()) },
+	"/api/render":     (*Server).handleRender,
+	"/api/data":       (*Server).handleData,
+	"/api/script":     (*Server).handleScript,
+	"/api/slice":      (*Server).handleSlice,
+	"/api/stats":      (*Server).handleStats,
+	"/api/playback":   (*Server).handlePlayback,
+	"/api/legend":     (*Server).handleLegend,
+	"/api/export.tif": (*Server).handleExportTIFF,
+	"/api/compare":    (*Server).handleCompare,
+	"/api/probe":      (*Server).handleProbe,
+	"/api/histogram":  (*Server).handleHistogram,
+	"/":               (*Server).handleIndex,
+}
+
 // route dispatches to the endpoint handlers, reporting whether the path
-// named a known route (used to bound telemetry label cardinality).
+// named a known route.
 func (s *Server) route(w http.ResponseWriter, r *http.Request) bool {
-	switch r.URL.Path {
-	case "/healthz":
-		telemetry.WriteHealth(w, "dashboard")
-	case "/api/datasets":
-		writeJSON(w, s.Datasets())
-	case "/api/render":
-		s.handleRender(w, r)
-	case "/api/data":
-		s.handleData(w, r)
-	case "/api/script":
-		s.handleScript(w, r)
-	case "/api/slice":
-		s.handleSlice(w, r)
-	case "/api/stats":
-		s.handleStats(w, r)
-	case "/api/playback":
-		s.handlePlayback(w, r)
-	case "/":
-		s.handleIndex(w, r)
-	default:
-		if !s.extraRoutes(w, r) {
-			http.NotFound(w, r)
-			return false
-		}
+	h, ok := routes[r.URL.Path]
+	if !ok {
+		http.NotFound(w, r)
+		return false
 	}
+	h(s, w, r)
 	return true
 }
 
-// regionRequest parses the shared dataset/field/time/box/level params.
-func (s *Server) regionRequest(r *http.Request) (*query.Engine, query.Request, error) {
-	qv := r.URL.Query()
+// regionRequest is the dashboard's one request boundary: it parses the
+// dataset, field and integer view parameters of the query string and
+// returns the engine's resolved request, so every handler reads or
+// describes a view the engine has already validated. A box the query
+// leaves open extends to the dataset's edge.
+func (s *Server) regionRequest(qv url.Values) (*query.Engine, query.Request, error) {
 	e, err := s.engine(qv.Get("dataset"))
 	if err != nil {
 		return nil, query.Request{}, err
 	}
-	meta := e.Dataset().Meta
 	req := query.Request{Field: qv.Get("field"), Level: query.LevelFull}
-	if req.Field == "" && len(meta.Fields) > 0 {
-		req.Field = meta.Fields[0].Name
-	}
-	geti := func(name string, def int) (int, error) {
-		v := qv.Get(name)
-		if v == "" {
-			return def, nil
+	box := idx.Box{X1: math.MaxInt, Y1: math.MaxInt} // Resolve clips it
+	for _, p := range []struct {
+		name string
+		v    *int
+	}{
+		{"t", &req.Time}, {"z", &req.Z},
+		{"x0", &box.X0}, {"y0", &box.Y0}, {"x1", &box.X1}, {"y1", &box.Y1},
+		{"level", &req.Level}, {"max_samples", &req.MaxSamples},
+	} {
+		if v := qv.Get(p.name); v != "" {
+			if *p.v, err = strconv.Atoi(v); err != nil {
+				return nil, req, fmt.Errorf("dashboard: bad %s=%q", p.name, v)
+			}
 		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return 0, fmt.Errorf("dashboard: bad %s=%q", name, v)
-		}
-		return n, nil
-	}
-	if req.Time, err = geti("t", 0); err != nil {
-		return nil, req, err
-	}
-	box := idx.Box{X1: meta.Dims[0], Y1: meta.Dims[1]}
-	if box.X0, err = geti("x0", 0); err != nil {
-		return nil, req, err
-	}
-	if box.Y0, err = geti("y0", 0); err != nil {
-		return nil, req, err
-	}
-	if box.X1, err = geti("x1", meta.Dims[0]); err != nil {
-		return nil, req, err
-	}
-	if box.Y1, err = geti("y1", meta.Dims[1]); err != nil {
-		return nil, req, err
 	}
 	req.Box = box
-	level, err := geti("level", meta.MaxLevel())
-	if err != nil {
-		return nil, req, err
-	}
-	req.Level = level
-	if req.MaxSamples, err = geti("max_samples", 0); err != nil {
-		return nil, req, err
-	}
 	if req.MaxSamples > 0 {
 		req.Level = query.LevelAuto
 	}
-	return e, req, nil
+	req, err = e.Resolve(req)
+	return e, req, err
+}
+
+// readView reads the view the query names, answering the client itself
+// when the view is bad or the read fails.
+func (s *Server) readView(w http.ResponseWriter, r *http.Request, qv url.Values) (query.Result, bool) {
+	e, req, err := s.regionRequest(qv)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return query.Result{}, false
+	}
+	res, err := e.Read(r.Context(), req)
+	if err != nil {
+		readError(w, err)
+		return query.Result{}, false
+	}
+	return res, true
 }
 
 // handleRender serves a PNG of the requested region ("the resolution
 // sliders enable users to adjust the granularity of the data").
 func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
-	e, req, err := s.regionRequest(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
 	qv := r.URL.Query()
 	paletteName := qv.Get("palette")
 	if paletteName == "" {
@@ -310,23 +302,27 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	grid, res, err := s.readRegion(e, req, r)
-	if err != nil {
-		readError(w, err)
-		return
-	}
-	// Manual colormap range, or dynamic from the delivered data.
-	rng := colormap.DynamicRange(grid.Data)
-	if minS, maxS := qv.Get("min"), qv.Get("max"); minS != "" && maxS != "" {
+	// A manual colormap range, or else a dynamic one from the delivered data.
+	var rng colormap.Range
+	minS, maxS := qv.Get("min"), qv.Get("max")
+	manual := minS != "" && maxS != ""
+	if manual {
 		lo, err1 := strconv.ParseFloat(minS, 64)
 		hi, err2 := strconv.ParseFloat(maxS, 64)
-		if err1 != nil || err2 != nil {
-			http.Error(w, "dashboard: bad min/max", http.StatusBadRequest)
+		if err1 != nil || err2 != nil || !finite(lo) || !finite(hi) {
+			http.Error(w, "dashboard: min and max must be finite numbers", http.StatusBadRequest)
 			return
 		}
 		rng = colormap.Range{Min: lo, Max: hi}
 	}
-	img := RenderImage(grid, palette, rng)
+	res, ok := s.readView(w, r, qv)
+	if !ok {
+		return
+	}
+	if !manual {
+		rng = colormap.DynamicRange(res.Grid.Data)
+	}
+	img := RenderImage(res.Grid, palette, rng)
 	w.Header().Set("Content-Type", "image/png")
 	w.Header().Set("X-NSDF-Level", strconv.Itoa(res.Level))
 	w.Header().Set("X-NSDF-Samples", strconv.Itoa(res.Stats.Samples))
@@ -363,16 +359,11 @@ func RenderImage(g *raster.Grid, palette colormap.Map, rng colormap.Range) *imag
 
 // handleData serves the snipping tool's NumPy array download.
 func (s *Server) handleData(w http.ResponseWriter, r *http.Request) {
-	e, req, err := s.regionRequest(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	res, ok := s.readView(w, r, r.URL.Query())
+	if !ok {
 		return
 	}
-	grid, _, err := s.readRegion(e, req, r)
-	if err != nil {
-		readError(w, err)
-		return
-	}
+	grid := res.Grid
 	header, err := npyHeader(grid)
 	if err != nil {
 		s.internalError(w, r, err)
@@ -388,53 +379,46 @@ func (s *Server) handleData(w http.ResponseWriter, r *http.Request) {
 
 // handleScript serves the snipping tool's generated Python script.
 func (s *Server) handleScript(w http.ResponseWriter, r *http.Request) {
-	e, req, err := s.regionRequest(r)
+	qv := r.URL.Query()
+	_, req, err := s.regionRequest(qv)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if _, err := e.Dataset().Meta.Field(req.Field); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	qv := r.URL.Query()
-	base := "http://" + r.Host
-	script := PythonScript(base, qv.Get("dataset"), req.Field, req.Time,
-		req.Box.X0, req.Box.Y0, req.Box.X1, req.Box.Y1, req.Level)
 	w.Header().Set("Content-Type", "text/x-python")
-	fmt.Fprint(w, script)
+	fmt.Fprint(w, PythonScript("http://"+r.Host, qv.Get("dataset"), req))
 }
 
 // handleSlice serves 1D cross-sections ("tools for taking horizontal and
-// vertical slices of the data").
+// vertical slices of the data") across the whole plane, at full
+// resolution.
 func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
-	e, req, err := s.regionRequest(r)
+	qv := r.URL.Query()
+	e, req, err := s.regionRequest(qv)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	qv := r.URL.Query()
 	axis := qv.Get("axis")
-	indexS := qv.Get("index")
-	index, err := strconv.Atoi(indexS)
+	index, err := strconv.Atoi(qv.Get("index"))
 	if err != nil {
 		http.Error(w, "dashboard: bad index", http.StatusBadRequest)
 		return
 	}
-	meta := e.Dataset().Meta
+	dims := e.Dataset().Meta.Dims
 	switch axis {
 	case "h": // horizontal slice: fixed row
-		if index < 0 || index >= meta.Dims[1] {
+		if index < 0 || index >= dims[1] {
 			http.Error(w, "dashboard: row outside dataset", http.StatusBadRequest)
 			return
 		}
-		req.Box = idx.Box{X0: 0, Y0: index, X1: meta.Dims[0], Y1: index + 1}
+		req.Box = idx.Box{X0: 0, Y0: index, X1: dims[0], Y1: index + 1}
 	case "v": // vertical slice: fixed column
-		if index < 0 || index >= meta.Dims[0] {
+		if index < 0 || index >= dims[0] {
 			http.Error(w, "dashboard: column outside dataset", http.StatusBadRequest)
 			return
 		}
-		req.Box = idx.Box{X0: index, Y0: 0, X1: index + 1, Y1: meta.Dims[1]}
+		req.Box = idx.Box{X0: index, Y0: 0, X1: index + 1, Y1: dims[1]}
 	default:
 		http.Error(w, "dashboard: axis must be h or v", http.StatusBadRequest)
 		return
@@ -454,14 +438,8 @@ func (s *Server) handleSlice(w http.ResponseWriter, r *http.Request) {
 
 // handleStats serves summary statistics for ad-hoc analysis of a region.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	e, req, err := s.regionRequest(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	_, res, err := s.readRegion(e, req, r)
-	if err != nil {
-		readError(w, err)
+	res, ok := s.readView(w, r, r.URL.Query())
+	if !ok {
 		return
 	}
 	st := res.Grid.ComputeStats()
@@ -475,8 +453,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // per timestep plus the frame interval from the speed control.
 func (s *Server) handlePlayback(w http.ResponseWriter, r *http.Request) {
 	qv := r.URL.Query()
-	name := qv.Get("dataset")
-	e, err := s.engine(name)
+	e, req, err := s.regionRequest(qv)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -490,17 +467,8 @@ func (s *Server) handlePlayback(w http.ResponseWriter, r *http.Request) {
 		}
 		fps = v
 	}
-	meta := e.Dataset().Meta
-	field := qv.Get("field")
-	if field == "" {
-		field = meta.Fields[0].Name
-	}
-	if _, err := meta.Field(field); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	prefix := "/api/render?dataset=" + url.QueryEscape(name) + "&field=" + url.QueryEscape(field) + "&t="
-	frames := make([]string, meta.Timesteps)
+	prefix := "/api/render?dataset=" + url.QueryEscape(qv.Get("dataset")) + "&field=" + url.QueryEscape(req.Field) + "&t="
+	frames := make([]string, e.Dataset().Meta.Timesteps)
 	for t := range frames {
 		frames[t] = prefix + strconv.Itoa(t)
 	}
@@ -560,6 +528,9 @@ func readError(w http.ResponseWriter, err error) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	}
 }
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 const indexHTML = `<!DOCTYPE html>
 <html>

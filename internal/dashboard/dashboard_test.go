@@ -205,18 +205,7 @@ func TestScriptEndpointEscapesNames(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("script for %q: status %s: %s", name, resp.Status, body)
 	}
-	// The script's URL is the concatenation of the string literals
-	// between "URL = (" and ")".
-	_, rest, _ := strings.Cut(string(body), "URL = (\n")
-	literals, _, _ := strings.Cut(rest, "\n)")
-	var scriptURL string
-	for _, line := range strings.Split(literals, "\n") {
-		lit, err := strconv.Unquote(strings.TrimSpace(line))
-		if err != nil {
-			t.Fatalf("script URL line %q is not one string literal: %v\n%s", line, err, body)
-		}
-		scriptURL += lit
-	}
+	scriptURL := scriptURL(t, string(body))
 	u, err := url.Parse(scriptURL)
 	if err != nil {
 		t.Fatal(err)

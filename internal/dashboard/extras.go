@@ -2,7 +2,6 @@ package dashboard
 
 import (
 	"image"
-	"math"
 	"net/http"
 	"strconv"
 
@@ -11,37 +10,13 @@ import (
 	"nsdfgo/internal/tiff"
 )
 
-// extraRoutes dispatches the secondary dashboard endpoints. Returns false
-// when the path is not handled here.
-func (s *Server) extraRoutes(w http.ResponseWriter, r *http.Request) bool {
-	switch r.URL.Path {
-	case "/api/legend":
-		s.handleLegend(w, r)
-	case "/api/export.tif":
-		s.handleExportTIFF(w, r)
-	case "/api/compare":
-		s.handleCompare(w, r)
-	case "/api/probe":
-		s.handleProbe(w, r)
-	case "/api/histogram":
-		s.handleHistogram(w, r)
-	default:
-		return false
-	}
-	return true
-}
-
 // handleHistogram serves a fixed-bin histogram of the selected region —
 // the distributional view behind "ad hoc analysis on selected
 // subregions". Non-finite samples land in a separate nodata counter.
 func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request) {
-	e, req, err := s.regionRequest(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+	qv := r.URL.Query()
 	bins := 32
-	if bs := r.URL.Query().Get("bins"); bs != "" {
+	if bs := qv.Get("bins"); bs != "" {
 		v, err := strconv.Atoi(bs)
 		if err != nil || v < 2 || v > 1024 {
 			http.Error(w, "dashboard: bins outside [2,1024]", http.StatusBadRequest)
@@ -49,11 +24,11 @@ func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request) {
 		}
 		bins = v
 	}
-	grid, res, err := s.readRegion(e, req, r)
-	if err != nil {
-		readError(w, err)
+	res, ok := s.readView(w, r, qv)
+	if !ok {
 		return
 	}
+	grid := res.Grid
 	lo, hi, ok := grid.MinMax()
 	counts := make([]int, bins)
 	nodata := 0
@@ -61,7 +36,7 @@ func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request) {
 		scale := float64(bins) / float64(hi-lo)
 		for _, v := range grid.Data {
 			f := float64(v)
-			if math.IsNaN(f) || math.IsInf(f, 0) {
+			if !finite(f) {
 				nodata++
 				continue
 			}
@@ -73,11 +48,10 @@ func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		for _, v := range grid.Data {
-			f := float64(v)
-			if math.IsNaN(f) || math.IsInf(f, 0) {
-				nodata++
-			} else {
+			if finite(float64(v)) {
 				counts[0]++
+			} else {
+				nodata++
 			}
 		}
 		hi = lo + 1
@@ -94,15 +68,10 @@ func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request) {
 // enabling users to observe changes and trends over time".
 func (s *Server) handleProbe(w http.ResponseWriter, r *http.Request) {
 	qv := r.URL.Query()
-	e, err := s.engine(qv.Get("dataset"))
+	e, req, err := s.regionRequest(qv)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	}
-	meta := e.Dataset().Meta
-	field := qv.Get("field")
-	if field == "" && len(meta.Fields) > 0 {
-		field = meta.Fields[0].Name
 	}
 	x, errX := strconv.Atoi(qv.Get("x"))
 	y, errY := strconv.Atoi(qv.Get("y"))
@@ -110,12 +79,12 @@ func (s *Server) handleProbe(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "dashboard: probe needs integer x and y", http.StatusBadRequest)
 		return
 	}
-	values, err := e.ProbePoint(r.Context(), field, x, y)
+	values, err := e.ProbePoint(r.Context(), req.Field, x, y)
 	if err != nil {
 		readError(w, err)
 		return
 	}
-	writeJSON(w, map[string]any{"field": field, "x": x, "y": y, "values": values})
+	writeJSON(w, map[string]any{"field": req.Field, "x": x, "y": y, "values": values})
 }
 
 // handleLegend serves a horizontal colorbar PNG for a palette, used by
@@ -158,19 +127,13 @@ func (s *Server) handleLegend(w http.ResponseWriter, r *http.Request) {
 // "download for further analysis" path for users whose tooling speaks
 // TIFF rather than NumPy.
 func (s *Server) handleExportTIFF(w http.ResponseWriter, r *http.Request) {
-	e, req, err := s.regionRequest(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	grid, _, err := s.readRegion(e, req, r)
-	if err != nil {
-		readError(w, err)
+	res, ok := s.readView(w, r, r.URL.Query())
+	if !ok {
 		return
 	}
 	w.Header().Set("Content-Type", "image/tiff")
 	w.Header().Set("Content-Disposition", `attachment; filename="nsdf_selection.tif"`)
-	if err := tiff.Encode(w, tiff.FromGrid(grid), tiff.EncodeOptions{Compression: tiff.CompressionDeflate}); err != nil {
+	if err := tiff.Encode(w, tiff.FromGrid(res.Grid), tiff.EncodeOptions{Compression: tiff.CompressionDeflate}); err != nil {
 		s.bodyFailed(r, err)
 	}
 }
@@ -179,30 +142,31 @@ func (s *Server) handleExportTIFF(w http.ResponseWriter, r *http.Request) {
 // region — the ad-hoc analysis behind "explore multiple datasets
 // simultaneously" (e.g. prediction vs truth in the SOMOSPIE scenario).
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	e, req, err := s.regionRequest(r)
+	qv := r.URL.Query()
+	e, req, err := s.regionRequest(qv)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	fieldB := r.URL.Query().Get("field_b")
+	fieldB := qv.Get("field_b")
 	if fieldB == "" {
 		http.Error(w, "dashboard: compare needs field_b", http.StatusBadRequest)
 		return
 	}
-	gridA, resA, err := s.readRegion(e, req, r)
+	resA, err := e.Read(r.Context(), req)
 	if err != nil {
 		readError(w, err)
 		return
 	}
 	reqB := req
-	reqB.Field = fieldB
-	reqB.Level = resA.Level // identical lattice
-	gridB, _, err := s.readRegion(e, reqB, r)
+	reqB.Field = fieldB // Read rejects a field the dataset does not have
+	resB, err := e.Read(r.Context(), reqB)
 	if err != nil {
 		readError(w, err)
 		return
 	}
-	rep, err := metrics.Compare(gridA.Data, gridB.Data, gridA.W, gridA.H)
+	gridA := resA.Grid
+	rep, err := metrics.Compare(gridA.Data, resB.Grid.Data, gridA.W, gridA.H)
 	if err != nil {
 		s.internalError(w, r, err)
 		return

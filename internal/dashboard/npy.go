@@ -7,9 +7,11 @@ import (
 	"io"
 	"math"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 
+	"nsdfgo/internal/query"
 	"nsdfgo/internal/raster"
 )
 
@@ -120,9 +122,16 @@ func DecodeNPY(data []byte) (*raster.Grid, error) {
 
 // PythonScript generates the snippet the snipping tool offers alongside
 // the array download: a standalone script that re-extracts the same
-// region from the dashboard at a later time. The dataset and field are
-// query-escaped, so no name can end the Python string literal.
-func PythonScript(baseURL, dataset, field string, t int, x0, y0, x1, y1, level int) string {
+// view from the dashboard at a later time. req is a resolved request,
+// so the script names the concrete level a sample budget chose and, on
+// a 3D dataset, the plane. The dataset and field are query-escaped, so
+// no name can end the Python string literal.
+func PythonScript(baseURL, dataset string, req query.Request) string {
+	b := req.Box
+	view := fmt.Sprintf("&x0=%d&y0=%d&x1=%d&y1=%d&level=%d", b.X0, b.Y0, b.X1, b.Y1, req.Level)
+	if req.Z != 0 { // Resolve zeroes Z on 2D datasets, and 0 is the default plane
+		view += "&z=" + strconv.Itoa(req.Z)
+	}
 	return fmt.Sprintf(`# Generated by the NSDF dashboard snipping tool.
 # Re-extracts the selected region as a NumPy array.
 import io
@@ -133,7 +142,7 @@ import numpy as np
 URL = (
     "%s/api/data"
     "?dataset=%s&field=%s&t=%d"
-    "&x0=%d&y0=%d&x1=%d&y1=%d&level=%d"
+    "%s"
 )
 
 with urllib.request.urlopen(URL) as resp:
@@ -141,5 +150,5 @@ with urllib.request.urlopen(URL) as resp:
 
 print("region shape:", data.shape)
 print("min=%%g max=%%g mean=%%g" %% (data.min(), data.max(), data.mean()))
-`, baseURL, url.QueryEscape(dataset), url.QueryEscape(field), t, x0, y0, x1, y1, level)
+`, baseURL, url.QueryEscape(dataset), url.QueryEscape(req.Field), req.Time, view)
 }

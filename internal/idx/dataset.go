@@ -70,7 +70,7 @@ type BlockCache interface {
 }
 
 // FillerCache is BlockCache under the name bench/e2e asserts; nothing
-// else uses it (ROADMAP.md 4(a)).
+// else uses it (ROADMAP.md 1(d)).
 type FillerCache = BlockCache
 
 // Create initialises a new dataset in the backend by writing its

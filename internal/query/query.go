@@ -38,6 +38,9 @@ type Request struct {
 	// float32; values in [1,31] round mantissas to that many significant
 	// bits, modelling reduced-precision transfers.
 	PrecisionBits int
+	// Z selects the XY plane a 3D dataset is viewed at. 2D datasets
+	// ignore it.
+	Z int
 
 	// noTrack marks engine-internal requests (prefetch) that must not
 	// feed the access tracker.
@@ -118,8 +121,24 @@ func (e *Engine) Instrument(reg *telemetry.Registry, name string) {
 	e.cache.Instrument(reg, name)
 }
 
-// normalize fills request defaults and resolves the effective level.
-func (e *Engine) normalize(req Request) (Request, error) {
+// Resolve fills the request's defaults, validates it against the
+// dataset and turns LevelAuto and LevelFull into a concrete level. An
+// empty Field becomes the first field and the zero Box the full XY
+// extent; the box is then clipped to the dataset. Read and Progressive
+// resolve every request, and resolving a resolved request changes
+// nothing, so a server can resolve once to reject a bad request before
+// it reads.
+func (e *Engine) Resolve(req Request) (Request, error) {
+	meta := &e.ds.Meta
+	if req.Field == "" {
+		req.Field = meta.Fields[0].Name
+	}
+	if _, err := meta.Field(req.Field); err != nil {
+		return req, err
+	}
+	if req.Time < 0 || req.Time >= meta.Timesteps {
+		return req, fmt.Errorf("query: timestep %d outside [0,%d)", req.Time, meta.Timesteps)
+	}
 	if req.Box == (idx.Box{}) {
 		req.Box = e.ds.FullBox()
 	}
@@ -127,16 +146,24 @@ func (e *Engine) normalize(req Request) (Request, error) {
 	if req.Box.Empty() {
 		return req, fmt.Errorf("query: empty region of interest")
 	}
+	if req.MaxSamples < 0 {
+		return req, fmt.Errorf("query: max samples %d is negative", req.MaxSamples)
+	}
 	switch {
 	case req.Level == LevelFull:
-		req.Level = e.ds.Meta.MaxLevel()
+		req.Level = meta.MaxLevel()
 	case req.Level == LevelAuto:
 		req.Level = e.resolveLevel(req.Box, req.MaxSamples)
-	case req.Level < 0 || req.Level > e.ds.Meta.MaxLevel():
-		return req, fmt.Errorf("query: level %d outside [0,%d]", req.Level, e.ds.Meta.MaxLevel())
+	case req.Level < 0 || req.Level > meta.MaxLevel():
+		return req, fmt.Errorf("query: level %d outside [0,%d]", req.Level, meta.MaxLevel())
 	}
 	if req.PrecisionBits < 0 || req.PrecisionBits > 32 {
 		return req, fmt.Errorf("query: precision %d bits outside [0,32]", req.PrecisionBits)
+	}
+	if len(meta.Dims) == 2 {
+		req.Z = 0
+	} else if req.Z < 0 || req.Z >= meta.Dims[2] {
+		return req, fmt.Errorf("query: plane z=%d outside [0,%d)", req.Z, meta.Dims[2])
 	}
 	return req, nil
 }
@@ -179,7 +206,7 @@ func latticeCount(lo, hi, stride int) int {
 // I/O the read performs; a cancelled request aborts mid-fetch and
 // returns the context error.
 func (e *Engine) Read(ctx context.Context, req Request) (Result, error) {
-	req, err := e.normalize(req)
+	req, err := e.Resolve(req)
 	if err != nil {
 		return Result{}, err
 	}
@@ -195,7 +222,7 @@ func (e *Engine) Read(ctx context.Context, req Request) (Result, error) {
 }
 
 func (e *Engine) readAtLevel(ctx context.Context, req Request, level int) (Result, error) {
-	g, stats, err := e.ds.ReadBox(ctx, req.Field, req.Time, req.Box, level)
+	g, stats, err := e.readPlane(ctx, req, level)
 	if err != nil {
 		return Result{}, err
 	}
@@ -214,6 +241,24 @@ func (e *Engine) readAtLevel(ctx context.Context, req Request, level int) (Resul
 	}, nil
 }
 
+// readPlane reads the request's box at level. A 3D dataset is read as
+// one XY plane: Z is aligned down to the level's Z lattice, so the plane
+// holds samples at every level.
+func (e *Engine) readPlane(ctx context.Context, req Request, level int) (*raster.Grid, *idx.ReadStats, error) {
+	if len(e.ds.Meta.Dims) == 2 {
+		return e.ds.ReadBox(ctx, req.Field, req.Time, req.Box, level)
+	}
+	sz := e.ds.Meta.Bits.LevelStrides(level)[2]
+	za := req.Z / sz * sz
+	b := req.Box
+	vol, stats, err := e.ds.ReadBox3D(ctx, req.Field, req.Time,
+		idx.Box3{X0: b.X0, Y0: b.Y0, Z0: za, X1: b.X1, Y1: b.Y1, Z1: za + 1}, level)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &raster.Grid{W: vol.Dims[0], H: vol.Dims[1], Data: vol.Data}, stats, nil
+}
+
 // Progressive streams the request coarse-to-fine: it invokes fn once per
 // delivered level, starting at startLevel (clamped to the first level
 // with at least one sample in the box) and refining by step levels until
@@ -223,7 +268,7 @@ func (e *Engine) readAtLevel(ctx context.Context, req Request, level int) (Resul
 // as well as inside each level's block fetches, so a disconnected client
 // stops the refinement loop before its next (and most expensive) level.
 func (e *Engine) Progressive(ctx context.Context, req Request, startLevel, step int, fn func(Result) error) error {
-	req, err := e.normalize(req)
+	req, err := e.Resolve(req)
 	if err != nil {
 		return err
 	}

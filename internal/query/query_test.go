@@ -330,3 +330,86 @@ func BenchmarkProgressiveFull256(b *testing.B) {
 		}
 	}
 }
+
+func TestResolve(t *testing.T) {
+	e, _ := newEngine(t, 32, 32, 8)
+	maxLevel := e.Dataset().Meta.MaxLevel()
+	got, err := e.Resolve(Request{Level: LevelFull, Z: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Request{Field: "elevation", Box: idx.Box{X1: 32, Y1: 32}, Level: maxLevel}
+	if got != want {
+		t.Errorf("defaults resolved to %+v, want %+v (a 2D dataset ignores Z)", got, want)
+	}
+	auto, err := e.Resolve(Request{Box: idx.Box{X0: -4, Y0: 8, X1: 99, Y1: 24}, Level: LevelAuto, MaxSamples: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if auto.Box != (idx.Box{Y0: 8, X1: 32, Y1: 24}) || auto.Level < 0 || auto.Level >= maxLevel {
+		t.Errorf("auto request resolved to %+v", auto)
+	}
+	if again, err := e.Resolve(auto); err != nil || again != auto {
+		t.Errorf("resolving %+v again gave %+v, %v", auto, again, err)
+	}
+	for _, bad := range []Request{
+		{Field: "nope"},
+		{Time: -1}, {Time: 1},
+		{Box: idx.Box{X0: 10, X1: 5, Y1: 4}},
+		{Level: -5}, {Level: maxLevel + 1},
+		{MaxSamples: -1},
+		{PrecisionBits: -1}, {PrecisionBits: 33},
+	} {
+		if _, err := e.Resolve(bad); err == nil {
+			t.Errorf("%+v accepted", bad)
+		}
+	}
+}
+
+// TestReadVolumePlane: a 3D dataset is read as the XY plane at Z, aligned
+// down to the level's Z lattice, and a sample budget bounds the plane.
+func TestReadVolumePlane(t *testing.T) {
+	ctx := context.Background()
+	meta, err := idx.NewMeta([]int{16, 8, 4}, []idx.Field{{Name: "density", Type: idx.Float32}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := idx.Create(ctx, idx.NewMemBackend(), meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]float32, 16*8*4)
+	for i := range data {
+		data[i] = float32(i) // x + 16y + 128z
+	}
+	if err := ds.WriteVolume(ctx, "density", 0, data); err != nil {
+		t.Fatal(err)
+	}
+	e := New(ds, 1<<20)
+	res, err := e.Read(ctx, Request{Box: idx.Box{X0: 2, Y0: 3, X1: 6, Y1: 5}, Level: LevelFull, Z: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Grid.W != 4 || res.Grid.H != 2 || res.Grid.At(0, 0) != 2+16*3+128*3 {
+		t.Errorf("plane 3: %dx%d starting at %v", res.Grid.W, res.Grid.H, res.Grid.At(0, 0))
+	}
+	if res.TransferBytes != 4*2*4 {
+		t.Errorf("TransferBytes = %d", res.TransferBytes)
+	}
+	res, err = e.Read(ctx, Request{Level: LevelAuto, MaxSamples: 20, Z: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.Grid.Data); n == 0 || n > 20 {
+		t.Errorf("budget of 20 delivered %d samples", n)
+	}
+	sz := ds.Meta.Bits.LevelStrides(res.Level)[2]
+	if got, want := res.Grid.At(0, 0), float32(128*(3/sz*sz)); got != want {
+		t.Errorf("level %d plane starts at %v, want %v (z aligned to stride %d)", res.Level, got, want, sz)
+	}
+	for _, z := range []int{-1, 4} {
+		if _, err := e.Resolve(Request{Z: z}); err == nil {
+			t.Errorf("z=%d accepted", z)
+		}
+	}
+}
