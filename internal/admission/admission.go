@@ -155,19 +155,24 @@ func NewController(opts Options) *Controller {
 //	nsdf_admission_queue_depth{service}          current wait-queue depth
 //	nsdf_admission_inflight{service}             currently admitted requests
 //	nsdf_admission_wait_seconds{service}         queue wait time of admitted requests
+//
+// The series are looked up before c.mu is taken: the registry has a
+// lock of its own.
 func (c *Controller) Instrument(reg *telemetry.Registry, service string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.admitted = reg.Counter("nsdf_admission_admitted_total", "service", service)
-	c.queued = reg.Counter("nsdf_admission_queued_total", "service", service)
-	c.shed = map[string]*telemetry.Counter{
+	admitted := reg.Counter("nsdf_admission_admitted_total", "service", service)
+	queued := reg.Counter("nsdf_admission_queued_total", "service", service)
+	shed := map[string]*telemetry.Counter{
 		ReasonRateLimit:    reg.Counter("nsdf_admission_shed_total", "service", service, "reason", ReasonRateLimit),
 		ReasonQueueFull:    reg.Counter("nsdf_admission_shed_total", "service", service, "reason", ReasonQueueFull),
 		ReasonQueueTimeout: reg.Counter("nsdf_admission_shed_total", "service", service, "reason", ReasonQueueTimeout),
 	}
-	c.queueDepth = reg.Gauge("nsdf_admission_queue_depth", "service", service)
-	c.inflightG = reg.Gauge("nsdf_admission_inflight", "service", service)
-	c.waitSeconds = reg.Histogram("nsdf_admission_wait_seconds", "service", service)
+	queueDepth := reg.Gauge("nsdf_admission_queue_depth", "service", service)
+	inflightG := reg.Gauge("nsdf_admission_inflight", "service", service)
+	waitSeconds := reg.Histogram("nsdf_admission_wait_seconds", "service", service)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.admitted, c.queued, c.shed = admitted, queued, shed
+	c.queueDepth, c.inflightG, c.waitSeconds = queueDepth, inflightG, waitSeconds
 }
 
 // bookShed increments the shed counter for reason, if instrumented.

@@ -16,6 +16,7 @@ import (
 	"image"
 	"image/png"
 	"log/slog"
+	"maps"
 	"math"
 	"net/http"
 	"net/url"
@@ -60,13 +61,15 @@ func NewServer() *Server {
 // route and status class, timed into a latency histogram, and the
 // registry's exposition is served at /metrics. Datasets registered after
 // this call are instrumented automatically (block I/O and cache series
-// labelled with the dataset name).
+// labelled with the dataset name). Here and in Register the registry,
+// which has a lock of its own, is called outside s.mu.
 func (s *Server) EnableTelemetry(reg *telemetry.Registry) {
+	tel := telemetry.NewHTTPMetrics(reg, "dashboard")
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reg = reg
-	s.tel = telemetry.NewHTTPMetrics(reg, "dashboard")
-	for name, e := range s.engines {
+	s.reg, s.tel = reg, tel
+	engines := maps.Clone(s.engines)
+	s.mu.Unlock()
+	for name, e := range engines {
 		e.Instrument(reg, name)
 	}
 }
@@ -100,14 +103,18 @@ func (s *Server) EnableTracing(col *trace.Collector) {
 }
 
 // Register adds a dataset under the given display name (the dropdown
-// entry). Registering a duplicate name replaces the entry.
+// entry). Registering a duplicate name replaces the entry. The engine
+// is instrumented before requests can reach it.
 func (s *Server) Register(name string, engine *query.Engine) {
+	s.mu.RLock()
+	reg := s.reg
+	s.mu.RUnlock()
+	if reg != nil {
+		engine.Instrument(reg, name)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.engines[name] = engine
-	if s.reg != nil {
-		engine.Instrument(s.reg, name)
-	}
 }
 
 // engine resolves a dataset name.
@@ -143,6 +150,7 @@ type DatasetInfo struct {
 
 // Datasets returns dropdown metadata for every registered dataset.
 func (s *Server) Datasets() []DatasetInfo {
+	palettes := colormap.Names()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	names := make([]string, 0, len(s.engines))
@@ -159,7 +167,7 @@ func (s *Server) Datasets() []DatasetInfo {
 			Height:    meta.Dims[1],
 			Timesteps: meta.Timesteps,
 			MaxLevel:  meta.MaxLevel(),
-			Palettes:  colormap.Names(),
+			Palettes:  palettes,
 		}
 		if len(meta.Dims) == 3 {
 			info.Depth = meta.Dims[2]

@@ -2,10 +2,12 @@ package dashboard
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"nsdfgo/internal/dem"
@@ -97,5 +99,72 @@ func TestMetricsEndpointBreadth(t *testing.T) {
 	// The warm render must have produced cache hits visible in the scrape.
 	if reg.SumFamily("nsdf_cache_hits_total") == 0 {
 		t.Error("no cache hits recorded after a repeated render")
+	}
+}
+
+// TestRegisterWhileServing registers datasets on an instrumented server
+// while other goroutines list them and read every one listed. Under
+// -race it checks that an engine is instrumented before a request can
+// reach it, and afterwards that every dataset's series were registered.
+func TestRegisterWhileServing(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := NewServer()
+	s.EnableTelemetry(reg)
+	meta, err := idx.NewMeta([]int{16, 16}, []idx.Field{{Name: "elevation", Type: idx.Float32, Codec: "zlib"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const datasets = 4
+	engines := make([]*query.Engine, datasets)
+	for i := range engines {
+		ds, err := idx.Create(context.Background(), idx.NewMemBackend(), meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.WriteGrid(context.Background(), "elevation", 0, dem.FBM(16, 16, 3, dem.DefaultFBM())); err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = query.New(ds, 1<<16)
+	}
+
+	var registering, reading sync.WaitGroup
+	for i, e := range engines {
+		registering.Add(1)
+		go func() {
+			defer registering.Done()
+			s.Register(fmt.Sprintf("d%d", i), e)
+		}()
+	}
+	done := make(chan struct{})
+	for range 2 {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			for {
+				for _, info := range s.Datasets() {
+					rec := httptest.NewRecorder()
+					s.ServeHTTP(rec, httptest.NewRequest("GET", "/api/stats?dataset="+info.Name, nil))
+					if rec.Code != http.StatusOK {
+						t.Errorf("stats %s: status %d: %s", info.Name, rec.Code, rec.Body)
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	registering.Wait()
+	close(done)
+	reading.Wait()
+
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for i := range engines {
+		if want := fmt.Sprintf(`nsdf_cache_hits_total{cache="d%d"}`, i); !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("/metrics missing %s", want)
+		}
 	}
 }

@@ -6,15 +6,14 @@
 // context-free http.NewRequest in outbound calls). Three are
 // flow-sensitive and are one analysis: obligation.go checks, over the
 // control-flow graphs of internal/lint/cfg, that a resource acquired by
-// a call is discharged on every path, and lockorder (mutexes, plus the
-// whole-repo lock-order cycle check), ctxleak (cancel functions of
-// derived contexts) and spanend (trace spans) are the three specs it
-// runs. Allocation and worker abort are policed by measurement, in
-// tests, and copied mutexes by go vet's copylocks pass. The
-// project-specific names the analyzers match on (package paths,
-// registry methods) are constants beside each analyzer. It is built
-// only on go/ast, go/parser, go/types, and go/importer, so `make lint`
-// needs nothing beyond the Go toolchain.
+// a call is discharged on every path, and lockorder (mutexes, taken one
+// at a time), ctxleak (cancel functions of derived contexts) and
+// spanend (trace spans) are the three specs it runs. Allocation and
+// worker abort are policed by measurement, in tests, and copied mutexes
+// by go vet's copylocks pass. The project-specific names the analyzers
+// match on (package paths, registry methods) are constants beside each
+// analyzer. It is built only on go/ast, go/parser, go/types, and
+// go/importer, so `make lint` needs nothing beyond the Go toolchain.
 //
 // A finding can be suppressed — sparingly, with a reason — by an allow
 // comment on the same line or the line above:
@@ -51,8 +50,8 @@ type Pass struct {
 	// Pkg is the package under analysis.
 	Pkg *Package
 	// State persists across the packages of one Run for this analyzer,
-	// so cross-package rules (metric kind conflicts, the whole-repo lock
-	// graph) can accumulate.
+	// so cross-package rules (metric kind conflicts, which functions
+	// lock) can accumulate.
 	State map[string]any
 
 	findings *[]Finding
@@ -100,9 +99,9 @@ type Analyzer struct {
 	// Run analyzes one package.
 	Run func(*Pass)
 	// Finish, when non-nil, runs once after every package has been
-	// analyzed, with a Pass whose Pkg is nil. Whole-program rules (the
-	// lockorder cycle check) accumulate in State during Run and report
-	// here via ReportAt.
+	// analyzed, with a Pass whose Pkg is nil. Whole-program rules
+	// (lockorder's calls made under a lock to a function that locks)
+	// accumulate in State during Run and report here via ReportAt.
 	Finish func(*Pass)
 }
 

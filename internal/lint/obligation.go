@@ -59,19 +59,19 @@ type obAcquire struct {
 	// recv, when set, is the receiver the obligation lands on
 	// (mu.Lock()); otherwise it lands on the results obSpec.holds accepts.
 	recv ast.Expr
-	// class, release and shared are lockorder's: the lock's name in the
-	// whole-repo graph, the method that unlocks it, and read mode.
-	class, release string
-	shared         bool
+	// release and shared are lockorder's: the method that unlocks the
+	// lock, and read mode.
+	release string
+	shared  bool
 }
 
 // obFact is the fact for one resource; it is a value and comparable.
 type obFact struct {
-	state          obState
-	pos            token.Pos // the acquiring call
-	src            string
-	class, release string
-	shared         bool
+	state   obState
+	pos     token.Pos // the acquiring call
+	src     string
+	release string
+	shared  bool
 }
 
 // obFacts maps a resource — a variable's types.Object, or with
@@ -120,11 +120,11 @@ type obSpec struct {
 	exprKeys bool
 	merge    obMerge
 	msg      obMessages
-	// onAcquire and onCall feed lockorder's whole-repo summary: they see
-	// the converged facts at every receiver acquire and at every other
-	// call in a declared function, during the reporting replay only.
-	onAcquire func(pass *Pass, fn *types.Func, held obFacts, acq obAcquire, pos token.Pos)
-	onCall    func(pass *Pass, fn *types.Func, held obFacts, call *ast.CallExpr)
+	// onAcquire and onCall are lockorder's nesting rule: they see the
+	// converged facts at every receiver acquire and at every other call,
+	// during the reporting replay only.
+	onAcquire func(pass *Pass, held obFacts, acq obAcquire, pos token.Pos)
+	onCall    func(pass *Pass, held obFacts, call *ast.CallExpr)
 }
 
 // obligationSpecs is every obligation the suite checks, in Analyzers()
@@ -135,13 +135,13 @@ var obligationSpecs = []*obSpec{spanEndSpec, lockOrderSpec, ctxLeakSpec}
 // function literal is its own flow problem, and one that contains no
 // acquiring call owes nothing and needs no CFG.
 func (s *obSpec) run(pass *Pass) {
-	var visit func(body *ast.BlockStmt, ft *ast.FuncType, fn *types.Func)
-	visit = func(body *ast.BlockStmt, ft *ast.FuncType, fn *types.Func) {
+	var visit func(body *ast.BlockStmt, ft *ast.FuncType)
+	visit = func(body *ast.BlockStmt, ft *ast.FuncType) {
 		mentions := false
 		ast.Inspect(body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncLit:
-				visit(n.Body, n.Type, nil)
+				visit(n.Body, n.Type)
 				return false
 			case *ast.CallExpr:
 				if !mentions {
@@ -151,7 +151,7 @@ func (s *obSpec) run(pass *Pass) {
 			return true
 		})
 		if mentions {
-			s.check(pass, body, ft, fn)
+			s.check(pass, body, ft)
 		}
 	}
 	for _, file := range pass.Pkg.Files {
@@ -159,12 +159,11 @@ func (s *obSpec) run(pass *Pass) {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
 				if fn.Body != nil {
-					obj, _ := pass.Pkg.Info.Defs[fn.Name].(*types.Func)
-					visit(fn.Body, fn.Type, obj)
+					visit(fn.Body, fn.Type)
 				}
 				return false
 			case *ast.FuncLit:
-				visit(fn.Body, fn.Type, nil)
+				visit(fn.Body, fn.Type)
 				return false
 			}
 			return true
@@ -174,13 +173,13 @@ func (s *obSpec) run(pass *Pass) {
 
 // check analyses one function body: CFG, fixpoint, reporting replay,
 // leak check on the return edges.
-func (s *obSpec) check(pass *Pass, body *ast.BlockStmt, ft *ast.FuncType, fn *types.Func) {
+func (s *obSpec) check(pass *Pass, body *ast.BlockStmt, ft *ast.FuncType) {
 	g, err := pass.Pkg.graph(body)
 	if err != nil {
 		pass.InternalErrorf("%v", err)
 		return
 	}
-	a := &obFlow{pass: pass, spec: s, fn: fn}
+	a := &obFlow{pass: pass, spec: s}
 	if ft.Results != nil {
 		for _, field := range ft.Results.List {
 			for _, name := range field.Names {
@@ -262,7 +261,6 @@ func (p *Package) graph(body *ast.BlockStmt) (*cfg.Graph, error) {
 type obFlow struct {
 	pass         *Pass
 	spec         *obSpec
-	fn           *types.Func    // the declared function; nil inside a function literal
 	namedResults []types.Object // transferred to the caller by a bare return
 	report       bool
 
@@ -662,15 +660,15 @@ func (a *obFlow) call(call *ast.CallExpr) {
 			if prior, ok := a.f[key]; ok && !(prior.shared && acq.shared) {
 				a.reportf(call.Pos(), a.spec.msg.reacquire, key, prior, "")
 			}
-			if a.report && a.fn != nil && a.spec.onAcquire != nil {
-				a.spec.onAcquire(a.pass, a.fn, a.f, acq, call.Pos())
+			if a.report && a.spec.onAcquire != nil {
+				a.spec.onAcquire(a.pass, a.f, acq, call.Pos())
 			}
-			a.put(key, obFact{state: obOwed, pos: call.Pos(), src: acq.src, class: acq.class, release: acq.release, shared: acq.shared})
+			a.put(key, obFact{state: obOwed, pos: call.Pos(), src: acq.src, release: acq.release, shared: acq.shared})
 			return
 		}
 	}
-	if a.report && a.fn != nil && a.spec.onCall != nil {
-		a.spec.onCall(a.pass, a.fn, a.f, call)
+	if a.report && a.spec.onCall != nil {
+		a.spec.onCall(a.pass, a.f, call)
 	}
 	a.scan(call.Fun, false)
 	for _, arg := range call.Args {

@@ -1,8 +1,8 @@
 // Package lockorder is a lint fixture: every violation below is
 // asserted by internal/lint's golden-file tests. It exercises the
 // flow-sensitive mutex analyzer: exit-while-held, self-deadlock,
-// unlock-with-defer-pending, and the whole-package lock-order cycle
-// built from per-function summaries.
+// unlock-with-defer-pending, and one lock at a time: a lock taken, or a
+// locking function called, while another lock is held.
 package lockorder
 
 import (
@@ -49,12 +49,12 @@ func (s *store) unlockWithDeferPending() int {
 	return v
 }
 
-// abOrder takes mu then bk — together with baOrder this is the classic
-// cycle; the Finish pass must report it once.
+// abOrder takes bk while holding mu — with baOrder the classic AB/BA
+// cycle; each nested acquire is a finding, so both halves fire.
 func (s *store) abOrder() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.bk.Lock() // want: cycle witness (mu -> bk edge)
+	s.bk.Lock() // want: bk locked while mu is held
 	s.state++
 	s.bk.Unlock()
 }
@@ -63,13 +63,13 @@ func (s *store) abOrder() {
 func (s *store) baOrder() {
 	s.bk.Lock()
 	defer s.bk.Unlock()
-	s.mu.Lock()
+	s.mu.Lock() // want: mu locked while bk is held
 	s.state--
 	s.mu.Unlock()
 }
 
 // relock is a helper that takes mu; calling it while holding mu is an
-// interprocedural self-deadlock the call-graph pass must catch.
+// interprocedural self-deadlock the Finish pass must catch.
 func (s *store) relock() {
 	s.mu.Lock()
 	s.state++
@@ -160,18 +160,18 @@ func (t *table) rlockNoRUnlock(k string) int {
 }
 
 // ring holds three mutexes that three methods take in rotating pairs:
-// a -> b, b -> c, c -> a. No two methods invert each other, so only a
-// search that follows the whole three-edge loop finds the deadlock.
+// a -> b, b -> c, c -> a. No two methods invert each other, but every
+// edge of the loop is a nested acquire, so each one is a finding.
 type ring struct {
 	a, b, c sync.Mutex
 	n       int
 }
 
-// ab orders a before b — the cycle's earliest edge, so its witness.
+// ab orders a before b.
 func (r *ring) ab() {
 	r.a.Lock()
 	defer r.a.Unlock()
-	r.b.Lock() // want: cycle witness (a -> b edge)
+	r.b.Lock() // want: b locked while a is held
 	r.n++
 	r.b.Unlock()
 }
@@ -180,7 +180,7 @@ func (r *ring) ab() {
 func (r *ring) bc() {
 	r.b.Lock()
 	defer r.b.Unlock()
-	r.c.Lock()
+	r.c.Lock() // want: c locked while b is held
 	r.n++
 	r.c.Unlock()
 }
@@ -189,7 +189,64 @@ func (r *ring) bc() {
 func (r *ring) ca() {
 	r.c.Lock()
 	defer r.c.Unlock()
-	r.a.Lock()
+	r.a.Lock() // want: a locked while c is held
 	r.n++
 	r.a.Unlock()
+}
+
+// guarded embeds its mutex, so its lock is named by the variable alone.
+type guarded struct {
+	sync.Mutex
+	n int
+}
+
+// nestedEmbedded takes o's lock while holding e's — must fire.
+func nestedEmbedded(e, o *guarded) {
+	e.Lock()
+	defer e.Unlock()
+	o.Lock() // want: o locked while e is held
+	o.n = e.n
+	o.Unlock()
+}
+
+// localUnderLock calls a method that locks while a local mutex is
+// held — must fire.
+func (s *store) localUnderLock() {
+	var mu sync.Mutex
+	mu.Lock()
+	s.relock() // want: relock takes a lock while mu is held
+	mu.Unlock()
+}
+
+// bump locks nothing itself, but calls relock, which does.
+func (s *store) bump() { s.relock() }
+
+// transitiveUnderLock calls bump with mu held: the lock is two calls
+// down — must fire.
+func (s *store) transitiveUnderLock() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.bump() // want: bump takes a lock through relock
+}
+
+// recursiveRead read-locks one RWMutex twice: recursive RLock is let
+// through, and it is one lock, not two. Nothing to report.
+func (t *table) recursiveRead(k string) int {
+	t.rw.RLock()
+	t.rw.RLock()
+	v := t.m[k]
+	t.rw.RUnlock()
+	t.rw.RUnlock()
+	return v
+}
+
+// handOff releases mu before it takes bk, so only one lock is ever
+// held. Nothing to report.
+func (s *store) handOff() {
+	s.mu.Lock()
+	s.state++
+	s.mu.Unlock()
+	s.bk.Lock()
+	s.state--
+	s.bk.Unlock()
 }
