@@ -266,6 +266,12 @@ func FuzzDashboardQuery(f *testing.F) {
 		"/api/render?dataset=tennessee_30m&min=NaN&max=NaN",
 		"/api/data?dataset=vol&max_samples=64",
 		"/api/slice?dataset=vol&axis=h&index=2&z=3",
+		// The paletted renderer's degenerate ranges, palette ends and widest legend.
+		"/api/render?dataset=tennessee_30m&min=5&max=5",
+		"/api/render?dataset=tennessee_30m&min=1000&max=0",
+		"/api/render?dataset=tennessee_30m&palette=gray",
+		"/api/render?dataset=tennessee_30m&palette=moisture",
+		"/api/legend?width=4096",
 	} {
 		path, rawQuery, _ := strings.Cut(seed, "?")
 		for i, ep := range fuzzEndpoints {

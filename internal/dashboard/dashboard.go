@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"image"
+	"image/color"
 	"image/png"
 	"log/slog"
 	"maps"
@@ -353,13 +354,23 @@ func (b *pngBuffers) Get() *png.EncoderBuffer {
 
 func (b *pngBuffers) Put(eb *png.EncoderBuffer) { b.pool.Put(eb) }
 
-// RenderImage maps a grid through a palette into an RGBA image. NaN
-// samples render transparent.
-func RenderImage(g *raster.Grid, palette colormap.Map, rng colormap.Range) *image.RGBA {
-	img := image.NewRGBA(image.Rect(0, 0, g.W, g.H))
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
-			img.SetRGBA(x, y, palette.At(rng.Normalize(float64(g.At(x, y)))))
+// RenderImage maps a grid through a palette into an 8-bit paletted
+// image, one index byte per sample. Indices 0..254 are the palette
+// sampled at 255 evenly spaced positions, so a pixel's colour is the
+// palette's at its normalised value rounded to the nearest 1/254;
+// index 255 is transparent, for NaN samples.
+func RenderImage(g *raster.Grid, palette colormap.Map, rng colormap.Range) *image.Paletted {
+	pal := make(color.Palette, 256)
+	for i := range 255 {
+		pal[i] = palette.At(float64(i) / 254)
+	}
+	pal[255] = color.RGBA{}
+	img := image.NewPaletted(image.Rect(0, 0, g.W, g.H), pal)
+	for i, v := range g.Data {
+		if t := rng.Normalize(float64(v)); math.IsNaN(t) {
+			img.Pix[i] = 255
+		} else {
+			img.Pix[i] = uint8(t*254 + 0.5)
 		}
 	}
 	return img

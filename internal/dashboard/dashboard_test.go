@@ -1,6 +1,7 @@
 package dashboard
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"image/png"
@@ -400,17 +401,50 @@ func TestNPYValidation(t *testing.T) {
 	}
 }
 
-func TestRenderImageNaNTransparent(t *testing.T) {
-	g := raster.New(2, 1)
-	g.Data[0] = 0.5
-	g.Data[1] = float32(math.NaN())
-	pal, _ := colormap.Lookup("viridis")
-	img := RenderImage(g, pal, colormap.Range{Min: 0, Max: 1})
-	if _, _, _, a := img.At(1, 0).RGBA(); a != 0 {
-		t.Error("NaN pixel not transparent")
+// TestRenderImageMatchesPalette pins the paletted renderer's colours
+// through a PNG round trip, tRNS chunk included: for every palette, a
+// ramp, ±Inf and a degenerate range are within 2 per channel of the
+// exact palette colour, the ramp's ends are exact, NaN is transparent
+// and every other pixel opaque.
+func TestRenderImageMatchesPalette(t *testing.T) {
+	const n = 4096
+	g := raster.New(n+3, 1)
+	for i := range n {
+		g.Data[i] = float32(-200 + 1000*float64(i)/(n-1))
 	}
-	if _, _, _, a := img.At(0, 0).RGBA(); a == 0 {
-		t.Error("finite pixel transparent")
+	g.Data[n] = float32(math.NaN())
+	g.Data[n+1] = float32(math.Inf(1))
+	g.Data[n+2] = float32(math.Inf(-1))
+	for _, name := range colormap.Names() {
+		palette, err := colormap.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rng := range []colormap.Range{{Min: -200, Max: 800}, {Min: 5, Max: 5}} {
+			var buf bytes.Buffer
+			if err := pngEncoder.Encode(&buf, RenderImage(g, palette, rng)); err != nil {
+				t.Fatal(err)
+			}
+			img, err := png.Decode(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for x := range g.W {
+				v := float64(g.Data[x])
+				want := palette.At(rng.Normalize(v))
+				r, gr, b, a := img.At(x, 0).RGBA()
+				got := [4]int{int(r >> 8), int(gr >> 8), int(b >> 8), int(a >> 8)}
+				tol := 2
+				if x == 0 || x == n-1 {
+					tol = 0
+				}
+				for c, w := range [4]uint8{want.R, want.G, want.B, want.A} {
+					if d := got[c] - int(w); d < -tol || d > tol || (c == 3 && d != 0) {
+						t.Fatalf("%s %+v: value %v renders %v, want %v", name, rng, v, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

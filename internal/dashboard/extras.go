@@ -1,12 +1,12 @@
 package dashboard
 
 import (
-	"image"
 	"net/http"
 	"strconv"
 
 	"nsdfgo/internal/colormap"
 	"nsdfgo/internal/metrics"
+	"nsdfgo/internal/raster"
 	"nsdfgo/internal/tiff"
 )
 
@@ -110,13 +110,11 @@ func (s *Server) handleLegend(w http.ResponseWriter, r *http.Request) {
 		width = v
 	}
 	const height = 24
-	img := image.NewRGBA(image.Rect(0, 0, width, height))
-	for x := 0; x < width; x++ {
-		c := palette.At(float64(x) / float64(width-1))
-		for y := 0; y < height; y++ {
-			img.SetRGBA(x, y, c)
-		}
+	ramp := raster.New(width, height)
+	for i := range ramp.Data {
+		ramp.Data[i] = float32(i%width) / float32(width-1)
 	}
+	img := RenderImage(ramp, palette, colormap.Range{Min: 0, Max: 1})
 	w.Header().Set("Content-Type", "image/png")
 	if err := pngEncoder.Encode(w, img); err != nil {
 		s.bodyFailed(r, err)

@@ -5,9 +5,12 @@ import (
 	"context"
 	"errors"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -103,11 +106,10 @@ func (w *discardWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestDataAllocatesOnlyTheGrid pins the streamed /api/data body: serving
-// a 1024x1024 lattice from a warm cache allocates the grid the read
-// assembles and no encoding of it — no staging slice, no grown buffer.
-func TestDataAllocatesOnlyTheGrid(t *testing.T) {
-	const dim = 1024
+// newWarmServer serves one dim x dim elevation field as "big" from a
+// cache that holds all of it.
+func newWarmServer(t *testing.T, dim int) *Server {
+	t.Helper()
 	ctx := context.Background()
 	meta, err := idx.NewMeta([]int{dim, dim}, []idx.Field{{Name: "elevation", Type: idx.Float32}})
 	if err != nil {
@@ -122,6 +124,15 @@ func TestDataAllocatesOnlyTheGrid(t *testing.T) {
 	}
 	s := NewServer()
 	s.Register("big", query.New(ds, 64<<20))
+	return s
+}
+
+// TestDataAllocatesOnlyTheGrid pins the streamed /api/data body: serving
+// a 1024x1024 lattice from a warm cache allocates the grid the read
+// assembles and no encoding of it — no staging slice, no grown buffer.
+func TestDataAllocatesOnlyTheGrid(t *testing.T) {
+	const dim = 1024
+	s := newWarmServer(t, dim)
 	serve := func() int {
 		w := &discardWriter{header: http.Header{}}
 		s.ServeHTTP(w, httptest.NewRequest("GET", "/api/data?dataset=big", nil))
@@ -137,6 +148,41 @@ func TestDataAllocatesOnlyTheGrid(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(gridBytes+256<<10); got > limit {
 		t.Errorf("/api/data allocated %d bytes for a %d-byte grid, want <= %d", got, gridBytes, limit)
+	}
+}
+
+// TestRenderAllocatesOnlyTheImage pins /api/render: a 512x512 render
+// from a warm cache allocates the grid the read assembles and one index
+// byte per pixel — no RGBA staging image — and reuses the PNG encoder's
+// pooled zlib state.
+func TestRenderAllocatesOnlyTheImage(t *testing.T) {
+	const dim = 512
+	s := newWarmServer(t, dim)
+	serve := func() http.Header {
+		w := &discardWriter{header: http.Header{}}
+		s.ServeHTTP(w, httptest.NewRequest("GET", "/api/render?dataset=big", nil))
+		return w.header
+	}
+	// The warm-up fills the block cache and the encoder pool.
+	if got := serve().Get("X-NSDF-Samples"); got != strconv.Itoa(dim*dim) {
+		t.Fatalf("render of %s samples, want %d", got, dim*dim)
+	}
+	// A collection could empty the encoder pool and charge a render a
+	// fresh zlib writer. Under the race detector sync.Pool drops a
+	// quarter of Puts at random, so the bound is on the cheapest of
+	// several renders.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	got := uint64(math.MaxUint64)
+	for range 8 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		serve()
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	const gridBytes = 4 * dim * dim
+	if limit := uint64(gridBytes + dim*dim + 64<<10); got > limit {
+		t.Errorf("/api/render allocated %d bytes for a %d-byte grid, want <= %d", got, gridBytes, limit)
 	}
 }
 
