@@ -1,15 +1,15 @@
 # Developer entry points. `make check` is the full gate: tier-1
 # (build + test, matching ROADMAP.md) plus gofmt, vet, the race detector,
 # the nsdf-lint analyzer suite, a 5-second smoke of each of the ten
-# fuzz targets (every parser of untrusted bytes has one), a
-# reduced-size smoke of every benchmark harness (read path, trace
-# overhead, block cache, sharded tier, compression, lint, serving),
-# vet + tests of the bench/ module, which tier-1 does not compile, and
-# the non-test line count every PR reports its delta against.
+# fuzz targets (every parser of untrusted bytes has one), vet + tests of
+# the bench/ module (bench/e2e, the request-path benchmark, which tier-1
+# does not compile), a reduced-size smoke of the three harnesses e2e
+# does not yet answer (sharded tier, lint, serving), and the non-test
+# line count every PR reports its delta against.
 
 GO ?= go
 
-.PHONY: build test fmt-check vet race lint loc fuzz-smoke check bench-e2e-check bench-readpath bench-readpath-smoke bench-trace bench-trace-smoke bench-cache bench-cache-smoke bench-shard bench-shard-smoke bench-compression bench-compression-smoke bench-lint bench-lint-smoke bench-serving bench-serving-smoke
+.PHONY: build test fmt-check vet race lint loc fuzz-smoke check bench-e2e-check bench-shard bench-shard-smoke bench-lint bench-lint-smoke bench-serving bench-serving-smoke
 
 build:
 	$(GO) build ./...
@@ -61,50 +61,6 @@ fuzz-smoke:
 bench-e2e-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Measure the tile-plan HZ kernels against the per-sample reference path
-# and refresh BENCH_readpath.json (see README.md for how to read it),
-# then print the standard Go benchmark tables.
-bench-readpath:
-	NSDF_BENCH_READPATH_ITERS=5 NSDF_BENCH_READPATH_OUT=$(CURDIR)/BENCH_readpath.json \
-		$(GO) test ./internal/idx -run '^TestBenchReadpathEmit$$' -count=1 -v
-	$(GO) test ./internal/idx -run '^$$' -bench 'BenchmarkReadBoxKernel|BenchmarkWriteGridKernel' -benchmem -count=1
-
-# One-iteration smoke of the same harness, writing to a temp file: keeps
-# the benchmark code compiling and running under `make check` without
-# touching the committed BENCH_readpath.json.
-bench-readpath-smoke:
-	NSDF_BENCH_READPATH_ITERS=1 $(GO) test ./internal/idx -run '^TestBenchReadpathEmit$$' -count=1
-
-# Measure what an active trace costs the warm-cache ReadBox path AND a
-# sharded read across HTTP store processes (header propagation, remote
-# span records), refreshing both sections of BENCH_trace_overhead.json.
-# Fails if either overhead exceeds the 5% budget.
-bench-trace:
-	NSDF_BENCH_TRACE_ITERS=20 NSDF_BENCH_TRACE_OUT=$(CURDIR)/BENCH_trace_overhead.json \
-		$(GO) test ./internal/idx -run '^TestBenchTraceOverheadEmit$$' -count=1 -v
-	NSDF_BENCH_TRACE_ITERS=50 NSDF_BENCH_TRACE_OUT=$(CURDIR)/BENCH_trace_overhead.json \
-		$(GO) test . -run '^TestBenchTraceDistributedEmit$$' -count=1 -v
-
-# One-iteration smoke of both trace-overhead harnesses (temp output, no
-# gating): keeps them compiling and running under `make check`.
-bench-trace-smoke:
-	NSDF_BENCH_TRACE_ITERS=1 $(GO) test ./internal/idx -run '^TestBenchTraceOverheadEmit$$' -count=1
-	NSDF_BENCH_TRACE_ITERS=1 $(GO) test . -run '^TestBenchTraceDistributedEmit$$' -count=1
-
-# Measure the tiered block cache — zero-copy hit path (gated at 0
-# allocs/op), fetch coalescing under concurrent readers, TinyLFU
-# admission vs plain LRU — and refresh BENCH_cache.json, then print the
-# stock benchmark tables.
-bench-cache:
-	NSDF_BENCH_CACHE_ITERS=5 NSDF_BENCH_CACHE_OUT=$(CURDIR)/BENCH_cache.json \
-		$(GO) test ./internal/cache -run '^TestBenchCacheEmit$$' -count=1 -v
-	$(GO) test ./internal/cache -run '^$$' -bench 'BenchmarkGetHit|BenchmarkPutEvict' -benchmem -count=1
-
-# One-iteration smoke of the cache harness (temp output): keeps it
-# compiling, running, and allocation-free under `make check`.
-bench-cache-smoke:
-	NSDF_BENCH_CACHE_ITERS=1 $(GO) test ./internal/cache -run '^TestBenchCacheEmit$$' -count=1
-
 # Measure the sharded block tier — aggregate cold-read throughput at
 # N=1/2/4 nodes, hedged-read p99 under a heavy-tail network profile,
 # failover under node loss — and refresh BENCH_shard.json. Fails if the
@@ -118,19 +74,6 @@ bench-shard:
 # keeps it compiling and running under `make check`.
 bench-shard-smoke:
 	NSDF_BENCH_SHARD_ITERS=1 $(GO) test ./internal/shard -run '^TestBenchShardEmit$$' -count=1
-
-# Measure the block codecs on a synthetic float32 terrain raster —
-# encoded size, decode latency, max abs error — and refresh
-# BENCH_compression.json. Fails if shuffle4-zlib stops beating plain
-# zlib by >=15% (the paper's TIFF-to-IDX shrink was ~20%).
-bench-compression:
-	NSDF_BENCH_COMPRESSION_ITERS=20 NSDF_BENCH_COMPRESSION_OUT=$(CURDIR)/BENCH_compression.json \
-		$(GO) test ./internal/compress -run '^TestBenchCompressionEmit$$' -count=1 -v
-
-# One-iteration smoke of the compression harness (temp output, no
-# ratio gate): keeps it compiling and running under `make check`.
-bench-compression-smoke:
-	NSDF_BENCH_COMPRESSION_ITERS=1 $(GO) test ./internal/compress -run '^TestBenchCompressionEmit$$' -count=1
 
 # Measure serving under load — uncontended vs sustainable vs 2x-overload
 # latency and goodput with and without admission control, plus loadgen
@@ -161,5 +104,5 @@ bench-lint:
 bench-lint-smoke:
 	NSDF_BENCH_LINT_ITERS=1 $(GO) test ./internal/lint -run '^TestBenchLintEmit$$' -count=1
 
-check: build test fmt-check vet race lint fuzz-smoke bench-e2e-check bench-readpath-smoke bench-trace-smoke bench-cache-smoke bench-shard-smoke bench-compression-smoke bench-lint-smoke bench-serving-smoke loc
+check: build test fmt-check vet race lint fuzz-smoke bench-e2e-check bench-shard-smoke bench-lint-smoke bench-serving-smoke loc
 	@echo "check: all gates passed"

@@ -183,23 +183,6 @@ func TestBytesInvariantProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkGetHit(b *testing.B) {
-	c := newPlain(1 << 20)
-	c.Put("key", make([]byte, 4096))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Get("key")
-	}
-}
-
-func BenchmarkPutEvict(b *testing.B) {
-	c := newPlain(1 << 16)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Put(fmt.Sprintf("k%d", i), make([]byte, 1024))
-	}
-}
-
 // TestPutAdoptsBuffer guards the zero-copy contract: Put adopts the
 // caller's buffer (no copy), and Get returns the same backing storage.
 func TestPutAdoptsBuffer(t *testing.T) {
@@ -215,6 +198,19 @@ func TestPutAdoptsBuffer(t *testing.T) {
 	}
 	if &got.Bytes()[0] != &buf[0] {
 		t.Fatal("Get returned a copy instead of the shared buffer")
+	}
+}
+
+// TestHitDoesNotAllocate pins the zero-copy hit path: Get and Peek of a
+// resident block allocate nothing, on the admission-on memory tier every
+// shipped cache uses.
+func TestHitDoesNotAllocate(t *testing.T) {
+	c := NewMemTiered(1 << 20)
+	c.Put("key", make([]byte, 64<<10))
+	for name, lookup := range map[string]func(string) (*Block, bool){"Get": c.Get, "Peek": c.Peek} {
+		if allocs := testing.AllocsPerRun(1000, func() { lookup("key") }); allocs != 0 {
+			t.Errorf("%s of a resident block: %v allocations, want 0", name, allocs)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"context"
+	"errors"
 	"sync"
 )
 
@@ -31,14 +32,23 @@ func newFillGroup() *fillGroup {
 // caller the leader's result. shared reports whether this caller
 // piggybacked on another's fill. A waiter whose ctx expires before the
 // fill completes returns the ctx error without waiting; the fill and
-// the other waiters are unaffected.
+// the other waiters are unaffected. A fill that failed only because the
+// leader's own ctx ended is not the waiters' failure: a waiter whose ctx
+// is still live runs fn again as the new leader.
 func (g *fillGroup) do(ctx context.Context, key string, fn func() (*Block, error)) (blk *Block, shared bool, err error) {
-	g.mu.Lock()
-	if c, ok := g.calls[key]; ok {
+	for {
+		g.mu.Lock()
+		c, ok := g.calls[key]
+		if !ok {
+			break
+		}
 		g.mu.Unlock()
 		select {
 		case <-c.done:
-			return c.blk, true, c.err
+			abandoned := errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)
+			if !abandoned || ctx.Err() != nil {
+				return c.blk, true, c.err
+			}
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}

@@ -18,10 +18,6 @@ type Options struct {
 	DiskDir string
 	// DiskBytes bounds the disk tier's payload footprint.
 	DiskBytes int64
-	// NoAdmission disables the TinyLFU admission filter on the memory
-	// tier (admit everything, plain LRU replacement). Used for A/B
-	// benchmarking; production configurations keep admission on.
-	NoAdmission bool
 }
 
 // Outcome reports how GetOrFill satisfied a request.
@@ -84,7 +80,7 @@ func newTiered(memBytes int64, admit bool) *Tiered {
 // NewTiered builds a tiered cache from opts. It fails only when the
 // disk tier directory cannot be prepared.
 func NewTiered(opts Options) (*Tiered, error) {
-	t := newTiered(opts.MemBytes, !opts.NoAdmission)
+	t := newTiered(opts.MemBytes, true)
 	if opts.DiskDir != "" && opts.DiskBytes > 0 {
 		disk, err := newDiskTier(opts.DiskDir, opts.DiskBytes)
 		if err != nil {
@@ -160,7 +156,8 @@ func (t *Tiered) Put(key string, data []byte) *Block {
 // all concurrent callers of the same key: the first caller fetches,
 // everyone else waits for that result (request coalescing). fill
 // receives the leader's ctx; a waiter whose own ctx expires mid-fill
-// returns its ctx error without cancelling the shared fetch.
+// returns its ctx error without cancelling the shared fetch, and a
+// waiter whose leader's ctx ends mid-fill runs the fill itself.
 func (t *Tiered) GetOrFill(ctx context.Context, key string, fill func(ctx context.Context) ([]byte, error)) (*Block, Outcome, error) {
 	if !t.enabled() {
 		// Disabled caches do not coalesce either, so "no cache" sweep

@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"nsdfgo/internal/telemetry"
 )
@@ -26,6 +28,19 @@ func fillConst(payload []byte, calls *atomic.Int64) func(context.Context) ([]byt
 		copy(cp, payload)
 		return cp, nil
 	}
+}
+
+// newPlainTiered is NewTiered with the TinyLFU admission filter off:
+// plain LRU replacement makes eviction, and so disk spill,
+// deterministic for a cold Put sequence.
+func newPlainTiered(t *testing.T, opts Options) *Tiered {
+	t.Helper()
+	c, err := NewTiered(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mem.sketch = nil
+	return c
 }
 
 // TestGetOrFillCoalesces is the coalescing acceptance test: N
@@ -153,6 +168,65 @@ func TestGetOrFillWaiterCtxCancel(t *testing.T) {
 	}
 }
 
+// TestGetOrFillOutlivesCancelledLeader: a client that goes away fails
+// only itself. A waiter coalesced on its fill, whose own ctx is live,
+// runs the fill again as the new leader and gets the block.
+func TestGetOrFillOutlivesCancelledLeader(t *testing.T) {
+	c := NewMemTiered(1 << 20)
+	var calls atomic.Int64
+	leaderIn := make(chan struct{})
+	fill := func(ctx context.Context) ([]byte, error) {
+		if calls.Add(1) == 1 {
+			close(leaderIn)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return []byte("v"), nil
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	leader := make(chan error, 1)
+	go func() {
+		_, _, err := c.GetOrFill(ctx, "k", fill)
+		leader <- err
+	}()
+	<-leaderIn
+	waiter := make(chan error, 1)
+	go func() {
+		blk, _, err := c.GetOrFill(context.Background(), "k", fill)
+		if err == nil && string(blk.Bytes()) != "v" {
+			err = fmt.Errorf("wrong payload %q", blk.Bytes())
+		}
+		waiter <- err
+	}()
+	waitParkedIn(t, "cache.(*fillGroup).do")
+	cancel()
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+	if err := <-waiter; err != nil {
+		t.Fatalf("waiter on the cancelled leader's fill: %v", err)
+	}
+	if got := calls.Load(); got != 2 {
+		t.Errorf("fill ran %d times, want 2", got)
+	}
+}
+
+// waitParkedIn waits until a goroutine is blocked in a select inside
+// fn, as the goroutine dump shows it.
+func waitParkedIn(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for i := 0; i < 5000; i++ {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "[select") && strings.Contains(g, fn) {
+				return
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("no goroutine parked in %s", fn)
+}
+
 func TestTieredDisabledFillsWithoutCountingOrCoalescing(t *testing.T) {
 	c := NewMemTiered(0)
 	var calls atomic.Int64
@@ -202,10 +276,7 @@ func TestAdmissionProtectsHotSet(t *testing.T) {
 	}
 
 	// Control: without admission the same scan flushes the hot set.
-	nc, err := NewTiered(Options{MemBytes: 4 * 1024, NoAdmission: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	nc := newPlain(4 * 1024)
 	for _, k := range hot {
 		nc.Put(k, make([]byte, 1024))
 	}
@@ -219,18 +290,13 @@ func TestAdmissionProtectsHotSet(t *testing.T) {
 		}
 	}
 	if survived != 0 {
-		t.Errorf("NoAdmission control: %d hot keys survived a full scan", survived)
+		t.Errorf("plain LRU control: %d hot keys survived a full scan", survived)
 	}
 }
 
 func TestDiskTierSpillPromoteInvalidate(t *testing.T) {
 	dir := t.TempDir()
-	// NoAdmission makes eviction (and so disk spill) deterministic for a
-	// cold Put sequence.
-	c, err := NewTiered(Options{MemBytes: 2048, DiskDir: dir, DiskBytes: 1 << 20, NoAdmission: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newPlainTiered(t, Options{MemBytes: 2048, DiskDir: dir, DiskBytes: 1 << 20})
 	payload := func(b byte) []byte {
 		data := make([]byte, 1024)
 		for i := range data {
@@ -286,10 +352,7 @@ func TestDiskTierSpillPromoteInvalidate(t *testing.T) {
 // Clears their keys; under -race any write to a held buffer is a
 // reported race, not only a changed byte.
 func TestEvictedBlockSurvivesWhileHeld(t *testing.T) {
-	c, err := NewTiered(Options{MemBytes: 4 << 10, DiskDir: t.TempDir(), DiskBytes: 8 << 10, NoAdmission: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newPlainTiered(t, Options{MemBytes: 4 << 10, DiskDir: t.TempDir(), DiskBytes: 8 << 10})
 	payload := func(b byte) []byte { return bytes.Repeat([]byte{b}, 1<<10) }
 	var held []*Block
 	hold := func(blk *Block, ok bool) {

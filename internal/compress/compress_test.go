@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
@@ -9,6 +10,24 @@ import (
 	"testing"
 	"testing/quick"
 )
+
+// float32Bytes reinterprets samples as the little-endian byte payload a
+// block codec sees.
+func float32Bytes(values []float32) []byte {
+	out := make([]byte, 4*len(values))
+	for i, v := range values {
+		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(v))
+	}
+	return out
+}
+
+func bytesFloat32(src []byte) []float32 {
+	out := make([]float32, len(src)/4)
+	for i := range out {
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+	return out
+}
 
 // testPayloads returns a variety of byte payloads exercising compressible,
 // incompressible, and degenerate inputs.

@@ -243,9 +243,10 @@ func (d *Dataset) readLattice(ctx context.Context, spanName, field string, t int
 // deterministic, sequential on disk — and hands each to take on the
 // caller's goroutine as it arrives: one after the other with a single
 // worker, else through a pool of workers goroutines. The feeder stops
-// handing out spans and the workers stop claiming them the moment ctx is
-// cancelled; the pool always drains fully before fetchMisses returns, so
-// a cancelled read leaks no goroutines.
+// handing out spans the moment ctx is cancelled or a fetch fails; a
+// failure does not cancel ctx, because an in-flight fetch may be the
+// cache fill other readers wait on. The pool always drains fully before
+// fetchMisses returns, so a failed or cancelled read leaks no goroutines.
 func (p *blockPath) fetchMisses(ctx context.Context, miss []blockSpan, workers int,
 	take func(sp blockSpan, raw []byte, n int64, cached bool)) error {
 	if workers = min(workers, len(miss)); workers <= 1 {
@@ -270,6 +271,7 @@ func (p *blockPath) fetchMisses(ctx context.Context, miss []blockSpan, workers i
 	}
 	work := make(chan blockSpan)
 	results := make(chan fetched)
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
@@ -292,6 +294,8 @@ func (p *blockPath) fetchMisses(ctx context.Context, miss []blockSpan, workers i
 			case work <- sp:
 			case <-ctx.Done():
 				return
+			case <-stop:
+				return
 			}
 		}
 	}()
@@ -301,13 +305,13 @@ func (p *blockPath) fetchMisses(ctx context.Context, miss []blockSpan, workers i
 	}()
 	var firstErr error
 	for r := range results {
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			continue
+		if r.err != nil && firstErr == nil {
+			firstErr = r.err
+			close(stop)
 		}
-		take(r.sp, r.raw, r.n, r.cached)
+		if firstErr == nil {
+			take(r.sp, r.raw, r.n, r.cached)
+		}
 	}
 	if firstErr == nil {
 		firstErr = ctx.Err()

@@ -3,7 +3,9 @@ package idx
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -159,35 +161,38 @@ func TestFetchPressureShrinksParallelism(t *testing.T) {
 	}
 }
 
-// failingBackend fails Gets for selected block keys.
+// failingBackend fails Gets of one block key and counts the Gets that
+// reach it.
 type failingBackend struct {
-	*MemBackend
+	Backend
 	failKey string
+	gets    atomic.Int64
 }
 
 func (f *failingBackend) Get(ctx context.Context, name string) ([]byte, error) {
+	f.gets.Add(1)
 	if name == f.failKey {
 		return nil, fmt.Errorf("injected backend failure for %s", name)
 	}
-	return f.MemBackend.Get(ctx, name)
+	return f.Backend.Get(ctx, name)
 }
 
+// TestParallelFetchSurfacesErrors: a failed block is the read's error,
+// and once it fails the pool hands out no further misses. Only the
+// fetches already in flight finish, because one of them may be the
+// cache fill other readers wait on.
 func TestParallelFetchSurfacesErrors(t *testing.T) {
-	meta, _ := NewMeta([]int{64, 64}, []Field{{Name: "elevation", Type: Float32}})
-	meta.BitsPerBlock = 8
-	inner := NewMemBackend()
-	ds, err := Create(context.Background(), inner, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.WriteGrid(context.Background(), "elevation", 0, rampGrid(64, 64)); err != nil {
-		t.Fatal(err)
-	}
-	fail := &failingBackend{MemBackend: inner, failKey: ds.BlockKey("elevation", 0, 3)}
+	ds, slow, _ := newParallelDataset(t) // 64 blocks, each Get 2 ms
+	fail := &failingBackend{Backend: slow, failKey: ds.BlockKey("elevation", 0, 0)}
 	ds2 := &Dataset{Meta: ds.Meta, be: fail}
-	ds2.SetFetchParallelism(4)
-	if _, _, err := ds2.ReadFull(context.Background(), "elevation", 0); err == nil {
-		t.Error("injected failure not surfaced by parallel fetch")
+	const workers = 4
+	ds2.SetFetchParallelism(workers)
+	_, _, err := ds2.ReadFull(context.Background(), "elevation", 0)
+	if err == nil || !strings.Contains(err.Error(), fail.failKey) {
+		t.Fatalf("read err = %v, want block 0's failure", err)
+	}
+	if further := fail.gets.Load() - 1; further > 2*workers {
+		t.Errorf("%d further Gets reached the backend after block 0 failed, want at most %d", further, 2*workers)
 	}
 }
 
@@ -202,7 +207,7 @@ func TestSerialFetchSurfacesErrors(t *testing.T) {
 	if err := ds.WriteGrid(context.Background(), "elevation", 0, rampGrid(64, 64)); err != nil {
 		t.Fatal(err)
 	}
-	fail := &failingBackend{MemBackend: inner, failKey: ds.BlockKey("elevation", 0, 0)}
+	fail := &failingBackend{Backend: inner, failKey: ds.BlockKey("elevation", 0, 0)}
 	ds2 := &Dataset{Meta: ds.Meta, be: fail}
 	if _, _, err := ds2.ReadFull(context.Background(), "elevation", 0); err == nil {
 		t.Error("injected failure not surfaced by serial fetch")
