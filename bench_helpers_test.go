@@ -6,6 +6,7 @@ import (
 
 	"nsdfgo/internal/catalog"
 	"nsdfgo/internal/netmon"
+	"nsdfgo/internal/storage"
 )
 
 // newBenchCatalog builds a synthetic catalog of n records spanning three
@@ -38,4 +39,15 @@ func newBenchNetwork(b *testing.B) *netmon.Network {
 		b.Fatal(err)
 	}
 	return net
+}
+
+// newCrossCountryStore is an empty store behind the testbed's
+// coast-to-coast sdsc->mghpcc link.
+func newCrossCountryStore(b *testing.B) *storage.Conditioned {
+	b.Helper()
+	link, err := newBenchNetwork(b).Profile("sdsc", "mghpcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return storage.NewConditioned(storage.NewMemStore(), link, 1)
 }

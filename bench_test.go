@@ -351,7 +351,7 @@ func BenchmarkFieldCodecs(b *testing.B) {
 }
 
 // BenchmarkParallelFetchWAN ablates fetch parallelism against a
-// cross-country conditioned store: with ~7ms RTT per object, overlapping
+// cross-country conditioned store: with ~6ms RTT per object, overlapping
 // fetches is the difference between an unusable and a fluid dashboard.
 func BenchmarkParallelFetchWAN(b *testing.B) {
 	meta, err := idx.NewMeta([]int{256, 256}, []idx.Field{{Name: "elevation", Type: idx.Float32}})
@@ -359,7 +359,7 @@ func BenchmarkParallelFetchWAN(b *testing.B) {
 		b.Fatal(err)
 	}
 	meta.BitsPerBlock = 10 // 64 blocks
-	remote := storage.NewConditioned(storage.NewMemStore(), storage.ProfileCrossCountry, 1)
+	remote := newCrossCountryStore(b)
 	ds, err := idx.Create(context.Background(), storage.NewIDXBackend(remote, "wan"), meta)
 	if err != nil {
 		b.Fatal(err)
@@ -393,7 +393,7 @@ func BenchmarkPrefetchAblation(b *testing.B) {
 		b.Fatal(err)
 	}
 	meta.BitsPerBlock = 10
-	remote := storage.NewConditioned(storage.NewMemStore(), storage.ProfileCrossCountry, 1)
+	remote := newCrossCountryStore(b)
 	ds, err := idx.Create(context.Background(), storage.NewIDXBackend(remote, "pf"), meta)
 	if err != nil {
 		b.Fatal(err)

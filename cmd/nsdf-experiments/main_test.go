@@ -21,9 +21,9 @@ func TestRunToySize(t *testing.T) {
 		{"list", []string{"-list"}, false, []string{"fig1\n", "fig3\n", "claimcloud\n"}},
 		{"unknown id", []string{"-run", "fig99"}, true, nil},
 		{"fig3", []string{"-run", "fig3"}, false, []string{
-			`cross-country .* network +11\.6ms`,
-			`local .* network +0\.4ms`,
-			`regional .* network +3\.3ms`,
+			`cross-country .* network +6\.248ms`,
+			`local .* network +0\.014ms`,
+			`regional .* network +1\.681ms`,
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

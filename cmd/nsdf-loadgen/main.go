@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -128,8 +129,8 @@ func parsePhases(spec string) ([]loadgen.Phase, error) {
 			return nil, fmt.Errorf("bad phase %q: %w", part, err)
 		}
 		mult, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil || mult < 0 {
-			return nil, fmt.Errorf("bad phase %q: rate multiplier must be a number >= 0", part)
+		if err != nil || !(mult >= 0) || math.IsInf(mult, 1) {
+			return nil, fmt.Errorf("bad phase %q: rate multiplier must be a finite number >= 0", part)
 		}
 		out = append(out, loadgen.Phase{Name: fields[0], Duration: d, Rate: mult})
 	}
@@ -141,7 +142,7 @@ func parseFractions(spec string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(spec, ",") {
 		f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || f <= 0 || f > 1 {
+		if err != nil || !(f > 0 && f <= 1) {
 			return nil, fmt.Errorf("bad box fraction %q (want 0 < f <= 1)", part)
 		}
 		out = append(out, f)

@@ -34,3 +34,14 @@ func TestFlagsGolden(t *testing.T) {
 		t.Errorf("flag set differs from testdata/flags.golden\n got:\n%swant:\n%s", got.String(), want)
 	}
 }
+
+// TestDegradeRejectsNonFiniteFactor checks that a NaN factor injected
+// from the command line stops the run instead of reaching the probes.
+func TestDegradeRejectsNonFiniteFactor(t *testing.T) {
+	fs := flag.NewFlagSet("nsdf-netmon", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	err := run(fs, []string{"-monitor", "2", "-degrade", "utk:umich:NaN:1"})
+	if err == nil || !strings.Contains(err.Error(), "finite") {
+		t.Errorf("run -degrade utk:umich:NaN:1 = %v, want a non-finite factor error", err)
+	}
+}

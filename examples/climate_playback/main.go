@@ -27,6 +27,7 @@ import (
 	"nsdfgo/internal/dem"
 	"nsdfgo/internal/geotiled"
 	"nsdfgo/internal/idx"
+	"nsdfgo/internal/netmon"
 	"nsdfgo/internal/query"
 	"nsdfgo/internal/somospie"
 	"nsdfgo/internal/storage"
@@ -64,14 +65,22 @@ func run(stdout io.Writer) error {
 	})
 
 	// Store the whole year as one multiresolution dataset on a simulated
-	// regional object store.
+	// regional object store: the testbed's sdsc->utah link.
 	meta, err := idx.NewMeta([]int{w, h}, []idx.Field{{Name: "soil_moisture", Type: idx.Float32}})
 	if err != nil {
 		return err
 	}
 	meta.Timesteps = months
 	meta.BitsPerBlock = 12
-	remote := storage.NewConditioned(storage.NewMemStore(), storage.ProfileRegional, seed)
+	testbed, err := netmon.NewNetwork(netmon.Testbed(), seed)
+	if err != nil {
+		return err
+	}
+	link, err := testbed.Profile("sdsc", "utah")
+	if err != nil {
+		return err
+	}
+	remote := storage.NewConditioned(storage.NewMemStore(), link, seed)
 	ds, err := idx.Create(context.Background(), storage.NewIDXBackend(remote, "moisture_2016"), meta)
 	if err != nil {
 		return err

@@ -3,10 +3,11 @@
 // The tutorial's advanced session visualises the Contiguous United States
 // at 30 m — far too large to download. This example builds a CONUS-like
 // scene, stores it as IDX on a *cross-country conditioned* object store
-// (7 ms RTT, bandwidth-limited, jittered), and then shows what makes the
-// dashboard usable over that link: a coarse national overview costs a few
-// round trips, zooming into one state fetches only that state's blocks,
-// and the block cache makes revisits nearly free.
+// (the testbed's sdsc->mghpcc link, ~6 ms RTT time-compressed, jittered),
+// and then shows what makes the dashboard usable over that link: a coarse
+// national overview costs a few round trips, zooming into one state
+// fetches only that state's blocks, and the block cache makes revisits
+// nearly free.
 //
 // Run with:
 //
@@ -24,6 +25,7 @@ import (
 	"nsdfgo/internal/convert"
 	"nsdfgo/internal/dem"
 	"nsdfgo/internal/idx"
+	"nsdfgo/internal/netmon"
 	"nsdfgo/internal/query"
 	"nsdfgo/internal/storage"
 )
@@ -43,7 +45,15 @@ func run(stdout io.Writer) error {
 	fmt.Fprintln(stdout, "synthesising CONUS-like scene (1024x512)...")
 	scene := dem.CONUS(w, h, 20240624)
 
-	remoteStore := storage.NewConditioned(storage.NewMemStore(), storage.ProfileCrossCountry, 1)
+	testbed, err := netmon.NewNetwork(netmon.Testbed(), 1)
+	if err != nil {
+		return err
+	}
+	link, err := testbed.Profile("sdsc", "mghpcc")
+	if err != nil {
+		return err
+	}
+	remoteStore := storage.NewConditioned(storage.NewMemStore(), link, 1)
 	start := time.Now()
 	ds, err := convert.ToIDXWith(context.Background(), storage.NewIDXBackend(remoteStore, "conus_30m"),
 		[]convert.Input{{FieldName: "elevation", Grid: scene}}, convert.IDXOptions{BitsPerBlock: 13})

@@ -147,9 +147,9 @@ type Fig3Result struct {
 }
 
 // RunFig3 regenerates Fig. 3: the data conversion process across
-// environments — the same TIFF is fetched from three differently
-// conditioned stores (local, regional cloud, cross-country cloud) and
-// converted to IDX, timing each path.
+// environments — the same TIFF is fetched over three of the testbed's
+// links (local sdsc->sdsc, regional sdsc->utah, cross-country
+// sdsc->mghpcc) and converted to IDX, timing each path.
 func RunFig3(ctx context.Context, w io.Writer) (Fig3Result, error) {
 	fmt.Fprintln(w, "== Fig. 3: data conversion across storage environments ==")
 	g := dem.Scale(dem.FBM(256, 256, Seed, dem.DefaultFBM()), 0, 2000)
@@ -159,14 +159,17 @@ func RunFig3(ctx context.Context, w io.Writer) (Fig3Result, error) {
 	}
 	payload := tiffBuf.Bytes()
 
-	profiles := map[string]storage.NetworkProfile{
-		"local":         storage.ProfileLocal,
-		"regional":      storage.ProfileRegional,
-		"cross-country": storage.ProfileCrossCountry,
+	pairs := map[string][2]string{
+		"local":         {"sdsc", "sdsc"},
+		"regional":      {"sdsc", "utah"},
+		"cross-country": {"sdsc", "mghpcc"},
 	}
 	res := Fig3Result{Sources: map[string]time.Duration{}, Network: map[string]time.Duration{}, Bytes: int64(len(payload))}
-	for _, name := range sortedKeys(profiles) {
-		src := storage.NewConditioned(storage.NewMemStore(), profiles[name], Seed)
+	for _, name := range sortedKeys(pairs) {
+		src, err := testbedStore(pairs[name][0], pairs[name][1])
+		if err != nil {
+			return res, err
+		}
 		if err := src.Put(ctx, "terrain/elevation.tif", payload); err != nil {
 			return res, err
 		}
@@ -186,7 +189,7 @@ func RunFig3(ctx context.Context, w io.Writer) (Fig3Result, error) {
 			return res, err
 		}
 		res.Sources[name] = time.Since(start)
-		fmt.Fprintf(w, "  %-14s fetch+convert %8.1fms, of which network %6.1fms  (%d TIFF bytes)\n",
+		fmt.Fprintf(w, "  %-14s fetch+convert %8.1fms, of which network %7.3fms  (%d TIFF bytes)\n",
 			name, float64(res.Sources[name])/1e6, float64(res.Network[name])/1e6, len(payload))
 	}
 	return res, nil
@@ -327,6 +330,9 @@ type Fig7Result struct {
 	// ColdElapsed and WarmElapsed time the same interaction mix against a
 	// cross-country store with a cold and a warm cache.
 	ColdElapsed, WarmElapsed time.Duration
+	// ColdOps, WarmOps, ColdWait and WarmWait are as in ClaimCacheResult.
+	ColdOps, WarmOps   int64
+	ColdWait, WarmWait time.Duration
 }
 
 // RunFig7 regenerates Fig. 7: the interactive dashboard session — a
@@ -334,7 +340,10 @@ type Fig7Result struct {
 // showing progressive refinement costs and the effect of the cache.
 func RunFig7(ctx context.Context, w io.Writer) (Fig7Result, error) {
 	fmt.Fprintln(w, "== Fig. 7: interactive dashboard session against a remote store ==")
-	remote := storage.NewConditioned(storage.NewMemStore(), storage.ProfileCrossCountry, Seed)
+	remote, err := testbedStore("sdsc", "mghpcc")
+	if err != nil {
+		return Fig7Result{}, err
+	}
 	g := dem.Scale(dem.FBM(512, 512, Seed, dem.DefaultFBM()), 0, 3000)
 	ds, err := convert.ToIDXWith(ctx, storage.NewIDXBackend(remote, "conus"),
 		[]convert.Input{{FieldName: "elevation", Grid: g}}, convert.IDXOptions{BitsPerBlock: 12})
@@ -344,8 +353,7 @@ func RunFig7(ctx context.Context, w io.Writer) (Fig7Result, error) {
 	engine := query.New(ds, 64<<20)
 
 	res := Fig7Result{LevelBytes: map[int]int64{}}
-	interact := func(recordLevels bool) (time.Duration, error) {
-		start := time.Now()
+	interact := func(recordLevels bool) error {
 		// Zoomed-out overview, progressively refined. Only the cold pass
 		// reflects real transfers, so only it records the (cumulative)
 		// fetch volume per refinement level.
@@ -358,7 +366,7 @@ func RunFig7(ctx context.Context, w io.Writer) (Fig7Result, error) {
 			return nil
 		})
 		if err != nil {
-			return 0, err
+			return err
 		}
 		// Pan: four quadrant reads at a medium level.
 		quadrants := []idx.Box{
@@ -369,27 +377,25 @@ func RunFig7(ctx context.Context, w io.Writer) (Fig7Result, error) {
 		}
 		for _, b := range quadrants {
 			if _, err := engine.Read(ctx, query.Request{Field: "elevation", Box: b, Level: 14}); err != nil {
-				return 0, err
+				return err
 			}
 		}
 		// Snip: full-resolution crop of the centre.
-		if _, err := engine.Read(ctx, query.Request{Field: "elevation", Box: idx.Box{X0: 192, Y0: 192, X1: 320, Y1: 320}, Level: query.LevelFull}); err != nil {
-			return 0, err
-		}
-		return time.Since(start), nil
+		_, err = engine.Read(ctx, query.Request{Field: "elevation", Box: idx.Box{X0: 192, Y0: 192, X1: 320, Y1: 320}, Level: query.LevelFull})
+		return err
 	}
-	if res.ColdElapsed, err = interact(true); err != nil {
+	if res.ColdElapsed, res.ColdOps, res.ColdWait, err = remotePass(remote, func() error { return interact(true) }); err != nil {
 		return res, err
 	}
-	if res.WarmElapsed, err = interact(false); err != nil {
+	if res.WarmElapsed, res.WarmOps, res.WarmWait, err = remotePass(remote, func() error { return interact(false) }); err != nil {
 		return res, err
 	}
 	for _, level := range sortedIntKeys(res.LevelBytes) {
 		fmt.Fprintf(w, "  refine to level %2d: %8d compressed bytes fetched (cumulative)\n", level, res.LevelBytes[level])
 	}
-	fmt.Fprintf(w, "  interaction mix: cold cache %8.1fms, warm cache %8.1fms (%.0fx)\n",
-		float64(res.ColdElapsed)/1e6, float64(res.WarmElapsed)/1e6,
-		float64(res.ColdElapsed)/float64(max64(1, int64(res.WarmElapsed))))
+	fmt.Fprintf(w, "  interaction mix: cold cache %8.1fms (%d remote ops, %.1fms network), warm cache %8.1fms (%d remote ops) (%.0fx)\n",
+		float64(res.ColdElapsed)/1e6, res.ColdOps, float64(res.ColdWait)/1e6, float64(res.WarmElapsed)/1e6, res.WarmOps,
+		float64(res.ColdElapsed)/float64(max(1, res.WarmElapsed)))
 	return res, nil
 }
 
@@ -491,7 +497,10 @@ type ClaimCacheResult struct {
 // be far faster than cold remote access.
 func RunClaimCache(ctx context.Context, w io.Writer) (ClaimCacheResult, error) {
 	fmt.Fprintln(w, "== Claim §III-A: caching-enabled streaming (cold vs warm) ==")
-	remote := storage.NewConditioned(storage.NewMemStore(), storage.ProfileCrossCountry, Seed)
+	remote, err := testbedStore("sdsc", "mghpcc")
+	if err != nil {
+		return ClaimCacheResult{}, err
+	}
 	g := dem.Scale(dem.FBM(256, 256, Seed, dem.DefaultFBM()), 0, 1000)
 	ds, err := convert.ToIDXWith(ctx, storage.NewIDXBackend(remote, "ds"),
 		[]convert.Input{{FieldName: "elevation", Grid: g}}, convert.IDXOptions{BitsPerBlock: 12})
@@ -501,25 +510,20 @@ func RunClaimCache(ctx context.Context, w io.Writer) (ClaimCacheResult, error) {
 	blocks := cache.NewMemTiered(64 << 20)
 	ds.SetCache(blocks)
 	var res ClaimCacheResult
-	written := remote.Stats()
-	start := time.Now()
-	if _, _, err := ds.ReadFull(ctx, "elevation", 0); err != nil {
+	read := func() error {
+		_, _, err := ds.ReadFull(ctx, "elevation", 0)
+		return err
+	}
+	if res.Cold, res.ColdOps, res.ColdWait, err = remotePass(remote, read); err != nil {
 		return res, err
 	}
-	res.Cold = time.Since(start)
-	cold := remote.Stats()
-	res.ColdOps, res.ColdWait = cold.Ops-written.Ops, cold.TotalWait-written.TotalWait
-	start = time.Now()
-	if _, _, err := ds.ReadFull(ctx, "elevation", 0); err != nil {
+	if res.Warm, res.WarmOps, res.WarmWait, err = remotePass(remote, read); err != nil {
 		return res, err
 	}
-	res.Warm = time.Since(start)
-	warm := remote.Stats()
-	res.WarmOps, res.WarmWait = warm.Ops-cold.Ops, warm.TotalWait-cold.TotalWait
 	res.HitRate = blocks.Stats().HitRate()
 	fmt.Fprintf(w, "  cold %8.1fms (%d remote ops, %.1fms network)   warm %8.3fms (%d remote ops)   speedup %.0fx   hit rate %.2f\n",
 		float64(res.Cold)/1e6, res.ColdOps, float64(res.ColdWait)/1e6, float64(res.Warm)/1e6, res.WarmOps,
-		float64(res.Cold)/float64(max64(1, int64(res.Warm))), res.HitRate)
+		float64(res.Cold)/float64(max(1, res.Warm)), res.HitRate)
 	return res, nil
 }
 
@@ -599,6 +603,28 @@ func RunClaimCloud(_ context.Context, w io.Writer) (ClaimCloudResult, error) {
 	return res, nil
 }
 
+// testbedStore returns an empty store behind the testbed's a->b link.
+func testbedStore(a, b string) (*storage.Conditioned, error) {
+	net, err := netmon.NewNetwork(netmon.Testbed(), Seed)
+	if err != nil {
+		return nil, err
+	}
+	profile, err := net.Profile(a, b)
+	if err != nil {
+		return nil, err
+	}
+	return storage.NewConditioned(storage.NewMemStore(), profile, Seed), nil
+}
+
+// remotePass runs pass against remote and returns its wall time, the
+// operations it sent and the network time the store modelled for them.
+func remotePass(remote *storage.Conditioned, pass func() error) (time.Duration, int64, time.Duration, error) {
+	before, start := remote.Stats(), time.Now()
+	err := pass()
+	after := remote.Stats()
+	return time.Since(start), after.Ops - before.Ops, after.TotalWait - before.TotalWait, err
+}
+
 func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
@@ -615,13 +641,6 @@ func sortedIntKeys[V any](m map[int]V) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // discard drops the typed result so every Run* fits one signature.

@@ -60,15 +60,24 @@ func TestFig2ShapeHolds(t *testing.T) {
 	if far.MeanRTT <= near.MeanRTT {
 		t.Errorf("RTT shape inverted: far %v <= near %v", far.MeanRTT, near.MeanRTT)
 	}
-	// The commercial 10 Gbps site must be the throughput constraint.
-	foundCloud := false
-	for _, c := range res.Constraints {
-		if strings.Contains(c.Pair, "cloud") {
-			foundCloud = true
+	// C6: the 14 pairs touching the 10 Gbps commercial site fall short on
+	// throughput, and the coast-to-coast pair exceeds 60 ms both ways.
+	want := map[string]string{"sdsc->mghpcc": "RTT", "mghpcc->sdsc": "RTT"}
+	for _, site := range res.Report.Sites {
+		if site != "cloud" {
+			want[site+"->cloud"], want["cloud->"+site] = "throughput", "throughput"
 		}
 	}
-	if !foundCloud {
-		t.Error("cloud uplink not flagged as a constraint")
+	got := map[string]string{}
+	for _, c := range res.Constraints {
+		for _, kind := range []string{"RTT", "throughput"} {
+			if strings.HasPrefix(c.Reason, "mean "+kind) {
+				got[c.Pair] = kind
+			}
+		}
+	}
+	if len(res.Constraints) != 16 || !reflect.DeepEqual(got, want) {
+		t.Errorf("flagged %d pairs %v, want the 16 pairs %v", len(res.Constraints), got, want)
 	}
 }
 
@@ -174,9 +183,13 @@ func TestFig7ProgressiveAndCacheShape(t *testing.T) {
 			t.Errorf("bytes not monotone across levels: %v", res.LevelBytes)
 		}
 	}
-	// Warm cache must beat the cold remote pass by a wide margin.
-	if res.WarmElapsed*5 > res.ColdElapsed {
-		t.Errorf("cache ineffective: cold=%v warm=%v", res.ColdElapsed, res.WarmElapsed)
+	// The cache is asserted on what each pass asked of the remote store,
+	// as in TestClaimCacheShapeHolds: a warm pass sends nothing.
+	if res.ColdOps <= 0 || res.ColdWait <= 0 {
+		t.Errorf("cold pass sent %d remote ops and waited %v, want both > 0", res.ColdOps, res.ColdWait)
+	}
+	if res.WarmOps != 0 || res.WarmWait != 0 {
+		t.Errorf("cache ineffective: warm pass sent %d remote ops and waited %v, want none", res.WarmOps, res.WarmWait)
 	}
 }
 

@@ -2,6 +2,7 @@ package netmon
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -10,40 +11,21 @@ import (
 )
 
 // Degrade applies multipliers to one directed link, simulating congestion
-// or a failing path: subsequent latency probes are scaled by rttFactor
-// and throughput probes by bwFactor. Factors of 1 restore the link.
+// or a failing path: the link's RTT is multiplied by rttFactor and its
+// bandwidth divided by bwFactor, for probes and Profile alike. Both must
+// be positive and finite; factors of 1 restore the link.
 func (n *Network) Degrade(a, b string, rttFactor, bwFactor float64) error {
-	if _, err := n.Site(a); err != nil {
+	if _, err := n.BaseRTT(a, b); err != nil { // rejects an unknown site
 		return err
 	}
-	if _, err := n.Site(b); err != nil {
-		return err
-	}
-	if rttFactor <= 0 || bwFactor <= 0 {
-		return fmt.Errorf("netmon: degradation factors must be positive")
+	// NaN fails the comparisons.
+	if !(rttFactor > 0 && bwFactor > 0) || math.IsInf(rttFactor, 1) || math.IsInf(bwFactor, 1) {
+		return fmt.Errorf("netmon: degradation factors must be positive and finite, got %g and %g", rttFactor, bwFactor)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.degraded == nil {
-		n.degraded = map[string][2]float64{}
-	}
-	key := a + "->" + b
-	if rttFactor == 1 && bwFactor == 1 {
-		delete(n.degraded, key)
-	} else {
-		n.degraded[key] = [2]float64{rttFactor, bwFactor}
-	}
+	n.degraded[a+"->"+b] = [2]float64{rttFactor, bwFactor}
 	return nil
-}
-
-// degradation returns the active multipliers for a directed pair.
-func (n *Network) degradation(a, b string) (rtt, bw float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if f, ok := n.degraded[a+"->"+b]; ok {
-		return f[0], f[1]
-	}
-	return 1, 1
 }
 
 // Monitor runs the NSDF-Plugin's continuous measurement loop: periodic

@@ -1,6 +1,7 @@
 package netmon
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -10,8 +11,11 @@ func TestDegradeValidation(t *testing.T) {
 	if err := n.Degrade("nowhere", "sdsc", 2, 1); err == nil {
 		t.Error("unknown site accepted")
 	}
-	if err := n.Degrade("sdsc", "utah", 0, 1); err == nil {
-		t.Error("zero factor accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, f := range [][2]float64{{0, 1}, {1, -2}, {nan, 1}, {1, nan}, {inf, 1}, {1, inf}, {-inf, 1}} {
+		if err := n.Degrade("sdsc", "utah", f[0], f[1]); err == nil {
+			t.Errorf("factors %v accepted", f)
+		}
 	}
 	if err := n.Degrade("sdsc", "utah", 2, 2); err != nil {
 		t.Fatal(err)

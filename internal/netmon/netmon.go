@@ -8,9 +8,10 @@
 //
 // The real WAN is a hardware gate, so the links are simulated with a
 // physical model: great-circle distance over fibre (≈ 2/3 c) plus router
-// overhead for latency, provider-class uplink capacity with lognormal-ish
-// congestion noise for throughput. Every probe stream is seeded, so runs
-// are reproducible.
+// overhead for latency, the smaller provider-class uplink derated by path
+// efficiency for bandwidth. Each link is a storage.NetworkProfile, and a
+// probe is one draw of its Delay, the sampler storage.Conditioned sleeps
+// for. Every probe stream is seeded, so runs are reproducible.
 package netmon
 
 import (
@@ -21,6 +22,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"nsdfgo/internal/storage"
 )
 
 // Site is one NSDF testbed entry point.
@@ -51,55 +54,34 @@ func Testbed() []Site {
 	}
 }
 
+// The link model.
+const (
+	fibreKmPerMs   = 200                  // signal distance per millisecond in fibre (≈ 2/3 c)
+	routerOverhead = 2 * time.Millisecond // per-path routing and queuing floor
+	pathEfficiency = 0.6                  // single-stream TCP share of the bottleneck uplink
+	probeBytes     = 1 << 30              // the bulk transfer one throughput probe times
+	// timeCompression is how much faster than the testbed a Profile runs:
+	// storage.Conditioned sleeps real time.
+	timeCompression = 10
+)
+
 // Network simulates the links among a set of sites.
 type Network struct {
-	sites  map[string]Site
-	names  []string
-	mu     sync.Mutex
-	rng    *rand.Rand
-	params LinkParams
+	sites map[string]Site
+	names []string
+	mu    sync.Mutex
+	rng   *rand.Rand
 	// degraded maps "a->b" to {rttFactor, bwFactor} multipliers.
 	degraded map[string][2]float64
 }
 
-// LinkParams tunes the physical link model.
-type LinkParams struct {
-	// FibreKmPerMs is signal distance per millisecond (~200 km/ms in fibre).
-	FibreKmPerMs float64
-	// RouterOverhead is fixed per-path latency (routing, queuing floor).
-	RouterOverhead time.Duration
-	// JitterFrac is the coefficient of variation of latency noise.
-	JitterFrac float64
-	// CongestionFrac is the mean fractional throughput loss to congestion.
-	CongestionFrac float64
-	// PathEfficiency scales single-stream TCP throughput relative to the
-	// bottleneck uplink (protocol + RTT effects).
-	PathEfficiency float64
-}
-
-// DefaultLinkParams returns the model used by the Fig. 2 experiments.
-func DefaultLinkParams() LinkParams {
-	return LinkParams{
-		FibreKmPerMs:   200,
-		RouterOverhead: 2 * time.Millisecond,
-		JitterFrac:     0.08,
-		CongestionFrac: 0.25,
-		PathEfficiency: 0.6,
-	}
-}
-
-// NewNetwork builds a simulated network over sites with the default link
-// model. The seed fixes all probe noise.
+// NewNetwork builds a simulated network over sites. The seed fixes all
+// probe noise.
 func NewNetwork(sites []Site, seed int64) (*Network, error) {
-	return NewNetworkWithParams(sites, seed, DefaultLinkParams())
-}
-
-// NewNetworkWithParams is NewNetwork with an explicit link model.
-func NewNetworkWithParams(sites []Site, seed int64, params LinkParams) (*Network, error) {
 	if len(sites) < 2 {
 		return nil, fmt.Errorf("netmon: need at least 2 sites, got %d", len(sites))
 	}
-	n := &Network{sites: make(map[string]Site, len(sites)), rng: rand.New(rand.NewSource(seed)), params: params}
+	n := &Network{sites: make(map[string]Site, len(sites)), rng: rand.New(rand.NewSource(seed)), degraded: map[string][2]float64{}}
 	for _, s := range sites {
 		if _, dup := n.sites[s.Name]; dup {
 			return nil, fmt.Errorf("netmon: duplicate site %q", s.Name)
@@ -117,15 +99,6 @@ func NewNetworkWithParams(sites []Site, seed int64, params LinkParams) (*Network
 // Sites returns the site names, sorted.
 func (n *Network) Sites() []string { return append([]string(nil), n.names...) }
 
-// Site returns a site by name.
-func (n *Network) Site(name string) (Site, error) {
-	s, ok := n.sites[name]
-	if !ok {
-		return Site{}, fmt.Errorf("netmon: unknown site %q", name)
-	}
-	return s, nil
-}
-
 // haversineKm computes the great-circle distance between two sites.
 func haversineKm(a, b Site) float64 {
 	const earthRadiusKm = 6371
@@ -139,62 +112,78 @@ func haversineKm(a, b Site) float64 {
 
 // BaseRTT returns the noise-free round-trip time between two sites.
 func (n *Network) BaseRTT(a, b string) (time.Duration, error) {
-	sa, err := n.Site(a)
-	if err != nil {
-		return 0, err
-	}
-	sb, err := n.Site(b)
-	if err != nil {
-		return 0, err
+	sa, okA := n.sites[a]
+	sb, okB := n.sites[b]
+	if !okA || !okB {
+		return 0, fmt.Errorf("netmon: unknown site in link %s->%s", a, b)
 	}
 	if a == b {
 		return 100 * time.Microsecond, nil // loopback-ish
 	}
 	// Fibre paths are ~40% longer than great-circle.
 	pathKm := haversineKm(sa, sb) * 1.4
-	oneWayMs := pathKm / n.params.FibreKmPerMs
-	return time.Duration(2*oneWayMs*float64(time.Millisecond)) + n.params.RouterOverhead, nil
+	oneWayMs := pathKm / fibreKmPerMs
+	return time.Duration(2*oneWayMs*float64(time.Millisecond)) + routerOverhead, nil
 }
 
-// ProbeLatency returns one latency sample between two sites: the base RTT
-// plus non-negative jitter.
+// link returns the a->b link: the base RTT scaled by the Degrade RTT
+// factor, with up to an eighth of it in jitter, and the smaller uplink
+// derated by path efficiency and divided by the Degrade bandwidth factor.
+func (n *Network) link(a, b string) (storage.NetworkProfile, error) {
+	rtt, err := n.BaseRTT(a, b)
+	if err != nil {
+		return storage.NetworkProfile{}, err
+	}
+	n.mu.Lock()
+	f, ok := n.degraded[a+"->"+b]
+	n.mu.Unlock()
+	if !ok {
+		f = [2]float64{1, 1}
+	}
+	rtt = time.Duration(float64(rtt) * f[0])
+	bottleneck := math.Min(n.sites[a].UplinkBps, n.sites[b].UplinkBps)
+	return storage.NetworkProfile{
+		RTT: rtt,
+		// At least 1 B/s: 0 would mean an unlimited link.
+		BandwidthBps: max(1, int64(bottleneck*pathEfficiency/8/f[1])),
+		Jitter:       rtt / 8,
+	}, nil
+}
+
+// Profile returns the a->b link for a storage.Conditioned store,
+// compressed timeCompression× in time: RTT and jitter shorter, bandwidth
+// higher.
+func (n *Network) Profile(a, b string) (storage.NetworkProfile, error) {
+	p, err := n.link(a, b) // the zero profile on error, which compresses to itself
+	p.RTT /= timeCompression
+	p.Jitter /= timeCompression
+	p.BandwidthBps *= timeCompression
+	return p, err
+}
+
+// ProbeLatency returns one latency sample between two sites: one
+// payload-free draw of the link's delay.
 func (n *Network) ProbeLatency(a, b string) (time.Duration, error) {
-	base, err := n.BaseRTT(a, b)
+	l, err := n.link(a, b)
 	if err != nil {
 		return 0, err
 	}
 	n.mu.Lock()
-	noise := math.Abs(n.rng.NormFloat64()) * n.params.JitterFrac
-	n.mu.Unlock()
-	rttFactor, _ := n.degradation(a, b)
-	sample := base + time.Duration(noise*float64(base))
-	return time.Duration(float64(sample) * rttFactor), nil
+	defer n.mu.Unlock()
+	return l.Delay(n.rng, 0), nil
 }
 
-// ProbeThroughput returns one throughput sample in bits per second for a
-// bulk transfer between two sites. The bottleneck is the smaller uplink,
-// derated by path efficiency and congestion noise.
+// ProbeThroughput returns one throughput sample in bits per second: a
+// probeBytes bulk transfer over the link, round trip included.
 func (n *Network) ProbeThroughput(a, b string) (float64, error) {
-	sa, err := n.Site(a)
+	l, err := n.link(a, b)
 	if err != nil {
 		return 0, err
-	}
-	sb, err := n.Site(b)
-	if err != nil {
-		return 0, err
-	}
-	bottleneck := math.Min(sa.UplinkBps, sb.UplinkBps)
-	if a == b {
-		return bottleneck, nil
 	}
 	n.mu.Lock()
-	congestion := math.Abs(n.rng.NormFloat64()) * n.params.CongestionFrac
+	d := l.Delay(n.rng, probeBytes)
 	n.mu.Unlock()
-	if congestion > 0.9 {
-		congestion = 0.9
-	}
-	_, bwFactor := n.degradation(a, b)
-	return bottleneck * n.params.PathEfficiency * (1 - congestion) / bwFactor, nil
+	return 8 * probeBytes / d.Seconds(), nil
 }
 
 // PairStats aggregates the probes of one site pair.
@@ -243,15 +232,7 @@ func (n *Network) Measure(probes int) (*Report, error) {
 				}
 				rttSum += rtt
 				bpsSum += bps
-				if rtt < ps.MinRTT {
-					ps.MinRTT = rtt
-				}
-				if rtt > ps.MaxRTT {
-					ps.MaxRTT = rtt
-				}
-				if bps < ps.MinBps {
-					ps.MinBps = bps
-				}
+				ps.MinRTT, ps.MaxRTT, ps.MinBps = min(ps.MinRTT, rtt), max(ps.MaxRTT, rtt), min(ps.MinBps, bps)
 			}
 			ps.MeanRTT = rttSum / time.Duration(probes)
 			ps.MeanBps = bpsSum / float64(probes)

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nsdfgo/internal/storage"
 )
 
 func testNetwork(t *testing.T) *Network {
@@ -92,6 +94,63 @@ func TestProbeLatencyJitterNonNegative(t *testing.T) {
 		if got > 2*base {
 			t.Fatalf("probe %v implausibly above base %v", got, base)
 		}
+	}
+}
+
+// TestEveryPairIsOneLink pins the one link model over all 56 ordered
+// pairs: a latency probe is a payload-free Delay draw of link(a, b), so it
+// lies in [RTT, RTT+Jitter]; Profile is that link compressed
+// timeCompression× in time; and one Degrade moves both.
+func TestEveryPairIsOneLink(t *testing.T) {
+	n := testNetwork(t)
+	compressed := func(l storage.NetworkProfile) storage.NetworkProfile {
+		return storage.NetworkProfile{RTT: l.RTT / timeCompression, Jitter: l.Jitter / timeCompression,
+			BandwidthBps: l.BandwidthBps * timeCompression}
+	}
+	check := func(a, b string) storage.NetworkProfile {
+		t.Helper()
+		l, err := n.link(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			got, err := n.ProbeLatency(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got < l.RTT || got > l.RTT+l.Jitter {
+				t.Fatalf("%s->%s: probe %v outside [%v, %v]", a, b, got, l.RTT, l.RTT+l.Jitter)
+			}
+		}
+		if p, err := n.Profile(a, b); err != nil || p != compressed(l) {
+			t.Fatalf("%s->%s: Profile = %+v, %v; want %+v", a, b, p, err, compressed(l))
+		}
+		return l
+	}
+	pairs := 0
+	for _, a := range n.Sites() {
+		for _, b := range n.Sites() {
+			if a != b {
+				check(a, b)
+				pairs++
+			}
+		}
+	}
+	if pairs != 56 {
+		t.Fatalf("checked %d pairs, want 56", pairs)
+	}
+
+	base, _ := n.BaseRTT("utk", "umich")
+	clean := check("utk", "umich")
+	reverse := check("umich", "utk")
+	if err := n.Degrade("utk", "umich", 4, 2); err != nil {
+		t.Fatal(err)
+	}
+	if l := check("utk", "umich"); l.RTT != 4*base || l.BandwidthBps != clean.BandwidthBps/2 {
+		t.Errorf("degraded link %+v, want RTT %v and %d B/s", l, 4*base, clean.BandwidthBps/2)
+	}
+	if l := check("umich", "utk"); l != reverse {
+		t.Errorf("reverse link moved: %+v, was %+v", l, reverse)
 	}
 }
 

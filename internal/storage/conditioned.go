@@ -16,8 +16,8 @@ var ErrTransient = errors.New("storage: transient failure")
 // NetworkProfile models a wide-area link between the client and a remote
 // storage service: one round trip of latency per operation plus transfer
 // time proportional to payload size, and optionally transient failures.
-// The NSDF-Plugin measurements (Luettgau et al., HPDC 2023) motivate the
-// default profiles.
+// netmon.Network.Profile derives one from a pair of the NSDF testbed's
+// sites (Luettgau et al., HPDC 2023); Delay is the one sampler of it.
 type NetworkProfile struct {
 	// RTT is the request round-trip time added to every operation.
 	RTT time.Duration
@@ -40,17 +40,24 @@ type NetworkProfile struct {
 	FailProb float64
 }
 
-// Common profiles for experiments. Values are scaled down ~10x from
-// realistic WAN numbers so test suites stay fast while preserving the
-// relative ordering (local ≪ regional ≪ cross-country).
-var (
-	// ProfileLocal approximates same-site access.
-	ProfileLocal = NetworkProfile{RTT: 200 * time.Microsecond, BandwidthBps: 1 << 30}
-	// ProfileRegional approximates a same-region cloud store.
-	ProfileRegional = NetworkProfile{RTT: 2 * time.Millisecond, BandwidthBps: 1 << 28, Jitter: 500 * time.Microsecond}
-	// ProfileCrossCountry approximates a coast-to-coast object store.
-	ProfileCrossCountry = NetworkProfile{RTT: 7 * time.Millisecond, BandwidthBps: 1 << 26, Jitter: 2 * time.Millisecond}
-)
+// Delay draws one operation's link time from the profile: RTT, plus
+// uniform jitter, plus (with probability TailProb) a heavy-tail spike,
+// plus bandwidth-proportional transfer time. It is the repository's one
+// link sampler: Conditioned sleeps for its draws and netmon's probes
+// report them. The caller serialises access to rng.
+func (p NetworkProfile) Delay(rng *rand.Rand, payloadBytes int) time.Duration {
+	d := p.RTT
+	if p.Jitter > 0 {
+		d += time.Duration(rng.Int63n(int64(p.Jitter) + 1))
+	}
+	if p.TailProb > 0 && p.TailSpike > 0 && rng.Float64() < p.TailProb {
+		d += p.TailSpike
+	}
+	if p.BandwidthBps > 0 && payloadBytes > 0 {
+		d += time.Duration(float64(payloadBytes) / float64(p.BandwidthBps) * float64(time.Second))
+	}
+	return d
+}
 
 // Conditioned wraps a Store, delaying every operation according to a
 // NetworkProfile so local experiments exhibit remote-access behaviour. An
@@ -72,23 +79,11 @@ func NewConditioned(inner Store, profile NetworkProfile, seed int64) *Conditione
 	return &Conditioned{inner: inner, profile: profile, rng: rand.New(rand.NewSource(seed))}
 }
 
-// sampleDelay draws one operation's simulated network time from the
-// profile: RTT, plus uniform jitter, plus (with probability TailProb) a
-// heavy-tail spike, plus bandwidth-proportional transfer time.
+// sampleDelay draws one operation's simulated network time.
 func (c *Conditioned) sampleDelay(payloadBytes int) time.Duration {
-	d := c.profile.RTT
 	c.mu.Lock()
-	if c.profile.Jitter > 0 {
-		d += time.Duration(c.rng.Int63n(int64(c.profile.Jitter) + 1))
-	}
-	if c.profile.TailProb > 0 && c.profile.TailSpike > 0 && c.rng.Float64() < c.profile.TailProb {
-		d += c.profile.TailSpike
-	}
-	c.mu.Unlock()
-	if c.profile.BandwidthBps > 0 && payloadBytes > 0 {
-		d += time.Duration(float64(payloadBytes) / float64(c.profile.BandwidthBps) * float64(time.Second))
-	}
-	return d
+	defer c.mu.Unlock()
+	return c.profile.Delay(c.rng, payloadBytes)
 }
 
 // delay sleeps for the operation's simulated network time, honouring ctx.

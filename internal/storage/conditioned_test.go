@@ -21,7 +21,8 @@ func (s *countingStore) Get(ctx context.Context, key string) ([]byte, error) {
 
 // TestConditionedDelayStreamGolden pins the seeded delay stream: at seed 1
 // the first 64 draws of each profile equal constants recorded before
-// FailProb existed. Each draw is preceded by the op path's failure trip, so
+// FailProb existed, with the three profiles that were the package's
+// local, regional and cross-country presets then. Each draw is preceded by the op path's failure trip, so
 // a FailProb of 0 provably adds no random draw. sampleDelay is called
 // directly, so the test sleeps for nothing.
 func TestConditionedDelayStreamGolden(t *testing.T) {
@@ -34,8 +35,8 @@ func TestConditionedDelayStreamGolden(t *testing.T) {
 		profile NetworkProfile
 		want    []int64
 	}{
-		{"local", ProfileLocal, local},
-		{"regional", ProfileRegional, []int64{
+		{"local", NetworkProfile{RTT: 200 * time.Microsecond, BandwidthBps: 1 << 30}, local},
+		{"regional", NetworkProfile{RTT: 2 * time.Millisecond, BandwidthBps: 1 << 28, Jitter: 500 * time.Microsecond}, []int64{
 			2247637, 2650119, 2684519, 2314492, 2291830, 2301610, 2340206, 2660155,
 			2540527, 2544295, 2648657, 2302856, 2318871, 2495891, 2681485, 2258284,
 			2280259, 2691939, 2687605, 2432933, 2706022, 2537599, 2699750, 2267664,
@@ -45,7 +46,7 @@ func TestConditionedDelayStreamGolden(t *testing.T) {
 			2458947, 2450891, 2412408, 2442164, 2395836, 2699877, 2594288, 2429960,
 			2615671, 2428410, 2438834, 2277588, 2604795, 2585066, 2502732, 2596259,
 		}},
-		{"cross-country", ProfileCrossCountry, []int64{
+		{"cross-country", NetworkProfile{RTT: 7 * time.Millisecond, BandwidthBps: 1 << 26, Jitter: 2 * time.Millisecond}, []int64{
 			9754250, 9687238, 9348921, 9598796, 9261503, 8365313, 9773853, 8454953,
 			8342783, 9929627, 8687265, 9489843, 9256753, 9875427, 9719864, 8498702,
 			8636426, 9499045, 9347945, 9776916, 9145190, 9291062, 9099009, 9777877,

@@ -198,21 +198,32 @@ func TestConditionedAddsLatency(t *testing.T) {
 	}
 }
 
+// TestConditionedBandwidthScalesWithSize checks the modelled transfer
+// time exactly, through TotalWait, and that each Get lasted at least that
+// long: a timer never fires early, so the lower bound cannot flake.
 func TestConditionedBandwidthScalesWithSize(t *testing.T) {
 	ctx := context.Background()
 	inner := NewMemStore()
 	inner.Put(ctx, "small", make([]byte, 1<<10))
 	inner.Put(ctx, "large", make([]byte, 1<<20))
-	// 64 MiB/s, no RTT: 1KiB ~ 15us, 1MiB ~ 16ms.
+	// 64 MiB/s, no RTT: 1 KiB takes 1/65536 s, 1 MiB takes 1/64 s.
 	slow := NewConditioned(inner, NetworkProfile{BandwidthBps: 64 << 20}, 1)
-	t0 := time.Now()
-	slow.Get(ctx, "small")
-	smallTime := time.Since(t0)
-	t1 := time.Now()
-	slow.Get(ctx, "large")
-	largeTime := time.Since(t1)
-	if largeTime < smallTime*4 {
-		t.Errorf("large transfer %v not clearly slower than small %v", largeTime, smallTime)
+	for _, tc := range []struct {
+		key  string
+		want time.Duration
+	}{{"small", 15258}, {"large", 15625000}} {
+		before := slow.Stats().TotalWait
+		start := time.Now()
+		if _, err := slow.Get(ctx, tc.key); err != nil {
+			t.Fatal(err)
+		}
+		elapsed := time.Since(start)
+		if got := slow.Stats().TotalWait - before; got != tc.want {
+			t.Errorf("%s: modelled wait %d ns, want %d ns", tc.key, got, tc.want)
+		}
+		if elapsed < tc.want {
+			t.Errorf("%s: Get took %v, less than its modelled %v", tc.key, elapsed, tc.want)
+		}
 	}
 }
 
