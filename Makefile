@@ -92,9 +92,10 @@ bench-serving-smoke:
 
 # Measure the analyzer suite itself — module load/type-check cost and
 # per-analyzer wall time over every package — and refresh
-# BENCH_lint.json. One iteration is one whole run of the suite, so the
-# CFGs the three flow-sensitive analyzers share are built once in it;
-# the analyzers are single-threaded, so one P is the stable setting.
+# BENCH_lint.json. One iteration is one whole run of the suite, so
+# lockorder, the one flow-sensitive analyzer, builds each CFG it needs
+# once in it; the analyzers are single-threaded, so one P is the stable
+# setting.
 bench-lint:
 	GOMAXPROCS=1 NSDF_BENCH_LINT_ITERS=5 NSDF_BENCH_LINT_OUT=$(CURDIR)/BENCH_lint.json \
 		$(GO) test ./internal/lint -run '^TestBenchLintEmit$$' -count=1 -v

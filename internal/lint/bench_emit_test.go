@@ -16,10 +16,9 @@ import (
 // wall time over every package (with the slowest packages broken out),
 // and the findings count — and writes BENCH_lint.json, so lint runtime
 // joins the repo's perf trajectory alongside the read-path, cache, and
-// shard benchmarks. The flow-sensitive analyzers (spanend, lockorder,
-// ctxleak — three specs of the obligation engine) share one CFG per
-// function and each run a dataflow fixpoint over it, so their cost is
-// the one to watch as the codebase grows.
+// shard benchmarks. lockorder, the one flow-sensitive analyzer, builds
+// a CFG and runs a dataflow fixpoint for every function that locks, so
+// its cost is the one to watch as the codebase grows.
 
 type benchAnalyzer struct {
 	Name       string  `json:"name"`
@@ -54,11 +53,8 @@ func TestBenchLintEmit(t *testing.T) {
 	loadMs := float64(time.Since(loadStart).Microseconds()) / 1000
 
 	// One iteration is one whole run of the suite, as the driver makes
-	// it: the flow-sensitive analyzers share each function's CFG, so the
-	// first of them to visit a body pays for building it. Clearing the
-	// cache per iteration keeps that cost in the numbers. Per (analyzer,
-	// package) wall time is the minimum over iterations, so a GC pause in
-	// one round doesn't smear them.
+	// it. Per (analyzer, package) wall time is the minimum over
+	// iterations, so a GC pause in one round doesn't smear them.
 	suite := Analyzers()
 	perPkg := make([][]float64, len(suite))
 	for ai := range perPkg {
@@ -66,9 +62,6 @@ func TestBenchLintEmit(t *testing.T) {
 	}
 	findings := make([]int, len(suite))
 	for it := 0; it < iters; it++ {
-		for _, pkg := range pkgs {
-			pkg.graphs = nil
-		}
 		for ai, a := range suite {
 			var fs []Finding
 			var errs []error
@@ -127,10 +120,9 @@ func TestBenchLintEmit(t *testing.T) {
 	}{
 		Description: "nsdf-lint analyzer suite over the whole module: load/type-check cost, " +
 			"per-analyzer wall time (min over iterations) with the slowest packages broken out, and " +
-			"pre-suppression findings count. The three flow-sensitive analyzers (spanend, lockorder, " +
-			"ctxleak) are specs of one obligation engine: each function's CFG is built once per run, charged " +
-			"to the first spec that visits the function, and each spec runs its own dataflow fixpoint over it. " +
-			"Regenerate with `make bench-lint`.",
+			"pre-suppression findings count. lockorder is the one flow-sensitive analyzer: it builds a CFG " +
+			"and runs one dataflow fixpoint per function that locks; spanend and ctxleak are a syntactic " +
+			"defer-on-the-next-statement rule. Regenerate with `make bench-lint`.",
 		GoMaxProcs:    runtime.GOMAXPROCS(0),
 		Iterations:    iters,
 		Packages:      len(pkgs),

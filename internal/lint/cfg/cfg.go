@@ -1,10 +1,9 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
 // function bodies and runs forward dataflow analyses over them (see
-// dataflow.go). It is the foundation of the obligation engine in
-// internal/lint (obligation.go: lockorder, ctxleak, spanend):
-// an AST walk can only ask "does an End() appear somewhere in this
-// function", a CFG-based analysis asks "is the obligation discharged
-// on *every* path", with branches, short-circuit conditionals, loops,
+// dataflow.go). It is the foundation of lockorder in internal/lint:
+// an AST walk can only ask "does an Unlock() appear somewhere in this
+// function", a CFG-based analysis asks "is the mutex unlocked on
+// *every* path", with branches, short-circuit conditionals, loops,
 // defer, and panic/return edges all modelled.
 //
 // The builder is pure syntax (go/ast only); analyzers bring their own
@@ -25,8 +24,8 @@
 //   - return statements produce Return edges into the exit block,
 //     explicit panic(...) calls produce Panic edges, and falling off
 //     the end of the body produces a Return edge, so "can this function
-//     exit while still owing an End/Unlock/cancel" is a question
-//     about the exit block's predecessor edges.
+//     exit while still holding a lock" is a question about the exit
+//     block's predecessor edges.
 //   - defer statements stay in their block as ordinary nodes.
 package cfg
 

@@ -1,19 +1,21 @@
 // Package lint is the repo's own static-analysis suite: seven analyzers
 // that machine-check the conventions the serving stack depends on and
-// no test or go vet pass sees. Four are syntactic — nsdf_-prefixed
-// constant metric names, no silently dropped storage/IDX errors, and
-// caller-threaded contexts (no context.Background() in library code, no
-// context-free http.NewRequest in outbound calls). Three are
-// flow-sensitive and are one analysis: obligation.go checks, over the
-// control-flow graphs of internal/lint/cfg, that a resource acquired by
-// a call is discharged on every path, and lockorder (mutexes, taken one
-// at a time), ctxleak (cancel functions of derived contexts) and
-// spanend (trace spans) are the three specs it runs. Allocation and
-// worker abort are policed by measurement, in tests, and copied mutexes
-// by go vet's copylocks pass. The project-specific names the analyzers
-// match on (package paths, registry methods) are constants beside each
-// analyzer. It is built only on go/ast, go/parser, go/types, and
-// go/importer, so `make lint` needs nothing beyond the Go toolchain.
+// no test sees. Four are syntactic — nsdf_-prefixed constant metric
+// names, no silently dropped storage/IDX errors, and caller-threaded
+// contexts (no context.Background() in library code, no context-free
+// http.NewRequest in outbound calls). Two more, spanend (trace spans)
+// and ctxleak (cancel functions of derived contexts, which go vet's
+// lostcancel checks too), are one syntactic rule in defernext.go: the
+// resource is assigned by a statement of its own and released by a
+// defer on the very next statement. lockorder is the one flow-sensitive
+// analysis: over the control-flow graphs of internal/lint/cfg it checks
+// that every mutex is unlocked on every path and that locks are taken
+// one at a time. Allocation and worker abort are policed by
+// measurement, in tests, and copied mutexes by go vet's copylocks pass.
+// The project-specific names the analyzers match on (package paths,
+// registry methods) are constants beside each analyzer. It is built
+// only on go/ast, go/parser, go/types, and go/importer, so `make lint`
+// needs nothing beyond the Go toolchain.
 //
 // A finding can be suppressed — sparingly, with a reason — by an allow
 // comment on the same line or the line above:

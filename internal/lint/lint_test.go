@@ -3,8 +3,6 @@ package lint
 import (
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -159,37 +157,6 @@ func TestMetricNameKindConflictAcrossPackages(t *testing.T) {
 	}
 }
 
-// TestRepoIsFlowLintClean runs just the obligation engine's specs over
-// the real module, separately from the full-suite gate, so a CFG or
-// dataflow regression is attributed to this layer directly. Internal
-// analyzer errors (a CFG that failed to build, a fixpoint that did not
-// converge) fail the test too, via RunAll.
-func TestRepoIsFlowLintClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-module type check is not short")
-	}
-	root := moduleRoot(t)
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load("./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var flow []*Analyzer
-	for _, spec := range obligationSpecs {
-		flow = append(flow, analyzerByName(t, spec.name))
-	}
-	findings, errs := RunAll(pkgs, flow)
-	for _, e := range errs {
-		t.Errorf("internal error: %v", e)
-	}
-	for _, f := range findings {
-		t.Errorf("%s", f)
-	}
-}
-
 // TestRunAllReportsInternalErrors proves a malfunctioning analyzer can
 // never pass as a clean run: both a panic and an InternalErrorf call
 // surface as errors naming the analyzer and the package.
@@ -254,53 +221,6 @@ func TestRepoIsLintClean(t *testing.T) {
 	findings := Run(pkgs, Analyzers())
 	for _, f := range findings {
 		t.Errorf("%s", f)
-	}
-}
-
-// TestObligationIsASpec proves a new obligation is a spec value, not a
-// new analyzer: a throw-away fourth spec (time.NewTicker must reach
-// Stop) run through the same engine finds the leak and the discarded
-// ticker and stays quiet on the deferred and the handed-on one.
-func TestObligationIsASpec(t *testing.T) {
-	spec := &obSpec{
-		name: "tickerstop",
-		acquire: func(pass *Pass, call *ast.CallExpr) (obAcquire, bool) {
-			fn := calleeFunc(pass.Pkg.Info, call)
-			return obAcquire{src: "time.NewTicker"}, fn != nil && fn.FullName() == "time.NewTicker"
-		},
-		holds:     func(t types.Type) bool { return pointsTo(t, "time", "Ticker") },
-		discharge: func(_ *Pass, call *ast.CallExpr) ast.Expr { return methodRecv(call, "Stop") },
-		merge:     mergeKeepOwed,
-		msg: obMessages{
-			leak:    `ticker "{name}" from {src} can reach {arg} without Stop`,
-			discard: `ticker from {src} is discarded: nothing can stop it`,
-		},
-	}
-	pkg := loadFixture(t, "obligation")
-	findings := Run([]*Package{pkg}, []*Analyzer{{Name: spec.name, Doc: "test spec", Run: spec.run}})
-
-	got := map[string][]string{} // enclosing function → messages
-	for _, f := range findings {
-		for _, decl := range pkg.Files[0].Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if ok && pkg.Fset.Position(fd.Pos()).Line <= f.Pos.Line && f.Pos.Line <= pkg.Fset.Position(fd.End()).Line {
-				got[fd.Name.Name] = append(got[fd.Name.Name], f.Message)
-			}
-		}
-	}
-	for _, tc := range []struct{ fn, want string }{
-		{"leak", `ticker "t" from time.NewTicker can reach the return at line 17 without Stop`},
-		{"discarded", `ticker from time.NewTicker is discarded: nothing can stop it`},
-		{"deferred", ""},
-		{"escaped", ""},
-	} {
-		msgs := got[tc.fn]
-		switch {
-		case tc.want == "" && len(msgs) != 0:
-			t.Errorf("%s: want no finding, got %q", tc.fn, msgs)
-		case tc.want != "" && (len(msgs) != 1 || msgs[0] != tc.want):
-			t.Errorf("%s: want exactly %q, got %q", tc.fn, tc.want, msgs)
-		}
 	}
 }
 

@@ -12,8 +12,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"nsdfgo/internal/lint/cfg"
 )
 
 // Package is one type-checked package of the module under analysis.
@@ -30,10 +28,6 @@ type Package struct {
 	Info *types.Info
 	// Fset is the file set shared by every package of one Loader.
 	Fset *token.FileSet
-
-	// graphs caches the control-flow graph of each function body the
-	// flow-sensitive analyzers have visited (see graph in obligation.go).
-	graphs map[*ast.BlockStmt]*cfg.Graph
 }
 
 // Loader parses and type-checks packages of a single Go module using

@@ -4,6 +4,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+
+	"nsdfgo/internal/lint/cfg"
 )
 
 // LockOrderAnalyzer checks mutex discipline on every path and holds the
@@ -18,6 +21,15 @@ import (
 // self-deadlock is a nested acquisition too. Which functions lock is
 // known only once every package is read, so those calls are judged in
 // Finish.
+//
+// It is the suite's one flow-sensitive analysis: per function body that
+// locks, a forward dataflow over the internal/lint/cfg graph computes
+// the set of mutexes held at each point, intersected where paths merge
+// (conditional locking pairs with an equally conditional unlock). The
+// converged facts are replayed once with reporting on, and every Return
+// edge is checked for a mutex still held without a deferred unlock.
+// Paths that exit by panicking are not checked: the deferred unlocks run
+// during the unwind and the process is dying anyway.
 var LockOrderAnalyzer = &Analyzer{
 	Name:   "lockorder",
 	Doc:    "no path exits holding a mutex; no mutex is taken while another is held",
@@ -25,57 +37,205 @@ var LockOrderAnalyzer = &Analyzer{
 	Finish: finishLockOrder,
 }
 
-var lockOrderSpec = &obSpec{
-	name: "lockorder",
-	acquire: func(pass *Pass, call *ast.CallExpr) (obAcquire, bool) {
-		switch recv, method := syncMethod(pass, call); method {
-		case "Lock":
-			return obAcquire{src: method, recv: recv, release: "Unlock"}, true
-		case "RLock":
-			return obAcquire{src: method, recv: recv, release: "RUnlock", shared: true}, true
-		}
-		return obAcquire{}, false
-	},
-	discharge: func(pass *Pass, call *ast.CallExpr) ast.Expr {
-		if recv, method := syncMethod(pass, call); method == "Unlock" || method == "RUnlock" {
-			return recv
-		}
-		return nil
-	},
-	exprKeys: true,
-	merge:    mergeIntersect,
-	msg: obMessages{
-		leak:            `{name} is locked here but a path can reach return without {release}`,
-		reacquire:       `{name} is locked again while already held (locked at line {line}): self-deadlock`,
-		releaseDeferred: `{name} is unlocked explicitly while a deferred unlock is pending: the deferred {release} will unlock an unlocked mutex`,
-		deferTwice:      `{name} already has a deferred unlock: double unlock at exit`,
-	},
-	onAcquire: func(pass *Pass, held obFacts, acq obAcquire, pos token.Pos) {
-		name := types.ExprString(acq.recv)
-		if other, fact, ok := heldLock(held, name); ok {
-			pass.Reportf(pos, "%s is locked while %s is held (locked at line %d); take one lock at a time",
-				name, other, pass.Pkg.Fset.Position(fact.pos).Line)
-		}
-	},
-	onCall: func(pass *Pass, held obFacts, call *ast.CallExpr) {
-		if callee := calleeFunc(pass.Pkg.Info, call); callee != nil {
-			if other, _, ok := heldLock(held, ""); ok {
-				facts := lockFactsOf(pass)
-				facts.calls = append(facts.calls, lockCall{callee: callee.Origin(), held: other, pos: pass.Pkg.Fset.Position(call.Pos())})
-			}
-		}
-	},
+// lockFact is what one path knows about one held mutex.
+type lockFact struct {
+	pos      token.Pos // the Lock or RLock call
+	shared   bool      // read-locked
+	deferred bool      // a deferred unlock runs at exit
 }
 
+func (f lockFact) release() string {
+	if f.shared {
+		return "RUnlock"
+	}
+	return "Unlock"
+}
+
+// heldLocks maps each held mutex, by receiver expression, to its fact.
+type heldLocks map[string]lockFact
+
 // heldLock returns the earliest-locked held mutex other than except.
-func heldLock(held obFacts, except string) (string, obFact, bool) {
-	name, first := "", obFact{}
+func heldLock(held heldLocks, except string) (string, lockFact, bool) {
+	name, first := "", lockFact{}
 	for k, fact := range held {
 		if k != except && (name == "" || fact.pos < first.pos) {
-			name, first = k.(string), fact
+			name, first = k, fact
 		}
 	}
 	return name, first, name != ""
+}
+
+// lockFlow is the dataflow problem over one function body; it
+// implements cfg.Analysis over heldLocks. Transfer works on f, cloned on
+// the first write (own), so the facts handed in are never mutated.
+type lockFlow struct {
+	pass   *Pass
+	report bool
+
+	f   heldLocks
+	own bool
+}
+
+func (a *lockFlow) Entry() heldLocks { return heldLocks{} }
+
+func (a *lockFlow) Equal(x, y heldLocks) bool { return maps.Equal(x, y) }
+
+// Join keeps a mutex held only if both paths hold it, and its unlock
+// deferred only if both paths deferred it.
+func (a *lockFlow) Join(x, y heldLocks) heldLocks {
+	out := make(heldLocks, len(x))
+	for k, vx := range x {
+		if vy, both := y[k]; both {
+			if vx.deferred && !vy.deferred {
+				vx = vy
+			}
+			out[k] = vx
+		}
+	}
+	return out
+}
+
+func (a *lockFlow) write() {
+	if !a.own {
+		a.f, a.own = maps.Clone(a.f), true
+	}
+}
+
+// Transfer flows facts through one CFG node: a simple statement or an
+// atomic condition. Function literals are their own bodies, and a
+// goroutine runs on its own stack at its own time, so neither is under
+// this path's locks.
+func (a *lockFlow) Transfer(f heldLocks, n ast.Node) heldLocks {
+	a.f, a.own = f, false
+	switch s := n.(type) {
+	case *ast.DeferStmt:
+		a.deferStmt(s)
+	case *ast.GoStmt:
+	case *ast.RangeStmt:
+		a.calls(s.X) // the body is built into the blocks that follow
+	default:
+		a.calls(n)
+	}
+	return a.f
+}
+
+func (a *lockFlow) calls(n ast.Node) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			a.call(n)
+		}
+		return true
+	})
+}
+
+// call applies one call: an unlock, a lock, or any other call, which is
+// recorded for Finish when a lock is held.
+func (a *lockFlow) call(call *ast.CallExpr) {
+	if key, ok := unlocked(a.pass, call); ok {
+		if fact, ok := a.f[key]; ok {
+			if fact.deferred {
+				a.reportf(call.Pos(), "%s is unlocked explicitly while a deferred unlock is pending: the deferred %s will unlock an unlocked mutex", key, fact.release())
+			}
+			a.write()
+			delete(a.f, key)
+		}
+		return
+	}
+	if recv, method := syncMethod(a.pass, call); method == "Lock" || method == "RLock" {
+		key, shared := types.ExprString(recv), method == "RLock"
+		if prior, ok := a.f[key]; ok && !(prior.shared && shared) {
+			a.reportf(call.Pos(), "%s is locked again while already held (locked at line %d): self-deadlock", key, a.line(prior.pos))
+		}
+		if other, fact, ok := heldLock(a.f, key); ok {
+			a.reportf(call.Pos(), "%s is locked while %s is held (locked at line %d); take one lock at a time", key, other, a.line(fact.pos))
+		}
+		a.write()
+		a.f[key] = lockFact{pos: call.Pos(), shared: shared}
+		return
+	}
+	if callee := calleeFunc(a.pass.Pkg.Info, call); a.report && callee != nil {
+		if other, _, ok := heldLock(a.f, ""); ok {
+			facts := lockFactsOf(a.pass)
+			facts.calls = append(facts.calls, lockCall{callee: callee.Origin(), held: other, pos: a.pass.Pkg.Fset.Position(call.Pos())})
+		}
+	}
+}
+
+// deferStmt: `defer mu.Unlock()` and a deferred closure that unlocks mu
+// both unlock it at exit.
+func (a *lockFlow) deferStmt(s *ast.DeferStmt) {
+	calls := []*ast.CallExpr{s.Call}
+	if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
+		calls = nil
+		ast.Inspect(lit.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				calls = append(calls, call)
+			}
+			return true
+		})
+	}
+	done := map[string]bool{}
+	for _, call := range calls {
+		key, ok := unlocked(a.pass, call)
+		if fact, held := a.f[key]; ok && held && !done[key] {
+			done[key] = true
+			if fact.deferred {
+				a.reportf(s.Call.Pos(), "%s already has a deferred unlock: double unlock at exit", key)
+			}
+			fact.deferred = true
+			a.write()
+			a.f[key] = fact
+		}
+	}
+}
+
+func (a *lockFlow) reportf(pos token.Pos, format string, args ...any) {
+	if a.report {
+		a.pass.Reportf(pos, format, args...)
+	}
+}
+
+func (a *lockFlow) line(pos token.Pos) int { return a.pass.Pkg.Fset.Position(pos).Line }
+
+// checkLocks analyses one function body: CFG, fixpoint, reporting replay,
+// and the leak check on the return edges.
+func checkLocks(pass *Pass, body *ast.BlockStmt) {
+	g, err := cfg.Build(body)
+	if err != nil {
+		pass.InternalErrorf("%v", err)
+		return
+	}
+	a := &lockFlow{pass: pass}
+	res, err := cfg.Forward[heldLocks](g, a)
+	if err != nil {
+		pass.InternalErrorf("%v", err)
+		return
+	}
+	// Findings come from one replay over the converged facts, never from
+	// a transient state of the iteration.
+	a.report = true
+	for _, b := range g.Blocks {
+		if f, ok := res.In[b]; ok {
+			for _, n := range b.Nodes {
+				f = a.Transfer(f, n)
+			}
+		}
+	}
+	leaked := map[string]bool{}
+	for _, e := range g.Exit.Preds {
+		if e.Kind != cfg.Return {
+			continue
+		}
+		for key, fact := range res.Out[e.From] {
+			if !fact.deferred && !leaked[key] {
+				leaked[key] = true
+				pass.Reportf(fact.pos, "%s is locked here but a path can reach return without %s", key, fact.release())
+			}
+		}
+	}
 }
 
 // lockCall is a static call made while the mutex held was locked; pos
@@ -102,29 +262,58 @@ func lockFactsOf(pass *Pass) *lockFacts {
 	return f
 }
 
-// runLockOrder runs the per-path spec, then records the static callees
-// of each declared function: direct and deferred calls, which run before
-// it returns, but not those of a goroutine or a function literal.
+// runLockOrder checks every function body that locks — each declared
+// function and each function literal is its own — then records the
+// static callees of each declared function: direct and deferred calls,
+// which run before it returns, but not those of a goroutine or a
+// function literal.
 func runLockOrder(pass *Pass) {
-	lockOrderSpec.run(pass)
+	var visit func(body *ast.BlockStmt)
+	visit = func(body *ast.BlockStmt) {
+		locks := false
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				visit(n.Body)
+				return false
+			case *ast.CallExpr:
+				_, method := syncMethod(pass, n)
+				locks = locks || method == "Lock" || method == "RLock"
+			}
+			return true
+		})
+		if locks {
+			checkLocks(pass, body)
+		}
+	}
 	facts := lockFactsOf(pass)
 	for _, file := range pass.Pkg.Files {
-		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				fn, _ := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch fn := n.(type) {
+			case *ast.FuncLit:
+				visit(fn.Body)
+				return false
+			case *ast.FuncDecl:
+				if fn.Body == nil {
+					return false
+				}
+				visit(fn.Body)
+				decl, _ := pass.Pkg.Info.Defs[fn.Name].(*types.Func)
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
 					switch n := n.(type) {
 					case *ast.FuncLit, *ast.GoStmt:
 						return false
 					case *ast.CallExpr:
 						if callee := calleeFunc(pass.Pkg.Info, n); callee != nil {
-							facts.callees[fn] = append(facts.callees[fn], callee.Origin())
+							facts.callees[decl] = append(facts.callees[decl], callee.Origin())
 						}
 					}
 					return true
 				})
+				return false
 			}
-		}
+			return true
+		})
 	}
 }
 
@@ -150,6 +339,14 @@ func finishLockOrder(pass *Pass) {
 			pass.ReportAt(c.pos, "call to %s while holding %s: %[1]s takes a lock (itself or through its callees); take one lock at a time", c.callee.Name(), c.held)
 		}
 	}
+}
+
+// unlocked returns the mutex call unlocks, if it is an Unlock or RUnlock.
+func unlocked(pass *Pass, call *ast.CallExpr) (string, bool) {
+	if recv, method := syncMethod(pass, call); method == "Unlock" || method == "RUnlock" {
+		return types.ExprString(recv), true
+	}
+	return "", false
 }
 
 // syncMethod resolves call to a method of package sync (Mutex, RWMutex,

@@ -10,7 +10,8 @@ import (
 )
 
 // metricNamePattern is the naming convention every registered metric
-// family must satisfy (mirrored at runtime by telemetry.Registry).
+// family must satisfy; this analyzer is its only check (the registry
+// takes any name).
 var metricNamePattern = regexp.MustCompile(`^nsdf_[a-z0-9_]+$`)
 
 // labelKeyPattern constrains label keys to the Prometheus identifier

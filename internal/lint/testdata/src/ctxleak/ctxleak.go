@@ -1,7 +1,7 @@
 // Package ctxleak is a lint fixture: every violation below is asserted
-// by internal/lint's golden-file tests. It exercises the flow-sensitive
-// derived-context analyzer: cancel skipped on a branch, discarded
-// cancel funcs, and the defer/transfer shapes that must stay quiet.
+// by internal/lint's golden-file tests. It exercises the defer-next
+// rule for derived contexts: cancel skipped on a branch, discarded
+// cancel funcs, and the explicit-call and hand-off shapes it refuses.
 package ctxleak
 
 import (
@@ -45,8 +45,8 @@ func deferClean(ctx context.Context) error {
 	return work(cctx)
 }
 
-// branchClean calls cancel explicitly on every path: nothing to report.
-func branchClean(ctx context.Context, fail bool) error {
+// cancelOnEveryBranch calls cancel on every path, deferring it on none.
+func cancelOnEveryBranch(ctx context.Context, fail bool) error {
 	cctx, cancel := context.WithTimeout(ctx, time.Second)
 	if fail {
 		cancel()
@@ -67,24 +67,24 @@ func deferClosureClean(ctx context.Context) error {
 	return work(cctx)
 }
 
-// transferClean hands the cancel to the caller, who owns it now:
-// nothing to report.
-func transferClean(ctx context.Context) (context.Context, context.CancelFunc) {
+// returnedCancel hands the cancel to the caller — must fire: a cancel
+// is deferred where its context is derived.
+func returnedCancel(ctx context.Context) (context.Context, context.CancelFunc) {
 	cctx, cancel := context.WithCancel(ctx)
 	return cctx, cancel
 }
 
-// registryClean stores the cancel for a shutdown sweep: ownership moves
-// into the slice, nothing to report.
-func registryClean(ctx context.Context, cancels []context.CancelFunc) ([]context.Context, []context.CancelFunc) {
+// storedCancel stores the cancel for a shutdown sweep — must fire:
+// the rule follows no hand-off.
+func storedCancel(ctx context.Context, cancels []context.CancelFunc) ([]context.Context, []context.CancelFunc) {
 	cctx, cancel := context.WithCancel(ctx)
 	cancels = append(cancels, cancel)
 	return []context.Context{cctx}, cancels
 }
 
-// goroutineClean passes cancel into the goroutine that will call it:
-// the closure capture transfers ownership, nothing to report.
-func goroutineClean(ctx context.Context, done <-chan struct{}) context.Context {
+// goroutineCancel leaves cancel to a goroutine — must fire: only a
+// defer on the next statement counts.
+func goroutineCancel(ctx context.Context, done <-chan struct{}) context.Context {
 	cctx, cancel := context.WithCancel(ctx)
 	go func() {
 		<-done
@@ -109,4 +109,14 @@ func work(ctx context.Context) error {
 	case <-time.After(time.Millisecond):
 		return nil
 	}
+}
+
+// holder keeps a cancel function in a field.
+type holder struct{ cancel context.CancelFunc }
+
+// fieldCancel stores the cancel straight into a field — must fire.
+func (h *holder) fieldCancel(ctx context.Context) context.Context {
+	var cctx context.Context
+	cctx, h.cancel = context.WithCancel(ctx) // want: not assigned to a variable
+	return cctx
 }

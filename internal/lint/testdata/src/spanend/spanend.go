@@ -39,8 +39,8 @@ func deferred(ctx context.Context) {
 	span.SetAttr(trace.Str("k", "v"))
 }
 
-// straightLine ends the span in the same block with no early return:
-// nothing to report.
+// straightLine ends the span explicitly with no early return — must
+// fire: a later edit adding a return would leak it.
 func straightLine(ctx context.Context) {
 	_, span := trace.Start(ctx, "ok2")
 	span.SetAttr(trace.Int("n", 1))
@@ -54,7 +54,7 @@ func collectorRoot(col *trace.Collector) {
 	defer func() { root.End() }()
 }
 
-// handedOff transfers the obligation to the callee: nothing to report.
+// handedOff leaves the span to the callee to end — must fire.
 func handedOff(ctx context.Context) {
 	_, span := trace.Start(ctx, "handoff")
 	finish(span)
@@ -79,13 +79,27 @@ func oneArm(ctx context.Context, done bool) {
 	}
 }
 
-// closureReturn has a return between Start and End, but it belongs to
-// an unrelated function literal: the span is ended on the only path.
-// Nothing to report.
+// closureReturn ends the span explicitly after an unrelated function
+// literal — must fire, like straightLine: the span is ended on the
+// only path, but not by a defer on the next statement.
 func closureReturn(ctx context.Context) int {
 	_, span := trace.Start(ctx, "closure")
 	one := func() int { return 1 }
 	n := one()
 	span.End()
 	return n
+}
+
+// otherDefer follows the outer Start with another Start, and defers
+// both Ends later — must fire for outer only.
+func otherDefer(ctx context.Context) {
+	ctx, outer := trace.Start(ctx, "outer") // want: End not deferred next
+	_, inner := trace.Start(ctx, "inner")
+	defer inner.End()
+	defer outer.End()
+}
+
+// returned hands a fresh span back to the caller — must fire.
+func returned(ctx context.Context) (context.Context, *trace.Span) {
+	return trace.Start(ctx, "returned") // want: not assigned
 }

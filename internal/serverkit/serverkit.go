@@ -98,17 +98,16 @@ type Kit struct {
 	Admit    *admission.Controller
 }
 
-// Start builds the plumbing: the logger (also telemetry's package
-// logger), a registry with the runtime and build-info series, collector
-// and recorder stamped with the node name, the admission controller,
-// and the opt-in profiler — on a listener of its own, so it is never
-// reachable from a data-serving port.
+// Start builds the plumbing: the logger, a registry with the runtime
+// and build-info series, collector and recorder stamped with the node
+// name, the admission controller, and the opt-in profiler — on a
+// listener of its own, so it is never reachable from a data-serving
+// port.
 func Start(o Options) (*Kit, error) {
 	logger, err := telemetry.NewLogger(os.Stderr, o.LogFormat)
 	if err != nil {
 		return nil, err
 	}
-	telemetry.SetLogger(logger)
 	k := &Kit{Options: o, Logger: logger, Registry: telemetry.NewRegistry(),
 		Traces: trace.NewCollector(o.TraceBuffer), Flight: flight.New(o.FlightBuffer)}
 	telemetry.RegisterRuntimeMetrics(k.Registry)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"sync/atomic"
 )
 
 // This file is the serving stack's structured-logging seam: every
@@ -32,27 +31,4 @@ func NewLogger(w io.Writer, format string) (*slog.Logger, error) {
 	default:
 		return nil, fmt.Errorf("telemetry: unknown log format %q (want %s or %s)", format, LogFormatText, LogFormatJSON)
 	}
-}
-
-// pkgLogger is the logger the telemetry package itself warns through
-// (misnamed metrics, exposition failures). Defaults to slog.Default().
-var pkgLogger atomic.Pointer[slog.Logger]
-
-// SetLogger routes the telemetry package's own warnings to l. The cmd/
-// servers call this with their -log-format logger so in-package warnings
-// match the process's log encoding.
-func SetLogger(l *slog.Logger) {
-	if l != nil {
-		pkgLogger.Store(l)
-	}
-}
-
-// logWarn emits one package-internal warning through the configured
-// logger.
-func logWarn(msg string, args ...any) {
-	l := pkgLogger.Load()
-	if l == nil {
-		l = slog.Default()
-	}
-	l.Warn(msg, args...)
 }

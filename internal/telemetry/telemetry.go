@@ -16,7 +16,6 @@ package telemetry
 import (
 	"fmt"
 	"math"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -247,42 +246,19 @@ type family struct {
 	order  []string // label signatures in registration order, sorted at expose
 }
 
-// MetricNamePattern is the naming convention every family must follow.
-// The static metricname analyzer (internal/lint) enforces it on
-// constant names at `make lint` time; the registry re-checks at first
-// registration so dynamically assembled names cannot slip past the
-// static pass.
-var MetricNamePattern = regexp.MustCompile(`^nsdf_[a-z0-9_]+$`)
-
 // Registry holds metric families and renders them as a text exposition.
 // The zero value is not usable; call NewRegistry.
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
 	names    []string
-	warned   map[string]bool
 }
 
-// NewRegistry returns an empty registry. A misnamed metric is reported
-// once but still registered, so services never crash over a label.
+// NewRegistry returns an empty registry. Family names are not checked
+// here: the metricname analyzer (internal/lint) holds every one to an
+// nsdf_-prefixed constant at `make lint` time.
 func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
-}
-
-// checkName validates a family name on first registration. Caller holds
-// the write lock.
-func (r *Registry) checkName(name string) {
-	if MetricNamePattern.MatchString(name) {
-		return
-	}
-	if r.warned == nil {
-		r.warned = make(map[string]bool)
-	}
-	if !r.warned[name] {
-		r.warned[name] = true
-		logWarn("metric name does not match pattern; fix the name or run nsdf-lint",
-			"name", name, "pattern", MetricNamePattern.String())
-	}
 }
 
 // labelSig renders labels (alternating key, value) canonically, sorted by
@@ -330,7 +306,6 @@ func (r *Registry) lookup(name string, kind Kind, labels []string) *series {
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
-		r.checkName(name)
 		f = &family{name: name, kind: kind, series: make(map[string]*series)}
 		r.families[name] = f
 		r.names = append(r.names, name)

@@ -48,32 +48,40 @@ func WithTracing(next http.Handler, col *trace.Collector, opts TracingOptions) h
 			id = trace.NewID()
 		}
 		w.Header().Set(trace.TraceIDHeader, id)
+		rec := NewStatusRecorder(w)
+		served := false
 		root := col.StartTrace(id, "http "+r.URL.Path,
 			trace.Str("service", opts.Service),
 			trace.Str("method", r.Method))
+		// Deferred, so a panicking handler's trace still reaches the
+		// collector; only a handler that returned has a status to record.
+		defer func() {
+			if served {
+				root.SetAttr(trace.Int("status", int64(rec.Code)))
+			}
+			root.End()
+			if opts.SlowRequest <= 0 {
+				return
+			}
+			if data := root.Finished(); data != nil && data.Duration >= opts.SlowRequest {
+				logger.Warn("slow request",
+					slog.String("trace", data.TraceID),
+					slog.String("service", opts.Service),
+					slog.String("method", r.Method),
+					slog.String("path", r.URL.Path),
+					slog.Int("status", rec.Code),
+					slog.Duration("duration", data.Duration),
+					slog.String("worst", WorstSpans(data, 3)))
+				opts.Flight.Record(flight.KindSlowRequest, data.TraceID,
+					"%s %s status=%d duration=%s worst=%s",
+					r.Method, r.URL.Path, rec.Code, data.Duration, WorstSpans(data, 3))
+			}
+		}()
 		if parent, ok := trace.ParseParent(r.Header.Get(trace.ParentHeader)); ok {
 			root.SetRemoteParent(parent)
 		}
-		rec := NewStatusRecorder(w)
 		next.ServeHTTP(rec, r.WithContext(trace.NewContext(r.Context(), root)))
-		root.SetAttr(trace.Int("status", int64(rec.Code)))
-		root.End()
-		if opts.SlowRequest <= 0 {
-			return
-		}
-		if data := root.Finished(); data != nil && data.Duration >= opts.SlowRequest {
-			logger.Warn("slow request",
-				slog.String("trace", data.TraceID),
-				slog.String("service", opts.Service),
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.Int("status", rec.Code),
-				slog.Duration("duration", data.Duration),
-				slog.String("worst", WorstSpans(data, 3)))
-			opts.Flight.Record(flight.KindSlowRequest, data.TraceID,
-				"%s %s status=%d duration=%s worst=%s",
-				r.Method, r.URL.Path, rec.Code, data.Duration, WorstSpans(data, 3))
-		}
+		served = true
 	})
 }
 

@@ -146,3 +146,36 @@ func TestWorstSpans(t *testing.T) {
 		t.Fatalf("WorstSpans = %q, want %q", got, "b=3s c=2s")
 	}
 }
+
+// TestTracingPanicKeepsTrace: a handler that panics still publishes its
+// trace, so the request an operator most needs is in /debug/traces. The
+// root span carries no status: the handler never returned one.
+func TestTracingPanicKeepsTrace(t *testing.T) {
+	col := trace.NewCollector(4)
+	id := strings.Repeat("e", 32)
+	h := WithTracing(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		panic("handler bug")
+	}), col, TracingOptions{Service: "test"})
+
+	req := httptest.NewRequest("GET", "/api/render", nil)
+	req.Header.Set(trace.TraceIDHeader, id)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("handler panic was swallowed")
+			}
+		}()
+		h.ServeHTTP(httptest.NewRecorder(), req)
+	}()
+
+	if n := len(col.Snapshot()); n != 1 {
+		t.Fatalf("collector holds %d traces, want 1", n)
+	}
+	data := col.Find(id)
+	if data == nil || len(data.Spans) != 1 {
+		t.Fatalf("trace %s missing or malformed: %+v", id, data)
+	}
+	if _, ok := data.Spans[0].Attrs["status"]; ok {
+		t.Errorf("panicked request recorded a status: %+v", data.Spans[0].Attrs)
+	}
+}
