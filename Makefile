@@ -1,7 +1,9 @@
 # Developer entry points. `make check` is the full gate: tier-1
 # (build + test, matching ROADMAP.md) plus gofmt, vet, the race detector,
 # the nsdf-lint analyzer suite, a 5-second smoke of each of the ten
-# fuzz targets (every parser of untrusted bytes has one), vet + tests of
+# fuzz targets (every parser of untrusted bytes has one), the
+# cross-package coverage gate (no shipped function tier-1 never runs),
+# vet + tests of
 # the bench/ module (bench/e2e, the request-path benchmark, which tier-1
 # does not compile), a reduced-size smoke of the three harnesses e2e
 # does not yet answer (sharded tier, lint, serving), and the non-test
@@ -9,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: build test fmt-check vet race lint loc fuzz-smoke check bench-e2e-check bench-shard bench-shard-smoke bench-lint bench-lint-smoke bench-serving bench-serving-smoke
+.PHONY: build test fmt-check vet race lint loc cover fuzz-smoke check bench-e2e-check bench-shard bench-shard-smoke bench-lint bench-lint-smoke bench-serving bench-serving-smoke
 
 build:
 	$(GO) build ./...
@@ -40,6 +42,25 @@ loc:
 		printf '%7d %s\n' "$$(find $$d -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l)" $$d; \
 	done
 	@printf '%7d total\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './.*' | xargs cat | wc -l)"
+
+# Run the tier-1 suite once with cross-package coverage and print the
+# total, then fail on any function outside cmd/*/main.go and
+# examples/*/main.go that runs no statement and that
+# cover-allowlist.txt does not name with a reason, or on a name listed
+# there that now runs or is gone (ROADMAP 20). Plain `go test` has no
+# -coverpkg, so this cannot be part of tier-1 itself.
+cover:
+	@mkdir -p .cover
+	$(GO) test -coverpkg=./... -coverprofile=.cover/profile ./... > .cover/test.log || { cat .cover/test.log; exit 1; }
+	$(GO) tool cover -func=.cover/profile > .cover/func
+	@tail -1 .cover/func
+	@awk 'FNR == NR { if (NF && $$1 !~ /^#/) allow[$$1] = 1; next } \
+		{ file = $$1; sub(/^nsdfgo\//, "", file); sub(/:.*/, "", file) } \
+		$$1 == "total:" || $$3 != "0.0%" || file ~ /^(cmd|examples)\/[^\/]+\/main\.go$$/ { next } \
+		!((file ":" $$2) in allow) { print file ":" $$2 ": runs no statement in tier-1: test it, delete it, or list it in cover-allowlist.txt with a reason"; bad = 1 } \
+		{ unrun[file ":" $$2] = 1 } \
+		END { for (k in allow) if (!(k in unrun)) { print k ": listed in cover-allowlist.txt but runs or is gone: drop the line"; bad = 1 }; exit bad }' \
+		cover-allowlist.txt .cover/func
 
 # Briefly run each native fuzz target so the fuzz harnesses stay
 # compiling and the properties hold on fresh coverage-guided inputs.
@@ -105,5 +126,5 @@ bench-lint:
 bench-lint-smoke:
 	NSDF_BENCH_LINT_ITERS=1 $(GO) test ./internal/lint -run '^TestBenchLintEmit$$' -count=1
 
-check: build test fmt-check vet race lint fuzz-smoke bench-e2e-check bench-shard-smoke bench-lint-smoke bench-serving-smoke loc
+check: build test fmt-check vet race lint cover fuzz-smoke bench-e2e-check bench-shard-smoke bench-lint-smoke bench-serving-smoke loc
 	@echo "check: all gates passed"

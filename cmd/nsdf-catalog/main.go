@@ -16,7 +16,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
+	"net"
 	"os"
 
 	"nsdfgo/internal/catalog"
@@ -91,7 +91,11 @@ func run(fs *flag.FlagSet, args []string) error {
 		if err != nil {
 			return err
 		}
-		return k.Serve(context.Background(), *addr, handler(k, cat))
+		ln, err := net.Listen("tcp", *addr)
+		if err != nil {
+			return err
+		}
+		return k.Serve(context.Background(), ln, k.CatalogHandler(cat))
 	case *stats:
 		s := cat.Stats()
 		fmt.Printf("records: %d\ntokens: %d\ntotal bytes: %d\n", s.Records, s.Tokens, s.TotalBytes)
@@ -108,19 +112,6 @@ func run(fs *flag.FlagSet, args []string) error {
 	default:
 		return fmt.Errorf("nothing to do: pass -serve, -stats, or -search")
 	}
-}
-
-// handler serves cat behind the kit's middleware, so catalog requests
-// are traced, admitted and bounded like every other service's. The
-// operator endpoints mount ahead of the catalog routes, so every server
-// in the fleet answers /debug/flightrecorder, even one with few anomaly
-// sources.
-func handler(k *serverkit.Kit, cat *catalog.Catalog) http.Handler {
-	srv := catalog.NewServer(cat)
-	srv.EnableTelemetry(k.Registry)
-	mux := k.DebugMux()
-	mux.Handle("/", srv)
-	return k.Handler(mux)
 }
 
 func printResults(results []catalog.Record) {

@@ -54,7 +54,7 @@ func TestSearchIsTraced(t *testing.T) {
 	if _, err := cat.Add(catalog.Record{Name: "dem.tif", Source: "dataverse", Type: "tiff"}); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(handler(k, cat))
+	srv := httptest.NewServer(k.CatalogHandler(cat))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/search?q=dem")

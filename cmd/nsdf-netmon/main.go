@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"strconv"
@@ -50,7 +51,7 @@ func run(fs *flag.FlagSet, args []string) error {
 	if err != nil {
 		return err
 	}
-	net, err := netmon.NewNetwork(netmon.Testbed(), *seed)
+	network, err := netmon.NewNetwork(netmon.Testbed(), *seed)
 	if err != nil {
 		return err
 	}
@@ -68,17 +69,21 @@ func run(fs *flag.FlagSet, args []string) error {
 			// exit. Told to stop (SIGINT/SIGTERM: connections drained,
 			// flight recorder dumped), it stops the loop with it.
 			go func() {
-				if err := k.Serve(ctx, *metricsAddr, mux); err != nil {
+				ln, err := net.Listen("tcp", *metricsAddr)
+				if err == nil {
+					err = k.Serve(ctx, ln, mux)
+				}
+				if err != nil {
 					k.Logger.Error("metrics server failed", slog.String("error", err.Error()))
 					return
 				}
 				stop()
 			}()
 		}
-		return runMonitor(ctx, net, k, *monitor, *probes, *degrade)
+		return runMonitor(ctx, network, k, *monitor, *probes, *degrade)
 	}
 
-	rep, err := net.Measure(*probes)
+	rep, err := network.Measure(*probes)
 	if err != nil {
 		return err
 	}

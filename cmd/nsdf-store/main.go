@@ -31,11 +31,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
+	"net"
 	"os"
 
 	"nsdfgo/internal/serverkit"
-	"nsdfgo/internal/storage"
 )
 
 func main() {
@@ -61,29 +60,13 @@ func run(fs *flag.FlagSet, args []string) error {
 	if err != nil {
 		return err
 	}
-	fileStore, err := storage.NewFileStore(*root)
+	h, err := k.StoreHandler(*root)
 	if err != nil {
 		return err
 	}
-	// With -peers this process is one node of a sharded tier: its
-	// FileStore joins the ring with the peer stores and every public
-	// request routes through the tier.
-	var inner storage.Store = fileStore
-	backend := "file"
-	if k.Peers != "" {
-		if inner, _, err = k.Tier(fileStore); err != nil {
-			return err
-		}
-		backend = "shard"
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
 	}
-	store := storage.NewInstrumented(inner, k.Registry, backend)
-
-	// The operator endpoints stay reachable, unauthenticated, even with
-	// -token set. The internal plane serves the local store — never the
-	// router — so peer routers have a leaf to replicate to.
-	mux := k.DebugMux()
-	mux.Handle(serverkit.InternalPlane+"/",
-		http.StripPrefix(serverkit.InternalPlane, storage.NewServer(fileStore, k.PeerToken)))
-	mux.Handle("/", storage.NewServer(store, k.PeerToken))
-	return k.Serve(context.Background(), *addr, k.Handler(mux))
+	return k.Serve(context.Background(), ln, h)
 }

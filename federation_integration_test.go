@@ -1,208 +1,97 @@
 package nsdfgo_test
 
 import (
-	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"nsdfgo/internal/dashboard"
-	"nsdfgo/internal/dem"
-	"nsdfgo/internal/geotiled"
-	"nsdfgo/internal/idx"
-	"nsdfgo/internal/query"
-	"nsdfgo/internal/shard"
-	"nsdfgo/internal/storage"
-	"nsdfgo/internal/telemetry"
-	"nsdfgo/internal/telemetry/trace"
 )
 
-// traceStore is one simulated nsdf-store process: an HTTP object server
-// with its own trace collector, plus a gate that slows requests for one
-// chosen block key so a hedge fires deterministically.
-type traceStore struct {
-	url     string
-	slowKey atomic.Value // string: object key to delay, "" for none
-}
-
-func newTraceStore(t *testing.T, name string) *traceStore {
-	t.Helper()
-	ts := &traceStore{}
-	ts.slowKey.Store("")
-	col := trace.NewCollector(16)
-	col.SetNode(name)
-	inner := storage.NewServer(storage.NewMemStore(), "")
-	slowed := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if key := ts.slowKey.Load().(string); key != "" && strings.Contains(r.URL.Path, key) {
-			time.Sleep(150 * time.Millisecond)
-		}
-		inner.ServeHTTP(w, r)
-	})
-	mux := http.NewServeMux()
-	mux.Handle("/debug/traces", col.Handler())
-	mux.Handle("/", telemetry.WithTracing(slowed, col, telemetry.TracingOptions{Service: name}))
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	ts.url = srv.URL
-	return ts
-}
-
-// TestFederatedTraceEndToEnd is the tentpole acceptance path: a client
-// trace ID supplied on a dashboard read that fans out over the sharded
-// block tier must be retrievable from the dashboard as ONE federated
-// tree containing spans from the dashboard and the store processes,
-// with hedge-loser attempts marked cancelled and a dead peer degrading
-// the assembly instead of failing it.
+// TestFederatedTraceEndToEnd: a client trace ID supplied on a read that
+// the shipped fabric's dashboard fans out over the sharded tier must be
+// retrievable from the dashboard as ONE federated tree containing spans
+// from the dashboard and the store processes, with hedge-loser attempts
+// marked cancelled and a dead peer degrading the assembly instead of
+// failing it.
 func TestFederatedTraceEndToEnd(t *testing.T) {
-	ctx := context.Background()
-
-	// Two store processes and a shard router over storage HTTP clients —
-	// the same topology `nsdf-dashboard -peers` builds.
-	stores := map[string]*traceStore{
-		"store-a": newTraceStore(t, "store-a"),
-		"store-b": newTraceStore(t, "store-b"),
-	}
-	r, err := shard.NewRouter([]shard.Node{
-		{Name: "store-a", Store: storage.NewClient(stores["store-a"].url, "")},
-		{Name: "store-b", Store: storage.NewClient(stores["store-b"].url, "")},
-	}, shard.Options{Replicas: 2, HedgeAfter: 15 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A small dataset written through the router, so block reads travel
-	// dashboard -> router -> store over real HTTP.
-	scene := dem.Tennessee(128, 64, 77)
-	g, err := geotiled.ComputeTiled(scene, geotiled.Elevation, geotiled.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, err := idx.NewMeta([]int{128, 64}, []idx.Field{{Name: "elevation", Type: idx.Float32}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := idx.Create(ctx, storage.NewIDXBackend(r, "ds"), meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.WriteGrid(ctx, "elevation", 0, g); err != nil {
-		t.Fatal(err)
-	}
+	// Each store delays requests for the key its slot holds, so a hedge
+	// fires deterministically.
+	var slowKey [3]atomic.Value
+	f := startFabric(t, func(i int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if key, _ := slowKey[i].Load().(string); key != "" && strings.Contains(r.URL.Path, key) {
+				time.Sleep(150 * time.Millisecond)
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	ds := f.convertElevation(t, "ds")
 
 	// Slow block 0's PRIMARY replica: its read will hedge to the other
-	// store, the hedge wins, and the primary attempt must be booked as a
-	// cancelled span.
+	// replica, the hedge wins, and the primary attempt must be booked as
+	// a cancelled span. The store holding neither replica is stopped
+	// after the read: it is the dead peer.
 	block := ds.BlockKey("elevation", 0, 0)
-	primary := r.Ring().Replicas("ds/"+block, 2)[0]
-	stores[primary].slowKey.Store(block)
-	hedgeWinner := "store-a"
-	if primary == "store-a" {
-		hedgeWinner = "store-b"
+	replicas := f.replicas("ds/" + block)
+	primary, hedgeWinner := replicas[0], replicas[1]
+	var dead string
+	var stopDead func()
+	for i, name := range f.names {
+		switch name {
+		case primary:
+			slowKey[i].Store(block)
+		case hedgeWinner:
+		default:
+			dead, stopDead = name, f.stores[i].stop
+		}
 	}
-
-	// The dashboard process, federated over both stores plus one dead
-	// peer (a closed server) to exercise degradation.
-	dead := httptest.NewServer(http.NotFoundHandler())
-	deadURL := dead.URL
-	dead.Close()
-
-	dashCol := trace.NewCollector(32)
-	dashCol.SetNode("dashboard")
-	dash := dashboard.NewServer()
-	dash.EnableTracing(dashCol)
-	dash.Register("tennessee", query.New(ds, 16<<20))
-	dash.EnableFederation(map[string]string{
-		"store-a":    stores["store-a"].url,
-		"store-b":    stores["store-b"].url,
-		"store-down": deadURL,
-	}, 500*time.Millisecond)
-	dashSrv := httptest.NewServer(telemetry.WithTracing(dash, dashCol,
-		telemetry.TracingOptions{Service: "dashboard"}))
-	defer dashSrv.Close()
+	dash := f.startDashboard(t, "tennessee=ds")
 
 	// A cold full-region read with a client-supplied trace ID.
 	traceID := "fedcba9876543210fedcba9876543210"
-	req, err := http.NewRequest("GET",
-		dashSrv.URL+"/api/data?dataset=tennessee&field=elevation&x0=0&y0=0&x1=128&y1=64", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(trace.TraceIDHeader, traceID)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("data read status %s", resp.Status)
-	}
-	if got := resp.Header.Get(trace.TraceIDHeader); got != traceID {
-		t.Fatalf("response trace header %q, want %q", got, traceID)
-	}
+	fetch(t, dash.url+"/api/data?dataset=tennessee&field=elevation&x0=0&y0=0&x1=128&y1=64", traceID)
+	stopDead()
 
 	// Federated assembly. The hedge loser's trace publishes only after
 	// its delayed handler finishes, so poll until all three live nodes
 	// contributed.
-	fed := pollFederated(t, dashSrv.URL, traceID,
-		[]string{"dashboard", "store-a", "store-b"})
-
+	fed := pollFederated(t, dash.url, traceID, 3)
 	if fed.Trace == nil || fed.Trace.TraceID != traceID {
 		t.Fatalf("federated trace = %+v, want id %s", fed.Trace, traceID)
 	}
-	if reason := fed.Failed["store-down"]; reason == "" {
-		t.Fatalf("dead peer missing from failed map: %v", fed.Failed)
+	if reason := fed.Failed[dead]; reason == "" {
+		t.Fatalf("dead peer %s missing from failed map: %v", dead, fed.Failed)
 	}
 
-	// Spans from all three processes, namespaced per node.
+	// Spans from all three live processes, namespaced per node; each
+	// store's request root grafted under a dashboard span, so the tree
+	// really is stitched across the process boundary; and the hedge on
+	// the slowed block, its loser (the primary) booked as cancelled and
+	// its winner as a successful hedge on the other store.
 	spansPerNode := map[string]int{}
+	grafted := 0
+	var loser, winner bool
 	for _, sp := range fed.Trace.Spans {
 		spansPerNode[sp.Attrs["node"]]++
-	}
-	for _, node := range []string{"dashboard", "store-a", "store-b"} {
-		if spansPerNode[node] == 0 {
-			t.Errorf("no spans attributed to %s (have %v)", node, spansPerNode)
-		}
-	}
-
-	// Each store's request root grafts under a dashboard span, so the
-	// tree really is stitched across the process boundary.
-	grafted := 0
-	for _, sp := range fed.Trace.Spans {
 		if strings.HasPrefix(sp.ID, "store-") && strings.HasPrefix(sp.Name, "http ") {
 			if !strings.HasPrefix(sp.Parent, "dashboard/") {
 				t.Errorf("store request span %s parent %q, want a dashboard/ span", sp.ID, sp.Parent)
 			}
 			grafted++
 		}
+		if sp.Name == "shard.get" {
+			loser = loser || sp.Attrs["outcome"] == "cancelled" && sp.Attrs["node"] == primary
+			winner = winner || sp.Attrs["outcome"] == "ok" && sp.Attrs["hedge"] == "true" && sp.Attrs["node"] == hedgeWinner
+		}
+	}
+	for _, node := range []string{"dashboard", primary, hedgeWinner} {
+		if spansPerNode[node] == 0 {
+			t.Errorf("no spans attributed to %s (have %v)", node, spansPerNode)
+		}
 	}
 	if grafted == 0 {
 		t.Error("no store request spans found in the federated trace")
-	}
-
-	// The hedge on the slowed block: the loser (its primary) is booked
-	// as cancelled, the winner as a successful hedge on the other store.
-	var loser, winner bool
-	for _, sp := range fed.Trace.Spans {
-		if sp.Name != "shard.get" {
-			continue
-		}
-		switch sp.Attrs["outcome"] {
-		case "cancelled":
-			if sp.Attrs["node"] == primary {
-				loser = true
-			}
-		case "ok":
-			if sp.Attrs["hedge"] == "true" && sp.Attrs["node"] == hedgeWinner {
-				winner = true
-			}
-		}
 	}
 	if !loser {
 		t.Errorf("no cancelled shard.get span on the hedge loser %s", primary)
@@ -213,61 +102,14 @@ func TestFederatedTraceEndToEnd(t *testing.T) {
 
 	// The text rendering names the assembly's provenance, dead peer
 	// included.
-	resp, err = http.Get(dashSrv.URL + "/debug/traces?federate=1&trace=" + traceID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	text := string(body)
+	text := string(fetch(t, dash.url+"/debug/traces?federate=1&trace="+traceID, ""))
 	for _, want := range []string{
 		"assembled from 3 node(s)",
-		"peer store-down failed",
+		"peer " + dead + " failed",
 		"http /api/data",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("federated text missing %q:\n%s", want, text)
 		}
 	}
-}
-
-// pollFederated fetches the federated trace until every node in want
-// has contributed (hedge losers publish late) or the deadline passes.
-func pollFederated(t *testing.T, baseURL, traceID string, want []string) *dashboard.FederatedTrace {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	var last string
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(baseURL + "/debug/traces?federate=1&format=json&trace=" + traceID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			var fed dashboard.FederatedTrace
-			if err := json.Unmarshal(body, &fed); err != nil {
-				t.Fatalf("decode federated trace: %v\n%s", err, body)
-			}
-			have := map[string]bool{}
-			for _, n := range fed.Nodes {
-				have[n] = true
-			}
-			missing := false
-			for _, n := range want {
-				if !have[n] {
-					missing = true
-				}
-			}
-			if !missing {
-				return &fed
-			}
-			last = fmt.Sprintf("nodes %v", fed.Nodes)
-		} else {
-			last = fmt.Sprintf("status %s: %s", resp.Status, body)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	t.Fatalf("federated trace never assembled all of %v; last: %s", want, last)
-	return nil
 }

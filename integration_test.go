@@ -7,46 +7,280 @@ import (
 	"fmt"
 	"image/png"
 	"io"
+	"net"
 	"net/http"
-	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"nsdfgo/internal/admission"
+	"nsdfgo/internal/cache"
 	"nsdfgo/internal/catalog"
 	"nsdfgo/internal/convert"
 	"nsdfgo/internal/dashboard"
 	"nsdfgo/internal/dem"
 	"nsdfgo/internal/geotiled"
 	"nsdfgo/internal/idx"
-	"nsdfgo/internal/netcdf"
-	"nsdfgo/internal/query"
 	"nsdfgo/internal/raster"
+	"nsdfgo/internal/serverkit"
 	"nsdfgo/internal/shard"
 	"nsdfgo/internal/storage"
-	"nsdfgo/internal/telemetry"
+	"nsdfgo/internal/telemetry/trace"
 	"nsdfgo/internal/tiff"
 )
 
-// TestFullStackOverHTTP drives the complete tutorial scenario with every
-// service behind a real HTTP boundary: a private Seal-style object store,
-// a catalog service, and the dashboard, exercising step 1 through step 4
-// exactly as a distributed deployment would.
-func TestFullStackOverHTTP(t *testing.T) {
+// fabricToken is the fleet's shared bearer token: the stores' -token
+// and the dashboard's -peer-token.
+const fabricToken = "tutorial-token"
+
+// service is one served process: its kit, its base URL, and stop, which
+// cancels its Serve ctx and waits for Serve to return.
+type service struct {
+	kit  *serverkit.Kit
+	url  string
+	stop func()
+}
+
+// listen opens a loopback listener on a free port.
+func listen(t *testing.T) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() }) // Serve closes it too; this covers a failed boot
+	return ln
+}
+
+// boot brings a process up the way its binary does — serverkit.Start,
+// the service's assembly, Serve on ln — until stop or the end of the
+// test.
+func boot(t *testing.T, o serverkit.Options, ln net.Listener, assemble func(*serverkit.Kit) (http.Handler, error)) *service {
+	t.Helper()
+	k, err := serverkit.Start(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := assemble(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- k.Serve(ctx, ln, h) }()
+	s := &service{kit: k, url: "http://" + ln.Addr().String()}
+	s.stop = sync.OnceFunc(func() {
+		// http.Transport dials ahead, and Shutdown cannot tell a dialed
+		// connection that never carried a request from a slow client
+		// until its 5 s header timeout, the whole drain budget. Every
+		// service here shares http.DefaultTransport: drop its idle
+		// connections first so a stop does not wait that out.
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("%s: Serve = %v", o.NodeName, err)
+		}
+	})
+	t.Cleanup(s.stop)
+	return s
+}
+
+// fabric is the composition the binaries ship, assembled by serverkit
+// alone: three nsdf-store nodes, each naming the other two in -peers and
+// sharing -token, and — once data is in — one nsdf-dashboard over the
+// same tier.
+type fabric struct {
+	names, urls []string
+	stores      []*service
+}
+
+// startFabric starts the three stores. gate, when not nil, wraps store
+// i's handler before it is served.
+func startFabric(t *testing.T, gate func(i int, h http.Handler) http.Handler) *fabric {
+	t.Helper()
+	f := &fabric{names: []string{"store-a", "store-b", "store-c"}}
+	var lns []net.Listener
+	for range f.names {
+		lns = append(lns, listen(t))
+		f.urls = append(f.urls, "http://"+lns[len(lns)-1].Addr().String())
+	}
+	for i, ln := range lns {
+		o := serverkit.Options{Service: "store", NodeName: f.names[i],
+			Peers: f.peers(i), PeerToken: fabricToken, Shard: shard.Options{Replicas: 2}}
+		f.stores = append(f.stores, boot(t, o, ln, func(k *serverkit.Kit) (http.Handler, error) {
+			h, err := k.StoreHandler(t.TempDir())
+			if err != nil || gate == nil {
+				return h, err
+			}
+			return gate(i, h), nil
+		}))
+	}
+	return f
+}
+
+// peers is the -peers list of every store but skip.
+func (f *fabric) peers(skip int) string {
+	var peers []string
+	for i, url := range f.urls {
+		if i != skip {
+			peers = append(peers, f.names[i]+"="+url)
+		}
+	}
+	return strings.Join(peers, ",")
+}
+
+// replicas names the stores holding key's R = 2 replicas, primary
+// first, as every router in the fabric places them.
+func (f *fabric) replicas(key string) []string {
+	ring := shard.NewRing(0)
+	for _, name := range f.names {
+		ring.Add(name)
+	}
+	return ring.Replicas(key, 2)
+}
+
+// startDashboard serves one nsdf-dashboard over the fabric's tier with
+// each -data spec registered, an on-disk cache tier, the admission
+// limiter (so its pressure reaches the fetch pool) and hedged reads.
+func (f *fabric) startDashboard(t *testing.T, data ...string) *service {
+	t.Helper()
+	o := serverkit.Options{Service: "dashboard", NodeName: "dashboard",
+		Peers: f.peers(-1), PeerToken: fabricToken,
+		Shard:     shard.Options{Replicas: 2, HedgeAfter: 15 * time.Millisecond},
+		Admission: admission.Options{MaxConcurrent: 8, MaxQueue: 16},
+		CacheMB:   16, Cache: cache.Options{DiskDir: t.TempDir(), DiskBytes: 16 << 20}}
+	return boot(t, o, listen(t), func(k *serverkit.Kit) (http.Handler, error) {
+		_, h, err := k.DashboardHandler(context.Background(), data, 500*time.Millisecond)
+		return h, err
+	})
+}
+
+// convertElevation converts the 128×64 tutorial scene's elevation into
+// the fabric under prefix, through store 0's public plane.
+func (f *fabric) convertElevation(t *testing.T, prefix string) *idx.Dataset {
+	t.Helper()
+	g, err := geotiled.ComputeTiled(dem.Tennessee(128, 64, 77), geotiled.Elevation, geotiled.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := storage.NewIDXBackend(storage.NewClient(f.urls[0], fabricToken), prefix)
+	ds, err := convert.ToIDXWith(context.Background(), be, []convert.Input{{FieldName: "elevation", Grid: g}}, convert.IDXOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// fetch GETs url — carrying traceID as X-NSDF-Trace-Id when it is not
+// empty, which the answer must echo — fails the test unless the answer
+// is 200, and returns the body.
+func fetch(t *testing.T, url, traceID string) []byte {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if traceID != "" {
+		req.Header.Set(trace.TraceIDHeader, traceID)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %s: %s", url, resp.Status, body)
+	}
+	if got := resp.Header.Get(trace.TraceIDHeader); traceID != "" && got != traceID {
+		t.Fatalf("GET %s answered trace %q, want the client-supplied %q", url, got, traceID)
+	}
+	return body
+}
+
+// decode unmarshals a JSON body into v, failing the test on error.
+func decode(t *testing.T, body []byte, v any) {
+	t.Helper()
+	if err := json.Unmarshal(body, v); err != nil {
+		t.Fatalf("decode %T: %v\n%s", v, err, body)
+	}
+}
+
+// wantNPY checks an /api/data answer is g bit-exact.
+func wantNPY(t *testing.T, body []byte, g *raster.Grid) {
+	t.Helper()
+	got, err := dashboard.DecodeNPY(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !raster.Equal(g, got) {
+		t.Fatal("/api/data differs from the source grid")
+	}
+}
+
+// scrape fetches /metrics and returns a map of "name{labels}" -> value.
+func scrape(t *testing.T, base string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, line := range strings.Split(string(fetch(t, base+"/metrics", "")), "\n") {
+		if i := strings.LastIndexByte(line, ' '); i > 0 && line[0] != '#' {
+			out[line[:i]] = line[i+1:]
+		}
+	}
+	return out
+}
+
+// pollFederated fetches the federated trace until at least n nodes
+// contributed (a store publishes its part after answering) or the
+// deadline passes.
+func pollFederated(t *testing.T, baseURL, traceID string, n int) *dashboard.FederatedTrace {
+	t.Helper()
+	var last string
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(50 * time.Millisecond) {
+		resp, err := http.Get(baseURL + "/debug/traces?federate=1&format=json&trace=" + traceID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		last = fmt.Sprintf("status %s: %s", resp.Status, body)
+		if resp.StatusCode == http.StatusOK {
+			var fed dashboard.FederatedTrace
+			if decode(t, body, &fed); len(fed.Nodes) >= n {
+				return &fed
+			}
+		}
+	}
+	t.Fatalf("federated trace never assembled %d nodes; last: %s", n, last)
+	return nil
+}
+
+// TestShippedFabric walks the tutorial through the fabric the binaries
+// ship, every service assembled by serverkit behind a real HTTP
+// boundary: three private Seal-style stores that name each other as
+// peers and share a bearer token, the catalog service, and a dashboard
+// over the stores' tier. Steps 1 to 4 run as a distributed deployment
+// would; the dashboard's four views are checked against the source
+// grids and one request's trace is assembled across the processes.
+// Then a store stops: a field the dashboard has not read still reads
+// back bit-exact at R = 2, and the dashboard books the failover.
+func TestShippedFabric(t *testing.T) {
 	ctx := context.Background()
+	f := startFabric(t, nil)
+	seal := storage.NewClient(f.urls[0], fabricToken)
+	catSrv := boot(t, serverkit.Options{Service: "catalog", NodeName: "catalog"}, listen(t),
+		func(k *serverkit.Kit) (http.Handler, error) { return k.CatalogHandler(catalog.New()), nil })
 
-	// --- Services: private store with auth, catalog. ---
-	sealBackend := storage.NewMemStore()
-	sealSrv := httptest.NewServer(storage.NewServer(sealBackend, "tutorial-token"))
-	defer sealSrv.Close()
-	seal := storage.NewClient(sealSrv.URL, "tutorial-token")
-
-	cat := catalog.New()
-	catSrv := httptest.NewServer(catalog.NewServer(cat))
-	defer catSrv.Close()
-
-	// --- Step 1: generate terrain, write TIFFs to the remote store. ---
+	// --- Steps 1 and 2: terrain as TIFFs to the private store, fetched
+	// back over HTTP and converted to IDX on the same store. ---
 	scene := dem.Tennessee(128, 64, 77)
 	grids := map[string]*raster.Grid{}
+	var inputs []convert.Input
 	for _, p := range []geotiled.Param{geotiled.Elevation, geotiled.Hillshade} {
 		g, err := geotiled.ComputeTiled(scene, p, geotiled.Options{})
 		if err != nil {
@@ -57,25 +291,21 @@ func TestFullStackOverHTTP(t *testing.T) {
 		if err := tiff.Encode(&buf, tiff.FromGrid(g), tiff.EncodeOptions{Compression: tiff.CompressionDeflate}); err != nil {
 			t.Fatal(err)
 		}
-		if err := seal.Put(ctx, "raw/"+p.String()+".tif", buf.Bytes()); err != nil {
+		key := "raw/" + p.String() + ".tif"
+		if err := seal.Put(ctx, key, buf.Bytes()); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	// --- Step 2: fetch back over HTTP, convert to IDX on the same store. ---
-	var inputs []convert.Input
-	for name := range grids {
-		data, err := seal.Get(ctx, "raw/"+name+".tif")
+		data, err := seal.Get(ctx, key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := convert.LoadRaster(name+".tif", data, convert.Options{})
+		back, err := convert.LoadRaster(key, data, convert.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		inputs = append(inputs, convert.Input{FieldName: name, Grid: g})
+		inputs = append(inputs, convert.Input{FieldName: p.String(), Grid: back})
 	}
-	ds, err := convert.ToIDXWith(context.Background(), storage.NewIDXBackend(seal, "datasets/tn"), inputs, convert.IDXOptions{BitsPerBlock: 10})
+	ds, err := convert.ToIDXWith(ctx, storage.NewIDXBackend(seal, "datasets/tn"), inputs, convert.IDXOptions{BitsPerBlock: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,18 +313,18 @@ func TestFullStackOverHTTP(t *testing.T) {
 	// Register the dataset's fields in the catalog over its HTTP API.
 	var records []catalog.Record
 	for name := range grids {
-		size, err := ds.StoredBytes(context.Background(), name, 0)
+		size, err := ds.StoredBytes(ctx, name, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		records = append(records, catalog.Record{
 			Name: "tn_" + name + ".idx", Source: "sealstorage", Type: "idx",
-			Size: size, Location: sealSrv.URL + "/datasets/tn",
+			Size: size, Location: f.urls[0] + "/datasets/tn",
 			Keywords: []string{"terrain", name, "tennessee"},
 		})
 	}
 	body, _ := json.Marshal(records)
-	resp, err := http.Post(catSrv.URL+"/records", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(catSrv.url+"/records", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +334,12 @@ func TestFullStackOverHTTP(t *testing.T) {
 	}
 
 	// --- Step 3: validate through a fresh dataset handle (reopen). ---
-	ds2, err := idx.Open(context.Background(), storage.NewIDXBackend(seal, "datasets/tn"))
+	ds2, err := idx.Open(ctx, storage.NewIDXBackend(seal, "datasets/tn"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, orig := range grids {
-		back, _, err := ds2.ReadFull(context.Background(), name, 0)
+		back, _, err := ds2.ReadFull(ctx, name, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,196 +348,48 @@ func TestFullStackOverHTTP(t *testing.T) {
 		}
 	}
 
-	// --- Step 4: dashboard over the store-backed dataset. ---
-	dash := dashboard.NewServer()
-	dash.Register("tennessee", query.New(ds2, 16<<20))
-	dashSrv := httptest.NewServer(dash)
-	defer dashSrv.Close()
-
-	resp, err = http.Get(dashSrv.URL + "/api/render?dataset=tennessee&field=elevation&palette=terrain")
-	if err != nil {
-		t.Fatal(err)
+	// --- Step 4: the dashboard's views over the store-backed dataset. ---
+	dash := f.startDashboard(t, "tennessee=datasets/tn")
+	var infos []dashboard.DatasetInfo
+	decode(t, fetch(t, dash.url+"/api/datasets", ""), &infos)
+	if len(infos) != 1 || infos[0].Name != "tennessee" || infos[0].Width != 128 || len(infos[0].Fields) != 2 {
+		t.Errorf("/api/datasets = %+v, want the 128-wide tennessee with two fields", infos)
 	}
-	pngBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("render status %s", resp.Status)
-	}
-	if _, err := png.Decode(bytes.NewReader(pngBody)); err != nil {
-		t.Fatalf("render not a PNG: %v", err)
-	}
-
 	// Snip -> .npy -> decode -> values match the source exactly.
-	resp, err = http.Get(dashSrv.URL + "/api/data?dataset=tennessee&field=elevation&x0=16&y0=16&x1=48&y1=40")
-	if err != nil {
-		t.Fatal(err)
+	view := dash.url + "/api/%s?dataset=tennessee&field=elevation"
+	traceID := "00112233445566778899aabbccddeeff"
+	snip, _ := grids["elevation"].Crop(16, 16, 32, 24)
+	wantNPY(t, fetch(t, fmt.Sprintf(view, "data")+"&x0=16&y0=16&x1=48&y1=40", traceID), snip)
+	if _, err := png.Decode(bytes.NewReader(fetch(t, fmt.Sprintf(view, "render")+"&palette=terrain", ""))); err != nil {
+		t.Errorf("render not a PNG: %v", err)
 	}
-	npyBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	snip, err := dashboard.DecodeNPY(npyBody)
-	if err != nil {
-		t.Fatal(err)
+	var stats map[string]float64
+	decode(t, fetch(t, fmt.Sprintf(view, "stats"), ""), &stats)
+	if st := grids["elevation"].ComputeStats(); stats["min"] != st.Min || stats["max"] != st.Max {
+		t.Errorf("/api/stats min, max = %v, %v; want the grid's %v, %v", stats["min"], stats["max"], st.Min, st.Max)
 	}
-	want, _ := grids["elevation"].Crop(16, 16, 32, 24)
-	if !raster.Equal(want, snip) {
-		t.Fatal("snipped region differs from source data")
+	if fed := pollFederated(t, dash.url, traceID, 2); fed.Trace.TraceID != traceID || len(fed.Failed) != 0 {
+		t.Errorf("federated trace %s with failed peers %v, want %s from live peers", fed.Trace.TraceID, fed.Failed, traceID)
 	}
 
 	// Discovery: the catalog finds what the workflow published.
-	resp, err = http.Get(catSrv.URL + "/search?q=terrain+tennessee")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var found []catalog.Record
-	json.NewDecoder(resp.Body).Decode(&found)
-	resp.Body.Close()
+	decode(t, fetch(t, catSrv.url+"/search?q=terrain+tennessee", ""), &found)
 	if len(found) != 2 {
 		t.Fatalf("catalog found %d records, want 2", len(found))
 	}
 
 	// Unauthorized access to the private store must fail.
-	anon := storage.NewClient(sealSrv.URL, "")
+	anon := storage.NewClient(f.urls[0], "")
 	if _, err := anon.Get(ctx, "datasets/tn/dataset.idx"); err == nil {
 		t.Fatal("anonymous read of private store succeeded")
 	}
-}
 
-// TestNetCDFPipelineIntegration covers the multi-format path: a NetCDF
-// product converted to IDX and served by the dashboard.
-func TestNetCDFPipelineIntegration(t *testing.T) {
-	g := dem.Scale(dem.FBM(48, 32, 3, dem.DefaultFBM()), 0.1, 0.5)
-	g.Geo = &raster.Georef{OriginX: -90, OriginY: 37, PixelW: 0.01, PixelH: 0.01}
-	nc, err := netcdf.FromGrid("soil_moisture", g, "m3 m-3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := nc.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := convert.LoadRaster("sm.nc", buf.Bytes(), convert.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := convert.ToIDXWith(context.Background(), idx.NewMemBackend(), []convert.Input{{FieldName: "soil_moisture", Grid: loaded}}, convert.IDXOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Meta.Geo == nil {
-		t.Fatal("georeferencing lost through NetCDF -> IDX")
-	}
-	dash := dashboard.NewServer()
-	dash.Register("moisture", query.New(ds, 1<<20))
-	srv := httptest.NewServer(dash)
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/api/stats?dataset=moisture")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats map[string]float64
-	json.NewDecoder(resp.Body).Decode(&stats)
-	resp.Body.Close()
-	if stats["min"] < 0.09 || stats["max"] > 0.51 {
-		t.Errorf("moisture stats out of band: %+v", stats)
-	}
-}
-
-// TestWorkflowSurvivesFlakyStorage runs the step-2/3 conversion onto the
-// replicated tier with one faulty node — failure injection at the
-// integration level, over what ships: a 3-node shard.Router at R=2 whose
-// node c fails a share p of its operations. Every key keeps a healthy
-// replica, so the write quorum and read failover carry the dataset
-// through bit-exact, and the router books the failovers.
-func TestWorkflowSurvivesFlakyStorage(t *testing.T) {
-	ctx := context.Background()
-	for _, p := range []float64{0.15, 1} {
-		t.Run(fmt.Sprintf("p=%v", p), func(t *testing.T) {
-			faulty := storage.NewConditioned(storage.NewMemStore(), storage.NetworkProfile{FailProb: p}, 5)
-			r, err := shard.NewRouter([]shard.Node{
-				{Name: "a", Store: storage.NewMemStore()},
-				{Name: "b", Store: storage.NewMemStore()},
-				{Name: "c", Store: faulty},
-			}, shard.Options{Replicas: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			reg := telemetry.NewRegistry()
-			r.Instrument(reg)
-			scene := dem.Tennessee(96, 48, 9)
-			if _, err := convert.ToIDXWith(ctx, storage.NewIDXBackend(r, "ds"), []convert.Input{{FieldName: "elevation", Grid: scene}}, convert.IDXOptions{BitsPerBlock: 8}); err != nil {
-				t.Fatal(err)
-			}
-			ds, err := idx.Open(ctx, storage.NewIDXBackend(r, "ds"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			back, _, err := ds.ReadFull(ctx, "elevation", 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !raster.Equal(scene, back) {
-				t.Fatal("data corrupted through flaky storage")
-			}
-			if faulty.Stats().Failed == 0 {
-				t.Fatal("node c injected no failure; the test exercises nothing")
-			}
-			if n := reg.Counter("nsdf_shard_replica_failovers_total").Value(); n == 0 {
-				t.Fatal("no replica failover booked")
-			}
-		})
-	}
-}
-
-// TestDashboardMultiDataset checks the dropdown with several datasets of
-// different shapes registered at once.
-func TestDashboardMultiDataset(t *testing.T) {
-	dash := dashboard.NewServer()
-	for i, name := range []string{"alpha", "beta", "gamma"} {
-		w := 32 << i
-		meta, err := idx.NewMeta([]int{w, 32}, []idx.Field{{Name: "f", Type: idx.Float32}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds, err := idx.Create(context.Background(), idx.NewMemBackend(), meta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ds.WriteGrid(context.Background(), "f", 0, dem.FBM(w, 32, uint64(i), dem.DefaultFBM())); err != nil {
-			t.Fatal(err)
-		}
-		dash.Register(name, query.New(ds, 1<<20))
-	}
-	srv := httptest.NewServer(dash)
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/api/datasets")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var infos []dashboard.DatasetInfo
-	if err := json.Unmarshal(raw, &infos); err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 3 {
-		t.Fatalf("%d datasets", len(infos))
-	}
-	names := make([]string, len(infos))
-	for i, d := range infos {
-		names[i] = d.Name
-	}
-	if strings.Join(names, ",") != "alpha,beta,gamma" {
-		t.Errorf("dropdown order %v", names)
-	}
-	for _, d := range infos {
-		resp, err := http.Get(srv.URL + fmt.Sprintf("/api/render?dataset=%s", d.Name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s render status %s", d.Name, resp.Status)
-		}
+	// Stop the primary of hillshade's first block.
+	primary := f.replicas("datasets/tn/" + ds.BlockKey("hillshade", 0, 0))[0]
+	f.stores[slices.Index(f.names, primary)].stop()
+	wantNPY(t, fetch(t, dash.url+"/api/data?dataset=tennessee&field=hillshade", ""), grids["hillshade"])
+	if n := scrape(t, dash.url)["nsdf_shard_replica_failovers_total"]; n == "" || n == "0" {
+		t.Errorf("nsdf_shard_replica_failovers_total = %q after %s stopped, want > 0", n, primary)
 	}
 }

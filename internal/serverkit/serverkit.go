@@ -1,8 +1,10 @@
 // Package serverkit is the one place a fabric serving process is
 // assembled. nsdf-dashboard, nsdf-store, nsdf-catalog and nsdf-netmon
 // fill an Options (the flags they share are declared here, once), Start
-// the process plumbing, and serve through Handler and Serve, so every
-// service comes up, sheds load and shuts down the same way.
+// the process plumbing, build their handler with StoreHandler,
+// DashboardHandler or CatalogHandler, and serve it on a listener of
+// their own through Serve, so every service comes up, sheds load and
+// shuts down the same way — in its binary and in a test alike.
 package serverkit
 
 import (
@@ -10,15 +12,19 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 
 	"nsdfgo/internal/admission"
 	"nsdfgo/internal/cache"
+	"nsdfgo/internal/catalog"
+	"nsdfgo/internal/dashboard"
 	"nsdfgo/internal/idx"
 	"nsdfgo/internal/query"
 	"nsdfgo/internal/shard"
@@ -28,12 +34,12 @@ import (
 	"nsdfgo/internal/telemetry/trace"
 )
 
-// InternalPlane is the path prefix of the leaf object plane every
+// internalPlane is the path prefix of the leaf object plane every
 // nsdf-store mounts: the public REST layout over the node's local store
 // alone. Tier dials peers there, because a replica write sent to a
 // peer's router-backed public plane is routed again, and two replicas
 // forwarding to each other never terminate.
-const InternalPlane = "/internal"
+const internalPlane = "/internal"
 
 // Options configures a serving process. It is plain data: a main binds
 // flags into it, any other caller fills the fields.
@@ -141,7 +147,7 @@ func (k *Kit) Tier(local storage.Store) (storage.Store, map[string]string, error
 	targets := make(map[string]string)
 	nodes, err := shard.ParsePeers(k.Peers, func(name, target string) storage.Store {
 		targets[name] = target
-		return storage.NewClient(target+InternalPlane, k.PeerToken)
+		return storage.NewClient(target+internalPlane, k.PeerToken)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -215,19 +221,123 @@ func (k *Kit) Handler(h http.Handler) http.Handler {
 		Service: k.Service, SlowRequest: k.SlowRequest, Logger: k.Logger, Flight: k.Flight})
 }
 
-// Serve runs h on addr until the listener fails, the process is told to
-// stop (SIGINT/SIGTERM) or ctx is cancelled, then drains connections
-// for up to five seconds. Every exit first dumps the flight recorder —
-// the anomaly ring's last chance to reach the logs. The header and idle
-// timeouts keep slow or silent clients from holding connections open.
-func (k *Kit) Serve(ctx context.Context, addr string, h http.Handler) error {
-	srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 5 * time.Second, IdleTimeout: 2 * time.Minute}
-	k.Logger.Info("listening", slog.String("service", k.Service), slog.String("addr", addr))
+// StoreHandler assembles nsdf-store over a FileStore rooted at root.
+// With Peers the node joins the sharded tier: its FileStore joins the
+// ring under NodeName and every public request routes through the tier.
+// The internal plane serves the local store — never the router — so
+// peer routers have a leaf to replicate to. The operator endpoints stay
+// reachable, unauthenticated, even with a PeerToken.
+func (k *Kit) StoreHandler(root string) (http.Handler, error) {
+	fileStore, err := storage.NewFileStore(root)
+	if err != nil {
+		return nil, err
+	}
+	var public storage.Store = fileStore
+	backend := "file"
+	if k.Peers != "" {
+		if public, _, err = k.Tier(fileStore); err != nil {
+			return nil, err
+		}
+		backend = "shard"
+	}
+	mux := k.DebugMux()
+	mux.Handle(internalPlane+"/", http.StripPrefix(internalPlane, storage.NewServer(fileStore, k.PeerToken)))
+	mux.Handle("/", storage.NewServer(storage.NewInstrumented(public, k.Registry, backend), k.PeerToken))
+	return k.Handler(mux), nil
+}
+
+// DashboardHandler assembles nsdf-dashboard over the datasets named by
+// data, each a name=path spec. With Peers the datasets live in the
+// sharded tier and each path is a key prefix inside it, and
+// /debug/traces?federate=1 fans out to the peers with federateTimeout
+// per peer; without, each path is a directory served by a FileStore.
+// Either way the IDX adapter sits on an instrumented storage.Store and
+// each dataset gets its own NewEngine. A name also names the dataset's
+// cache directory, so one that is empty, repeated, or more than one
+// local path element is refused before its dataset is opened or its
+// cache built. The server is returned for the caller to register more
+// datasets on.
+func (k *Kit) DashboardHandler(ctx context.Context, data []string, federateTimeout time.Duration) (*dashboard.Server, http.Handler, error) {
+	server := dashboard.NewServer()
+	server.EnableTelemetry(k.Registry)
+	server.EnableTracing(k.Traces)
+	server.EnableFlightRecorder(k.Flight)
+	server.SetLogger(k.Logger)
+	var tier storage.Store
+	if k.Peers != "" {
+		router, targets, err := k.Tier(nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		tier = storage.NewInstrumented(router, k.Registry, "shard")
+		server.EnableFederation(targets, federateTimeout)
+	}
+	seen := make(map[string]bool, len(data))
+	for _, spec := range data {
+		name, path, ok := strings.Cut(spec, "=")
+		switch {
+		case !ok:
+			return nil, nil, fmt.Errorf("bad -data %q (want name=path)", spec)
+		case name == "." || filepath.Base(name) != name || !filepath.IsLocal(name):
+			return nil, nil, fmt.Errorf("bad -data %q: the name must be one path element, it names the dataset's cache directory", spec)
+		case seen[name]:
+			return nil, nil, fmt.Errorf("bad -data %q: dataset %s is given twice", spec, name)
+		}
+		seen[name] = true
+		store, prefix := tier, path
+		if tier == nil {
+			dir, err := storage.NewFileStore(path)
+			if err != nil {
+				return nil, nil, err
+			}
+			store, prefix = storage.NewInstrumented(dir, k.Registry, "file"), ""
+		}
+		ds, err := idx.Open(ctx, storage.NewIDXBackend(store, prefix))
+		if err != nil {
+			return nil, nil, fmt.Errorf("open %s: %w", path, err)
+		}
+		e, err := k.NewEngine(name, ds)
+		if err != nil {
+			return nil, nil, err
+		}
+		server.Register(name, e)
+		k.Logger.Info("registered dataset",
+			slog.String("dataset", name),
+			slog.Int("width", ds.Meta.Dims[0]),
+			slog.Int("height", ds.Meta.Dims[1]),
+			slog.Int("fields", len(ds.Meta.Fields)),
+			slog.Int("timesteps", ds.Meta.Timesteps))
+	}
+	return server, k.Handler(server), nil
+}
+
+// CatalogHandler serves cat behind the kit's middleware, so catalog
+// requests are traced, admitted and bounded like every other service's.
+// The operator endpoints mount ahead of the catalog routes, so every
+// server in the fleet answers /debug/flightrecorder, even one with few
+// anomaly sources.
+func (k *Kit) CatalogHandler(cat *catalog.Catalog) http.Handler {
+	srv := catalog.NewServer(cat)
+	srv.EnableTelemetry(k.Registry)
+	mux := k.DebugMux()
+	mux.Handle("/", srv)
+	return k.Handler(mux)
+}
+
+// Serve runs h on ln until ln fails, the process is told to stop
+// (SIGINT/SIGTERM) or ctx is cancelled, then drains connections for up
+// to five seconds. ln is closed on return. Every exit first dumps the
+// flight recorder — the anomaly ring's last chance to reach the logs.
+// The header and idle timeouts keep slow or silent clients from
+// holding connections open.
+func (k *Kit) Serve(ctx context.Context, ln net.Listener, h http.Handler) error {
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second, IdleTimeout: 2 * time.Minute}
+	k.Logger.Info("listening", slog.String("service", k.Service), slog.String("addr", ln.Addr().String()))
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(stop)
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
+	go func() { errCh <- srv.Serve(ln) }()
 	select {
 	case err := <-errCh:
 		k.Flight.Dump(k.Logger)

@@ -10,15 +10,20 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
-	"syscall"
 	"testing"
 	"time"
 
 	"nsdfgo/internal/admission"
+	"nsdfgo/internal/cache"
+	"nsdfgo/internal/convert"
+	"nsdfgo/internal/raster"
 	"nsdfgo/internal/shard"
+	"nsdfgo/internal/storage"
 	"nsdfgo/internal/telemetry/flight"
 	"nsdfgo/internal/telemetry/trace"
 )
@@ -80,7 +85,7 @@ func TestHandlerOrder(t *testing.T) {
 		ok := func(w http.ResponseWriter, r *http.Request) {}
 		mux := k.DebugMux()
 		mux.HandleFunc("/healthz", ok)
-		mux.HandleFunc(InternalPlane+"/", ok)
+		mux.HandleFunc(internalPlane+"/", ok)
 		mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 			reached.Add(1)
 			if _, has := r.Context().Deadline(); has {
@@ -119,7 +124,7 @@ func TestHandlerOrder(t *testing.T) {
 		if got, want := hadDeadline.Load() == 1, timeout > 0; got != want {
 			t.Errorf("RequestTimeout %v: inner context has a deadline = %v, want %v", timeout, got, want)
 		}
-		for _, path := range []string{"/metrics", "/healthz", "/debug/traces", "/debug/flightrecorder", InternalPlane + "/obj/x"} {
+		for _, path := range []string{"/metrics", "/healthz", "/debug/traces", "/debug/flightrecorder", internalPlane + "/obj/x"} {
 			if resp, _ := get(t, srv.URL+path); resp.StatusCode != http.StatusOK {
 				t.Errorf("GET %s with the limiter full = %d, want 200", path, resp.StatusCode)
 			}
@@ -154,20 +159,21 @@ func wantDump(t *testing.T, logs string) {
 	}
 }
 
-// TestServeListenFailure: with the address already bound the server
-// cannot start; Serve must hand the listen error back to main and still
-// dump the flight recorder through the logger, or the anomalies
-// recorded so far die with the process.
+// TestServeListenFailure: a listener that fails at once — here one
+// already closed — stops the server before it starts; Serve must hand
+// the accept error back to main and still dump the flight recorder
+// through the logger, or the anomalies recorded so far die with the
+// process.
 func TestServeListenFailure(t *testing.T) {
-	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer taken.Close()
+	ln.Close()
 	k, logs := testKit()
-	err = k.Serve(context.Background(), taken.Addr().String(), http.NotFoundHandler())
-	if !errors.Is(err, syscall.EADDRINUSE) {
-		t.Fatalf("Serve on a bound address = %v, want the listen error", err)
+	err = k.Serve(context.Background(), ln, http.NotFoundHandler())
+	if !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Serve on a closed listener = %v, want its accept error", err)
 	}
 	wantDump(t, logs.String())
 }
@@ -176,28 +182,16 @@ func TestServeListenFailure(t *testing.T) {
 // Serve answers requests until then, and returns nil having dumped the
 // flight recorder.
 func TestServeStopsOnCancel(t *testing.T) {
-	probe, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := probe.Addr().String()
-	probe.Close()
-
 	k, logs := testKit()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- k.Serve(ctx, addr, http.NotFoundHandler()) }()
-	for {
-		resp, err := http.Get("http://" + addr + "/")
-		if err == nil {
-			resp.Body.Close()
-			break
-		}
-		select {
-		case err := <-done:
-			t.Fatalf("Serve returned %v before it was cancelled", err)
-		case <-time.After(5 * time.Millisecond):
-		}
+	go func() { done <- k.Serve(ctx, ln, http.NotFoundHandler()) }()
+	if resp, _ := get(t, "http://"+ln.Addr().String()+"/"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET / = %d, want the handler's 404", resp.StatusCode)
 	}
 	cancel()
 	if err := <-done; err != nil {
@@ -206,5 +200,74 @@ func TestServeStopsOnCancel(t *testing.T) {
 	wantDump(t, logs.String())
 	if !strings.Contains(logs.String(), "shutting down") {
 		t.Errorf("no shutdown log line:\n%s", logs.String())
+	}
+}
+
+// TestDashboardDataNames: a -data name also names the dataset's
+// directory under -cache-dir, whose disk tier wipes its .blk files at
+// startup. A name that is empty, repeated, or not one local path
+// element is refused before any cache is built, so nothing outside the
+// cache directory is touched; a plain name gets its own subdirectory.
+func TestDashboardDataNames(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	files, err := storage.NewFileStore(filepath.Join(dir, "ds"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := []convert.Input{{FieldName: "f", Grid: raster.New(8, 8)}}
+	if _, err := convert.ToIDXWith(ctx, storage.NewIDXBackend(files, ""), in, convert.IDXOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	// Where case "parent" (-data ../x=) would put x's disk tier.
+	outside := filepath.Join(dir, "cache", "x", "kept.blk")
+	if err := os.MkdirAll(filepath.Dir(outside), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(outside, []byte("block"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ds := filepath.Join(dir, "ds")
+	for _, tc := range []struct {
+		name string
+		data []string
+		ok   bool
+	}{
+		{"plain", []string{"x=" + ds}, true},
+		{"two names", []string{"x=" + ds, "y=" + ds}, true},
+		{"empty", []string{"=" + ds}, false},
+		{"parent", []string{"../x=" + ds}, false},
+		{"nested", []string{"a/x=" + ds}, false},
+		{"absolute", []string{filepath.Join(dir, "x") + "=" + ds}, false},
+		{"dot", []string{".=" + ds}, false},
+		{"repeated", []string{"x=" + ds, "x=" + ds}, false},
+		{"no path", []string{"x"}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cacheDir := filepath.Join(dir, "cache", tc.name)
+			k, err := Start(Options{Service: "dashboard", Cache: cache.Options{DiskDir: cacheDir, DiskBytes: 1 << 20}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			server, _, err := k.DashboardHandler(ctx, tc.data, 0)
+			if !tc.ok {
+				if err == nil || !strings.Contains(err.Error(), "bad -data") {
+					t.Errorf("DashboardHandler(%q) = %v, want a bad -data error", tc.data, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("DashboardHandler(%q) = %v", tc.data, err)
+			}
+			if got := len(server.Datasets()); got != len(tc.data) {
+				t.Errorf("%d datasets registered, want %d", got, len(tc.data))
+			}
+			if _, err := os.Stat(filepath.Join(cacheDir, "x")); err != nil {
+				t.Errorf("x's disk tier is not in its own cache subdirectory: %v", err)
+			}
+		})
+	}
+	if _, err := os.Stat(outside); err != nil {
+		t.Errorf("a block file outside the cache directory was wiped: %v", err)
 	}
 }
