@@ -43,24 +43,19 @@ loc:
 	done
 	@printf '%7d total\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './.*' | xargs cat | wc -l)"
 
-# Run the tier-1 suite once with cross-package coverage and print the
-# total, then fail on any function outside cmd/*/main.go and
-# examples/*/main.go that runs no statement and that
-# cover-allowlist.txt does not name with a reason, or on a name listed
-# there that now runs or is gone (ROADMAP 20). Plain `go test` has no
-# -coverpkg, so this cannot be part of tier-1 itself.
+# Run the tier-1 suite once with cross-package coverage, print the
+# total, and fail on any function outside cmd/*/main.go and
+# examples/*/main.go that runs no statement: test it or delete it
+# (ROADMAP 20). Plain `go test` has no -coverpkg, so this cannot be
+# part of tier-1 itself.
 cover:
 	@mkdir -p .cover
 	$(GO) test -coverpkg=./... -coverprofile=.cover/profile ./... > .cover/test.log || { cat .cover/test.log; exit 1; }
 	$(GO) tool cover -func=.cover/profile > .cover/func
 	@tail -1 .cover/func
-	@awk 'FNR == NR { if (NF && $$1 !~ /^#/) allow[$$1] = 1; next } \
-		{ file = $$1; sub(/^nsdfgo\//, "", file); sub(/:.*/, "", file) } \
-		$$1 == "total:" || $$3 != "0.0%" || file ~ /^(cmd|examples)\/[^\/]+\/main\.go$$/ { next } \
-		!((file ":" $$2) in allow) { print file ":" $$2 ": runs no statement in tier-1: test it, delete it, or list it in cover-allowlist.txt with a reason"; bad = 1 } \
-		{ unrun[file ":" $$2] = 1 } \
-		END { for (k in allow) if (!(k in unrun)) { print k ": listed in cover-allowlist.txt but runs or is gone: drop the line"; bad = 1 }; exit bad }' \
-		cover-allowlist.txt .cover/func
+	@awk '{ file = $$1; sub(/^nsdfgo\//, "", file); sub(/:.*/, "", file) } \
+		$$1 != "total:" && $$3 == "0.0%" && file !~ /^(cmd|examples)\/[^\/]+\/main\.go$$/ { print file ":" $$2 ": runs no statement in tier-1: test it or delete it"; bad = 1 } \
+		END { exit bad }' .cover/func
 
 # Briefly run each native fuzz target so the fuzz harnesses stay
 # compiling and the properties hold on fresh coverage-guided inputs.

@@ -72,12 +72,6 @@ func boot(t *testing.T, o serverkit.Options, ln net.Listener, assemble func(*ser
 	go func() { done <- k.Serve(ctx, ln, h) }()
 	s := &service{kit: k, url: "http://" + ln.Addr().String()}
 	s.stop = sync.OnceFunc(func() {
-		// http.Transport dials ahead, and Shutdown cannot tell a dialed
-		// connection that never carried a request from a slow client
-		// until its 5 s header timeout, the whole drain budget. Every
-		// service here shares http.DefaultTransport: drop its idle
-		// connections first so a stop does not wait that out.
-		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 		cancel()
 		if err := <-done; err != nil {
 			t.Errorf("%s: Serve = %v", o.NodeName, err)

@@ -79,8 +79,8 @@ type Options struct {
 	now func() time.Time
 }
 
-// maxTenants bounds the tenant-bucket map; beyond it, buckets idle past
-// their own refill horizon are swept on the next insert.
+// maxTenants bounds the tenant-bucket map; past it, newcomers share one
+// overflow bucket until a sweep (at most once per horizon) frees room.
 const maxTenants = 4096
 
 // bucket is one tenant's token bucket. Refill happens lazily at take
@@ -108,6 +108,8 @@ type Controller struct {
 	inflight int
 	queue    []*waiter
 	tenants  map[string]*bucket
+	overflow bucket    // shared by newcomers while tenants is full
+	swept    time.Time // last sweep of tenants
 
 	admitted    *telemetry.Counter
 	queued      *telemetry.Counter
@@ -212,18 +214,20 @@ func (c *Controller) takeToken(tenant string) (ok bool, retryAfter time.Duration
 	defer c.mu.Unlock()
 	b := c.tenants[tenant]
 	if b == nil {
-		if len(c.tenants) >= maxTenants {
-			c.sweepTenantsLocked(now)
+		horizon := time.Duration(c.opts.TenantBurst / c.opts.TenantRate * float64(time.Second))
+		if len(c.tenants) >= maxTenants && now.Sub(c.swept) > horizon {
+			c.sweepTenantsLocked(now, horizon)
+			c.swept = now
 		}
-		b = &bucket{tokens: c.opts.TenantBurst, last: now}
-		c.tenants[tenant] = b
-	} else {
-		b.tokens += now.Sub(b.last).Seconds() * c.opts.TenantRate
-		if b.tokens > c.opts.TenantBurst {
-			b.tokens = c.opts.TenantBurst
+		if len(c.tenants) < maxTenants {
+			b = &bucket{tokens: c.opts.TenantBurst, last: now}
+			c.tenants[tenant] = b
+		} else {
+			b = &c.overflow
 		}
-		b.last = now
 	}
+	b.tokens = min(c.opts.TenantBurst, b.tokens+now.Sub(b.last).Seconds()*c.opts.TenantRate)
+	b.last = now
 	if b.tokens >= 1 {
 		b.tokens--
 		return true, 0
@@ -233,8 +237,7 @@ func (c *Controller) takeToken(tenant string) (ok bool, retryAfter time.Duration
 
 // sweepTenantsLocked drops buckets that have been idle long enough to
 // have refilled completely — forgetting them loses no state.
-func (c *Controller) sweepTenantsLocked(now time.Time) {
-	horizon := time.Duration(c.opts.TenantBurst / c.opts.TenantRate * float64(time.Second))
+func (c *Controller) sweepTenantsLocked(now time.Time, horizon time.Duration) {
 	for k, b := range c.tenants {
 		if now.Sub(b.last) > horizon {
 			delete(c.tenants, k)

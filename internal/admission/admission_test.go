@@ -222,6 +222,41 @@ func TestTenantRateLimitIsolatesTenants(t *testing.T) {
 	}
 }
 
+// TestTenantMapIsBounded: the tenant is an untrusted header, so a flood
+// of new names at one instant must neither grow the map past maxTenants
+// nor cost each newcomer a full-map sweep. Past the bound, newcomers
+// share one overflow bucket and are still rate-limited; once the refill
+// horizon has passed, the idle buckets are swept and a newcomer gets a
+// bucket of its own again.
+func TestTenantMapIsBounded(t *testing.T) {
+	base := time.Unix(0, 0)
+	now := base
+	c := NewController(Options{TenantRate: 1, TenantBurst: 2, now: func() time.Time { return now }})
+	ctx := context.Background()
+	var shed []error
+	for i := 0; i < maxTenants+100; i++ {
+		if _, err := c.Acquire(ctx, fmt.Sprintf("t%d", i)); err != nil {
+			shed = append(shed, err)
+		}
+	}
+	if n := len(c.tenants); n > maxTenants {
+		t.Fatalf("%d tenants at one instant left %d buckets, want at most %d", maxTenants+100, n, maxTenants)
+	}
+	if len(shed) != 98 {
+		t.Fatalf("%d of the 100 newcomers past the bound shed, want all but the shared burst of 2", len(shed))
+	}
+	if got, want := shed[0].Error(), "admission: shed (ratelimit), retry after 1s"; got != want {
+		t.Errorf("overflow shed = %q, want %q", got, want)
+	}
+	now = base.Add(3 * time.Second) // past the 2 s horizon
+	if _, err := c.Acquire(ctx, "late"); err != nil {
+		t.Fatalf("newcomer after the horizon: %v", err)
+	}
+	if c.tenants["late"] == nil || len(c.tenants) != 1 {
+		t.Errorf("after the horizon: %d buckets, late has one: %v; want the idle swept and late's own", len(c.tenants), c.tenants["late"] != nil)
+	}
+}
+
 func TestPressureTracksLoad(t *testing.T) {
 	c := NewController(Options{MaxConcurrent: 2, MaxQueue: 2})
 	ctx := context.Background()

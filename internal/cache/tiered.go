@@ -35,21 +35,6 @@ const (
 	OutcomeCoalesced
 )
 
-// String names the outcome for traces and logs.
-func (o Outcome) String() string {
-	switch o {
-	case OutcomeFilled:
-		return "filled"
-	case OutcomeHit:
-		return "hit"
-	case OutcomeDiskHit:
-		return "disk_hit"
-	case OutcomeCoalesced:
-		return "coalesced"
-	}
-	return "unknown"
-}
-
 // Tiered is the full block cache: an in-memory LRU with TinyLFU
 // admission, an optional disk tier below it, and singleflight request
 // coalescing so N concurrent misses on one key cost one backend fetch.

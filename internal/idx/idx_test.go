@@ -10,6 +10,8 @@ import (
 	"nsdfgo/internal/cache"
 	"nsdfgo/internal/dem"
 	"nsdfgo/internal/raster"
+	"nsdfgo/internal/telemetry"
+	"nsdfgo/internal/telemetry/trace"
 )
 
 func float32Fields() []Field {
@@ -194,12 +196,31 @@ func TestNumBlocks(t *testing.T) {
 	}
 }
 
+// TestWriteReadFullResolution round-trips a grid written under a traced
+// request on a dataset with telemetry, so the write books its encode
+// stage once into the histogram and once as a span.
 func TestWriteReadFullResolution(t *testing.T) {
 	const w, h = 100, 60
 	ds, _ := newTestDataset(t, w, h, float32Fields())
+	reg := telemetry.NewRegistry()
+	ds.SetTelemetry(reg, "ramp")
 	g := rampGrid(w, h)
-	if err := ds.WriteGrid(context.Background(), "elevation", 0, g); err != nil {
+	root := trace.NewCollector(1).StartTrace("", "write")
+	if err := ds.WriteGrid(trace.NewContext(context.Background(), root), "elevation", 0, g); err != nil {
 		t.Fatal(err)
+	}
+	root.End()
+	if n := reg.Histogram("nsdf_idx_stage_seconds", "stage", "encode", "dataset", "ramp").Snapshot().Count; n != 1 {
+		t.Errorf("encode stage observations = %d, want 1", n)
+	}
+	encodes := 0
+	for _, sp := range root.Finished().Spans {
+		if sp.Name == "idx.encode" && sp.Attrs["dataset"] == "ramp" {
+			encodes++
+		}
+	}
+	if encodes != 1 {
+		t.Errorf("idx.encode spans = %d, want 1", encodes)
 	}
 	out, stats, err := ds.ReadFull(context.Background(), "elevation", 0)
 	if err != nil {

@@ -50,19 +50,6 @@ const (
 	Panic
 )
 
-// String names the edge kind for tests and diagnostics.
-func (k EdgeKind) String() string {
-	switch k {
-	case Flow:
-		return "flow"
-	case Return:
-		return "return"
-	case Panic:
-		return "panic"
-	}
-	return "unknown"
-}
-
 // Edge is one directed control-flow edge.
 type Edge struct {
 	From, To *Block

@@ -40,11 +40,6 @@ type Finding struct {
 	Message string
 }
 
-// String renders the finding in the conventional file:line:col form.
-func (f Finding) String() string {
-	return fmt.Sprintf("%s:%d:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
-}
-
 // Pass is the per-package unit of work handed to an analyzer.
 type Pass struct {
 	// Analyzer is the rule being run.

@@ -106,12 +106,14 @@ func TestRunOpenLoopCountsShedsAndPhases(t *testing.T) {
 	srv := httptest.NewServer(fake)
 	defer srv.Close()
 
+	start := time.Now()
 	rep, err := Run(context.Background(), Options{
 		BaseURL:     srv.URL,
 		Rate:        200,
 		Concurrency: 8,
 		Phases: []Phase{
 			{Name: "warm", Duration: 150 * time.Millisecond, Rate: 1},
+			{Name: "pause", Duration: 50 * time.Millisecond, Rate: 0},
 			{Name: "burst", Duration: 150 * time.Millisecond, Rate: 2},
 		},
 		Seed: 7,
@@ -119,20 +121,28 @@ func TestRunOpenLoopCountsShedsAndPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Phases) != 2 || rep.Phases[0].Name != "warm" || rep.Phases[1].Name != "burst" {
+	if len(rep.Phases) != 3 || rep.Phases[0].Name != "warm" || rep.Phases[1].Name != "pause" || rep.Phases[2].Name != "burst" {
 		t.Fatalf("phase reports: %+v", rep.Phases)
 	}
 	if rep.Total.Shed == 0 || rep.Total.OK != 0 {
 		t.Errorf("want all-shed traffic, got %+v", rep.Total)
 	}
-	if rep.Total.Requests != rep.Phases[0].Requests+rep.Phases[1].Requests {
-		t.Errorf("total %d != phase sum %d+%d", rep.Total.Requests, rep.Phases[0].Requests, rep.Phases[1].Requests)
+	if rep.Total.Requests != rep.Phases[0].Requests+rep.Phases[2].Requests {
+		t.Errorf("total %d != phase sum %d+%d", rep.Total.Requests, rep.Phases[0].Requests, rep.Phases[2].Requests)
+	}
+	// A zero-rate phase offers nothing but still takes its time.
+	if rep.Phases[1].Requests != 0 || rep.Phases[1].Dropped != 0 {
+		t.Errorf("zero-rate phase offered traffic: %+v", rep.Phases[1])
+	}
+	if took := time.Since(start); took < 350*time.Millisecond {
+		t.Errorf("run took %v, want at least the phases' 350ms", took)
 	}
 }
 
 // TestRunCompletesAgainstHangingServer pins the no-hangs acceptance
 // property: a wedged (or killed mid-read) server degrades the run into
-// failed samples, never into a stuck load generator.
+// failed samples and dropped arrivals, never into a stuck load
+// generator.
 func TestRunCompletesAgainstHangingServer(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
@@ -150,7 +160,7 @@ func TestRunCompletesAgainstHangingServer(t *testing.T) {
 		rep, err := Run(context.Background(), Options{
 			BaseURL:     srv.URL,
 			Rate:        50,
-			Concurrency: 4,
+			Concurrency: 1,
 			Duration:    200 * time.Millisecond,
 			Timeout:     100 * time.Millisecond,
 			Seed:        3,
@@ -167,6 +177,11 @@ func TestRunCompletesAgainstHangingServer(t *testing.T) {
 		}
 		if rep.Total.Failed == 0 {
 			t.Errorf("want timed-out samples, got %+v", rep.Total)
+		}
+		// One worker held 100ms per stream against a 20ms tick: the
+		// arrivals it cannot take are dropped, not queued.
+		if rep.Total.Dropped == 0 {
+			t.Errorf("want dropped arrivals, got %+v", rep.Total)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("load generator hung against a wedged server")

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -236,6 +237,13 @@ func TestGridRejectsWrongShape(t *testing.T) {
 	}
 	if _, err := f.Grid("missing"); err == nil {
 		t.Error("missing variable accepted")
+	}
+	f = &File{
+		Dims: []Dim{{Name: "y", Len: 2}, {Name: "x", Len: 2}},
+		Vars: []Var{{Name: "label", Type: Char, DimIDs: []int{0, 1}, Data: []byte("abcd")}},
+	}
+	if _, err := f.Grid("label"); err == nil || !strings.Contains(err.Error(), "non-numeric type char") {
+		t.Errorf("char variable as grid: %v, want its type named", err)
 	}
 }
 

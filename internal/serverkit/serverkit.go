@@ -18,6 +18,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -329,9 +330,25 @@ func (k *Kit) CatalogHandler(cat *catalog.Catalog) http.Handler {
 // to five seconds. ln is closed on return. Every exit first dumps the
 // flight recorder — the anomaly ring's last chance to reach the logs.
 // The header and idle timeouts keep slow or silent clients from
-// holding connections open.
+// holding connections open; the drain closes those that have carried no
+// request yet (an http.Transport dials ahead), which Shutdown would wait
+// on until their header timeout, the whole drain budget.
 func (k *Kit) Serve(ctx context.Context, ln net.Listener, h http.Handler) error {
 	srv := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second, IdleTimeout: 2 * time.Minute}
+	var mu sync.Mutex
+	fresh, draining := map[net.Conn]bool{}, false
+	srv.ConnState = func(c net.Conn, s http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case s != http.StateNew:
+			delete(fresh, c)
+		case draining:
+			c.Close() //lint:allow droppederr it has served no request
+		default:
+			fresh[c] = true
+		}
+	}
 	k.Logger.Info("listening", slog.String("service", k.Service), slog.String("addr", ln.Addr().String()))
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -348,6 +365,12 @@ func (k *Kit) Serve(ctx context.Context, ln net.Listener, h http.Handler) error 
 		k.Logger.Info("shutting down", slog.String("cause", ctx.Err().Error()))
 	}
 	k.Flight.Dump(k.Logger)
+	mu.Lock()
+	draining = true
+	for c := range fresh {
+		c.Close() //lint:allow droppederr it has served no request
+	}
+	mu.Unlock()
 	drain, cancel := context.WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
 	defer cancel()
 	return srv.Shutdown(drain)

@@ -9,7 +9,6 @@
 package shard
 
 import (
-	"fmt"
 	"hash/fnv"
 	"sort"
 	"strconv"
@@ -123,9 +122,4 @@ func (r *Ring) Replicas(key string, n int) []string {
 		out = append(out, v.node)
 	}
 	return out
-}
-
-// String summarises the ring for logs.
-func (r *Ring) String() string {
-	return fmt.Sprintf("shard.Ring{nodes=%d vnodes=%d}", len(r.nodes), len(r.vnodes))
 }

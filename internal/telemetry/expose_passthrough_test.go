@@ -6,6 +6,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"nsdfgo/internal/telemetry/trace"
 )
 
 // flushCounter is a ResponseWriter that counts Flush calls.
@@ -37,6 +40,38 @@ func TestStatusRecorderFlushPassesThrough(t *testing.T) {
 	}
 	if inner.flushes != 2 {
 		t.Fatalf("inner Flush called %d times via controller, want 2", inner.flushes)
+	}
+}
+
+// TestStatusRecorderUnwrapsToTheConnection: a handler behind
+// WithTracing sees a StatusRecorder, and http.ResponseController must
+// still reach the server's own writer through Unwrap — here to extend
+// the write deadline, as a long stream would.
+func TestStatusRecorderUnwrapsToTheConnection(t *testing.T) {
+	h := WithTracing(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if err := http.NewResponseController(w).SetWriteDeadline(time.Now().Add(time.Minute)); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	}), trace.NewCollector(1), TracingOptions{Service: "test"})
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	resp, err := http.Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("SetWriteDeadline through the recorder: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestPprofMuxServes: the -pprof-addr mux answers its endpoints.
+func TestPprofMuxServes(t *testing.T) {
+	rec := httptest.NewRecorder()
+	PprofMux().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/cmdline", nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("GET /debug/pprof/cmdline = %d, want 200", rec.Code)
 	}
 }
 

@@ -34,14 +34,18 @@ func roundTrip(t *testing.T, im *Image, opts EncodeOptions) *Image {
 	return out
 }
 
+// TestRoundTripFloat32Uncompressed also covers an edge past 65 535
+// pixels, which the encoder writes as a LONG rather than a SHORT.
 func TestRoundTripFloat32Uncompressed(t *testing.T) {
-	im := makeFloat32Image(37, 23)
-	out := roundTrip(t, im, EncodeOptions{})
-	if out.Width != 37 || out.Height != 23 || out.Type != Float32 {
-		t.Fatalf("got %dx%d %v", out.Width, out.Height, out.Type)
-	}
-	if !bytes.Equal(out.Pix, im.Pix) {
-		t.Error("pixel data mismatch")
+	for _, dims := range [][2]int{{37, 23}, {70000, 1}, {1, 70000}} {
+		im := makeFloat32Image(dims[0], dims[1])
+		out := roundTrip(t, im, EncodeOptions{})
+		if out.Width != dims[0] || out.Height != dims[1] || out.Type != Float32 {
+			t.Fatalf("%dx%d: got %dx%d %v", dims[0], dims[1], out.Width, out.Height, out.Type)
+		}
+		if !bytes.Equal(out.Pix, im.Pix) {
+			t.Errorf("%dx%d: pixel data mismatch", dims[0], dims[1])
+		}
 	}
 }
 
