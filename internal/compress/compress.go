@@ -11,9 +11,9 @@
 package compress
 
 import (
+	"bytes"
 	"compress/flate"
 	"fmt"
-	"io"
 	"sync"
 )
 
@@ -114,19 +114,20 @@ func (z Zlib) Encode(src []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Decode implements Codec.
+// Decode implements Codec. Without a size hint the output doubles as it
+// needs, up to MaxDeflateRatio times the stream.
 func (Zlib) Decode(src []byte, dstSize int) ([]byte, error) {
-	z := getInflater(src)
-	defer z.release()
+	f := getInflater()
+	defer f.release()
 	if dstSize < 0 {
-		out, err := io.ReadAll(z.fr)
+		out, err := f.inflate(nil, src, MaxDeflateRatio*len(src))
 		if err != nil {
 			return nil, fmt.Errorf("compress: zlib: %w", err)
 		}
-		return out, nil
+		return bytes.Clone(out), nil
 	}
 	out := make([]byte, dstSize)
-	if err := z.inflateExact(out); err != nil {
+	if err := f.inflateExact(out, src); err != nil {
 		return nil, fmt.Errorf("compress: zlib: %w", err)
 	}
 	return out, nil

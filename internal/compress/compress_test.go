@@ -408,6 +408,27 @@ func BenchmarkLZ4Decode(b *testing.B) {
 	}
 }
 
+// BenchmarkDeflateDecode inflates a 256 KiB block of a smooth float32
+// field, the read path's cold-miss cost per block.
+func BenchmarkDeflateDecode(b *testing.B) {
+	block := terrainBlock(256<<10, 0)
+	for _, codec := range []Codec{Zlib{}, ShuffleZlib{ElemSize: 4}} {
+		enc, err := codec.Encode(block)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(codec.Name(), func(b *testing.B) {
+			b.SetBytes(int64(len(block)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := codec.Decode(enc, len(block)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkZFPEncode(b *testing.B) {
 	values := make([]float32, 1<<14)
 	for i := range values {

@@ -16,8 +16,8 @@ var fuzzCodecs = []Codec{
 const (
 	fuzzMaxDstSize = 1 << 20
 	// fuzzAllocSlack is what a decode may allocate beyond the block it
-	// was told to produce: refilling a pool (a flate reader is ~40 KiB)
-	// plus the fuzz worker's own bookkeeping. A stream that inflates far
+	// was told to produce: refilling a pool (the decoder's tables are
+	// ~14 KiB) plus the fuzz worker's own bookkeeping. A stream that inflates far
 	// past dstSize must be cut off at dstSize, not buffered.
 	fuzzAllocSlack = 64 << 10
 )
@@ -26,7 +26,9 @@ const (
 // arbitrary size hint. A decoder must never panic; with dstSize >= 0 it
 // must not allocate more than dstSize plus fuzzAllocSlack whatever the
 // bytes claim (the inflate-bomb guard) and may only return a block of
-// exactly dstSize bytes; and what a codec encodes it decodes bit-exactly.
+// exactly dstSize bytes; the DEFLATE codecs accept exactly the streams
+// compress/flate does, with the same bytes; and what a codec encodes it
+// decodes bit-exactly.
 func FuzzCodecDecode(f *testing.F) {
 	block := terrainBlock(4<<10, 0)
 	for i, codec := range fuzzCodecs {
@@ -61,6 +63,7 @@ func FuzzCodecDecode(f *testing.F) {
 				t.Fatalf("%s: Decode(dstSize=%d) returned %d bytes and no error", codec.Name(), dstSize, len(out))
 			}
 		}
+		checkDeflateAgreement(t, codec, data, dstSize)
 		decode() // the first call may have to fill a pool or grow its scratch
 		if dstSize >= 0 {
 			limit := uint64(dstSize) + fuzzAllocSlack
@@ -93,4 +96,31 @@ func FuzzCodecDecode(f *testing.F) {
 			t.Fatalf("%s: %d bytes did not round-trip bit-exactly", codec.Name(), len(payload))
 		}
 	})
+}
+
+// checkDeflateAgreement wants a Zlib or ShuffleZlib decode to succeed
+// exactly when compress/flate inflates data to dstSize bytes (to any
+// size when dstSize < 0), and then to return what it inflated.
+func checkDeflateAgreement(t *testing.T, codec Codec, data []byte, dstSize int) {
+	var elem int
+	switch c := codec.(type) {
+	case Zlib:
+	case ShuffleZlib:
+		elem = c.ElemSize
+	default:
+		return
+	}
+	want, wantErr := flateInflate(data)
+	ok := wantErr == nil && (dstSize < 0 || len(want) == dstSize)
+	got, err := codec.Decode(data, dstSize)
+	if (err == nil) != ok {
+		t.Fatalf("%s: Decode(dstSize=%d) error %v; compress/flate inflated %d bytes, error %v",
+			codec.Name(), dstSize, err, len(want), wantErr)
+	}
+	if elem > 0 && ok {
+		want = Unshuffle(want, elem)
+	}
+	if ok && !bytes.Equal(got, want) {
+		t.Fatalf("%s: Decode differs from compress/flate's %d bytes", codec.Name(), len(want))
+	}
 }

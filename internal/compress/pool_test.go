@@ -3,6 +3,7 @@ package compress
 import (
 	"bytes"
 	"compress/flate"
+	"compress/zlib"
 	"math"
 	"runtime"
 	"sort"
@@ -116,9 +117,10 @@ func TestPooledWritersMatchFreshWriter(t *testing.T) {
 }
 
 // TestPooledDecodesDoNotAlias decodes different blocks through the
-// shared pools from 8 goroutines (run it under -race) and checks that
-// every returned block is private: each holds its own data after all
-// the others were scribbled over.
+// shared pools from 8 goroutines (run it under -race), zlib streams
+// with a surplus among them, and checks that every returned block is
+// private: each holds its own data after all the others were scribbled
+// over.
 func TestPooledDecodesDoNotAlias(t *testing.T) {
 	const workers, rounds = 8, 20
 	codecs := []Codec{Zlib{}, ShuffleZlib{ElemSize: 2}, ShuffleZlib{ElemSize: 4}, ShuffleZlib{ElemSize: 8}, ZFPLike{}, ZFPLike{Tolerance: 1e-3}}
@@ -153,6 +155,17 @@ func TestPooledDecodesDoNotAlias(t *testing.T) {
 				results[g] = append(results[g], result{want: bytes.Clone(want), got: got})
 				for i := range want {
 					want[i] = 0xAA // must not reach any other result
+				}
+				// A zlib stream longer than its destination slides the
+				// surplus through pooled scratch.
+				var z bytes.Buffer
+				zw := zlib.NewWriter(&z)
+				zw.Write(block)
+				zw.Close()
+				head := make([]byte, len(block)/3)
+				if n, err := InflateZlib(head, z.Bytes()); err != nil || n != len(block) || !bytes.Equal(head, block[:len(head)]) {
+					t.Errorf("InflateZlib of a %d-byte stream into %d bytes: n = %d, err = %v", len(block), len(head), n, err)
+					return
 				}
 			}
 		}(g)

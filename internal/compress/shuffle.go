@@ -63,14 +63,14 @@ func (s ShuffleZlib) Decode(src []byte, dstSize int) ([]byte, error) {
 		}
 		return Unshuffle(shuffled, s.ElemSize), nil
 	}
-	z := getInflater(src)
-	defer z.release()
-	z.scratch = grow(z.scratch, dstSize)
-	if err := z.inflateExact(z.scratch); err != nil {
+	f := getInflater()
+	defer f.release()
+	f.scratch = grow(f.scratch, dstSize)
+	if err := f.inflateExact(f.scratch, src); err != nil {
 		return nil, fmt.Errorf("compress: %s: %w", s.Name(), err)
 	}
 	out := make([]byte, dstSize)
-	unshuffleInto(out, z.scratch, s.ElemSize)
+	unshuffleInto(out, f.scratch, s.ElemSize)
 	return out, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -30,11 +29,6 @@ const (
 	zfpVersion   = 1
 	zfpLossless  = 1 << 0
 	zfpHeaderLen = 4 + 1 + 1 + 8 + 8 // magic, version, flags, tolerance, count
-
-	// maxDeflateRatio is the most DEFLATE can expand: a 258-byte match
-	// costs about two bits. An element count that the compressed bytes
-	// present could not inflate to is rejected before it sizes a buffer.
-	maxDeflateRatio = 1032
 )
 
 // Name returns the codec registry identifier for this tolerance, e.g.
@@ -112,8 +106,8 @@ func (z ZFPLike) quantize(buf, src []byte) []byte {
 	return buf
 }
 
-// Decode implements Codec. The samples are decoded from the inflating
-// stream straight into the returned block.
+// Decode implements Codec. A lossy payload inflates into pooled
+// scratch and its samples are parsed from there into the returned block.
 func (ZFPLike) Decode(src []byte, dstSize int) ([]byte, error) {
 	if len(src) < zfpHeaderLen {
 		return nil, fmt.Errorf("compress: zfp: payload of %d bytes is shorter than header", len(src))
@@ -128,55 +122,63 @@ func (ZFPLike) Decode(src []byte, dstSize int) ([]byte, error) {
 	tol := math.Float64frombits(binary.LittleEndian.Uint64(src[6:14]))
 	count := binary.LittleEndian.Uint64(src[14:22])
 	stream := src[zfpHeaderLen:]
-	if count > maxDeflateRatio*uint64(len(stream)) {
+	if count > MaxDeflateRatio*uint64(len(stream)) {
 		return nil, fmt.Errorf("compress: zfp: implausible element count %d for %d compressed bytes", count, len(stream))
 	}
 	if dstSize >= 0 && 4*count != uint64(dstSize) {
 		return nil, fmt.Errorf("compress: zfp payload decodes to %d bytes, expected %d", 4*count, dstSize)
 	}
 	out := make([]byte, 4*count)
-	z := getInflater(stream)
-	defer z.release()
+	f := getInflater()
+	defer f.release()
 	if flags&zfpLossless != 0 {
-		if err := z.inflateExact(out); err != nil {
+		if err := f.inflateExact(out, stream); err != nil {
 			return nil, fmt.Errorf("compress: zfp: lossless %w", err)
 		}
 		return out, nil
 	}
 
-	r := z.byteReader()
+	// At most one 10-byte varint per sample, then the exception count and
+	// at most one (index varint, 4 bytes) per sample.
+	worst := min(24*int(count)+binary.MaxVarintLen64, MaxDeflateRatio*len(stream))
+	p, err := f.inflate(f.scratch[:0], stream, worst)
+	f.scratch = p
+	if err != nil {
+		return nil, fmt.Errorf("compress: zfp: %w", err)
+	}
 	prev := int64(0)
 	for i := 0; i < len(out); i += 4 {
-		d, err := binary.ReadVarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("compress: zfp: quantized stream truncated at element %d: %w", i/4, err)
+		d, n := binary.Varint(p)
+		if n <= 0 {
+			return nil, fmt.Errorf("compress: zfp: quantized stream truncated at element %d", i/4)
 		}
+		p = p[n:]
 		prev += d
 		binary.LittleEndian.PutUint32(out[i:], math.Float32bits(float32(float64(prev)*tol)))
 	}
-	nexc, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("compress: zfp: exception count: %w", err)
+	nexc, n := binary.Uvarint(p)
+	if n <= 0 || nexc > count {
+		return nil, fmt.Errorf("compress: zfp: bad exception count")
 	}
+	p = p[n:]
 	idx := 0
 	for k := uint64(0); k < nexc; k++ {
-		d, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("compress: zfp: exception index: %w", err)
+		d, n := binary.Uvarint(p)
+		if n <= 0 {
+			return nil, fmt.Errorf("compress: zfp: bad exception index")
 		}
 		idx += int(d)
 		if idx < 0 || idx >= len(out)/4 {
 			return nil, fmt.Errorf("compress: zfp: exception index %d out of range", idx)
 		}
-		if _, err := io.ReadFull(r, out[4*idx:4*idx+4]); err != nil {
-			return nil, fmt.Errorf("compress: zfp: exception bits: %w", err)
+		if len(p) < n+4 {
+			return nil, fmt.Errorf("compress: zfp: exception bits truncated")
 		}
+		copy(out[4*idx:4*idx+4], p[n:])
+		p = p[n+4:]
 	}
-	if _, err := r.ReadByte(); err != io.EOF {
-		if err == nil {
-			err = fmt.Errorf("payload continues past the exception list")
-		}
-		return nil, fmt.Errorf("compress: zfp: %w", err)
+	if len(p) != 0 {
+		return nil, fmt.Errorf("compress: zfp: payload continues past the exception list")
 	}
 	return out, nil
 }

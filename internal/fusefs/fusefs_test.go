@@ -3,7 +3,9 @@ package fusefs
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -126,6 +128,46 @@ func TestCompressedShrinksRepetitiveData(t *testing.T) {
 	}
 	if stored > int64(len(data))/4 {
 		t.Errorf("stored %d bytes for %d input", stored, len(data))
+	}
+}
+
+// TestCompressedReadTrustsNoHeader: a size header the payload could not
+// inflate to fails before anything that size is allocated, and one that
+// is off by a byte either way fails after the decode.
+func TestCompressedReadTrustsNoHeader(t *testing.T) {
+	ctx := context.Background()
+	store := storage.NewMemStore()
+	bomb := binary.LittleEndian.AppendUint64(nil, 1<<30)
+	if err := store.Put(ctx, "bomb"+compressedSuffix, append(bomb, make([]byte, 100)...)); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Compressed{}.Read(ctx, store, "bomb")
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("a 1 GiB size header over a 100-byte payload was accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Errorf("rejecting it allocated %d bytes", got)
+	}
+
+	data := bytes.Repeat([]byte("terrain"), 1000)
+	if err := (Compressed{}).Write(ctx, store, "f", data); err != nil {
+		t.Fatal(err)
+	}
+	enc, err := store.Get(ctx, "f"+compressedSuffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{len(data) - 1, len(data) + 1} {
+		binary.LittleEndian.PutUint64(enc, uint64(size))
+		if err := store.Put(ctx, "f"+compressedSuffix, enc); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := (Compressed{}).Read(ctx, store, "f"); err == nil {
+			t.Errorf("a header of %d bytes over %d bytes of data was accepted", size, len(data))
+		}
 	}
 }
 

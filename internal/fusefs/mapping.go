@@ -26,9 +26,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
+	"nsdfgo/internal/compress"
 	"nsdfgo/internal/storage"
 )
 
@@ -249,18 +249,17 @@ func (Compressed) Read(ctx context.Context, store storage.Store, path string) ([
 	if len(enc) < 8 {
 		return nil, fmt.Errorf("fusefs: %q: truncated compressed object", path)
 	}
-	size := binary.LittleEndian.Uint64(enc)
-	zr, err := zlib.NewReader(bytes.NewReader(enc[8:]))
+	size, payload := binary.LittleEndian.Uint64(enc), enc[8:]
+	if size > compress.MaxDeflateRatio*uint64(len(payload)) {
+		return nil, fmt.Errorf("fusefs: %q: header says %d bytes, more than %d compressed bytes can hold", path, size, len(payload))
+	}
+	data := make([]byte, size)
+	n, err := compress.InflateZlib(data, payload)
 	if err != nil {
 		return nil, fmt.Errorf("fusefs: decompress %q: %w", path, err)
 	}
-	defer zr.Close()
-	data, err := io.ReadAll(zr)
-	if err != nil {
-		return nil, fmt.Errorf("fusefs: decompress %q: %w", path, err)
-	}
-	if uint64(len(data)) != size {
-		return nil, fmt.Errorf("fusefs: %q: decompressed to %d bytes, header says %d", path, len(data), size)
+	if uint64(n) != size {
+		return nil, fmt.Errorf("fusefs: %q: decompressed to %d bytes, header says %d", path, n, size)
 	}
 	return data, nil
 }

@@ -1,14 +1,11 @@
 package tiff
 
 import (
-	"bytes"
-	"compress/zlib"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
-	"sync"
 
+	"nsdfgo/internal/compress"
 	"nsdfgo/internal/raster"
 )
 
@@ -184,19 +181,13 @@ func (d *decoder) readIFD(off uint32) (*Image, error) {
 		return nil, fmt.Errorf("tiff: strips of %d bytes in a file of %d", supply, len(d.data))
 	}
 	if compression == CompressionDeflate {
-		supply *= maxDeflateRatio
+		supply *= compress.MaxDeflateRatio
 	}
 	if bytesPerRow*height > supply {
 		return nil, fmt.Errorf("tiff: %dx%d image of %d-byte samples cannot come from the strips present", width, height, sz)
 	}
 	pix := make([]byte, bytesPerRow*height)
 	wrote := 0
-	var zr io.ReadCloser // one pooled zlib reader serves every strip
-	defer func() {
-		if zr != nil {
-			inflaters.Put(zr)
-		}
-	}()
 	for s := 0; s < int(offF.count); s++ {
 		soff, scnt := int(d.uintAt(offF, s)), int(d.uintAt(cntF, s))
 		raw := d.data[soff : soff+scnt]
@@ -210,9 +201,11 @@ func (d *decoder) readIFD(off uint32) (*Image, error) {
 		}
 		dst := pix[y0*bytesPerRow:][:rows*bytesPerRow]
 		if compression == CompressionDeflate {
-			var err error
-			if zr, err = stripReader(zr, raw); err == nil {
-				err = inflateStrip(dst, zr)
+			// A strip that holds more than its rows is read to its end
+			// (so its checksum is verified), and the surplus dropped.
+			n, err := compress.InflateZlib(dst, raw)
+			if err == nil && n < len(dst) {
+				err = fmt.Errorf("holds %d bytes, want %d", n, len(dst))
 			}
 			if err != nil {
 				return nil, fmt.Errorf("tiff: strip %d: %w", s, err)
@@ -248,43 +241,6 @@ func (d *decoder) readIFD(off uint32) (*Image, error) {
 		}
 	}
 	return im, nil
-}
-
-// maxDeflateRatio is the most a DEFLATE stream can expand: a 258-byte
-// match costs about two bits.
-const maxDeflateRatio = 1032
-
-// inflaters holds zlib readers between decodes: a fresh one costs about
-// 40 KiB of window and tables, a strip about 64 KiB of pixels.
-var inflaters sync.Pool
-
-// stripReader points a zlib reader at strip: zr when the decode already
-// holds one, else one from the pool, else a new one. The caller puts the
-// reader back when the image is done, whatever Reset said.
-func stripReader(zr io.ReadCloser, strip []byte) (io.ReadCloser, error) {
-	src := bytes.NewReader(strip)
-	if zr == nil {
-		zr, _ = inflaters.Get().(io.ReadCloser)
-	}
-	if zr == nil {
-		return zlib.NewReader(src)
-	}
-	return zr, zr.(zlib.Resetter).Reset(src, nil)
-}
-
-// inflateStrip decompresses the strip zr is at straight into its rows of
-// the image. A strip that holds fewer bytes than its rows is an error;
-// one that holds more is read to its end, so the stream's checksum is
-// still verified, and the surplus dropped.
-func inflateStrip(dst []byte, zr io.Reader) error {
-	if n, err := io.ReadFull(zr, dst); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return fmt.Errorf("holds %d bytes, want %d", n, len(dst))
-		}
-		return err
-	}
-	_, err := io.Copy(io.Discard, zr)
-	return err
 }
 
 // uintField fetches a required scalar unsigned field.
