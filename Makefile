@@ -59,17 +59,20 @@ cover:
 
 # Briefly run each native fuzz target so the fuzz harnesses stay
 # compiling and the properties hold on fresh coverage-guided inputs.
+# Minimisation of each new input is capped at 100 runs: uncapped, it
+# may take 60 s per input, so a 5 s smoke of a slow target spent its
+# budget minimising and ran a few dozen inputs.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzSniff$$' -fuzztime=5s ./internal/convert
-	$(GO) test -run '^$$' -fuzz '^FuzzHZRuns$$' -fuzztime=5s ./internal/hz
-	$(GO) test -run '^$$' -fuzz '^FuzzTilePlan$$' -fuzztime=5s ./internal/hz
-	$(GO) test -run '^$$' -fuzz '^FuzzCodecDecode$$' -fuzztime=5s ./internal/compress
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime=5s ./internal/tiff
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime=5s ./internal/netcdf
-	$(GO) test -run '^$$' -fuzz '^FuzzMetaUnmarshalText$$' -fuzztime=5s ./internal/idx
-	$(GO) test -run '^$$' -fuzz '^FuzzParsePeers$$' -fuzztime=5s ./internal/shard
-	$(GO) test -run '^$$' -fuzz '^FuzzParseParent$$' -fuzztime=5s ./internal/telemetry/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzDashboardQuery$$' -fuzztime=5s ./internal/dashboard
+	$(GO) test -run '^$$' -fuzz '^FuzzSniff$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/convert
+	$(GO) test -run '^$$' -fuzz '^FuzzHZRuns$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/hz
+	$(GO) test -run '^$$' -fuzz '^FuzzTilePlan$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/hz
+	$(GO) test -run '^$$' -fuzz '^FuzzCodecDecode$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/compress
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/tiff
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBytes$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/netcdf
+	$(GO) test -run '^$$' -fuzz '^FuzzMetaUnmarshalText$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/idx
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePeers$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/shard
+	$(GO) test -run '^$$' -fuzz '^FuzzParseParent$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/telemetry/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzDashboardQuery$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/dashboard
 
 # bench/ is a module of its own (it imports this one through a replace),
 # so `go build ./... && go test ./...` here never compiles it: vet and

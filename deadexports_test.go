@@ -16,8 +16,6 @@ import (
 var exportAllowlist = map[string]string{
 	"trace.Collector.SetClock":         "test seam: the trace tests pin span timestamps through it",
 	"flight.Recorder.SetClock":         "test seam: the flight-recorder tests pin event timestamps through it",
-	"hz.Bitmask.PointHZ":               "reference oracle the tile-plan kernels are compared against",
-	"hz.Bitmask.HZPoint":               "reference oracle the tile-plan kernels are compared against",
 	"query.Engine.EnableTracking":      "claim C8: access tracking and prefetch are a reproduced capability",
 	"query.Engine.Tracker":             "claim C8: access tracking and prefetch are a reproduced capability",
 	"query.Engine.Prefetch":            "claim C8: access tracking and prefetch are a reproduced capability",

@@ -31,8 +31,8 @@ func terrainBlock(n int, phase float64) []byte {
 }
 
 // medianAllocated runs f calls times and returns the median of the
-// bytes each run allocated. The median, not the mean, because under the
-// race detector sync.Pool drops a quarter of what is put back.
+// bytes each run allocated. The median, not the mean, because a garbage
+// collection empties the pools and the next call refills them.
 func medianAllocated(calls int, f func()) uint64 {
 	per := make([]uint64, calls)
 	for i := range per {
@@ -47,7 +47,12 @@ func medianAllocated(calls int, f func()) uint64 {
 // returns and an encode the stream it returns, with inflate/deflate
 // state and the shuffled intermediate coming from the pools. A
 // reintroduced ReadAll, staging copy or per-call flate state fails here.
+// Under -race the pools drop state at random, so the bound holds only
+// in a plain build.
 func TestCodecAllocationIsThePayload(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random quarter of its puts under -race")
+	}
 	const calls = 20
 	block := terrainBlock(256<<10, 0)
 	for _, codec := range []Codec{ShuffleZlib{ElemSize: 4}, Zlib{}} {

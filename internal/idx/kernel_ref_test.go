@@ -4,22 +4,32 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"testing"
 
 	"nsdfgo/internal/compress"
-	"nsdfgo/internal/hz"
 	"nsdfgo/internal/raster"
 )
 
-// readBoxPerSample and writeGridPerSample below are faithful copies of
-// the first implementations of ReadBox and WriteGrid (PointHZ per
-// output sample, map-backed block sets, HZToZ+Deinterleave per block
-// slot). They are the reference the tile-plan kernels behind ReadBox,
-// WriteGrid and WriteRegion are checked against, bit for bit
+// readBoxPerSample and writeGridPerSample below are per-sample copies
+// of the first implementations of ReadBox and WriteGrid (an HZ address
+// per output sample, map-backed block sets, a raster sample looked up
+// per block slot). They are the reference the tile-plan kernels behind
+// ReadBox, WriteGrid and WriteRegion are checked against, bit for bit
 // (verifyKernelAgreement); what the kernels cost on a real request is
 // bench/e2e's idx and hz rows.
+
+// zToHZ maps a Z-order address under a mask of m bits to its HZ
+// address: level l = m - trailingZeros(z) starts at 2^(l-1).
+func zToHZ(z uint64, m int) uint64 {
+	if z == 0 {
+		return 0
+	}
+	l := m - bits.TrailingZeros64(z)
+	return uint64(1)<<(l-1) + z>>(m-l+1)
+}
 
 // readBoxPerSample is the pre-kernel ReadBox (PR 1 vintage).
 func readBoxPerSample(d *Dataset, field string, t int, box Box, level int) (*raster.Grid, *ReadStats, error) {
@@ -48,7 +58,7 @@ func readBoxPerSample(d *Dataset, field string, t int, box Box, level int) (*ras
 		p[1] = ay0 + oy*sy
 		for ox := 0; ox < ow; ox++ {
 			p[0] = ax0 + ox*sx
-			hzAddr := mask.PointHZ(p)
+			hzAddr := zToHZ(mask.Interleave(p), mask.Bits())
 			addrs[oy*ow+ox] = hzAddr
 			needSet[int(hzAddr>>d.Meta.BitsPerBlock)] = true
 		}
@@ -102,6 +112,19 @@ func writeGridPerSample(d *Dataset, field string, t int, g *raster.Grid) error {
 	sz := f.Type.Size()
 	w, h := g.W, g.H
 
+	// slot[a] is the raster index of the sample at HZ address a, or -1
+	// where a is padding.
+	slot := make([]int, 1<<m)
+	for i := range slot {
+		slot[i] = -1
+	}
+	p := make([]int, mask.Dims())
+	for p[1] = 0; p[1] < h; p[1]++ {
+		for p[0] = 0; p[0] < w; p[0]++ {
+			slot[zToHZ(mask.Interleave(p), m)] = p[1]*w + p[0]
+		}
+	}
+
 	workers := d.writeWorkers(numBlocks)
 	errCh := make(chan error, workers)
 	var next int
@@ -121,7 +144,6 @@ func writeGridPerSample(d *Dataset, field string, t int, g *raster.Grid) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p := make([]int, mask.Dims())
 			buf := make([]byte, blockSamples*sz)
 			for {
 				b := takeBlock()
@@ -132,11 +154,8 @@ func writeGridPerSample(d *Dataset, field string, t int, g *raster.Grid) error {
 				for i := 0; i < blockSamples; i++ {
 					hzAddr := hz0 + uint64(i)
 					v := f.Fill
-					if hzAddr < uint64(1)<<m {
-						mask.Deinterleave(hz.HZToZ(hzAddr, m), p)
-						if p[0] < w && p[1] < h {
-							v = g.Data[p[1]*w+p[0]]
-						}
+					if hzAddr < uint64(1)<<m && slot[hzAddr] >= 0 {
+						v = g.Data[slot[hzAddr]]
 					}
 					f.Type.putSample(buf[i*sz:], v)
 				}

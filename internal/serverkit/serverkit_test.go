@@ -3,6 +3,7 @@ package serverkit
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"flag"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -277,5 +279,80 @@ func TestDashboardDataNames(t *testing.T) {
 	}
 	if _, err := os.Stat(outside); err != nil {
 		t.Errorf("a block file outside the cache directory was wiped: %v", err)
+	}
+}
+
+// byteStream is an endless deterministic byte stream.
+type byteStream struct{ off int }
+
+// streamPeriod is what byteStream repeats: a prime length, so a chunk
+// served at the wrong offset changes the stream's digest.
+var streamPeriod = func() []byte {
+	b := make([]byte, 4093)
+	for i := range b {
+		b[i] = byte(uint32(i) * 2654435761 >> 24)
+	}
+	return b
+}()
+
+func (s *byteStream) Read(b []byte) (int, error) {
+	n := copy(b, streamPeriod[s.off:])
+	s.off = (s.off + n) % len(streamPeriod)
+	return n, nil
+}
+
+// TestStoreHandlerStreamsObjects: behind the shipped middleware, a GET
+// of a 64 MiB object from the leaf plane peers replicate through, and
+// from the public plane, allocates at most 1/16 of the object, client
+// side included: the node copies the file to the connection and never
+// holds the object.
+func TestStoreHandlerStreamsObjects(t *testing.T) {
+	const size = 64 << 20
+	k, err := Start(Options{Service: "store", NodeName: "n1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	h, err := k.StoreHandler(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	if err := os.MkdirAll(filepath.Join(root, "big"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(filepath.Join(root, "big", "object.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sha256.New()
+	if _, err := io.Copy(io.MultiWriter(f, want), io.LimitReader(&byteStream{}, size)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, path := range []string{internalPlane + "/obj/big/object.bin", "/obj/big/object.bin"} {
+		got := sha256.New()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := io.Copy(got, resp.Body)
+		resp.Body.Close()
+		runtime.ReadMemStats(&after)
+		if err != nil || resp.StatusCode != http.StatusOK || n != size {
+			t.Fatalf("GET %s: status %d, %d bytes, %v", path, resp.StatusCode, n, err)
+		}
+		if !bytes.Equal(got.Sum(nil), want.Sum(nil)) {
+			t.Errorf("GET %s: body differs from the object", path)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > size/16 {
+			t.Errorf("GET %s of a %d-byte object allocates %d bytes, want <= %d", path, size, alloc, size/16)
+		}
 	}
 }

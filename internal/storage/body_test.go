@@ -1,12 +1,18 @@
 package storage
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -106,42 +112,190 @@ func TestReadBodyVerifiesDeclaredLength(t *testing.T) {
 	}
 }
 
-// TestPutBodyLengths drives the server's PUT with a declared, an
-// undeclared (chunked) and a truncated body.
+// TestPutBodyLengths drives the server's PUT, over a MemStore (read
+// whole) and over a FileStore (streamed into its temp file), with a
+// declared, an undeclared (chunked), a short and a long body, and a
+// write the store itself fails.
 func TestPutBodyLengths(t *testing.T) {
 	ctx := context.Background()
-	mem := NewMemStore()
-	srv := httptest.NewServer(NewServer(mem, ""))
-	defer srv.Close()
+	root := t.TempDir()
+	fs, err := NewFileStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
 	payload := bytes.Repeat([]byte("y"), 70<<10)
+	for name, store := range map[string]Store{"mem": NewMemStore(), "file": fs} {
+		srv := httptest.NewServer(NewServer(store, ""))
+		defer srv.Close()
+		put := func(key string, body io.Reader, declared int64) int {
+			req, err := http.NewRequest(http.MethodPut, srv.URL+"/obj/"+key, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if declared >= 0 {
+				req.ContentLength = declared
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			return resp.StatusCode
+		}
+		if code := put("chunked", chunked{bytes.NewReader(payload)}, -1); code != http.StatusCreated {
+			t.Fatalf("%s: chunked PUT: status %d", name, code)
+		}
+		if got, err := store.Get(ctx, "chunked"); err != nil || !bytes.Equal(got, payload) {
+			t.Errorf("%s: chunked PUT stored %d bytes, %v", name, len(got), err)
+		}
+		if code := put("kept", bytes.NewReader([]byte("v1")), 2); code != http.StatusCreated {
+			t.Fatalf("%s: PUT: status %d", name, code)
+		}
 
-	put := func(key string, body io.Reader, declared int64) (int, error) {
-		req, err := http.NewRequest(http.MethodPut, srv.URL+"/obj/"+key, body)
+		// The body ends 10 bytes short of its Content-Length: a 400 that
+		// stores nothing, over a new key and over an existing one.
+		for _, key := range []string{"short", "kept"} {
+			conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(conn, "PUT /obj/%s HTTP/1.1\r\nHost: store\r\nContent-Length: %d\r\n\r\n", key, len(payload)+10)
+			if _, err := conn.Write(payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: PUT %s shorter than its Content-Length: status %d, want 400", name, key, resp.StatusCode)
+			}
+		}
+		if _, err := store.Get(ctx, "short"); !errors.Is(err, ErrNotExist) {
+			t.Errorf("%s: truncated PUT was stored: %v", name, err)
+		}
+		if got, err := store.Get(ctx, "kept"); err != nil || string(got) != "v1" {
+			t.Errorf("%s: truncated PUT over an object left %q, %v", name, got, err)
+		}
+
+		// A body longer than declared fails the same way; net/http never
+		// reads past Content-Length, so drive putBody directly.
+		if _, err := putBody(ctx, store, "long", bytes.NewReader(payload), int64(len(payload))-1); !errors.Is(err, errBody) {
+			t.Errorf("%s: body longer than declared: %v", name, err)
+		}
+		if _, err := store.Get(ctx, "long"); !errors.Is(err, ErrNotExist) {
+			t.Errorf("%s: overlong body was stored: %v", name, err)
+		}
+	}
+
+	// A write the store fails is a 500: "kept" is an object, so no
+	// directory can be made for "kept/x".
+	srv := httptest.NewServer(NewServer(fs, ""))
+	defer srv.Close()
+	req, err := http.NewRequest(http.MethodPut, srv.URL+"/obj/kept/x", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("PUT the store cannot write: status %d, want 500", resp.StatusCode)
+	}
+	if left, err := os.ReadDir(filepath.Join(root, fileStoreTmp)); err != nil || len(left) != 0 {
+		t.Errorf("failed PUTs left %d temp files (%v)", len(left), err)
+	}
+}
+
+// byteStream is an endless deterministic byte stream, so a test can move a
+// large object without holding it.
+type byteStream struct{ off int }
+
+// streamPeriod is what byteStream repeats: a prime length, so a chunk
+// served at the wrong offset changes the stream's digest.
+var streamPeriod = func() []byte {
+	b := make([]byte, 4093)
+	for i := range b {
+		b[i] = byte(uint32(i) * 2654435761 >> 24)
+	}
+	return b
+}()
+
+func (s *byteStream) Read(b []byte) (int, error) {
+	n := copy(b, streamPeriod[s.off:])
+	s.off = (s.off + n) % len(streamPeriod)
+	return n, nil
+}
+
+// TestFileServerStreamsBodies pins a store node's memory per request: a
+// PUT and a GET of a 64 MiB object through NewServer(FileStore) each
+// allocate at most 1/16 of the object, client side included, because
+// the body moves between the connection and the node's file and is
+// never held whole. The GET body is the object, byte for byte.
+func TestFileServerStreamsBodies(t *testing.T) {
+	const size = 64 << 20
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(fs, ""))
+	defer srv.Close()
+	url := srv.URL + "/obj/big/object.bin"
+
+	put := allocatedBy(func() {
+		req, err := http.NewRequest(http.MethodPut, url, io.LimitReader(&byteStream{}, size))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if declared >= 0 {
-			req.ContentLength = declared
-		}
+		req.ContentLength = size
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
-			return 0, err
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("PUT: status %d", resp.StatusCode)
+		}
+	})
+	got := sha256.New()
+	var resp *http.Response
+	get := allocatedBy(func() {
+		if resp, err = http.Get(url); err != nil {
+			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		return resp.StatusCode, nil
+		if _, err := io.Copy(got, resp.Body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if resp.StatusCode != http.StatusOK || resp.ContentLength != size {
+		t.Fatalf("GET: status %d, Content-Length %d, want 200 and %d", resp.StatusCode, resp.ContentLength, size)
 	}
-	if code, err := put("chunked", chunked{bytes.NewReader(payload)}, -1); err != nil || code != http.StatusCreated {
-		t.Fatalf("chunked PUT: status %d, %v", code, err)
+	want := sha256.New()
+	if _, err := io.Copy(want, io.LimitReader(&byteStream{}, size)); err != nil {
+		t.Fatal(err)
 	}
-	if got, err := mem.Get(ctx, "chunked"); err != nil || !bytes.Equal(got, payload) {
-		t.Errorf("chunked PUT stored %d bytes, %v", len(got), err)
+	if !bytes.Equal(got.Sum(nil), want.Sum(nil)) {
+		t.Error("GET body differs from the object PUT")
 	}
-	// The client declares more than it sends: the transport reports the
-	// mismatch or the server answers 400; the object must not be stored.
-	if code, err := put("short", chunked{bytes.NewReader(payload)}, int64(len(payload))+10); err == nil && code != http.StatusBadRequest {
-		t.Errorf("PUT shorter than its Content-Length: status %d", code)
+	for op, n := range map[string]uint64{"PUT": put, "GET": get} {
+		if n > size/16 {
+			t.Errorf("a %d-byte %s allocates %d bytes, want <= %d", size, op, n, size/16)
+		}
 	}
-	if _, err := mem.Get(ctx, "short"); !errors.Is(err, ErrNotExist) {
-		t.Errorf("truncated PUT was stored: %v", err)
-	}
+}
+
+// allocatedBy returns the bytes the process allocated while f ran.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

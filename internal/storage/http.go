@@ -89,18 +89,17 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request, key string
 	ctx := r.Context()
 	switch r.Method {
 	case http.MethodPut:
-		data, err := readBody(r.Body, r.ContentLength)
-		if err != nil {
+		_, err := putBody(ctx, s.store, key, r.Body, r.ContentLength)
+		switch {
+		case errors.Is(err, errBody):
 			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := s.store.Put(ctx, key, data); err != nil {
+		case err != nil:
 			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+		default:
+			w.WriteHeader(http.StatusCreated)
 		}
-		w.WriteHeader(http.StatusCreated)
 	case http.MethodGet:
-		data, err := s.store.Get(ctx, key)
+		body, n, release, err := getBody(ctx, s.store, key)
 		if errors.Is(err, ErrNotExist) {
 			http.NotFound(w, r)
 			return
@@ -109,11 +108,13 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request, key string
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
+		defer release()
 		w.Header().Set("Content-Type", "application/octet-stream")
 		// A declared length keeps the body out of chunked encoding, so
-		// the client can read it into one buffer of exactly this size.
-		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-		if _, err := w.Write(data); err != nil {
+		// the client can read it into one buffer of exactly this size,
+		// and lets net/http send a file body by sendfile.
+		w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
+		if _, err := io.Copy(w, body); err != nil {
 			// The status line is sent; the client sees a short body.
 			return
 		}
@@ -140,28 +141,94 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request, key string
 	}
 }
 
+// bodyStore is a Store that moves object bodies between a connection
+// and its own files without holding them whole: FileStore, and
+// Instrumented, which forwards to the Store it wraps. Its methods do
+// what the functions getBody and putBody below do.
+type bodyStore interface {
+	getBody(ctx context.Context, key string) (body io.Reader, n int64, release func() error, err error)
+	putBody(ctx context.Context, key string, body io.Reader, n int64) (int64, error)
+}
+
+// getBody returns the object under key as a reader of its n bytes, and
+// the func that releases it once read: the store's own file where it
+// can hand one over, its Get bytes otherwise. Either way Server writes
+// it with one io.Copy.
+func getBody(ctx context.Context, st Store, key string) (io.Reader, int64, func() error, error) {
+	if bs, ok := st.(bodyStore); ok {
+		return bs.getBody(ctx, key)
+	}
+	data, err := st.Get(ctx, key)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return bytes.NewReader(data), int64(len(data)), func() error { return nil }, nil
+}
+
+// putBody stores a request body declared n bytes long (-1 when the
+// sender declared none) under key and returns its length: streamed into
+// the store's file where it has one, read whole by readBody otherwise.
+// A body that fails to read or does not match n fails with errBody and
+// stores nothing.
+func putBody(ctx context.Context, st Store, key string, body io.Reader, n int64) (int64, error) {
+	if bs, ok := st.(bodyStore); ok {
+		return bs.putBody(ctx, key, body, n)
+	}
+	data, err := readBody(body, n)
+	if err != nil {
+		return 0, err
+	}
+	return int64(len(data)), st.Put(ctx, key, data)
+}
+
+// errBody marks a body that could not be read or was not as long as its
+// sender declared: the sender's fault, so the server answers 400.
+var errBody = errors.New("storage: bad body")
+
+// bodyReader reads a body declared n bytes long (-1: undeclared). A read
+// error, or a body that proves shorter or longer than n, fails with
+// errBody; it fails on the first read that passes n, so a sender that
+// lies about the length gets at most one read past it.
+type bodyReader struct {
+	r       io.Reader
+	n, read int64
+}
+
+func (b *bodyReader) Read(p []byte) (int, error) {
+	k, err := b.r.Read(p)
+	b.read += int64(k)
+	switch {
+	case b.n >= 0 && b.read > b.n:
+		return k, fmt.Errorf("%w: longer than the %d bytes declared", errBody, b.n)
+	case err == io.EOF && b.n >= 0 && b.read < b.n:
+		return k, fmt.Errorf("%w: ended after %d of the %d bytes declared", errBody, b.read, b.n)
+	case err != nil && err != io.EOF:
+		return k, fmt.Errorf("%w: %w", errBody, err)
+	}
+	return k, err
+}
+
 // maxBodyPrealloc bounds what readBody allocates on the word of a
 // Content-Length header, which on a PUT is whatever the sender wrote.
 const maxBodyPrealloc = 8 << 20
 
 // readBody reads an HTTP body whose declared length is n (-1 when the
 // sender declared none) into one buffer of exactly that size instead of
-// growing one until EOF. A body shorter or longer than declared is an
-// error. Past maxBodyPrealloc the rest is believed only as it arrives.
+// growing one until EOF. A body shorter or longer than declared fails
+// with errBody. Past maxBodyPrealloc the rest is believed only as it
+// arrives.
 func readBody(r io.Reader, n int64) ([]byte, error) {
+	br := &bodyReader{r: r, n: n}
 	if n < 0 {
-		return io.ReadAll(r)
+		return io.ReadAll(br)
 	}
 	buf := make([]byte, min(n, maxBodyPrealloc))
-	if got, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("body ended after %d of the %d bytes declared: %w", got, n, err)
-	}
-	rest, err := io.ReadAll(io.LimitReader(r, n-int64(len(buf))+1))
-	if err != nil {
+	if _, err := io.ReadFull(br, buf); err != nil {
 		return nil, err
 	}
-	if int64(len(buf)+len(rest)) != n {
-		return nil, fmt.Errorf("body does not match the %d bytes declared", n)
+	rest, err := io.ReadAll(br)
+	if err != nil {
+		return nil, err
 	}
 	return append(buf, rest...), nil
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"context"
 	"errors"
+	"io"
 	"time"
 
 	"nsdfgo/internal/telemetry"
@@ -100,6 +101,36 @@ func (in *Instrumented) Get(ctx context.Context, key string) ([]byte, error) {
 		in.down.Add(int64(len(data)))
 	}
 	return data, err
+}
+
+// getBody implements bodyStore: it books what Get books, the object's
+// size as the bytes down, and hands over the inner store's file where
+// it has one. The op ends when the object is open; the copy to the
+// connection is the server's.
+func (in *Instrumented) getBody(ctx context.Context, key string) (io.Reader, int64, func() error, error) {
+	start := time.Now()
+	body, n, release, err := getBody(ctx, in.inner, key)
+	in.record(ctx, "get", start, err)
+	if err == nil {
+		in.down.Add(n)
+	}
+	return body, n, release, err
+}
+
+// putBody implements bodyStore: it books what Put books. A body the
+// sender got wrong is not a store operation, as it is not when the
+// server's readBody rejects it before Put.
+func (in *Instrumented) putBody(ctx context.Context, key string, body io.Reader, n int64) (int64, error) {
+	start := time.Now()
+	stored, err := putBody(ctx, in.inner, key, body, n)
+	if errors.Is(err, errBody) {
+		return stored, err
+	}
+	in.record(ctx, "put", start, err)
+	if err == nil {
+		in.up.Add(stored)
+	}
+	return stored, err
 }
 
 // Delete implements Store.

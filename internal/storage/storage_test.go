@@ -20,15 +20,24 @@ func storeImpls(t *testing.T) map[string]Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	leaf, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	public := httptest.NewServer(NewServer(NewMemStore(), ""))
 	t.Cleanup(public.Close)
 	private := httptest.NewServer(NewServer(NewMemStore(), "secret-token"))
 	t.Cleanup(private.Close)
+	// The shipped leaf pairing: object bodies stream between the
+	// connection and the node's files.
+	file := httptest.NewServer(NewServer(leaf, ""))
+	t.Cleanup(file.Close)
 	return map[string]Store{
 		"mem":         NewMemStore(),
 		"file":        fs,
 		"http-public": NewClient(public.URL, ""),
 		"http-auth":   NewClient(private.URL, "secret-token"),
+		"http-file":   NewClient(file.URL, ""),
 		"conditioned": NewConditioned(NewMemStore(), NetworkProfile{RTT: 10 * time.Microsecond}, 1),
 	}
 }
@@ -57,6 +66,22 @@ func TestStoreConformance(t *testing.T) {
 			info, err := s.Stat(ctx, "a/b/c.bin")
 			if err != nil || info.Size != int64(len(payload)) {
 				t.Fatalf("Stat: %+v, %v", info, err)
+			}
+			// A key that names a directory of a file store, or runs
+			// through an object, names no object.
+			for _, key := range []string{"a", "a/b", "a/b/c.bin/x"} {
+				if info, err := s.Stat(ctx, key); !errors.Is(err, ErrNotExist) {
+					t.Errorf("Stat(%q) = %+v, %v; want ErrNotExist", key, info, err)
+				}
+				if got, err := s.Get(ctx, key); !errors.Is(err, ErrNotExist) {
+					t.Errorf("Get(%q) = %d bytes, %v; want ErrNotExist", key, len(got), err)
+				}
+				if err := s.Delete(ctx, key); err != nil {
+					t.Errorf("Delete(%q): %v", key, err)
+				}
+			}
+			if got, err := s.Get(ctx, "a/b/c.bin"); err != nil || string(got) != string(payload) {
+				t.Fatalf("Get after deleting its directories: %q, %v", got, err)
 			}
 			// Overwrite.
 			if err := s.Put(ctx, "a/b/c.bin", []byte("v2")); err != nil {
@@ -138,28 +163,36 @@ func TestInvalidKeysRejected(t *testing.T) {
 }
 
 func TestAuthRejectsBadToken(t *testing.T) {
-	srv := httptest.NewServer(NewServer(NewMemStore(), "good"))
-	defer srv.Close()
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
-
-	// "goad" is wrong at the correct length; "goo" is the token minus
-	// its last byte.
-	for _, token := range []string{"bad", "goad", "goo"} {
-		wrong := NewClient(srv.URL, token)
-		if err := wrong.Put(ctx, "k", []byte("v")); !errors.Is(err, ErrUnauthorized) {
-			t.Errorf("token %q Put: %v", token, err)
+	for name, store := range map[string]Store{"mem": NewMemStore(), "file": fs} {
+		srv := httptest.NewServer(NewServer(store, "good"))
+		defer srv.Close()
+		right := NewClient(srv.URL, "good")
+		if err := right.Put(ctx, "k", []byte("v")); err != nil {
+			t.Errorf("%s: right token Put: %v", name, err)
 		}
-		if _, err := wrong.Get(ctx, "k"); !errors.Is(err, ErrUnauthorized) {
-			t.Errorf("token %q Get: %v", token, err)
+		// "goad" is wrong at the correct length; "goo" is the token minus
+		// its last byte.
+		for _, token := range []string{"bad", "goad", "goo"} {
+			wrong := NewClient(srv.URL, token)
+			if err := wrong.Put(ctx, "k", []byte("w")); !errors.Is(err, ErrUnauthorized) {
+				t.Errorf("%s: token %q Put: %v", name, token, err)
+			}
+			if _, err := wrong.Get(ctx, "k"); !errors.Is(err, ErrUnauthorized) {
+				t.Errorf("%s: token %q Get: %v", name, token, err)
+			}
 		}
-	}
-	none := NewClient(srv.URL, "")
-	if _, err := none.List(ctx, ""); !errors.Is(err, ErrUnauthorized) {
-		t.Errorf("missing token List: %v", err)
-	}
-	right := NewClient(srv.URL, "good")
-	if err := right.Put(ctx, "k", []byte("v")); err != nil {
-		t.Errorf("right token Put: %v", err)
+		none := NewClient(srv.URL, "")
+		if _, err := none.List(ctx, ""); !errors.Is(err, ErrUnauthorized) {
+			t.Errorf("%s: missing token List: %v", name, err)
+		}
+		if got, err := right.Get(ctx, "k"); err != nil || string(got) != "v" {
+			t.Errorf("%s: after rejected writes the object is %q, %v", name, got, err)
+		}
 	}
 }
 

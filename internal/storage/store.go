@@ -9,14 +9,18 @@
 package storage
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -183,52 +187,113 @@ func (s *FileStore) path(key string) (string, error) {
 
 // Put implements Store.
 func (s *FileStore) Put(ctx context.Context, key string, data []byte) error {
+	_, err := s.write(ctx, key, bytes.NewReader(data))
+	return err
+}
+
+// putBody implements bodyStore: the body goes straight into the temp
+// file, checked against its declared length n as it arrives.
+func (s *FileStore) putBody(ctx context.Context, key string, body io.Reader, n int64) (int64, error) {
+	return s.write(ctx, key, &bodyReader{r: body, n: n})
+}
+
+// write is FileStore's one write path: it copies body into a temp file
+// of its own and renames that into place, so a reader of key sees the
+// old object or the new one, whole. A failed copy or write leaves no
+// temp file and the old object unchanged. It returns the bytes stored.
+func (s *FileStore) write(ctx context.Context, key string, body io.Reader) (int64, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return 0, err
 	}
 	p, err := s.path(key)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	for _, dir := range []string{filepath.Dir(p), s.tmp} {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("storage: mkdir: %w", err)
+			return 0, fmt.Errorf("storage: mkdir: %w", err)
 		}
 	}
 	f, err := os.CreateTemp(s.tmp, "put-*")
 	if err != nil {
-		return fmt.Errorf("storage: write: %w", err)
+		return 0, fmt.Errorf("storage: write: %w", err)
 	}
-	_, err = f.Write(data)
+	buf := copyBufs.Get().(*[]byte)
+	// Hiding the file's ReadFrom keeps io.CopyBuffer on the pooled
+	// buffer; a bytes.Reader body still goes in one Write, by WriteTo.
+	n, err := io.CopyBuffer(struct{ io.Writer }{f}, body, *buf)
+	copyBufs.Put(buf)
 	if err = errors.Join(err, f.Chmod(0o644), f.Close()); err == nil { // CreateTemp makes 0600
 		err = os.Rename(f.Name(), p)
 	}
 	if err != nil {
-		return fmt.Errorf("storage: write: %w", errors.Join(err, os.Remove(f.Name())))
+		return 0, fmt.Errorf("storage: write: %w", errors.Join(err, os.Remove(f.Name())))
 	}
-	return nil
+	return n, nil
 }
+
+// copyBufs holds the buffers a streamed PUT copies through: a request
+// body has no WriteTo, and a file's own ReadFrom would allocate one.
+var copyBufs = sync.Pool{New: func() any {
+	b := make([]byte, 32<<10)
+	return &b
+}}
 
 // Get implements Store.
 func (s *FileStore) Get(ctx context.Context, key string) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	p, err := s.path(key)
+	body, n, release, err := s.getBody(ctx, key)
 	if err != nil {
 		return nil, err
 	}
-	data, err := os.ReadFile(p)
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("%w: %q", ErrNotExist, key)
-	}
-	if err != nil {
+	defer release()
+	data := make([]byte, n)
+	if _, err := io.ReadFull(body, data); err != nil {
 		return nil, fmt.Errorf("storage: read: %w", err)
 	}
 	return data, nil
 }
 
-// Delete implements Store.
+// getBody implements bodyStore: it hands the object over as its open
+// file, so Server copies it to the connection (by sendfile on Linux)
+// instead of reading it whole. The limit pins the body to the size
+// returned: an object is replaced by rename, never rewritten in place,
+// so the open file keeps the version it had. A key that names a
+// directory, or runs through an object, names no object, as in MemStore.
+func (s *FileStore) getBody(ctx context.Context, key string) (io.Reader, int64, func() error, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, 0, nil, err
+	}
+	p, err := s.path(key)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	f, err := os.Open(p)
+	if notExist(err) {
+		return nil, 0, nil, fmt.Errorf("%w: %q", ErrNotExist, key)
+	}
+	if err != nil {
+		return nil, 0, nil, fmt.Errorf("storage: read: %w", err)
+	}
+	fi, err := f.Stat()
+	switch {
+	case err != nil:
+		err = fmt.Errorf("storage: read: %w", err)
+	case fi.IsDir():
+		err = fmt.Errorf("%w: %q", ErrNotExist, key)
+	default:
+		return io.LimitReader(f, fi.Size()), fi.Size(), f.Close, nil
+	}
+	return nil, 0, nil, errors.Join(err, f.Close())
+}
+
+// notExist reports whether a path error means no object is there: the
+// path is missing, or one of its directories is a file.
+func notExist(err error) bool {
+	return errors.Is(err, fs.ErrNotExist) || errors.Is(err, syscall.ENOTDIR)
+}
+
+// Delete implements Store. A key that names a directory is no object,
+// so there is nothing to delete.
 func (s *FileStore) Delete(ctx context.Context, key string) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -237,7 +302,10 @@ func (s *FileStore) Delete(ctx context.Context, key string) error {
 	if err != nil {
 		return err
 	}
-	if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+	if fi, err := os.Lstat(p); err == nil && fi.IsDir() {
+		return nil
+	}
+	if err := os.Remove(p); err != nil && !notExist(err) {
 		return fmt.Errorf("storage: delete: %w", err)
 	}
 	return nil
@@ -253,7 +321,7 @@ func (s *FileStore) Stat(ctx context.Context, key string) (ObjectInfo, error) {
 		return ObjectInfo{}, err
 	}
 	fi, err := os.Stat(p)
-	if os.IsNotExist(err) {
+	if notExist(err) || err == nil && fi.IsDir() {
 		return ObjectInfo{}, fmt.Errorf("%w: %q", ErrNotExist, key)
 	}
 	if err != nil {
