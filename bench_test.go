@@ -380,66 +380,6 @@ func BenchmarkParallelFetchWAN(b *testing.B) {
 	}
 }
 
-// BenchmarkPrefetchAblation compares a revisit-heavy session against a
-// cross-country store with and without access-pattern prefetching: the
-// tracker learns the hot quadrant from cheap coarse reads, Prefetch warms
-// its blocks, and the subsequent full-resolution read is cache-only.
-func BenchmarkPrefetchAblation(b *testing.B) {
-	// The dataset lives on the conditioned store once; each iteration only
-	// rebuilds the engine (fresh empty cache), so per-iteration setup is
-	// cheap and the measured quantity stays the interactive zoom latency.
-	meta, err := idx.NewMeta([]int{256, 256}, []idx.Field{{Name: "elevation", Type: idx.Float32}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	meta.BitsPerBlock = 10
-	remote := newCrossCountryStore(b)
-	ds, err := idx.Create(context.Background(), storage.NewIDXBackend(remote, "pf"), meta)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := ds.WriteGrid(context.Background(), "elevation", 0, dem.Scale(dem.FBM(256, 256, 1, dem.DefaultFBM()), 0, 1000)); err != nil {
-		b.Fatal(err)
-	}
-	hot := idx.Box{X0: 128, Y0: 128, X1: 256, Y1: 256}
-	// Only the interactive moment — the full-resolution zoom the user is
-	// waiting on — is timed. Browsing and prefetch happen while the user
-	// reads the screen (StopTimer), which is exactly when a dashboard
-	// issues prefetches.
-	session := func(b *testing.B, prefetch bool) {
-		b.StopTimer()
-		e := query.New(ds, 64<<20) // fresh cache per session
-		e.SetFetchParallelism(8)
-		if prefetch {
-			e.EnableTracking(32)
-		}
-		for i := 0; i < 4; i++ {
-			if _, err := e.Read(context.Background(), query.Request{Field: "elevation", Box: hot, Level: 8}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if prefetch {
-			if _, _, err := e.Prefetch(context.Background(), "elevation", 0, e.Dataset().Meta.MaxLevel()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StartTimer()
-		if _, err := e.Read(context.Background(), query.Request{Field: "elevation", Box: hot, Level: query.LevelFull}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("no-prefetch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			session(b, false)
-		}
-	})
-	b.Run("prefetch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			session(b, true)
-		}
-	})
-}
-
 // BenchmarkZFPToleranceSweep ablates the lossy-codec tolerance on a real
 // terrain field: tighter bounds cost more bytes. The "ratio" metric is
 // raw-bytes / stored-bytes.

@@ -16,10 +16,6 @@ import (
 var exportAllowlist = map[string]string{
 	"trace.Collector.SetClock":         "test seam: the trace tests pin span timestamps through it",
 	"flight.Recorder.SetClock":         "test seam: the flight-recorder tests pin event timestamps through it",
-	"query.Engine.EnableTracking":      "claim C8: access tracking and prefetch are a reproduced capability",
-	"query.Engine.Tracker":             "claim C8: access tracking and prefetch are a reproduced capability",
-	"query.Engine.Prefetch":            "claim C8: access tracking and prefetch are a reproduced capability",
-	"query.AccessTracker.Requests":     "claim C8: access tracking and prefetch are a reproduced capability",
 	"idx.Dataset.WriteRegion":          "out-of-core ingestion, a reproduced capability (DESIGN.md §3)",
 	"dem.DiamondSquare":                "the diamond–square DEM generator PAPER.md §2 names",
 	"storage.Dataverse.GetFileVersion": "the dataset versioning PAPER.md §2 names",

@@ -4,12 +4,13 @@
 // progressively"). Keys are block object names; values are immutable
 // block payloads (Block) shared by all readers and owned by the garbage
 // collector, so a cache hit copies nothing and nothing is ever handed
-// back. A Tiered cache layers request coalescing, a TinyLFU admission
-// filter, and an optional disk tier on top of the in-memory LRU.
+// back. A Tiered cache layers request coalescing and an optional disk
+// tier on top of the in-memory tier, which evicts by GreedyDual.
 package cache
 
 import (
-	"container/list"
+	"container/heap"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -22,8 +23,9 @@ type Stats struct {
 	Hits, Misses int64
 	// Evictions counts entries displaced by the size bound.
 	Evictions int64
-	// AdmissionRejects counts candidates the TinyLFU filter refused to
-	// admit because a resident victim was hotter.
+	// AdmissionRejects is always 0: every fill is admitted. The field
+	// stays only because bench/e2e reads it, until ROADMAP item 14
+	// rewires that benchmark.
 	AdmissionRejects int64
 	// Coalesced counts fills that piggybacked on another caller's
 	// in-flight fetch of the same key instead of issuing their own.
@@ -49,183 +51,194 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits+s.DiskHits) / float64(total)
 }
 
-// lru is Tiered's memory tier: a least-recently-used block store with a
-// maximum total payload size, safe for concurrent use. lookup returns
+// memTier is Tiered's memory tier, a block store with a maximum total
+// payload size that evicts by GreedyDual (Young 1994; Cao & Irani
+// 1997), safe for concurrent use. Each entry carries a weight, and its
+// priority is clock + weight, reset on every touch (insert or hit);
+// eviction removes the minimum-priority entry and advances clock to
+// its priority. A heavy entry thus outlives light ones touched at the
+// same time, yet ages out once enough lighter evictions push clock
+// past it; with equal weights the order is exactly LRU. lookup returns
 // the resident Block itself (shared, read-only); PutBlock stores the
 // Block it is given without copying.
-type lru struct {
+type memTier struct {
 	mu       sync.Mutex
 	maxBytes int64
-	ll       *list.List // front = most recent
-	items    map[string]*list.Element
-	sketch   *freqSketch // nil = no admission filter
+	items    map[string]*entry
+	heap     entryHeap
+	// clock is the priority of the last eviction, less any re-base.
+	// Priorities are in units of weightOne and never fall below clock.
+	clock uint64
+	// seq numbers touches, so equal priorities evict oldest first.
+	seq uint64
+	// weigh returns a key's weight in (0, 1]; unset weighs every key 1.
+	weigh atomic.Pointer[func(key string) float64]
 	// onEvict observes size-bound evictions (disk spill). It is called
 	// outside the cache lock.
 	onEvict func(key string, blk *Block)
 
 	evicts  atomic.Int64
-	rejects atomic.Int64
 	entries atomic.Int64
 	bytes   atomic.Int64
 }
 
+// weightOne is the priority units of weight 1. Weights are kept as
+// integers so priorities compare exactly; the finest weight a key can
+// carry is 1/weightOne.
+const weightOne = 1 << 32
+
+// rebaseAt is the clock past which every priority is shifted down by
+// clock. Priorities never exceed clock + weightOne, so they stay far
+// from overflow however long the tier runs, and shifting all of them
+// by one amount keeps their order.
+const rebaseAt = 1 << 62
+
 type entry struct {
-	key string
-	blk *Block
+	key    string
+	blk    *Block
+	weight uint64 // priority units a touch adds to clock
+	prio   uint64
+	seq    uint64
+	index  int // position in heap
 }
 
-// newLRU bounds the tier to maxBytes of payload (<= 0 stores nothing);
-// admit opts into TinyLFU admission.
-func newLRU(maxBytes int64, admit bool) *lru {
-	c := &lru{
-		maxBytes: maxBytes,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
+// entryHeap is a min-heap on (prio, seq).
+type entryHeap []*entry
+
+func (h entryHeap) Len() int { return len(h) }
+func (h entryHeap) Less(i, j int) bool {
+	if h[i].prio != h[j].prio {
+		return h[i].prio < h[j].prio
 	}
-	if admit && maxBytes > 0 {
-		// Size the sketch for the plausible entry count assuming 64 KiB
-		// blocks; newFreqSketch rounds up and floors the width.
-		c.sketch = newFreqSketch(int(maxBytes / (64 << 10)))
-	}
-	return c
+	return h[i].seq < h[j].seq
+}
+func (h entryHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
+}
+func (h *entryHeap) Push(x any) {
+	e := x.(*entry)
+	e.index = len(*h)
+	*h = append(*h, e)
+}
+func (h *entryHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return e
 }
 
-// lookup returns the resident Block for key and marks it recently used.
+// newMemTier bounds the tier to maxBytes of payload (<= 0 stores
+// nothing).
+func newMemTier(maxBytes int64) *memTier {
+	return &memTier{maxBytes: maxBytes, items: make(map[string]*entry)}
+}
+
+// weightUnits converts a weight to priority units, clamped to
+// [1/weightOne, 1].
+func weightUnits(w float64) uint64 {
+	if !(w < 1) {
+		return weightOne
+	}
+	return uint64(max(math.Ldexp(w, 32), 1))
+}
+
+// touch resets e's priority to clock + its weight. Caller holds mu.
+func (c *memTier) touch(e *entry) {
+	c.seq++
+	e.prio, e.seq = c.clock+e.weight, c.seq
+}
+
+// lookup returns the resident Block for key and resets its priority.
 // Hits and misses are counted by Tiered, not here.
-func (c *lru) lookup(key string) (*Block, bool) {
+func (c *memTier) lookup(key string) (*Block, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.sketch != nil {
-		c.sketch.touch(key)
-	}
-	el, ok := c.items[key]
+	e, ok := c.items[key]
 	if !ok {
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*entry).blk, true
+	c.touch(e)
+	heap.Fix(&c.heap, e.index)
+	return e.blk, true
 }
 
-// PutBlock inserts blk under key, replacing any previous entry. It
-// reports false when the cache is disabled, the payload is oversized,
-// or the admission filter refuses the key.
-func (c *lru) PutBlock(key string, blk *Block) bool {
+// PutBlock inserts blk under key, replacing any previous entry, and
+// evicts the lowest-priority entries until it fits. A disabled tier or
+// an oversized payload stores nothing.
+func (c *memTier) PutBlock(key string, blk *Block) {
 	size := int64(blk.Len())
 	if c.maxBytes <= 0 || size > c.maxBytes {
-		return false
+		return
+	}
+	e := &entry{key: key, blk: blk, weight: weightOne}
+	if weigh := c.weigh.Load(); weigh != nil {
+		e.weight = weightUnits((*weigh)(key))
 	}
 	var evicted []*entry
 	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*entry)
-		c.bytes.Add(size - int64(e.blk.Len()))
-		e.blk = blk
-		c.ll.MoveToFront(el)
-		c.trim(&evicted)
-	} else {
-		if !c.makeRoom(key, size, &evicted) {
-			c.rejects.Add(1)
-			c.mu.Unlock()
-			c.finishEvictions(evicted)
-			return false
-		}
-		c.items[key] = c.ll.PushFront(&entry{key: key, blk: blk})
-		c.entries.Add(1)
-		c.bytes.Add(size)
-	}
-	c.mu.Unlock()
-	c.finishEvictions(evicted)
-	return true
-}
-
-// makeRoom frees space for a size-byte insertion. With an admission
-// sketch, the candidate must be estimated strictly hotter than every
-// victim it would displace, else the insertion is rejected (scan
-// resistance: a one-pass scan cannot flush the resident hot set).
-// Admission is only consulted when the insertion would actually evict.
-// Caller holds mu; evicted entries are appended for post-unlock
-// handling.
-func (c *lru) makeRoom(key string, size int64, evicted *[]*entry) bool {
-	need := c.bytes.Load() + size - c.maxBytes
-	if need <= 0 {
-		return true
-	}
-	if c.sketch != nil {
-		cand := c.sketch.estimate(key)
-		freed := int64(0)
-		for el := c.ll.Back(); el != nil && freed < need; el = el.Prev() {
-			e := el.Value.(*entry)
-			if cand <= c.sketch.estimate(e.key) {
-				return false
-			}
-			freed += int64(e.blk.Len())
-		}
+	if old, ok := c.items[key]; ok {
+		c.remove(old)
 	}
 	for c.bytes.Load()+size > c.maxBytes {
-		if !c.evictOldest(evicted) {
-			break
+		victim := heap.Pop(&c.heap).(*entry)
+		c.unlink(victim)
+		c.clock = victim.prio
+		c.evicts.Add(1)
+		if c.onEvict != nil {
+			evicted = append(evicted, victim)
 		}
 	}
-	return true
-}
-
-// trim evicts until the size bound holds (replacement grew an entry).
-// Caller holds mu.
-func (c *lru) trim(evicted *[]*entry) {
-	for c.bytes.Load() > c.maxBytes {
-		if !c.evictOldest(evicted) {
-			break
+	if c.clock >= rebaseAt {
+		for _, r := range c.heap {
+			r.prio -= c.clock
 		}
+		c.clock = 0
+	}
+	c.touch(e)
+	heap.Push(&c.heap, e)
+	c.items[key] = e
+	c.entries.Add(1)
+	c.bytes.Add(size)
+	c.mu.Unlock()
+	for _, v := range evicted {
+		c.onEvict(v.key, v.blk)
 	}
 }
 
-// evictOldest removes the least recently used entry, keeping it for the
-// eviction hook when there is one. Caller holds mu.
-func (c *lru) evictOldest(evicted *[]*entry) bool {
-	el := c.ll.Back()
-	if el == nil {
-		return false
-	}
-	e := el.Value.(*entry)
-	c.ll.Remove(el)
+// remove takes e out of the heap and the index. Caller holds mu.
+func (c *memTier) remove(e *entry) {
+	heap.Remove(&c.heap, e.index)
+	c.unlink(e)
+}
+
+// unlink takes e, already out of the heap, out of the index and the
+// byte count. Caller holds mu.
+func (c *memTier) unlink(e *entry) {
 	delete(c.items, e.key)
 	c.entries.Add(-1)
 	c.bytes.Add(-int64(e.blk.Len()))
-	c.evicts.Add(1)
-	if c.onEvict != nil {
-		*evicted = append(*evicted, e)
-	}
-	return true
-}
-
-// finishEvictions runs the eviction hook, outside the lock so the hook
-// (disk spill) cannot stall readers.
-func (c *lru) finishEvictions(evicted []*entry) {
-	for _, e := range evicted {
-		c.onEvict(e.key, e.blk)
-	}
 }
 
 // Remove drops key from the cache if present (invalidation). The
 // eviction hook is not called: invalidated data must not be spilled.
-func (c *lru) Remove(key string) {
+func (c *memTier) Remove(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*entry)
-		c.ll.Remove(el)
-		delete(c.items, key)
-		c.entries.Add(-1)
-		c.bytes.Add(-int64(e.blk.Len()))
+	if e, ok := c.items[key]; ok {
+		c.remove(e)
 	}
 }
 
 // Clear empties the cache, keeping counters.
-func (c *lru) Clear() {
+func (c *memTier) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[string]*list.Element)
+	c.items = make(map[string]*entry)
+	c.heap = nil
+	c.clock = 0
 	c.entries.Store(0)
 	c.bytes.Store(0)
 }

@@ -7,12 +7,6 @@ import (
 	"testing/quick"
 )
 
-// newPlain builds the cache these tests pin the memory tier through: a
-// Tiered with admission off, so replacement is plain LRU.
-func newPlain(maxBytes int64) *Tiered {
-	return newTiered(maxBytes, false)
-}
-
 // getString is a test helper: Get and copy the payload out.
 func getString(t testing.TB, c *Tiered, key string) (string, bool) {
 	t.Helper()
@@ -24,7 +18,7 @@ func getString(t testing.TB, c *Tiered, key string) (string, bool) {
 }
 
 func TestGetPut(t *testing.T) {
-	c := newPlain(1024)
+	c := NewMemTiered(1024)
 	if _, ok := c.Get("a"); ok {
 		t.Error("empty cache hit")
 	}
@@ -36,7 +30,7 @@ func TestGetPut(t *testing.T) {
 }
 
 func TestEvictionBySize(t *testing.T) {
-	c := newPlain(10)
+	c := NewMemTiered(10)
 	c.Put("a", []byte("12345"))
 	c.Put("b", []byte("12345"))
 	c.Put("c", []byte("1")) // evicts a (oldest)
@@ -59,7 +53,7 @@ func TestEvictionBySize(t *testing.T) {
 }
 
 func TestLRUOrderRefreshedByGet(t *testing.T) {
-	c := newPlain(10)
+	c := NewMemTiered(10)
 	c.Put("a", []byte("12345"))
 	c.Put("b", []byte("12345"))
 	c.Get("a")                // a becomes most recent
@@ -73,7 +67,7 @@ func TestLRUOrderRefreshedByGet(t *testing.T) {
 }
 
 func TestUpdateExistingKey(t *testing.T) {
-	c := newPlain(100)
+	c := NewMemTiered(100)
 	c.Put("k", []byte("aaaa"))
 	c.Put("k", []byte("bb"))
 	got, ok := getString(t, c, "k")
@@ -86,7 +80,7 @@ func TestUpdateExistingKey(t *testing.T) {
 }
 
 func TestOversizePayloadIgnored(t *testing.T) {
-	c := newPlain(4)
+	c := NewMemTiered(4)
 	blk := c.Put("big", []byte("123456789"))
 	// The caller can still read through the returned block even though
 	// the cache declined the entry.
@@ -103,7 +97,7 @@ func TestOversizePayloadIgnored(t *testing.T) {
 // miss on every Get, so nsdf_cache_misses_total reported traffic for a
 // cache that is off.
 func TestDisabledCacheCountsNothing(t *testing.T) {
-	c := newPlain(0)
+	c := NewMemTiered(0)
 	c.Put("a", []byte("x"))
 	if _, ok := c.Get("a"); ok {
 		t.Error("zero-capacity cache stored data")
@@ -121,7 +115,7 @@ func TestDisabledCacheCountsNothing(t *testing.T) {
 }
 
 func TestRemoveAndClear(t *testing.T) {
-	c := newPlain(100)
+	c := NewMemTiered(100)
 	c.Put("a", []byte("1"))
 	c.Put("b", []byte("2"))
 	c.Remove("a")
@@ -139,7 +133,7 @@ func TestRemoveAndClear(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	c := newPlain(100)
+	c := NewMemTiered(100)
 	c.Put("a", []byte("1"))
 	getString(t, c, "a")
 	getString(t, c, "a")
@@ -160,7 +154,7 @@ func TestBytesInvariantProperty(t *testing.T) {
 	// After any sequence of puts, tracked bytes equals the sum of live
 	// entries and never exceeds the bound.
 	f := func(ops []uint16) bool {
-		c := newPlain(64)
+		c := NewMemTiered(64)
 		for _, op := range ops {
 			key := fmt.Sprintf("k%d", op%16)
 			size := int(op % 20)
@@ -172,11 +166,11 @@ func TestBytesInvariantProperty(t *testing.T) {
 		}
 		var total int64
 		c.mem.mu.Lock()
-		for _, el := range c.mem.items {
-			total += int64(el.Value.(*entry).blk.Len())
+		for _, e := range c.mem.items {
+			total += int64(e.blk.Len())
 		}
 		c.mem.mu.Unlock()
-		return total == s.Bytes && len(c.mem.items) == s.Entries
+		return total == s.Bytes && len(c.mem.items) == s.Entries && len(c.mem.heap) == s.Entries
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -186,7 +180,7 @@ func TestBytesInvariantProperty(t *testing.T) {
 // TestPutAdoptsBuffer guards the zero-copy contract: Put adopts the
 // caller's buffer (no copy), and Get returns the same backing storage.
 func TestPutAdoptsBuffer(t *testing.T) {
-	c := newPlain(1 << 20)
+	c := NewMemTiered(1 << 20)
 	buf := []byte{1, 2, 3, 4}
 	blk := c.Put("k", buf)
 	if &blk.Bytes()[0] != &buf[0] {
@@ -202,10 +196,11 @@ func TestPutAdoptsBuffer(t *testing.T) {
 }
 
 // TestHitDoesNotAllocate pins the zero-copy hit path: Get and Peek of a
-// resident block allocate nothing, on the admission-on memory tier every
-// shipped cache uses.
+// resident block allocate nothing, on a weighted memory tier like every
+// shipped cache's.
 func TestHitDoesNotAllocate(t *testing.T) {
 	c := NewMemTiered(1 << 20)
+	c.SetWeigher(func(string) float64 { return 0.25 })
 	c.Put("key", make([]byte, 64<<10))
 	for name, lookup := range map[string]func(string) (*Block, bool){"Get": c.Get, "Peek": c.Peek} {
 		if allocs := testing.AllocsPerRun(1000, func() { lookup("key") }); allocs != 0 {
@@ -214,33 +209,11 @@ func TestHitDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestFreqSketch(t *testing.T) {
-	s := newFreqSketch(1024)
-	if got := s.estimate("cold"); got != 0 {
-		t.Errorf("untouched estimate = %d", got)
-	}
-	s.touch("hot") // doorkeeper only
-	if got := s.estimate("hot"); got != 1 {
-		t.Errorf("after 1 touch estimate = %d", got)
-	}
-	for i := 0; i < 10; i++ {
-		s.touch("hot")
-	}
-	if got := s.estimate("hot"); got < 5 {
-		t.Errorf("after 11 touches estimate = %d", got)
-	}
-	hot := s.estimate("hot")
-	s.reset()
-	if got := s.estimate("hot"); got >= hot {
-		t.Errorf("reset did not age: %d -> %d", hot, got)
-	}
-}
-
 // TestLRUStressRace exercises concurrent mixed Get/Put/Remove/Clear
 // under -race, with payload verification to catch any buffer written
 // to while a reader can still see it.
 func TestLRUStressRace(t *testing.T) {
-	c := newPlain(4 << 10) // small: constant eviction
+	c := NewMemTiered(4 << 10) // small: constant eviction
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -13,7 +13,7 @@ import (
 	"sync/atomic"
 )
 
-// diskTier is the optional second cache level below the in-memory LRU:
+// diskTier is the optional second cache level below the memory tier:
 // memory evictions spill here, and misses that hit on disk are promoted
 // back. Entries are flat files named by the SHA-256 of the block key,
 // holding the raw payload. The directory is a cache, not a store: it is

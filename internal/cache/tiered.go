@@ -35,15 +35,15 @@ const (
 	OutcomeCoalesced
 )
 
-// Tiered is the full block cache: an in-memory LRU with TinyLFU
-// admission, an optional disk tier below it, and singleflight request
+// Tiered is the full block cache: an in-memory tier that evicts by
+// GreedyDual, an optional disk tier below it, and singleflight request
 // coalescing so N concurrent misses on one key cost one backend fetch.
 // It satisfies idx.BlockCache. A Tiered with no
 // memory bound and no disk dir is fully disabled: lookups miss without
 // counting and fills run uncoalesced, keeping "no cache" sweep
 // configurations uniform.
 type Tiered struct {
-	mem   *lru
+	mem   *memTier
 	disk  *diskTier
 	fills *fillGroup
 
@@ -53,19 +53,17 @@ type Tiered struct {
 	coalesced atomic.Int64
 }
 
-// NewMemTiered builds a memory-only tiered cache (coalescing and
-// admission, no disk tier); unlike NewTiered it cannot fail. memBytes
-// <= 0 disables caching.
-func NewMemTiered(memBytes int64) *Tiered { return newTiered(memBytes, true) }
-
-func newTiered(memBytes int64, admit bool) *Tiered {
-	return &Tiered{mem: newLRU(memBytes, admit), fills: newFillGroup()}
+// NewMemTiered builds a memory-only tiered cache (coalescing, no disk
+// tier); unlike NewTiered it cannot fail. memBytes <= 0 disables
+// caching.
+func NewMemTiered(memBytes int64) *Tiered {
+	return &Tiered{mem: newMemTier(memBytes), fills: newFillGroup()}
 }
 
 // NewTiered builds a tiered cache from opts. It fails only when the
 // disk tier directory cannot be prepared.
 func NewTiered(opts Options) (*Tiered, error) {
-	t := newTiered(opts.MemBytes, true)
+	t := NewMemTiered(opts.MemBytes)
 	if opts.DiskDir != "" && opts.DiskBytes > 0 {
 		disk, err := newDiskTier(opts.DiskDir, opts.DiskBytes)
 		if err != nil {
@@ -79,13 +77,22 @@ func NewTiered(opts Options) (*Tiered, error) {
 	return t, nil
 }
 
+// SetWeigher sets the weight w(key) in (0, 1] by which a key's
+// eviction priority stands above the memory tier's clock after each
+// touch (see memTier): a key of weight 1 outlives keys of weight 1/8
+// touched at the same time. Resident entries keep the weight they
+// entered with; with no weigher every key weighs 1 and eviction is
+// LRU. idx.Dataset.SetCache binds the share of the domain a block
+// covers.
+func (t *Tiered) SetWeigher(w func(key string) float64) { t.mem.weigh.Store(&w) }
+
 // enabled reports whether any tier can hold data.
 func (t *Tiered) enabled() bool {
 	return t.mem.maxBytes > 0 || t.disk != nil
 }
 
 // lookupTiers checks memory then disk, counting the hit and promoting
-// disk hits into memory (subject to admission).
+// disk hits into memory with their weight.
 func (t *Tiered) lookupTiers(key string) (*Block, Outcome, bool) {
 	if blk, ok := t.mem.lookup(key); ok {
 		t.hits.Add(1)
@@ -128,8 +135,8 @@ func (t *Tiered) Peek(key string) (*Block, bool) {
 	return blk, ok
 }
 
-// Put adopts data as an immutable Block, offers it to the memory tier,
-// and returns the Block (valid even when the cache declines it). The
+// Put adopts data as an immutable Block, stores it in the memory tier,
+// and returns the Block (valid even when the tier cannot hold it). The
 // caller must not write to data after Put.
 func (t *Tiered) Put(key string, data []byte) *Block {
 	blk := NewBlock(data)
@@ -202,14 +209,13 @@ func (t *Tiered) Clear() {
 // only.
 func (t *Tiered) Stats() Stats {
 	s := Stats{
-		Hits:             t.hits.Load(),
-		Misses:           t.misses.Load(),
-		DiskHits:         t.diskHits.Load(),
-		Coalesced:        t.coalesced.Load(),
-		Evictions:        t.mem.evicts.Load(),
-		AdmissionRejects: t.mem.rejects.Load(),
-		Entries:          int(t.mem.entries.Load()),
-		Bytes:            t.mem.bytes.Load(),
+		Hits:      t.hits.Load(),
+		Misses:    t.misses.Load(),
+		DiskHits:  t.diskHits.Load(),
+		Coalesced: t.coalesced.Load(),
+		Evictions: t.mem.evicts.Load(),
+		Entries:   int(t.mem.entries.Load()),
+		Bytes:     t.mem.bytes.Load(),
 	}
 	if t.disk != nil {
 		s.DiskEntries = int(t.disk.entries.Load())
@@ -222,15 +228,14 @@ func (t *Tiered) Stats() Stats {
 // labelled with a cache name. Every series reads lock-free atomics, so
 // scrapes never contend with the read path:
 //
-//	nsdf_cache_hits_total{cache}              memory-tier hits
-//	nsdf_cache_misses_total{cache}            misses in every tier
-//	nsdf_cache_evictions_total{cache}         memory-tier evictions
-//	nsdf_cache_coalesced_total{cache}         fills shared via singleflight
-//	nsdf_cache_admission_rejects_total{cache} TinyLFU admission rejects
-//	nsdf_cache_disk_hits_total{cache}         disk-tier hits
-//	nsdf_cache_entries{cache}                 memory-tier entry count
-//	nsdf_cache_bytes{cache}                   memory-tier payload bytes
-//	nsdf_cache_disk_bytes{cache}              disk-tier payload bytes
+//	nsdf_cache_hits_total{cache}          memory-tier hits
+//	nsdf_cache_misses_total{cache}        misses in every tier
+//	nsdf_cache_evictions_total{cache}     memory-tier evictions
+//	nsdf_cache_coalesced_total{cache}     fills shared via singleflight
+//	nsdf_cache_disk_hits_total{cache}     disk-tier hits
+//	nsdf_cache_entries{cache}             memory-tier entry count
+//	nsdf_cache_bytes{cache}               memory-tier payload bytes
+//	nsdf_cache_disk_bytes{cache}          disk-tier payload bytes
 func (t *Tiered) Instrument(reg *telemetry.Registry, name string) {
 	reg.CounterFunc("nsdf_cache_hits_total",
 		func() float64 { return float64(t.hits.Load()) }, "cache", name)
@@ -240,8 +245,6 @@ func (t *Tiered) Instrument(reg *telemetry.Registry, name string) {
 		func() float64 { return float64(t.mem.evicts.Load()) }, "cache", name)
 	reg.CounterFunc("nsdf_cache_coalesced_total",
 		func() float64 { return float64(t.coalesced.Load()) }, "cache", name)
-	reg.CounterFunc("nsdf_cache_admission_rejects_total",
-		func() float64 { return float64(t.mem.rejects.Load()) }, "cache", name)
 	reg.CounterFunc("nsdf_cache_disk_hits_total",
 		func() float64 { return float64(t.diskHits.Load()) }, "cache", name)
 	reg.GaugeFunc("nsdf_cache_entries",

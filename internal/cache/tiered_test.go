@@ -30,16 +30,14 @@ func fillConst(payload []byte, calls *atomic.Int64) func(context.Context) ([]byt
 	}
 }
 
-// newPlainTiered is NewTiered with the TinyLFU admission filter off:
-// plain LRU replacement makes eviction, and so disk spill,
-// deterministic for a cold Put sequence.
-func newPlainTiered(t *testing.T, opts Options) *Tiered {
+// mustTiered is NewTiered for tests. With no weigher every key weighs
+// 1, so eviction, and with it disk spill, is LRU order.
+func mustTiered(t *testing.T, opts Options) *Tiered {
 	t.Helper()
 	c, err := NewTiered(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.mem.sketch = nil
 	return c
 }
 
@@ -248,55 +246,9 @@ func TestTieredDisabledFillsWithoutCountingOrCoalescing(t *testing.T) {
 	}
 }
 
-// TestAdmissionProtectsHotSet: after the hot set has been referenced
-// repeatedly, a one-pass scan of cold keys must not displace it.
-func TestAdmissionProtectsHotSet(t *testing.T) {
-	c := NewMemTiered(4 * 1024)
-	hot := []string{"h0", "h1", "h2", "h3"}
-	for _, k := range hot {
-		c.Put(k, make([]byte, 1024))
-	}
-	for i := 0; i < 10; i++ {
-		for _, k := range hot {
-			if _, ok := c.Get(k); !ok {
-				t.Fatalf("hot key %s missing during warm-up", k)
-			}
-		}
-	}
-	for i := 0; i < 10; i++ {
-		c.Put(fmt.Sprintf("scan%d", i), make([]byte, 1024))
-	}
-	for _, k := range hot {
-		if _, ok := c.Get(k); !ok {
-			t.Errorf("scan evicted hot key %s", k)
-		}
-	}
-	if s := c.Stats(); s.AdmissionRejects == 0 {
-		t.Error("no admission rejects recorded for the scan")
-	}
-
-	// Control: without admission the same scan flushes the hot set.
-	nc := newPlain(4 * 1024)
-	for _, k := range hot {
-		nc.Put(k, make([]byte, 1024))
-	}
-	for i := 0; i < 10; i++ {
-		nc.Put(fmt.Sprintf("scan%d", i), make([]byte, 1024))
-	}
-	survived := 0
-	for _, k := range hot {
-		if _, ok := nc.Get(k); ok {
-			survived++
-		}
-	}
-	if survived != 0 {
-		t.Errorf("plain LRU control: %d hot keys survived a full scan", survived)
-	}
-}
-
 func TestDiskTierSpillPromoteInvalidate(t *testing.T) {
 	dir := t.TempDir()
-	c := newPlainTiered(t, Options{MemBytes: 2048, DiskDir: dir, DiskBytes: 1 << 20})
+	c := mustTiered(t, Options{MemBytes: 2048, DiskDir: dir, DiskBytes: 1 << 20})
 	payload := func(b byte) []byte {
 		data := make([]byte, 1024)
 		for i := range data {
@@ -352,7 +304,7 @@ func TestDiskTierSpillPromoteInvalidate(t *testing.T) {
 // Clears their keys; under -race any write to a held buffer is a
 // reported race, not only a changed byte.
 func TestEvictedBlockSurvivesWhileHeld(t *testing.T) {
-	c := newPlainTiered(t, Options{MemBytes: 4 << 10, DiskDir: t.TempDir(), DiskBytes: 8 << 10})
+	c := mustTiered(t, Options{MemBytes: 4 << 10, DiskDir: t.TempDir(), DiskBytes: 8 << 10})
 	payload := func(b byte) []byte { return bytes.Repeat([]byte{b}, 1<<10) }
 	var held []*Block
 	hold := func(blk *Block, ok bool) {

@@ -18,7 +18,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 
 	"nsdfgo/internal/cache"
@@ -119,8 +123,19 @@ func Open(ctx context.Context, be Backend) (*Dataset, error) {
 }
 
 // SetCache attaches a block cache used by subsequent reads and kept
-// coherent by subsequent writes.
-func (d *Dataset) SetCache(c BlockCache) { d.cache = c }
+// coherent by subsequent writes. A cache that ranks its entries by
+// weight (cache.Tiered) is told what a block is worth: blockWeight.
+func (d *Dataset) SetCache(c BlockCache) {
+	if w, ok := c.(weighted); ok {
+		w.SetWeigher(blockWeight)
+	}
+	d.cache = c
+}
+
+// weighted is a cache that ranks its entries by a weight per key.
+type weighted interface {
+	SetWeigher(w func(key string) float64)
+}
 
 // SetFetchParallelism bounds how many block fetches a single read (2D
 // or 3D) may issue concurrently against the backend. 1 (the default)
@@ -218,6 +233,25 @@ const BlockPrefix = "fields/"
 // BlockKey returns the object name of one block.
 func (d *Dataset) BlockKey(field string, t, block int) string {
 	return fmt.Sprintf(BlockPrefix+"%s/t%04d/b%08d.bin", field, t, block)
+}
+
+// blockWeight is the share of the domain the samples of the block named
+// key span (DESIGN.md §11): 1 for block 0, and 2^-(bits.Len(b)-1) for
+// block b >= 1, which holds 2^BitsPerBlock samples of HZ level
+// BitsPerBlock+bits.Len(b): one of that level's 2^(bits.Len(b)-1)
+// box-shaped parts of the domain, in 2-D and 3-D alike. A key BlockKey
+// did not make weighs 1.
+func blockWeight(key string) float64 {
+	name, ok := strings.CutSuffix(key, ".bin")
+	i := strings.LastIndex(name, "/b")
+	if !ok || !strings.HasPrefix(key, BlockPrefix) || i < 0 {
+		return 1
+	}
+	b, err := strconv.ParseUint(name[i+2:], 10, 63)
+	if err != nil || b == 0 {
+		return 1
+	}
+	return math.Ldexp(1, 1-bits.Len64(b))
 }
 
 // checkFieldTime validates a field/timestep pair and returns the field.

@@ -69,8 +69,7 @@ func (d *Dataset) WriteRegion(ctx context.Context, field string, t int, x0, y0 i
 		}
 		if d.cache != nil {
 			// storeBlock has purged every tier (a disk tier may hold the old
-			// payload, and a refresh rejected by admission must not leave
-			// it there); refresh the entry. Put adopts raw, which this
+			// payload); refresh the entry. Put adopts raw, which this
 			// iteration no longer writes to.
 			d.cache.Put(p.key(sp.block), raw)
 		}

@@ -41,10 +41,6 @@ type Request struct {
 	// Z selects the XY plane a 3D dataset is viewed at. 2D datasets
 	// ignore it.
 	Z int
-
-	// noTrack marks engine-internal requests (prefetch) that must not
-	// feed the access tracker.
-	noTrack bool
 }
 
 // Sentinel values for Request.Level.
@@ -71,10 +67,9 @@ type Result struct {
 
 // Engine evaluates Requests against one dataset.
 type Engine struct {
-	ds      *idx.Dataset
-	cache   *cache.Tiered
-	tracker *AccessTracker
-	name    string
+	ds    *idx.Dataset
+	cache *cache.Tiered
+	name  string
 }
 
 // New wraps a dataset with an in-memory block cache of cacheBytes (0
@@ -85,7 +80,8 @@ func New(ds *idx.Dataset, cacheBytes int64) *Engine {
 }
 
 // NewWithCache wraps a dataset with a caller-built tiered cache, so
-// servers can configure a disk tier or disable admission.
+// servers can configure a disk tier. The dataset weighs its blocks into
+// the cache (idx.Dataset.SetCache).
 func NewWithCache(ds *idx.Dataset, c *cache.Tiered) *Engine {
 	e := &Engine{ds: ds, cache: c}
 	ds.SetCache(e.cache)
@@ -215,9 +211,6 @@ func (e *Engine) Read(ctx context.Context, req Request) (Result, error) {
 		trace.Str("field", req.Field),
 		trace.Int("level", int64(req.Level)))
 	defer span.End()
-	if e.tracker != nil && !req.noTrack {
-		e.tracker.record(req.Box)
-	}
 	return e.readAtLevel(ctx, req, req.Level)
 }
 

@@ -69,6 +69,46 @@ func TestClientGetAllocatesTheBodyOnce(t *testing.T) {
 	}
 }
 
+// TestLargeBodyAllocatesUnderTwice pins the buffer a body is read into
+// past maxBodyPrealloc: a 64 MiB Client.Get and a 64 MiB Client.Put
+// through NewServer(MemStore) each allocate at most twice the object,
+// client and server together: the buffer doubles toward the declared
+// length (8+16+32+64 MiB), and MemStore keeps or sends it as it is.
+func TestLargeBodyAllocatesUnderTwice(t *testing.T) {
+	const size = 64 << 20
+	ctx := context.Background()
+	srv := httptest.NewServer(NewServer(NewMemStore(), ""))
+	defer srv.Close()
+	c := NewClient(srv.URL, "")
+	object := make([]byte, size)
+	if _, err := io.ReadFull(&byteStream{}, object); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(ctx, "warm", []byte("x")); err != nil { // connection set-up
+		t.Fatal(err)
+	}
+	put := allocatedBy(func() {
+		if err := c.Put(ctx, "big", object); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var got []byte
+	get := allocatedBy(func() {
+		var err error
+		if got, err = c.Get(ctx, "big"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !bytes.Equal(got, object) {
+		t.Fatal("Get returned other bytes than were Put")
+	}
+	for op, n := range map[string]uint64{"Put": put, "Get": get} {
+		if n > 2*size {
+			t.Errorf("a %d-byte %s allocates %d bytes, want <= %d", size, op, n, 2*size)
+		}
+	}
+}
+
 // chunked hides a reader's type so net/http cannot infer a length and
 // sends the body with Transfer-Encoding: chunked.
 type chunked struct{ io.Reader }

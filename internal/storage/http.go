@@ -142,9 +142,10 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request, key string
 }
 
 // bodyStore is a Store that moves object bodies between a connection
-// and its own files without holding them whole: FileStore, and
-// Instrumented, which forwards to the Store it wraps. Its methods do
-// what the functions getBody and putBody below do.
+// and its own storage with no copy in between: FileStore streams them
+// to and from its files, MemStore keeps and sends its own buffers, and
+// Instrumented forwards to the Store it wraps. Its methods do what the
+// functions getBody and putBody below do.
 type bodyStore interface {
 	getBody(ctx context.Context, key string) (body io.Reader, n int64, release func() error, err error)
 	putBody(ctx context.Context, key string, body io.Reader, n int64) (int64, error)
@@ -213,10 +214,12 @@ func (b *bodyReader) Read(p []byte) (int, error) {
 const maxBodyPrealloc = 8 << 20
 
 // readBody reads an HTTP body whose declared length is n (-1 when the
-// sender declared none) into one buffer of exactly that size instead of
-// growing one until EOF. A body shorter or longer than declared fails
-// with errBody. Past maxBodyPrealloc the rest is believed only as it
-// arrives.
+// sender declared none) into one buffer. The buffer starts at
+// min(n, maxBodyPrealloc) and doubles toward n as the body fills it, so
+// the declared length is believed only as the bytes arrive: a body
+// costs less than twice its length, and a sender that lies costs at
+// most twice what it sent. A body shorter or longer than declared fails
+// with errBody.
 func readBody(r io.Reader, n int64) ([]byte, error) {
 	br := &bodyReader{r: r, n: n}
 	if n < 0 {
@@ -226,11 +229,18 @@ func readBody(r io.Reader, n int64) ([]byte, error) {
 	if _, err := io.ReadFull(br, buf); err != nil {
 		return nil, err
 	}
-	rest, err := io.ReadAll(br)
-	if err != nil {
+	for int64(len(buf)) < n {
+		grown := make([]byte, min(n, 2*int64(len(buf))))
+		if _, err := io.ReadFull(br, grown[copy(grown, buf):]); err != nil {
+			return nil, err
+		}
+		buf = grown
+	}
+	// bodyReader fails the first read past n.
+	if _, err := io.ReadAll(br); err != nil {
 		return nil, err
 	}
-	return append(buf, rest...), nil
+	return buf, nil
 }
 
 // Client is a Store implementation backed by a remote Server.

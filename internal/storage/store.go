@@ -89,22 +89,52 @@ func NewMemStore() *MemStore {
 
 // Put implements Store.
 func (s *MemStore) Put(ctx context.Context, key string, data []byte) error {
+	return s.keep(ctx, key, bytes.Clone(data))
+}
+
+// putBody implements bodyStore: the store keeps the buffer readBody
+// filled instead of a copy of it.
+func (s *MemStore) putBody(ctx context.Context, key string, body io.Reader, n int64) (int64, error) {
+	data, err := readBody(body, n)
+	if err != nil {
+		return 0, err
+	}
+	return int64(len(data)), s.keep(ctx, key, data)
+}
+
+// keep stores data under key. The store owns data from here on and
+// never writes to it.
+func (s *MemStore) keep(ctx context.Context, key string, data []byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	if !ValidKey(key) {
 		return fmt.Errorf("storage: invalid key %q", key)
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.objects[key] = memObject{data: cp, modTime: time.Now()}
+	s.objects[key] = memObject{data: data, modTime: time.Now()}
 	return nil
 }
 
 // Get implements Store.
 func (s *MemStore) Get(ctx context.Context, key string) ([]byte, error) {
+	data, err := s.object(ctx, key)
+	return bytes.Clone(data), err
+}
+
+// getBody implements bodyStore: a stored object is never written to, so
+// the server sends it without a copy.
+func (s *MemStore) getBody(ctx context.Context, key string) (io.Reader, int64, func() error, error) {
+	data, err := s.object(ctx, key)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return bytes.NewReader(data), int64(len(data)), func() error { return nil }, nil
+}
+
+// object returns the stored bytes under key, which nobody may write to.
+func (s *MemStore) object(ctx context.Context, key string) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -114,9 +144,7 @@ func (s *MemStore) Get(ctx context.Context, key string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotExist, key)
 	}
-	out := make([]byte, len(obj.data))
-	copy(out, obj.data)
-	return out, nil
+	return obj.data, nil
 }
 
 // Delete implements Store.
