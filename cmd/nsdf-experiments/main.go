@@ -44,11 +44,13 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	if *id == "all" {
-		return experiments.All(ctx, stdout)
+		_, err := experiments.All(ctx, stdout)
+		return err
 	}
 	for _, r := range runners {
 		if r.ID == *id {
-			return r.Run(ctx, stdout)
+			_, err := r.Run(ctx, stdout)
+			return err
 		}
 	}
 	return fmt.Errorf("unknown experiment %q (try -list)", *id)

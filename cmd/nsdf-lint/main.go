@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -25,42 +26,35 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of text")
-	list := flag.Bool("list", false, "list the analyzers and exit")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: nsdf-lint [-json] [-list] [patterns ...]\n")
-		flag.PrintDefaults()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nsdf-lint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text")
+	list := fs.Bool("list", false, "list the analyzers and exit")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
 	}
-	flag.Parse()
 
 	if *list {
 		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
 
-	root, err := findModuleRoot()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nsdf-lint:", err)
-		return 2
-	}
-	loader, err := lint.NewLoader(root)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nsdf-lint:", err)
-		return 2
-	}
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := loader.Load(patterns...)
+	pkgs, err := load(patterns)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "nsdf-lint:", err)
+		fmt.Fprintln(stderr, "nsdf-lint:", err)
 		return 2
 	}
 	findings, internalErrs := lint.RunAll(pkgs, lint.Analyzers())
@@ -84,66 +78,64 @@ func run() int {
 				Message:  f.Message,
 			})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "nsdf-lint:", err)
+			fmt.Fprintln(stderr, "nsdf-lint:", err)
 			return 2
 		}
 	} else {
 		for _, f := range findings {
-			fmt.Printf("%s:%d:%d: %s: %s\n", relPath(cwd, f.Pos.Filename), f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
+			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", relPath(cwd, f.Pos.Filename), f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
 		}
 	}
 	// Internal errors outrank findings: each already names the analyzer
 	// and the package it was visiting.
 	if len(internalErrs) > 0 {
 		for _, e := range internalErrs {
-			fmt.Fprintln(os.Stderr, "nsdf-lint: internal error:", e)
+			fmt.Fprintln(stderr, "nsdf-lint: internal error:", e)
 		}
-		fmt.Fprintf(os.Stderr, "nsdf-lint: %d internal analyzer error(s)\n", len(internalErrs))
+		fmt.Fprintf(stderr, "nsdf-lint: %d internal analyzer error(s)\n", len(internalErrs))
 		return 2
 	}
 	if len(findings) > 0 {
 		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "nsdf-lint: %d finding(s)\n", len(findings))
+			fmt.Fprintf(stderr, "nsdf-lint: %d finding(s)\n", len(findings))
 		}
 		return 1
 	}
 	return 0
 }
 
-// findModuleRoot walks up from the working directory to the first
-// directory containing go.mod.
-func findModuleRoot() (string, error) {
+// load type-checks the packages patterns name in the module that holds
+// the working directory: the first directory at or above it with a
+// go.mod.
+func load(patterns []string) ([]*lint.Package, error) {
 	dir, err := os.Getwd()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	for {
 		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
+			loader, err := lint.NewLoader(dir)
+			if err != nil {
+				return nil, err
+			}
+			return loader.Load(patterns...)
 		}
 		parent := filepath.Dir(dir)
 		if parent == dir {
-			return "", fmt.Errorf("no go.mod found above %s", dir)
+			return nil, fmt.Errorf("no go.mod found above the working directory")
 		}
 		dir = parent
 	}
 }
 
-// relPath renders p relative to base when that is shorter and stays
-// inside it; otherwise the absolute path.
+// relPath renders p relative to base when it lies inside base;
+// otherwise the absolute path.
 func relPath(base, p string) string {
-	if base == "" {
-		return p
-	}
-	if rel, err := filepath.Rel(base, p); err == nil && !filepath.IsAbs(rel) && rel != "" && !hasDotDot(rel) {
+	if rel, err := filepath.Rel(base, p); err == nil && filepath.IsLocal(rel) {
 		return rel
 	}
 	return p
-}
-
-func hasDotDot(p string) bool {
-	return p == ".." || len(p) >= 3 && p[:3] == ".."+string(filepath.Separator)
 }

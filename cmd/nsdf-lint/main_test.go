@@ -3,59 +3,49 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os/exec"
-	"path/filepath"
 	"testing"
 )
 
-// TestDriverExitCodes builds and runs the real binary: it must exit 0
-// on the lint-clean lint package itself and 1 (with findings on
-// stdout) when pointed at a violating fixture package.
+// TestDriverExitCodes runs the driver in-process against the exit-code
+// contract: 0 on the lint-clean lint package itself, 1 (with -json
+// findings on stdout) on a violating fixture package, and 2 on an
+// unknown flag or a pattern that does not load.
 func TestDriverExitCodes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawning the toolchain is not short")
-	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin := filepath.Join(t.TempDir(), "nsdf-lint")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/nsdf-lint")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("build driver: %v\n%s", err, out)
-	}
-
-	clean := exec.Command(bin, "./internal/lint")
-	clean.Dir = root
-	if out, err := clean.CombinedOutput(); err != nil {
-		t.Fatalf("driver on lint-clean package: %v\n%s", err, out)
-	}
-
-	dirty := exec.Command(bin, "-json", "./internal/lint/testdata/src/droppederr")
-	dirty.Dir = root
-	var stdout, stderr bytes.Buffer
-	dirty.Stdout, dirty.Stderr = &stdout, &stderr
-	err = dirty.Run()
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 1 {
-		t.Fatalf("driver on violating fixture: want exit 1, got %v\nstderr: %s", err, stderr.String())
-	}
-	var findings []struct {
-		Analyzer string `json:"analyzer"`
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Message  string `json:"message"`
-	}
-	if err := json.Unmarshal(stdout.Bytes(), &findings); err != nil {
-		t.Fatalf("parse -json output: %v\n%s", err, stdout.String())
-	}
-	if len(findings) == 0 {
-		t.Fatal("driver reported exit 1 but no JSON findings")
-	}
-	for _, f := range findings {
-		if f.Analyzer != "droppederr" {
-			t.Errorf("unexpected analyzer %q in %+v", f.Analyzer, f)
-		}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"clean", []string{"./internal/lint"}, 0},
+		{"findings", []string{"-json", "./internal/lint/testdata/src/droppederr"}, 1},
+		{"unknown flag", []string{"-no-such-flag"}, 2},
+		{"unloadable pattern", []string{"./internal/no-such-package"}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if got := run(tc.args, &stdout, &stderr); got != tc.want {
+				t.Fatalf("exit %d, want %d\nstdout: %s\nstderr: %s", got, tc.want, stdout.String(), stderr.String())
+			}
+			if tc.want != 1 {
+				return
+			}
+			var findings []struct {
+				Analyzer string `json:"analyzer"`
+				File     string `json:"file"`
+				Line     int    `json:"line"`
+				Message  string `json:"message"`
+			}
+			if err := json.Unmarshal(stdout.Bytes(), &findings); err != nil {
+				t.Fatalf("parse -json output: %v\n%s", err, stdout.String())
+			}
+			if len(findings) == 0 {
+				t.Fatal("driver reported exit 1 but no JSON findings")
+			}
+			for _, f := range findings {
+				if f.Analyzer != "droppederr" {
+					t.Errorf("unexpected analyzer %q in %+v", f.Analyzer, f)
+				}
+			}
+		})
 	}
 }

@@ -280,21 +280,51 @@ func TestPressureTracksLoad(t *testing.T) {
 
 func TestTelemetrySeries(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	c := NewController(Options{MaxConcurrent: 1, MaxQueue: 0, TenantRate: 1000, TenantBurst: 1000})
+	c := NewController(Options{MaxConcurrent: 1, MaxQueue: 1, TenantRate: 1000, TenantBurst: 1000})
 	c.Instrument(reg, "test")
+	gauge := func(name string) float64 { return reg.Gauge(name, "service", "test").Value() }
 	release, err := c.Acquire(context.Background(), "t")
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A second request queues behind the first; a third finds the queue
+	// full.
+	queued := make(chan func(), 1)
+	go func() {
+		r, err := c.Acquire(context.Background(), "t")
+		if err != nil {
+			t.Error(err)
+			r = func() {}
+		}
+		queued <- r
+	}()
+	for deadline := time.Now().Add(5 * time.Second); gauge("nsdf_admission_queue_depth") != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("second acquire never queued")
+		}
+	}
+	if got := gauge("nsdf_admission_inflight"); got != 1 {
+		t.Errorf("inflight = %v with one request admitted, want 1", got)
+	}
 	if _, err := c.Acquire(context.Background(), "t"); err == nil {
-		t.Fatal("second acquire admitted past MaxConcurrent=1, MaxQueue=0")
+		t.Fatal("third acquire admitted past MaxConcurrent=1, MaxQueue=1")
 	}
 	release()
-	if got := reg.Counter("nsdf_admission_admitted_total", "service", "test").Value(); got != 1 {
-		t.Errorf("admitted = %d, want 1", got)
+	(<-queued)()
+	if got := reg.Counter("nsdf_admission_admitted_total", "service", "test").Value(); got != 2 {
+		t.Errorf("admitted = %d, want 2", got)
+	}
+	if got := reg.Counter("nsdf_admission_queued_total", "service", "test").Value(); got != 1 {
+		t.Errorf("queued = %d, want 1", got)
 	}
 	if got := reg.Counter("nsdf_admission_shed_total", "service", "test", "reason", ReasonQueueFull).Value(); got != 1 {
 		t.Errorf("shed{queue_full} = %d, want 1", got)
+	}
+	if got := reg.Histogram("nsdf_admission_wait_seconds", "service", "test").Snapshot().Count; got != 2 {
+		t.Errorf("wait_seconds observed %d waits, want one per admitted request", got)
+	}
+	if depth, inflight := gauge("nsdf_admission_queue_depth"), gauge("nsdf_admission_inflight"); depth != 0 || inflight != 0 {
+		t.Errorf("after both releases: queue_depth = %v, inflight = %v, want 0 and 0", depth, inflight)
 	}
 }
 

@@ -146,7 +146,7 @@ func (d *diskTier) get(key string) ([]byte, bool) {
 	return buf, true
 }
 
-// remove invalidates key (writes through from WriteRegion / store Put).
+// remove invalidates key (writes through from idx's block writer).
 func (d *diskTier) remove(key string) {
 	d.forget(key)
 	d.discard(d.path(key))

@@ -270,8 +270,23 @@ func TestDiskTierSpillPromoteInvalidate(t *testing.T) {
 	if blk.Bytes()[0] != 1 || blk.Len() != 1024 {
 		t.Fatalf("disk hit served wrong payload")
 	}
-	if s := c.Stats(); s.DiskHits != 1 {
+	s = c.Stats()
+	if s.DiskHits != 1 {
 		t.Errorf("disk hits = %d", s.DiskHits)
+	}
+	// The exported series read the same counters as Stats.
+	reg := telemetry.NewRegistry()
+	c.Instrument(reg, "test")
+	for family, want := range map[string]int64{
+		"nsdf_cache_evictions_total": s.Evictions,
+		"nsdf_cache_disk_hits_total": s.DiskHits,
+		"nsdf_cache_entries":         int64(s.Entries),
+		"nsdf_cache_bytes":           s.Bytes,
+		"nsdf_cache_disk_bytes":      s.DiskBytes,
+	} {
+		if got := reg.SumFamily(family); want == 0 || got != float64(want) {
+			t.Errorf("%s = %v, want Stats' %d (> 0)", family, got, want)
+		}
 	}
 	// Invalidation purges both tiers.
 	c.Put("a", payload(9))

@@ -218,7 +218,7 @@ func (f *Fabric) stepConvert(ctx context.Context, cfg TutorialConfig, bb *Blackb
 	inputs := make([]convert.Input, 0, len(cfg.Params))
 	for _, p := range cfg.Params {
 		name := p.String()
-		data, err := f.Dataverse.GetFile(ctx, doi, name+".tif")
+		data, err := f.Dataverse.GetFile(ctx, doi, 0, name+".tif")
 		if err != nil {
 			return fmt.Errorf("fetch %s.tif: %w", name, err)
 		}

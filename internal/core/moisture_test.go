@@ -67,7 +67,7 @@ func TestMoistureWorkflowEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := f.Dataverse.GetFile(context.Background(), doi, "soil_moisture.nc")
+	data, err := f.Dataverse.GetFile(context.Background(), doi, 0, "soil_moisture.nc")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,11 @@
 // them to GEOtiled. USGS downloads are a data gate for an offline
 // reproduction, so this package synthesises statistically realistic
 // terrain instead: fractional Brownian motion (value noise with octaves,
-// whose power spectrum matches natural terrain), the classic
-// diamond-square fractal, parametric landforms (ridges, hills, basins),
-// and composite scenes standing in for the two geographies the tutorial
-// visualises — the State of Tennessee (ridge-and-valley Appalachians into
-// the Mississippi plain) and the Contiguous United States (CONUS).
+// whose power spectrum matches natural terrain), parametric landforms
+// (ridges, hills, basins), and composite scenes standing in for the two
+// geographies the tutorial visualises — the State of Tennessee
+// (ridge-and-valley Appalachians into the Mississippi plain) and the
+// Contiguous United States (CONUS).
 //
 // Every generator is a pure function of its seed, so experiments are
 // exactly repeatable.
@@ -21,7 +21,7 @@ import (
 	"nsdfgo/internal/raster"
 )
 
-// rng is a small splitmix64 PRNG; math/rand would also do, but an explicit
+// hash64 is a splitmix64 step; math/rand would also do, but an explicit
 // implementation keeps the noise lattice hashable by coordinates, which
 // value noise needs (random access by (x,y,seed) without storing a lattice).
 func hash64(x uint64) uint64 {
@@ -110,92 +110,6 @@ func FBM(w, h int, seed uint64, o FBMOptions) *raster.Grid {
 			}
 			// Normalise from [-maxAmp,maxAmp] to [0,1].
 			g.Set(x, y, float32(sum/(2*maxAmp)+0.5))
-		}
-	}
-	return g
-}
-
-// DiamondSquare generates a (2^n+1)-sized fractal heightfield with the
-// classic midpoint-displacement algorithm, then crops to w x h. roughness
-// in (0,1] controls how fast displacement decays (higher = rougher).
-func DiamondSquare(w, h int, seed uint64, roughness float64) *raster.Grid {
-	if roughness <= 0 {
-		roughness = 0.5
-	}
-	size := 1
-	for size+1 < w || size+1 < h {
-		size <<= 1
-	}
-	n := size + 1
-	f := make([]float64, n*n)
-	at := func(x, y int) float64 { return f[y*n+x] }
-	set := func(x, y int, v float64) { f[y*n+x] = v }
-	rnd := func(x, y int, step int) float64 {
-		h := hash64(uint64(x)<<40 ^ uint64(y)<<16 ^ uint64(step) ^ seed)
-		return float64(int64(h)) / float64(math.MaxInt64)
-	}
-	// Seed corners.
-	set(0, 0, rnd(0, 0, 0))
-	set(size, 0, rnd(size, 0, 0))
-	set(0, size, rnd(0, size, 0))
-	set(size, size, rnd(size, size, 0))
-	scale := 1.0
-	for step := size; step > 1; step /= 2 {
-		half := step / 2
-		// Diamond step.
-		for y := half; y < n; y += step {
-			for x := half; x < n; x += step {
-				avg := (at(x-half, y-half) + at(x+half, y-half) + at(x-half, y+half) + at(x+half, y+half)) / 4
-				set(x, y, avg+rnd(x, y, step)*scale)
-			}
-		}
-		// Square step.
-		for y := 0; y < n; y += half {
-			x0 := half
-			if (y/half)%2 == 1 {
-				x0 = 0
-			}
-			for x := x0; x < n; x += step {
-				sum, cnt := 0.0, 0.0
-				if x >= half {
-					sum += at(x-half, y)
-					cnt++
-				}
-				if x+half < n {
-					sum += at(x+half, y)
-					cnt++
-				}
-				if y >= half {
-					sum += at(x, y-half)
-					cnt++
-				}
-				if y+half < n {
-					sum += at(x, y+half)
-					cnt++
-				}
-				set(x, y, sum/cnt+rnd(x, y, step+1)*scale)
-			}
-		}
-		scale *= roughness
-	}
-	// Normalise to [0,1] and crop.
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range f {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	span := hi - lo
-	if span == 0 {
-		span = 1
-	}
-	g := raster.New(w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			g.Set(x, y, float32((at(x, y)-lo)/span))
 		}
 	}
 	return g

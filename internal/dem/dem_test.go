@@ -69,28 +69,6 @@ func TestFBMOctavesClamped(t *testing.T) {
 	}
 }
 
-func TestDiamondSquareDeterministicAndBounded(t *testing.T) {
-	a := DiamondSquare(100, 80, 9, 0.6)
-	b := DiamondSquare(100, 80, 9, 0.6)
-	if !raster.Equal(a, b) {
-		t.Error("same seed produced different terrain")
-	}
-	lo, hi, _ := a.MinMax()
-	if lo < 0 || hi > 1 {
-		t.Errorf("diamond-square out of [0,1]: [%v,%v]", lo, hi)
-	}
-	if a.W != 100 || a.H != 80 {
-		t.Errorf("dims %dx%d", a.W, a.H)
-	}
-}
-
-func TestDiamondSquareRoughnessDefault(t *testing.T) {
-	g := DiamondSquare(33, 33, 3, 0)
-	if _, _, ok := g.MinMax(); !ok {
-		t.Error("default roughness produced no data")
-	}
-}
-
 func TestScale(t *testing.T) {
 	g := raster.New(2, 1)
 	g.Data = []float32{0, 1}

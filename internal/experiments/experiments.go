@@ -9,11 +9,12 @@ package experiments
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"nsdfgo/internal/cache"
@@ -390,7 +391,7 @@ func RunFig7(ctx context.Context, w io.Writer) (Fig7Result, error) {
 	if res.WarmElapsed, res.WarmOps, res.WarmWait, err = remotePass(remote, func() error { return interact(false) }); err != nil {
 		return res, err
 	}
-	for _, level := range sortedIntKeys(res.LevelBytes) {
+	for _, level := range sortedKeys(res.LevelBytes) {
 		fmt.Fprintf(w, "  refine to level %2d: %8d compressed bytes fetched (cumulative)\n", level, res.LevelBytes[level])
 	}
 	fmt.Fprintf(w, "  interaction mix: cold cache %8.1fms (%d remote ops, %.1fms network), warm cache %8.1fms (%d remote ops) (%.0fx)\n",
@@ -625,64 +626,58 @@ func remotePass(remote *storage.Conditioned, pass func() error) (time.Duration, 
 	return time.Since(start), after.Ops - before.Ops, after.TotalWait - before.TotalWait, err
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
-func sortedIntKeys[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// discard drops the typed result so every Run* fits one signature.
-func discard[T any](f func(context.Context, io.Writer) (T, error)) func(context.Context, io.Writer) error {
-	return func(ctx context.Context, w io.Writer) error {
-		_, err := f(ctx, w)
-		return err
-	}
+// boxed adapts a typed Run* to the one runner signature.
+func boxed[T any](f func(context.Context, io.Writer) (T, error)) func(context.Context, io.Writer) (any, error) {
+	return func(ctx context.Context, w io.Writer) (any, error) { return f(ctx, w) }
 }
 
 // Runners maps experiment ids (DESIGN.md §4) to their runners, in paper
-// order. The CLI's -run flag and the -run all loop both draw from it.
+// order. Each prints its table or figure to w and returns its typed
+// result. The CLI's -run flag and All both draw from it.
 func Runners() []struct {
 	ID  string
-	Run func(context.Context, io.Writer) error
+	Run func(context.Context, io.Writer) (any, error)
 } {
 	return []struct {
 		ID  string
-		Run func(context.Context, io.Writer) error
+		Run func(context.Context, io.Writer) (any, error)
 	}{
-		{"fig1", discard(RunFig1)},
-		{"fig2", discard(RunFig2)},
-		{"fig3", discard(RunFig3)},
-		{"fig4", discard(RunFig4)},
-		{"fig5", discard(RunFig5)},
-		{"fig6", discard(RunFig6)},
-		{"fig7", discard(RunFig7)},
-		{"fig8", discard(RunFig8)},
-		{"tableI", discard(RunTableI)},
-		{"claim20", discard(RunClaim20)},
-		{"claimcache", discard(RunClaimCache)},
-		{"claimcloud", discard(RunClaimCloud)},
+		{"fig1", boxed(RunFig1)},
+		{"fig2", boxed(RunFig2)},
+		{"fig3", boxed(RunFig3)},
+		{"fig4", boxed(RunFig4)},
+		{"fig5", boxed(RunFig5)},
+		{"fig6", boxed(RunFig6)},
+		{"fig7", boxed(RunFig7)},
+		{"fig8", boxed(RunFig8)},
+		{"tableI", boxed(RunTableI)},
+		{"claim20", boxed(RunClaim20)},
+		{"claimcache", boxed(RunClaimCache)},
+		{"claimcloud", boxed(RunClaimCloud)},
 	}
 }
 
-// All runs every experiment in paper order.
-func All(ctx context.Context, w io.Writer) error {
+// All runs every experiment in paper order and returns each one's typed
+// result by id.
+func All(ctx context.Context, w io.Writer) (map[string]any, error) {
+	results := make(map[string]any)
 	for _, r := range Runners() {
-		if err := r.Run(ctx, w); err != nil {
-			return fmt.Errorf("experiments: %s: %w", r.ID, err)
+		res, err := r.Run(ctx, w)
+		if err != nil {
+			return results, fmt.Errorf("experiments: %s: %w", r.ID, err)
 		}
+		results[r.ID] = res
 		fmt.Fprintln(w)
 	}
-	return nil
+	return results, nil
 }

@@ -7,33 +7,76 @@ import (
 	"io"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
-func TestTableIMatchesPaper(t *testing.T) {
+// sweep runs every experiment once per test binary, through All as
+// `nsdf-experiments -run all` does. The shape tests read its typed
+// results and its output, so no runner runs twice.
+var sweep = sync.OnceValues(func() (sweepRun, error) {
 	var buf bytes.Buffer
-	res, err := RunTableI(context.Background(), &buf)
+	start := time.Now()
+	results, err := All(context.Background(), &buf)
+	return sweepRun{results, buf.String(), time.Since(start)}, err
+})
+
+type sweepRun struct {
+	results map[string]any
+	out     string
+	elapsed time.Duration
+}
+
+func runSweep(t *testing.T) sweepRun {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("full experiment sweep")
+	}
+	s, err := sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s
+}
+
+// result is runner id's typed result from the sweep.
+func result[T any](t *testing.T, id string) T {
+	t.Helper()
+	res, ok := runSweep(t).results[id].(T)
+	if !ok {
+		t.Fatalf("%s returned no %T", id, res)
+	}
+	return res
+}
+
+// output is what the sweep printed from header up to the next runner's
+// header.
+func output(t *testing.T, header string) string {
+	t.Helper()
+	_, out, ok := strings.Cut(runSweep(t).out, header)
+	if !ok {
+		t.Fatalf("sweep printed no %q", header)
+	}
+	out, _, _ = strings.Cut(out, "\n== ")
+	return out
+}
+
+func TestTableIMatchesPaper(t *testing.T) {
+	res := result[TableIResult](t, "tableI")
 	if res.Total != 108 {
 		t.Errorf("total = %d, want 108", res.Total)
 	}
 	if len(res.Sessions) != 4 {
 		t.Errorf("%d sessions", len(res.Sessions))
 	}
-	if !strings.Contains(buf.String(), "108") {
+	if !strings.Contains(output(t, "== Table I:"), "108") {
 		t.Error("rendered table missing the total")
 	}
 }
 
 func TestFig1AllGoalsDemonstrated(t *testing.T) {
-	var buf bytes.Buffer
-	res, err := RunFig1(context.Background(), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[Fig1Result](t, "fig1")
 	if len(res.Goals) != 3 {
 		t.Fatalf("%d goals, want 3 (Fig. 1)", len(res.Goals))
 	}
@@ -45,11 +88,7 @@ func TestFig1AllGoalsDemonstrated(t *testing.T) {
 }
 
 func TestFig2ShapeHolds(t *testing.T) {
-	var buf bytes.Buffer
-	res, err := RunFig2(context.Background(), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[Fig2Result](t, "fig2")
 	if len(res.Report.Sites) != 8 {
 		t.Errorf("%d sites, want 8", len(res.Report.Sites))
 	}
@@ -82,11 +121,7 @@ func TestFig2ShapeHolds(t *testing.T) {
 }
 
 func TestFig3ShapeHolds(t *testing.T) {
-	var buf bytes.Buffer
-	res, err := RunFig3(context.Background(), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[Fig3Result](t, "fig3")
 	// The ordering is asserted on the modelled network time: the three
 	// sleeps differ by less than the conversion's CPU noise, so the wall
 	// times in Sources may come out in any order on a busy machine.
@@ -104,11 +139,7 @@ func TestFig3ShapeHolds(t *testing.T) {
 }
 
 func TestFig4WorkflowCompletes(t *testing.T) {
-	var buf bytes.Buffer
-	res, err := RunFig4(context.Background(), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[Fig4Result](t, "fig4")
 	if res.Trail.Failed() {
 		t.Fatalf("workflow failed:\n%s", res.Trail)
 	}
@@ -124,20 +155,14 @@ func TestFig4WorkflowCompletes(t *testing.T) {
 // It asserts nothing about them: wall-clock ordering between worker
 // counts is the host's load, not the code's.
 func TestFig5TiledCorrectAndScales(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1024x1024 terrain sweep")
-	}
-	var buf bytes.Buffer
-	res, err := RunFig5(context.Background(), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + buf.String())
+	res := result[Fig5Result](t, "fig5")
+	out := output(t, "== Fig. 5:")
+	t.Log("\n" + out)
 	if !res.Identical {
 		t.Error("tiled output diverged from untiled baseline")
 	}
-	if n := strings.Count(buf.String(), "identical=true"); n != 4 {
-		t.Errorf("%d of 4 tiled runs printed identical=true:\n%s", n, buf.String())
+	if n := strings.Count(out, "identical=true"); n != 4 {
+		t.Errorf("%d of 4 tiled runs printed identical=true:\n%s", n, out)
 	}
 
 	// A cancelled context stops the sweep before the first worker count.
@@ -149,11 +174,7 @@ func TestFig5TiledCorrectAndScales(t *testing.T) {
 }
 
 func TestFig6AllIdentical(t *testing.T) {
-	var buf bytes.Buffer
-	res, err := RunFig6(context.Background(), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[Fig6Result](t, "fig6")
 	if len(res.Reports) != 4 {
 		t.Fatalf("%d reports", len(res.Reports))
 	}
@@ -168,13 +189,9 @@ func TestFig6AllIdentical(t *testing.T) {
 }
 
 func TestFig7ProgressiveAndCacheShape(t *testing.T) {
-	var buf bytes.Buffer
-	res, err := RunFig7(context.Background(), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[Fig7Result](t, "fig7")
 	// Bytes fetched must grow with refinement level.
-	levels := sortedIntKeys(res.LevelBytes)
+	levels := sortedKeys(res.LevelBytes)
 	if len(levels) < 3 {
 		t.Fatalf("only %d refinement levels", len(levels))
 	}
@@ -194,11 +211,7 @@ func TestFig7ProgressiveAndCacheShape(t *testing.T) {
 }
 
 func TestFig8OverwhelminglyPositive(t *testing.T) {
-	var buf bytes.Buffer
-	res, err := RunFig8(context.Background(), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[Fig8Result](t, "fig8")
 	if len(res.Distributions) != 4 {
 		t.Fatalf("%d charts, want 4", len(res.Distributions))
 	}
@@ -213,14 +226,7 @@ func TestFig8OverwhelminglyPositive(t *testing.T) {
 }
 
 func TestClaim20ShapeHolds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1024x512 four-parameter conversion")
-	}
-	var buf bytes.Buffer
-	res, err := RunClaim20(context.Background(), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[Claim20Result](t, "claim20")
 	if !res.AllIdentical {
 		t.Error("accuracy not preserved")
 	}
@@ -242,11 +248,7 @@ func TestClaim20ShapeHolds(t *testing.T) {
 }
 
 func TestClaimCacheShapeHolds(t *testing.T) {
-	var buf bytes.Buffer
-	res, err := RunClaimCache(context.Background(), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[ClaimCacheResult](t, "claimcache")
 	// The claim is asserted on what each pass asked of the remote store,
 	// not on wall clock: host load (or the race detector) moves Cold and
 	// Warm, it cannot make a cached pass touch the network.
@@ -263,11 +265,7 @@ func TestClaimCacheShapeHolds(t *testing.T) {
 }
 
 func TestClaimCloudShapeHolds(t *testing.T) {
-	var buf bytes.Buffer
-	res, err := RunClaimCloud(context.Background(), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := result[ClaimCloudResult](t, "claimcloud")
 	cheap, okC := res.PerPolicy["cheapest"]
 	fast, okF := res.PerPolicy["fastest"]
 	if !okC || !okF {
@@ -287,15 +285,16 @@ func TestClaimCloudShapeHolds(t *testing.T) {
 	}
 }
 
+// TestAllRunsCleanly checks the sweep itself: All ran every runner
+// without error and returned a typed result for each id.
 func TestAllRunsCleanly(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment sweep")
+	s := runSweep(t)
+	t.Logf("full sweep in %v", s.elapsed)
+	for _, r := range Runners() {
+		if s.results[r.ID] == nil {
+			t.Errorf("no result for %s", r.ID)
+		}
 	}
-	start := time.Now()
-	if err := All(context.Background(), io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("full sweep in %v", time.Since(start))
 }
 
 func TestRunnersCoverEveryExperimentID(t *testing.T) {

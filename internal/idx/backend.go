@@ -2,7 +2,6 @@ package idx
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -20,8 +19,8 @@ import (
 // must honour ctx cancellation (at minimum by checking ctx.Err() before
 // doing work) and must be safe for concurrent use.
 type Backend interface {
-	// Get returns the object stored under name, or an error satisfying
-	// IsNotExist when absent.
+	// Get returns the object stored under name, or an error when it is
+	// absent.
 	Get(ctx context.Context, name string) ([]byte, error)
 	// Put stores data under name, replacing any previous object.
 	Put(ctx context.Context, name string, data []byte) error
@@ -37,21 +36,6 @@ type Deleter interface {
 	// Delete removes the object stored under name; deleting a missing
 	// object is not an error.
 	Delete(ctx context.Context, name string) error
-}
-
-// NotExistError reports a missing object.
-type NotExistError struct {
-	// Name is the object that was requested.
-	Name string
-}
-
-// Error implements error.
-func (e *NotExistError) Error() string { return fmt.Sprintf("idx: object %q does not exist", e.Name) }
-
-// IsNotExist reports whether err indicates a missing object.
-func IsNotExist(err error) bool {
-	var ne *NotExistError
-	return errors.As(err, &ne)
 }
 
 // MemBackend is an in-memory Backend, useful for tests and for measuring
@@ -75,7 +59,7 @@ func (m *MemBackend) Get(ctx context.Context, name string) ([]byte, error) {
 	defer m.mu.RUnlock()
 	data, ok := m.objects[name]
 	if !ok {
-		return nil, &NotExistError{Name: name}
+		return nil, fmt.Errorf("idx: object %q does not exist", name)
 	}
 	out := make([]byte, len(data))
 	copy(out, data)

@@ -15,10 +15,9 @@ import (
 
 // This file is the block path: where a lattice sample lives is decided
 // by hz.PlanTiles alone, and every block object moves through the one
-// reader (readLattice) and the one writer (writeField) below, or —
-// WriteRegion's read-modify-write — through the fetchDecode and
-// storeBlock steps they are built from. Two axes or three is a matter of
-// the query's third extent, never of a second code path.
+// reader (readLattice) and the one writer (writeField) below. Two axes
+// or three is a matter of the query's third extent, never of a second
+// code path.
 
 // blockPath is what the block operations of one call share: the field's
 // sample type and codec, the block-name table and the stage clock.
@@ -132,20 +131,6 @@ func (p *blockPath) fetchBlock(ctx context.Context, b int) (raw []byte, encLen i
 	return blk.Bytes(), fetched, hit, nil
 }
 
-// storeBlock puts the encoded block b and then drops its key from every
-// tier of the attached cache, so no read after a write is served the
-// block's previous payload.
-func (p *blockPath) storeBlock(ctx context.Context, b int, enc []byte) error {
-	key := p.key(b)
-	if err := p.d.be.Put(ctx, key, enc); err != nil {
-		return fmt.Errorf("idx: store block %d: %w", b, err)
-	}
-	if p.d.cache != nil {
-		p.d.cache.Remove(key)
-	}
-	return nil
-}
-
 // readLattice is the one block reader: it extracts the level-L lattice
 // samples of the field inside the half-open box [lo, hi) as a Volume3,
 // one plane thick on a 2D dataset. Cached blocks
@@ -235,7 +220,7 @@ func (d *Dataset) readLattice(ctx context.Context, spanName, field string, t int
 			trace.Int("blocks_cached", int64(stats.BlocksCached)),
 			trace.Int("runs", int64(stats.Runs)))
 	}
-	d.observeRead(sc, stats.Runs, start)
+	d.observeRead(sc, start)
 	return r, stats, nil
 }
 
@@ -424,9 +409,16 @@ func (d *Dataset) writeField(ctx context.Context, spanName, field string, t int,
 				if sc != nil {
 					sc.encodeNS.Add(int64(time.Since(t0)))
 				}
-				if err := p.storeBlock(ctx, b, enc); err != nil {
-					fail(err)
+				// Drop the key from every cache tier once the block is
+				// stored: no read after a write is served its previous
+				// payload.
+				key := p.key(b)
+				if err := d.be.Put(ctx, key, enc); err != nil {
+					fail(fmt.Errorf("idx: store block %d: %w", b, err))
 					return
+				}
+				if d.cache != nil {
+					d.cache.Remove(key)
 				}
 			}
 		}()

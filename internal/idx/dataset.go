@@ -53,8 +53,8 @@ type Dataset struct {
 // reads ("the caching-enabled framework"): the methods of cache.Tiered
 // the block path calls. Blocks are immutable shared memory the garbage
 // collector owns: a lookup hands out the resident payload without
-// copying, Put adopts the decode buffer instead of copying it, and
-// nobody writes to Bytes or hands a Block back.
+// copying, a fill's decode buffer becomes the block without a copy,
+// and nobody writes to Bytes or hands a Block back.
 type BlockCache interface {
 	// Peek returns the cached block, if present, without booking a miss:
 	// the read path probes every block of a query first and routes the
@@ -64,10 +64,6 @@ type BlockCache interface {
 	// across concurrent callers, so N readers of one uncached block
 	// share a single backend fetch. See cache.Tiered.GetOrFill.
 	GetOrFill(ctx context.Context, key string, fill func(ctx context.Context) ([]byte, error)) (*cache.Block, cache.Outcome, error)
-	// Put adopts data as an immutable cached block and returns it (valid
-	// even when the cache declines the entry). The caller must not write
-	// to data after Put.
-	Put(key string, data []byte) *cache.Block
 	// Remove invalidates key in every tier; the write path calls it
 	// after each block store.
 	Remove(key string)

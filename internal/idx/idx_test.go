@@ -197,8 +197,8 @@ func TestNumBlocks(t *testing.T) {
 }
 
 // TestWriteReadFullResolution round-trips a grid written under a traced
-// request on a dataset with telemetry, so the write books its encode
-// stage once into the histogram and once as a span.
+// request on a dataset with telemetry, so the write books its latency
+// once, and its encode stage once into the histogram and once as a span.
 func TestWriteReadFullResolution(t *testing.T) {
 	const w, h = 100, 60
 	ds, _ := newTestDataset(t, w, h, float32Fields())
@@ -212,6 +212,9 @@ func TestWriteReadFullResolution(t *testing.T) {
 	root.End()
 	if n := reg.Histogram("nsdf_idx_stage_seconds", "stage", "encode", "dataset", "ramp").Snapshot().Count; n != 1 {
 		t.Errorf("encode stage observations = %d, want 1", n)
+	}
+	if n := reg.Histogram("nsdf_idx_write_seconds", "dataset", "ramp").Snapshot().Count; n != 1 {
+		t.Errorf("write latency observations = %d, want 1", n)
 	}
 	encodes := 0
 	for _, sp := range root.Finished().Spans {
@@ -661,6 +664,78 @@ func BenchmarkReadCoarseLevel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := ds.ReadBox(context.Background(), "elevation", 0, ds.FullBox(), 8); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestFullWriteInvalidatesCache checks cache coherence, one row per
+// writer: after a second WriteGrid or WriteVolume through a dataset with
+// an attached cache, no read may be served the first write's samples.
+// A write removes each block's key, so the read after one goes to the
+// backend.
+func TestFullWriteInvalidatesCache(t *testing.T) {
+	ctx := context.Background()
+	rows := []struct {
+		dims  []int
+		write func(ds *Dataset, data []float32) error
+		read  func(ds *Dataset) ([]float32, *ReadStats, error)
+	}{
+		{[]int{32, 32},
+			func(ds *Dataset, data []float32) error {
+				return ds.WriteGrid(ctx, "elevation", 0, &raster.Grid{W: 32, H: 32, Data: data})
+			},
+			func(ds *Dataset) ([]float32, *ReadStats, error) {
+				g, stats, err := ds.ReadFull(ctx, "elevation", 0)
+				if err != nil {
+					return nil, nil, err
+				}
+				return g.Data, stats, nil
+			}},
+		{[]int{16, 8, 4},
+			func(ds *Dataset, data []float32) error { return ds.WriteVolume(ctx, "elevation", 0, data) },
+			func(ds *Dataset) ([]float32, *ReadStats, error) {
+				vol, stats, err := ds.ReadBox3D(ctx, "elevation", 0, ds.FullBox3(), ds.Meta.MaxLevel())
+				if err != nil {
+					return nil, nil, err
+				}
+				return vol.Data, stats, nil
+			}},
+	}
+	for _, row := range rows {
+		meta, err := NewMeta(row.dims, float32Fields())
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta.BitsPerBlock = 6
+		ds, err := Create(ctx, NewMemBackend(), meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds.SetCache(cache.NewMemTiered(1 << 20))
+		n := 1
+		for _, d := range row.dims {
+			n *= d
+		}
+		data := make([]float32, n)
+		for _, v := range []float32{1, 2} {
+			for i := range data {
+				data[i] = v
+			}
+			if err := row.write(ds, data); err != nil {
+				t.Fatal(err)
+			}
+			got, stats, err := row.read(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, s := range got {
+				if s != v {
+					t.Fatalf("dims %v: sample %d reads %v after writing %vs: stale cache served", row.dims, i, s, v)
+				}
+			}
+			if stats.BlocksCached != 0 {
+				t.Errorf("dims %v: %d blocks served from the cache right after a full write", row.dims, stats.BlocksCached)
+			}
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // of the first implementations of ReadBox and WriteGrid (an HZ address
 // per output sample, map-backed block sets, a raster sample looked up
 // per block slot). They are the reference the tile-plan kernels behind
-// ReadBox, WriteGrid and WriteRegion are checked against, bit for bit
+// ReadBox and WriteGrid are checked against, bit for bit
 // (verifyKernelAgreement); what the kernels cost on a real request is
 // bench/e2e's idx and hz rows.
 
@@ -227,10 +227,10 @@ func verifyReadAgreement(tb testing.TB, ds *Dataset, field string, levels []int)
 // per-sample references in both directions. It compares reads of ds at
 // full, middle and coarse resolution; then, for every DType on a grid
 // with non-power-of-two sides and many small blocks, it requires
-// WriteGrid and a quartered WriteRegion to store exactly the bytes
-// writeGridPerSample stores, and ReadBox to agree with readBoxPerSample
-// at every level. The samples include a NaN, negatives, fractions and
-// values beyond every integer type's range, so clamping is compared too.
+// WriteGrid to store exactly the bytes writeGridPerSample stores, and
+// ReadBox to agree with readBoxPerSample at every level. The samples
+// include a NaN, negatives, fractions and values beyond every integer
+// type's range, so clamping is compared too.
 func verifyKernelAgreement(tb testing.TB, ds *Dataset) {
 	tb.Helper()
 	max := ds.Meta.MaxLevel()
@@ -250,8 +250,8 @@ func verifyKernelAgreement(tb testing.TB, ds *Dataset) {
 			tb.Fatal(err)
 		}
 		meta.BitsPerBlock = 9
-		backends := [3]*MemBackend{NewMemBackend(), NewMemBackend(), NewMemBackend()}
-		var sets [3]*Dataset
+		backends := [2]*MemBackend{NewMemBackend(), NewMemBackend()}
+		var sets [2]*Dataset
 		for i, be := range backends {
 			if sets[i], err = Create(ctx, be, meta); err != nil {
 				tb.Fatal(err)
@@ -262,15 +262,6 @@ func verifyKernelAgreement(tb testing.TB, ds *Dataset) {
 		}
 		if err := sets[1].WriteGrid(ctx, name, 0, g); err != nil {
 			tb.Fatal(err)
-		}
-		for _, q := range []Box{{0, 0, 77, 31}, {77, 0, w, 31}, {0, 31, 77, h}, {77, 31, w, h}} {
-			part, err := g.Crop(q.X0, q.Y0, q.X1-q.X0, q.Y1-q.Y0)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			if err := sets[2].WriteRegion(ctx, name, 0, q.X0, q.Y0, part); err != nil {
-				tb.Fatal(err)
-			}
 		}
 		blocks, err := backends[0].List(ctx, BlockPrefix)
 		if err != nil {
@@ -287,14 +278,6 @@ func verifyKernelAgreement(tb testing.TB, ds *Dataset) {
 			got, err := backends[1].Get(ctx, key)
 			if err != nil || !bytes.Equal(got, want) {
 				tb.Fatalf("%s %s: WriteGrid stored other bytes than the per-sample write (err %v)", name, key, err)
-			}
-			// WriteRegion leaves blocks that hold only padding unwritten.
-			got, err = backends[2].Get(ctx, key)
-			if err != nil && !IsNotExist(err) {
-				tb.Fatal(err)
-			}
-			if err == nil && !bytes.Equal(got, want) {
-				tb.Fatalf("%s %s: WriteRegion stored other bytes than the per-sample write", name, key)
 			}
 		}
 		levels := make([]int, meta.MaxLevel()+1)

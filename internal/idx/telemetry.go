@@ -9,7 +9,6 @@ import (
 // dsMetrics holds the dataset's resolved telemetry series. All fields
 // are safe for concurrent use; hot paths nil-check the struct once.
 type dsMetrics struct {
-	readRuns       *telemetry.Counter
 	readsCancelled *telemetry.Counter
 	readSeconds    *telemetry.Histogram
 	writeSeconds   *telemetry.Histogram
@@ -24,7 +23,6 @@ type dsMetrics struct {
 // series with the given dataset name. Subsequent reads and writes record
 // what only the dataset knows:
 //
-//	nsdf_idx_read_runs_total{dataset}       bulk tile-row copies (see ReadStats.Runs)
 //	nsdf_idx_reads_cancelled_total{dataset} reads aborted by context cancellation/deadline
 //	nsdf_idx_read_seconds{dataset}          ReadBox/ReadBox3D latency
 //	nsdf_idx_write_seconds{dataset}         WriteGrid/WriteVolume latency
@@ -47,7 +45,6 @@ func (d *Dataset) SetTelemetry(reg *telemetry.Registry, dataset string) {
 		return
 	}
 	d.tel = &dsMetrics{
-		readRuns:       reg.Counter("nsdf_idx_read_runs_total", "dataset", dataset),
 		readsCancelled: reg.Counter("nsdf_idx_reads_cancelled_total", "dataset", dataset),
 		readSeconds:    reg.Histogram("nsdf_idx_read_seconds", "dataset", dataset),
 		writeSeconds:   reg.Histogram("nsdf_idx_write_seconds", "dataset", dataset),
@@ -66,26 +63,21 @@ func (d *Dataset) observePlan(dur time.Duration) {
 	}
 }
 
-// observeRead books one finished box read: its stage times, its tile
-// rows and its latency since start.
-func (d *Dataset) observeRead(sc *stageClock, runs int, start time.Time) {
-	t := d.tel
-	if t == nil {
-		return
+// observeRead books one finished box read: its stage times and its
+// latency since start.
+func (d *Dataset) observeRead(sc *stageClock, start time.Time) {
+	if t := d.tel; t != nil {
+		t.stageDecode.Observe(sc.decode().Seconds())
+		t.stageAssemble.Observe(sc.assemble().Seconds())
+		t.readSeconds.ObserveSince(start)
 	}
-	t.stageDecode.Observe(sc.decode().Seconds())
-	t.stageAssemble.Observe(sc.assemble().Seconds())
-	t.readRuns.Add(int64(runs))
-	t.readSeconds.ObserveSince(start)
 }
 
 // recordCancelledRead books one read aborted by context cancellation or
 // deadline expiry; dashboards watch this to see clients abandoning slow
 // wide-area reads.
 func (d *Dataset) recordCancelledRead() {
-	t := d.tel
-	if t == nil {
-		return
+	if t := d.tel; t != nil {
+		t.readsCancelled.Inc()
 	}
-	t.readsCancelled.Inc()
 }

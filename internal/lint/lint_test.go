@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -199,27 +200,38 @@ func TestRunAllReportsInternalErrors(t *testing.T) {
 	Run([]*Package{pkg}, []*Analyzer{panicky})
 }
 
-// TestRepoIsLintClean runs the full suite over the real module — the
-// same gate as `make lint` — so a regression in any enforced invariant
-// fails the ordinary test run too.
-func TestRepoIsLintClean(t *testing.T) {
+// loadModule type-checks the whole module once per test binary:
+// TestRepoIsLintClean and TestEveryExportHasACaller share the load.
+var loadModule = sync.OnceValues(func() ([]*Package, error) {
+	loader, err := NewLoader(filepath.Join("..", ".."))
+	if err != nil {
+		return nil, err
+	}
+	return loader.Load("./...")
+})
+
+// modulePackages is every package of the module, from the one shared
+// load.
+func modulePackages(t *testing.T) []*Package {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("full-module type check is not short")
 	}
-	root := moduleRoot(t)
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load("./...")
+	pkgs, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pkgs) < 20 {
 		t.Fatalf("loaded only %d packages; pattern expansion looks broken", len(pkgs))
 	}
-	findings := Run(pkgs, Analyzers())
-	for _, f := range findings {
+	return pkgs
+}
+
+// TestRepoIsLintClean runs the full suite over the real module — the
+// same gate as `make lint` — so a regression in any enforced invariant
+// fails the ordinary test run too.
+func TestRepoIsLintClean(t *testing.T) {
+	for _, f := range Run(modulePackages(t), Analyzers()) {
 		t.Errorf("%s", f)
 	}
 }

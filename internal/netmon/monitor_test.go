@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"nsdfgo/internal/telemetry"
 )
 
 func TestDegradeValidation(t *testing.T) {
@@ -88,6 +90,8 @@ func TestMonitorAlertsRequireBaseline(t *testing.T) {
 func TestMonitorDetectsDegradation(t *testing.T) {
 	n := testNetwork(t)
 	m, _ := NewMonitor(n, 6)
+	reg := telemetry.NewRegistry()
+	m.SetTelemetry(reg)
 	// Healthy baseline sweeps.
 	for i := 0; i < 3; i++ {
 		if _, err := m.Tick(5); err != nil {
@@ -130,6 +134,18 @@ func TestMonitorDetectsDegradation(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("degraded link not flagged; alerts: %+v", alerts)
+	}
+	// 4 sweeps of 5 probes over the 8 sites' 56 directed pairs, one RTT
+	// observation per pair and sweep.
+	for family, want := range map[string]float64{
+		"nsdf_netmon_sweeps_total": 4,
+		"nsdf_netmon_probes_total": 4 * 5 * 56,
+		"nsdf_netmon_rtt_seconds":  4 * 56,
+		"nsdf_netmon_alerts_total": float64(len(alerts)),
+	} {
+		if got := reg.SumFamily(family); got != want {
+			t.Errorf("%s = %v, want %v", family, got, want)
+		}
 	}
 }
 

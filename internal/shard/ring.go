@@ -95,9 +95,6 @@ func (r *Ring) Nodes() []string {
 	return out
 }
 
-// VirtualNodes reports the per-node vnode count.
-func (r *Ring) VirtualNodes() int { return r.virtualNodes }
-
 // Replicas returns the n distinct nodes responsible for key, in
 // preference order: the first vnode at or clockwise of hash(key) names
 // the primary, and the walk continues clockwise collecting distinct

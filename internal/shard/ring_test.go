@@ -137,7 +137,7 @@ func TestRingRebalanceRemoveMovesOnlyVictimKeys(t *testing.T) {
 func TestRingAddIdempotent(t *testing.T) {
 	r := ringOf("n0", "n1")
 	r.Add("n0")
-	if r.Len() != 2 || len(r.vnodes) != 2*r.VirtualNodes() {
+	if r.Len() != 2 || len(r.vnodes) != 2*r.virtualNodes {
 		t.Fatalf("double Add changed the ring: %d nodes, %d vnodes", r.Len(), len(r.vnodes))
 	}
 }

@@ -108,9 +108,9 @@ func (r *Router) Replicas() int { return r.replicas }
 
 // Instrument registers the router's metric families in reg:
 // nsdf_shard_{hedges_fired,hedges_won,replica_failovers}_total plus
-// the per-node nsdf_shard_node_up / nsdf_shard_node_vnodes gauges and
-// nsdf_shard_node_gets_total counters. The router's own op counts are
-// storage.Instrumented's, wrapped around it.
+// the per-node nsdf_shard_node_up gauges and nsdf_shard_node_gets_total
+// counters. The router's own op counts are storage.Instrumented's,
+// wrapped around it.
 func (r *Router) Instrument(reg *telemetry.Registry) {
 	r.hedgesFired = reg.Counter("nsdf_shard_hedges_fired_total")
 	r.hedgesWon = reg.Counter("nsdf_shard_hedges_won_total")
@@ -121,7 +121,6 @@ func (r *Router) Instrument(reg *telemetry.Registry) {
 		up := reg.Gauge("nsdf_shard_node_up", "node", name)
 		up.Set(1)
 		r.nodeUp[name] = up
-		reg.Gauge("nsdf_shard_node_vnodes", "node", name).Set(float64(r.ring.VirtualNodes()))
 		r.nodeGets[name] = reg.Counter("nsdf_shard_node_gets_total", "node", name)
 	}
 }

@@ -218,6 +218,14 @@ func TestRouterFailoverOnNodeLoss(t *testing.T) {
 	if up := reg.Gauge("nsdf_shard_node_up", "node", "n0").Value(); up != 1 {
 		t.Fatalf("nsdf_shard_node_up{node=n0} = %v, want 1", up)
 	}
+	// With no hedging, each read asks its primary and, on failure, one
+	// more replica: every key once, plus one per failover.
+	if gets := reg.SumFamily("nsdf_shard_node_gets_total"); gets != float64(K+failovers) {
+		t.Errorf("nsdf_shard_node_gets_total sums to %v over %d reads with %d failovers, want %d", gets, K, failovers, K+failovers)
+	}
+	if gets := counter(reg, "nsdf_shard_node_gets_total", "node", "n1"); gets < int64(primaries) {
+		t.Errorf("nsdf_shard_node_gets_total{node=n1} = %d, want >= its %d primaries", gets, primaries)
+	}
 }
 
 // TestRouterDegradedWrite: a write with a dead replica succeeds on the

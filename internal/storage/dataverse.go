@@ -153,30 +153,18 @@ func (d *Dataverse) Publish(ctx context.Context, doi string) (int, error) {
 	return version, nil
 }
 
-// GetFile fetches a file from the latest published version. Anonymous
-// (public) access: no credential is involved.
-func (d *Dataverse) GetFile(ctx context.Context, doi, name string) ([]byte, error) {
-	d.mu.Lock()
-	ds, err := d.dataset(doi)
-	if err != nil {
-		d.mu.Unlock()
-		return nil, err
-	}
-	version := ds.version
-	d.mu.Unlock()
-	if version == 0 {
-		return nil, fmt.Errorf("dataverse: %s has no published version", doi)
-	}
-	return d.store.Get(ctx, d.fileKey(doi, version, name))
-}
-
-// GetFileVersion fetches a file from a specific published version.
-func (d *Dataverse) GetFileVersion(ctx context.Context, doi string, version int, name string) ([]byte, error) {
+// GetFile fetches a file from published version version of doi, or
+// from the latest one when version is 0. Anonymous (public) access: no
+// credential is involved.
+func (d *Dataverse) GetFile(ctx context.Context, doi string, version int, name string) ([]byte, error) {
 	d.mu.Lock()
 	ds, err := d.dataset(doi)
 	if err == nil {
+		if version == 0 {
+			version = ds.version
+		}
 		if _, ok := ds.versions[version]; !ok {
-			err = fmt.Errorf("dataverse: %s has no version %d", doi, version)
+			err = fmt.Errorf("dataverse: %s: version %d is not published", doi, version)
 		}
 	}
 	d.mu.Unlock()

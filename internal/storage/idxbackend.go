@@ -2,10 +2,7 @@ package storage
 
 import (
 	"context"
-	"errors"
 	"strings"
-
-	"nsdfgo/internal/idx"
 )
 
 // IDXBackend adapts a Store to the idx.Backend interface, optionally
@@ -31,11 +28,7 @@ func NewIDXBackend(store Store, prefix string) *IDXBackend {
 // unmodified, so a cancelled dashboard request aborts the wide-area
 // fetch instead of letting it run to completion against a hung link.
 func (b *IDXBackend) Get(ctx context.Context, name string) ([]byte, error) {
-	data, err := b.store.Get(ctx, b.prefix+name)
-	if errors.Is(err, ErrNotExist) {
-		return nil, &idx.NotExistError{Name: name}
-	}
-	return data, err
+	return b.store.Get(ctx, b.prefix+name)
 }
 
 // Put implements idx.Backend.

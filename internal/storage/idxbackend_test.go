@@ -2,6 +2,7 @@ package storage
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -41,7 +42,7 @@ func TestIDXBackendRoundTrip(t *testing.T) {
 
 func TestIDXBackendMissingMapsToNotExist(t *testing.T) {
 	be := NewIDXBackend(NewMemStore(), "p")
-	if _, err := be.Get(context.Background(), "nope"); !idx.IsNotExist(err) {
+	if _, err := be.Get(context.Background(), "nope"); !errors.Is(err, ErrNotExist) {
 		t.Errorf("missing object error = %v", err)
 	}
 }
@@ -85,7 +86,7 @@ func TestFileStoreIDXBackend(t *testing.T) {
 	if err != nil || string(data) != "hello" {
 		t.Fatalf("Get: %q, %v", data, err)
 	}
-	if _, err := be.Get(ctx, "missing"); !idx.IsNotExist(err) {
+	if _, err := be.Get(ctx, "missing"); !errors.Is(err, ErrNotExist) {
 		t.Errorf("missing object error = %v", err)
 	}
 	names, err := be.List(ctx, "a/")

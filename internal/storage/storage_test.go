@@ -284,7 +284,7 @@ func TestDataverseLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unpublished: not downloadable.
-	if _, err := dv.GetFile(ctx, doi, "elevation.tif"); err == nil {
+	if _, err := dv.GetFile(ctx, doi, 0, "elevation.tif"); err == nil {
 		t.Error("draft file downloadable before publish")
 	}
 	if err := dv.AddFile(ctx, doi, "elevation.tif", []byte("tif-bytes-v1")); err != nil {
@@ -294,7 +294,7 @@ func TestDataverseLifecycle(t *testing.T) {
 	if err != nil || v != 1 {
 		t.Fatalf("Publish: %d, %v", v, err)
 	}
-	data, err := dv.GetFile(ctx, doi, "elevation.tif")
+	data, err := dv.GetFile(ctx, doi, 0, "elevation.tif")
 	if err != nil || string(data) != "tif-bytes-v1" {
 		t.Fatalf("GetFile: %q, %v", data, err)
 	}
@@ -305,11 +305,11 @@ func TestDataverseLifecycle(t *testing.T) {
 	if v, err := dv.Publish(ctx, doi); err != nil || v != 2 {
 		t.Fatalf("Publish v2: %d, %v", v, err)
 	}
-	old, err := dv.GetFileVersion(ctx, doi, 1, "elevation.tif")
+	old, err := dv.GetFile(ctx, doi, 1, "elevation.tif")
 	if err != nil || string(old) != "tif-bytes-v1" {
 		t.Fatalf("v1 immutability: %q, %v", old, err)
 	}
-	cur, _ := dv.GetFile(ctx, doi, "elevation.tif")
+	cur, _ := dv.GetFile(ctx, doi, 0, "elevation.tif")
 	if string(cur) != "tif-bytes-v2" {
 		t.Fatalf("latest: %q", cur)
 	}
@@ -335,7 +335,7 @@ func TestDataverseValidation(t *testing.T) {
 	if _, err := dv.Publish(ctx, doi); err == nil {
 		t.Error("publishing empty draft accepted")
 	}
-	if _, err := dv.GetFileVersion(ctx, doi, 3, "f"); err == nil {
+	if _, err := dv.GetFile(ctx, doi, 3, "f"); err == nil {
 		t.Error("unknown version accepted")
 	}
 }
