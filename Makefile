@@ -32,7 +32,7 @@ race:
 # Run the in-repo analyzer suite (internal/lint) over every package.
 # Exit 1 means findings; fix them or annotate with //lint:allow <name>.
 lint:
-	$(GO) run ./cmd/nsdf-lint ./...
+	$(GO) run ./cmd/nsdf-lint ./... ./bench/...
 
 # Non-test, non-testdata Go lines per package directory and in total:
 # the figure ROADMAP aim 2 asks every PR to report its delta of. Run it

@@ -6,8 +6,11 @@
 //
 //	nsdf-lint [-json] [-list] [patterns ...]
 //
-// Patterns default to ./... and follow the go tool's shape: ./dir,
-// ./dir/..., or ./... for the whole module. Exit status is 0 when
+// Patterns default to ./... and are the go tool's: ./dir names one
+// directory, ./dir/... every package below it in its module, and a
+// pattern with no leading ./ (dir, nsdfgo/dir) an import path. A
+// relative pattern inside a directory with a go.mod of its own, such as
+// ./bench/..., is listed in that module. Exit status is 0 when
 // clean, 1 when any finding is reported, 2 on usage or load errors and
 // on analyzer internal errors (a panic, a CFG that failed to build, a
 // dataflow fixpoint that did not converge) — a malfunctioning analyzer
@@ -52,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := load(patterns)
+	pkgs, err := lint.NewLoader(".").Load(patterns...)
 	if err != nil {
 		fmt.Fprintln(stderr, "nsdf-lint:", err)
 		return 2
@@ -105,30 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// load type-checks the packages patterns name in the module that holds
-// the working directory: the first directory at or above it with a
-// go.mod.
-func load(patterns []string) ([]*lint.Package, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			loader, err := lint.NewLoader(dir)
-			if err != nil {
-				return nil, err
-			}
-			return loader.Load(patterns...)
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return nil, fmt.Errorf("no go.mod found above the working directory")
-		}
-		dir = parent
-	}
 }
 
 // relPath renders p relative to base when it lies inside base;

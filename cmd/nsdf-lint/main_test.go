@@ -16,10 +16,10 @@ func TestDriverExitCodes(t *testing.T) {
 		args []string
 		want int
 	}{
-		{"clean", []string{"./internal/lint"}, 0},
-		{"findings", []string{"-json", "./internal/lint/testdata/src/droppederr"}, 1},
+		{"clean", []string{"nsdfgo/internal/lint"}, 0},
+		{"findings", []string{"-json", "nsdfgo/internal/lint/testdata/src/droppederr"}, 1},
 		{"unknown flag", []string{"-no-such-flag"}, 2},
-		{"unloadable pattern", []string{"./internal/no-such-package"}, 2},
+		{"unloadable pattern", []string{"nsdfgo/internal/no-such-package"}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

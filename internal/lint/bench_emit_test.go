@@ -42,11 +42,7 @@ func TestBenchLintEmit(t *testing.T) {
 
 	root := moduleRoot(t)
 	loadStart := time.Now()
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load("./...")
+	pkgs, err := NewLoader(root).Load(modulePatterns...)
 	if err != nil {
 		t.Fatal(err)
 	}

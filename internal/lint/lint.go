@@ -14,8 +14,9 @@
 // measurement, in tests, and copied mutexes by go vet's copylocks pass.
 // The project-specific names the analyzers match on (package paths,
 // registry methods) are constants beside each analyzer. It is built
-// only on go/ast, go/parser, go/types, and go/importer, so `make lint`
-// needs nothing beyond the Go toolchain.
+// only on go/ast, go/parser, go/types, go/importer and one
+// `go list -e -json -deps -export` call per module per load (load.go),
+// so `make lint` needs nothing beyond the Go toolchain.
 //
 // A finding can be suppressed — sparingly, with a reason — by an allow
 // comment on the same line or the line above:

@@ -26,19 +26,31 @@ func moduleRoot(t *testing.T) string {
 	return root
 }
 
-// loadFixture type-checks one fixture package under testdata/src.
+// loadFixtures type-checks every fixture package under testdata/src
+// once per test binary, keyed by its directory relative to
+// testdata/src.
+var loadFixtures = sync.OnceValues(func() (map[string]*Package, error) {
+	pkgs, err := NewLoader(".").Load("./testdata/src/...")
+	if err != nil {
+		return nil, err
+	}
+	byDir := make(map[string]*Package, len(pkgs))
+	for _, pkg := range pkgs {
+		_, rel, _ := strings.Cut(pkg.Path, "/testdata/src/")
+		byDir[rel] = pkg
+	}
+	return byDir, nil
+})
+
+// loadFixture returns one fixture package from the shared load.
 func loadFixture(t *testing.T, name string) *Package {
 	t.Helper()
-	root := moduleRoot(t)
-	loader, err := NewLoader(root)
+	pkgs, err := loadFixtures()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("load fixtures: %v", err)
 	}
-	pkg, err := loader.LoadDir(filepath.Join(root, "internal", "lint", "testdata", "src", name))
-	if err != nil {
-		t.Fatalf("load fixture %s: %v", name, err)
-	}
-	if pkg == nil {
+	pkg, ok := pkgs[name]
+	if !ok {
 		t.Fatalf("fixture %s has no Go files", name)
 	}
 	return pkg
@@ -136,18 +148,9 @@ func TestAllowCommentSuppresses(t *testing.T) {
 // counter in one package and a gauge in another is a conflict even
 // though each package is internally consistent.
 func TestMetricNameKindConflictAcrossPackages(t *testing.T) {
-	root := moduleRoot(t)
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var pkgs []*Package
 	for _, name := range []string{"kinda", "kindb"} {
-		pkg, err := loader.LoadDir(filepath.Join(root, "internal", "lint", "testdata", "src", "kindconflict", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkgs = append(pkgs, pkg)
+		pkgs = append(pkgs, loadFixture(t, "kindconflict/"+name))
 	}
 	findings := Run(pkgs, []*Analyzer{analyzerByName(t, "metricname")})
 	if len(findings) != 1 {
@@ -200,14 +203,14 @@ func TestRunAllReportsInternalErrors(t *testing.T) {
 	Run([]*Package{pkg}, []*Analyzer{panicky})
 }
 
+// modulePatterns name every package `make lint` checks: the module and
+// the nested bench module.
+var modulePatterns = []string{"./...", "./bench/..."}
+
 // loadModule type-checks the whole module once per test binary:
 // TestRepoIsLintClean and TestEveryExportHasACaller share the load.
 var loadModule = sync.OnceValues(func() ([]*Package, error) {
-	loader, err := NewLoader(filepath.Join("..", ".."))
-	if err != nil {
-		return nil, err
-	}
-	return loader.Load("./...")
+	return NewLoader(filepath.Join("..", "..")).Load(modulePatterns...)
 })
 
 // modulePackages is every package of the module, from the one shared

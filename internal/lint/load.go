@@ -1,6 +1,9 @@
 package lint
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -8,7 +11,9 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -16,7 +21,7 @@ import (
 
 // Package is one type-checked package of the module under analysis.
 type Package struct {
-	// Path is the package's import path (module path + relative dir).
+	// Path is the package's import path.
 	Path string
 	// Dir is the absolute directory the package was loaded from.
 	Dir string
@@ -30,162 +35,134 @@ type Package struct {
 	Fset *token.FileSet
 }
 
-// Loader parses and type-checks packages of a single Go module using
-// only the standard library: module-internal imports are resolved from
-// source, everything else through the compiler's export data. Analyzer
+// Loader parses and type-checks packages from the go tool's own
+// listing: each Load runs one `go list -e -json -deps -export` per
+// module it names, which resolves the patterns, orders dependencies
+// before their importers and names each package's compiler export data.
+// Packages that are not standard are type-checked from source, once per
+// Loader; standard ones are read from their export data. Analyzer
 // fixture packages under testdata/ load the same way, so the analyzers
 // see identical type information in production runs and in tests.
 type Loader struct {
-	fset       *token.FileSet
-	moduleRoot string
-	modulePath string
-	std        types.Importer
-	pkgs       map[string]*Package
-	loading    map[string]bool
+	dir     string
+	fset    *token.FileSet
+	std     types.Importer
+	exports map[string]string   // standard import path -> export data file
+	pkgs    map[string]*Package // type-checked from source, by import path
 }
 
-// NewLoader returns a loader rooted at the directory containing go.mod.
-func NewLoader(moduleRoot string) (*Loader, error) {
-	data, err := os.ReadFile(filepath.Join(moduleRoot, "go.mod"))
-	if err != nil {
-		return nil, fmt.Errorf("lint: read go.mod: %w", err)
-	}
-	modPath := ""
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			modPath = strings.TrimSpace(rest)
-			break
+// NewLoader returns a loader that resolves patterns as the go tool run
+// in dir does.
+func NewLoader(dir string) *Loader {
+	l := &Loader{dir: dir, fset: token.NewFileSet(), exports: map[string]string{}, pkgs: map[string]*Package{}}
+	l.std = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := l.exports[path]
+		if !ok {
+			return nil, fmt.Errorf("lint: no export data for %s", path)
 		}
-	}
-	if modPath == "" {
-		return nil, fmt.Errorf("lint: no module directive in %s/go.mod", moduleRoot)
-	}
-	abs, err := filepath.Abs(moduleRoot)
-	if err != nil {
-		return nil, err
-	}
-	return &Loader{
-		fset:       token.NewFileSet(),
-		moduleRoot: abs,
-		modulePath: modPath,
-		std:        importer.Default(),
-		pkgs:       make(map[string]*Package),
-		loading:    make(map[string]bool),
-	}, nil
+		return os.Open(file)
+	})
+	return l
 }
 
-// Load resolves the given patterns to package directories, loads and
-// type-checks each, and returns them sorted by import path. Supported
-// patterns: "./..." (whole module), "./dir/..." (subtree), "./dir" or
-// "dir" (single package). testdata, hidden, and underscore-prefixed
-// directories are skipped during "..." expansion.
+// Load type-checks the packages the patterns name and returns them
+// sorted by import path. Patterns are the go tool's, except that a
+// relative pattern inside a directory with a go.mod of its own
+// (./bench/...) is listed in that module, into the same Loader, so a
+// package both modules use is one *types.Package. Packages with no
+// non-test Go files are skipped; a pattern that names no package is an
+// error.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	dirs := map[string]bool{}
+	byModule := map[string][]string{}
+	var modules []string
 	for _, pat := range patterns {
-		pat = filepath.ToSlash(pat)
-		rel := strings.TrimPrefix(pat, "./")
-		switch {
-		case rel == "..." || rel == "":
-			if err := l.walkPackages(l.moduleRoot, dirs); err != nil {
-				return nil, err
-			}
-		case strings.HasSuffix(rel, "/..."):
-			root := filepath.Join(l.moduleRoot, filepath.FromSlash(strings.TrimSuffix(rel, "/...")))
-			if err := l.walkPackages(root, dirs); err != nil {
-				return nil, err
-			}
-		default:
-			dirs[filepath.Join(l.moduleRoot, filepath.FromSlash(rel))] = true
+		dir, rel := l.moduleOf(pat)
+		if byModule[dir] == nil {
+			modules = append(modules, dir)
 		}
+		byModule[dir] = append(byModule[dir], rel)
 	}
 	var out []*Package
-	for dir := range dirs {
-		pkg, err := l.LoadDir(dir)
+	for _, dir := range modules {
+		pkgs, err := l.list(dir, byModule[dir])
 		if err != nil {
 			return nil, err
 		}
-		if pkg != nil {
-			out = append(out, pkg)
-		}
+		out = append(out, pkgs...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, nil
 }
 
-// walkPackages collects every directory under root that contains
-// buildable Go files, honouring the go tool's skip conventions.
-func (l *Loader) walkPackages(root string, dirs map[string]bool) error {
-	return filepath.WalkDir(root, func(p string, de os.DirEntry, err error) error {
-		if err != nil {
-			return err
+// moduleOf returns the directory to list a pattern in, and the pattern
+// relative to it: for a relative pattern, the innermost directory with
+// a go.mod below the loader's that holds the pattern's fixed prefix;
+// otherwise the loader's own.
+func (l *Loader) moduleOf(pat string) (dir, rel string) {
+	prefix, _, _ := strings.Cut(pat, "...")
+	for d := filepath.Join(l.dir, prefix); build.IsLocalImport(pat); d = filepath.Dir(d) {
+		if r, err := filepath.Rel(l.dir, d); err != nil || r == "." || !filepath.IsLocal(r) {
+			break
 		}
-		if !de.IsDir() {
-			return nil
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			r, _ := filepath.Rel(d, filepath.Join(l.dir, pat))
+			return d, "./" + filepath.ToSlash(r)
 		}
-		name := de.Name()
-		if p != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		if bp, err := build.ImportDir(p, 0); err == nil && len(bp.GoFiles) > 0 {
-			dirs[p] = true
-		}
-		return nil
-	})
+	}
+	return l.dir, pat
 }
 
-// importPathFor maps an absolute package directory to its import path
-// within the module.
-func (l *Loader) importPathFor(dir string) (string, error) {
-	rel, err := filepath.Rel(l.moduleRoot, dir)
-	if err != nil {
-		return "", err
+// list runs one go list over the patterns in dir, type-checks every
+// package it names that is not standard, in dependency order, and
+// returns those the patterns match.
+func (l *Loader) list(dir string, patterns []string) ([]*Package, error) {
+	cmd := exec.Command("go", append([]string{"list", "-e", "-json", "-deps", "-export", "--"}, patterns...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	stdout, err := cmd.Output()
+	// A wildcard that matches nothing is only a warning to the go tool.
+	if err != nil || bytes.Contains(stderr.Bytes(), []byte("matched no packages")) {
+		msg := cmp.Or(strings.TrimSpace(stderr.String()), fmt.Sprint(err))
+		return nil, fmt.Errorf("lint: go list %s: %s", strings.Join(patterns, " "), msg)
 	}
-	if rel == "." {
-		return l.modulePath, nil
+	var out []*Package
+	for dec := json.NewDecoder(bytes.NewReader(stdout)); dec.More(); {
+		var p struct {
+			ImportPath, Dir, Export string
+			Standard, DepOnly       bool
+			GoFiles                 []string
+			Error                   *struct{ Err string }
+		}
+		if err := dec.Decode(&p); err != nil {
+			return nil, fmt.Errorf("lint: go list: %w", err)
+		}
+		switch {
+		case p.Error != nil:
+			return nil, fmt.Errorf("lint: %s: %s", p.ImportPath, p.Error.Err)
+		case p.Standard:
+			l.exports[p.ImportPath] = p.Export
+		case len(p.GoFiles) > 0:
+			pkg, err := l.check(p.ImportPath, p.Dir, p.GoFiles)
+			if err != nil {
+				return nil, err
+			}
+			if !p.DepOnly {
+				out = append(out, pkg)
+			}
+		}
 	}
-	if strings.HasPrefix(rel, "..") {
-		return "", fmt.Errorf("lint: %s is outside module %s", dir, l.moduleRoot)
-	}
-	return l.modulePath + "/" + filepath.ToSlash(rel), nil
+	return out, nil
 }
 
-// LoadDir loads and type-checks the package in one directory (absolute
-// path inside the module). Directories with no buildable Go files load
-// as nil without error.
-func (l *Loader) LoadDir(dir string) (*Package, error) {
-	path, err := l.importPathFor(dir)
-	if err != nil {
-		return nil, err
-	}
-	return l.loadPath(path, dir)
-}
-
-func (l *Loader) dirFor(path string) string {
-	rel := strings.TrimPrefix(path, l.modulePath)
-	rel = strings.TrimPrefix(rel, "/")
-	return filepath.Join(l.moduleRoot, filepath.FromSlash(rel))
-}
-
-func (l *Loader) loadPath(path, dir string) (*Package, error) {
+// check parses and type-checks one package from source, unless this
+// Loader already has.
+func (l *Loader) check(path, dir string, names []string) (*Package, error) {
 	if pkg, ok := l.pkgs[path]; ok {
 		return pkg, nil
 	}
-	if l.loading[path] {
-		return nil, fmt.Errorf("lint: import cycle through %s", path)
-	}
-	l.loading[path] = true
-	defer delete(l.loading, path)
-
-	bp, err := build.ImportDir(dir, 0)
-	if err != nil {
-		if _, noGo := err.(*build.NoGoError); noGo {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("lint: scan %s: %w", dir, err)
-	}
 	var files []*ast.File
-	for _, name := range bp.GoFiles {
+	for _, name := range names {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("lint: parse: %w", err)
@@ -213,18 +190,10 @@ func (l *Loader) loadPath(path, dir string) (*Package, error) {
 	return pkg, nil
 }
 
-// Import implements types.Importer: module-internal paths load from
-// source; everything else (the standard library) comes from compiler
-// export data.
+// Import implements types.Importer: a package this Loader type-checked
+// from source, else the standard library's export data.
 func (l *Loader) Import(path string) (*types.Package, error) {
-	if path == l.modulePath || strings.HasPrefix(path, l.modulePath+"/") {
-		pkg, err := l.loadPath(path, l.dirFor(path))
-		if err != nil {
-			return nil, err
-		}
-		if pkg == nil {
-			return nil, fmt.Errorf("lint: no Go files in %s", path)
-		}
+	if pkg, ok := l.pkgs[path]; ok {
 		return pkg.Types, nil
 	}
 	return l.std.Import(path)

@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http/httptest"
+	"path/filepath"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -159,6 +161,45 @@ func TestInvalidKeysRejected(t *testing.T) {
 	}
 	if _, err := fs.Get(ctx, fileStoreTmp+"/put-1"); errors.Is(err, ErrNotExist) || err == nil {
 		t.Errorf("file store Get reached its staging directory: %v", err)
+	}
+}
+
+// TestFileStoreKeyIsNotAlsoADirectory pins Store.Put's rule on FileStore
+// in both orders: a Put that would make one key both an object and the
+// directory of another fails, the object already stored reads back
+// unchanged, and the failed Put leaves no file behind.
+func TestFileStoreKeyIsNotAlsoADirectory(t *testing.T) {
+	ctx := context.Background()
+	for _, keys := range [][2]string{{"a", "a/x"}, {"a/x", "a"}} {
+		stored, refused := keys[0], keys[1]
+		root := t.TempDir()
+		store, err := NewFileStore(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put(ctx, stored, []byte("kept")); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put(ctx, refused, []byte("refused")); err == nil {
+			t.Errorf("Put(%q) after Put(%q) succeeded", refused, stored)
+		}
+		if got, err := store.Get(ctx, stored); err != nil || string(got) != "kept" {
+			t.Errorf("after the refused Put(%q), Get(%q) = %q, %v; want \"kept\"", refused, stored, got, err)
+		}
+		var files []string
+		err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				rel, _ := filepath.Rel(root, p)
+				files = append(files, filepath.ToSlash(rel))
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != 1 || files[0] != stored {
+			t.Errorf("after the refused Put(%q) the store holds files %q, want only %q", refused, files, stored)
+		}
 	}
 }
 

@@ -43,7 +43,12 @@ type ObjectInfo struct {
 // Store is the object-storage abstraction shared by every NSDF storage
 // service. Implementations must be safe for concurrent use.
 type Store interface {
-	// Put stores data under key, replacing any existing object.
+	// Put stores data under key, replacing any existing object. A key
+	// is an object or a directory of other keys, never both: while "a"
+	// is stored a store may refuse Put("a/x"), and once "a/x" has been
+	// stored it may refuse Put("a"). FileStore refuses both, as a path
+	// cannot be a file and a directory at once; MemStore accepts both.
+	// A refused Put is an error and leaves the stored object unchanged.
 	Put(ctx context.Context, key string, data []byte) error
 	// Get returns the object under key, or ErrNotExist.
 	Get(ctx context.Context, key string) ([]byte, error)
