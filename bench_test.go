@@ -135,7 +135,7 @@ func benchDataset(b *testing.B, bitsPerBlock int) *idx.Dataset {
 		b.Fatal(err)
 	}
 	meta.BitsPerBlock = bitsPerBlock
-	ds, err := idx.Create(context.Background(), idx.NewMemBackend(), meta)
+	ds, err := idx.Create(context.Background(), storage.NewIDXBackend(storage.NewMemStore(), ""), meta)
 	if err != nil {
 		b.Fatal(err)
 	}

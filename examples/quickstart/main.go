@@ -22,6 +22,7 @@ import (
 	"nsdfgo/internal/dem"
 	"nsdfgo/internal/idx"
 	"nsdfgo/internal/query"
+	"nsdfgo/internal/storage"
 )
 
 func main() {
@@ -39,13 +40,22 @@ func run(stdout io.Writer) error {
 	// 2. Convert the grid to an IDX dataset in memory. The samples are
 	// reordered along the hierarchical Z-order curve and stored as
 	// independently compressed blocks of 2^12 = 4096 samples.
-	backend := idx.NewMemBackend()
-	ds, err := convert.ToIDXWith(context.Background(), backend,
+	store := storage.NewMemStore()
+	ds, err := convert.ToIDXWith(context.Background(), storage.NewIDXBackend(store, ""),
 		[]convert.Input{{FieldName: "elevation", Grid: elevation}}, convert.IDXOptions{BitsPerBlock: 12})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "stored as IDX: %d blocks, %d bytes total\n", backend.NumObjects()-1, backend.TotalBytes())
+	objects, err := store.List(context.Background(), "")
+	if err != nil {
+		return err
+	}
+	var stored int64
+	for _, o := range objects {
+		stored += o.Size
+	}
+	// Every object but the descriptor is a block.
+	fmt.Fprintf(stdout, "stored as IDX: %d blocks, %d bytes total\n", len(objects)-1, stored)
 
 	// 3. Stream it back progressively through the storage-oblivious query
 	// API: coarse levels arrive from a tiny prefix of the data.

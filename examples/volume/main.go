@@ -24,6 +24,7 @@ import (
 
 	"nsdfgo/internal/dem"
 	"nsdfgo/internal/idx"
+	"nsdfgo/internal/storage"
 )
 
 func main() {
@@ -67,16 +68,24 @@ func run(stdout io.Writer) error {
 		return err
 	}
 	meta.BitsPerBlock = 12
-	be := idx.NewMemBackend()
-	ds, err := idx.Create(context.Background(), be, meta)
+	store := storage.NewMemStore()
+	ds, err := idx.Create(context.Background(), storage.NewIDXBackend(store, ""), meta)
 	if err != nil {
 		return err
 	}
 	if err := ds.WriteVolume(context.Background(), "moisture", 0, data); err != nil {
 		return err
 	}
+	objects, err := store.List(context.Background(), "")
+	if err != nil {
+		return err
+	}
+	var stored int64
+	for _, o := range objects {
+		stored += o.Size
+	}
 	fmt.Fprintf(stdout, "stored: %d voxels in %d blocks, %d bytes, %d resolution levels\n\n",
-		w*h*depth, ds.Meta.NumBlocks(), be.TotalBytes(), ds.Meta.MaxLevel())
+		w*h*depth, ds.Meta.NumBlocks(), stored, ds.Meta.MaxLevel())
 
 	// 1. Coarse 3D preview: the whole volume at a fraction of the cost.
 	preview, stats, err := ds.ReadBox3D(context.Background(), "moisture", 0, ds.FullBox3(), 9)
@@ -85,7 +94,7 @@ func run(stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "coarse preview: %dx%dx%d voxels from %d bytes (%0.1f%% of the data)\n",
 		preview.Dims[0], preview.Dims[1], preview.Dims[2], stats.BytesRead,
-		100*float64(stats.BytesRead)/float64(be.TotalBytes()))
+		100*float64(stats.BytesRead)/float64(stored))
 
 	// 2. Depth profile: mean moisture per Z slice (full resolution).
 	fmt.Fprintln(stdout, "\ndepth profile (mean moisture per slice):")

@@ -10,9 +10,9 @@ import (
 	"math"
 	"testing"
 
-	"nsdfgo/internal/idx"
 	"nsdfgo/internal/netcdf"
 	"nsdfgo/internal/raster"
+	"nsdfgo/internal/storage"
 	"nsdfgo/internal/tiff"
 )
 
@@ -212,7 +212,7 @@ func TestToIDXMultiFormat(t *testing.T) {
 	for i := range gB.Data {
 		gB.Data[i] += 1000
 	}
-	be := idx.NewMemBackend()
+	be := storage.NewIDXBackend(storage.NewMemStore(), "")
 	ds, err := ToIDXWith(context.Background(), be, []Input{
 		{FieldName: "from_tiff", Grid: gA},
 		{FieldName: "from_netcdf", Grid: gB},
@@ -240,7 +240,7 @@ func TestToIDXMultiFormat(t *testing.T) {
 }
 
 func TestToIDXValidation(t *testing.T) {
-	be := idx.NewMemBackend()
+	be := storage.NewIDXBackend(storage.NewMemStore(), "")
 	if _, err := ToIDXWith(context.Background(), be, nil, IDXOptions{BitsPerBlock: 8}); err == nil {
 		t.Error("empty inputs accepted")
 	}
@@ -270,7 +270,7 @@ func TestEndToEndNetCDFToIDX(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := ToIDXWith(context.Background(), idx.NewMemBackend(), []Input{{FieldName: SanitizeFieldName("soil.nc"), Grid: loaded}}, IDXOptions{})
+	ds, err := ToIDXWith(context.Background(), storage.NewIDXBackend(storage.NewMemStore(), ""), []Input{{FieldName: SanitizeFieldName("soil.nc"), Grid: loaded}}, IDXOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"nsdfgo/internal/idx"
 	"nsdfgo/internal/query"
 	"nsdfgo/internal/raster"
+	"nsdfgo/internal/storage"
 )
 
 // newBoundaryServer serves two tiny datasets in process: a 32x32
@@ -42,7 +43,7 @@ func newBoundaryServer(tb testing.TB) *Server {
 		}
 		meta.Timesteps = d.steps
 		meta.BitsPerBlock = 8
-		ds, err := idx.Create(ctx, idx.NewMemBackend(), meta)
+		ds, err := idx.Create(ctx, storage.NewIDXBackend(storage.NewMemStore(), ""), meta)
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -20,6 +20,7 @@ import (
 	"nsdfgo/internal/idx"
 	"nsdfgo/internal/query"
 	"nsdfgo/internal/raster"
+	"nsdfgo/internal/storage"
 )
 
 // newTestServer builds a dashboard over one 64x64 two-field, 3-timestep
@@ -35,7 +36,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	}
 	meta.Timesteps = 3
 	meta.BitsPerBlock = 8
-	ds, err := idx.Create(context.Background(), idx.NewMemBackend(), meta)
+	ds, err := idx.Create(context.Background(), storage.NewIDXBackend(storage.NewMemStore(), ""), meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +452,7 @@ func TestRenderImageMatchesPalette(t *testing.T) {
 func BenchmarkRenderTile(b *testing.B) {
 	meta, _ := idx.NewMeta([]int{256, 256}, []idx.Field{{Name: "elevation", Type: idx.Float32, Codec: "zlib"}})
 	meta.BitsPerBlock = 12
-	ds, _ := idx.Create(context.Background(), idx.NewMemBackend(), meta)
+	ds, _ := idx.Create(context.Background(), storage.NewIDXBackend(storage.NewMemStore(), ""), meta)
 	g := dem.Scale(dem.FBM(256, 256, 1, dem.DefaultFBM()), 0, 1000)
 	if err := ds.WriteGrid(context.Background(), "elevation", 0, g); err != nil {
 		b.Fatal(err)

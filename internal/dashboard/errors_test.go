@@ -18,14 +18,15 @@ import (
 	"nsdfgo/internal/dem"
 	"nsdfgo/internal/idx"
 	"nsdfgo/internal/query"
+	"nsdfgo/internal/storage"
 )
 
-// faultBackend wraps a MemBackend and, once armed, fails every block
+// faultBackend wraps a memory backend and, once armed, fails every block
 // Get with the injected error (the descriptor stays readable so Open
 // keeps working). It also counts block Gets, which the shed tests use
 // to prove a 429 never reached the fetch path.
 type faultBackend struct {
-	*idx.MemBackend
+	*storage.IDXBackend
 	mu      sync.Mutex
 	err     error
 	gets    atomic.Int64
@@ -34,7 +35,7 @@ type faultBackend struct {
 
 func (b *faultBackend) Get(ctx context.Context, name string) ([]byte, error) {
 	if name == idx.MetaObjectName {
-		return b.MemBackend.Get(ctx, name)
+		return b.IDXBackend.Get(ctx, name)
 	}
 	b.gets.Add(1)
 	b.mu.Lock()
@@ -51,7 +52,7 @@ func (b *faultBackend) Get(ctx context.Context, name string) ([]byte, error) {
 			return nil, ctx.Err()
 		}
 	}
-	return b.MemBackend.Get(ctx, name)
+	return b.IDXBackend.Get(ctx, name)
 }
 
 func (b *faultBackend) fail(err error) {
@@ -74,7 +75,7 @@ func newFaultServer(t *testing.T) (*Server, *query.Engine, *faultBackend, *httpt
 	}
 	meta.Timesteps = 2
 	meta.BitsPerBlock = 8
-	be := &faultBackend{MemBackend: idx.NewMemBackend()}
+	be := &faultBackend{IDXBackend: storage.NewIDXBackend(storage.NewMemStore(), "")}
 	ds, err := idx.Create(context.Background(), be, meta)
 	if err != nil {
 		t.Fatal(err)

@@ -17,6 +17,7 @@ import (
 	"nsdfgo/internal/dem"
 	"nsdfgo/internal/idx"
 	"nsdfgo/internal/query"
+	"nsdfgo/internal/storage"
 	"nsdfgo/internal/telemetry/trace"
 )
 
@@ -115,7 +116,7 @@ func newWarmServer(t *testing.T, dim int) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := idx.Create(ctx, idx.NewMemBackend(), meta)
+	ds, err := idx.Create(ctx, storage.NewIDXBackend(storage.NewMemStore(), ""), meta)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,7 +117,7 @@ func TestRegisterWhileServing(t *testing.T) {
 	const datasets = 4
 	engines := make([]*query.Engine, datasets)
 	for i := range engines {
-		ds, err := idx.Create(context.Background(), idx.NewMemBackend(), meta)
+		ds, err := idx.Create(context.Background(), storage.NewIDXBackend(storage.NewMemStore(), ""), meta)
 		if err != nil {
 			t.Fatal(err)
 		}

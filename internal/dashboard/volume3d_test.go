@@ -11,6 +11,7 @@ import (
 
 	"nsdfgo/internal/idx"
 	"nsdfgo/internal/query"
+	"nsdfgo/internal/storage"
 )
 
 // newVolumeServer serves one 32x16x8 3D dataset whose value encodes its
@@ -22,7 +23,7 @@ func newVolumeServer(t *testing.T) *httptest.Server {
 		t.Fatal(err)
 	}
 	meta.BitsPerBlock = 8
-	ds, err := idx.Create(context.Background(), idx.NewMemBackend(), meta)
+	ds, err := idx.Create(context.Background(), storage.NewIDXBackend(storage.NewMemStore(), ""), meta)
 	if err != nil {
 		t.Fatal(err)
 	}

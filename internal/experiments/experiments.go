@@ -186,7 +186,7 @@ func RunFig3(ctx context.Context, w io.Writer) (Fig3Result, error) {
 			return res, err
 		}
 		inputs := []convert.Input{{FieldName: "elevation", Grid: im.Grid()}}
-		if _, err := convert.ToIDXWith(ctx, idx.NewMemBackend(), inputs, convert.IDXOptions{}); err != nil {
+		if _, err := convert.ToIDXWith(ctx, storage.NewIDXBackend(storage.NewMemStore(), ""), inputs, convert.IDXOptions{}); err != nil {
 			return res, err
 		}
 		res.Sources[name] = time.Since(start)
@@ -306,7 +306,7 @@ func RunFig6(ctx context.Context, w io.Writer) (Fig6Result, error) {
 		}
 		// IDX round trip.
 		inputs := []convert.Input{{FieldName: p.String(), Grid: im.Grid()}}
-		ds, err := convert.ToIDXWith(ctx, idx.NewMemBackend(), inputs, convert.IDXOptions{})
+		ds, err := convert.ToIDXWith(ctx, storage.NewIDXBackend(storage.NewMemStore(), ""), inputs, convert.IDXOptions{})
 		if err != nil {
 			return res, err
 		}
@@ -451,7 +451,7 @@ func RunClaim20(ctx context.Context, w io.Writer) (Claim20Result, error) {
 		res.TIFFBytes[p.String()] = int64(buf.Len())
 		tiffTotal += int64(buf.Len())
 
-		ds, err := convert.ToIDXWith(ctx, idx.NewMemBackend(), []convert.Input{{FieldName: p.String(), Grid: g}}, convert.IDXOptions{})
+		ds, err := convert.ToIDXWith(ctx, storage.NewIDXBackend(storage.NewMemStore(), ""), []convert.Input{{FieldName: p.String(), Grid: g}}, convert.IDXOptions{})
 		if err != nil {
 			return res, err
 		}

@@ -7,19 +7,21 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"nsdfgo/internal/storage"
 )
 
 // failFirstPutBackend fails the first block Put and slows the rest, so a
 // write without early abort would grind through every remaining block.
 type failFirstPutBackend struct {
-	*MemBackend
+	*storage.IDXBackend
 	mu       sync.Mutex
 	blockPut int
 }
 
 func (b *failFirstPutBackend) Put(ctx context.Context, name string, data []byte) error {
 	if !strings.HasPrefix(name, BlockPrefix) {
-		return b.MemBackend.Put(ctx, name, data) // descriptor writes pass through
+		return b.IDXBackend.Put(ctx, name, data) // descriptor writes pass through
 	}
 	b.mu.Lock()
 	b.blockPut++
@@ -31,7 +33,7 @@ func (b *failFirstPutBackend) Put(ctx context.Context, name string, data []byte)
 	// Successful block stores are slow enough that workers not observing
 	// the abort flag would take measurable wall time per block.
 	time.Sleep(time.Millisecond)
-	return b.MemBackend.Put(ctx, name, data)
+	return b.IDXBackend.Put(ctx, name, data)
 }
 
 func (b *failFirstPutBackend) puts() int {
@@ -44,7 +46,7 @@ func (b *failFirstPutBackend) puts() int {
 // stops the whole write quickly instead of letting the other workers
 // finish every remaining block.
 func TestWriteGridAbortsOnError(t *testing.T) {
-	be := &failFirstPutBackend{MemBackend: NewMemBackend()}
+	be := &failFirstPutBackend{IDXBackend: newBackend()}
 	meta, err := NewMeta([]int{128, 128}, []Field{{Name: "v", Type: Float32, Codec: "raw"}})
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ func allocatedBy(fn func()) uint64 {
 // entries per row, column and plane, not a record per sample, per run or
 // per block key. A warm-cache full-resolution read of a 2^20-sample
 // float32 field may allocate its output plus a per-row slack, and a
-// raw-codec full write onto a MemBackend under three times the raw
+// raw-codec full write onto a memory backend under three times the raw
 // samples (each block is copied once by the codec and once by the
 // backend); the materialised run plan this replaced took 9x on its own,
 // the per-sample 3D reader an address per sample. A read under its own
@@ -64,7 +64,7 @@ func TestReadWriteAllocationBound(t *testing.T) {
 		if row.bitsPerBlock != 0 {
 			meta.BitsPerBlock = row.bitsPerBlock
 		}
-		ds, err := Create(ctx, NewMemBackend(), meta)
+		ds, err := Create(ctx, newBackend(), meta)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"nsdfgo/internal/storage"
 	"nsdfgo/internal/telemetry"
 )
 
@@ -16,13 +17,13 @@ import (
 // remote store. Honouring ctx is exactly what Backend implementations
 // promise, so a leak in this test is the Dataset's, not the backend's.
 type hangingBackend struct {
-	*MemBackend
+	*storage.IDXBackend
 	entered chan struct{}
 }
 
 func (b *hangingBackend) Get(ctx context.Context, name string) ([]byte, error) {
 	if !strings.HasPrefix(name, BlockPrefix) {
-		return b.MemBackend.Get(ctx, name)
+		return b.IDXBackend.Get(ctx, name)
 	}
 	select {
 	case b.entered <- struct{}{}:
@@ -56,7 +57,7 @@ func TestReadBoxCancelFreesFetchWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta.BitsPerBlock = 8 // 64 blocks: plenty of work to strand in-flight
-	mem := NewMemBackend()
+	mem := newBackend()
 	ds, err := Create(context.Background(), mem, meta)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +67,7 @@ func TestReadBoxCancelFreesFetchWorkers(t *testing.T) {
 	}
 
 	// Reopen through the hanging wrapper so only reads stall.
-	be := &hangingBackend{MemBackend: mem, entered: make(chan struct{}, 1)}
+	be := &hangingBackend{IDXBackend: mem, entered: make(chan struct{}, 1)}
 	ds2, err := Open(context.Background(), be)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +119,7 @@ func TestWriteGridCancelStopsClaims(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta.BitsPerBlock = 8
-	ds, err := Create(context.Background(), NewMemBackend(), meta)
+	ds, err := Create(context.Background(), newBackend(), meta)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,11 +9,12 @@ import (
 
 	"nsdfgo/internal/cache"
 	"nsdfgo/internal/raster"
+	"nsdfgo/internal/storage"
 )
 
-// perKeyCountingBackend wraps MemBackend and counts Gets per object name.
+// perKeyCountingBackend wraps a memory backend and counts Gets per object name.
 type perKeyCountingBackend struct {
-	*MemBackend
+	*storage.IDXBackend
 	mu     sync.Mutex
 	counts map[string]int
 }
@@ -28,7 +29,7 @@ func (p *perKeyCountingBackend) Get(ctx context.Context, name string) ([]byte, e
 	// Hold the fetch open long enough for concurrent readers to pile onto
 	// the same in-flight key.
 	time.Sleep(2 * time.Millisecond)
-	return p.MemBackend.Get(ctx, name)
+	return p.IDXBackend.Get(ctx, name)
 }
 
 // TestConcurrentReadBoxCoalescesFetches is the end-to-end duplicate-fetch
@@ -41,7 +42,7 @@ func TestConcurrentReadBoxCoalescesFetches(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta.BitsPerBlock = 8 // 64 blocks
-	be := &perKeyCountingBackend{MemBackend: NewMemBackend()}
+	be := &perKeyCountingBackend{IDXBackend: newBackend()}
 	ds, err := Create(context.Background(), be, meta)
 	if err != nil {
 		t.Fatal(err)

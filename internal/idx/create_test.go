@@ -2,31 +2,14 @@ package idx
 
 import (
 	"context"
-	"strings"
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"nsdfgo/internal/raster"
+	"nsdfgo/internal/storage"
 )
-
-// noDeleteBackend hides MemBackend's Delete so the wrapped value
-// satisfies Backend but not Deleter.
-type noDeleteBackend struct {
-	m *MemBackend
-}
-
-func (b *noDeleteBackend) Get(ctx context.Context, name string) ([]byte, error) {
-	return b.m.Get(ctx, name)
-}
-
-func (b *noDeleteBackend) Put(ctx context.Context, name string, data []byte) error {
-	return b.m.Put(ctx, name, data)
-}
-
-func (b *noDeleteBackend) List(ctx context.Context, prefix string) ([]string, error) {
-	return b.m.List(ctx, prefix)
-}
 
 // TestCreateRemovesStaleBlocks is the regression test for re-creating a
 // dataset over a backend that still holds the previous dataset's blocks:
@@ -37,7 +20,7 @@ func TestCreateRemovesStaleBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be := NewMemBackend()
+	be := newBackend()
 	ds, err := Create(context.Background(), be, meta)
 	if err != nil {
 		t.Fatal(err)
@@ -71,44 +54,36 @@ func TestCreateRemovesStaleBlocks(t *testing.T) {
 	}
 }
 
-// TestCreateRefusesStaleBlocksWithoutDeleter checks the fallback for
-// backends that cannot delete: refusing is safer than serving stale data.
-func TestCreateRefusesStaleBlocksWithoutDeleter(t *testing.T) {
-	meta, err := NewMeta([]int{32, 32}, float32Fields())
-	if err != nil {
+// TestMissingObjectIsErrNotExist pins the one "missing" error: with a
+// block and then the descriptor deleted from under a dataset on a
+// MemStore, the read and the re-open fail with storage.ErrNotExist.
+func TestMissingObjectIsErrNotExist(t *testing.T) {
+	ctx := context.Background()
+	ds, be := newTestDataset(t, 32, 32, float32Fields())
+	if err := ds.WriteGrid(ctx, "elevation", 0, rampGrid(32, 32)); err != nil {
 		t.Fatal(err)
 	}
-	inner := NewMemBackend()
-	be := &noDeleteBackend{m: inner}
-	ds, err := Create(context.Background(), be, meta)
-	if err != nil {
+	blocks, err := be.List(ctx, BlockPrefix)
+	if err != nil || len(blocks) == 0 {
+		t.Fatalf("blocks = %v, %v", blocks, err)
+	}
+	if err := be.Delete(ctx, blocks[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.WriteGrid(context.Background(), "elevation", 0, rampGrid(32, 32)); err != nil {
+	if _, _, err := ds.ReadBox(ctx, "elevation", 0, ds.FullBox(), ds.Meta.MaxLevel()); !errors.Is(err, storage.ErrNotExist) {
+		t.Errorf("ReadBox with block %q deleted: %v; want storage.ErrNotExist", blocks[0], err)
+	}
+	if err := be.Delete(ctx, MetaObjectName); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Create(context.Background(), be, meta); err == nil {
-		t.Fatal("Create over stale blocks succeeded on a backend without Delete")
-	} else if !strings.Contains(err.Error(), "stale blocks") {
-		t.Errorf("error %q does not mention stale blocks", err)
-	}
-	// A clean backend still works.
-	if _, err := Create(context.Background(), &noDeleteBackend{m: NewMemBackend()}, meta); err != nil {
-		t.Errorf("Create on clean non-deleting backend: %v", err)
-	}
-}
-
-// TestDeleteMissingObjectIsNoError pins the Deleter contract (the
-// directory-backed half is storage's TestFileStoreIDXBackend).
-func TestDeleteMissingObjectIsNoError(t *testing.T) {
-	if err := NewMemBackend().Delete(context.Background(), "absent"); err != nil {
-		t.Errorf("MemBackend.Delete(context.Background(), absent) = %v", err)
+	if _, err := Open(ctx, be); !errors.Is(err, storage.ErrNotExist) {
+		t.Errorf("Open with the descriptor deleted: %v; want storage.ErrNotExist", err)
 	}
 }
 
 // putCountingBackend tracks the peak number of concurrent Put calls.
 type putCountingBackend struct {
-	*MemBackend
+	*storage.IDXBackend
 	mu      sync.Mutex
 	current int
 	peak    int
@@ -128,7 +103,7 @@ func (b *putCountingBackend) Put(ctx context.Context, name string, data []byte) 
 		b.current--
 		b.mu.Unlock()
 	}()
-	return b.MemBackend.Put(ctx, name, data)
+	return b.IDXBackend.Put(ctx, name, data)
 }
 
 func (b *putCountingBackend) Peak() int {
@@ -151,7 +126,7 @@ func TestWriteParallelismHonored(t *testing.T) {
 
 	write := func(workers int) (*putCountingBackend, *Dataset) {
 		t.Helper()
-		be := &putCountingBackend{MemBackend: NewMemBackend()}
+		be := &putCountingBackend{IDXBackend: newBackend()}
 		ds, err := Create(context.Background(), be, meta)
 		if err != nil {
 			t.Fatal(err)

@@ -2,10 +2,11 @@
 // of OpenVisus and the NSDF dashboard: samples of a regular grid are
 // reordered along the hierarchical Z-order (HZ) curve, split into
 // fixed-size blocks, independently compressed, and stored as objects in
-// any Backend. Because coarse resolution levels occupy a prefix of the HZ
-// ordering, a reader can progressively refine a region of interest by
-// fetching only the blocks that intersect the requested box and level —
-// the "storage-oblivious API" of the tutorial paper (§III-A).
+// a Backend: any storage.Store, through storage.NewIDXBackend. Because
+// coarse resolution levels occupy a prefix of the HZ ordering, a reader
+// can progressively refine a region of interest by fetching only the
+// blocks that intersect the requested box and level — the
+// "storage-oblivious API" of the tutorial paper (§III-A).
 //
 // Every read and write entry point is context-first: the context bounds
 // all backend I/O the call performs, and the fetch and write worker
@@ -77,22 +78,15 @@ type FillerCache = BlockCache
 // descriptor. ctx bounds the backend I/O. Creating over an existing
 // dataset first removes any blocks left under BlockPrefix — otherwise a
 // smaller or sparser re-creation could silently serve the previous
-// dataset's samples. Backends that cannot delete (no Deleter
-// implementation) refuse to create over existing blocks instead.
+// dataset's samples.
 func Create(ctx context.Context, be Backend, meta Meta) (*Dataset, error) {
 	stale, err := be.List(ctx, BlockPrefix)
 	if err != nil {
 		return nil, fmt.Errorf("idx: scan for stale blocks: %w", err)
 	}
-	if len(stale) > 0 {
-		del, ok := be.(Deleter)
-		if !ok {
-			return nil, fmt.Errorf("idx: backend holds %d stale blocks under %q and cannot delete them; use a fresh prefix or backend", len(stale), BlockPrefix)
-		}
-		for _, name := range stale {
-			if err := del.Delete(ctx, name); err != nil {
-				return nil, fmt.Errorf("idx: delete stale block %q: %w", name, err)
-			}
+	for _, name := range stale {
+		if err := be.Delete(ctx, name); err != nil {
+			return nil, fmt.Errorf("idx: delete stale block %q: %w", name, err)
 		}
 	}
 	text, err := meta.MarshalText()

@@ -10,11 +10,12 @@ import (
 	"testing"
 
 	"nsdfgo/internal/raster"
+	"nsdfgo/internal/storage"
 )
 
 // storedHash digests every block object a dataset holds: name, length
 // and bytes, in name order.
-func storedHash(t *testing.T, be *MemBackend) string {
+func storedHash(t *testing.T, be *storage.IDXBackend) string {
 	t.Helper()
 	ctx := context.Background()
 	names, err := be.List(ctx, BlockPrefix)
@@ -63,7 +64,7 @@ func TestStoredBytesGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			meta.BitsPerBlock = 6
-			be := NewMemBackend()
+			be := newBackend()
 			ds, err := Create(context.Background(), be, meta)
 			if err != nil {
 				t.Fatal(err)
@@ -85,8 +86,8 @@ func TestStoredBytesGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if be.NumObjects()-1 != meta.NumBlocks() {
-				t.Fatalf("stored %d blocks, want %d", be.NumObjects()-1, meta.NumBlocks())
+			if objects, _ := footprint(t, be); objects-1 != meta.NumBlocks() {
+				t.Fatalf("stored %d blocks, want %d", objects-1, meta.NumBlocks())
 			}
 			if got := storedHash(t, be); got != c.want {
 				t.Errorf("stored blocks hash %s, want %s", got, c.want)

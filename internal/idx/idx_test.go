@@ -10,6 +10,7 @@ import (
 	"nsdfgo/internal/cache"
 	"nsdfgo/internal/dem"
 	"nsdfgo/internal/raster"
+	"nsdfgo/internal/storage"
 	"nsdfgo/internal/telemetry"
 	"nsdfgo/internal/telemetry/trace"
 )
@@ -18,13 +19,37 @@ func float32Fields() []Field {
 	return []Field{{Name: "elevation", Type: Float32, Codec: "zlib"}}
 }
 
-func newTestDataset(t *testing.T, w, h int, fields []Field) (*Dataset, *MemBackend) {
+// newBackend returns a backend on a fresh storage.MemStore, the store
+// the dashboard's demo dataset lives in.
+func newBackend() *storage.IDXBackend {
+	return storage.NewIDXBackend(storage.NewMemStore(), "")
+}
+
+// footprint returns how many objects be holds and their total size.
+func footprint(t testing.TB, be Backend) (objects int, bytes int64) {
+	t.Helper()
+	ctx := context.Background()
+	names, err := be.List(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		data, err := be.Get(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes += int64(len(data))
+	}
+	return len(names), bytes
+}
+
+func newTestDataset(t *testing.T, w, h int, fields []Field) (*Dataset, *storage.IDXBackend) {
 	t.Helper()
 	meta, err := NewMeta([]int{w, h}, fields)
 	if err != nil {
 		t.Fatal(err)
 	}
-	be := NewMemBackend()
+	be := newBackend()
 	ds, err := Create(context.Background(), be, meta)
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +329,7 @@ func TestCoarseLevelsReadFewerBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta.BitsPerBlock = 12
-	be := NewMemBackend()
+	be := newBackend()
 	ds, err := Create(context.Background(), be, meta)
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +358,7 @@ func TestReadBoxSmallBoxTouchesFewBlocks(t *testing.T) {
 	const w, h = 512, 512
 	meta, _ := NewMeta([]int{w, h}, float32Fields())
 	meta.BitsPerBlock = 10
-	be := NewMemBackend()
+	be := newBackend()
 	ds, _ := Create(context.Background(), be, meta)
 	if err := ds.WriteGrid(context.Background(), "elevation", 0, rampGrid(w, h)); err != nil {
 		t.Fatal(err)
@@ -354,7 +379,7 @@ func TestMultipleFieldsAndTimesteps(t *testing.T) {
 		{Name: "slope", Type: Float32, Codec: "lz4"},
 	})
 	meta.Timesteps = 3
-	be := NewMemBackend()
+	be := newBackend()
 	ds, err := Create(context.Background(), be, meta)
 	if err != nil {
 		t.Fatal(err)
@@ -403,7 +428,7 @@ func TestOpenExistingDataset(t *testing.T) {
 }
 
 func TestOpenMissingDescriptor(t *testing.T) {
-	if _, err := Open(context.Background(), NewMemBackend()); err == nil {
+	if _, err := Open(context.Background(), newBackend()); err == nil {
 		t.Error("Open on empty backend succeeded")
 	}
 }
@@ -477,7 +502,7 @@ func TestNaNSurvivesRoundTrip(t *testing.T) {
 func TestGeorefAdjustedForBoxAndLevel(t *testing.T) {
 	meta, _ := NewMeta([]int{64, 64}, float32Fields())
 	meta.Geo = &raster.Georef{OriginX: -90, OriginY: 36, PixelW: 0.01, PixelH: 0.01}
-	be := NewMemBackend()
+	be := newBackend()
 	ds, _ := Create(context.Background(), be, meta)
 	if err := ds.WriteGrid(context.Background(), "elevation", 0, rampGrid(64, 64)); err != nil {
 		t.Fatal(err)
@@ -496,7 +521,7 @@ func TestGeorefAdjustedForBoxAndLevel(t *testing.T) {
 
 func TestUint8FieldRoundTrip(t *testing.T) {
 	meta, _ := NewMeta([]int{32, 32}, []Field{{Name: "hillshade", Type: Uint8, Codec: "zlib"}})
-	be := NewMemBackend()
+	be := newBackend()
 	ds, _ := Create(context.Background(), be, meta)
 	g := raster.New(32, 32)
 	for i := range g.Data {
@@ -526,7 +551,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if meta.BitsPerBlock > meta.Bits.Bits() {
 			meta.BitsPerBlock = meta.Bits.Bits()
 		}
-		be := NewMemBackend()
+		be := newBackend()
 		ds, err := Create(context.Background(), be, meta)
 		if err != nil {
 			return false
@@ -559,8 +584,8 @@ func TestStoredBytes(t *testing.T) {
 		t.Errorf("StoredBytes = %d", n)
 	}
 	meta, _ := be.Get(context.Background(), MetaObjectName)
-	if be.TotalBytes() != n+int64(len(meta)) {
-		t.Errorf("backend holds %d bytes, blocks %d + meta %d", be.TotalBytes(), n, len(meta))
+	if _, total := footprint(t, be); total != n+int64(len(meta)) {
+		t.Errorf("backend holds %d bytes, blocks %d + meta %d", total, n, len(meta))
 	}
 }
 
@@ -593,22 +618,6 @@ func TestBlockCacheUsed(t *testing.T) {
 	}
 }
 
-func TestMemBackendIsolation(t *testing.T) {
-	be := NewMemBackend()
-	data := []byte{1, 2, 3}
-	be.Put(context.Background(), "k", data)
-	data[0] = 99
-	got, _ := be.Get(context.Background(), "k")
-	if got[0] != 1 {
-		t.Error("Put did not copy")
-	}
-	got[1] = 99
-	got2, _ := be.Get(context.Background(), "k")
-	if got2[1] != 2 {
-		t.Error("Get did not copy")
-	}
-}
-
 func TestMetaDescriptorIsHumanReadable(t *testing.T) {
 	meta, _ := NewMeta([]int{100, 50}, float32Fields())
 	text, _ := meta.MarshalText()
@@ -626,7 +635,7 @@ func BenchmarkWriteGrid256(b *testing.B) {
 	b.SetBytes(int64(4 * 256 * 256))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ds, _ := Create(context.Background(), NewMemBackend(), meta)
+		ds, _ := Create(context.Background(), newBackend(), meta)
 		if err := ds.WriteGrid(context.Background(), "elevation", 0, g); err != nil {
 			b.Fatal(err)
 		}
@@ -636,7 +645,7 @@ func BenchmarkWriteGrid256(b *testing.B) {
 func BenchmarkReadFull256(b *testing.B) {
 	meta, _ := NewMeta([]int{256, 256}, float32Fields())
 	meta.BitsPerBlock = 14
-	ds, _ := Create(context.Background(), NewMemBackend(), meta)
+	ds, _ := Create(context.Background(), newBackend(), meta)
 	g := dem.Scale(dem.FBM(256, 256, 1, dem.DefaultFBM()), 0, 2000)
 	if err := ds.WriteGrid(context.Background(), "elevation", 0, g); err != nil {
 		b.Fatal(err)
@@ -654,7 +663,7 @@ func BenchmarkReadFull256(b *testing.B) {
 func BenchmarkReadCoarseLevel(b *testing.B) {
 	meta, _ := NewMeta([]int{512, 512}, float32Fields())
 	meta.BitsPerBlock = 12
-	ds, _ := Create(context.Background(), NewMemBackend(), meta)
+	ds, _ := Create(context.Background(), newBackend(), meta)
 	g := dem.Scale(dem.FBM(512, 512, 1, dem.DefaultFBM()), 0, 2000)
 	if err := ds.WriteGrid(context.Background(), "elevation", 0, g); err != nil {
 		b.Fatal(err)
@@ -707,7 +716,7 @@ func TestFullWriteInvalidatesCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		meta.BitsPerBlock = 6
-		ds, err := Create(ctx, NewMemBackend(), meta)
+		ds, err := Create(ctx, newBackend(), meta)
 		if err != nil {
 			t.Fatal(err)
 		}

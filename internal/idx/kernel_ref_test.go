@@ -11,6 +11,7 @@ import (
 
 	"nsdfgo/internal/compress"
 	"nsdfgo/internal/raster"
+	"nsdfgo/internal/storage"
 )
 
 // readBoxPerSample and writeGridPerSample below are per-sample copies
@@ -250,7 +251,7 @@ func verifyKernelAgreement(tb testing.TB, ds *Dataset) {
 			tb.Fatal(err)
 		}
 		meta.BitsPerBlock = 9
-		backends := [2]*MemBackend{NewMemBackend(), NewMemBackend()}
+		backends := [2]*storage.IDXBackend{newBackend(), newBackend()}
 		var sets [2]*Dataset
 		for i, be := range backends {
 			if sets[i], err = Create(ctx, be, meta); err != nil {

@@ -15,7 +15,7 @@ func TestLossyFieldRoundTripWithinTolerance(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta.BitsPerBlock = 10
-	be := NewMemBackend()
+	be := newBackend()
 	ds, err := Create(context.Background(), be, meta)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestLossyFieldSmallerThanLossless(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds, err := Create(context.Background(), NewMemBackend(), meta)
+		ds, err := Create(context.Background(), newBackend(), meta)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,12 +10,13 @@ import (
 	"time"
 
 	"nsdfgo/internal/raster"
+	"nsdfgo/internal/storage"
 )
 
-// slowCountingBackend wraps MemBackend and tracks the peak number of
+// slowCountingBackend wraps a memory backend and tracks the peak number of
 // concurrent Get calls.
 type slowCountingBackend struct {
-	*MemBackend
+	*storage.IDXBackend
 	mu      sync.Mutex
 	current int
 	peak    int
@@ -36,7 +37,7 @@ func (s *slowCountingBackend) Get(ctx context.Context, name string) ([]byte, err
 		s.current--
 		s.mu.Unlock()
 	}()
-	return s.MemBackend.Get(ctx, name)
+	return s.IDXBackend.Get(ctx, name)
 }
 
 func (s *slowCountingBackend) Peak() int {
@@ -52,7 +53,7 @@ func newParallelDataset(t *testing.T) (*Dataset, *slowCountingBackend, *raster.G
 		t.Fatal(err)
 	}
 	meta.BitsPerBlock = 8 // 64 blocks: plenty of fetch parallelism available
-	be := &slowCountingBackend{MemBackend: NewMemBackend()}
+	be := &slowCountingBackend{IDXBackend: newBackend()}
 	ds, err := Create(context.Background(), be, meta)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +200,7 @@ func TestParallelFetchSurfacesErrors(t *testing.T) {
 func TestSerialFetchSurfacesErrors(t *testing.T) {
 	meta, _ := NewMeta([]int{64, 64}, []Field{{Name: "elevation", Type: Float32}})
 	meta.BitsPerBlock = 8
-	inner := NewMemBackend()
+	inner := newBackend()
 	ds, err := Create(context.Background(), inner, meta)
 	if err != nil {
 		t.Fatal(err)

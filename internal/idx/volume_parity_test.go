@@ -18,7 +18,7 @@ func TestVolumeReadSharesTheReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta.BitsPerBlock = 8 // 64 blocks
-	be := &slowCountingBackend{MemBackend: NewMemBackend()}
+	be := &slowCountingBackend{IDXBackend: newBackend()}
 	ds, err := Create(context.Background(), be, meta)
 	if err != nil {
 		t.Fatal(err)

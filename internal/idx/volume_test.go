@@ -30,7 +30,7 @@ func newVolumeDataset(t *testing.T, w, h, d, bitsPerBlock int) *Dataset {
 	if bitsPerBlock > 0 && bitsPerBlock <= meta.Bits.Bits() {
 		meta.BitsPerBlock = bitsPerBlock
 	}
-	ds, err := Create(context.Background(), NewMemBackend(), meta)
+	ds, err := Create(context.Background(), newBackend(), meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestVolumeRoundTripProperty(t *testing.T) {
 		if meta.BitsPerBlock > 6 && meta.Bits.Bits() >= 6 {
 			meta.BitsPerBlock = 6
 		}
-		ds, err := Create(context.Background(), NewMemBackend(), meta)
+		ds, err := Create(context.Background(), newBackend(), meta)
 		if err != nil {
 			return false
 		}
@@ -262,7 +262,7 @@ func BenchmarkVolumeWrite64(b *testing.B) {
 	b.SetBytes(int64(4 * len(data)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ds, _ := Create(context.Background(), NewMemBackend(), meta)
+		ds, _ := Create(context.Background(), newBackend(), meta)
 		if err := ds.WriteVolume(context.Background(), "v", 0, data); err != nil {
 			b.Fatal(err)
 		}
@@ -272,7 +272,7 @@ func BenchmarkVolumeWrite64(b *testing.B) {
 func BenchmarkVolumeSliceZ(b *testing.B) {
 	meta, _ := NewMeta([]int{64, 64, 64}, []Field{{Name: "v", Type: Float32}})
 	meta.BitsPerBlock = 12
-	ds, _ := Create(context.Background(), NewMemBackend(), meta)
+	ds, _ := Create(context.Background(), newBackend(), meta)
 	if err := ds.WriteVolume(context.Background(), "v", 0, volField(64, 64, 64)); err != nil {
 		b.Fatal(err)
 	}

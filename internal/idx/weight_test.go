@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"nsdfgo/internal/cache"
+	"nsdfgo/internal/storage"
 )
 
 // TestBlockWeightIsDomainShare checks blockWeight over every block of a
@@ -84,13 +85,13 @@ func TestBlockWeightIsDomainShare(t *testing.T) {
 
 // getCountingBackend counts backend Gets.
 type getCountingBackend struct {
-	*MemBackend
+	*storage.IDXBackend
 	gets atomic.Int64
 }
 
 func (g *getCountingBackend) Get(ctx context.Context, name string) ([]byte, error) {
 	g.gets.Add(1)
-	return g.MemBackend.Get(ctx, name)
+	return g.IDXBackend.Get(ctx, name)
 }
 
 // TestRefinementKeepsPreviewBlocks is the dashboard's pattern on a
@@ -109,7 +110,7 @@ func TestRefinementKeepsPreviewBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta.BitsPerBlock = 8 // 256 blocks of 1 KiB
-	be := &getCountingBackend{MemBackend: NewMemBackend()}
+	be := &getCountingBackend{IDXBackend: newBackend()}
 	ds, err := Create(ctx, be, meta)
 	if err != nil {
 		t.Fatal(err)

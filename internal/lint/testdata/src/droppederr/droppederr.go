@@ -9,7 +9,7 @@ import (
 	"nsdfgo/internal/idx"
 )
 
-func violations(ctx context.Context, be *idx.MemBackend, f *os.File, path string) []byte {
+func violations(ctx context.Context, be idx.Backend, f *os.File, path string) []byte {
 	be.Put(ctx, "obj", nil)       // want: bare call into the idx scope
 	_ = be.Put(ctx, "obj2", nil)  // want: error assigned to _
 	f.Close()                     // want: bare io.Closer call
@@ -18,7 +18,7 @@ func violations(ctx context.Context, be *idx.MemBackend, f *os.File, path string
 	return data
 }
 
-func handled(ctx context.Context, be *idx.MemBackend, f *os.File) error {
+func handled(ctx context.Context, be idx.Backend, f *os.File) error {
 	if err := be.Put(ctx, "obj", nil); err != nil { // ok: error checked
 		return err
 	}

@@ -18,6 +18,7 @@ import (
 	"nsdfgo/internal/idx"
 	"nsdfgo/internal/loadgen"
 	"nsdfgo/internal/query"
+	"nsdfgo/internal/storage"
 	"nsdfgo/internal/telemetry"
 )
 
@@ -37,7 +38,7 @@ import (
 // capacity model that makes "sustainable throughput" a real number.
 // down simulates a killed storage node: block reads fail immediately.
 type chokeBackend struct {
-	*idx.MemBackend
+	*storage.IDXBackend
 	slots  chan struct{}
 	perGet time.Duration
 	armed  atomic.Bool
@@ -47,7 +48,7 @@ type chokeBackend struct {
 
 func newChokeBackend(slots int, perGet time.Duration) *chokeBackend {
 	return &chokeBackend{
-		MemBackend: idx.NewMemBackend(),
+		IDXBackend: storage.NewIDXBackend(storage.NewMemStore(), ""),
 		slots:      make(chan struct{}, slots),
 		perGet:     perGet,
 	}
@@ -55,7 +56,7 @@ func newChokeBackend(slots int, perGet time.Duration) *chokeBackend {
 
 func (b *chokeBackend) Get(ctx context.Context, name string) ([]byte, error) {
 	if name == idx.MetaObjectName || !b.armed.Load() {
-		return b.MemBackend.Get(ctx, name)
+		return b.IDXBackend.Get(ctx, name)
 	}
 	if b.down.Load() {
 		return nil, errors.New("choke: node is down")
@@ -75,7 +76,7 @@ func (b *chokeBackend) Get(ctx context.Context, name string) ([]byte, error) {
 	case <-t.C:
 	}
 	<-b.slots
-	return b.MemBackend.Get(ctx, name)
+	return b.IDXBackend.Get(ctx, name)
 }
 
 // servingStack is one dashboard instance over its own choked backend.

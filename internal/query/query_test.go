@@ -9,6 +9,7 @@ import (
 	"nsdfgo/internal/dem"
 	"nsdfgo/internal/idx"
 	"nsdfgo/internal/raster"
+	"nsdfgo/internal/storage"
 )
 
 func newEngine(t *testing.T, w, h int, bitsPerBlock int) (*Engine, *raster.Grid) {
@@ -20,7 +21,7 @@ func newEngine(t *testing.T, w, h int, bitsPerBlock int) (*Engine, *raster.Grid)
 	if bitsPerBlock > 0 {
 		meta.BitsPerBlock = bitsPerBlock
 	}
-	ds, err := idx.Create(context.Background(), idx.NewMemBackend(), meta)
+	ds, err := idx.Create(context.Background(), storage.NewIDXBackend(storage.NewMemStore(), ""), meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestProbePoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta.Timesteps = 4
-	ds, err := idx.Create(context.Background(), idx.NewMemBackend(), meta)
+	ds, err := idx.Create(context.Background(), storage.NewIDXBackend(storage.NewMemStore(), ""), meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestSamplesAtLevel(t *testing.T) {
 func BenchmarkProgressiveFull256(b *testing.B) {
 	meta, _ := idx.NewMeta([]int{256, 256}, []idx.Field{{Name: "elevation", Type: idx.Float32, Codec: "zlib"}})
 	meta.BitsPerBlock = 12
-	ds, _ := idx.Create(context.Background(), idx.NewMemBackend(), meta)
+	ds, _ := idx.Create(context.Background(), storage.NewIDXBackend(storage.NewMemStore(), ""), meta)
 	g := dem.Scale(dem.FBM(256, 256, 1, dem.DefaultFBM()), 0, 2000)
 	if err := ds.WriteGrid(context.Background(), "elevation", 0, g); err != nil {
 		b.Fatal(err)
@@ -374,7 +375,7 @@ func TestReadVolumePlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := idx.Create(ctx, idx.NewMemBackend(), meta)
+	ds, err := idx.Create(ctx, storage.NewIDXBackend(storage.NewMemStore(), ""), meta)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,9 +7,11 @@ import (
 
 // IDXBackend adapts a Store to the idx.Backend interface, optionally
 // rooting the dataset at a key prefix so many datasets can share one
-// store (e.g. "datasets/tennessee_30m/"). This is how the conversion and
-// dashboard services place IDX data on Seal Storage or Dataverse-backed
-// object stores.
+// store (e.g. "datasets/tennessee_30m/"). It is how every IDX dataset
+// reaches its objects: in a MemStore (the dashboard's demo dataset,
+// the examples, experiments and tests), in a directory, or on the HTTP
+// and sharded stores standing in for Seal Storage. A missing object is
+// the store's ErrNotExist.
 type IDXBackend struct {
 	store  Store
 	prefix string
@@ -36,8 +38,7 @@ func (b *IDXBackend) Put(ctx context.Context, name string, data []byte) error {
 	return b.store.Put(ctx, b.prefix+name, data)
 }
 
-// Delete implements idx.Deleter, letting idx.Create clear stale blocks
-// on store-backed datasets.
+// Delete implements idx.Backend; idx.Create clears stale blocks with it.
 func (b *IDXBackend) Delete(ctx context.Context, name string) error {
 	return b.store.Delete(ctx, b.prefix+name)
 }

@@ -96,7 +96,7 @@ func TestFileStoreIDXBackend(t *testing.T) {
 	if _, err := be.Get(ctx, "../escape"); err == nil {
 		t.Error("path escape accepted")
 	}
-	// The idx.Deleter contract: deleting a missing object is no error.
+	// idx.Backend's Delete contract: deleting a missing object is no error.
 	if err := be.Delete(ctx, "absent"); err != nil {
 		t.Errorf("Delete(absent) = %v", err)
 	}
@@ -142,7 +142,7 @@ func TestFileStoreIDXBackendDataset(t *testing.T) {
 // FileStore path.
 func TestFileStoreIDXBackendOpensExistingDirectory(t *testing.T) {
 	ctx := context.Background()
-	mem := idx.NewMemBackend()
+	mem := NewIDXBackend(NewMemStore(), "")
 	meta, _ := idx.NewMeta([]int{40, 24}, []idx.Field{{Name: "elevation", Type: idx.Float32}})
 	ds, err := idx.Create(ctx, mem, meta)
 	if err != nil {

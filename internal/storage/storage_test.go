@@ -55,6 +55,9 @@ func TestStoreConformance(t *testing.T) {
 			if _, err := s.Stat(ctx, "missing/key"); !errors.Is(err, ErrNotExist) {
 				t.Errorf("Stat missing: %v", err)
 			}
+			if err := s.Delete(ctx, "missing/key"); err != nil {
+				t.Errorf("Delete missing: %v", err)
+			}
 			// Round trip.
 			payload := []byte("terrain block payload")
 			if err := s.Put(ctx, "a/b/c.bin", payload); err != nil {
@@ -200,6 +203,125 @@ func TestFileStoreKeyIsNotAlsoADirectory(t *testing.T) {
 		if len(files) != 1 || files[0] != stored {
 			t.Errorf("after the refused Put(%q) the store holds files %q, want only %q", refused, files, stored)
 		}
+	}
+}
+
+// TestDeleteFreesItsDirectory: once "a/x" is deleted, "a" is no
+// directory of keys any more, so every store stores "a" as an object.
+// On FileStore the delete removes the emptied directory, and nothing is
+// left under the root but the object.
+func TestDeleteFreesItsDirectory(t *testing.T) {
+	ctx := context.Background()
+	for name, s := range storeImpls(t) {
+		t.Run(name, func(t *testing.T) {
+			if err := s.Put(ctx, "a/b/x", []byte("nested")); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Delete(ctx, "a/b/x"); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put(ctx, "a", []byte("flat")); err != nil {
+				t.Fatalf("Put(a) after Delete(a/b/x): %v", err)
+			}
+			if got, err := s.Get(ctx, "a"); err != nil || string(got) != "flat" {
+				t.Errorf("Get(a) = %q, %v", got, err)
+			}
+			if infos, err := s.List(ctx, ""); err != nil || len(infos) != 1 || infos[0].Key != "a" {
+				t.Errorf("List = %+v, %v; want only a", infos, err)
+			}
+		})
+	}
+}
+
+// TestDeleteRacesPutInItsDirectory: a Delete that empties a directory
+// removes it while another key's Put may have made it and not yet
+// renamed its object into it; that Put makes the directory again. One
+// goroutine stores and deletes a/x while another stores and deletes a/y
+// and finally stores it; no call fails and a/y reads back.
+func TestDeleteRacesPutInItsDirectory(t *testing.T) {
+	ctx := context.Background()
+	s, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 300
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if err := s.Put(ctx, "a/x", []byte("x")); err != nil {
+				t.Errorf("Put(a/x): %v", err)
+				return
+			}
+			if err := s.Delete(ctx, "a/x"); err != nil {
+				t.Errorf("Delete(a/x): %v", err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if err := s.Put(ctx, "a/y", []byte("y")); err != nil {
+				t.Errorf("Put(a/y): %v", err)
+				return
+			}
+			if i == rounds-1 {
+				return
+			}
+			if err := s.Delete(ctx, "a/y"); err != nil {
+				t.Errorf("Delete(a/y): %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if got, err := s.Get(ctx, "a/y"); err != nil || string(got) != "y" {
+		t.Errorf("Get(a/y) = %q, %v", got, err)
+	}
+}
+
+// TestListPrefixes: List matches keys by string prefix, not by whole
+// segments, whichever directory FileStore starts its walk in.
+func TestListPrefixes(t *testing.T) {
+	ctx := context.Background()
+	keys := []string{"blocks/elevation/b1.bin", "blocks/elevation/b1.bin2", "blocks/elevation/b2.bin", "blocks/slope/b1.bin", "meta.idx"}
+	cases := []struct {
+		prefix string
+		want   []string
+	}{
+		{"", keys},
+		{"blocks/elev", keys[:3]},
+		{"blocks/elevation/b1.bin", keys[:2]},
+		{"blocks/elevation/b1.bin/", nil},
+		{"blocks/nope/", nil},
+		{"nope/deeper/b", nil},
+		{"../", nil},
+		{fileStoreTmp + "/", nil},
+	}
+	for name, s := range storeImpls(t) {
+		t.Run(name, func(t *testing.T) {
+			for _, key := range keys {
+				if err := s.Put(ctx, key, []byte(key)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, c := range cases {
+				infos, err := s.List(ctx, c.prefix)
+				if err != nil {
+					t.Errorf("List(%q): %v", c.prefix, err)
+					continue
+				}
+				var got []string
+				for _, info := range infos {
+					got = append(got, info.Key)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(c.want) {
+					t.Errorf("List(%q) = %q, want %q", c.prefix, got, c.want)
+				}
+			}
+		})
 	}
 }
 

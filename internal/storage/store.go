@@ -45,9 +45,10 @@ type ObjectInfo struct {
 type Store interface {
 	// Put stores data under key, replacing any existing object. A key
 	// is an object or a directory of other keys, never both: while "a"
-	// is stored a store may refuse Put("a/x"), and once "a/x" has been
+	// is stored a store may refuse Put("a/x"), and while "a/x" is
 	// stored it may refuse Put("a"). FileStore refuses both, as a path
 	// cannot be a file and a directory at once; MemStore accepts both.
+	// Once every key under "a/" is deleted, Put("a") succeeds on both.
 	// A refused Put is an error and leaves the stored object unchanged.
 	Put(ctx context.Context, key string, data []byte) error
 	// Get returns the object under key, or ErrNotExist.
@@ -208,7 +209,7 @@ func NewFileStore(root string) (*FileStore, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create root: %w", err)
 	}
-	return &FileStore{root: root, tmp: filepath.Join(root, fileStoreTmp)}, nil
+	return &FileStore{root: filepath.Clean(root), tmp: filepath.Join(root, fileStoreTmp)}, nil
 }
 
 func (s *FileStore) path(key string) (string, error) {
@@ -242,10 +243,8 @@ func (s *FileStore) write(ctx context.Context, key string, body io.Reader) (int6
 	if err != nil {
 		return 0, err
 	}
-	for _, dir := range []string{filepath.Dir(p), s.tmp} {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return 0, fmt.Errorf("storage: mkdir: %w", err)
-		}
+	if err := os.MkdirAll(s.tmp, 0o755); err != nil {
+		return 0, fmt.Errorf("storage: mkdir: %w", err)
 	}
 	f, err := os.CreateTemp(s.tmp, "put-*")
 	if err != nil {
@@ -257,12 +256,30 @@ func (s *FileStore) write(ctx context.Context, key string, body io.Reader) (int6
 	n, err := io.CopyBuffer(struct{ io.Writer }{f}, body, *buf)
 	copyBufs.Put(buf)
 	if err = errors.Join(err, f.Chmod(0o644), f.Close()); err == nil { // CreateTemp makes 0600
-		err = os.Rename(f.Name(), p)
+		err = place(f.Name(), p)
 	}
 	if err != nil {
 		return 0, fmt.Errorf("storage: write: %w", errors.Join(err, os.Remove(f.Name())))
 	}
 	return n, nil
+}
+
+// place makes p's directories and renames the staged file tmp onto p.
+// A Delete of another key removes the directories it empties, so one
+// may vanish while MkdirAll makes it, or before the rename lands; place
+// then starts again, up to 8 times.
+func place(tmp, p string) error {
+	for i := 0; ; i++ {
+		err := os.MkdirAll(filepath.Dir(p), 0o755)
+		retry := errors.Is(err, fs.ErrExist) // made by another, then removed
+		if err == nil {
+			err = os.Rename(tmp, p)
+			retry = notExist(err)
+		}
+		if !retry || i == 8 {
+			return err
+		}
+	}
 }
 
 // copyBufs holds the buffers a streamed PUT copies through: a request
@@ -326,7 +343,8 @@ func notExist(err error) bool {
 }
 
 // Delete implements Store. A key that names a directory is no object,
-// so there is nothing to delete.
+// so there is nothing to delete. The directories a deletion empties go
+// too, up to the root, so a key once used as a directory can be stored.
 func (s *FileStore) Delete(ctx context.Context, key string) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -338,8 +356,19 @@ func (s *FileStore) Delete(ctx context.Context, key string) error {
 	if fi, err := os.Lstat(p); err == nil && fi.IsDir() {
 		return nil
 	}
-	if err := os.Remove(p); err != nil && !notExist(err) {
+	err = os.Remove(p)
+	if notExist(err) {
+		return nil
+	}
+	if err != nil {
 		return fmt.Errorf("storage: delete: %w", err)
+	}
+	// Rmdir removes only an empty directory, never an object: a
+	// refusal ends the walk up and is no error.
+	for dir := filepath.Dir(p); dir != s.root; dir = filepath.Dir(dir) {
+		if syscall.Rmdir(dir) != nil {
+			break
+		}
 	}
 	return nil
 }
@@ -363,15 +392,28 @@ func (s *FileStore) Stat(ctx context.Context, key string) (ObjectInfo, error) {
 	return ObjectInfo{Key: key, Size: fi.Size(), ModTime: fi.ModTime()}, nil
 }
 
-// List implements Store.
+// List implements Store. It walks only the directory the prefix's last
+// complete segment names ("a/b" for "a/b/c" and "a/b/"), the root for a
+// prefix with no slash. A directory missing, or removed by a concurrent
+// Delete mid-walk, holds no objects.
 func (s *FileStore) List(ctx context.Context, prefix string) ([]ObjectInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	start := s.root
+	if i := strings.LastIndexByte(prefix, '/'); i >= 0 {
+		var err error
+		if start, err = s.path(prefix[:i]); err != nil {
+			return nil, nil // no valid key runs through an invalid directory
+		}
+	}
 	var out []ObjectInfo
-	err := filepath.WalkDir(s.root, func(p string, de os.DirEntry, err error) error {
+	err := filepath.WalkDir(start, func(p string, de os.DirEntry, err error) error {
 		if p == s.tmp {
 			return filepath.SkipDir
+		}
+		if notExist(err) {
+			return nil
 		}
 		if err != nil || de.IsDir() {
 			return err

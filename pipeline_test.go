@@ -40,7 +40,7 @@ func TestNetCDFPipelineIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := convert.ToIDXWith(context.Background(), idx.NewMemBackend(), []convert.Input{{FieldName: "soil_moisture", Grid: loaded}}, convert.IDXOptions{})
+	ds, err := convert.ToIDXWith(context.Background(), storage.NewIDXBackend(storage.NewMemStore(), ""), []convert.Input{{FieldName: "soil_moisture", Grid: loaded}}, convert.IDXOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestDashboardMultiDataset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds, err := idx.Create(context.Background(), idx.NewMemBackend(), meta)
+		ds, err := idx.Create(context.Background(), storage.NewIDXBackend(storage.NewMemStore(), ""), meta)
 		if err != nil {
 			t.Fatal(err)
 		}
